@@ -14,9 +14,10 @@ from .diagnostics import (RateEstimate, TraceRecord, fit_rate, gap,
                           littleo_witness, stationarity)
 from .oracle import (ReferenceNotConverged, brute_step_oracle,
                      cached_reference, kkt_refine, kkt_solve_qp)
-from .problems import (KKTPoint, ObjectiveOracle, ProblemInstance,
-                       check_gradient, make_lp_regression, make_qp,
-                       make_random_lp, make_random_qp, make_ring_logistic)
+from .problems import (GramEigenbasis, KKTPoint, ObjectiveOracle,
+                       ProblemInstance, check_gradient, make_lp_regression,
+                       make_qp, make_random_lp, make_random_qp,
+                       make_ring_logistic)
 from .schedule import (ScaledSchedule, Schedule, ScheduleError,
                        attouch_cabot, certify_rho, certify_rho_scaled,
                        chambolle_dossal, coefficients, custom_schedule,
@@ -29,7 +30,8 @@ from .subsolver import (InnerSolverPolicy, MaxInnerIterations,
                         solve_inner_newton, solve_linear_case)
 
 __all__ = [
-    "InnerSolverPolicy", "IterateState", "KKTPoint", "MaxInnerIterations",
+    "GramEigenbasis", "InnerSolverPolicy", "IterateState", "KKTPoint",
+    "MaxInnerIterations",
     "ObjectiveOracle", "ProblemInstance", "RateEstimate",
     "ReferenceNotConverged", "ScaledSchedule", "Schedule", "ScheduleError",
     "SolverConfig", "StoppingRule", "SubproblemSpec", "TraceRecord",

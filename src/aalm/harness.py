@@ -224,11 +224,15 @@ def parse_config(source):
 # ---------------------------------------------------------------------------
 # Instances from config blocks and manifest files.
 
-def _load_array(path):
+def _load_array(path, keep_sparse=False):
+    """Dense array from ``.csv`` or ``.mtx``; a sparse Matrix Market file
+    stays sparse (as CSR) when ``keep_sparse``."""
     path = str(path)
     if path.endswith(".mtx"):
         mat = scipy.io.mmread(path)
         if scipy.sparse.issparse(mat):
+            if keep_sparse:
+                return scipy.sparse.csr_array(mat, dtype=float)
             mat = mat.toarray()
         return np.asarray(mat, dtype=float)
     return np.loadtxt(path, delimiter=",", dtype=float)
@@ -239,8 +243,10 @@ def load_manifest(path):
 
     The manifest is JSON with keys ``name``, ``objective``, ``A``, ``b``;
     matrix paths (``.mtx`` Matrix Market or ``.csv`` dense) are resolved
-    relative to the manifest's directory.  Objective kinds: ``qp`` (keys
-    ``Q``, ``q``) and ``lp-regression`` (keys ``B``, ``c``, ``p``).
+    relative to the manifest's directory.  A sparse (coordinate) ``A.mtx``
+    stays sparse, as a CSR array; every other matrix is loaded dense.
+    Objective kinds: ``qp`` (keys ``Q``, ``q``) and ``lp-regression``
+    (keys ``B``, ``c``, ``p``).
     """
     path = Path(path)
     try:
@@ -255,7 +261,9 @@ def load_manifest(path):
         if key not in raw:
             raise ConfigError(f"manifest needs {key!r}")
     base = path.parent
-    A = np.atleast_2d(_load_array(base / raw["A"]))
+    A = _load_array(base / raw["A"], keep_sparse=True)
+    if not scipy.sparse.issparse(A):
+        A = np.atleast_2d(A)
     b = np.atleast_1d(_load_array(base / raw["b"]))
     obj = raw["objective"]
     kind = obj.get("kind")

@@ -25,9 +25,10 @@ import os
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse
 from scipy.linalg import cho_factor, cho_solve, lstsq
 
-from .problems import KKTPoint, ProblemInstance
+from .problems import KKTPoint, ProblemInstance, dense
 from .schedule import nesterov
 from .solver import SolverConfig, StoppingRule, run
 from .subsolver import InnerSolverPolicy
@@ -35,6 +36,12 @@ from .subsolver import InnerSolverPolicy
 # Residual scale accepted from the direct KKT solve before falling back to
 # (or failing out of) the least-squares path.
 KKT_RESIDUAL_TOL = 1e-10
+
+# A cached pair is trusted while its re-evaluated KKT residual stays below
+# FACTOR * recorded kkt_tol + FLOOR; the floor absorbs the rounding of a
+# re-evaluation in a different operation order.
+CACHE_RECHECK_FACTOR = 10.0
+CACHE_RECHECK_FLOOR = 1e-13
 
 
 class ReferenceNotConverged(RuntimeError):
@@ -57,8 +64,16 @@ class InfeasibleConstraints(ValueError):
 
 
 def _min_norm_solve(M, rhs):
-    """Minimum-norm least-squares solve (complete orthogonal factorization)."""
-    sol, _, _, _ = lstsq(M, rhs, lapack_driver="gelsy")
+    """Minimum-norm least-squares solve (complete orthogonal factorization).
+
+    Singular values below ``max(M.shape) * eps`` relative to the largest
+    count as zero (numpy's ``matrix_rank`` default).  With LAPACK's
+    default cutoff of ``eps`` the rounding-level singular values of a
+    rank-deficient ``M`` count as rank, and the solution picks up a large,
+    arithmetic-dependent component along the null space.
+    """
+    cond = max(M.shape) * np.finfo(float).eps
+    sol, _, _, _ = lstsq(M, rhs, cond=cond, lapack_driver="gelsy")
     return sol
 
 
@@ -80,7 +95,7 @@ def kkt_solve_qp(Q, q, A, b):
     """
     Q = np.asarray(Q, dtype=float)
     q = np.asarray(q, dtype=float)
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+    A = np.atleast_2d(np.asarray(dense(A), dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     n, m = Q.shape[0], A.shape[0]
     K = np.zeros((n + m, n + m))
@@ -154,7 +169,8 @@ def kkt_refine(instance, budget=100_000, target=1e-9, polish_steps=60):
     lam0 = np.zeros(instance.n_constraints)
     state, _ = run(instance, config, x0, lam0)
     x, lam = state.x_curr, state.lam_curr
-    A, b = instance.A, instance.b
+    # The polish and the minimum-norm dual work on a dense copy of A.
+    A, b = dense(instance.A), instance.b
     stat, feas = _kkt_residuals(instance, x, lam)
     if obj.hessian is not None:
         best = max(stat, feas)
@@ -166,8 +182,9 @@ def kkt_refine(instance, budget=100_000, target=1e-9, polish_steps=60):
             try:
                 chol = cho_factor(H)
                 Hinv_g = cho_solve(chol, g)
-                Hinv_At = cho_solve(chol, A.T)
-                S = A @ Hinv_At
+                # H^{-1} A' (n x m) is freed as soon as S is formed, which
+                # keeps it out of the least-squares solve's peak memory.
+                S = A @ cho_solve(chol, A.T)
                 lam_new = _min_norm_solve(S, A @ x - b - A @ Hinv_g)
                 dx = -cho_solve(chol, g + A.T @ lam_new)
             except np.linalg.LinAlgError:
@@ -257,10 +274,22 @@ def brute_step_oracle(quad_coef, lin_coef, a, b, gamma, delta, beta, eta,
 # Reference cache: KKT points persisted next to experiment outputs.
 
 def instance_hash(instance):
-    """Content hash binding a cache entry to the instance's exact data."""
+    """Content hash binding a cache entry to the instance's exact data.
+
+    A sparse ``A`` is hashed through its canonical CSR form (shape, then
+    ``data``, ``indices`` and ``indptr`` with 64-bit indices), without a
+    dense copy.
+    """
     h = hashlib.sha256()
     h.update(instance.name.encode())
-    h.update(np.ascontiguousarray(instance.A).tobytes())
+    A = instance.A
+    if scipy.sparse.issparse(A):
+        h.update(np.asarray(A.shape, dtype=np.int64).tobytes())
+        h.update(np.ascontiguousarray(A.data).tobytes())
+        h.update(A.indices.astype(np.int64).tobytes())
+        h.update(A.indptr.astype(np.int64).tobytes())
+    else:
+        h.update(np.ascontiguousarray(A).tobytes())
     h.update(np.ascontiguousarray(instance.b).tobytes())
     return h.hexdigest()[:16]
 
@@ -283,19 +312,33 @@ def load_kkt(path):
                     kkt_tol=float(fields["kkt_tol"][0]))
 
 
+def _cached_pair_holds(instance, kkt):
+    """Whether a loaded pair fits ``instance`` and still certifies its
+    recorded ``kkt_tol`` (up to ``CACHE_RECHECK_FACTOR`` and rounding)."""
+    if (kkt.x.shape != (instance.dim,)
+            or kkt.lam.shape != (instance.n_constraints,)):
+        return False
+    res = max(_kkt_residuals(instance, kkt.x, kkt.lam))
+    return res <= CACHE_RECHECK_FACTOR * kkt.kkt_tol + CACHE_RECHECK_FLOOR
+
+
 def cached_reference(instance, directory, compute=None, refresh=False):
     """Fetch (or compute and persist) the reference pair for ``instance``.
 
-    The cache file name embeds :func:`instance_hash`, so any change to the
-    instance data invalidates the entry.  ``compute`` defaults to
-    :func:`kkt_refine`.
+    The cache file name embeds :func:`instance_hash`, so any change to
+    ``A``, ``b`` or the name invalidates the entry.  The hash does not
+    cover the objective, so a loaded pair is also re-verified: its shapes
+    must match the instance and its KKT residual, recomputed here (one
+    gradient, two matvecs), must not lie far above the recorded
+    ``kkt_tol``.  A pair that fails either test is recomputed and
+    overwritten.  ``compute`` defaults to :func:`kkt_refine`.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"{instance.name}-{instance_hash(instance)}.kkt.csv"
     if path.exists() and not refresh:
         kkt = load_kkt(path)
-        if kkt.x.shape == (instance.dim,):
+        if _cached_pair_holds(instance, kkt):
             return kkt
     kkt = compute(instance) if compute is not None else kkt_refine(instance)
     save_kkt(path, kkt)

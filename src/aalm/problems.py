@@ -13,7 +13,8 @@ three families used throughout the tests and benchmarks are built in:
   a ring of agents, with the consensus constraint expressed through the
   Kronecker product of a ring Laplacian with the identity.  Its constraint
   matrix is symmetric and rank deficient, which exercises the minimum-norm
-  dual paths.
+  dual paths; it is stored sparse and carries a factored eigenbasis of
+  ``A'A`` (see :class:`GramEigenbasis`).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
+import scipy.sparse
 from scipy.special import expit
 
 # Residual magnitudes below this are clamped when forming lp-regression
@@ -63,27 +65,59 @@ class ObjectiveOracle:
 
 
 @dataclass(frozen=True)
+class GramEigenbasis:
+    """A factored eigendecomposition ``A'A = V diag(evals) V'``.
+
+    ``V`` is orthogonal and never formed: ``apply_V(y)`` returns ``V y``
+    and ``apply_Vt(x)`` returns ``V' x``.  ``evals`` (n,) need not be
+    sorted.  Constructors that know the structure of ``A`` attach one so
+    that linear subproblem solves cost a few structured products instead
+    of a dense ``eigh`` and two dense matvecs.
+    """
+
+    evals: np.ndarray
+    apply_V: Callable
+    apply_Vt: Callable
+
+
+@dataclass(frozen=True)
 class ProblemInstance:
     """A constrained problem ``min f(x) s.t. A x = b``.
 
-    ``A`` is dense (m, n), ``b`` has shape (m,).  ``name`` identifies the
-    instance in traces, summaries and reference caches, so constructors
-    bake the generating parameters (and seed) into it.
+    ``A`` (m, n) is either a dense ``ndarray`` or a ``scipy.sparse``
+    matrix, which is stored as a CSR array in canonical form (sorted
+    indices, no duplicates); every per-iteration product uses it as
+    given, and only the independent oracles and one-off factorizations
+    densify it.  ``b`` has shape (m,).  ``gram``, when given, is a
+    factored eigenbasis of ``A'A`` that the linear subproblem solve uses
+    in place of a dense ``eigh`` (see :class:`aalm.subsolver.LinearCache`).
+    ``name`` identifies the instance in traces, summaries and reference
+    caches, so constructors bake the generating parameters (and seed)
+    into it.
     """
 
     objective: ObjectiveOracle
     A: np.ndarray
     b: np.ndarray
     name: str
+    gram: Optional[GramEigenbasis] = None
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
+        if scipy.sparse.issparse(self.A):
+            A = scipy.sparse.csr_array(self.A, dtype=float, copy=True)
+            A.sum_duplicates()
+        else:
+            A = np.asarray(self.A, dtype=float)
         b = np.asarray(self.b, dtype=float)
         if A.ndim != 2:
             raise ValueError(f"A must be 2-D, got shape {A.shape}")
         if b.shape != (A.shape[0],):
             raise ValueError(
                 f"b must have shape ({A.shape[0]},) to match A, got {b.shape}")
+        if self.gram is not None and self.gram.evals.shape != (A.shape[1],):
+            raise ValueError(
+                f"gram eigenvalues must have shape ({A.shape[1]},), got "
+                f"{self.gram.evals.shape}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
 
@@ -107,6 +141,11 @@ class KKTPoint:
     x: np.ndarray
     lam: np.ndarray
     kkt_tol: float
+
+
+def dense(M):
+    """``M`` as a dense ``ndarray`` (a copy only when ``M`` is sparse)."""
+    return M.toarray() if scipy.sparse.issparse(M) else M
 
 
 def make_qp(Q, q, A, b, name="qp"):
@@ -203,6 +242,12 @@ def make_ring_logistic(p_agents=10, m_dim=200, rho_reg=0.5, seed=0,
     is symmetric PSD with rank ``(p_agents - 1) * m_dim`` (its null space
     is spanned by agreement vectors ``1 kron v``).  The exposed gradient
     Lipschitz constant is ``max_i { ||c_i||^2 / 4 + rho_reg }``.
+
+    ``A`` is stored as a CSR array (three nonzeros per row).  With
+    ``I - W = V_W diag(l) V_W'`` from a p x p ``eigh``, ``A'A`` has the
+    eigenbasis ``V_W kron I_m`` with eigenvalues ``l_i^2``, each repeated
+    ``m_dim`` times; it is attached as ``gram`` and applied blockwise as
+    ``(V_W @ x.reshape(p, m)).ravel()``.
     """
     if m_dim < 1:
         raise ValueError(f"m_dim must be >= 1, got {m_dim}")
@@ -211,8 +256,15 @@ def make_ring_logistic(p_agents=10, m_dim=200, rho_reg=0.5, seed=0,
     W = ring_mixing_matrix(p_agents)
     rng = np.random.Generator(np.random.PCG64(seed))
     C = rng.uniform(0.0, 1.0, size=(p_agents, m_dim))
-    A = np.kron(np.eye(p_agents) - W, np.eye(m_dim))
+    laplacian = np.eye(p_agents) - W
+    A = scipy.sparse.kron(scipy.sparse.csr_array(laplacian),
+                          scipy.sparse.eye_array(m_dim), format="csr")
     b = np.zeros(p_agents * m_dim)
+    lap_evals, V_W = np.linalg.eigh(laplacian)
+    gram = GramEigenbasis(
+        evals=np.repeat(lap_evals ** 2, m_dim),
+        apply_V=lambda y: (V_W @ y.reshape(p_agents, m_dim)).ravel(),
+        apply_Vt=lambda x: (V_W.T @ x.reshape(p_agents, m_dim)).ravel())
     L = float((np.sum(C ** 2, axis=1) / 4.0 + rho_reg).max())
 
     def value(x):
@@ -241,7 +293,7 @@ def make_ring_logistic(p_agents=10, m_dim=200, rho_reg=0.5, seed=0,
         name = (f"ring-logistic-p{p_agents}-m{m_dim}-rho{rho_reg:g}"
                 f"-pcg64-{seed}")
     objective = ObjectiveOracle(value, gradient, hessian, lipschitz=L)
-    return ProblemInstance(objective, A, b, name)
+    return ProblemInstance(objective, A, b, name, gram=gram)
 
 
 def make_random_qp(n=50, m=10, seed=0, cond=10.0, name=None):

@@ -37,7 +37,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .diagnostics import TraceRecord, make_record
-from .problems import KKTPoint, ProblemInstance
+from .problems import KKTPoint, ProblemInstance, dense
 from .schedule import (ScaledSchedule, Schedule, certify_rho_scaled,
                        coefficients, generate, generate_scaled, resolve,
                        resolve_eta)
@@ -319,12 +319,13 @@ def step_coupled(state, config, instance):
 
     directly as one linear system in ``(x, lam)`` -- only available when
     the implicit part is (at most) quadratic.  This is an independent
-    arithmetic path from :func:`step` and is used to cross-validate it.
+    arithmetic path from :func:`step` (dense throughout, whatever the
+    storage of ``A``) and is used to cross-validate it.
     """
     eta = config.schedule.eta
     alpha_k, c_k = coefficients(state.t_next, eta)
     xbar, lbar = extrapolate(state)
-    A = instance.A
+    A = dense(instance.A)
     m, n = A.shape
     gamma_eff = config.gamma * state.xi_next
     delta_eff = config.delta * state.xi_next

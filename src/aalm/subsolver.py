@@ -13,9 +13,9 @@ proximal term makes F well-posed for any convex ``f_part``.
 Two paths solve it:
 
 * :func:`solve_linear_case` -- one SPD solve when ``f_part`` is (at most)
-  quadratic, optionally through a cached eigendecomposition of ``A'A``
-  when the quadratic part is a multiple of the identity (then every solve
-  is two dense matvecs);
+  quadratic, through a cached eigenbasis of ``A'A`` when the quadratic
+  part is a multiple of the identity (then every solve is a few basis
+  applications) and by Cholesky otherwise;
 * :func:`solve_inner_newton` -- damped Newton with backtracking for smooth
   non-quadratic implicit parts.
 """
@@ -27,6 +27,8 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+
+from .problems import GramEigenbasis, dense
 
 # Residual tolerance asserted after every direct solve (scaled by the rhs).
 LINEAR_RESIDUAL_TOL = 1e-10
@@ -147,12 +149,17 @@ def subproblem_gradient(spec, instance, x):
 class LinearCache:
     """Per-run precomputation shared by every linear subproblem solve.
 
-    Holds ``A'A``, ``A'b`` and the implicit part's ``(Q, q)``.  When the
-    quadratic part is a multiple of the identity (``mu I``, including the
-    explicit case's ``0``), ``use_eig=True`` additionally stores the
-    eigendecomposition of ``A'A`` so each solve costs two matvecs instead
-    of a factorization -- the intended mode for large structured
-    constraint matrices.
+    Holds ``A'A`` (sparse when ``A`` is), ``A'b`` and the implicit part's
+    ``(Q, q)``.  When the quadratic part is a multiple of the identity
+    (``mu I``, including the explicit case's ``0``), an eigenbasis of
+    ``A'A`` (``basis``, a :class:`~aalm.problems.GramEigenbasis`) turns
+    each solve into a few basis applications instead of a factorization.
+    The basis has two providers: the instance's factored
+    ``gram`` eigenbasis, used whenever the instance carries one, and a
+    dense ``eigh`` of ``A'A``, used when ``use_eig=True`` and the instance
+    carries none (``use_eig`` then requires an identity quadratic part).
+    Every other configuration solves by Cholesky, densifying ``A'A`` once
+    per factorization.
     """
 
     def __init__(self, instance, case, use_eig=False):
@@ -164,12 +171,18 @@ class LinearCache:
             self.Q, self.q = quad
         else:
             self.Q, self.q = None, None
-        self.evals = None
-        self.evecs = None
-        self.mu = None
-        if use_eig:
-            self.mu = self._identity_coefficient()
-            self.evals, self.evecs = np.linalg.eigh(self.AtA)
+        self.basis = None
+        self.mu = self._identity_coefficient()
+        if instance.gram is not None and self.mu is not None:
+            self.basis = instance.gram
+        elif use_eig and instance.gram is None:
+            if self.mu is None:
+                raise ValueError(
+                    "eigendecomposition mode needs the quadratic part to be "
+                    "a multiple of the identity")
+            evals, evecs = np.linalg.eigh(dense(self.AtA))
+            self.basis = GramEigenbasis(evals, lambda y: evecs @ y,
+                                        lambda x: evecs.T @ x)
         # Size-one Cholesky memo: the factorization is reused as long as
         # the system coefficient (beta + delta c^2, gamma) is unchanged.
         # The fixed-step baseline has c = 0 throughout, so it factors once;
@@ -180,14 +193,13 @@ class LinearCache:
         self._m_scale = None
 
     def _identity_coefficient(self):
+        """``mu`` with ``Q = mu I`` (0 without ``Q``), or None."""
         if self.Q is None:
             return 0.0
         n = self.Q.shape[0]
         mu = float(np.trace(self.Q)) / n
         if np.abs(self.Q - mu * np.eye(n)).max() > 1e-12 * max(1.0, abs(mu)):
-            raise ValueError(
-                "eigendecomposition mode needs the quadratic part to be a "
-                "multiple of the identity")
+            return None
         return mu
 
 
@@ -200,10 +212,13 @@ def solve_linear_case(spec, instance, cache=None):
         (Q_eff + gamma^{-1} I + (beta + delta c^2) A'A) x
             = gamma^{-1} xbar - g_anchor - q_eff + A'(beta b - p + delta c r)
 
-    by Cholesky (or the cached eigendecomposition) and asserts the residual
-    against ``1e-10`` on the backward-error scale ``1 + ||rhs|| +
-    ||M|| ||x||`` (the two scales differ materially once ``delta c^2``
-    is large and ``A`` has a null space).
+    through the cache's eigenbasis of ``A'A`` when it holds one (the
+    instance's factored ``gram`` or a dense ``eigh``; see
+    :class:`LinearCache`), with one refinement pass, and by Cholesky
+    otherwise.  Asserts the residual against ``1e-10`` on the
+    backward-error scale ``1 + ||rhs|| + ||M|| ||x||`` (the two scales
+    differ materially once ``delta c^2`` is large and ``A`` has a null
+    space).
     """
     if cache is None:
         cache = LinearCache(instance, spec.case)
@@ -218,20 +233,22 @@ def solve_linear_case(spec, instance, cache=None):
         rhs = rhs - spec.gradient_anchor
     if cache.q is not None:
         rhs = rhs - cache.q
-    if cache.evals is not None:
+    if cache.basis is not None:
         shift = cache.mu + 1.0 / spec.gamma
-        diag = shift + coef * cache.evals
-        x = cache.evecs @ ((cache.evecs.T @ rhs) / diag)
+        diag = shift + coef * cache.basis.evals
+        V, Vt = cache.basis.apply_V, cache.basis.apply_Vt
+        x = V(Vt(rhs) / diag)
         # One refinement pass: the eigenfactorization's backward error
         # leaves an O(n eps ||M||) residual that two extra matvecs remove.
         r1 = rhs - (shift * x + coef * (cache.AtA @ x))
-        x = x + cache.evecs @ ((cache.evecs.T @ r1) / diag)
+        x = x + V(Vt(r1) / diag)
         Mx = shift * x + coef * (cache.AtA @ x)
-        m_scale = float(diag[-1])
+        # A factored basis need not order its eigenvalues.
+        m_scale = float(diag.max())
     else:
         key = (coef, spec.gamma)
         if cache._chol_key != key:
-            M = coef * cache.AtA
+            M = coef * dense(cache.AtA)
             M[np.diag_indices_from(M)] += 1.0 / spec.gamma
             if cache.Q is not None:
                 M = M + cache.Q
@@ -277,7 +294,7 @@ def solve_inner_newton(spec, instance, policy, x0, report=None):
     if part is None or part.hessian is None:
         raise ValueError("inner Newton needs an implicit part with a hessian")
     A = instance.A
-    AtA = A.T @ A
+    AtA = dense(A.T @ A)
     coef = spec.beta + spec.delta * spec.c_k ** 2
     x = np.array(x0, dtype=float)
     g = subproblem_gradient(spec, instance, x)

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse
 from numpy.testing import assert_allclose
 
 from aalm.cli import main
@@ -14,7 +15,7 @@ from aalm.harness import (ConfigError, VanillaConfig, build_problem,
                           load_manifest, parse_config, read_trace_csv,
                           run_experiment, run_vanilla, summarize_trace,
                           write_trace_csv)
-from aalm.oracle import kkt_solve_qp, load_kkt
+from aalm.oracle import instance_hash, kkt_solve_qp, load_kkt
 from aalm.problems import (make_lp_regression, make_random_lp, make_random_qp,
                            make_ring_logistic)
 from aalm.schedule import ScaledSchedule, nesterov
@@ -227,6 +228,34 @@ class TestManifest:
         x = np.array([0.5, -1.0])
         assert_allclose(inst.objective.value(x),
                         0.5 * x @ Q @ x + q @ x, rtol=1e-15)
+
+    def test_sparse_constraint_manifest(self, tmp_path):
+        """A coordinate-format A.mtx stays sparse (CSR), hashes the same on
+        reload, and gives the dense-A instance's reference to 1e-10."""
+        rng = np.random.default_rng(7)
+        G = rng.normal(size=(6, 6))
+        Q = G @ G.T + np.eye(6)
+        q = rng.normal(size=6)
+        A = scipy.sparse.random_array((3, 6), density=0.5, rng=rng,
+                                      format="coo") + scipy.sparse.eye_array(
+                                          3, 6, format="coo")
+        b = rng.normal(size=3)
+        scipy.io.mmwrite(str(tmp_path / "A.mtx"), A)
+        for fname, arr in (("Q.csv", Q), ("q.csv", q), ("b.csv", b)):
+            _write_matrix(tmp_path / fname, arr)
+        manifest = {"name": "sparse-qp",
+                    "objective": {"kind": "qp", "Q": "Q.csv", "q": "q.csv"},
+                    "A": "A.mtx", "b": "b.csv"}
+        (tmp_path / "inst.json").write_text(json.dumps(manifest))
+        inst = load_manifest(tmp_path / "inst.json")
+        assert scipy.sparse.issparse(inst.A) and inst.A.format == "csr"
+        assert_allclose(inst.A.toarray(), A.toarray(), atol=0)
+        again = load_manifest(tmp_path / "inst.json")
+        assert instance_hash(again) == instance_hash(inst)
+        ref = kkt_solve_qp(Q, q, inst.A, inst.b)
+        twin = kkt_solve_qp(Q, q, inst.A.toarray(), inst.b)
+        assert_allclose(ref.x, twin.x, rtol=0, atol=1e-10)
+        assert_allclose(ref.lam, twin.lam, rtol=0, atol=1e-10)
 
     def test_lp_manifest_roundtrip(self, tmp_path):
         """An lp-regression manifest matches the directly built objective."""

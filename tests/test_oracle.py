@@ -6,6 +6,8 @@ its own certificate for the non-quadratic families; the scalar brute
 oracle's closed forms are frozen here before they pin the solver.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from aalm import (
     make_random_qp,
     make_ring_logistic,
 )
+from aalm.harness import load_manifest
 from aalm.oracle import (
     InfeasibleConstraints,
     ReferenceNotConverged,
@@ -26,6 +29,7 @@ from aalm.oracle import (
     load_kkt,
     save_kkt,
 )
+from aalm.problems import KKTPoint
 
 
 class TestKktSolveQp:
@@ -103,6 +107,15 @@ class TestKktRefine:
         g = inst.objective.gradient(kkt.x)
         assert np.linalg.norm(g + inst.A.T @ kkt.lam) <= 1e-9
         assert np.linalg.norm(inst.A @ kkt.x - inst.b) <= 1e-9
+
+    def test_ring_dual_is_minimum_norm(self):
+        """The reference dual of a ring has no component along the
+        agreement directions 1 kron v, the null space of A'."""
+        inst = make_ring_logistic(p_agents=10, m_dim=20, rho_reg=0.5, seed=0)
+        kkt = kkt_refine(inst)
+        per_agent = kkt.lam.reshape(10, 20)
+        agreement = np.sqrt(10) * np.linalg.norm(per_agent.mean(axis=0))
+        assert agreement <= 1e-12
 
     def test_infeasible_reports_residuals(self):
         """No KKT point exists: the error carries the stuck feasibility
@@ -225,3 +238,41 @@ class TestReferenceCache:
         cached_reference(shifted, tmp_path, compute=compute)
         assert len(calls) == 2
         assert len(list(tmp_path.glob("*.kkt.csv"))) == 2
+
+    def test_changed_objective_recomputed(self, tmp_path):
+        """A manifest QP whose Q.csv is tripled under the same name keeps
+        its hash; the stale pair fails the residual recheck and is
+        replaced by one certified for the new objective."""
+        rng = np.random.default_rng(11)
+        G = rng.normal(size=(8, 8))
+        files = {"Q.csv": G @ G.T + np.eye(8), "q.csv": rng.normal(size=8),
+                 "A.csv": rng.normal(size=(3, 8)), "b.csv": rng.normal(size=3)}
+        manifest = {"name": "shared-qp",
+                    "objective": {"kind": "qp", "Q": "Q.csv", "q": "q.csv"},
+                    "A": "A.csv", "b": "b.csv"}
+        for fname, arr in files.items():
+            np.savetxt(tmp_path / fname, arr, delimiter=",")
+        (tmp_path / "inst.json").write_text(json.dumps(manifest))
+        cache = tmp_path / "refs"
+        before = load_manifest(tmp_path / "inst.json")
+        cached_reference(before, cache)
+        np.savetxt(tmp_path / "Q.csv", 3.0 * files["Q.csv"], delimiter=",")
+        after = load_manifest(tmp_path / "inst.json")
+        assert instance_hash(after) == instance_hash(before)
+        kkt = cached_reference(after, cache)
+        Q, q = after.objective.quadratic
+        stat = np.linalg.norm(Q @ kkt.x + q + after.A.T @ kkt.lam)
+        assert stat <= 1e-10
+        assert load_kkt(next(cache.glob("*.kkt.csv"))).x.tolist() \
+            == kkt.x.tolist()
+
+    def test_wrong_dual_shape_recomputed(self, tmp_path):
+        """A sidecar whose lam has the wrong length is not returned."""
+        inst = make_random_qp(n=6, m=2, seed=3)
+        good = cached_reference(inst, tmp_path)
+        path = next(tmp_path.glob("*.kkt.csv"))
+        save_kkt(path, KKTPoint(x=good.x, lam=np.zeros(3),
+                                kkt_tol=good.kkt_tol))
+        again = cached_reference(inst, tmp_path)
+        assert again.lam.shape == (2,)
+        np.testing.assert_allclose(again.lam, good.lam, rtol=0, atol=0)

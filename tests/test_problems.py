@@ -8,6 +8,7 @@ null space, symmetry) are verified directly.
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from aalm import (
     check_gradient,
@@ -198,7 +199,7 @@ class TestRingLogistic:
         """A = (I - W) kron I_m is symmetric, kills agreement vectors, and
         has rank (p - 1) m."""
         inst = make_ring_logistic(p_agents=4, m_dim=3, rho_reg=0.5, seed=0)
-        A = inst.A
+        A = inst.A.toarray()
         np.testing.assert_allclose(A, A.T, rtol=0, atol=0)
         rng = np.random.default_rng(0)
         v = rng.normal(size=3)
@@ -206,6 +207,27 @@ class TestRingLogistic:
         np.testing.assert_allclose(A @ agree, 0.0, rtol=0, atol=1e-14)
         assert np.linalg.matrix_rank(A) == 9
         np.testing.assert_allclose(inst.b, 0.0, rtol=0, atol=0)
+
+    def test_sparse_constraint_is_exact_kron(self):
+        """The CSR A equals the dense Kronecker product entry for entry."""
+        inst = make_ring_logistic(p_agents=5, m_dim=4, rho_reg=0.5, seed=0)
+        assert scipy.sparse.issparse(inst.A) and inst.A.format == "csr"
+        W = ring_mixing_matrix(5)
+        expected = np.kron(np.eye(5) - W, np.eye(4))
+        np.testing.assert_array_equal(inst.A.toarray(), expected)
+        assert inst.A.nnz == 3 * inst.n_constraints
+
+    def test_gram_eigenbasis_reproduces_gram(self):
+        """V diag(evals) V' = A'A to 1e-13, with V orthogonal."""
+        inst = make_ring_logistic(p_agents=10, m_dim=20, rho_reg=0.5, seed=0)
+        n = inst.dim
+        V = np.column_stack([inst.gram.apply_V(e) for e in np.eye(n)])
+        Vt = np.column_stack([inst.gram.apply_Vt(e) for e in np.eye(n)])
+        A = inst.A.toarray()
+        np.testing.assert_array_equal(Vt, V.T)
+        np.testing.assert_allclose(V.T @ V, np.eye(n), rtol=0, atol=1e-13)
+        np.testing.assert_allclose((V * inst.gram.evals) @ V.T, A.T @ A,
+                                   rtol=0, atol=1e-13)
 
     def test_hessian_matches_differences(self):
         """The blockwise Hessian agrees with differenced gradients."""

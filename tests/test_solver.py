@@ -32,6 +32,8 @@ from aalm import (
     step,
     step_coupled,
 )
+from aalm.harness import VanillaConfig, run_vanilla
+from aalm.problems import make_ring_logistic
 from aalm.solver import inner_tolerance
 
 
@@ -288,6 +290,47 @@ class TestDegenerateConstraints:
         assert all(r.feas == 0.0 for r in trace)
         x_free = np.linalg.solve(Q, -q)
         np.testing.assert_allclose(state.x_curr, x_free, rtol=0, atol=1e-6)
+
+
+class TestStructuredConstraints:
+    """A sparse A with a factored Gram eigenbasis follows the same
+    trajectory as its dense twin solved by Cholesky."""
+
+    @pytest.fixture(scope="class")
+    def ring_pair(self):
+        ring = make_ring_logistic(10, 20, 0.5, seed=0)
+        twin = ProblemInstance(ring.objective, ring.A.toarray(), ring.b,
+                               ring.name)
+        assert ring.gram is not None and twin.gram is None
+        return ring, twin
+
+    @staticmethod
+    def _rel(a, b):
+        return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+    def test_accelerated_run_matches_dense_twin(self, ring_pair):
+        """CD(10) noncritical, explicit, delta = 10, 300 iterations."""
+        cfg = SolverConfig(schedule=chambolle_dossal(10.0, eta="noncritical"),
+                           case="explicit", delta=10.0, max_iter=300)
+        finals = []
+        for inst in ring_pair:
+            state, _ = run(inst, cfg, np.zeros(inst.dim),
+                           np.zeros(inst.n_constraints))
+            finals.append(state)
+        sparse_run, dense_run = finals
+        assert self._rel(sparse_run.x_curr, dense_run.x_curr) <= 1e-10
+        assert self._rel(sparse_run.lam_curr, dense_run.lam_curr) <= 1e-10
+
+    def test_vanilla_run_matches_dense_twin(self, ring_pair):
+        finals = []
+        for inst in ring_pair:
+            state, _ = run_vanilla(inst, VanillaConfig(), 300,
+                                   np.zeros(inst.dim),
+                                   np.zeros(inst.n_constraints))
+            finals.append(state)
+        sparse_run, dense_run = finals
+        assert self._rel(sparse_run.x_curr, dense_run.x_curr) <= 1e-10
+        assert self._rel(sparse_run.lam_curr, dense_run.lam_curr) <= 1e-10
 
 
 class TestStepCoupled:

@@ -6,6 +6,8 @@ objective where no closed form exists.  Gradient/value consistency of the
 assembled subproblem is audited by finite differences.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,28 @@ class TestSolveLinearCase:
         inst = make_random_qp(n=6, m=2, seed=7)
         with pytest.raises(ValueError, match="identity"):
             LinearCache(inst, "implicit", use_eig=True)
+
+    def test_factored_basis_or_cholesky_fallback(self):
+        """An instance's gram basis serves identity quadratics; any other
+        Q falls back to Cholesky (even under use_eig) instead of raising.
+        Both match a Cholesky solve on the dense twin."""
+        ring = make_ring_logistic(p_agents=4, m_dim=5, rho_reg=0.5, seed=0)
+        rng = np.random.default_rng(8)
+        G = rng.normal(size=(20, 20))
+        spec = _spec(gamma=0.5, beta=1.0, delta=2.0, c_k=40.0,
+                     p_k=rng.normal(size=20), r_k=rng.normal(size=20),
+                     xbar_k=rng.normal(size=20), m=20, n=20)
+        for Q, factored in ((3.0 * np.eye(20), True),
+                            (G @ G.T + np.eye(20), False)):
+            q = rng.normal(size=20)
+            inst = replace(make_qp(Q, q, ring.A, ring.b), gram=ring.gram)
+            twin = make_qp(Q, q, ring.A.toarray(), ring.b)
+            cache = LinearCache(inst, "implicit", use_eig=True)
+            assert (cache.basis is ring.gram) == factored
+            x = solve_linear_case(spec, inst, cache)
+            x_dense = solve_linear_case(spec, twin, LinearCache(twin,
+                                                               "implicit"))
+            np.testing.assert_allclose(x, x_dense, rtol=0, atol=1e-10)
 
     def test_nonquadratic_implicit_rejected(self):
         """The linear path refuses non-quadratic implicit parts."""
