@@ -8,8 +8,10 @@ producer of such pairs:
   system, falling back to a minimum-norm least-squares solve when the
   constraints are rank deficient;
 * :func:`kkt_refine` handles general smooth objectives: a long accelerated
-  run to get near the solution, then Newton polish on the KKT equations
-  down to a certified residual;
+  run to get near the solution, then null-space Newton polish on the KKT
+  equations, in an eigenbasis of ``A'A`` (the instance's structured one
+  when it carries one, a dense SVD otherwise), down to a certified
+  residual;
 * :func:`brute_step_oracle` recomputes a single solver iteration for
   scalar problems by literal formula substitution -- a deliberately
   separate arithmetic path used to pin down :func:`aalm.solver.step`.
@@ -26,9 +28,9 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse
-from scipy.linalg import cho_factor, cho_solve, lstsq
+from scipy.linalg import lstsq
 
-from .problems import KKTPoint, ProblemInstance, dense
+from .problems import GramEigenbasis, KKTPoint, ProblemInstance, dense
 from .schedule import nesterov
 from .solver import SolverConfig, StoppingRule, run
 from .subsolver import InnerSolverPolicy
@@ -130,21 +132,67 @@ def _kkt_residuals(instance, x, lam):
     return stat, feas
 
 
+def _gram_pseudoinverse(instance):
+    """``(A'A)^+`` and a basis of ``null(A)`` from an eigenbasis of ``A'A``.
+
+    Uses the instance's ``gram`` when it has one, otherwise a dense SVD
+    ``A = U diag(s) V'`` with eigenvalues ``s^2`` padded with zeros to
+    ``n``.  Eigenvalues at most ``(max(m, n) * eps)^2 * max(e)`` count as
+    zero: the singular-value cutoff of :func:`_min_norm_solve`.
+
+    Returns
+    -------
+    (callable, ndarray)
+        ``pinv(v) = V (e^+ * V'v)`` and ``Z`` (n, k), the eigenvectors of
+        the zero eigenvalues.
+    """
+    A, n = instance.A, instance.dim
+    gram = instance.gram
+    if gram is None:
+        _, sigma, Vt = np.linalg.svd(dense(A), full_matrices=True)
+        evals = np.zeros(n)
+        evals[:sigma.size] = sigma ** 2
+        gram = GramEigenbasis(evals, apply_V=lambda y: Vt.T @ y,
+                              apply_Vt=lambda x: Vt @ x)
+    e = gram.evals
+    zero = e <= (max(A.shape) * np.finfo(float).eps) ** 2 * e.max()
+    e_plus = np.zeros(n)
+    e_plus[~zero] = 1.0 / e[~zero]
+    null = np.flatnonzero(zero)
+    Z = np.empty((n, null.size))
+    for j, i in enumerate(null):
+        unit = np.zeros(n)
+        unit[i] = 1.0
+        Z[:, j] = gram.apply_V(unit)
+    return (lambda v: gram.apply_V(e_plus * gram.apply_Vt(v))), Z
+
+
 def kkt_refine(instance, budget=100_000, target=1e-9, polish_steps=60):
     """High-accuracy KKT pair for a general smooth instance.
 
     Quadratic objectives short-circuit to :func:`kkt_solve_qp`.  Otherwise
     an accelerated run (explicit step when a Lipschitz constant is known,
-    implicit otherwise) warms a damped Newton iteration on the KKT system;
-    each polish step solves the Schur complement ``A H^{-1} A'`` by a
-    minimum-norm least-squares solve, so rank-deficient constraints are
-    handled throughout.  The returned ``kkt_tol`` certifies
-    ``max(stationarity, feasibility) <= target``.
+    implicit otherwise) warms a damped Newton iteration on the KKT system.
+    Each polish step is a null-space Newton step (Nocedal & Wright,
+    *Numerical Optimization*, 16.2) in an eigenbasis of ``A'A`` (see
+    :func:`_gram_pseudoinverse`), with ``Z`` a basis of ``null(A)``:
+
+        dx_p    = (A'A)^+ A'(b - A x),
+        Z'HZ dz = -Z'(g + H dx_p),      dx = dx_p + Z dz,
+        lam_new = -A (A'A)^+ (g + H dx),
+
+    so rank-deficient constraints are handled throughout and ``lam_new``
+    is the minimum-norm multiplier.  ``Z'HZ`` is factored by Cholesky,
+    with a minimum-norm least-squares solve when it is singular.  The
+    returned ``kkt_tol`` certifies ``max(stationarity, feasibility) <=
+    target``, evaluated from ``A`` and the gradient.
 
     Raises
     ------
     ReferenceNotConverged
-        If the residual target is not met; carries the final residuals.
+        If the residual target is not met; carries the final residuals,
+        and its message names the warm run's iteration count, the polish
+        steps taken and whether the damping stalled.
     """
     obj = instance.objective
     if obj.quadratic is not None:
@@ -169,34 +217,31 @@ def kkt_refine(instance, budget=100_000, target=1e-9, polish_steps=60):
     lam0 = np.zeros(instance.n_constraints)
     state, _ = run(instance, config, x0, lam0)
     x, lam = state.x_curr, state.lam_curr
-    # The polish and the minimum-norm dual work on a dense copy of A.
-    A, b = dense(instance.A), instance.b
+    A, b = instance.A, instance.b
     stat, feas = _kkt_residuals(instance, x, lam)
+    steps, stalled = 0, False
     if obj.hessian is not None:
+        pinv, Z = _gram_pseudoinverse(instance)
         best = max(stat, feas)
         for _ in range(polish_steps):
             if best <= 0.01 * target:
                 break
             H = obj.hessian(x)
             g = obj.gradient(x)
+            dx_p = pinv(A.T @ (b - A @ x))
+            ZHZ = Z.T @ (H @ Z)
+            rhs = -(Z.T @ (g + H @ dx_p))
+            # Cholesky through numpy, not scipy: each wheel bundles an
+            # OpenBLAS whose workers spin for about 0.1 s after a threaded
+            # call, and a second spinning pool next to numpy's (busy after
+            # H @ Z) preempts the caller's next phase on a 2-core machine.
             try:
-                chol = cho_factor(H)
-                Hinv_g = cho_solve(chol, g)
-                # H^{-1} A' (n x m) is freed as soon as S is formed, which
-                # keeps it out of the least-squares solve's peak memory.
-                S = A @ cho_solve(chol, A.T)
-                lam_new = _min_norm_solve(S, A @ x - b - A @ Hinv_g)
-                dx = -cho_solve(chol, g + A.T @ lam_new)
+                L = np.linalg.cholesky(ZHZ)
+                dz = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
             except np.linalg.LinAlgError:
-                # Indefinite or singular Hessian: full KKT least squares.
-                n = x.size
-                J = np.zeros((n + A.shape[0], n + A.shape[0]))
-                J[:n, :n] = H
-                J[:n, n:] = A.T
-                J[n:, :n] = A
-                F = np.concatenate([g + A.T @ lam, A @ x - b])
-                d = _min_norm_solve(J, -F)
-                dx, lam_new = d[:n], lam + d[n:]
+                dz = _min_norm_solve(ZHZ, rhs)
+            dx = dx_p + Z @ dz
+            lam_new = -(A @ pinv(g + H @ dx))
             # Damped acceptance on the KKT residual.
             s = 1.0
             while s > 1e-6:
@@ -205,21 +250,28 @@ def kkt_refine(instance, budget=100_000, target=1e-9, polish_steps=60):
                 stat_t, feas_t = _kkt_residuals(instance, x_try, lam_try)
                 if max(stat_t, feas_t) < best:
                     x, lam, best = x_try, lam_try, max(stat_t, feas_t)
+                    steps += 1
                     break
                 s *= 0.5
             else:
-                break  # no progress in any damping; stop polishing
+                stalled = True  # no progress in any damping; stop polishing
+                break
         # Deterministic dual: minimum-norm multiplier for the final x.
-        lam_mn = _min_norm_solve(A.T, -obj.gradient(x))
+        lam_mn = -(A @ pinv(obj.gradient(x)))
         stat_mn, feas_mn = _kkt_residuals(instance, x, lam_mn)
         if max(stat_mn, feas_mn) <= best:
             lam, best = lam_mn, max(stat_mn, feas_mn)
         stat, feas = _kkt_residuals(instance, x, lam)
     res = max(stat, feas)
     if res > target:
+        polish = (f"{steps} polish steps, damping "
+                  f"{'stalled' if stalled else 'did not stall'}"
+                  if obj.hessian is not None else "no Hessian to polish with")
         raise ReferenceNotConverged(
-            f"KKT residual {res:.3e} exceeds target {target:.1e} after "
-            f"budget {budget} and polishing", stat, feas)
+            f"KKT residual {res:.3e} (stationarity {stat:.3e}, feasibility "
+            f"{feas:.3e}) exceeds target {target:.1e} after a warm run of "
+            f"{state.k - 1} iterations (budget {budget}) and {polish}",
+            stat, feas)
     return KKTPoint(x=x, lam=lam, kkt_tol=res)
 
 
@@ -278,7 +330,9 @@ def instance_hash(instance):
 
     A sparse ``A`` is hashed through its canonical CSR form (shape, then
     ``data``, ``indices`` and ``indptr`` with 64-bit indices), without a
-    dense copy.
+    dense copy.  A quadratic objective's ``Q`` and ``q`` are hashed too;
+    other objectives are opaque callables and are covered only by the
+    re-verification in :func:`cached_reference`.
     """
     h = hashlib.sha256()
     h.update(instance.name.encode())
@@ -291,6 +345,9 @@ def instance_hash(instance):
     else:
         h.update(np.ascontiguousarray(A).tobytes())
     h.update(np.ascontiguousarray(instance.b).tobytes())
+    if instance.objective.quadratic is not None:
+        for part in instance.objective.quadratic:
+            h.update(np.ascontiguousarray(part, dtype=float).tobytes())
     return h.hexdigest()[:16]
 
 
@@ -326,8 +383,9 @@ def cached_reference(instance, directory, compute=None, refresh=False):
     """Fetch (or compute and persist) the reference pair for ``instance``.
 
     The cache file name embeds :func:`instance_hash`, so any change to
-    ``A``, ``b`` or the name invalidates the entry.  The hash does not
-    cover the objective, so a loaded pair is also re-verified: its shapes
+    ``A``, ``b``, the name or a quadratic objective's data invalidates the
+    entry.  The hash does not cover other objectives, so a loaded pair is
+    also re-verified: its shapes
     must match the instance and its KKT residual, recomputed here (one
     gradient, two matvecs), must not lie far above the recorded
     ``kkt_tol``.  A pair that fails either test is recomputed and

@@ -132,7 +132,8 @@ def generate(schedule, k_max):
     Returns
     -------
     numpy.ndarray
-        The values ``[t_1, ..., t_{k_max}]``.
+        The values ``[t_1, ..., t_{k_max}]``; for ``nesterov`` a read-only
+        ``longdouble`` view of a process-wide prefix.
 
     Raises
     ------
@@ -145,17 +146,7 @@ def generate(schedule, k_max):
         raise ScheduleError(f"k_max must be >= 1, got {k_max}")
     k = np.arange(1, k_max + 1, dtype=float)
     if schedule.rule == "nesterov":
-        # The recurrence is iterated in extended precision: in plain double
-        # arithmetic the accumulated root error breaks the defining identity
-        # t_{k+1}^2 - t_k^2 = t_{k+1} at the 1e-9 level by k ~ 1e4, which is
-        # enough to trip certification on long horizons.
-        t = np.empty(k_max, dtype=np.longdouble)
-        half, one, four = (np.longdouble(x) for x in (0.5, 1.0, 4.0))
-        cur = one
-        t[0] = cur
-        for i in range(k_max - 1):
-            cur = half * (one + np.sqrt(one + four * cur * cur))
-            t[i + 1] = cur
+        t = _nesterov_prefix(k_max)
     elif schedule.rule == "chambolle-dossal":
         t = (k + schedule.alpha - 2.0) / (schedule.alpha - 1.0)
     elif schedule.rule == "attouch-cabot":
@@ -171,6 +162,38 @@ def generate(schedule, k_max):
         raise ScheduleError(f"unknown schedule rule {schedule.rule!r}")
     _validate_sequence(t)
     return t
+
+
+# Process-wide prefix t_1 .. t_K of the Nesterov recurrence (read-only).
+_nesterov_cache = np.ones(1, dtype=np.longdouble)
+_nesterov_cache.flags.writeable = False
+
+
+def _nesterov_prefix(k_max):
+    """Read-only view of ``t_1 .. t_{k_max}`` of the Nesterov recurrence.
+
+    The recurrence is iterated in extended precision: in plain double
+    arithmetic the accumulated root error breaks the defining identity
+    ``t_{k+1}^2 - t_k^2 = t_{k+1}`` at the 1e-9 level by ``k ~ 1e4``, which
+    is enough to trip certification on long horizons.  Its values are kept
+    for the process and extended, by continuing the same recurrence, only
+    when a longer horizon is asked for, so every horizon sees bit-identical
+    values.  Views, never copies, are handed out: certification horizons
+    reach 1e6 terms (16 MB).
+    """
+    global _nesterov_cache
+    known = _nesterov_cache.size
+    if k_max > known:
+        t = np.empty(k_max, dtype=np.longdouble)
+        t[:known] = _nesterov_cache
+        half, one, four = (np.longdouble(x) for x in (0.5, 1.0, 4.0))
+        cur = t[known - 1]
+        for i in range(known, k_max):
+            cur = half * (one + np.sqrt(one + four * cur * cur))
+            t[i] = cur
+        t.flags.writeable = False
+        _nesterov_cache = t
+    return _nesterov_cache[:k_max]
 
 
 def _validate_sequence(t):

@@ -21,15 +21,17 @@ from aalm import (
     make_random_qp,
     make_ring_logistic,
 )
+from aalm import oracle as oracle_module
 from aalm.harness import load_manifest
 from aalm.oracle import (
     InfeasibleConstraints,
     ReferenceNotConverged,
+    _min_norm_solve as min_norm_solve,
     instance_hash,
     load_kkt,
     save_kkt,
 )
-from aalm.problems import KKTPoint
+from aalm.problems import KKTPoint, ObjectiveOracle, ProblemInstance
 
 
 class TestKktSolveQp:
@@ -108,18 +110,70 @@ class TestKktRefine:
         assert np.linalg.norm(g + inst.A.T @ kkt.lam) <= 1e-9
         assert np.linalg.norm(inst.A @ kkt.x - inst.b) <= 1e-9
 
-    def test_ring_dual_is_minimum_norm(self):
+    @pytest.fixture(scope="class")
+    def ring_refs(self):
+        """References of the 10x20 ring (Kronecker gram basis) and of its
+        dense twin (no gram, so the polish takes a dense SVD)."""
+        ring = make_ring_logistic(p_agents=10, m_dim=20, rho_reg=0.5, seed=0)
+        twin = ProblemInstance(ring.objective, ring.A.toarray(), ring.b,
+                               ring.name)
+        assert ring.gram is not None and twin.gram is None
+        return kkt_refine(ring), kkt_refine(twin)
+
+    @staticmethod
+    def _agreement(lam):
+        """Norm of lam's component along the agreement directions
+        1 kron v, the null space of A'."""
+        return np.sqrt(10) * np.linalg.norm(lam.reshape(10, 20).mean(axis=0))
+
+    def test_ring_dual_is_minimum_norm(self, ring_refs):
         """The reference dual of a ring has no component along the
         agreement directions 1 kron v, the null space of A'."""
-        inst = make_ring_logistic(p_agents=10, m_dim=20, rho_reg=0.5, seed=0)
+        kkt, _ = ring_refs
+        assert self._agreement(kkt.lam) <= 1e-12
+
+    def test_ring_dense_twin_agrees(self, ring_refs):
+        """Both eigenbasis providers give the same minimum-norm pair."""
+        kkt, twin = ring_refs
+        for got, want in ((twin.x, kkt.x), (twin.lam, kkt.lam)):
+            assert (np.linalg.norm(got - want)
+                    <= 1e-12 * np.linalg.norm(want))
+        assert self._agreement(twin.lam) <= 1e-12
+        assert twin.kkt_tol <= 1e-9
+
+    def test_singular_reduced_hessian(self, monkeypatch):
+        """f = (x1 + x2 - 1)^2/2 + (x3 - 2)^2/2 (not tagged quadratic)
+        under x1 + x2 + x3 = 0: the Hessian's null direction (1, -1, 0)
+        lies in null(A), so Z'HZ is singular, Cholesky fails and the
+        least-squares fallback still certifies the pair."""
+        H = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        h = np.array([1.0, 1.0, 2.0])
+        objective = ObjectiveOracle(
+            value=lambda x: 0.5 * (x[0] + x[1] - 1.0) ** 2
+            + 0.5 * (x[2] - 2.0) ** 2,
+            gradient=lambda x: H @ x - h,
+            hessian=lambda x: H,
+            lipschitz=2.0)
+        inst = ProblemInstance(objective, np.ones((1, 3)), np.zeros(1),
+                               "singular-reduced-hessian")
+        shapes = []
+
+        def recording(M, rhs):
+            shapes.append(M.shape)
+            return min_norm_solve(M, rhs)
+
+        monkeypatch.setattr(oracle_module, "_min_norm_solve", recording)
         kkt = kkt_refine(inst)
-        per_agent = kkt.lam.reshape(10, 20)
-        agreement = np.sqrt(10) * np.linalg.norm(per_agent.mean(axis=0))
-        assert agreement <= 1e-12
+        assert (2, 2) in shapes
+        assert kkt.kkt_tol <= 1e-9
+        stat = np.linalg.norm(H @ kkt.x - h + kkt.lam[0])
+        feas = abs(kkt.x.sum())
+        assert max(stat, feas) <= 1e-9
 
     def test_infeasible_reports_residuals(self):
         """No KKT point exists: the error carries the stuck feasibility
-        (here dist(b, range A) = 1/sqrt(2))."""
+        (here dist(b, range A) = 1/sqrt(2)), and its message names the
+        warm run, the polish and both residuals."""
         rng = np.random.default_rng(0)
         B = rng.normal(size=(8, 4))
         c = rng.normal(size=8)
@@ -129,6 +183,11 @@ class TestKktRefine:
             kkt_refine(bad, budget=300, polish_steps=10)
         np.testing.assert_allclose(exc.value.feas_res, np.sqrt(0.5),
                                    rtol=1e-6)
+        message = str(exc.value)
+        assert "warm run of 300 iterations" in message
+        assert "polish steps, damping stalled" in message
+        assert f"stationarity {exc.value.stat_res:.3e}" in message
+        assert f"feasibility {exc.value.feas_res:.3e}" in message
 
 
 class TestBruteStepOracle:
@@ -239,32 +298,50 @@ class TestReferenceCache:
         assert len(calls) == 2
         assert len(list(tmp_path.glob("*.kkt.csv"))) == 2
 
-    def test_changed_objective_recomputed(self, tmp_path):
-        """A manifest QP whose Q.csv is tripled under the same name keeps
-        its hash; the stale pair fails the residual recheck and is
-        replaced by one certified for the new objective."""
+    @staticmethod
+    def _qp_manifest(directory, Q_scale=1.0):
+        """Write an 8x3 manifest QP named "shared-qp" (fixed data, ``Q``
+        scaled by ``Q_scale``) into ``directory`` and load it."""
         rng = np.random.default_rng(11)
         G = rng.normal(size=(8, 8))
-        files = {"Q.csv": G @ G.T + np.eye(8), "q.csv": rng.normal(size=8),
+        files = {"Q.csv": Q_scale * (G @ G.T + np.eye(8)),
+                 "q.csv": rng.normal(size=8),
                  "A.csv": rng.normal(size=(3, 8)), "b.csv": rng.normal(size=3)}
         manifest = {"name": "shared-qp",
                     "objective": {"kind": "qp", "Q": "Q.csv", "q": "q.csv"},
                     "A": "A.csv", "b": "b.csv"}
+        directory.mkdir(parents=True, exist_ok=True)
         for fname, arr in files.items():
-            np.savetxt(tmp_path / fname, arr, delimiter=",")
-        (tmp_path / "inst.json").write_text(json.dumps(manifest))
+            np.savetxt(directory / fname, arr, delimiter=",")
+        (directory / "inst.json").write_text(json.dumps(manifest))
+        return load_manifest(directory / "inst.json")
+
+    def test_changed_quadratic_changes_hash(self, tmp_path):
+        """Two manifest QPs that differ only in Q.csv get different cache
+        files."""
         cache = tmp_path / "refs"
-        before = load_manifest(tmp_path / "inst.json")
+        before = self._qp_manifest(tmp_path / "one")
+        after = self._qp_manifest(tmp_path / "three", Q_scale=3.0)
+        assert instance_hash(after) != instance_hash(before)
         cached_reference(before, cache)
-        np.savetxt(tmp_path / "Q.csv", 3.0 * files["Q.csv"], delimiter=",")
-        after = load_manifest(tmp_path / "inst.json")
-        assert instance_hash(after) == instance_hash(before)
+        cached_reference(after, cache)
+        assert len(list(cache.glob("*.kkt.csv"))) == 2
+
+    def test_changed_objective_recomputed(self, tmp_path):
+        """A stale pair planted under the cache file of a manifest QP whose
+        Q.csv was tripled fails the residual recheck and is replaced by
+        one certified for the new objective."""
+        cache = tmp_path / "refs"
+        before = self._qp_manifest(tmp_path / "one")
+        stale = cached_reference(before, cache)
+        after = self._qp_manifest(tmp_path / "three", Q_scale=3.0)
+        path = cache / f"{after.name}-{instance_hash(after)}.kkt.csv"
+        save_kkt(path, stale)
         kkt = cached_reference(after, cache)
         Q, q = after.objective.quadratic
         stat = np.linalg.norm(Q @ kkt.x + q + after.A.T @ kkt.lam)
         assert stat <= 1e-10
-        assert load_kkt(next(cache.glob("*.kkt.csv"))).x.tolist() \
-            == kkt.x.tolist()
+        assert load_kkt(path).x.tolist() == kkt.x.tolist()
 
     def test_wrong_dual_shape_recomputed(self, tmp_path):
         """A sidecar whose lam has the wrong length is not returned."""

@@ -24,6 +24,7 @@ from aalm import (
     resolve,
     resolve_eta,
 )
+from aalm import schedule as schedule_module
 
 
 class TestNesterov:
@@ -51,6 +52,27 @@ class TestNesterov:
         """t_k grows like k/2, so t_1000 lies near 500."""
         t = generate(nesterov(), 1000)
         assert 490 < float(t[-1]) < 510
+
+    def test_memoized_prefix_bit_identical(self):
+        """Every horizon reads the same extended-precision bits as a fresh
+        iteration of the recurrence, also past an extension of the shared
+        prefix, and the values handed out are read-only."""
+        half, one, four = (np.longdouble(v) for v in (0.5, 1.0, 4.0))
+        fresh = [one]
+        for _ in range(2999):
+            fresh.append(half * (one + np.sqrt(one + four * fresh[-1]
+                                                * fresh[-1])))
+        fresh = np.array(fresh, dtype=np.longdouble)
+        known = schedule_module._nesterov_cache.size
+        longer = generate(nesterov(), max(known, 3000) + 10)
+        assert np.array_equal(generate(nesterov(), 3000), fresh)
+        assert np.array_equal(longer[:3000], fresh)
+        cur = longer[-11]
+        for value in longer[-10:]:
+            cur = half * (one + np.sqrt(one + four * cur * cur))
+            assert value == cur
+        assert longer.dtype == np.longdouble
+        assert not longer.flags.writeable
 
 
 class TestChambolleDossal:
