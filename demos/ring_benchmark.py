@@ -36,10 +36,10 @@ x0 = np.zeros(ring.dim)
 lam0 = np.zeros(ring.n_constraints)
 
 # Accelerated: 1/9-decrement schedule in the noncritical regime, dual
-# stepsize delta = 10, one eigendecomposition shared by all iterations.
+# stepsize delta = 10; every linear solve goes through the ring's
+# Kronecker eigenbasis of A'A.
 cfg = SolverConfig(schedule=chambolle_dossal(10.0, eta="noncritical"),
-                   case="explicit", delta=10.0, max_iter=ITERS,
-                   use_eig=True)
+                   case="explicit", delta=10.0, max_iter=ITERS)
 _, accel = run(ring, cfg, x0, lam0, kkt=kkt)
 
 # Baseline: proximal ALM, gamma = 1/L, no extrapolation.

@@ -22,7 +22,8 @@ from . import __version__
 from .harness import (ConfigError, build_problem, load_manifest,
                       parse_config, run_experiment)
 from .oracle import ReferenceNotConverged, kkt_refine, save_kkt
-from .schedule import ScheduleError, certify_rho
+from .schedule import (SCHEDULE_RULES, ScheduleError, certify_rho,
+                       named_schedule)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -46,8 +47,7 @@ def _build_parser():
     p_cert = sub.add_parser("certify-schedule",
                             help="measure a schedule's growth constant")
     p_cert.add_argument("--rule", required=True,
-                        help="nesterov | chambolle-dossal/cd | "
-                             "attouch-cabot/ac")
+                        help=" | ".join(SCHEDULE_RULES))
     p_cert.add_argument("--alpha", type=float, default=None)
     p_cert.add_argument("--kmax", type=int, default=10_000)
 
@@ -84,18 +84,9 @@ def _cmd_run(args):
 
 
 def _cmd_certify(args):
-    from .schedule import attouch_cabot, chambolle_dossal, nesterov
-    rule = args.rule
-    if rule == "nesterov":
-        sched = nesterov()
-    elif rule in ("chambolle-dossal", "cd"):
-        sched = chambolle_dossal(args.alpha if args.alpha else 10.0)
-    elif rule in ("attouch-cabot", "ac"):
-        sched = attouch_cabot(args.alpha if args.alpha else 10.0)
-    else:
-        raise ConfigError(f"unknown rule {rule!r}")
+    sched = named_schedule(args.rule, args.alpha)
     rho_hat = certify_rho(sched, args.kmax)
-    print(f"rule={rule} kmax={args.kmax} rho_hat={rho_hat!r}")
+    print(f"rule={args.rule} kmax={args.kmax} rho_hat={rho_hat!r}")
     print(f"admissible eta range: [{min(rho_hat, 1.0)!r}, 1]")
     return EXIT_OK
 

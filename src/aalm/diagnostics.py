@@ -80,17 +80,18 @@ def mnorm_sq(dx, dlam, gamma, delta):
     return float(dx @ dx) / gamma + float(dlam @ dlam) / delta
 
 
-def gap(instance, kkt, beta, x, f_x=None, f_star=None):
+def gap(instance, kkt, beta, x, f_x=None, f_star=None, Axb=None):
     """The Lagrangian-type gap ``H`` at ``x`` (nonnegative by convexity).
 
-    ``f_x`` and ``f_star`` may be passed to avoid re-evaluating the
-    objective.
+    ``f_x``, ``f_star`` and the residual ``Axb = A x - b`` may be passed
+    to avoid re-evaluating them.
     """
     if f_x is None:
         f_x = instance.objective.value(x)
     if f_star is None:
         f_star = instance.objective.value(kkt.x)
-    Axb = instance.A @ x - instance.b
+    if Axb is None:
+        Axb = instance.A @ x - instance.b
     return (f_x - f_star + float(kkt.lam @ Axb)
             + 0.5 * beta * float(Axb @ Axb))
 
@@ -102,14 +103,17 @@ def stationarity(instance, x, lam):
 
 
 def energy(instance, kkt, gamma, delta, eta, beta, t_k, x, x_prev, lam,
-           lam_prev, xi_k=1.0, f_x=None, f_star=None):
-    """Lyapunov energy ``E_k`` at the state ``(z_k, z_{k-1}, t_k)``."""
-    H = gap(instance, kkt, beta, x, f_x=f_x, f_star=f_star)
+           lam_prev, xi_k=1.0, f_x=None, f_star=None, H=None):
+    """Lyapunov energy ``E_k`` at the state ``(z_k, z_{k-1}, t_k)``; the
+    gap ``H`` at ``x`` may be passed to avoid re-evaluating it."""
+    if H is None:
+        H = gap(instance, kkt, beta, x, f_x=f_x, f_star=f_star)
     dx_star, dlam_star = x - kkt.x, lam - kkt.lam
     wx = eta * dx_star + (t_k - 1.0) * (x - x_prev)
     wl = eta * dlam_star + (t_k - 1.0) * (lam - lam_prev)
     B = (0.5 * mnorm_sq(wx, wl, gamma, delta)
-         + 0.5 * eta * (1.0 - eta) * mnorm_sq(dx_star, dlam_star, gamma, delta))
+         + 0.5 * eta * (1.0 - eta)
+         * mnorm_sq(dx_star, dlam_star, gamma, delta))
     return t_k ** 2 * xi_k * H + B
 
 
@@ -128,15 +132,9 @@ def make_record(instance, k, t_k, x, x_prev, lam, lam_prev, gamma, delta,
         if f_star is None:
             f_star = instance.objective.value(kkt.x)
         obj_res = abs(f_x - f_star)
-        gap_H = (f_x - f_star + float(kkt.lam @ Axb)
-                 + 0.5 * beta * float(Axb @ Axb))
-        dx_star, dlam_star = x - kkt.x, lam - kkt.lam
-        wx = eta * dx_star + (t_k - 1.0) * (x - x_prev)
-        wl = eta * dlam_star + (t_k - 1.0) * (lam - lam_prev)
-        B = (0.5 * mnorm_sq(wx, wl, gamma, delta)
-             + 0.5 * eta * (1.0 - eta)
-             * mnorm_sq(dx_star, dlam_star, gamma, delta))
-        energy_E = t_k ** 2 * xi_k * gap_H + B
+        gap_H = gap(instance, kkt, beta, x, f_x=f_x, f_star=f_star, Axb=Axb)
+        energy_E = energy(instance, kkt, gamma, delta, eta, beta, t_k, x,
+                          x_prev, lam, lam_prev, xi_k=xi_k, H=gap_H)
     return TraceRecord(k=int(k), t_k=float(t_k), feas=feas, obj_res=obj_res,
                        stat_res=stat, gap_H=gap_H, energy_E=energy_E,
                        step_norm_M=step,

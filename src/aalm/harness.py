@@ -28,7 +28,8 @@ proximal augmented Lagrangian iteration
 
 with the same implicit/linearized treatment of ``f`` as the accelerated
 loop, so a comparison at equal stepsizes isolates the effect of the
-momentum and dual corrections.
+momentum and dual corrections.  Only the step differs: the subproblem
+solve and the run loop are the accelerated ones.
 """
 
 from __future__ import annotations
@@ -44,17 +45,14 @@ import scipy.io
 import scipy.sparse
 
 from . import solver as aalm_solver
-from .diagnostics import TRACE_FIELDS, TraceRecord, fit_rate, littleo_witness, \
-    make_record
+from .diagnostics import TRACE_FIELDS, TraceRecord, fit_rate, littleo_witness
 from .oracle import cached_reference, kkt_refine
 from .problems import (make_lp_regression, make_qp, make_random_lp,
                        make_random_qp, make_ring_logistic)
-from .schedule import ScaledSchedule, attouch_cabot, chambolle_dossal, \
-    nesterov
+from .schedule import SCHEDULE_RULES, ScaledSchedule, named_schedule
 from .solver import SolverConfig, StoppingRule, run
-from .subsolver import (InnerSolverPolicy, LinearCache, SubproblemSpec,
-                        multiplier_update, solve_inner_newton,
-                        solve_linear_case)
+from .subsolver import (InnerSolverPolicy, SubproblemSpec, multiplier_update,
+                        solve_subproblem)
 
 # Fixed offset deriving the instance's stream from the master seed.
 INSTANCE_SEED_OFFSET = 1000
@@ -116,15 +114,9 @@ def _check_keys(block, allowed, context):
 def _parse_schedule(block):
     _check_keys(block, {"rule", "alpha", "rho", "eta"}, "schedule")
     rule = block.get("rule")
-    eta = block.get("eta")
-    if rule in ("nesterov",):
-        sched = nesterov(eta=eta)
-    elif rule in ("chambolle-dossal", "cd"):
-        sched = chambolle_dossal(block.get("alpha", 10.0), eta=eta)
-    elif rule in ("attouch-cabot", "ac"):
-        sched = attouch_cabot(block.get("alpha", 10.0), eta=eta)
-    else:
+    if rule not in SCHEDULE_RULES:
         raise ConfigError(f"unknown schedule rule {rule!r}")
+    sched = named_schedule(rule, block.get("alpha"), eta=block.get("eta"))
     if "rho" in block:
         sched = replace(sched, rho=float(block["rho"]))
     return sched
@@ -176,12 +168,16 @@ def _parse_solver(block, iterations):
                    if "scaling" in block else None)
         stop = (_parse_stop(block["stop"], iterations)
                 if "stop" in block else None)
+        # Accepted for older configs and ignored: the instance picks the
+        # linear solve backend (see aalm.subsolver.LinearCache).
+        if not isinstance(block.get("use_eig", False), bool):
+            raise ConfigError(f"use_eig must be true or false "
+                              f"(solver {name!r})")
         cfg = SolverConfig(schedule=sched, case=block.get("case", "explicit"),
                            gamma=block.get("gamma"),
                            delta=block.get("delta", 1.0),
                            beta=block.get("beta", 1.0), scaling=scaling,
-                           max_iter=iterations, stop=stop, inner=inner,
-                           use_eig=block.get("use_eig", False))
+                           max_iter=iterations, stop=stop, inner=inner)
     else:
         raise ConfigError(f"unknown method {method!r} (solver {name!r})")
     return SolverEntry(name=name, method=method, config=cfg)
@@ -315,7 +311,7 @@ def vanilla_alm_step(state, vcfg, instance, cache=None):
 
     Encoded through the shared subproblem machinery with ``c_k = 0``,
     ``p_k = lam_k``, ``xbar = x_k`` followed by the plain dual ascent
-    ``lam + delta (A x_{k+1} - b)``.
+    ``lam + delta (A x_{k+1} - b)``.  ``vcfg.gamma`` must be set.
     """
     spec = SubproblemSpec(
         case=vcfg.case, gamma=vcfg.gamma, beta=vcfg.beta, delta=vcfg.delta,
@@ -323,12 +319,8 @@ def vanilla_alm_step(state, vcfg, instance, cache=None):
         xbar_k=state.x_curr,
         gradient_anchor=(instance.objective.gradient(state.x_curr)
                          if vcfg.case == "explicit" else None))
-    if aalm_solver._wants_linear_path(instance, vcfg.case):
-        x_next = solve_linear_case(spec, instance, cache)
-    else:
-        tol = aalm_solver.inner_tolerance(state.t_curr, vcfg.inner)
-        policy = replace(vcfg.inner, tol_grad=tol)
-        x_next = solve_inner_newton(spec, instance, policy, state.x_curr)
+    x_next = solve_subproblem(spec, instance, cache, vcfg.inner,
+                              state.t_curr, state.x_curr)
     lam_next = multiplier_update(state.lam_curr, vcfg.delta, 1.0,
                                  instance.A, x_next, instance.b)
     return aalm_solver.IterateState(
@@ -337,39 +329,32 @@ def vanilla_alm_step(state, vcfg, instance, cache=None):
         xi_seq=state.xi_seq)
 
 
-def run_vanilla(instance, vcfg, iterations, x0, lam0, kkt=None,
-                use_eig=False):
+def resolve_vanilla(instance, vcfg):
+    """``vcfg`` with a float ``gamma``, by default ``1/L`` for the explicit
+    case (which needs a Lipschitz constant) and ``1`` otherwise."""
+    lipschitz = instance.objective.lipschitz
+    if vcfg.case == "explicit" and lipschitz is None:
+        raise ValueError("explicit baseline needs a Lipschitz constant")
+    gamma = vcfg.gamma
+    if gamma is None:
+        gamma = 1.0 / lipschitz if vcfg.case == "explicit" else 1.0
+    return replace(vcfg, gamma=float(gamma))
+
+
+def run_vanilla(instance, vcfg, iterations, x0, lam0, kkt=None):
     """Run the baseline; returns ``(state, trace)`` like :func:`aalm.solver.run`.
 
     Records carry ``t_k = 1`` (no schedule) and NaN energy; the gap and
     residual fields are directly comparable with accelerated traces.
     """
-    obj = instance.objective
-    if vcfg.case == "explicit" and obj.lipschitz is None:
-        raise ValueError("explicit baseline needs a Lipschitz constant")
-    gamma = vcfg.gamma
-    if gamma is None:
-        gamma = 1.0 / obj.lipschitz if vcfg.case == "explicit" else 1.0
-    vcfg = replace(vcfg, gamma=float(gamma))
+    vcfg = resolve_vanilla(instance, vcfg)
     ones = np.ones(iterations + 1)
-    state = aalm_solver.IterateState(
-        x_curr=np.asarray(x0, dtype=float).copy(),
-        x_prev=np.asarray(x0, dtype=float).copy(),
-        lam_curr=np.asarray(lam0, dtype=float).copy(),
-        lam_prev=np.asarray(lam0, dtype=float).copy(),
-        k=1, t_seq=ones, xi_seq=ones)
-    cache = (LinearCache(instance, vcfg.case, use_eig=use_eig)
-             if aalm_solver._wants_linear_path(instance, vcfg.case) else None)
-    f_star = obj.value(kkt.x) if kkt is not None else None
-    trace = []
-    for _ in range(iterations):
-        state = vanilla_alm_step(state, vcfg, instance, cache)
-        rec = make_record(instance, state.k, 1.0, state.x_curr, state.x_prev,
-                          state.lam_curr, state.lam_prev, vcfg.gamma,
-                          vcfg.delta, 1.0, vcfg.beta, kkt=kkt, f_star=f_star)
-        # No Lyapunov certificate applies to the baseline.
-        trace.append(replace(rec, energy_E=float("nan")))
-    return state, trace
+    state = aalm_solver._start(instance, x0, lam0, ones, ones)
+    return aalm_solver._run_loop(
+        instance, vcfg.case, state,
+        lambda state, cache: vanilla_alm_step(state, vcfg, instance, cache),
+        StoppingRule(iterations), (vcfg.gamma, vcfg.delta, 1.0, vcfg.beta),
+        kkt, certified=False)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +462,9 @@ def run_experiment(config):
         ref_status = f"kkt_tol={kkt.kkt_tol:.3e}"
     except Exception as e:
         kkt = None
-        ref_status = f"failed: {type(e).__name__}"
+        # Only the trailing status column of summary.csv may hold commas.
+        reason = str(e).replace(",", ";").replace("\n", " ")
+        ref_status = f"failed: {type(e).__name__}: {reason}"
     rows = []
     x0 = np.zeros(instance.dim)
     lam0 = np.zeros(instance.n_constraints)
@@ -499,11 +486,7 @@ def run_experiment(config):
                            rho=resolved.schedule.rho,
                            eta=resolved.schedule.eta)
             else:
-                vcfg = entry.config
-                if vcfg.gamma is None:
-                    gamma = (1.0 / instance.objective.lipschitz
-                             if vcfg.case == "explicit" else 1.0)
-                    vcfg = replace(vcfg, gamma=float(gamma))
+                vcfg = resolve_vanilla(instance, entry.config)
                 _, trace = run_vanilla(instance, vcfg, config.iterations,
                                        x0, lam0, kkt=kkt)
                 row.update(case=vcfg.case, gamma=vcfg.gamma,

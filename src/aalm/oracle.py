@@ -211,7 +211,6 @@ def kkt_refine(instance, budget=100_000, target=1e-9, polish_steps=60):
         case=case,
         stop=StoppingRule(budget, feas_tol=basin, stat_tol=basin),
         inner=InnerSolverPolicy(max_inner=100),
-        use_eig=(case == "explicit" and instance.dim >= 400),
     )
     x0 = np.zeros(instance.dim)
     lam0 = np.zeros(instance.n_constraints)

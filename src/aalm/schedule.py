@@ -115,6 +115,22 @@ def attouch_cabot(alpha, eta=None):
     return Schedule(rule="attouch-cabot", alpha=float(alpha), eta=eta)
 
 
+#: Named rules by every accepted spelling.
+SCHEDULE_RULES = {"nesterov": nesterov, "chambolle-dossal": chambolle_dossal,
+                  "cd": chambolle_dossal, "attouch-cabot": attouch_cabot,
+                  "ac": attouch_cabot}
+
+
+def named_schedule(rule, alpha=None, eta=None):
+    """The schedule ``SCHEDULE_RULES[rule]``; ``alpha`` (default 10) is
+    ignored by ``nesterov``."""
+    if rule not in SCHEDULE_RULES:
+        raise ScheduleError(f"unknown schedule rule {rule!r}")
+    if rule == "nesterov":
+        return nesterov(eta=eta)
+    return SCHEDULE_RULES[rule](10.0 if alpha is None else alpha, eta=eta)
+
+
 def custom_schedule(fn, rho=None, eta=None):
     """Wrap a user rule ``fn: k -> t_k`` (1-based, accepts index arrays)."""
     return Schedule(rule="custom", fn=fn, rho=rho, eta=eta)

@@ -27,6 +27,11 @@ which ``check_identities=True`` verifies at every iteration.
 A scaled variant multiplies both stepsizes by per-iteration factors
 ``xi_{k+1}`` (implicit case only); rates are then measured against
 ``t_k^2 xi_k`` and every trace record carries that scaling.
+
+Step 3 is :func:`aalm.subsolver.solve_subproblem`, whose linear solve
+backend the instance fixes (see :class:`~aalm.subsolver.LinearCache`).
+:func:`run` and the baseline :func:`aalm.harness.run_vanilla` share one
+loop.
 """
 
 from __future__ import annotations
@@ -42,13 +47,7 @@ from .schedule import (ScaledSchedule, Schedule, certify_rho_scaled,
                        coefficients, generate, generate_scaled, resolve,
                        resolve_eta)
 from .subsolver import (InnerSolverPolicy, LinearCache, SubproblemSpec,
-                        multiplier_update, solve_inner_newton,
-                        solve_linear_case)
-
-# Inner Newton tolerance schedule: min(cap, INNER_TOL_SCALE / t_k^3).  The
-# cubic decay outpaces the energy telescoping, so inexact inner solves do
-# not pollute the measured rates.
-INNER_TOL_SCALE = 1e-2
+                        linear_path, multiplier_update, solve_subproblem)
 
 # Relative slack for the per-iteration identity checks in debug mode.
 IDENTITY_TOL = 1e-10
@@ -101,7 +100,6 @@ class SolverConfig:
     max_iter: int = 1000
     stop: Optional[StoppingRule] = None
     inner: InnerSolverPolicy = field(default_factory=InnerSolverPolicy)
-    use_eig: bool = False
     check_identities: bool = False
 
     def __post_init__(self):
@@ -220,6 +218,17 @@ def initial_state(instance, config, x0, lam0):
     ``config`` must be resolved.  Schedule values are generated once for
     the whole budget (``t_1 .. t_{K+1}``).
     """
+    k_max = config.max_iter + 1
+    if config.scaling is not None:
+        t_seq, xi_seq = generate_scaled(config.scaling, k_max)
+    else:
+        t_seq = generate(config.schedule, k_max)
+        xi_seq = np.ones_like(t_seq)
+    return _start(instance, x0, lam0, t_seq, xi_seq)
+
+
+def _start(instance, x0, lam0, t_seq, xi_seq):
+    """The ``k = 1`` state over the schedule values ``t_seq``, ``xi_seq``."""
     x0 = np.asarray(x0, dtype=float)
     lam0 = np.asarray(lam0, dtype=float)
     if x0.shape != (instance.dim,):
@@ -227,12 +236,6 @@ def initial_state(instance, config, x0, lam0):
     if lam0.shape != (instance.n_constraints,):
         raise ValueError(
             f"lam0 must have shape ({instance.n_constraints},), got {lam0.shape}")
-    k_max = config.max_iter + 1
-    if config.scaling is not None:
-        t_seq, xi_seq = generate_scaled(config.scaling, k_max)
-    else:
-        t_seq = generate(config.schedule, k_max)
-        xi_seq = np.ones_like(t_seq)
     return IterateState(x_curr=x0.copy(), x_prev=x0.copy(),
                         lam_curr=lam0.copy(), lam_prev=lam0.copy(),
                         k=1, t_seq=t_seq, xi_seq=xi_seq)
@@ -245,18 +248,6 @@ def extrapolate(state):
     xbar = state.x_curr + w * (state.x_curr - state.x_prev)
     lbar = state.lam_curr + w * (state.lam_curr - state.lam_prev)
     return xbar, lbar
-
-
-def _wants_linear_path(instance, case):
-    if case == "explicit":
-        return True
-    part = instance.objective if case == "implicit" else instance.objective.split[0]
-    return part.quadratic is not None
-
-
-def inner_tolerance(t_curr, policy):
-    """Per-iteration inner gradient tolerance ``min(cap, 1e-2 / t_k^3)``."""
-    return min(policy.tol_grad, INNER_TOL_SCALE / t_curr ** 3)
 
 
 def step(state, config, instance, cache=None, inner_report=None):
@@ -283,17 +274,8 @@ def step(state, config, instance, cache=None, inner_report=None):
     spec = SubproblemSpec(case=config.case, gamma=gamma_eff, beta=config.beta,
                           delta=delta_eff, c_k=c_k, p_k=p_k, r_k=r_k,
                           xbar_k=xbar, gradient_anchor=anchor)
-    if _wants_linear_path(instance, config.case):
-        x_next = solve_linear_case(spec, instance, cache)
-        if inner_report is not None:
-            inner_report.update(iterations=0, grad_norm=0.0, tol=None)
-    else:
-        tol = inner_tolerance(state.t_curr, config.inner)
-        policy = replace(config.inner, tol_grad=tol)
-        x_next = solve_inner_newton(spec, instance, policy, state.x_curr,
-                                    report=inner_report)
-        if inner_report is not None:
-            inner_report["tol"] = tol
+    x_next = solve_subproblem(spec, instance, cache, config.inner,
+                              state.t_curr, state.x_curr, report=inner_report)
     lam_next = multiplier_update(lbar, delta_eff, c_k, A, x_next, r_k)
     if config.check_identities:
         lhs = c_k * lam_next - alpha_k * state.lam_curr
@@ -396,25 +378,43 @@ def run(instance, config, x0, lam0, kkt=None, inner_log=None,
     """
     config = resolve_config(instance, config)
     state = initial_state(instance, config, x0, lam0)
-    cache = (LinearCache(instance, config.case, use_eig=config.use_eig)
-             if _wants_linear_path(instance, config.case) else None)
-    f_star = instance.objective.value(kkt.x) if kkt is not None else None
-    eta = config.schedule.eta
-    trace: List[TraceRecord] = []
-    for _ in range(config.max_iter):
+
+    def advance(state, cache):
         if use_coupled:
-            state = step_coupled(state, config, instance)
-        else:
-            report = {} if inner_log is not None else None
-            state = step(state, config, instance, cache, inner_report=report)
-            if report is not None:
-                inner_log.append({"k": state.k, **report})
+            return step_coupled(state, config, instance)
+        report = {} if inner_log is not None else None
+        state = step(state, config, instance, cache, inner_report=report)
+        if report is not None:
+            inner_log.append({"k": state.k, **report})
+        return state
+
+    return _run_loop(instance, config.case, state, advance, config.stop,
+                     (config.gamma, config.delta, config.schedule.eta,
+                      config.beta), kkt)
+
+
+def _run_loop(instance, case, state, advance, stop, params, kkt,
+              certified=True):
+    """The loop shared by :func:`run` and :func:`aalm.harness.run_vanilla`:
+    ``state = advance(state, cache)`` until ``stop``, recording each iterate
+    with ``params = (gamma, delta, eta, beta)`` (NaN energy unless
+    ``certified``)."""
+    cache = (LinearCache(instance, case)
+             if linear_path(instance.objective, case) else None)
+    f_star = instance.objective.value(kkt.x) if kkt is not None else None
+    gamma, delta, eta, beta = params
+    trace: List[TraceRecord] = []
+    for _ in range(stop.max_iter):
+        state = advance(state, cache)
         rec = make_record(instance, state.k, state.t_curr,
                           state.x_curr, state.x_prev,
                           state.lam_curr, state.lam_prev,
-                          config.gamma, config.delta, eta, config.beta,
+                          gamma, delta, eta, beta,
                           xi_k=state.xi_curr, kkt=kkt, f_star=f_star)
+        if not certified:
+            # No Lyapunov certificate applies to the baseline.
+            rec = replace(rec, energy_E=float("nan"))
         trace.append(rec)
-        if config.stop.satisfied(rec.feas, rec.stat_res):
+        if stop.satisfied(rec.feas, rec.stat_res):
             break
     return state, trace

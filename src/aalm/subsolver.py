@@ -10,19 +10,20 @@ where ``f_part`` is the objective itself (implicit step), its linearization
 linearized piece (composite step).  The strong convexity injected by the
 proximal term makes F well-posed for any convex ``f_part``.
 
-Two paths solve it:
+:func:`solve_subproblem` picks one of two paths from the objective and
+the case:
 
 * :func:`solve_linear_case` -- one SPD solve when ``f_part`` is (at most)
-  quadratic, through a cached eigenbasis of ``A'A`` when the quadratic
-  part is a multiple of the identity (then every solve is a few basis
-  applications) and by Cholesky otherwise;
+  quadratic: a few applications of an eigenbasis of ``A'A`` (the
+  instance's ``gram``, else a dense ``eigh`` once per run) when the
+  quadratic part is a multiple of the identity, Cholesky otherwise;
 * :func:`solve_inner_newton` -- damped Newton with backtracking for smooth
   non-quadratic implicit parts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -32,6 +33,11 @@ from .problems import GramEigenbasis, dense
 
 # Residual tolerance asserted after every direct solve (scaled by the rhs).
 LINEAR_RESIDUAL_TOL = 1e-10
+
+# Inner Newton tolerance schedule: min(cap, INNER_TOL_SCALE / t_k^3).  The
+# cubic decay outpaces the energy telescoping, so inexact inner solves do
+# not pollute the measured rates.
+INNER_TOL_SCALE = 1e-2
 
 # Predicted decreases below this fraction of the objective value cannot be
 # resolved by the Armijo comparison in double precision; the line search
@@ -111,10 +117,16 @@ def _implicit_part(objective, case):
     return objective.split[0]
 
 
-def _effective_quadratic(objective, case):
-    """``(Q, q)`` of the implicit part when it is quadratic, else None."""
+def linear_path(objective, case):
+    """Whether ``case``'s subproblem is one linear solve: the explicit case,
+    or an implicit part that is quadratic."""
     part = _implicit_part(objective, case)
-    return part.quadratic if part is not None else None
+    return part is None or part.quadratic is not None
+
+
+def inner_tolerance(t_curr, policy):
+    """Per-iteration inner gradient tolerance ``min(cap, 1e-2 / t_k^3)``."""
+    return min(policy.tol_grad, INNER_TOL_SCALE / t_curr ** 3)
 
 
 def subproblem_value(spec, instance, x):
@@ -149,48 +161,32 @@ def subproblem_gradient(spec, instance, x):
 class LinearCache:
     """Per-run precomputation shared by every linear subproblem solve.
 
-    Holds ``A'A`` (sparse when ``A`` is), ``A'b`` and the implicit part's
-    ``(Q, q)``.  When the quadratic part is a multiple of the identity
-    (``mu I``, including the explicit case's ``0``), an eigenbasis of
-    ``A'A`` (``basis``, a :class:`~aalm.problems.GramEigenbasis`) turns
-    each solve into a few basis applications instead of a factorization.
-    The basis has two providers: the instance's factored
-    ``gram`` eigenbasis, used whenever the instance carries one, and a
-    dense ``eigh`` of ``A'A``, used when ``use_eig=True`` and the instance
-    carries none (``use_eig`` then requires an identity quadratic part).
-    Every other configuration solves by Cholesky, densifying ``A'A`` once
-    per factorization.
+    Holds ``A'A`` (sparse when ``A`` is), the implicit part's ``(Q, q)``
+    and the solve backend, chosen from the instance: when the quadratic
+    part is ``mu I`` (``mu = 0`` in the explicit case), ``basis`` is an
+    eigenbasis of ``A'A`` (a :class:`~aalm.problems.GramEigenbasis`) --
+    the instance's factored ``gram`` when it carries one, else a dense
+    ``eigh`` computed here -- and each solve is a few basis applications.
+    For any other ``Q``, ``basis`` is None and each solve factors the
+    system by Cholesky.
     """
 
-    def __init__(self, instance, case, use_eig=False):
-        A = instance.A
-        self.AtA = A.T @ A
-        self.Atb = A.T @ instance.b
-        quad = _effective_quadratic(instance.objective, case)
-        if quad is not None:
-            self.Q, self.q = quad
-        else:
-            self.Q, self.q = None, None
-        self.basis = None
+    def __init__(self, instance, case):
+        if not linear_path(instance.objective, case):
+            raise ValueError("linear path needs a quadratic implicit part; "
+                             "use solve_inner_newton instead")
+        part = _implicit_part(instance.objective, case)
+        self.AtA = instance.A.T @ instance.A
+        self.Q, self.q = part.quadratic if part is not None else (None, None)
         self.mu = self._identity_coefficient()
-        if instance.gram is not None and self.mu is not None:
+        if self.mu is None:
+            self.basis = None
+        elif instance.gram is not None:
             self.basis = instance.gram
-        elif use_eig and instance.gram is None:
-            if self.mu is None:
-                raise ValueError(
-                    "eigendecomposition mode needs the quadratic part to be "
-                    "a multiple of the identity")
+        else:
             evals, evecs = np.linalg.eigh(dense(self.AtA))
             self.basis = GramEigenbasis(evals, lambda y: evecs @ y,
                                         lambda x: evecs.T @ x)
-        # Size-one Cholesky memo: the factorization is reused as long as
-        # the system coefficient (beta + delta c^2, gamma) is unchanged.
-        # The fixed-step baseline has c = 0 throughout, so it factors once;
-        # accelerated runs change c every iteration and never hit the memo.
-        self._chol_key = None
-        self._chol = None
-        self._M = None
-        self._m_scale = None
 
     def _identity_coefficient(self):
         """``mu`` with ``Q = mu I`` (0 without ``Q``), or None."""
@@ -212,19 +208,15 @@ def solve_linear_case(spec, instance, cache=None):
         (Q_eff + gamma^{-1} I + (beta + delta c^2) A'A) x
             = gamma^{-1} xbar - g_anchor - q_eff + A'(beta b - p + delta c r)
 
-    through the cache's eigenbasis of ``A'A`` when it holds one (the
-    instance's factored ``gram`` or a dense ``eigh``; see
-    :class:`LinearCache`), with one refinement pass, and by Cholesky
-    otherwise.  Asserts the residual against ``1e-10`` on the
+    through the cache's eigenbasis of ``A'A`` when it holds one (see
+    :class:`LinearCache`), with one refinement pass, and by a Cholesky
+    factorization otherwise.  Asserts the residual against ``1e-10`` on the
     backward-error scale ``1 + ||rhs|| + ||M|| ||x||`` (the two scales
     differ materially once ``delta c^2`` is large and ``A`` has a null
     space).
     """
     if cache is None:
         cache = LinearCache(instance, spec.case)
-    if spec.case != "explicit" and cache.Q is None:
-        raise ValueError("linear path needs a quadratic implicit part; "
-                         "use solve_inner_newton instead")
     A = instance.A
     coef = spec.beta + spec.delta * spec.c_k ** 2
     rhs = spec.xbar_k / spec.gamma + A.T @ (
@@ -246,25 +238,36 @@ def solve_linear_case(spec, instance, cache=None):
         # A factored basis need not order its eigenvalues.
         m_scale = float(diag.max())
     else:
-        key = (coef, spec.gamma)
-        if cache._chol_key != key:
-            M = coef * dense(cache.AtA)
-            M[np.diag_indices_from(M)] += 1.0 / spec.gamma
-            if cache.Q is not None:
-                M = M + cache.Q
-            cache._chol = cho_factor(M)
-            cache._chol_key = key
-            cache._M = M
-            cache._m_scale = float(np.abs(M).sum(axis=1).max())
-        x = cho_solve(cache._chol, rhs)
-        Mx = cache._M @ x
-        m_scale = cache._m_scale
+        M = coef * dense(cache.AtA)
+        M[np.diag_indices_from(M)] += 1.0 / spec.gamma
+        if cache.Q is not None:
+            M = M + cache.Q
+        x = cho_solve(cho_factor(M), rhs)
+        Mx = M @ x
+        m_scale = float(np.abs(M).sum(axis=1).max())
     resid = np.linalg.norm(Mx - rhs)
     bound = LINEAR_RESIDUAL_TOL * (1.0 + np.linalg.norm(rhs)
                                    + m_scale * np.linalg.norm(x))
     if not resid <= bound:
         raise SubsolverError(
             f"linear subproblem residual {resid:.3e} exceeds {bound:.3e}")
+    return x
+
+
+def solve_subproblem(spec, instance, cache, inner, t_curr, x0, report=None):
+    """Solve the subproblem linearly (see :func:`linear_path`) or by inner
+    Newton from ``x0`` at ``inner_tolerance(t_curr, inner)``; a ``report``
+    dict receives the inner iterations, gradient norm and tolerance."""
+    if linear_path(instance.objective, spec.case):
+        x = solve_linear_case(spec, instance, cache)
+        if report is not None:
+            report.update(iterations=0, grad_norm=0.0, tol=None)
+        return x
+    tol = inner_tolerance(t_curr, inner)
+    x = solve_inner_newton(spec, instance, replace(inner, tol_grad=tol), x0,
+                           report=report)
+    if report is not None:
+        report["tol"] = tol
     return x
 
 

@@ -61,11 +61,9 @@ def ring_runs():
     x0 = np.zeros(ring.dim)
     lam0 = np.zeros(ring.n_constraints)
     cfg = SolverConfig(schedule=chambolle_dossal(10.0, eta="noncritical"),
-                       case="explicit", delta=10.0, max_iter=3000,
-                       use_eig=True)
+                       case="explicit", delta=10.0, max_iter=3000)
     _, accel = run(ring, cfg, x0, lam0, kkt=kkt)
-    _, plain = run_vanilla(ring, VanillaConfig(), 3000, x0, lam0, kkt=kkt,
-                           use_eig=True)
+    _, plain = run_vanilla(ring, VanillaConfig(), 3000, x0, lam0, kkt=kkt)
     return accel, plain
 
 

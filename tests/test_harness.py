@@ -137,6 +137,24 @@ class TestParseConfig:
             with pytest.raises(ConfigError, match="vanilla"):
                 parse_config(cfg)
 
+    def test_use_eig_accepted_and_ignored(self, tmp_path, monkeypatch):
+        """Older aalm entries may carry a boolean use_eig; it changes no
+        output.  Any other value is rejected."""
+        plain = _qp_config()
+        flagged = _qp_config()
+        flagged["solvers"][0]["use_eig"] = True
+        outputs = []
+        for i, cfg in enumerate((plain, flagged)):
+            monkeypatch.setenv("AALM_OUTPUT_DIR", str(tmp_path / str(i)))
+            run_experiment(parse_config(cfg))
+            outputs.append([(tmp_path / str(i) / name).read_bytes()
+                            for name in ("accel.trace.csv",
+                                         "plain.trace.csv", "summary.csv")])
+        assert outputs[0] == outputs[1]
+        flagged["solvers"][0]["use_eig"] = "yes"
+        with pytest.raises(ConfigError, match="use_eig"):
+            parse_config(flagged)
+
     def test_schedule_block(self):
         """Rule aliases, alpha, eta keywords and rho overrides all land."""
         cfg = _qp_config()
@@ -560,6 +578,47 @@ class TestRunExperiment:
         assert (tmp_path / "plain.trace.csv").exists()
         assert (tmp_path / "summary.csv").exists()
 
+    @pytest.mark.parametrize("kind", ["qp", "lp-regression"])
+    def test_reference_failure_keeps_message(self, kind, tmp_path,
+                                             monkeypatch):
+        """An infeasible manifest's reference failure names the exception
+        and keeps its message, commas replaced, so summary.csv still
+        splits into its columns with only the status column free-form."""
+        rng = np.random.default_rng(0)
+        A = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+        files = {"A.csv": A, "b.csv": np.array([0.0, 1.0])}
+        if kind == "qp":
+            objective = {"kind": "qp", "Q": "Q.csv", "q": "q.csv"}
+            files.update({"Q.csv": np.eye(4), "q.csv": rng.normal(size=4)})
+            expected = "failed: InfeasibleConstraints: constraint residual"
+        else:
+            objective = {"kind": "lp-regression", "B": "B.csv",
+                         "c": "c.csv", "p": 1.5}
+            files.update({"B.csv": rng.normal(size=(8, 4)),
+                          "c.csv": rng.normal(size=8)})
+            expected = "failed: ReferenceNotConverged: KKT residual"
+        for name, arr in files.items():
+            _write_matrix(tmp_path / name, arr)
+        (tmp_path / "inst.json").write_text(json.dumps(
+            {"name": f"infeasible-{kind}", "objective": objective,
+             "A": "A.csv", "b": "b.csv"}))
+        monkeypatch.setenv("AALM_OUTPUT_DIR", str(tmp_path / "out"))
+        cfg = _qp_config(problem={"manifest": str(tmp_path / "inst.json")},
+                         iterations=5, reference_budget=300)
+        cfg["solvers"] = [{"name": "plain", "method": "vanilla",
+                           "case": "implicit"}]
+        row = run_experiment(parse_config(cfg))[0]
+        assert row["reference"].startswith(expected)
+        assert "," not in row["reference"]
+        if kind == "lp-regression":
+            assert "(stationarity" in row["reference"]
+            assert "; feasibility" in row["reference"]
+        lines = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        parsed = dict(zip(header, lines[1].split(",", len(header) - 1)))
+        assert parsed["reference"] == row["reference"]
+        assert parsed["status"] == row["status"]
+
     def test_output_dir_from_config(self, tmp_path, monkeypatch):
         """Without the env override, files land in config.output_dir."""
         monkeypatch.delenv("AALM_OUTPUT_DIR", raising=False)
@@ -600,6 +659,15 @@ class TestCli:
         assert main(["certify-schedule", "--rule", "ac",
                      "--alpha", "2.0"]) == 1
         assert "growth condition" in capsys.readouterr().err
+
+    def test_certify_zero_alpha_rejected(self, capsys):
+        """--alpha 0 is certified as given (and rejected), not replaced
+        by the default alpha."""
+        assert main(["certify-schedule", "--rule", "cd",
+                     "--alpha", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "needs alpha > 2" in captured.err
+        assert "rho_hat" not in captured.out
 
     def test_run_config(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("AALM_OUTPUT_DIR", str(tmp_path / "out"))

@@ -34,7 +34,7 @@ from aalm import (
 )
 from aalm.harness import VanillaConfig, run_vanilla
 from aalm.problems import make_ring_logistic
-from aalm.solver import inner_tolerance
+from aalm.subsolver import inner_tolerance
 
 
 def _scalar_state(t_curr, t_next, x_curr, x_prev, lam_curr, lam_prev):

@@ -137,25 +137,41 @@ class TestSolveLinearCase:
                                       np.zeros(8))
         np.testing.assert_allclose(x_newton, x_lin, rtol=0, atol=1e-9)
 
+    @staticmethod
+    def _dense_solve(spec, Q, q, A, b):
+        """The stationarity system assembled densely, by np.linalg.solve."""
+        A = A.toarray() if hasattr(A, "toarray") else A
+        n = A.shape[1]
+        coef = spec.beta + spec.delta * spec.c_k ** 2
+        M = coef * (A.T @ A) + np.eye(n) / spec.gamma
+        rhs = spec.xbar_k / spec.gamma + A.T @ (
+            spec.beta * b - spec.p_k + spec.delta * spec.c_k * spec.r_k)
+        if Q is not None:
+            M, rhs = M + Q, rhs - q
+        if spec.gradient_anchor is not None:
+            rhs = rhs - spec.gradient_anchor
+        return np.linalg.solve(M, rhs)
+
     def test_eig_path_matches_cholesky(self):
-        """The cached eigendecomposition and Cholesky give the same point."""
-        inst = make_qp(2.0 * np.eye(6), np.arange(6.0),
-                       np.vstack([np.eye(3), -np.eye(3)]).T.reshape(3, 6),
-                       np.array([0.5, -0.5, 1.0]))
+        """An identity quadratic without a gram basis goes through a dense
+        eigh of A'A and matches the dense system's solution."""
+        Q, q = 2.0 * np.eye(6), np.arange(6.0)
+        A = np.vstack([np.eye(3), -np.eye(3)]).T.reshape(3, 6)
+        b = np.array([0.5, -0.5, 1.0])
+        inst = make_qp(Q, q, A, b)
         rng = np.random.default_rng(4)
         spec = _spec(gamma=0.5, beta=1.0, delta=2.0, c_k=4.0,
                      p_k=rng.normal(size=3), r_k=rng.normal(size=3),
                      xbar_k=rng.normal(size=6), m=3, n=6)
-        x_chol = solve_linear_case(spec, inst,
-                                   LinearCache(inst, "implicit"))
-        x_eig = solve_linear_case(spec, inst,
-                                  LinearCache(inst, "implicit",
-                                              use_eig=True))
-        np.testing.assert_allclose(x_eig, x_chol, rtol=0, atol=1e-10)
+        cache = LinearCache(inst, "implicit")
+        assert cache.basis is not None and cache.mu == 2.0
+        np.testing.assert_allclose(solve_linear_case(spec, inst, cache),
+                                   self._dense_solve(spec, Q, q, A, b),
+                                   rtol=0, atol=1e-10)
 
     def test_eig_path_explicit_case(self):
-        """Explicit subproblems always qualify for the eigen path (the
-        quadratic part does not enter the system)."""
+        """Explicit subproblems always take the eigen path (the quadratic
+        part does not enter the system), whatever Q is."""
         inst = make_random_qp(n=8, m=3, seed=6)
         rng = np.random.default_rng(6)
         xbar = rng.normal(size=8)
@@ -163,23 +179,17 @@ class TestSolveLinearCase:
                      c_k=2.0, p_k=rng.normal(size=3),
                      r_k=rng.normal(size=3), xbar_k=xbar,
                      anchor=inst.objective.gradient(xbar), m=3, n=8)
-        x_chol = solve_linear_case(spec, inst,
-                                   LinearCache(inst, "explicit"))
-        x_eig = solve_linear_case(spec, inst,
-                                  LinearCache(inst, "explicit",
-                                              use_eig=True))
-        np.testing.assert_allclose(x_eig, x_chol, rtol=0, atol=1e-10)
-
-    def test_eig_path_needs_identity_quadratic(self):
-        """use_eig on an implicit general-Q instance is rejected upfront."""
-        inst = make_random_qp(n=6, m=2, seed=7)
-        with pytest.raises(ValueError, match="identity"):
-            LinearCache(inst, "implicit", use_eig=True)
+        cache = LinearCache(inst, "explicit")
+        assert cache.basis is not None and cache.mu == 0.0
+        np.testing.assert_allclose(
+            solve_linear_case(spec, inst, cache),
+            self._dense_solve(spec, None, None, inst.A, inst.b),
+            rtol=0, atol=1e-10)
 
     def test_factored_basis_or_cholesky_fallback(self):
         """An instance's gram basis serves identity quadratics; any other
-        Q falls back to Cholesky (even under use_eig) instead of raising.
-        Both match a Cholesky solve on the dense twin."""
+        Q is solved by Cholesky.  Both match the dense system's solution
+        at a large dual coefficient."""
         ring = make_ring_logistic(p_agents=4, m_dim=5, rho_reg=0.5, seed=0)
         rng = np.random.default_rng(8)
         G = rng.normal(size=(20, 20))
@@ -190,13 +200,41 @@ class TestSolveLinearCase:
                             (G @ G.T + np.eye(20), False)):
             q = rng.normal(size=20)
             inst = replace(make_qp(Q, q, ring.A, ring.b), gram=ring.gram)
-            twin = make_qp(Q, q, ring.A.toarray(), ring.b)
-            cache = LinearCache(inst, "implicit", use_eig=True)
+            cache = LinearCache(inst, "implicit")
             assert (cache.basis is ring.gram) == factored
-            x = solve_linear_case(spec, inst, cache)
-            x_dense = solve_linear_case(spec, twin, LinearCache(twin,
-                                                               "implicit"))
-            np.testing.assert_allclose(x, x_dense, rtol=0, atol=1e-10)
+            assert (cache.basis is None) == (not factored)
+            x_dense = self._dense_solve(spec, Q, q, ring.A, ring.b)
+            np.testing.assert_allclose(solve_linear_case(spec, inst, cache),
+                                       x_dense, rtol=0, atol=1e-10)
+
+    def test_backend_chosen_from_instance(self):
+        """gram for mu I with a gram basis (explicit included), a dense
+        eigh for mu I without one, Cholesky (no basis) for a general Q."""
+        ring = make_ring_logistic(p_agents=4, m_dim=5, rho_reg=0.5, seed=0)
+        rng = np.random.default_rng(9)
+        G = rng.normal(size=(20, 20))
+        q = rng.normal(size=20)
+        ident = make_qp(3.0 * np.eye(20), q, ring.A, ring.b)
+        general = make_qp(G @ G.T + np.eye(20), q, ring.A, ring.b)
+        for inst, case, backend in (
+                (replace(ident, gram=ring.gram), "implicit", "gram"),
+                (replace(general, gram=ring.gram), "explicit", "gram"),
+                (ring, "explicit", "gram"),
+                (ident, "implicit", "eigh"),
+                (general, "explicit", "eigh"),
+                (replace(general, gram=ring.gram), "implicit", None),
+                (general, "implicit", None)):
+            basis = LinearCache(inst, case).basis
+            if backend == "gram":
+                assert basis is ring.gram
+            elif backend == "eigh":
+                assert basis is not None and basis is not ring.gram
+                Vt = basis.apply_Vt(np.eye(20))
+                np.testing.assert_allclose(
+                    basis.apply_V(basis.evals[:, None] * Vt),
+                    (ring.A.T @ ring.A).toarray(), rtol=0, atol=1e-12)
+            else:
+                assert basis is None
 
     def test_nonquadratic_implicit_rejected(self):
         """The linear path refuses non-quadratic implicit parts."""
