@@ -27,7 +27,7 @@ from .solver import (IterateState, SolverConfig, StoppingRule, extrapolate,
                      resolve_config, run, step, step_coupled)
 from .subsolver import (InnerSolverPolicy, MaxInnerIterations,
                         SubproblemSpec, multiplier_update,
-                        solve_inner_newton, solve_linear_case)
+                        solve_inner_newton, solve_linear_case, step_plan)
 
 __all__ = [
     "GramEigenbasis", "InnerSolverPolicy", "IterateState", "KKTPoint",
@@ -42,5 +42,5 @@ __all__ = [
     "littleo_witness", "make_lp_regression", "make_qp", "make_random_lp",
     "make_random_qp", "make_ring_logistic", "multiplier_update", "nesterov",
     "resolve", "resolve_config", "resolve_eta", "run", "solve_inner_newton",
-    "solve_linear_case", "stationarity", "step", "step_coupled",
+    "solve_linear_case", "stationarity", "step", "step_coupled", "step_plan",
 ]

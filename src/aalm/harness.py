@@ -28,8 +28,9 @@ proximal augmented Lagrangian iteration
 
 with the same implicit/linearized treatment of ``f`` as the accelerated
 loop, so a comparison at equal stepsizes isolates the effect of the
-momentum and dual corrections.  Only the step differs: the subproblem
-solve and the run loop are the accelerated ones.
+momentum and dual corrections.  Only the step differs: the step plan
+(with its ``gamma`` rule), the subproblem solve and the run loop are the
+accelerated ones.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ from .problems import (make_lp_regression, make_qp, make_random_lp,
                        make_random_qp, make_ring_logistic)
 from .schedule import SCHEDULE_RULES, ScaledSchedule, named_schedule
 from .solver import SolverConfig, StoppingRule, run
-from .subsolver import (InnerSolverPolicy, SubproblemSpec, multiplier_update,
-                        solve_subproblem)
+from .subsolver import (CASES, InnerSolverPolicy, SubproblemSpec,
+                        multiplier_update, solve_subproblem, step_plan)
 
 # Fixed offset deriving the instance's stream from the master seed.
 INSTANCE_SEED_OFFSET = 1000
@@ -148,6 +149,10 @@ def _parse_solver(block, iterations):
     if not name:
         raise ConfigError("every solver entry needs a name")
     method = block.get("method", "aalm")
+    case = block.get("case", "explicit")
+    if case not in CASES:
+        raise ConfigError(f"unknown case {case!r} (solver {name!r}); "
+                          f"choose from {CASES}")
     inner = InnerSolverPolicy(
         tol_grad=block.get("inner_tol", 1e-8),
         max_inner=block.get("max_inner", 50))
@@ -156,8 +161,7 @@ def _parse_solver(block, iterations):
             if bad in block:
                 raise ConfigError(f"{bad!r} does not apply to the vanilla "
                                   f"baseline (solver {name!r})")
-        cfg = VanillaConfig(case=block.get("case", "explicit"),
-                            gamma=block.get("gamma"),
+        cfg = VanillaConfig(case=case, gamma=block.get("gamma"),
                             delta=block.get("delta", 1.0),
                             beta=block.get("beta", 1.0), inner=inner)
     elif method == "aalm":
@@ -173,8 +177,7 @@ def _parse_solver(block, iterations):
         if not isinstance(block.get("use_eig", False), bool):
             raise ConfigError(f"use_eig must be true or false "
                               f"(solver {name!r})")
-        cfg = SolverConfig(schedule=sched, case=block.get("case", "explicit"),
-                           gamma=block.get("gamma"),
+        cfg = SolverConfig(schedule=sched, case=case, gamma=block.get("gamma"),
                            delta=block.get("delta", 1.0),
                            beta=block.get("beta", 1.0), scaling=scaling,
                            max_iter=iterations, stop=stop, inner=inner)
@@ -306,39 +309,31 @@ def build_problem(block, master_seed=0):
 # ---------------------------------------------------------------------------
 # The vanilla (non-accelerated) proximal ALM baseline.
 
-def vanilla_alm_step(state, vcfg, instance, cache=None):
+def vanilla_alm_step(state, vcfg, instance, plan=None):
     """One proximal ALM iteration (no extrapolation, no dual correction).
 
     Encoded through the shared subproblem machinery with ``c_k = 0``,
     ``p_k = lam_k``, ``xbar = x_k`` followed by the plain dual ascent
     ``lam + delta (A x_{k+1} - b)``.  ``vcfg.gamma`` must be set.
     """
+    if plan is None:
+        plan = step_plan(instance, vcfg.case)
     spec = SubproblemSpec(
-        case=vcfg.case, gamma=vcfg.gamma, beta=vcfg.beta, delta=vcfg.delta,
-        c_k=0.0, p_k=state.lam_curr, r_k=np.zeros_like(state.lam_curr),
-        xbar_k=state.x_curr,
-        gradient_anchor=(instance.objective.gradient(state.x_curr)
-                         if vcfg.case == "explicit" else None))
-    x_next = solve_subproblem(spec, instance, cache, vcfg.inner,
-                              state.t_curr, state.x_curr)
+        gamma=vcfg.gamma, beta=vcfg.beta, delta=vcfg.delta, c_k=0.0,
+        p_k=state.lam_curr, r_k=np.zeros_like(state.lam_curr),
+        xbar_k=state.x_curr, implicit=plan.implicit,
+        gradient_anchor=plan.anchor(state.x_curr))
+    x_next = solve_subproblem(spec, instance, plan, vcfg.inner, state)
     lam_next = multiplier_update(state.lam_curr, vcfg.delta, 1.0,
                                  instance.A, x_next, instance.b)
-    return aalm_solver.IterateState(
-        x_curr=x_next, x_prev=state.x_curr, lam_curr=lam_next,
-        lam_prev=state.lam_curr, k=state.k + 1, t_seq=state.t_seq,
-        xi_seq=state.xi_seq)
+    return state.successor(x_next, lam_next)
 
 
 def resolve_vanilla(instance, vcfg):
-    """``vcfg`` with a float ``gamma``, by default ``1/L`` for the explicit
-    case (which needs a Lipschitz constant) and ``1`` otherwise."""
-    lipschitz = instance.objective.lipschitz
-    if vcfg.case == "explicit" and lipschitz is None:
-        raise ValueError("explicit baseline needs a Lipschitz constant")
-    gamma = vcfg.gamma
-    if gamma is None:
-        gamma = 1.0 / lipschitz if vcfg.case == "explicit" else 1.0
-    return replace(vcfg, gamma=float(gamma))
+    """``vcfg`` with a float ``gamma`` by the accelerated loop's rule,
+    :meth:`aalm.subsolver.StepPlan.stepsize`."""
+    plan = step_plan(instance, vcfg.case, backend=False)
+    return replace(vcfg, gamma=plan.stepsize(vcfg.gamma))
 
 
 def run_vanilla(instance, vcfg, iterations, x0, lam0, kkt=None):
@@ -352,7 +347,7 @@ def run_vanilla(instance, vcfg, iterations, x0, lam0, kkt=None):
     state = aalm_solver._start(instance, x0, lam0, ones, ones)
     return aalm_solver._run_loop(
         instance, vcfg.case, state,
-        lambda state, cache: vanilla_alm_step(state, vcfg, instance, cache),
+        lambda state, plan: vanilla_alm_step(state, vcfg, instance, plan),
         StoppingRule(iterations), (vcfg.gamma, vcfg.delta, 1.0, vcfg.beta),
         kkt, certified=False)
 
@@ -481,16 +476,14 @@ def run_experiment(config):
                                            max_iter=config.iterations))
                 resolved = aalm_solver.resolve_config(instance, cfg)
                 _, trace = run(instance, resolved, x0, lam0, kkt=kkt)
-                row.update(case=resolved.case, gamma=resolved.gamma,
-                           delta=resolved.delta, beta=resolved.beta,
-                           rho=resolved.schedule.rho,
+                row.update(rho=resolved.schedule.rho,
                            eta=resolved.schedule.eta)
             else:
-                vcfg = resolve_vanilla(instance, entry.config)
-                _, trace = run_vanilla(instance, vcfg, config.iterations,
+                resolved = resolve_vanilla(instance, entry.config)
+                _, trace = run_vanilla(instance, resolved, config.iterations,
                                        x0, lam0, kkt=kkt)
-                row.update(case=vcfg.case, gamma=vcfg.gamma,
-                           delta=vcfg.delta, beta=vcfg.beta)
+            row.update(case=resolved.case, gamma=resolved.gamma,
+                       delta=resolved.delta, beta=resolved.beta)
             write_trace_csv(out_dir / f"{entry.name}.trace.csv", trace)
             row.update(iterations=len(trace),
                        final_feas=trace[-1].feas,

@@ -28,10 +28,9 @@ A scaled variant multiplies both stepsizes by per-iteration factors
 ``xi_{k+1}`` (implicit case only); rates are then measured against
 ``t_k^2 xi_k`` and every trace record carries that scaling.
 
-Step 3 is :func:`aalm.subsolver.solve_subproblem`, whose linear solve
-backend the instance fixes (see :class:`~aalm.subsolver.LinearCache`).
 :func:`run` and the baseline :func:`aalm.harness.run_vanilla` share one
-loop.
+loop, which fixes the split of ``f`` and step 3's solve backend once per
+run (:func:`aalm.subsolver.step_plan`).
 """
 
 from __future__ import annotations
@@ -46,8 +45,8 @@ from .problems import KKTPoint, ProblemInstance, dense
 from .schedule import (ScaledSchedule, Schedule, certify_rho_scaled,
                        coefficients, generate, generate_scaled, resolve,
                        resolve_eta)
-from .subsolver import (InnerSolverPolicy, LinearCache, SubproblemSpec,
-                        linear_path, multiplier_update, solve_subproblem)
+from .subsolver import (InnerSolverPolicy, SubproblemSpec, multiplier_update,
+                        solve_subproblem, step_plan)
 
 # Relative slack for the per-iteration identity checks in debug mode.
 IDENTITY_TOL = 1e-10
@@ -143,6 +142,11 @@ class IterateState:
     def xi_next(self):
         return float(self.xi_seq[self.k])
 
+    def successor(self, x_next, lam_next):
+        """The ``k+1`` state with iterates ``x_next``, ``lam_next``."""
+        return replace(self, x_curr=x_next, x_prev=self.x_curr,
+                       lam_curr=lam_next, lam_prev=self.lam_curr, k=self.k + 1)
+
 
 def resolve_config(instance, config):
     """Validate ``config`` against ``instance`` and freeze open parameters.
@@ -157,38 +161,14 @@ def resolve_config(instance, config):
     SolverConfig
         A copy safe to hand to :func:`step`/:func:`run`.
     """
-    obj = instance.objective
-    if config.case == "explicit":
-        L = obj.lipschitz
-        if L is None:
-            raise ValueError(
-                "explicit case needs a gradient Lipschitz constant on the "
-                "objective; use the implicit case instead")
-    elif config.case == "composite":
-        if obj.split is None:
-            raise ValueError("composite case needs objective.split = (f1, f2)")
-        L = obj.split[1].lipschitz
-        if L is None:
-            raise ValueError("composite case needs f2.lipschitz")
-    elif config.case == "implicit":
-        L = None
-    else:
-        raise ValueError(f"unknown case {config.case!r}")
-    gamma = config.gamma
-    if gamma is None:
-        gamma = 1.0 / L if L is not None else 1.0
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    if L is not None and gamma > 1.0 / L * (1.0 + 1e-12):
-        raise ValueError(
-            f"gamma = {gamma:.6g} violates the stepsize restriction "
-            f"1/L = {1.0 / L:.6g} of the linearized step")
+    plan = step_plan(instance, config.case, backend=False)
+    gamma = plan.stepsize(config.gamma)
     if config.delta <= 0:
         raise ValueError(f"delta must be positive, got {config.delta}")
     if config.beta < 0:
         raise ValueError(f"beta must be nonnegative, got {config.beta}")
     if config.scaling is not None:
-        if config.case != "implicit":
+        if plan.linearized is not None:
             raise ValueError("stepsize scaling is defined for the implicit "
                              "case only")
         horizon = max(10 * config.max_iter, 10_000)
@@ -208,7 +188,7 @@ def resolve_config(instance, config):
     else:
         schedule = resolve(config.schedule, config.max_iter)
         scaling = None
-    return replace(config, gamma=float(gamma), schedule=schedule,
+    return replace(config, gamma=gamma, schedule=schedule,
                    scaling=scaling)
 
 
@@ -250,13 +230,16 @@ def extrapolate(state):
     return xbar, lbar
 
 
-def step(state, config, instance, cache=None, inner_report=None):
+def step(state, config, instance, plan=None, inner_report=None):
     """Advance one outer iteration; returns the ``k+1`` state.
 
-    ``config`` must be resolved (see :func:`resolve_config`).  When
+    ``config`` must be resolved (see :func:`resolve_config`); ``plan``
+    defaults to ``step_plan(instance, config.case)``.  When
     ``inner_report`` is a dict, the inner solver's iteration count,
     achieved gradient norm and the tolerance in force are recorded there.
     """
+    if plan is None:
+        plan = step_plan(instance, config.case)
     eta = config.schedule.eta
     alpha_k, c_k = coefficients(state.t_next, eta)
     xbar, lbar = extrapolate(state)
@@ -265,17 +248,12 @@ def step(state, config, instance, cache=None, inner_report=None):
     r_k = alpha_k * (A @ state.x_curr) + instance.b
     gamma_eff = config.gamma * state.xi_next
     delta_eff = config.delta * state.xi_next
-    if config.case == "explicit":
-        anchor = instance.objective.gradient(xbar)
-    elif config.case == "composite":
-        anchor = instance.objective.split[1].gradient(xbar)
-    else:
-        anchor = None
-    spec = SubproblemSpec(case=config.case, gamma=gamma_eff, beta=config.beta,
-                          delta=delta_eff, c_k=c_k, p_k=p_k, r_k=r_k,
-                          xbar_k=xbar, gradient_anchor=anchor)
-    x_next = solve_subproblem(spec, instance, cache, config.inner,
-                              state.t_curr, state.x_curr, report=inner_report)
+    spec = SubproblemSpec(gamma=gamma_eff, beta=config.beta, delta=delta_eff,
+                          c_k=c_k, p_k=p_k, r_k=r_k, xbar_k=xbar,
+                          implicit=plan.implicit,
+                          gradient_anchor=plan.anchor(xbar))
+    x_next = solve_subproblem(spec, instance, plan, config.inner, state,
+                              report=inner_report)
     lam_next = multiplier_update(lbar, delta_eff, c_k, A, x_next, r_k)
     if config.check_identities:
         lhs = c_k * lam_next - alpha_k * state.lam_curr
@@ -285,9 +263,7 @@ def step(state, config, instance, cache=None, inner_report=None):
             raise SolverError(
                 f"dual-correction identity violated at k={state.k}: "
                 f"deviation {err:.3e}")
-    return IterateState(x_curr=x_next, x_prev=state.x_curr,
-                        lam_curr=lam_next, lam_prev=state.lam_curr,
-                        k=state.k + 1, t_seq=state.t_seq, xi_seq=state.xi_seq)
+    return state.successor(x_next, lam_next)
 
 
 def step_coupled(state, config, instance):
@@ -302,8 +278,10 @@ def step_coupled(state, config, instance):
     directly as one linear system in ``(x, lam)`` -- only available when
     the implicit part is (at most) quadratic.  This is an independent
     arithmetic path from :func:`step` (dense throughout, whatever the
-    storage of ``A``) and is used to cross-validate it.
+    storage of ``A``) and is used to cross-validate it; only the split of
+    ``f`` comes from :func:`~aalm.subsolver.step_plan`.
     """
+    plan = step_plan(instance, config.case, backend=False)
     eta = config.schedule.eta
     alpha_k, c_k = coefficients(state.t_next, eta)
     xbar, lbar = extrapolate(state)
@@ -311,17 +289,10 @@ def step_coupled(state, config, instance):
     m, n = A.shape
     gamma_eff = config.gamma * state.xi_next
     delta_eff = config.delta * state.xi_next
-    if config.case == "explicit":
-        Q_eff, q_eff = None, None
-        anchor = instance.objective.gradient(xbar)
-    else:
-        part = (instance.objective if config.case == "implicit"
-                else instance.objective.split[0])
-        if part.quadratic is None:
-            raise ValueError("step_coupled needs a quadratic implicit part")
-        Q_eff, q_eff = part.quadratic
-        anchor = (instance.objective.split[1].gradient(xbar)
-                  if config.case == "composite" else None)
+    if plan.implicit is not None and plan.implicit.quadratic is None:
+        raise ValueError("step_coupled needs a quadratic implicit part")
+    Q_eff, q_eff = plan.implicit.quadratic if plan.implicit else (None, None)
+    anchor = plan.anchor(xbar)
     K = np.zeros((n + m, n + m))
     K[:n, :n] = config.beta * (A.T @ A)
     K[np.diag_indices(n)] += 1.0 / gamma_eff
@@ -342,13 +313,10 @@ def step_coupled(state, config, instance):
     resid = np.linalg.norm(K @ sol - rhs)
     if resid > 1e-10 * (1.0 + np.linalg.norm(rhs)):
         raise SolverError(f"coupled system residual {resid:.3e} too large")
-    return IterateState(x_curr=sol[:n], x_prev=state.x_curr,
-                        lam_curr=sol[n:], lam_prev=state.lam_curr,
-                        k=state.k + 1, t_seq=state.t_seq, xi_seq=state.xi_seq)
+    return state.successor(sol[:n], sol[n:])
 
 
-def run(instance, config, x0, lam0, kkt=None, inner_log=None,
-        use_coupled=False):
+def run(instance, config, x0, lam0, kkt=None, inner_log=None):
     """Run the loop for ``config.stop.max_iter`` iterations.
 
     Parameters
@@ -365,8 +333,6 @@ def run(instance, config, x0, lam0, kkt=None, inner_log=None,
     inner_log : list, optional
         Receives one dict per iteration with the inner solver's tolerance
         and achieved gradient norm (Newton path only).
-    use_coupled : bool
-        Drive the trajectory with :func:`step_coupled` (test oracle).
 
     Returns
     -------
@@ -379,11 +345,9 @@ def run(instance, config, x0, lam0, kkt=None, inner_log=None,
     config = resolve_config(instance, config)
     state = initial_state(instance, config, x0, lam0)
 
-    def advance(state, cache):
-        if use_coupled:
-            return step_coupled(state, config, instance)
+    def advance(state, plan):
         report = {} if inner_log is not None else None
-        state = step(state, config, instance, cache, inner_report=report)
+        state = step(state, config, instance, plan, inner_report=report)
         if report is not None:
             inner_log.append({"k": state.k, **report})
         return state
@@ -396,16 +360,16 @@ def run(instance, config, x0, lam0, kkt=None, inner_log=None,
 def _run_loop(instance, case, state, advance, stop, params, kkt,
               certified=True):
     """The loop shared by :func:`run` and :func:`aalm.harness.run_vanilla`:
-    ``state = advance(state, cache)`` until ``stop``, recording each iterate
-    with ``params = (gamma, delta, eta, beta)`` (NaN energy unless
+    ``state = advance(state, plan)`` until ``stop``, with the run's
+    ``plan = step_plan(instance, case)``, recording each iterate with
+    ``params = (gamma, delta, eta, beta)`` (NaN energy unless
     ``certified``)."""
-    cache = (LinearCache(instance, case)
-             if linear_path(instance.objective, case) else None)
+    plan = step_plan(instance, case)
     f_star = instance.objective.value(kkt.x) if kkt is not None else None
     gamma, delta, eta, beta = params
     trace: List[TraceRecord] = []
     for _ in range(stop.max_iter):
-        state = advance(state, cache)
+        state = advance(state, plan)
         rec = make_record(instance, state.k, state.t_curr,
                           state.x_curr, state.x_prev,
                           state.lam_curr, state.lam_prev,

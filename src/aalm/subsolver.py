@@ -10,8 +10,9 @@ where ``f_part`` is the objective itself (implicit step), its linearization
 linearized piece (composite step).  The strong convexity injected by the
 proximal term makes F well-posed for any convex ``f_part``.
 
-:func:`solve_subproblem` picks one of two paths from the objective and
-the case:
+:func:`step_plan` resolves a step case once per run into a frozen
+:class:`StepPlan`, the one place that reads a case string.  Its backend
+is one of two paths:
 
 * :func:`solve_linear_case` -- one SPD solve when ``f_part`` is (at most)
   quadratic: a few applications of an eigenbasis of ``A'A`` (the
@@ -29,7 +30,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .problems import GramEigenbasis, dense
+from .problems import GramEigenbasis, ObjectiveOracle, dense
 
 # Residual tolerance asserted after every direct solve (scaled by the rhs).
 LINEAR_RESIDUAL_TOL = 1e-10
@@ -72,12 +73,11 @@ class SubproblemSpec:
     """Coefficients of one outer iteration's subproblem.
 
     ``gamma`` and ``delta`` are the *effective* stepsizes (already
-    multiplied by any scaling factor).  ``gradient_anchor`` is the
-    precomputed gradient of the linearized part at the extrapolated point,
-    or None for the purely implicit case.
+    multiplied by any scaling factor).  ``implicit`` (the part of ``f``
+    kept) and ``gradient_anchor`` (the linearized part's gradient at the
+    extrapolated point) come from the run's :class:`StepPlan`.
     """
 
-    case: str
     gamma: float
     beta: float
     delta: float
@@ -85,17 +85,14 @@ class SubproblemSpec:
     p_k: np.ndarray
     r_k: np.ndarray
     xbar_k: np.ndarray
+    implicit: Optional[ObjectiveOracle] = None
     gradient_anchor: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.case not in CASES:
-            raise ValueError(f"case must be one of {CASES}, got {self.case!r}")
         if self.gamma <= 0 or self.delta <= 0:
             raise ValueError("gamma and delta must be positive")
         if self.beta < 0:
             raise ValueError("beta must be nonnegative")
-        if self.case != "implicit" and self.gradient_anchor is None:
-            raise ValueError(f"case {self.case!r} needs a gradient_anchor")
 
 
 @dataclass(frozen=True)
@@ -108,22 +105,6 @@ class InnerSolverPolicy:
     sufficient_decrease: float = 1e-4
 
 
-def _implicit_part(objective, case):
-    """The oracle solved implicitly under ``case`` (None for explicit)."""
-    if case == "implicit":
-        return objective
-    if case == "explicit":
-        return None
-    return objective.split[0]
-
-
-def linear_path(objective, case):
-    """Whether ``case``'s subproblem is one linear solve: the explicit case,
-    or an implicit part that is quadratic."""
-    part = _implicit_part(objective, case)
-    return part is None or part.quadratic is not None
-
-
 def inner_tolerance(t_curr, policy):
     """Per-iteration inner gradient tolerance ``min(cap, 1e-2 / t_k^3)``."""
     return min(policy.tol_grad, INNER_TOL_SCALE / t_curr ** 3)
@@ -131,8 +112,7 @@ def inner_tolerance(t_curr, policy):
 
 def subproblem_value(spec, instance, x):
     """Objective value F(x) of the subproblem (used by line searches/tests)."""
-    part = _implicit_part(instance.objective, spec.case)
-    v = part.value(x) if part is not None else 0.0
+    v = spec.implicit.value(x) if spec.implicit is not None else 0.0
     if spec.gradient_anchor is not None:
         v += float(spec.gradient_anchor @ x)
     Axb = instance.A @ x - instance.b
@@ -147,8 +127,8 @@ def subproblem_value(spec, instance, x):
 def subproblem_gradient(spec, instance, x):
     """Gradient of F at ``x``."""
     A = instance.A
-    part = _implicit_part(instance.objective, spec.case)
-    g = part.gradient(x) if part is not None else np.zeros_like(x)
+    g = (spec.implicit.gradient(x) if spec.implicit is not None
+         else np.zeros_like(x))
     if spec.gradient_anchor is not None:
         g = g + spec.gradient_anchor
     Ax = A @ x
@@ -161,7 +141,7 @@ def subproblem_gradient(spec, instance, x):
 class LinearCache:
     """Per-run precomputation shared by every linear subproblem solve.
 
-    Holds ``A'A`` (sparse when ``A`` is), the implicit part's ``(Q, q)``
+    Holds ``A'A`` (sparse when ``A`` is), the implicit ``part``'s ``(Q, q)``
     and the solve backend, chosen from the instance: when the quadratic
     part is ``mu I`` (``mu = 0`` in the explicit case), ``basis`` is an
     eigenbasis of ``A'A`` (a :class:`~aalm.problems.GramEigenbasis`) --
@@ -171,11 +151,10 @@ class LinearCache:
     system by Cholesky.
     """
 
-    def __init__(self, instance, case):
-        if not linear_path(instance.objective, case):
+    def __init__(self, instance, part):
+        if part is not None and part.quadratic is None:
             raise ValueError("linear path needs a quadratic implicit part; "
                              "use solve_inner_newton instead")
-        part = _implicit_part(instance.objective, case)
         self.AtA = instance.A.T @ instance.A
         self.Q, self.q = part.quadratic if part is not None else (None, None)
         self.mu = self._identity_coefficient()
@@ -199,6 +178,64 @@ class LinearCache:
         return mu
 
 
+@dataclass(frozen=True)
+class StepPlan:
+    """How a run treats ``f``: the part solved implicitly, the part
+    linearized at ``xbar`` (either may be None), ``A'A`` and the solve
+    backend -- a :class:`LinearCache`, or None for inner Newton."""
+
+    implicit: Optional[ObjectiveOracle]
+    linearized: Optional[ObjectiveOracle]
+    AtA: object = None
+    cache: Optional[LinearCache] = None
+
+    def anchor(self, x):
+        """Gradient of the linearized part at ``x`` (None without one)."""
+        return self.linearized.gradient(x) if self.linearized else None
+
+    def stepsize(self, gamma):
+        """``gamma`` as a float, by default ``1/L`` with a linearized part
+        and 1 without; must be positive and, with one, at most ``1/L``."""
+        L = self.linearized.lipschitz if self.linearized else None
+        if gamma is None:
+            gamma = 1.0 / L if L is not None else 1.0
+        if gamma <= 0:
+            raise ValueError(f"gamma must be positive, got {gamma}")
+        if L is not None and gamma > 1.0 / L * (1.0 + 1e-12):
+            raise ValueError(
+                f"gamma = {gamma:.6g} violates the stepsize restriction "
+                f"1/L = {1.0 / L:.6g} of the linearized step")
+        return float(gamma)
+
+
+def step_plan(instance, case, backend=True):
+    """The :class:`StepPlan` of ``case`` on ``instance`` (without
+    ``backend``: the split of ``f`` only).  Raises ValueError for a case
+    outside :data:`CASES`, a composite objective without ``split``, a
+    linearized part without ``lipschitz``, or a Newton part without
+    ``hessian``."""
+    obj = instance.objective
+    splits = {"implicit": (obj, None), "explicit": (None, obj),
+              "composite": obj.split}
+    if case not in splits:
+        raise ValueError(f"case must be one of {CASES}, got {case!r}")
+    if splits[case] is None:
+        raise ValueError("composite case needs objective.split = (f1, f2)")
+    implicit, linearized = splits[case]
+    if linearized is not None and linearized.lipschitz is None:
+        raise ValueError(
+            f"{case} case needs a gradient Lipschitz constant on the "
+            f"linearized part; use the implicit case instead")
+    if not backend:
+        return StepPlan(implicit, linearized)
+    if implicit is None or implicit.quadratic is not None:
+        cache = LinearCache(instance, implicit)
+        return StepPlan(implicit, linearized, cache.AtA, cache)
+    if implicit.hessian is None:
+        raise ValueError("inner Newton needs an implicit part with a hessian")
+    return StepPlan(implicit, linearized, dense(instance.A.T @ instance.A))
+
+
 def solve_linear_case(spec, instance, cache=None):
     """Solve the subproblem exactly when its stationarity system is linear.
 
@@ -216,7 +253,7 @@ def solve_linear_case(spec, instance, cache=None):
     space).
     """
     if cache is None:
-        cache = LinearCache(instance, spec.case)
+        cache = LinearCache(instance, spec.implicit)
     A = instance.A
     coef = spec.beta + spec.delta * spec.c_k ** 2
     rhs = spec.xbar_k / spec.gamma + A.T @ (
@@ -254,24 +291,29 @@ def solve_linear_case(spec, instance, cache=None):
     return x
 
 
-def solve_subproblem(spec, instance, cache, inner, t_curr, x0, report=None):
-    """Solve the subproblem linearly (see :func:`linear_path`) or by inner
-    Newton from ``x0`` at ``inner_tolerance(t_curr, inner)``; a ``report``
-    dict receives the inner iterations, gradient norm and tolerance."""
-    if linear_path(instance.objective, spec.case):
-        x = solve_linear_case(spec, instance, cache)
-        if report is not None:
-            report.update(iterations=0, grad_norm=0.0, tol=None)
-        return x
-    tol = inner_tolerance(t_curr, inner)
-    x = solve_inner_newton(spec, instance, replace(inner, tol_grad=tol), x0,
-                           report=report)
+def solve_subproblem(spec, instance, plan, inner, state, report=None):
+    """Solve the subproblem at ``state`` by ``plan``'s backend (inner Newton
+    from ``state.x_curr`` at ``inner_tolerance(t_k, inner)``), reporting
+    iterations, gradient norm and tolerance into ``report``.  An inner
+    failure's message gains ``k`` and ``t_k``."""
+    try:
+        if plan.cache is not None:
+            x = solve_linear_case(spec, instance, plan.cache)
+            if report is not None:
+                report.update(iterations=0, grad_norm=0.0, tol=None)
+            return x
+        tol = inner_tolerance(state.t_curr, inner)
+        x = solve_inner_newton(spec, instance, replace(inner, tol_grad=tol),
+                               state.x_curr, report=report, AtA=plan.AtA)
+    except (MaxInnerIterations, SubsolverError) as e:
+        e.args = (f"{e} at k={state.k}, t_k={state.t_curr:.6g}",)
+        raise
     if report is not None:
         report["tol"] = tol
     return x
 
 
-def solve_inner_newton(spec, instance, policy, x0, report=None):
+def solve_inner_newton(spec, instance, policy, x0, report=None, AtA=None):
     """Damped Newton on the subproblem for smooth non-quadratic parts.
 
     Iterates from the warm start ``x0`` until the subproblem gradient norm
@@ -286,6 +328,8 @@ def solve_inner_newton(spec, instance, policy, x0, report=None):
     report : dict, optional
         If given, ``iterations`` and ``grad_norm`` achieved are written
         into it (used to audit tolerance schedules).
+    AtA : ndarray, optional
+        Dense ``A'A`` (a Newton :class:`StepPlan`'s); formed when omitted.
 
     Raises
     ------
@@ -293,11 +337,8 @@ def solve_inner_newton(spec, instance, policy, x0, report=None):
         After ``policy.max_inner`` steps without meeting the tolerance;
         carries the final gradient norm.
     """
-    part = _implicit_part(instance.objective, spec.case)
-    if part is None or part.hessian is None:
-        raise ValueError("inner Newton needs an implicit part with a hessian")
-    A = instance.A
-    AtA = dense(A.T @ A)
+    if AtA is None:
+        AtA = dense(instance.A.T @ instance.A)
     coef = spec.beta + spec.delta * spec.c_k ** 2
     x = np.array(x0, dtype=float)
     g = subproblem_gradient(spec, instance, x)
@@ -308,7 +349,7 @@ def solve_inner_newton(spec, instance, policy, x0, report=None):
             raise MaxInnerIterations(
                 f"inner Newton: {policy.max_inner} iterations, gradient "
                 f"norm {gnorm:.3e} > tol {policy.tol_grad:.3e}", gnorm)
-        H = part.hessian(x) + coef * AtA
+        H = spec.implicit.hessian(x) + coef * AtA
         H[np.diag_indices_from(H)] += 1.0 / spec.gamma
         try:
             d = -cho_solve(cho_factor(H), g)

@@ -18,7 +18,7 @@ from aalm.schedule import (ScaledSchedule, certify_rho, chambolle_dossal,
                            generate, nesterov)
 from aalm.solver import (IterateState, SolverConfig, initial_state,
                          resolve_config, run, step, step_coupled)
-from aalm.subsolver import LinearCache
+from aalm.subsolver import step_plan
 
 
 def _verdict(capsys, cid, label, ok, detail):
@@ -76,10 +76,10 @@ def test_c01_coupled_scheme_equivalence(qp_testbed, capsys):
     lam0 = np.zeros(qp_testbed.n_constraints)
     seq = initial_state(qp_testbed, cfg, x0, lam0)
     coup = initial_state(qp_testbed, cfg, x0, lam0)
-    cache = LinearCache(qp_testbed, cfg.case)
+    plan = step_plan(qp_testbed, cfg.case)
     worst = 0.0
     for _ in range(200):
-        seq = step(seq, cfg, qp_testbed, cache)
+        seq = step(seq, cfg, qp_testbed, plan)
         coup = step_coupled(coup, cfg, qp_testbed)
         worst = max(
             worst,
@@ -178,10 +178,10 @@ def test_c07_iterate_convergence(qp_testbed, qp_reference, capsys):
         cfg = resolve_config(qp_testbed, SolverConfig(
             schedule=sched, case="explicit", max_iter=5000))
         state = initial_state(qp_testbed, cfg, x0, lam0)
-        cache = LinearCache(qp_testbed, cfg.case)
+        plan = step_plan(qp_testbed, cfg.case)
         dists = np.empty(5000)
         for i in range(5000):
-            state = step(state, cfg, qp_testbed, cache)
+            state = step(state, cfg, qp_testbed, plan)
             dists[i] = math.hypot(
                 np.linalg.norm(state.x_curr - qp_reference.x),
                 np.linalg.norm(state.lam_curr - qp_reference.lam))

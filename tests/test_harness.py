@@ -13,11 +13,13 @@ from aalm.cli import main
 from aalm.diagnostics import TRACE_FIELDS, TraceRecord, fit_rate
 from aalm.harness import (ConfigError, VanillaConfig, build_problem,
                           load_manifest, parse_config, read_trace_csv,
-                          run_experiment, run_vanilla, summarize_trace,
-                          write_trace_csv)
+                          resolve_vanilla, run_experiment, run_vanilla,
+                          summarize_trace, write_trace_csv)
 from aalm.oracle import instance_hash, kkt_solve_qp, load_kkt
-from aalm.problems import (make_lp_regression, make_random_lp, make_random_qp,
+from aalm.problems import (ObjectiveOracle, ProblemInstance,
+                           make_lp_regression, make_random_lp, make_random_qp,
                            make_ring_logistic)
+from aalm.subsolver import InnerSolverPolicy, MaxInnerIterations
 from aalm.schedule import ScaledSchedule, nesterov
 from aalm.solver import SolverConfig, resolve_config, run
 
@@ -120,6 +122,15 @@ class TestParseConfig:
         cfg["solvers"][0]["method"] = "adam"
         with pytest.raises(ConfigError, match="unknown method"):
             parse_config(cfg)
+
+    def test_unknown_case_rejected(self):
+        """A case outside the known three fails at parse time, for the
+        accelerated and the baseline entries alike."""
+        for i in (0, 1):
+            cfg = _qp_config()
+            cfg["solvers"][i]["case"] = "semismooth"
+            with pytest.raises(ConfigError, match="unknown case"):
+                parse_config(cfg)
 
     def test_accelerated_solver_needs_schedule(self):
         cfg = _qp_config()
@@ -428,6 +439,47 @@ class TestVanillaBaseline:
             run_vanilla(lp, VanillaConfig(), 5,
                         np.zeros(lp.dim), np.zeros(lp.n_constraints))
 
+    def test_composite_zero_f2_matches_implicit(self, qp_testbed):
+        """The mixed baseline step with a vanishing smooth part collapses
+        to the implicit one."""
+        f1 = qp_testbed.objective
+        zero = ObjectiveOracle(value=lambda x: 0.0, gradient=np.zeros_like,
+                               lipschitz=f1.lipschitz)
+        comp = ProblemInstance(
+            ObjectiveOracle(value=f1.value, gradient=f1.gradient,
+                            hessian=f1.hessian, quadratic=f1.quadratic,
+                            split=(f1, zero)),
+            qp_testbed.A, qp_testbed.b, "qp-split-zero")
+        x0, lam0 = np.zeros(qp_testbed.dim), np.zeros(qp_testbed.n_constraints)
+        gamma = 1.0 / f1.lipschitz
+        state_c, _ = run_vanilla(comp, VanillaConfig(case="composite",
+                                                     gamma=gamma),
+                                 150, x0, lam0)
+        state_i, _ = run_vanilla(qp_testbed, VanillaConfig(case="implicit",
+                                                           gamma=gamma),
+                                 150, x0, lam0)
+        assert_allclose(state_c.x_curr, state_i.x_curr, rtol=0, atol=1e-12)
+        assert_allclose(state_c.lam_curr, state_i.lam_curr, rtol=0,
+                        atol=1e-12)
+
+    def test_explicit_gamma_above_restriction_rejected(self, qp_testbed):
+        """The baseline's linearized step obeys the accelerated loop's
+        stepsize restriction, checked before any iteration."""
+        L = qp_testbed.objective.lipschitz
+        with pytest.raises(ValueError, match="stepsize restriction"):
+            resolve_vanilla(qp_testbed, VanillaConfig(gamma=50.0 / L))
+        assert resolve_vanilla(qp_testbed, VanillaConfig(
+            case="implicit", gamma=50.0 / L)).gamma == 50.0 / L
+
+    def test_inner_failure_names_iteration(self):
+        """An inner Newton failure of the baseline names k and t_k."""
+        lp = make_random_lp(d=6, n=4, p=1.5, seed=0)
+        vcfg = VanillaConfig(case="implicit",
+                             inner=InnerSolverPolicy(max_inner=1))
+        with pytest.raises(MaxInnerIterations, match=r"at k=1, t_k=1$"):
+            run_vanilla(lp, vcfg, 5, np.zeros(lp.dim),
+                        np.zeros(lp.n_constraints))
+
     def test_newton_path_on_ring(self):
         """Implicit subproblems route through the damped Newton solver."""
         ring = make_ring_logistic(4, 6, 0.5, seed=2)
@@ -683,6 +735,15 @@ class TestCli:
         path = _write_config(tmp_path, _qp_config())
         assert main(["run", str(path), "--emit-gnuplot"]) == 0
         assert (tmp_path / "out" / "plots.gp").exists()
+
+    def test_run_unknown_case(self, tmp_path, capsys):
+        """A config naming an unknown case exits with code 1 before any
+        solver runs."""
+        cfg = _qp_config()
+        cfg["solvers"][1]["case"] = "semismooth"
+        path = _write_config(tmp_path, cfg)
+        assert main(["run", str(path)]) == 1
+        assert "unknown case 'semismooth'" in capsys.readouterr().err
 
     def test_run_missing_config(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 1

@@ -14,6 +14,7 @@ import pytest
 from aalm import (
     InnerSolverPolicy,
     IterateState,
+    MaxInnerIterations,
     ObjectiveOracle,
     ProblemInstance,
     ScaledSchedule,
@@ -243,6 +244,20 @@ class TestRunLoop:
         assert len(log) == 50
         assert all(e["grad_norm"] <= e["tol"] for e in log)
         assert all(e["iterations"] >= 1 for e in log[:5])
+
+    def test_inner_failure_names_iteration(self):
+        """An inner Newton failure names the outer iteration and t_k
+        beside the tolerance and the achieved norm: on the lp instance,
+        CD(10) noncritical fails at k = 9, where t_k = 17/9."""
+        inst = make_random_lp(seed=0)
+        cfg = SolverConfig(schedule=chambolle_dossal(10.0, eta="noncritical"),
+                           case="implicit", max_iter=1000)
+        with pytest.raises(MaxInnerIterations) as exc:
+            run(inst, cfg, np.zeros(20), np.zeros(1))
+        msg = str(exc.value)
+        assert "k=9," in msg and f"t_k={17 / 9:.6g}" in msg
+        assert "tol 1.000e-08" in msg
+        assert f"gradient norm {exc.value.grad_norm:.3e}" in msg
 
     def test_identity_checks_clean(self, qp_testbed):
         """The dual-correction identity holds along a real trajectory."""

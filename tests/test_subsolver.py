@@ -24,7 +24,7 @@ from aalm import (
     solve_linear_case,
 )
 from aalm.subsolver import (
-    LinearCache,
+    step_plan,
     subproblem_gradient,
     subproblem_value,
 )
@@ -35,10 +35,12 @@ def _scalar_instance(quad=0.0, lin=0.0, a=1.0, b=0.0):
                    np.array([b]))
 
 
-def _spec(case="implicit", gamma=1.0, beta=0.0, delta=1.0, c_k=2.0,
+def _spec(implicit=None, gamma=1.0, beta=0.0, delta=1.0, c_k=2.0,
           p_k=None, r_k=None, xbar_k=None, anchor=None, m=1, n=1):
+    """A subproblem whose implicit part is ``implicit`` (an instance's
+    objective, or None for a purely linearized step)."""
     return SubproblemSpec(
-        case=case, gamma=gamma, beta=beta, delta=delta, c_k=c_k,
+        implicit=implicit, gamma=gamma, beta=beta, delta=delta, c_k=c_k,
         p_k=np.zeros(m) if p_k is None else np.asarray(p_k, dtype=float),
         r_k=np.zeros(m) if r_k is None else np.asarray(r_k, dtype=float),
         xbar_k=np.ones(n) if xbar_k is None else np.asarray(xbar_k,
@@ -49,10 +51,6 @@ def _spec(case="implicit", gamma=1.0, beta=0.0, delta=1.0, c_k=2.0,
 class TestSubproblemSpec:
     """Construction-time validation of the coefficient bundle."""
 
-    def test_unknown_case_rejected(self):
-        with pytest.raises(ValueError, match="case"):
-            _spec(case="semi-implicit")
-
     def test_nonpositive_stepsizes_rejected(self):
         with pytest.raises(ValueError):
             _spec(gamma=0.0)
@@ -61,9 +59,43 @@ class TestSubproblemSpec:
         with pytest.raises(ValueError):
             _spec(beta=-0.1)
 
+
+
+class TestStepPlan:
+    """The case split, resolved once per run."""
+
+    def test_unknown_case_rejected(self):
+        inst = make_random_qp(n=4, m=2, seed=0)
+        with pytest.raises(ValueError, match="case"):
+            step_plan(inst, "semi-implicit")
+
     def test_explicit_needs_anchor(self):
-        with pytest.raises(ValueError, match="anchor"):
-            _spec(case="explicit", anchor=None)
+        """The explicit plan linearizes the whole objective, so every
+        explicit step carries its gradient as the anchor; an objective
+        without a Lipschitz constant has no explicit plan."""
+        inst = make_random_qp(n=4, m=2, seed=0)
+        plan = step_plan(inst, "explicit")
+        assert plan.implicit is None and plan.linearized is inst.objective
+        x = np.arange(4.0)
+        np.testing.assert_array_equal(plan.anchor(x),
+                                      inst.objective.gradient(x))
+        assert step_plan(inst, "implicit").anchor(x) is None
+        with pytest.raises(ValueError, match="Lipschitz"):
+            step_plan(make_random_lp(d=10, n=6, seed=0), "explicit")
+
+    def test_backend_and_gram_formed_once(self):
+        """A quadratic implicit part gets a linear cache sharing the
+        plan's A'A; a non-quadratic one gets inner Newton and a dense
+        A'A; without the backend the plan holds neither."""
+        qp = make_random_qp(n=6, m=2, seed=0)
+        plan = step_plan(qp, "implicit")
+        assert plan.cache is not None and plan.cache.AtA is plan.AtA
+        lp = make_random_lp(d=10, n=6, seed=0)
+        plan = step_plan(lp, "implicit")
+        assert plan.cache is None
+        np.testing.assert_array_equal(plan.AtA, lp.A.T @ lp.A)
+        bare = step_plan(lp, "implicit", backend=False)
+        assert bare.AtA is None and bare.cache is None
 
 
 class TestValueGradientConsistency:
@@ -72,7 +104,7 @@ class TestValueGradientConsistency:
     def test_finite_differences(self):
         inst = make_random_qp(n=6, m=2, seed=8)
         rng = np.random.default_rng(8)
-        spec = _spec(gamma=0.7, beta=0.3, delta=1.2, c_k=1.5,
+        spec = _spec(inst.objective, gamma=0.7, beta=0.3, delta=1.2, c_k=1.5,
                      p_k=rng.normal(size=2), r_k=rng.normal(size=2),
                      xbar_k=rng.normal(size=6), m=2, n=6)
         x = rng.normal(size=6)
@@ -89,7 +121,7 @@ class TestValueGradientConsistency:
         """The direct solve returns a point with vanishing subgradient."""
         inst = make_random_qp(n=6, m=2, seed=8)
         rng = np.random.default_rng(9)
-        spec = _spec(gamma=0.7, beta=0.3, delta=1.2, c_k=1.5,
+        spec = _spec(inst.objective, gamma=0.7, beta=0.3, delta=1.2, c_k=1.5,
                      p_k=rng.normal(size=2), r_k=rng.normal(size=2),
                      xbar_k=rng.normal(size=6), m=2, n=6)
         x = solve_linear_case(spec, inst)
@@ -102,13 +134,13 @@ class TestSolveLinearCase:
     def test_scalar_zero_objective(self):
         """f = 0, a = 1, gamma = delta = 1, c = 2, xbar = 1: 5x = 1."""
         inst = _scalar_instance()
-        x = solve_linear_case(_spec(), inst)
+        x = solve_linear_case(_spec(inst.objective), inst)
         np.testing.assert_allclose(x, [0.2], rtol=1e-15)
 
     def test_scalar_quadratic(self):
         """Adding f = x^2/2 makes the system (1 + 1 + 4) x = 1: x = 1/6."""
         inst = _scalar_instance(quad=1.0)
-        x = solve_linear_case(_spec(), inst)
+        x = solve_linear_case(_spec(inst.objective), inst)
         np.testing.assert_allclose(x, [1.0 / 6.0], rtol=1e-15)
 
     def test_no_coupling_is_gradient_step(self):
@@ -119,8 +151,7 @@ class TestSolveLinearCase:
         xbar = rng.normal(size=8)
         gamma = 0.25
         g = inst.objective.gradient(xbar)
-        spec = _spec(case="explicit", gamma=gamma, c_k=0.0, xbar_k=xbar,
-                     anchor=g, m=3, n=8)
+        spec = _spec(gamma=gamma, c_k=0.0, xbar_k=xbar, anchor=g, m=3, n=8)
         x = solve_linear_case(spec, inst)
         np.testing.assert_allclose(x, xbar - gamma * g, rtol=0, atol=1e-12)
 
@@ -128,7 +159,7 @@ class TestSolveLinearCase:
         """One (damped) Newton pass reproduces the direct solution."""
         inst = make_random_qp(n=8, m=3, seed=2)
         rng = np.random.default_rng(2)
-        spec = _spec(gamma=0.5, beta=1.0, delta=2.0, c_k=3.0,
+        spec = _spec(inst.objective, gamma=0.5, beta=1.0, delta=2.0, c_k=3.0,
                      p_k=rng.normal(size=3), r_k=rng.normal(size=3),
                      xbar_k=rng.normal(size=8), m=3, n=8)
         x_lin = solve_linear_case(spec, inst)
@@ -160,10 +191,10 @@ class TestSolveLinearCase:
         b = np.array([0.5, -0.5, 1.0])
         inst = make_qp(Q, q, A, b)
         rng = np.random.default_rng(4)
-        spec = _spec(gamma=0.5, beta=1.0, delta=2.0, c_k=4.0,
+        spec = _spec(inst.objective, gamma=0.5, beta=1.0, delta=2.0, c_k=4.0,
                      p_k=rng.normal(size=3), r_k=rng.normal(size=3),
                      xbar_k=rng.normal(size=6), m=3, n=6)
-        cache = LinearCache(inst, "implicit")
+        cache = step_plan(inst, "implicit").cache
         assert cache.basis is not None and cache.mu == 2.0
         np.testing.assert_allclose(solve_linear_case(spec, inst, cache),
                                    self._dense_solve(spec, Q, q, A, b),
@@ -175,11 +206,11 @@ class TestSolveLinearCase:
         inst = make_random_qp(n=8, m=3, seed=6)
         rng = np.random.default_rng(6)
         xbar = rng.normal(size=8)
-        spec = _spec(case="explicit", gamma=0.3, beta=0.5, delta=1.0,
+        spec = _spec(gamma=0.3, beta=0.5, delta=1.0,
                      c_k=2.0, p_k=rng.normal(size=3),
                      r_k=rng.normal(size=3), xbar_k=xbar,
                      anchor=inst.objective.gradient(xbar), m=3, n=8)
-        cache = LinearCache(inst, "explicit")
+        cache = step_plan(inst, "explicit").cache
         assert cache.basis is not None and cache.mu == 0.0
         np.testing.assert_allclose(
             solve_linear_case(spec, inst, cache),
@@ -200,11 +231,12 @@ class TestSolveLinearCase:
                             (G @ G.T + np.eye(20), False)):
             q = rng.normal(size=20)
             inst = replace(make_qp(Q, q, ring.A, ring.b), gram=ring.gram)
-            cache = LinearCache(inst, "implicit")
+            cache = step_plan(inst, "implicit").cache
             assert (cache.basis is ring.gram) == factored
             assert (cache.basis is None) == (not factored)
             x_dense = self._dense_solve(spec, Q, q, ring.A, ring.b)
-            np.testing.assert_allclose(solve_linear_case(spec, inst, cache),
+            np.testing.assert_allclose(solve_linear_case(
+                replace(spec, implicit=inst.objective), inst, cache),
                                        x_dense, rtol=0, atol=1e-10)
 
     def test_backend_chosen_from_instance(self):
@@ -224,7 +256,7 @@ class TestSolveLinearCase:
                 (general, "explicit", "eigh"),
                 (replace(general, gram=ring.gram), "implicit", None),
                 (general, "implicit", None)):
-            basis = LinearCache(inst, case).basis
+            basis = step_plan(inst, case).cache.basis
             if backend == "gram":
                 assert basis is ring.gram
             elif backend == "eigh":
@@ -239,7 +271,7 @@ class TestSolveLinearCase:
     def test_nonquadratic_implicit_rejected(self):
         """The linear path refuses non-quadratic implicit parts."""
         inst = make_random_lp(d=10, n=6, seed=0)
-        spec = _spec(n=6)
+        spec = _spec(inst.objective, n=6)
         with pytest.raises(ValueError, match="quadratic"):
             solve_linear_case(spec, inst)
 
@@ -253,13 +285,13 @@ class TestInnerNewton:
         rng = np.random.default_rng(seed)
         m = inst.n_constraints
         if coupling:
-            spec = _spec(gamma=gamma, beta=0.5, delta=1.0, c_k=c_k,
-                         p_k=0.1 * rng.normal(size=m),
+            spec = _spec(inst.objective, gamma=gamma, beta=0.5, delta=1.0,
+                         c_k=c_k, p_k=0.1 * rng.normal(size=m),
                          r_k=0.1 * rng.normal(size=m),
                          xbar_k=rng.normal(size=inst.dim), m=m, n=inst.dim)
         else:
-            spec = _spec(gamma=gamma, beta=0.0, delta=1.0, c_k=0.0,
-                         p_k=np.zeros(m), r_k=np.zeros(m),
+            spec = _spec(inst.objective, gamma=gamma, beta=0.0, delta=1.0,
+                         c_k=0.0, p_k=np.zeros(m), r_k=np.zeros(m),
                          xbar_k=rng.normal(size=inst.dim), m=m, n=inst.dim)
         return inst, spec
 
@@ -299,7 +331,8 @@ class TestInnerNewton:
         assert np.linalg.norm(x - spec.xbar_k) <= 1e-6 * (1.0 + gnorm)
 
     def test_missing_hessian_rejected(self):
-        """Objectives without second-order access cannot use this path."""
+        """Objectives without second-order access cannot use this path:
+        their implicit plan has no solve backend."""
         inst = make_random_qp(n=4, m=2, seed=0)
         obj = inst.objective
         from aalm import ObjectiveOracle, ProblemInstance
@@ -307,8 +340,7 @@ class TestInnerNewton:
             ObjectiveOracle(obj.value, obj.gradient), inst.A, inst.b,
             "no-hessian")
         with pytest.raises(ValueError, match="hessian"):
-            solve_inner_newton(_spec(m=2, n=4), stripped,
-                               InnerSolverPolicy(), np.zeros(4))
+            step_plan(stripped, "implicit")
 
 
 class TestMultiplierUpdate:
