@@ -14,12 +14,14 @@ prints the quantities the theory says must hold:
 Run:  python3 demos/qp_energy_certificates.py
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from aalm.diagnostics import energy, fit_rate, littleo_witness
 from aalm.oracle import kkt_solve_qp
 from aalm.problems import make_random_qp
-from aalm.schedule import ScaledSchedule, chambolle_dossal, nesterov
+from aalm.schedule import chambolle_dossal, nesterov
 from aalm.solver import SolverConfig, resolve_config, run
 
 inst = make_random_qp(n=50, m=10, seed=0)
@@ -68,10 +70,9 @@ for label in ("nesterov (critical)", "cd(10) noncritical"):
     print(f"  {label:22s} feas {wf:9.2e}   obj {wo:9.2e}")
 
 print("\n== scaled variant: xi = sqrt(t) on cd(10), prox case ==")
-base = chambolle_dossal(10.0, eta="noncritical")
-cfg = SolverConfig(schedule=base, case="implicit", max_iter=2000,
-                   scaling=ScaledSchedule(base=base, xi=np.sqrt,
-                                          xi_of_t=True))
+scaled_cd = replace(chambolle_dossal(10.0, eta="noncritical"), xi=np.sqrt,
+                    xi_of_t=True)
+cfg = SolverConfig(schedule=scaled_cd, case="implicit", max_iter=2000)
 _, scaled = run(inst, cfg, x0, lam0, kkt=kkt)
 weighted = [r.scaled_feas for r in scaled]
 print(f"  sup t^2 xi feas = {max(weighted):.3e} "

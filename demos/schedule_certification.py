@@ -9,11 +9,13 @@ range eta it buys, and does the same for a scaled variant.
 Run:  python3 demos/schedule_certification.py
 """
 
+from dataclasses import replace
+
 import numpy as np
 
-from aalm.schedule import (ScaledSchedule, ScheduleError, attouch_cabot,
-                           certify_rho, certify_rho_scaled, chambolle_dossal,
-                           custom_schedule, generate, nesterov, resolve)
+from aalm.schedule import (ScheduleError, attouch_cabot, certify_rho,
+                           chambolle_dossal, custom_schedule, generate,
+                           nesterov, resolve)
 
 K_MAX = 100_000
 
@@ -58,11 +60,9 @@ for name, bad in [
 print("\n== scaled variants ==")
 base = chambolle_dossal(10.0)
 for label, xi in [("xi = sqrt(t)", np.sqrt), ("xi = t", lambda t: t)]:
-    scaling = ScaledSchedule(base=base, xi=xi, xi_of_t=True)
-    rho_s = certify_rho_scaled(scaling, K_MAX)
+    rho_s = certify_rho(replace(base, xi=xi, xi_of_t=True), K_MAX)
     print(f"  cd(10) with {label:12s} rho_scaled = {rho_s:.9f}  (certified)")
 try:
-    certify_rho_scaled(ScaledSchedule(base=base, xi=lambda t: t ** 8,
-                                      xi_of_t=True), 1000)
+    certify_rho(replace(base, xi=lambda t: t ** 8, xi_of_t=True), 1000)
 except ScheduleError as e:
     print(f"  cd(10) with xi = t^8: rejected ({e})")

@@ -18,8 +18,7 @@ from .problems import (GramEigenbasis, KKTPoint, ObjectiveOracle,
                        ProblemInstance, check_gradient, make_lp_regression,
                        make_qp, make_random_lp, make_random_qp,
                        make_ring_logistic)
-from .schedule import (ScaledSchedule, Schedule, ScheduleError,
-                       attouch_cabot, certify_rho, certify_rho_scaled,
+from .schedule import (Schedule, ScheduleError, attouch_cabot, certify_rho,
                        chambolle_dossal, coefficients, custom_schedule,
                        generate, generate_scaled, nesterov, resolve,
                        resolve_eta)
@@ -33,11 +32,11 @@ __all__ = [
     "GramEigenbasis", "InnerSolverPolicy", "IterateState", "KKTPoint",
     "MaxInnerIterations",
     "ObjectiveOracle", "ProblemInstance", "RateEstimate",
-    "ReferenceNotConverged", "ScaledSchedule", "Schedule", "ScheduleError",
-    "SolverConfig", "StoppingRule", "SubproblemSpec", "TraceRecord",
+    "ReferenceNotConverged", "Schedule", "ScheduleError", "SolverConfig",
+    "StoppingRule", "SubproblemSpec", "TraceRecord",
     "attouch_cabot", "brute_step_oracle", "cached_reference", "certify_rho",
-    "certify_rho_scaled", "chambolle_dossal", "check_gradient",
-    "coefficients", "custom_schedule", "extrapolate", "fit_rate", "gap",
+    "chambolle_dossal", "check_gradient", "coefficients", "custom_schedule",
+    "extrapolate", "fit_rate", "gap",
     "generate", "generate_scaled", "kkt_refine", "kkt_solve_qp",
     "littleo_witness", "make_lp_regression", "make_qp", "make_random_lp",
     "make_random_qp", "make_ring_logistic", "multiplier_update", "nesterov",

@@ -36,6 +36,7 @@ accelerated ones.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -50,7 +51,7 @@ from .diagnostics import TRACE_FIELDS, TraceRecord, fit_rate, littleo_witness
 from .oracle import cached_reference, kkt_refine
 from .problems import (make_lp_regression, make_qp, make_random_lp,
                        make_random_qp, make_ring_logistic)
-from .schedule import SCHEDULE_RULES, ScaledSchedule, named_schedule
+from .schedule import SCHEDULE_RULES, named_schedule
 from .solver import SolverConfig, StoppingRule, run
 from .subsolver import (CASES, InnerSolverPolicy, SubproblemSpec,
                         multiplier_update, solve_subproblem, step_plan)
@@ -123,22 +124,42 @@ def _parse_schedule(block):
     return sched
 
 
-def _parse_scaling(block, base):
+def _parse_scaling(block, schedule):
+    """``schedule`` with the stepsize factors of a ``scaling`` block.  A
+    constant scaling is an explicit unit ``xi``, so it is certified and
+    run through the scaled arithmetic like any other."""
     _check_keys(block, {"form", "exponent"}, "scaling")
     form = block.get("form")
     if form == "t-power":
         e = float(block.get("exponent", 0.5))
-        return ScaledSchedule(base=base, xi=lambda t: t ** e, xi_of_t=True)
+        return replace(schedule, xi=lambda t: t ** e, xi_of_t=True)
     if form == "constant":
-        return ScaledSchedule(base=base, xi=None)
+        return replace(schedule, xi=np.ones_like)
     raise ConfigError(f"unknown scaling form {form!r}")
 
 
-def _parse_stop(block, iterations):
+def _parse_stop(block):
     _check_keys(block, {"feas_tol", "stat_tol"}, "stop")
-    return StoppingRule(max_iter=iterations,
-                        feas_tol=block.get("feas_tol"),
+    return StoppingRule(feas_tol=block.get("feas_tol"),
                         stat_tol=block.get("stat_tol"))
+
+
+def _check_numbers(block, name):
+    """Reject numeric solver keys of the wrong type and inner solver
+    settings out of range (:func:`aalm.solver.resolve_config` checks the
+    ranges of ``gamma``, ``delta`` and ``beta``)."""
+    for key in ("gamma", "delta", "beta", "inner_tol"):
+        v = block.get(key, 1.0)
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ConfigError(f"{key} must be a number, got {v!r} "
+                              f"(solver {name!r})")
+    if not block.get("inner_tol", 1.0) > 0:
+        raise ConfigError(f"inner_tol must be positive, got "
+                          f"{block['inner_tol']!r} (solver {name!r})")
+    v = block.get("max_inner", 1)
+    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+        raise ConfigError(f"max_inner must be a positive integer, got {v!r} "
+                          f"(solver {name!r})")
 
 
 def _parse_solver(block, iterations):
@@ -153,6 +174,7 @@ def _parse_solver(block, iterations):
     if case not in CASES:
         raise ConfigError(f"unknown case {case!r} (solver {name!r}); "
                           f"choose from {CASES}")
+    _check_numbers(block, name)
     inner = InnerSolverPolicy(
         tol_grad=block.get("inner_tol", 1e-8),
         max_inner=block.get("max_inner", 50))
@@ -168,10 +190,8 @@ def _parse_solver(block, iterations):
         if "schedule" not in block:
             raise ConfigError(f"solver {name!r} needs a schedule")
         sched = _parse_schedule(block["schedule"])
-        scaling = (_parse_scaling(block["scaling"], sched)
-                   if "scaling" in block else None)
-        stop = (_parse_stop(block["stop"], iterations)
-                if "stop" in block else None)
+        if "scaling" in block:
+            sched = _parse_scaling(block["scaling"], sched)
         # Accepted for older configs and ignored: the instance picks the
         # linear solve backend (see aalm.subsolver.LinearCache).
         if not isinstance(block.get("use_eig", False), bool):
@@ -179,8 +199,10 @@ def _parse_solver(block, iterations):
                               f"(solver {name!r})")
         cfg = SolverConfig(schedule=sched, case=case, gamma=block.get("gamma"),
                            delta=block.get("delta", 1.0),
-                           beta=block.get("beta", 1.0), scaling=scaling,
-                           max_iter=iterations, stop=stop, inner=inner)
+                           beta=block.get("beta", 1.0),
+                           max_iter=iterations,
+                           stop=_parse_stop(block.get("stop", {})),
+                           inner=inner)
     else:
         raise ConfigError(f"unknown method {method!r} (solver {name!r})")
     return SolverEntry(name=name, method=method, config=cfg)
@@ -348,8 +370,8 @@ def run_vanilla(instance, vcfg, iterations, x0, lam0, kkt=None):
     return aalm_solver._run_loop(
         instance, vcfg.case, state,
         lambda state, plan: vanilla_alm_step(state, vcfg, instance, plan),
-        StoppingRule(iterations), (vcfg.gamma, vcfg.delta, 1.0, vcfg.beta),
-        kkt, certified=False)
+        iterations, (vcfg.gamma, vcfg.delta, 1.0, vcfg.beta), kkt,
+        certified=False)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +428,7 @@ def _schedule_label(entry):
     label = sched.rule
     if sched.alpha is not None:
         label += f"({sched.alpha:g})"
-    if entry.config.scaling is not None:
+    if sched.xi is not None:
         label += "+scaled"
     return label
 
@@ -471,10 +493,7 @@ def run_experiment(config):
                    rng=RNG_NAME, reference=ref_status, status="ok")
         try:
             if entry.method == "aalm":
-                cfg = replace(entry.config,
-                              stop=replace(entry.config.stop,
-                                           max_iter=config.iterations))
-                resolved = aalm_solver.resolve_config(instance, cfg)
+                resolved = aalm_solver.resolve_config(instance, entry.config)
                 _, trace = run(instance, resolved, x0, lam0, kkt=kkt)
                 row.update(rho=resolved.schedule.rho,
                            eta=resolved.schedule.eta)

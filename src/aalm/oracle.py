@@ -209,7 +209,8 @@ def kkt_refine(instance, budget=100_000, target=1e-9, polish_steps=60):
     config = SolverConfig(
         schedule=nesterov(),
         case=case,
-        stop=StoppingRule(budget, feas_tol=basin, stat_tol=basin),
+        max_iter=budget,
+        stop=StoppingRule(feas_tol=basin, stat_tol=basin),
         inner=InnerSolverPolicy(max_inner=100),
     )
     x0 = np.zeros(instance.dim)

@@ -20,8 +20,13 @@ Three named rules are built in:
 
 plus user-supplied callables.  ``certify_rho`` measures the sharpest rho
 over a finite horizon; it both validates user-provided values and fills in
-rho when absent.  A scaled variant attaches per-iteration stepsize factors
-``xi_k`` and certifies the analogous growth of ``t_k^2 xi_k``.
+rho when absent.
+
+A schedule may also carry stepsize factors ``xi_k > 0`` (``xi=None`` means
+``xi_k = 1``).  Rates are then stated against ``t_k^2 xi_k``, and ``rho``
+and ``certify_rho`` refer to its growth condition instead:
+
+    t_1^2 xi_1 = 1,   t_{k+1}^2 xi_{k+1} - t_k^2 xi_k <= rho t_{k+1} xi_{k+1}.
 """
 
 from __future__ import annotations
@@ -72,6 +77,15 @@ class Schedule:
     eta : float or str or None
         Damping in [rho, 1].  ``None`` or ``"critical"`` resolves to
         ``rho``; ``"noncritical"`` resolves to ``(rho + 1) / 2``.
+    xi : callable, optional
+        Stepsize factors: maps a 1-based index array (or the generated
+        ``t`` array, see ``xi_of_t``) to ``xi_k > 0``.  ``None`` means
+        ``xi_k = 1`` with the unscaled growth condition; any ``xi``, a
+        unit one included, is certified through ``t_k^2 xi_k`` and runs
+        in the implicit case only.
+    xi_of_t : bool
+        If True, ``xi`` is evaluated on the ``t_k`` values instead of the
+        indices (e.g. ``xi = sqrt`` gives ``xi_k = t_k^{1/2}``).
     """
 
     rule: str
@@ -79,6 +93,8 @@ class Schedule:
     fn: Optional[Callable] = None
     rho: Optional[float] = None
     eta: Union[float, str, None] = None
+    xi: Optional[Callable] = None
+    xi_of_t: bool = False
 
 
 def nesterov(eta=None):
@@ -230,8 +246,30 @@ def _validate_sequence(t):
                             "t_k must grow without bound", index=int(t.size))
 
 
+def generate_scaled(schedule, k_max):
+    """Generate ``(t, xi)`` arrays for ``k = 1 .. k_max``; ``xi`` is ones
+    when the schedule has no stepsize factors."""
+    t = generate(schedule, k_max)
+    if schedule.xi is None:
+        return t, np.ones_like(t)
+    arg = t if schedule.xi_of_t else np.arange(1, k_max + 1, dtype=float)
+    xi = np.asarray(schedule.xi(arg), dtype=float)
+    if xi.shape != t.shape:
+        xi = np.array([float(schedule.xi(float(a))) for a in arg])
+    if xi.min() <= 0:
+        i = 1 + int(np.argmax(xi <= 0))
+        raise ScheduleError(f"xi_k must be positive; xi_{i} = {xi[i - 1]}",
+                            index=i)
+    return t, xi
+
+
 def certify_rho(schedule, k_max=DEFAULT_HORIZON):
-    """Measure ``rho_hat = sup_k (t_{k+1}^2 - t_k^2) / t_{k+1}`` up to ``k_max``.
+    """Measure the growth constant of ``schedule`` up to ``k_max``.
+
+    Without ``xi`` this is ``rho_hat = sup_k (t_{k+1}^2 - t_k^2) / t_{k+1}``.
+    With ``xi`` it checks ``t_1^2 xi_1 = 1`` and monotone growth of
+    ``s_k = t_k^2 xi_k``, and measures
+    ``rho_hat = sup_k (s_{k+1} - s_k) / (t_{k+1} xi_{k+1})``.
 
     Parameters
     ----------
@@ -250,17 +288,34 @@ def certify_rho(schedule, k_max=DEFAULT_HORIZON):
         If ``rho_hat > 1 + 1e-12``; the error carries the first violating
         1-based index in ``.index``.
     """
-    t = generate(schedule, k_max)
-    # Factored difference: squaring first would bury the growth margin under
-    # rounding noise of order ulp(t^2) once t is large.
-    ratio = (t[1:] - t[:-1]) * (t[1:] + t[:-1]) / t[1:]
+    if schedule.xi is None:
+        t = generate(schedule, k_max)
+        # Factored difference: squaring first would bury the growth margin
+        # under rounding noise of order ulp(t^2) once t is large.
+        ratio = (t[1:] - t[:-1]) * (t[1:] + t[:-1]) / t[1:]
+    else:
+        t, xi = generate_scaled(schedule, k_max)
+        # Extended precision keeps cancellation noise in the s_k differences
+        # well below the certification slack even when t_k^2 xi_k grows
+        # past 1e7.
+        s = t.astype(np.longdouble) ** 2 * xi.astype(np.longdouble)
+        if abs(s[0] - 1.0) > CERT_TOL:
+            raise ScheduleError(f"t_1^2 xi_1 must equal 1, got {s[0]}",
+                                index=1)
+        ds = np.diff(s)
+        if ds.size and ds.min() < -CERT_TOL:
+            i = 1 + int(np.argmax(ds < -CERT_TOL))
+            raise ScheduleError(f"t_k^2 xi_k decreases at k={i}", index=i)
+        ratio = ds / (t[1:] * xi[1:])
     rho_hat = float(ratio.max()) if ratio.size else 0.0
     if rho_hat > 1.0 + CERT_TOL:
-        k_bad = 1 + int(np.argmax(ratio > 1.0 + CERT_TOL))
-        raise ScheduleError(
-            f"growth condition fails at k={k_bad}: "
-            f"(t_{k_bad + 1}^2 - t_{k_bad}^2)/t_{k_bad + 1} = {ratio[k_bad - 1]:.6g} > 1",
-            index=k_bad)
+        k = 1 + int(np.argmax(ratio > 1.0 + CERT_TOL))
+        if schedule.xi is None:
+            growth = (f"growth condition fails at k={k}: "
+                      f"(t_{k + 1}^2 - t_{k}^2)/t_{k + 1}")
+        else:
+            growth = f"scaled growth condition fails at k={k}: ratio"
+        raise ScheduleError(f"{growth} = {ratio[k - 1]:.6g} > 1", index=k)
     return rho_hat
 
 
@@ -270,6 +325,8 @@ def resolve(schedule, budget=None):
     Parameters
     ----------
     schedule : Schedule
+        A supplied ``rho`` is verified against :func:`certify_rho` (the
+        growth of ``t_k^2 xi_k`` when the schedule has ``xi``).
     budget : int, optional
         Iteration budget of the run the schedule will drive.  The
         certification horizon is ``max(10 * budget, 10_000)`` so the
@@ -334,77 +391,3 @@ def coefficients(t_next, eta):
     alpha = (t_next - eta) / eta
     return alpha, 1.0 + alpha
 
-
-@dataclass(frozen=True)
-class ScaledSchedule:
-    """A base schedule paired with stepsize scaling factors ``xi_k > 0``.
-
-    The scaled loop multiplies both stepsizes by ``xi_{k+1}`` at iteration
-    ``k``; rates are then stated against ``t_k^2 xi_k``, which must satisfy
-    the analogous growth condition (certified by
-    :func:`certify_rho_scaled`):
-
-        t_1^2 xi_1 = 1,   t_{k+1}^2 xi_{k+1} - t_k^2 xi_k
-                            <= rho_scaled * t_{k+1} xi_{k+1}.
-
-    Parameters
-    ----------
-    base : Schedule
-    xi : callable
-        Maps a 1-based index array (or the generated ``t`` array, see
-        ``xi_of_t``) to scaling factors.
-    xi_of_t : bool
-        If True, ``xi`` is evaluated on the ``t_k`` values instead of the
-        indices (e.g. ``xi = sqrt`` gives ``xi_k = t_k^{1/2}``).
-    rho_scaled : float, optional
-        Growth constant for ``t_k^2 xi_k``; certified when absent.
-    """
-
-    base: Schedule
-    xi: Callable = None
-    xi_of_t: bool = False
-    rho_scaled: Optional[float] = None
-
-
-def generate_scaled(scaled, k_max):
-    """Generate ``(t, xi)`` arrays for ``k = 1 .. k_max``."""
-    t = generate(scaled.base, k_max)
-    if scaled.xi is None:
-        xi = np.ones_like(t)
-    else:
-        arg = t if scaled.xi_of_t else np.arange(1, k_max + 1, dtype=float)
-        xi = np.asarray(scaled.xi(arg), dtype=float)
-        if xi.shape != t.shape:
-            xi = np.array([float(scaled.xi(float(a))) for a in arg])
-    if xi.min() <= 0:
-        i = 1 + int(np.argmax(xi <= 0))
-        raise ScheduleError(f"xi_k must be positive; xi_{i} = {xi[i - 1]}",
-                            index=i)
-    return t, xi
-
-
-def certify_rho_scaled(scaled, k_max=DEFAULT_HORIZON):
-    """Certify the scaled growth condition; returns the measured supremum.
-
-    Checks ``t_1^2 xi_1 = 1``, monotone growth of ``s_k = t_k^2 xi_k``,
-    and returns ``sup_k (s_{k+1} - s_k) / (t_{k+1} xi_{k+1})``, failing
-    when it exceeds ``1 + 1e-12``.
-    """
-    t, xi = generate_scaled(scaled, k_max)
-    # Extended precision keeps cancellation noise in the s_k differences well
-    # below the certification slack even when t_k^2 xi_k grows past 1e7.
-    s = t.astype(np.longdouble) ** 2 * xi.astype(np.longdouble)
-    if abs(s[0] - 1.0) > CERT_TOL:
-        raise ScheduleError(f"t_1^2 xi_1 must equal 1, got {s[0]}", index=1)
-    ds = np.diff(s)
-    if ds.size and ds.min() < -CERT_TOL:
-        i = 1 + int(np.argmax(ds < -CERT_TOL))
-        raise ScheduleError(f"t_k^2 xi_k decreases at k={i}", index=i)
-    ratio = ds / (t[1:] * xi[1:])
-    rho_hat = float(ratio.max()) if ratio.size else 0.0
-    if rho_hat > 1.0 + CERT_TOL:
-        k_bad = 1 + int(np.argmax(ratio > 1.0 + CERT_TOL))
-        raise ScheduleError(
-            f"scaled growth condition fails at k={k_bad}: ratio = "
-            f"{ratio[k_bad - 1]:.6g} > 1", index=k_bad)
-    return rho_hat

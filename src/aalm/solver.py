@@ -24,9 +24,10 @@ dual-correction identity
 
 which ``check_identities=True`` verifies at every iteration.
 
-A scaled variant multiplies both stepsizes by per-iteration factors
-``xi_{k+1}`` (implicit case only); rates are then measured against
-``t_k^2 xi_k`` and every trace record carries that scaling.
+A schedule with stepsize factors ``xi`` (see :mod:`aalm.schedule`)
+multiplies both stepsizes by ``xi_{k+1}`` at iteration ``k`` (implicit
+case only); rates are then measured against ``t_k^2 xi_k`` and every
+trace record carries that scaling.
 
 :func:`run` and the baseline :func:`aalm.harness.run_vanilla` share one
 loop, which fixes the split of ``f`` and step 3's solve backend once per
@@ -42,9 +43,7 @@ import numpy as np
 
 from .diagnostics import TraceRecord, make_record
 from .problems import KKTPoint, ProblemInstance, dense
-from .schedule import (ScaledSchedule, Schedule, certify_rho_scaled,
-                       coefficients, generate, generate_scaled, resolve,
-                       resolve_eta)
+from .schedule import Schedule, coefficients, generate_scaled, resolve
 from .subsolver import (InnerSolverPolicy, SubproblemSpec, multiplier_update,
                         solve_subproblem, step_plan)
 
@@ -59,13 +58,12 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class StoppingRule:
-    """Iteration budget plus optional early-exit tolerances.
+    """Optional early-exit tolerances; the budget is the run's ``max_iter``.
 
     The run stops early only when *every* tolerance that is set has been
     met (feasibility and/or stationarity).
     """
 
-    max_iter: int
     feas_tol: Optional[float] = None
     stat_tol: Optional[float] = None
 
@@ -86,8 +84,10 @@ class SolverConfig:
 
     ``gamma=None`` requests the default stepsize: ``1/L`` for the
     explicit/composite cases, ``1.0`` for the implicit case.  ``schedule``
-    may be unresolved (``rho``/``eta`` symbolic); :func:`resolve_config`
-    certifies and freezes it against the iteration budget.
+    (with its stepsize factors, if any) may be unresolved
+    (``rho``/``eta`` symbolic); :func:`resolve_config` certifies and
+    freezes it against the iteration budget ``max_iter``, the run's only
+    budget (``stop`` can only end it earlier).
     """
 
     schedule: Schedule
@@ -95,17 +95,10 @@ class SolverConfig:
     gamma: Optional[float] = None
     delta: float = 1.0
     beta: float = 1.0
-    scaling: Optional[ScaledSchedule] = None
     max_iter: int = 1000
-    stop: Optional[StoppingRule] = None
+    stop: StoppingRule = field(default_factory=StoppingRule)
     inner: InnerSolverPolicy = field(default_factory=InnerSolverPolicy)
     check_identities: bool = False
-
-    def __post_init__(self):
-        if self.stop is None:
-            object.__setattr__(self, "stop", StoppingRule(self.max_iter))
-        else:
-            object.__setattr__(self, "max_iter", self.stop.max_iter)
 
 
 @dataclass
@@ -151,10 +144,11 @@ class IterateState:
 def resolve_config(instance, config):
     """Validate ``config`` against ``instance`` and freeze open parameters.
 
-    Fills the default ``gamma``, certifies/resolves the schedule (and the
-    scaled growth condition when scaling is attached) over a horizon of
-    ``max(10 * max_iter, 10_000)``, and checks the stepsize restriction
-    ``gamma <= 1/L`` wherever a linearized gradient step is taken.
+    Fills the default ``gamma``, resolves the schedule against the budget
+    ``max_iter`` (:func:`aalm.schedule.resolve`, which certifies the
+    growth of ``t_k^2 xi_k`` when it has stepsize factors), and checks
+    the stepsize restriction ``gamma <= 1/L`` wherever a linearized
+    gradient step is taken.
 
     Returns
     -------
@@ -167,29 +161,11 @@ def resolve_config(instance, config):
         raise ValueError(f"delta must be positive, got {config.delta}")
     if config.beta < 0:
         raise ValueError(f"beta must be nonnegative, got {config.beta}")
-    if config.scaling is not None:
-        if plan.linearized is not None:
-            raise ValueError("stepsize scaling is defined for the implicit "
-                             "case only")
-        horizon = max(10 * config.max_iter, 10_000)
-        rho_s = certify_rho_scaled(config.scaling, horizon)
-        if config.scaling.rho_scaled is not None:
-            if rho_s > config.scaling.rho_scaled + 1e-12:
-                raise ValueError(
-                    f"supplied rho_scaled = {config.scaling.rho_scaled} is "
-                    f"below the measured growth {rho_s:.6g}")
-            rho_s = config.scaling.rho_scaled
-        # eta must dominate the growth constant of t_k^2 xi_k (the base
-        # schedule's own growth is implied by the scaled certification).
-        rho_s = min(rho_s, 1.0)
-        schedule = replace(config.schedule, rho=rho_s,
-                           eta=resolve_eta(config.schedule.eta, rho_s))
-        scaling = replace(config.scaling, base=schedule, rho_scaled=rho_s)
-    else:
-        schedule = resolve(config.schedule, config.max_iter)
-        scaling = None
-    return replace(config, gamma=gamma, schedule=schedule,
-                   scaling=scaling)
+    if config.schedule.xi is not None and plan.linearized is not None:
+        raise ValueError("stepsize scaling is defined for the implicit "
+                         "case only")
+    return replace(config, gamma=gamma,
+                   schedule=resolve(config.schedule, config.max_iter))
 
 
 def initial_state(instance, config, x0, lam0):
@@ -198,12 +174,7 @@ def initial_state(instance, config, x0, lam0):
     ``config`` must be resolved.  Schedule values are generated once for
     the whole budget (``t_1 .. t_{K+1}``).
     """
-    k_max = config.max_iter + 1
-    if config.scaling is not None:
-        t_seq, xi_seq = generate_scaled(config.scaling, k_max)
-    else:
-        t_seq = generate(config.schedule, k_max)
-        xi_seq = np.ones_like(t_seq)
+    t_seq, xi_seq = generate_scaled(config.schedule, config.max_iter + 1)
     return _start(instance, x0, lam0, t_seq, xi_seq)
 
 
@@ -317,7 +288,8 @@ def step_coupled(state, config, instance):
 
 
 def run(instance, config, x0, lam0, kkt=None, inner_log=None):
-    """Run the loop for ``config.stop.max_iter`` iterations.
+    """Run the loop for ``config.max_iter`` iterations (fewer when
+    ``config.stop`` is met).
 
     Parameters
     ----------
@@ -352,23 +324,23 @@ def run(instance, config, x0, lam0, kkt=None, inner_log=None):
             inner_log.append({"k": state.k, **report})
         return state
 
-    return _run_loop(instance, config.case, state, advance, config.stop,
+    return _run_loop(instance, config.case, state, advance, config.max_iter,
                      (config.gamma, config.delta, config.schedule.eta,
-                      config.beta), kkt)
+                      config.beta), kkt, stop=config.stop)
 
 
-def _run_loop(instance, case, state, advance, stop, params, kkt,
-              certified=True):
+def _run_loop(instance, case, state, advance, max_iter, params, kkt,
+              stop=StoppingRule(), certified=True):
     """The loop shared by :func:`run` and :func:`aalm.harness.run_vanilla`:
-    ``state = advance(state, plan)`` until ``stop``, with the run's
-    ``plan = step_plan(instance, case)``, recording each iterate with
-    ``params = (gamma, delta, eta, beta)`` (NaN energy unless
-    ``certified``)."""
+    ``state = advance(state, plan)`` for ``max_iter`` iterations or until
+    ``stop``, with the run's ``plan = step_plan(instance, case)``,
+    recording each iterate with ``params = (gamma, delta, eta, beta)``
+    (NaN energy unless ``certified``)."""
     plan = step_plan(instance, case)
     f_star = instance.objective.value(kkt.x) if kkt is not None else None
     gamma, delta, eta, beta = params
     trace: List[TraceRecord] = []
-    for _ in range(stop.max_iter):
+    for _ in range(max_iter):
         state = advance(state, plan)
         rec = make_record(instance, state.k, state.t_curr,
                           state.x_curr, state.x_prev,

@@ -46,6 +46,11 @@ INNER_TOL_SCALE = 1e-2
 # (the gradient stays measurable well below the value's resolution).
 VALUE_RESOLUTION = 1e-14
 
+# Backtracking of the inner line search: the step shrinks by this factor
+# until the Armijo condition with this sufficient-decrease fraction holds.
+BACKTRACK_SHRINK = 0.5
+SUFFICIENT_DECREASE = 1e-4
+
 #: Step cases understood throughout the package.
 CASES = ("implicit", "explicit", "composite")
 
@@ -97,12 +102,10 @@ class SubproblemSpec:
 
 @dataclass(frozen=True)
 class InnerSolverPolicy:
-    """Termination and line-search knobs for the inner Newton solver."""
+    """Termination knobs for the inner Newton solver."""
 
     tol_grad: float = 1e-8
     max_inner: int = 50
-    shrink: float = 0.5
-    sufficient_decrease: float = 1e-4
 
 
 def inner_tolerance(t_curr, policy):
@@ -362,8 +365,8 @@ def solve_inner_newton(spec, instance, policy, x0, report=None, AtA=None):
         s = 1.0
         if -slope > VALUE_RESOLUTION * (1.0 + abs(fx)):
             while (subproblem_value(spec, instance, x + s * d)
-                   > fx + policy.sufficient_decrease * s * slope):
-                s *= policy.shrink
+                   > fx + SUFFICIENT_DECREASE * s * slope):
+                s *= BACKTRACK_SHRINK
                 if s < 1e-16:
                     break
         x = x + s * d

@@ -6,6 +6,7 @@ terminal, so a full run reads as a checklist of the guarantees.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,7 @@ from aalm.diagnostics import TraceRecord, energy, fit_rate, littleo_witness
 from aalm.harness import VanillaConfig, run_vanilla
 from aalm.oracle import brute_step_oracle, kkt_refine
 from aalm.problems import make_qp, make_random_lp, make_ring_logistic
-from aalm.schedule import (ScaledSchedule, certify_rho, chambolle_dossal,
-                           generate, nesterov)
+from aalm.schedule import certify_rho, chambolle_dossal, generate, nesterov
 from aalm.solver import (IterateState, SolverConfig, initial_state,
                          resolve_config, run, step, step_coupled)
 from aalm.subsolver import step_plan
@@ -311,16 +311,14 @@ def test_c13_scaled_variant(qp_testbed, qp_reference, capsys):
                                 max_iter=300),
                    x0, lam0, kkt=qp_reference)
     _, unit = run(qp_testbed,
-                  SolverConfig(schedule=base, case="implicit", max_iter=300,
-                               scaling=ScaledSchedule(base=base)),
+                  SolverConfig(schedule=replace(base, xi=np.ones_like),
+                               case="implicit", max_iter=300),
                   x0, lam0, kkt=qp_reference)
     exact = unit == plain
     _, grown = run(qp_testbed,
-                   SolverConfig(schedule=base, case="implicit",
-                                max_iter=2000,
-                                scaling=ScaledSchedule(base=base,
-                                                       xi=np.sqrt,
-                                                       xi_of_t=True)),
+                   SolverConfig(schedule=replace(base, xi=np.sqrt,
+                                                 xi_of_t=True),
+                                case="implicit", max_iter=2000),
                    x0, lam0, kkt=qp_reference)
     head = max(r.scaled_feas for r in grown if r.k <= 200)
     sup = max(r.scaled_feas for r in grown)

@@ -20,7 +20,7 @@ from aalm.problems import (ObjectiveOracle, ProblemInstance,
                            make_lp_regression, make_random_lp, make_random_qp,
                            make_ring_logistic)
 from aalm.subsolver import InnerSolverPolicy, MaxInnerIterations
-from aalm.schedule import ScaledSchedule, nesterov
+from aalm.schedule import nesterov
 from aalm.solver import SolverConfig, resolve_config, run
 
 
@@ -58,7 +58,7 @@ class TestParseConfig:
         assert [s.name for s in cfg.solvers] == ["accel", "plain"]
         assert cfg.solvers[0].method == "aalm"
         assert isinstance(cfg.solvers[0].config, SolverConfig)
-        assert cfg.solvers[0].config.stop.max_iter == 60
+        assert cfg.solvers[0].config.max_iter == 60
         assert isinstance(cfg.solvers[1].config, VanillaConfig)
 
     def test_file_path_roundtrip(self, tmp_path):
@@ -185,26 +185,31 @@ class TestParseConfig:
             parse_config(cfg)
 
     def test_scaling_block(self):
-        """t-power scaling builds xi(t) = t^e; constant scaling has no xi."""
+        """t-power scaling puts xi(t) = t^e on the schedule; constant
+        scaling an explicit unit xi."""
         cfg = _qp_config()
         cfg["solvers"][0]["case"] = "implicit"
         cfg["solvers"][0]["scaling"] = {"form": "t-power", "exponent": 0.5}
-        scaling = parse_config(cfg).solvers[0].config.scaling
-        assert isinstance(scaling, ScaledSchedule)
-        assert scaling.xi_of_t is True
-        assert scaling.xi(4.0) == 2.0
+        scaled = parse_config(cfg).solvers[0].config.schedule
+        assert scaled.rule == "nesterov"
+        assert scaled.xi_of_t is True
+        assert scaled.xi(4.0) == 2.0
         cfg["solvers"][0]["scaling"] = {"form": "constant"}
-        assert parse_config(cfg).solvers[0].config.scaling.xi is None
+        unit = parse_config(cfg).solvers[0].config.schedule
+        assert unit.xi is not None
+        assert unit.xi(np.arange(1.0, 4.0)).tolist() == [1.0, 1.0, 1.0]
         cfg["solvers"][0]["scaling"] = {"form": "exp"}
         with pytest.raises(ConfigError, match="unknown scaling form"):
             parse_config(cfg)
 
     def test_stop_block(self):
-        """Stop tolerances attach to a rule capped at the iteration budget."""
+        """Stop tolerances attach to a rule; the budget stays the
+        config's iteration count."""
         cfg = _qp_config()
         cfg["solvers"][0]["stop"] = {"feas_tol": 1e-9, "stat_tol": 1e-7}
-        stop = parse_config(cfg).solvers[0].config.stop
-        assert stop.max_iter == 60
+        solver_cfg = parse_config(cfg).solvers[0].config
+        stop = solver_cfg.stop
+        assert solver_cfg.max_iter == 60
         assert stop.feas_tol == 1e-9
         assert stop.stat_tol == 1e-7
         cfg["solvers"][0]["stop"] = {"gap_tol": 1e-9}
@@ -744,6 +749,18 @@ class TestCli:
         path = _write_config(tmp_path, cfg)
         assert main(["run", str(path)]) == 1
         assert "unknown case 'semismooth'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("max_inner", "7"), ("inner_tol", "1e-8"), ("delta", "1"),
+        ("gamma", "2"), ("max_inner", 0), ("inner_tol", -1.0)])
+    def test_run_bad_numeric_key(self, tmp_path, capsys, key, value):
+        """A solver key of the wrong type or an inner solver setting out of
+        range is a config error (exit 1), caught before any solver runs."""
+        cfg = _qp_config()
+        cfg["solvers"][0][key] = value
+        path = _write_config(tmp_path, cfg)
+        assert main(["run", str(path)]) == 1
+        assert f"error: {key} must be" in capsys.readouterr().err
 
     def test_run_missing_config(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 1

@@ -5,16 +5,16 @@ condition (t_{k+1}^2 - t_k^2 <= rho t_{k+1}) is certified numerically, and
 the damping resolution eta -> [rho, 1] is pinned for both regimes.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from aalm import (
-    ScaledSchedule,
     Schedule,
     ScheduleError,
     attouch_cabot,
     certify_rho,
-    certify_rho_scaled,
     chambolle_dossal,
     coefficients,
     custom_schedule,
@@ -250,47 +250,44 @@ class TestScaledSchedules:
 
     def test_unit_scaling_matches_base(self):
         """xi = 1 reduces the scaled condition to the plain one."""
-        scaled = ScaledSchedule(base=chambolle_dossal(10.0))
+        scaled = replace(chambolle_dossal(10.0), xi=np.ones_like)
         t, xi = generate_scaled(scaled, 100)
         np.testing.assert_allclose(xi, 1.0, rtol=0, atol=0)
-        rho_s = certify_rho_scaled(scaled, 10_000)
+        rho_s = certify_rho(scaled, 10_000)
         rho = certify_rho(chambolle_dossal(10.0), 10_000)
         np.testing.assert_allclose(rho_s, rho, rtol=1e-12)
 
     def test_sqrt_scaling_certifies_on_cd(self):
         """xi_k = sqrt(t_k) on CD(10) keeps the scaled ratio near 5/18."""
-        scaled = ScaledSchedule(base=chambolle_dossal(10.0), xi=np.sqrt,
-                                xi_of_t=True)
-        rho_s = certify_rho_scaled(scaled, 10_000)
+        scaled = replace(chambolle_dossal(10.0), xi=np.sqrt, xi_of_t=True)
+        rho_s = certify_rho(scaled, 10_000)
         assert 0.25 < rho_s < 2.5 / 9.0
 
     def test_sqrt_scaling_fails_on_nesterov(self):
         """On Nesterov the scaled ratio tends to 5/4 > 1: rejected."""
-        scaled = ScaledSchedule(base=nesterov(), xi=np.sqrt, xi_of_t=True)
+        scaled = replace(nesterov(), xi=np.sqrt, xi_of_t=True)
         with pytest.raises(ScheduleError):
-            certify_rho_scaled(scaled, 2000)
+            certify_rho(scaled, 2000)
 
     def test_nonpositive_xi_rejected(self):
         """Scaling factors must be strictly positive."""
-        scaled = ScaledSchedule(base=chambolle_dossal(10.0),
-                                xi=lambda k: k - 5.0)
+        scaled = replace(chambolle_dossal(10.0), xi=lambda k: k - 5.0)
         with pytest.raises(ScheduleError):
             generate_scaled(scaled, 10)
 
     def test_initial_product_must_be_one(self):
         """t_1^2 xi_1 = 1 anchors the scaled energy; xi_1 != 1 fails."""
-        scaled = ScaledSchedule(base=chambolle_dossal(10.0),
-                                xi=lambda k: 2.0 * np.ones_like(k))
+        scaled = replace(chambolle_dossal(10.0),
+                         xi=lambda k: 2.0 * np.ones_like(k))
         with pytest.raises(ScheduleError):
-            certify_rho_scaled(scaled, 100)
+            certify_rho(scaled, 100)
 
     def test_growth_exponent_boundary(self):
         """On CD(10) the scaled ratio tends to (2 + a)/9 for xi = t^a, so
         a = 1 certifies near 1/3 while a = 8 crosses 1 and is rejected."""
-        ok = ScaledSchedule(base=chambolle_dossal(10.0),
-                            xi=lambda t: t, xi_of_t=True)
-        assert 0.3 < certify_rho_scaled(ok, 10_000) < 1.0 / 3.0
-        bad = ScaledSchedule(base=chambolle_dossal(10.0),
-                             xi=lambda t: t ** 8, xi_of_t=True)
+        ok = replace(chambolle_dossal(10.0), xi=lambda t: t, xi_of_t=True)
+        assert 0.3 < certify_rho(ok, 10_000) < 1.0 / 3.0
+        bad = replace(chambolle_dossal(10.0), xi=lambda t: t ** 8,
+                      xi_of_t=True)
         with pytest.raises(ScheduleError):
-            certify_rho_scaled(bad, 10_000)
+            certify_rho(bad, 10_000)

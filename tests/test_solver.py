@@ -17,7 +17,7 @@ from aalm import (
     MaxInnerIterations,
     ObjectiveOracle,
     ProblemInstance,
-    ScaledSchedule,
+    ScheduleError,
     SolverConfig,
     StoppingRule,
     brute_step_oracle,
@@ -104,11 +104,19 @@ class TestResolveConfig:
 
     def test_scaling_restricted_to_implicit(self):
         inst = make_random_qp(n=6, m=2, seed=0)
-        scaling = ScaledSchedule(base=chambolle_dossal(10.0))
+        scaled = replace(chambolle_dossal(10.0), xi=np.ones_like)
         with pytest.raises(ValueError, match="implicit"):
-            resolve_config(inst, SolverConfig(schedule=chambolle_dossal(10.0),
-                                              case="explicit",
-                                              scaling=scaling))
+            resolve_config(inst, SolverConfig(schedule=scaled,
+                                              case="explicit"))
+
+    def test_scaled_growth_certified(self):
+        """Stepsize factors are certified with the schedule they scale:
+        Nesterov x sqrt(t) breaks the t^2 xi growth condition at k=1."""
+        inst = make_random_qp(n=6, m=2, seed=0)
+        scaled = replace(nesterov(), xi=np.sqrt, xi_of_t=True)
+        with pytest.raises(ScheduleError, match="k=1:") as err:
+            resolve_config(inst, SolverConfig(schedule=scaled))
+        assert err.value.index == 1
 
     def test_schedule_resolution_attached(self):
         """Resolution freezes rho and a numeric eta onto the schedule."""
@@ -229,11 +237,20 @@ class TestRunLoop:
 
     def test_early_stop(self, qp_testbed):
         """Both tolerances met -> the loop exits before the budget."""
-        stop = StoppingRule(max_iter=2000, feas_tol=1e-4, stat_tol=1e-4)
-        cfg = SolverConfig(schedule=nesterov(), case="explicit", stop=stop)
+        stop = StoppingRule(feas_tol=1e-4, stat_tol=1e-4)
+        cfg = SolverConfig(schedule=nesterov(), case="explicit",
+                           max_iter=2000, stop=stop)
         _, trace = run(qp_testbed, cfg, np.zeros(50), np.zeros(10))
         assert len(trace) < 2000
         assert trace[-1].feas <= 1e-4 and trace[-1].stat_res <= 1e-4
+
+    def test_budget_is_max_iter(self, qp_testbed):
+        """A stopping rule never met leaves the run at exactly
+        ``max_iter`` iterations."""
+        cfg = SolverConfig(schedule=nesterov(), case="explicit", max_iter=50,
+                           stop=StoppingRule(feas_tol=1e-30))
+        _, trace = run(qp_testbed, cfg, np.zeros(50), np.zeros(10))
+        assert len(trace) == 50
 
     def test_inner_log_records_tolerances(self):
         """On the Newton path every logged iteration meets its tolerance."""
@@ -405,9 +422,8 @@ class TestScaledRuns:
         true bitwise comparison.)"""
         base = chambolle_dossal(10.0)
         cfg_plain = SolverConfig(schedule=base, case="implicit", max_iter=300)
-        cfg_scaled = SolverConfig(schedule=base, case="implicit",
-                                  scaling=ScaledSchedule(base=base),
-                                  max_iter=300)
+        cfg_scaled = SolverConfig(schedule=replace(base, xi=np.ones_like),
+                                  case="implicit", max_iter=300)
         _, t_plain = run(qp_testbed, cfg_plain, np.zeros(50), np.zeros(10),
                          kkt=qp_reference)
         _, t_scaled = run(qp_testbed, cfg_scaled, np.zeros(50), np.zeros(10),
@@ -417,10 +433,8 @@ class TestScaledRuns:
     def test_growing_scaling_accelerates_feasibility(self, qp_testbed):
         """xi = sqrt(t) keeps t^2 xi feas bounded, so plain t^2 feas decays
         faster than in the unscaled run."""
-        base = chambolle_dossal(10.0)
-        scaling = ScaledSchedule(base=base, xi=np.sqrt, xi_of_t=True)
-        cfg = SolverConfig(schedule=base, case="implicit", scaling=scaling,
-                           max_iter=400)
+        scaled = replace(chambolle_dossal(10.0), xi=np.sqrt, xi_of_t=True)
+        cfg = SolverConfig(schedule=scaled, case="implicit", max_iter=400)
         _, trace = run(qp_testbed, cfg, np.zeros(50), np.zeros(10))
         scaled = [r.scaled_feas for r in trace if r.k >= 50]
         assert max(scaled) <= 10.0 * scaled[0]

@@ -1,0 +1,29 @@
+"""Tests for the repository's tooling around the package.
+
+The benchmark's span tracer (``bench/tracing.py``) wraps ``aalm``
+functions by name, so renaming or removing one of them breaks
+``bench/run.py --trace 1`` and ``--self-check``.  Installing the tracer
+here makes such a rename fail the suite instead.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_bench_tracer_installs():
+    """``Tracer().install()`` finds every function it wraps.  It runs in a
+    fresh interpreter because installing rebinds module globals for the
+    rest of the process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "bench")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from tracing import Tracer; Tracer().install()"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
