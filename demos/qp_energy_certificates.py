@@ -70,8 +70,7 @@ for label in ("nesterov (critical)", "cd(10) noncritical"):
     print(f"  {label:22s} feas {wf:9.2e}   obj {wo:9.2e}")
 
 print("\n== scaled variant: xi = sqrt(t) on cd(10), prox case ==")
-scaled_cd = replace(chambolle_dossal(10.0, eta="noncritical"), xi=np.sqrt,
-                    xi_of_t=True)
+scaled_cd = replace(chambolle_dossal(10.0, eta="noncritical"), xi=np.sqrt)
 cfg = SolverConfig(schedule=scaled_cd, case="implicit", max_iter=2000)
 _, scaled = run(inst, cfg, x0, lam0, kkt=kkt)
 weighted = [r.scaled_feas for r in scaled]

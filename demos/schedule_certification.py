@@ -60,9 +60,9 @@ for name, bad in [
 print("\n== scaled variants ==")
 base = chambolle_dossal(10.0)
 for label, xi in [("xi = sqrt(t)", np.sqrt), ("xi = t", lambda t: t)]:
-    rho_s = certify_rho(replace(base, xi=xi, xi_of_t=True), K_MAX)
+    rho_s = certify_rho(replace(base, xi=xi), K_MAX)
     print(f"  cd(10) with {label:12s} rho_scaled = {rho_s:.9f}  (certified)")
 try:
-    certify_rho(replace(base, xi=lambda t: t ** 8, xi_of_t=True), 1000)
+    certify_rho(replace(base, xi=lambda t: t ** 8), 1000)
 except ScheduleError as e:
     print(f"  cd(10) with xi = t^8: rejected ({e})")

@@ -132,7 +132,7 @@ def _parse_scaling(block, schedule):
     form = block.get("form")
     if form == "t-power":
         e = float(block.get("exponent", 0.5))
-        return replace(schedule, xi=lambda t: t ** e, xi_of_t=True)
+        return replace(schedule, xi=lambda t: t ** e)
     if form == "constant":
         return replace(schedule, xi=np.ones_like)
     raise ConfigError(f"unknown scaling form {form!r}")
@@ -147,9 +147,12 @@ def _parse_stop(block):
 def _check_numbers(block, name):
     """Reject numeric solver keys of the wrong type and inner solver
     settings out of range (:func:`aalm.solver.resolve_config` checks the
-    ranges of ``gamma``, ``delta`` and ``beta``)."""
+    ranges of ``gamma``, ``delta`` and ``beta``).  ``gamma: null`` stands
+    for the default stepsize."""
     for key in ("gamma", "delta", "beta", "inner_tol"):
         v = block.get(key, 1.0)
+        if key == "gamma" and v is None:
+            continue
         if isinstance(v, bool) or not isinstance(v, numbers.Real):
             raise ConfigError(f"{key} must be a number, got {v!r} "
                               f"(solver {name!r})")

@@ -78,14 +78,11 @@ class Schedule:
         Damping in [rho, 1].  ``None`` or ``"critical"`` resolves to
         ``rho``; ``"noncritical"`` resolves to ``(rho + 1) / 2``.
     xi : callable, optional
-        Stepsize factors: maps a 1-based index array (or the generated
-        ``t`` array, see ``xi_of_t``) to ``xi_k > 0``.  ``None`` means
+        Stepsize factors: maps the generated ``t`` array to ``xi_k > 0``
+        (e.g. ``xi = sqrt`` gives ``xi_k = t_k^{1/2}``).  ``None`` means
         ``xi_k = 1`` with the unscaled growth condition; any ``xi``, a
         unit one included, is certified through ``t_k^2 xi_k`` and runs
         in the implicit case only.
-    xi_of_t : bool
-        If True, ``xi`` is evaluated on the ``t_k`` values instead of the
-        indices (e.g. ``xi = sqrt`` gives ``xi_k = t_k^{1/2}``).
     """
 
     rule: str
@@ -94,7 +91,6 @@ class Schedule:
     rho: Optional[float] = None
     eta: Union[float, str, None] = None
     xi: Optional[Callable] = None
-    xi_of_t: bool = False
 
 
 def nesterov(eta=None):
@@ -247,15 +243,15 @@ def _validate_sequence(t):
 
 
 def generate_scaled(schedule, k_max):
-    """Generate ``(t, xi)`` arrays for ``k = 1 .. k_max``; ``xi`` is ones
-    when the schedule has no stepsize factors."""
+    """Generate ``(t, xi)`` arrays for ``k = 1 .. k_max``, with ``xi``
+    evaluated on ``t``; ``xi`` is ones when the schedule has no stepsize
+    factors."""
     t = generate(schedule, k_max)
     if schedule.xi is None:
         return t, np.ones_like(t)
-    arg = t if schedule.xi_of_t else np.arange(1, k_max + 1, dtype=float)
-    xi = np.asarray(schedule.xi(arg), dtype=float)
+    xi = np.asarray(schedule.xi(t), dtype=float)
     if xi.shape != t.shape:
-        xi = np.array([float(schedule.xi(float(a))) for a in arg])
+        xi = np.array([float(schedule.xi(float(a))) for a in t])
     if xi.min() <= 0:
         i = 1 + int(np.argmax(xi <= 0))
         raise ScheduleError(f"xi_k must be positive; xi_{i} = {xi[i - 1]}",

@@ -56,7 +56,7 @@ class SolverError(RuntimeError):
     discovered mid-run)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class StoppingRule:
     """Optional early-exit tolerances; the budget is the run's ``max_iter``.
 

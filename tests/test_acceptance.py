@@ -316,8 +316,7 @@ def test_c13_scaled_variant(qp_testbed, qp_reference, capsys):
                   x0, lam0, kkt=qp_reference)
     exact = unit == plain
     _, grown = run(qp_testbed,
-                   SolverConfig(schedule=replace(base, xi=np.sqrt,
-                                                 xi_of_t=True),
+                   SolverConfig(schedule=replace(base, xi=np.sqrt),
                                 case="implicit", max_iter=2000),
                    x0, lam0, kkt=qp_reference)
     head = max(r.scaled_feas for r in grown if r.k <= 200)

@@ -192,7 +192,6 @@ class TestParseConfig:
         cfg["solvers"][0]["scaling"] = {"form": "t-power", "exponent": 0.5}
         scaled = parse_config(cfg).solvers[0].config.schedule
         assert scaled.rule == "nesterov"
-        assert scaled.xi_of_t is True
         assert scaled.xi(4.0) == 2.0
         cfg["solvers"][0]["scaling"] = {"form": "constant"}
         unit = parse_config(cfg).solvers[0].config.schedule
@@ -761,6 +760,16 @@ class TestCli:
         path = _write_config(tmp_path, cfg)
         assert main(["run", str(path)]) == 1
         assert f"error: {key} must be" in capsys.readouterr().err
+
+    def test_run_null_gamma(self, tmp_path, monkeypatch):
+        """``gamma: null`` is the default stepsize, not a type error."""
+        monkeypatch.setenv("AALM_OUTPUT_DIR", str(tmp_path / "out"))
+        cfg = _qp_config()
+        for block in cfg["solvers"]:
+            block["gamma"] = None
+        assert all(s.config.gamma is None
+                   for s in parse_config(cfg).solvers)
+        assert main(["run", str(_write_config(tmp_path, cfg))]) == 0
 
     def test_run_missing_config(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 1

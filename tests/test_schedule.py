@@ -259,35 +259,53 @@ class TestScaledSchedules:
 
     def test_sqrt_scaling_certifies_on_cd(self):
         """xi_k = sqrt(t_k) on CD(10) keeps the scaled ratio near 5/18."""
-        scaled = replace(chambolle_dossal(10.0), xi=np.sqrt, xi_of_t=True)
+        scaled = replace(chambolle_dossal(10.0), xi=np.sqrt)
         rho_s = certify_rho(scaled, 10_000)
         assert 0.25 < rho_s < 2.5 / 9.0
 
     def test_sqrt_scaling_fails_on_nesterov(self):
         """On Nesterov the scaled ratio tends to 5/4 > 1: rejected."""
-        scaled = replace(nesterov(), xi=np.sqrt, xi_of_t=True)
+        scaled = replace(nesterov(), xi=np.sqrt)
         with pytest.raises(ScheduleError):
             certify_rho(scaled, 2000)
 
     def test_nonpositive_xi_rejected(self):
         """Scaling factors must be strictly positive."""
-        scaled = replace(chambolle_dossal(10.0), xi=lambda k: k - 5.0)
+        scaled = replace(chambolle_dossal(10.0), xi=lambda t: t - 5.0)
         with pytest.raises(ScheduleError):
             generate_scaled(scaled, 10)
 
     def test_initial_product_must_be_one(self):
         """t_1^2 xi_1 = 1 anchors the scaled energy; xi_1 != 1 fails."""
         scaled = replace(chambolle_dossal(10.0),
-                         xi=lambda k: 2.0 * np.ones_like(k))
+                         xi=lambda t: 2.0 * np.ones_like(t))
         with pytest.raises(ScheduleError):
             certify_rho(scaled, 100)
+
+    def test_supplied_rho_states_scaled_growth(self):
+        """On a schedule with ``xi`` a supplied rho is the growth constant
+        of t_k^2 xi_k: Nesterov's built-in rho = 1 is verified against the
+        scaled growth (0.83 at k=1 for xi = t^-1/2) and kept, so the
+        critical eta is 1 rather than the measured constant."""
+        scaled = replace(nesterov(), xi=lambda t: t ** -0.5)
+        assert 0.8 < certify_rho(scaled, 10_000) < 0.84
+        resolved = resolve(scaled)
+        assert resolved.rho == 1.0
+        assert resolved.eta == 1.0
+
+    def test_supplied_rho_below_scaled_growth_rejected(self):
+        """rho = 0.23 covers CD(10)'s plain growth (2/9) but not its
+        growth under xi = sqrt(t) (about 5/18): rejected."""
+        plain = replace(chambolle_dossal(10.0), rho=0.23)
+        assert resolve(plain).rho == 0.23
+        with pytest.raises(ScheduleError, match="below the measured growth"):
+            resolve(replace(plain, xi=np.sqrt))
 
     def test_growth_exponent_boundary(self):
         """On CD(10) the scaled ratio tends to (2 + a)/9 for xi = t^a, so
         a = 1 certifies near 1/3 while a = 8 crosses 1 and is rejected."""
-        ok = replace(chambolle_dossal(10.0), xi=lambda t: t, xi_of_t=True)
+        ok = replace(chambolle_dossal(10.0), xi=lambda t: t)
         assert 0.3 < certify_rho(ok, 10_000) < 1.0 / 3.0
-        bad = replace(chambolle_dossal(10.0), xi=lambda t: t ** 8,
-                      xi_of_t=True)
+        bad = replace(chambolle_dossal(10.0), xi=lambda t: t ** 8)
         with pytest.raises(ScheduleError):
             certify_rho(bad, 10_000)

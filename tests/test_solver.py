@@ -113,7 +113,7 @@ class TestResolveConfig:
         """Stepsize factors are certified with the schedule they scale:
         Nesterov x sqrt(t) breaks the t^2 xi growth condition at k=1."""
         inst = make_random_qp(n=6, m=2, seed=0)
-        scaled = replace(nesterov(), xi=np.sqrt, xi_of_t=True)
+        scaled = replace(nesterov(), xi=np.sqrt)
         with pytest.raises(ScheduleError, match="k=1:") as err:
             resolve_config(inst, SolverConfig(schedule=scaled))
         assert err.value.index == 1
@@ -243,6 +243,12 @@ class TestRunLoop:
         _, trace = run(qp_testbed, cfg, np.zeros(50), np.zeros(10))
         assert len(trace) < 2000
         assert trace[-1].feas <= 1e-4 and trace[-1].stat_res <= 1e-4
+
+    def test_stopping_rule_is_keyword_only(self):
+        """``StoppingRule(300)`` once meant a 300-iteration budget; it is
+        now refused rather than read as ``feas_tol=300``."""
+        with pytest.raises(TypeError):
+            StoppingRule(300)
 
     def test_budget_is_max_iter(self, qp_testbed):
         """A stopping rule never met leaves the run at exactly
@@ -433,7 +439,7 @@ class TestScaledRuns:
     def test_growing_scaling_accelerates_feasibility(self, qp_testbed):
         """xi = sqrt(t) keeps t^2 xi feas bounded, so plain t^2 feas decays
         faster than in the unscaled run."""
-        scaled = replace(chambolle_dossal(10.0), xi=np.sqrt, xi_of_t=True)
+        scaled = replace(chambolle_dossal(10.0), xi=np.sqrt)
         cfg = SolverConfig(schedule=scaled, case="implicit", max_iter=400)
         _, trace = run(qp_testbed, cfg, np.zeros(50), np.zeros(10))
         scaled = [r.scaled_feas for r in trace if r.k >= 50]
