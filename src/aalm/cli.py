@@ -57,7 +57,8 @@ def _build_parser():
                       help="instance manifest (or a problem block JSON with "
                            "a 'builtin' key)")
     p_or.add_argument("--budget", type=int, default=100_000,
-                      help="iteration budget of the refinement run")
+                      help="iteration budget of the fallback warm run "
+                           "(0: none)")
     p_or.add_argument("--out", default=None,
                       help="sidecar CSV to write (default: next to the "
                            "manifest)")

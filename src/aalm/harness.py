@@ -52,7 +52,7 @@ from .oracle import cached_reference, kkt_refine
 from .problems import (make_lp_regression, make_qp, make_random_lp,
                        make_random_qp, make_ring_logistic)
 from .schedule import SCHEDULE_RULES, named_schedule
-from .solver import SolverConfig, StoppingRule, run
+from .solver import SolverConfig, StoppingRule
 from .subsolver import (CASES, InnerSolverPolicy, SubproblemSpec,
                         multiplier_update, solve_subproblem, step_plan)
 
@@ -113,11 +113,26 @@ def _check_keys(block, allowed, context):
         raise ConfigError(f"unknown key(s) {unknown} in {context}")
 
 
+def _check_real(block, keys, context, default=1.0):
+    """Reject a value under ``keys`` that is not a real number (a bool is
+    not one).  A missing key reads as ``default``, so ``null`` passes
+    only where it is the default."""
+    for key in keys:
+        v = block.get(key, default)
+        if v is None and default is None:
+            continue
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ConfigError(f"{key} must be a number, got {v!r} "
+                              f"({context})")
+
+
 def _parse_schedule(block):
     _check_keys(block, {"rule", "alpha", "rho", "eta"}, "schedule")
     rule = block.get("rule")
     if rule not in SCHEDULE_RULES:
         raise ConfigError(f"unknown schedule rule {rule!r}")
+    _check_real(block, ("alpha",), "schedule", default=None)
+    _check_real(block, ("rho",), "schedule")
     sched = named_schedule(rule, block.get("alpha"), eta=block.get("eta"))
     if "rho" in block:
         sched = replace(sched, rho=float(block["rho"]))
@@ -129,6 +144,7 @@ def _parse_scaling(block, schedule):
     constant scaling is an explicit unit ``xi``, so it is certified and
     run through the scaled arithmetic like any other."""
     _check_keys(block, {"form", "exponent"}, "scaling")
+    _check_real(block, ("exponent",), "scaling")
     form = block.get("form")
     if form == "t-power":
         e = float(block.get("exponent", 0.5))
@@ -140,6 +156,7 @@ def _parse_scaling(block, schedule):
 
 def _parse_stop(block):
     _check_keys(block, {"feas_tol", "stat_tol"}, "stop")
+    _check_real(block, ("feas_tol", "stat_tol"), "stop", default=None)
     return StoppingRule(feas_tol=block.get("feas_tol"),
                         stat_tol=block.get("stat_tol"))
 
@@ -149,13 +166,8 @@ def _check_numbers(block, name):
     settings out of range (:func:`aalm.solver.resolve_config` checks the
     ranges of ``gamma``, ``delta`` and ``beta``).  ``gamma: null`` stands
     for the default stepsize."""
-    for key in ("gamma", "delta", "beta", "inner_tol"):
-        v = block.get(key, 1.0)
-        if key == "gamma" and v is None:
-            continue
-        if isinstance(v, bool) or not isinstance(v, numbers.Real):
-            raise ConfigError(f"{key} must be a number, got {v!r} "
-                              f"(solver {name!r})")
+    _check_real(block, ("gamma",), f"solver {name!r}", default=None)
+    _check_real(block, ("delta", "beta", "inner_tol"), f"solver {name!r}")
     if not block.get("inner_tol", 1.0) > 0:
         raise ConfigError(f"inner_tol must be positive, got "
                           f"{block['inner_tol']!r} (solver {name!r})")
@@ -497,7 +509,8 @@ def run_experiment(config):
         try:
             if entry.method == "aalm":
                 resolved = aalm_solver.resolve_config(instance, entry.config)
-                _, trace = run(instance, resolved, x0, lam0, kkt=kkt)
+                _, trace = aalm_solver._run_resolved(instance, resolved, x0,
+                                                     lam0, kkt=kkt)
                 row.update(rho=resolved.schedule.rho,
                            eta=resolved.schedule.eta)
             else:

@@ -7,11 +7,11 @@ producer of such pairs:
 * :func:`kkt_solve_qp` solves the quadratic case directly from the saddle
   system, falling back to a minimum-norm least-squares solve when the
   constraints are rank deficient;
-* :func:`kkt_refine` handles general smooth objectives: a long accelerated
-  run to get near the solution, then null-space Newton polish on the KKT
-  equations, in an eigenbasis of ``A'A`` (the instance's structured one
-  when it carries one, a dense SVD otherwise), down to a certified
-  residual;
+* :func:`kkt_refine` handles general smooth objectives: damped
+  null-space Newton polish on the KKT equations from the minimum-norm
+  feasible point, in an eigenbasis of ``A'A`` (the instance's structured
+  one when it carries one, a dense SVD otherwise), down to a certified
+  residual; an accelerated warm run of the solver is only its fallback;
 * :func:`brute_step_oracle` recomputes a single solver iteration for
   scalar problems by literal formula substitution -- a deliberately
   separate arithmetic path used to pin down :func:`aalm.solver.step`.
@@ -167,15 +167,74 @@ def _gram_pseudoinverse(instance):
     return (lambda v: gram.apply_V(e_plus * gram.apply_Vt(v))), Z
 
 
+def _polish(instance, pinv, Z, x, lam, target, max_steps):
+    """Damped null-space Newton steps on the KKT system from ``(x, lam)``.
+
+    A step is accepted at the largest damping ``s = 1, 1/2, ...`` (down to
+    ``1e-6``) that lowers ``max(stationarity, feasibility)``; with no such
+    ``s`` the damping has stalled and polishing stops.  At most
+    ``max_steps`` steps are taken, fewer once the residual is below
+    ``0.01 * target``.  The final dual is the minimum-norm multiplier of
+    the final ``x`` when that does not raise the residual.  Returns the
+    pair and a note naming the steps taken and whether the damping
+    stalled.
+    """
+    obj = instance.objective
+    A, b = instance.A, instance.b
+    best = max(_kkt_residuals(instance, x, lam))
+    steps, stalled = 0, False
+    for _ in range(max_steps):
+        if best <= 0.01 * target:
+            break
+        H = obj.hessian(x)
+        g = obj.gradient(x)
+        dx_p = pinv(A.T @ (b - A @ x))
+        ZHZ = Z.T @ (H @ Z)
+        rhs = -(Z.T @ (g + H @ dx_p))
+        # Cholesky through numpy, not scipy: each wheel bundles an
+        # OpenBLAS whose workers spin for about 0.1 s after a threaded
+        # call, and a second spinning pool next to numpy's (busy after
+        # H @ Z) preempts the caller's next phase on a 2-core machine.
+        try:
+            L = np.linalg.cholesky(ZHZ)
+            dz = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+        except np.linalg.LinAlgError:
+            dz = _min_norm_solve(ZHZ, rhs)
+        dx = dx_p + Z @ dz
+        lam_new = -(A @ pinv(g + H @ dx))
+        # Damped acceptance on the KKT residual.
+        s = 1.0
+        while s > 1e-6:
+            x_try = x + s * dx
+            lam_try = lam + s * (lam_new - lam)
+            stat_t, feas_t = _kkt_residuals(instance, x_try, lam_try)
+            if max(stat_t, feas_t) < best:
+                x, lam, best = x_try, lam_try, max(stat_t, feas_t)
+                steps += 1
+                break
+            s *= 0.5
+        else:
+            stalled = True  # no progress in any damping; stop polishing
+            break
+    # Deterministic dual: minimum-norm multiplier for the final x.
+    lam_mn = -(A @ pinv(obj.gradient(x)))
+    if max(_kkt_residuals(instance, x, lam_mn)) <= best:
+        lam = lam_mn
+    return x, lam, (f"{steps} polish steps, damping "
+                    f"{'stalled' if stalled else 'did not stall'}")
+
+
 def kkt_refine(instance, budget=100_000, target=1e-9, polish_steps=60):
     """High-accuracy KKT pair for a general smooth instance.
 
-    Quadratic objectives short-circuit to :func:`kkt_solve_qp`.  Otherwise
-    an accelerated run (explicit step when a Lipschitz constant is known,
-    implicit otherwise) warms a damped Newton iteration on the KKT system.
-    Each polish step is a null-space Newton step (Nocedal & Wright,
-    *Numerical Optimization*, 16.2) in an eigenbasis of ``A'A`` (see
-    :func:`_gram_pseudoinverse`), with ``Z`` a basis of ``null(A)``:
+    Quadratic objectives short-circuit to :func:`kkt_solve_qp`.  An
+    objective with a Hessian is first polished by damped Newton steps on
+    the KKT system (:func:`_polish`) from the minimum-norm feasible point
+    ``x0 = (A'A)^+ A'b`` and its minimum-norm multiplier
+    ``-A (A'A)^+ grad f(x0)``.  Each polish step is a null-space Newton
+    step (Nocedal & Wright, *Numerical Optimization*, 16.2) in an
+    eigenbasis of ``A'A`` (see :func:`_gram_pseudoinverse`), with ``Z`` a
+    basis of ``null(A)``:
 
         dx_p    = (A'A)^+ A'(b - A x),
         Z'HZ dz = -Z'(g + H dx_p),      dx = dx_p + Z dz,
@@ -183,22 +242,65 @@ def kkt_refine(instance, budget=100_000, target=1e-9, polish_steps=60):
 
     so rank-deficient constraints are handled throughout and ``lam_new``
     is the minimum-norm multiplier.  ``Z'HZ`` is factored by Cholesky,
-    with a minimum-norm least-squares solve when it is singular.  The
-    returned ``kkt_tol`` certifies ``max(stationarity, feasibility) <=
-    target``, evaluated from ``A`` and the gradient.
+    with a minimum-norm least-squares solve when it is singular.
+
+    Only when that Newton-first polish misses ``target`` (its damping
+    stalled or it ran out of ``polish_steps``), or the objective has no
+    Hessian, does an accelerated warm run from zero (explicit step when
+    a Lipschitz constant is known, implicit otherwise; at most ``budget``
+    iterations, none when ``budget=0``) bring the iterate near the
+    solution; a second polish follows it.  The returned ``kkt_tol``
+    certifies ``max(stationarity, feasibility) <= target``, evaluated
+    from ``A`` and the gradient.
 
     Raises
     ------
     ReferenceNotConverged
         If the residual target is not met; carries the final residuals,
-        and its message names the warm run's iteration count, the polish
-        steps taken and whether the damping stalled.
+        and its message names the Newton-first polish (steps taken and
+        whether the damping stalled), the warm run's iteration count or
+        "no warm run", and the polish after the warm run.
     """
     obj = instance.objective
     if obj.quadratic is not None:
         Q, q = obj.quadratic
         return kkt_solve_qp(Q, q, instance.A, instance.b)
-    case = "explicit" if obj.lipschitz is not None else "implicit"
+    A = instance.A
+    x, lam = np.zeros(instance.dim), np.zeros(instance.n_constraints)
+    if obj.hessian is not None:
+        pinv, Z = _gram_pseudoinverse(instance)
+        x = pinv(A.T @ instance.b)
+        x, lam, note = _polish(instance, pinv, Z, x,
+                               -(A @ pinv(obj.gradient(x))), target,
+                               polish_steps)
+        tried = f"a Newton-first attempt ({note})"
+    else:
+        tried = "no Newton-first attempt (no Hessian)"
+    stat, feas = _kkt_residuals(instance, x, lam)
+    if max(stat, feas) > target and budget < 1:
+        tried += " and no warm run"
+    elif max(stat, feas) > target:
+        state = _warm_run(instance, budget, target)
+        x, lam = state.x_curr, state.lam_curr
+        note = "no Hessian to polish with"
+        if obj.hessian is not None:
+            x, lam, note = _polish(instance, pinv, Z, x, lam, target,
+                                   polish_steps)
+        stat, feas = _kkt_residuals(instance, x, lam)
+        tried += (f", a warm run of {state.k - 1} iterations "
+                  f"(budget {budget}) and {note}")
+    res = max(stat, feas)
+    if res > target:
+        raise ReferenceNotConverged(
+            f"KKT residual {res:.3e} (stationarity {stat:.3e}, feasibility "
+            f"{feas:.3e}) exceeds target {target:.1e} after {tried}",
+            stat, feas)
+    return KKTPoint(x=x, lam=lam, kkt_tol=res)
+
+
+def _warm_run(instance, budget, target):
+    """Final state of the fallback accelerated run from zero, stopped at a
+    KKT residual of ``max(1e-4, 0.1 * target)``."""
     # The warm run only needs to land in the Newton polish basin.  Stopping
     # there also keeps the inner tolerance schedule (which tightens like
     # 1/t^3) clear of the subproblem gradient's evaluation noise, which
@@ -208,71 +310,15 @@ def kkt_refine(instance, budget=100_000, target=1e-9, polish_steps=60):
     basin = max(1e-4, 0.1 * target)
     config = SolverConfig(
         schedule=nesterov(),
-        case=case,
+        case="explicit" if instance.objective.lipschitz is not None
+        else "implicit",
         max_iter=budget,
         stop=StoppingRule(feas_tol=basin, stat_tol=basin),
         inner=InnerSolverPolicy(max_inner=100),
     )
-    x0 = np.zeros(instance.dim)
-    lam0 = np.zeros(instance.n_constraints)
-    state, _ = run(instance, config, x0, lam0)
-    x, lam = state.x_curr, state.lam_curr
-    A, b = instance.A, instance.b
-    stat, feas = _kkt_residuals(instance, x, lam)
-    steps, stalled = 0, False
-    if obj.hessian is not None:
-        pinv, Z = _gram_pseudoinverse(instance)
-        best = max(stat, feas)
-        for _ in range(polish_steps):
-            if best <= 0.01 * target:
-                break
-            H = obj.hessian(x)
-            g = obj.gradient(x)
-            dx_p = pinv(A.T @ (b - A @ x))
-            ZHZ = Z.T @ (H @ Z)
-            rhs = -(Z.T @ (g + H @ dx_p))
-            # Cholesky through numpy, not scipy: each wheel bundles an
-            # OpenBLAS whose workers spin for about 0.1 s after a threaded
-            # call, and a second spinning pool next to numpy's (busy after
-            # H @ Z) preempts the caller's next phase on a 2-core machine.
-            try:
-                L = np.linalg.cholesky(ZHZ)
-                dz = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
-            except np.linalg.LinAlgError:
-                dz = _min_norm_solve(ZHZ, rhs)
-            dx = dx_p + Z @ dz
-            lam_new = -(A @ pinv(g + H @ dx))
-            # Damped acceptance on the KKT residual.
-            s = 1.0
-            while s > 1e-6:
-                x_try = x + s * dx
-                lam_try = lam + s * (lam_new - lam)
-                stat_t, feas_t = _kkt_residuals(instance, x_try, lam_try)
-                if max(stat_t, feas_t) < best:
-                    x, lam, best = x_try, lam_try, max(stat_t, feas_t)
-                    steps += 1
-                    break
-                s *= 0.5
-            else:
-                stalled = True  # no progress in any damping; stop polishing
-                break
-        # Deterministic dual: minimum-norm multiplier for the final x.
-        lam_mn = -(A @ pinv(obj.gradient(x)))
-        stat_mn, feas_mn = _kkt_residuals(instance, x, lam_mn)
-        if max(stat_mn, feas_mn) <= best:
-            lam, best = lam_mn, max(stat_mn, feas_mn)
-        stat, feas = _kkt_residuals(instance, x, lam)
-    res = max(stat, feas)
-    if res > target:
-        polish = (f"{steps} polish steps, damping "
-                  f"{'stalled' if stalled else 'did not stall'}"
-                  if obj.hessian is not None else "no Hessian to polish with")
-        raise ReferenceNotConverged(
-            f"KKT residual {res:.3e} (stationarity {stat:.3e}, feasibility "
-            f"{feas:.3e}) exceeds target {target:.1e} after a warm run of "
-            f"{state.k - 1} iterations (budget {budget}) and {polish}",
-            stat, feas)
-    return KKTPoint(x=x, lam=lam, kkt_tol=res)
+    state, _ = run(instance, config, np.zeros(instance.dim),
+                   np.zeros(instance.n_constraints))
+    return state
 
 
 def brute_step_oracle(quad_coef, lin_coef, a, b, gamma, delta, beta, eta,

@@ -314,7 +314,13 @@ def run(instance, config, x0, lam0, kkt=None, inner_log=None):
         a full ``K``-iteration run).  Two runs from identical inputs
         produce bit-identical traces.
     """
-    config = resolve_config(instance, config)
+    return _run_resolved(instance, resolve_config(instance, config), x0, lam0,
+                         kkt, inner_log)
+
+
+def _run_resolved(instance, config, x0, lam0, kkt=None, inner_log=None):
+    """:func:`run` for a ``config`` that :func:`resolve_config` returned,
+    so its schedule is certified once per run."""
     state = initial_state(instance, config, x0, lam0)
 
     def advance(state, plan):

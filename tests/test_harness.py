@@ -21,7 +21,8 @@ from aalm.problems import (ObjectiveOracle, ProblemInstance,
                            make_ring_logistic)
 from aalm.subsolver import InnerSolverPolicy, MaxInnerIterations
 from aalm.schedule import nesterov
-from aalm.solver import SolverConfig, resolve_config, run
+from aalm import solver as aalm_solver
+from aalm.solver import SolverConfig, StoppingRule, resolve_config, run
 
 
 def _qp_config(**overrides):
@@ -675,6 +676,25 @@ class TestRunExperiment:
         assert parsed["reference"] == row["reference"]
         assert parsed["status"] == row["status"]
 
+    def test_each_entry_resolved_once(self, tmp_path, monkeypatch):
+        """Every accelerated entry is resolved (and its schedule certified)
+        once: for its summary row and its run alike."""
+        monkeypatch.setenv("AALM_OUTPUT_DIR", str(tmp_path))
+        calls = []
+        real = aalm_solver.resolve_config
+
+        def spy(instance, config):
+            calls.append(config.schedule.rule)
+            return real(instance, config)
+
+        monkeypatch.setattr(aalm_solver, "resolve_config", spy)
+        cfg = _qp_config()
+        cfg["solvers"].append({"name": "cd", "method": "aalm",
+                               "schedule": {"rule": "cd"}})
+        rows = run_experiment(parse_config(cfg))
+        assert [r["status"] for r in rows] == ["ok"] * 3
+        assert calls == ["nesterov", "chambolle-dossal"]
+
     def test_output_dir_from_config(self, tmp_path, monkeypatch):
         """Without the env override, files land in config.output_dir."""
         monkeypatch.delenv("AALM_OUTPUT_DIR", raising=False)
@@ -760,6 +780,33 @@ class TestCli:
         path = _write_config(tmp_path, cfg)
         assert main(["run", str(path)]) == 1
         assert f"error: {key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block, key, value", [
+        ("stop", "feas_tol", "1e-4"), ("stop", "stat_tol", True),
+        ("schedule", "alpha", "10"), ("schedule", "rho", "0.5"),
+        ("schedule", "rho", None), ("scaling", "exponent", "0.5")])
+    def test_run_bad_block_number(self, tmp_path, capsys, block, key,
+                                  value):
+        """A stop tolerance, schedule parameter or scaling exponent that is
+        not a number is a config error (exit 1) at parse time."""
+        cfg = _qp_config()
+        entry = cfg["solvers"][0]
+        entry.update(case="implicit", schedule={"rule": "cd"},
+                     scaling={"form": "t-power"})
+        entry.setdefault(block, {})[key] = value
+        path = _write_config(tmp_path, cfg)
+        assert main(["run", str(path)]) == 1
+        assert f"error: {key} must be a number" in capsys.readouterr().err
+
+    def test_null_block_numbers_are_defaults(self):
+        """``alpha: null`` is the rule's default, a null tolerance is
+        unset."""
+        cfg = _qp_config()
+        cfg["solvers"][0].update(schedule={"rule": "cd", "alpha": None},
+                                 stop={"feas_tol": None, "stat_tol": 1e-3})
+        config = parse_config(cfg).solvers[0].config
+        assert config.schedule.alpha == 10.0
+        assert config.stop == StoppingRule(stat_tol=1e-3)
 
     def test_run_null_gamma(self, tmp_path, monkeypatch):
         """``gamma: null`` is the default stepsize, not a type error."""

@@ -18,6 +18,7 @@ from aalm import (
     kkt_solve_qp,
     make_lp_regression,
     make_qp,
+    make_random_lp,
     make_random_qp,
     make_ring_logistic,
 )
@@ -170,10 +171,84 @@ class TestKktRefine:
         feas = abs(kkt.x.sum())
         assert max(stat, feas) <= 1e-9
 
+    def test_lp_seed_8_certified(self):
+        """make_random_lp(seed=8), whose accelerated warm run ran out of
+        inner Newton steps, is certified by the Newton-first polish."""
+        inst = make_random_lp(seed=8)
+        kkt = kkt_refine(inst)
+        assert kkt.kkt_tol <= 1e-9
+        g = inst.objective.gradient(kkt.x)
+        assert np.linalg.norm(g + inst.A.T @ kkt.lam) <= 1e-9
+        assert np.linalg.norm(inst.A @ kkt.x - inst.b) <= 1e-9
+
+    @staticmethod
+    def _spy_runs(monkeypatch):
+        """Record the iteration count of every warm run kkt_refine starts."""
+        runs = []
+        real = oracle_module.run
+
+        def spy(*args, **kwargs):
+            state, trace = real(*args, **kwargs)
+            runs.append(state.k - 1)
+            return state, trace
+
+        monkeypatch.setattr(oracle_module, "run", spy)
+        return runs
+
+    def test_ring_normal_path_runs_no_solver(self, monkeypatch):
+        """The 10x20 ring is certified by the Newton-first polish alone:
+        solver.run is never called."""
+        runs = self._spy_runs(monkeypatch)
+        kkt = kkt_refine(make_ring_logistic(p_agents=10, m_dim=20,
+                                            rho_reg=0.5, seed=0))
+        assert runs == []
+        assert kkt.kkt_tol <= 1e-9
+
+    @staticmethod
+    def _pseudo_huber():
+        """f = sum sqrt(1 + (x - c)^2) with c = (2000, -2000) under
+        x1 + x2 = 0: the solution is x* = c, lam* = 0.  At the
+        minimum-norm feasible start 0 the curvature is about 2000^-3, so
+        the Newton step is about 8e9 long, and even damped by 1e-6 it
+        overshoots far enough to raise the residual: the polish stalls."""
+        c = np.array([2000.0, -2000.0])
+        objective = ObjectiveOracle(
+            value=lambda x: float(np.sum(np.sqrt(1.0 + (x - c) ** 2))),
+            gradient=lambda x: (x - c) / np.sqrt(1.0 + (x - c) ** 2),
+            hessian=lambda x: np.diag((1.0 + (x - c) ** 2) ** -1.5),
+            lipschitz=1.0)
+        return ProblemInstance(objective, np.ones((1, 2)), np.zeros(1),
+                               "pseudo-huber"), c
+
+    def test_stalled_newton_falls_back(self, monkeypatch):
+        """The Newton-first polish stalls on the pseudo-Huber instance;
+        the warm run then lands in the basin and the pair certifies."""
+        runs = self._spy_runs(monkeypatch)
+        inst, c = self._pseudo_huber()
+        kkt = kkt_refine(inst, budget=1000)
+        assert len(runs) == 1 and runs[0] >= 1
+        assert kkt.kkt_tol <= 1e-9
+        np.testing.assert_allclose(kkt.x, c, rtol=1e-9)
+        np.testing.assert_allclose(kkt.lam, [0.0], rtol=0, atol=1e-9)
+
+    def test_no_warm_run_reported(self, monkeypatch):
+        """With budget 0 the failed Newton-first attempt is final, and
+        the message says so."""
+        runs = self._spy_runs(monkeypatch)
+        inst, _ = self._pseudo_huber()
+        with pytest.raises(ReferenceNotConverged) as exc:
+            kkt_refine(inst, budget=0)
+        assert runs == []
+        message = str(exc.value)
+        assert ("after a Newton-first attempt (0 polish steps, damping "
+                "stalled) and no warm run") in message
+        assert f"stationarity {exc.value.stat_res:.3e}" in message
+
     def test_infeasible_reports_residuals(self):
         """No KKT point exists: the error carries the stuck feasibility
         (here dist(b, range A) = 1/sqrt(2)), and its message names the
-        warm run, the polish and both residuals."""
+        Newton-first attempt, the warm run, the polish and both
+        residuals."""
         rng = np.random.default_rng(0)
         B = rng.normal(size=(8, 4))
         c = rng.normal(size=8)
@@ -185,6 +260,7 @@ class TestKktRefine:
                                    rtol=1e-6)
         message = str(exc.value)
         assert "warm run of 300 iterations" in message
+        assert "Newton-first attempt (" in message
         assert "polish steps, damping stalled" in message
         assert f"stationarity {exc.value.stat_res:.3e}" in message
         assert f"feasibility {exc.value.feas_res:.3e}" in message
