@@ -4,7 +4,7 @@ Subcommands::
 
     aalm run <config.json> [--emit-gnuplot]
     aalm certify-schedule --rule cd --alpha 10 [--kmax N]
-    aalm oracle <instance.json> [--budget N] [--out FILE]
+    aalm oracle <instance.json> [--out FILE]
     aalm --version
 
 Exit codes: 0 success, 1 configuration error, 2 solver/oracle failure.
@@ -56,9 +56,6 @@ def _build_parser():
     p_or.add_argument("instance",
                       help="instance manifest (or a problem block JSON with "
                            "a 'builtin' key)")
-    p_or.add_argument("--budget", type=int, default=100_000,
-                      help="iteration budget of the fallback warm run "
-                           "(0: none)")
     p_or.add_argument("--out", default=None,
                       help="sidecar CSV to write (default: next to the "
                            "manifest)")
@@ -105,7 +102,7 @@ def _cmd_oracle(args):
         instance = build_problem(raw)
     else:
         instance = load_manifest(path)
-    kkt = kkt_refine(instance, budget=args.budget)
+    kkt = kkt_refine(instance)
     out = Path(args.out) if args.out else path.with_suffix(".kkt.csv")
     save_kkt(out, kkt)
     print(f"{instance.name}: kkt_tol={kkt.kkt_tol!r} -> {out}")

@@ -13,11 +13,11 @@ writes, into the output directory:
 * optionally ``plots.gp``, a gnuplot script laying the six standard
   panels (raw and ``t``-scaled residuals) out in a 2x3 grid.
 
-Configs are strict: unknown keys anywhere are an error (fail-fast beats a
-silently ignored typo).  Floats are serialized with ``repr`` so traces
-round-trip exactly and re-running a config byte-identically reproduces its
-outputs.  The environment variable ``AALM_OUTPUT_DIR`` overrides the
-config's ``output_dir`` when set.
+Configs are strict: unknown keys and values of the wrong type are errors
+(fail-fast beats a silently ignored typo or cast).  Floats are serialized
+with ``repr`` so traces round-trip exactly and re-running a config
+byte-identically reproduces its outputs.  The environment variable
+``AALM_OUTPUT_DIR`` overrides the config's ``output_dir`` when set.
 
 The non-accelerated baseline (:func:`vanilla_alm_step`) is the classical
 proximal augmented Lagrangian iteration
@@ -48,7 +48,7 @@ import scipy.sparse
 
 from . import solver as aalm_solver
 from .diagnostics import TRACE_FIELDS, TraceRecord, fit_rate, littleo_witness
-from .oracle import cached_reference, kkt_refine
+from .oracle import cached_reference
 from .problems import (make_lp_regression, make_qp, make_random_lp,
                        make_random_qp, make_ring_logistic)
 from .schedule import SCHEDULE_RULES, named_schedule
@@ -94,7 +94,6 @@ class ExperimentConfig:
     seed: int = 0
     output_dir: str = "results"
     emit_gnuplot: bool = False
-    reference_budget: int = 100_000
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -113,16 +112,18 @@ def _check_keys(block, allowed, context):
         raise ConfigError(f"unknown key(s) {unknown} in {context}")
 
 
-def _check_real(block, keys, context, default=1.0):
-    """Reject a value under ``keys`` that is not a real number (a bool is
-    not one).  A missing key reads as ``default``, so ``null`` passes
-    only where it is the default."""
+def _check_real(block, keys, context, default=1.0, kind=numbers.Real):
+    """Reject a value under ``keys`` that is not a real number, or not an
+    integer when ``kind`` is ``numbers.Integral`` (a bool is neither).  A
+    missing key reads as ``default``, so ``null`` passes only where it is
+    the default."""
+    what = "an integer" if kind is numbers.Integral else "a number"
     for key in keys:
         v = block.get(key, default)
         if v is None and default is None:
             continue
-        if isinstance(v, bool) or not isinstance(v, numbers.Real):
-            raise ConfigError(f"{key} must be a number, got {v!r} "
+        if isinstance(v, bool) or not isinstance(v, kind):
+            raise ConfigError(f"{key} must be {what}, got {v!r} "
                               f"({context})")
 
 
@@ -171,10 +172,11 @@ def _check_numbers(block, name):
     if not block.get("inner_tol", 1.0) > 0:
         raise ConfigError(f"inner_tol must be positive, got "
                           f"{block['inner_tol']!r} (solver {name!r})")
-    v = block.get("max_inner", 1)
-    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-        raise ConfigError(f"max_inner must be a positive integer, got {v!r} "
-                          f"(solver {name!r})")
+    _check_real(block, ("max_inner",), f"solver {name!r}", default=1,
+                kind=numbers.Integral)
+    if block.get("max_inner", 1) < 1:
+        raise ConfigError(f"max_inner must be positive, got "
+                          f"{block['max_inner']!r} (solver {name!r})")
 
 
 def _parse_solver(block, iterations):
@@ -241,20 +243,22 @@ def parse_config(source):
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     _check_keys(raw, {"problem", "solvers", "iterations", "seed",
-                      "output_dir", "emit_gnuplot", "reference_budget"},
-                "config")
+                      "output_dir", "emit_gnuplot"}, "config")
     for key in ("problem", "solvers", "iterations"):
         if key not in raw:
             raise ConfigError(f"config needs {key!r}")
-    iterations = int(raw["iterations"])
+    _check_real(raw, ("iterations", "seed"), "config", default=0,
+                kind=numbers.Integral)
+    if not isinstance(raw.get("emit_gnuplot", False), bool):
+        raise ConfigError(f"emit_gnuplot must be true or false, got "
+                          f"{raw['emit_gnuplot']!r} (config)")
+    _check_problem(raw["problem"])
+    iterations = raw["iterations"]
     solvers = [_parse_solver(b, iterations) for b in raw["solvers"]]
     return ExperimentConfig(problem=raw["problem"], solvers=solvers,
-                            iterations=iterations,
-                            seed=int(raw.get("seed", 0)),
+                            iterations=iterations, seed=raw.get("seed", 0),
                             output_dir=raw.get("output_dir", "results"),
-                            emit_gnuplot=bool(raw.get("emit_gnuplot", False)),
-                            reference_budget=int(raw.get("reference_budget",
-                                                         100_000)))
+                            emit_gnuplot=raw.get("emit_gnuplot", False))
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +321,28 @@ def load_manifest(path):
     raise ConfigError(f"unknown objective kind {kind!r}")
 
 
-def build_problem(block, master_seed=0):
-    """Instance from a config ``problem`` block (builtin or manifest)."""
+def _check_problem(block):
+    """Reject unknown keys in a ``problem`` block, and sizes and seeds
+    that are not integers or parameters that are not numbers."""
     if "manifest" in block:
         _check_keys(block, {"manifest"}, "problem")
-        return load_manifest(block["manifest"])
+        return
     _check_keys(block, {"builtin", "n", "m", "cond", "d", "p",
                         "n_constraints", "p_agents", "m_dim", "rho_reg",
                         "seed"}, "problem")
+    _check_real(block, ("n", "m", "d", "n_constraints", "p_agents",
+                        "m_dim", "seed"), "problem", default=0,
+                kind=numbers.Integral)
+    _check_real(block, ("cond", "p", "rho_reg"), "problem")
+
+
+def build_problem(block, master_seed=0):
+    """Instance from a config ``problem`` block (builtin or manifest)."""
+    _check_problem(block)
+    if "manifest" in block:
+        return load_manifest(block["manifest"])
     builtin = block.get("builtin")
-    seed = int(block.get("seed", master_seed + INSTANCE_SEED_OFFSET))
+    seed = block.get("seed", master_seed + INSTANCE_SEED_OFFSET)
     if builtin == "qp":
         return make_random_qp(n=block.get("n", 50), m=block.get("m", 10),
                               seed=seed, cond=block.get("cond", 10.0))
@@ -487,10 +503,7 @@ def run_experiment(config):
                                   config.seed + INSTANCE_SEED_OFFSET)) \
         if "manifest" not in config.problem else -1
     try:
-        kkt = cached_reference(
-            instance, out_dir,
-            compute=lambda inst: kkt_refine(inst,
-                                            budget=config.reference_budget))
+        kkt = cached_reference(instance, out_dir)
         ref_status = f"kkt_tol={kkt.kkt_tol:.3e}"
     except Exception as e:
         kkt = None

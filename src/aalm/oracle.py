@@ -11,7 +11,7 @@ producer of such pairs:
   null-space Newton polish on the KKT equations from the minimum-norm
   feasible point, in an eigenbasis of ``A'A`` (the instance's structured
   one when it carries one, a dense SVD otherwise), down to a certified
-  residual; an accelerated warm run of the solver is only its fallback;
+  residual, without running any solver of this package;
 * :func:`brute_step_oracle` recomputes a single solver iteration for
   scalar problems by literal formula substitution -- a deliberately
   separate arithmetic path used to pin down :func:`aalm.solver.step`.
@@ -23,17 +23,13 @@ be cached to sidecar CSV files keyed by a content hash of the instance.
 from __future__ import annotations
 
 import hashlib
-import os
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse
 from scipy.linalg import lstsq
 
-from .problems import GramEigenbasis, KKTPoint, ProblemInstance, dense
-from .schedule import nesterov
-from .solver import SolverConfig, StoppingRule, run
-from .subsolver import InnerSolverPolicy
+from .problems import GramEigenbasis, KKTPoint, dense
 
 # Residual scale accepted from the direct KKT solve before falling back to
 # (or failing out of) the least-squares path.
@@ -44,6 +40,17 @@ KKT_RESIDUAL_TOL = 1e-10
 # re-evaluation in a different operation order.
 CACHE_RECHECK_FACTOR = 10.0
 CACHE_RECHECK_FLOOR = 1e-13
+
+# kkt_refine certifies max(stationarity, feasibility) <= REFINE_TARGET
+# within POLISH_STEPS damped Newton steps.
+REFINE_TARGET = 1e-9
+POLISH_STEPS = 60
+
+# The polish's fallback damping: an Armijo test with this sufficient
+# decrease, tried only when the predicted decrease exceeds this fraction of
+# 1 + |f| (the inner Newton's rule in aalm.subsolver).
+SUFFICIENT_DECREASE = 1e-4
+VALUE_RESOLUTION = 1e-14
 
 
 class ReferenceNotConverged(RuntimeError):
@@ -167,24 +174,42 @@ def _gram_pseudoinverse(instance):
     return (lambda v: gram.apply_V(e_plus * gram.apply_Vt(v))), Z
 
 
-def _polish(instance, pinv, Z, x, lam, target, max_steps):
+def _armijo_damping(objective, x, g, dx):
+    """Largest ``s = 1, 1/2, ...`` (down to ``1e-16``) with
+    ``f(x + s dx) <= f(x) + SUFFICIENT_DECREASE s g'dx``, or ``None`` when
+    there is none or ``dx`` predicts no decrease that ``f``'s value can
+    resolve."""
+    fx = objective.value(x)
+    slope = float(g @ dx)
+    if -slope <= VALUE_RESOLUTION * (1.0 + abs(fx)):
+        return None
+    s = 1.0
+    while s >= 1e-16:
+        if objective.value(x + s * dx) <= fx + SUFFICIENT_DECREASE * s * slope:
+            return s
+        s *= 0.5
+    return None
+
+
+def _polish(instance, pinv, Z, x, lam):
     """Damped null-space Newton steps on the KKT system from ``(x, lam)``.
 
     A step is accepted at the largest damping ``s = 1, 1/2, ...`` (down to
-    ``1e-6``) that lowers ``max(stationarity, feasibility)``; with no such
-    ``s`` the damping has stalled and polishing stops.  At most
-    ``max_steps`` steps are taken, fewer once the residual is below
-    ``0.01 * target``.  The final dual is the minimum-norm multiplier of
-    the final ``x`` when that does not raise the residual.  Returns the
-    pair and a note naming the steps taken and whether the damping
-    stalled.
+    ``1e-6``) that lowers ``max(stationarity, feasibility)``, else at the
+    damping of :func:`_armijo_damping` (``lam`` moves by the same ``s``);
+    with neither the damping has stalled and polishing stops.  At most
+    ``POLISH_STEPS`` steps are taken, fewer once the residual is below
+    ``0.01 * REFINE_TARGET``.  The final dual is the minimum-norm
+    multiplier of the final ``x`` when that does not raise the residual.
+    Returns the pair and a note naming the steps taken and whether the
+    damping stalled.
     """
     obj = instance.objective
     A, b = instance.A, instance.b
     best = max(_kkt_residuals(instance, x, lam))
     steps, stalled = 0, False
-    for _ in range(max_steps):
-        if best <= 0.01 * target:
+    for _ in range(POLISH_STEPS):
+        if best <= 0.01 * REFINE_TARGET:
             break
         H = obj.hessian(x)
         g = obj.gradient(x)
@@ -214,8 +239,13 @@ def _polish(instance, pinv, Z, x, lam, target, max_steps):
                 break
             s *= 0.5
         else:
-            stalled = True  # no progress in any damping; stop polishing
-            break
+            s = _armijo_damping(obj, x, g, dx)
+            if s is None:
+                stalled = True  # no progress in any damping; stop polishing
+                break
+            x, lam = x + s * dx, lam + s * (lam_new - lam)
+            best = max(_kkt_residuals(instance, x, lam))
+            steps += 1
     # Deterministic dual: minimum-norm multiplier for the final x.
     lam_mn = -(A @ pinv(obj.gradient(x)))
     if max(_kkt_residuals(instance, x, lam_mn)) <= best:
@@ -224,11 +254,11 @@ def _polish(instance, pinv, Z, x, lam, target, max_steps):
                     f"{'stalled' if stalled else 'did not stall'}")
 
 
-def kkt_refine(instance, budget=100_000, target=1e-9, polish_steps=60):
+def kkt_refine(instance):
     """High-accuracy KKT pair for a general smooth instance.
 
-    Quadratic objectives short-circuit to :func:`kkt_solve_qp`.  An
-    objective with a Hessian is first polished by damped Newton steps on
+    Quadratic objectives short-circuit to :func:`kkt_solve_qp`.  Any other
+    objective needs a Hessian: it is polished by damped Newton steps on
     the KKT system (:func:`_polish`) from the minimum-norm feasible point
     ``x0 = (A'A)^+ A'b`` and its minimum-norm multiplier
     ``-A (A'A)^+ grad f(x0)``.  Each polish step is a null-space Newton
@@ -242,83 +272,41 @@ def kkt_refine(instance, budget=100_000, target=1e-9, polish_steps=60):
 
     so rank-deficient constraints are handled throughout and ``lam_new``
     is the minimum-norm multiplier.  ``Z'HZ`` is factored by Cholesky,
-    with a minimum-norm least-squares solve when it is singular.
-
-    Only when that Newton-first polish misses ``target`` (its damping
-    stalled or it ran out of ``polish_steps``), or the objective has no
-    Hessian, does an accelerated warm run from zero (explicit step when
-    a Lipschitz constant is known, implicit otherwise; at most ``budget``
-    iterations, none when ``budget=0``) bring the iterate near the
-    solution; a second polish follows it.  The returned ``kkt_tol``
-    certifies ``max(stationarity, feasibility) <= target``, evaluated
-    from ``A`` and the gradient.
+    with a minimum-norm least-squares solve when it is singular.  No
+    solver of this package is run: the reference stays an arithmetic path
+    separate from the iterations it checks.  The returned ``kkt_tol``
+    certifies ``max(stationarity, feasibility) <= REFINE_TARGET``,
+    evaluated from ``A`` and the gradient.
 
     Raises
     ------
+    ValueError
+        If the objective is neither quadratic nor has a Hessian.
     ReferenceNotConverged
         If the residual target is not met; carries the final residuals,
-        and its message names the Newton-first polish (steps taken and
-        whether the damping stalled), the warm run's iteration count or
-        "no warm run", and the polish after the warm run.
+        and its message names the polish steps taken and whether the
+        damping stalled.
     """
     obj = instance.objective
     if obj.quadratic is not None:
         Q, q = obj.quadratic
         return kkt_solve_qp(Q, q, instance.A, instance.b)
+    if obj.hessian is None:
+        raise ValueError(f"kkt_refine needs a quadratic objective or one "
+                         f"with a hessian; {instance.name!r} has neither")
     A = instance.A
-    x, lam = np.zeros(instance.dim), np.zeros(instance.n_constraints)
-    if obj.hessian is not None:
-        pinv, Z = _gram_pseudoinverse(instance)
-        x = pinv(A.T @ instance.b)
-        x, lam, note = _polish(instance, pinv, Z, x,
-                               -(A @ pinv(obj.gradient(x))), target,
-                               polish_steps)
-        tried = f"a Newton-first attempt ({note})"
-    else:
-        tried = "no Newton-first attempt (no Hessian)"
+    pinv, Z = _gram_pseudoinverse(instance)
+    x = pinv(A.T @ instance.b)
+    x, lam, note = _polish(instance, pinv, Z, x,
+                           -(A @ pinv(obj.gradient(x))))
     stat, feas = _kkt_residuals(instance, x, lam)
-    if max(stat, feas) > target and budget < 1:
-        tried += " and no warm run"
-    elif max(stat, feas) > target:
-        state = _warm_run(instance, budget, target)
-        x, lam = state.x_curr, state.lam_curr
-        note = "no Hessian to polish with"
-        if obj.hessian is not None:
-            x, lam, note = _polish(instance, pinv, Z, x, lam, target,
-                                   polish_steps)
-        stat, feas = _kkt_residuals(instance, x, lam)
-        tried += (f", a warm run of {state.k - 1} iterations "
-                  f"(budget {budget}) and {note}")
     res = max(stat, feas)
-    if res > target:
+    if res > REFINE_TARGET:
         raise ReferenceNotConverged(
             f"KKT residual {res:.3e} (stationarity {stat:.3e}, feasibility "
-            f"{feas:.3e}) exceeds target {target:.1e} after {tried}",
+            f"{feas:.3e}) exceeds target {REFINE_TARGET:.1e} after {note}",
             stat, feas)
     return KKTPoint(x=x, lam=lam, kkt_tol=res)
-
-
-def _warm_run(instance, budget, target):
-    """Final state of the fallback accelerated run from zero, stopped at a
-    KKT residual of ``max(1e-4, 0.1 * target)``."""
-    # The warm run only needs to land in the Newton polish basin.  Stopping
-    # there also keeps the inner tolerance schedule (which tightens like
-    # 1/t^3) clear of the subproblem gradient's evaluation noise, which
-    # grows like t^2 * eps through the squared dual-correction coefficient;
-    # past their crossing no inner solver can certify the schedule.  The
-    # polish phase owns the accuracy target.
-    basin = max(1e-4, 0.1 * target)
-    config = SolverConfig(
-        schedule=nesterov(),
-        case="explicit" if instance.objective.lipschitz is not None
-        else "implicit",
-        max_iter=budget,
-        stop=StoppingRule(feas_tol=basin, stat_tol=basin),
-        inner=InnerSolverPolicy(max_inner=100),
-    )
-    state, _ = run(instance, config, np.zeros(instance.dim),
-                   np.zeros(instance.n_constraints))
-    return state
 
 
 def brute_step_oracle(quad_coef, lin_coef, a, b, gamma, delta, beta, eta,

@@ -55,7 +55,6 @@ class TestParseConfig:
         assert cfg.seed == 0
         assert cfg.output_dir == "results"
         assert cfg.emit_gnuplot is False
-        assert cfg.reference_budget == 100_000
         assert [s.name for s in cfg.solvers] == ["accel", "plain"]
         assert cfg.solvers[0].method == "aalm"
         assert isinstance(cfg.solvers[0].config, SolverConfig)
@@ -661,7 +660,7 @@ class TestRunExperiment:
              "A": "A.csv", "b": "b.csv"}))
         monkeypatch.setenv("AALM_OUTPUT_DIR", str(tmp_path / "out"))
         cfg = _qp_config(problem={"manifest": str(tmp_path / "inst.json")},
-                         iterations=5, reference_budget=300)
+                         iterations=5)
         cfg["solvers"] = [{"name": "plain", "method": "vanilla",
                            "case": "implicit"}]
         row = run_experiment(parse_config(cfg))[0]
@@ -798,6 +797,37 @@ class TestCli:
         assert main(["run", str(path)]) == 1
         assert f"error: {key} must be a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("iterations", 2.7, "iterations must be an integer"),
+        ("iterations", "5", "iterations must be an integer"),
+        ("emit_gnuplot", "false", "emit_gnuplot must be true or false"),
+        ("seed", 1.9, "seed must be an integer"),
+        ("n", "6", "n must be an integer"),
+        ("p", "1.5", "p must be a number")])
+    def test_run_bad_top_level_or_problem_value(self, tmp_path, capsys, key,
+                                                value, message):
+        """A top-level or problem value of the wrong type is a config
+        error (exit 1) at parse time, not a truncation, a silent cast or
+        a traceback."""
+        cfg = _qp_config()
+        if key == "p":
+            cfg["problem"] = {"builtin": "lp-regression", "p": value}
+        elif key == "n":
+            cfg["problem"]["n"] = value
+        else:
+            cfg[key] = value
+        with pytest.raises(ConfigError, match=message):
+            parse_config(cfg)
+        path = _write_config(tmp_path, cfg)
+        assert main(["run", str(path)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_run_reference_budget_rejected(self, tmp_path, capsys):
+        """The reference runs no solver, so it has no budget to set."""
+        path = _write_config(tmp_path, _qp_config(reference_budget=300))
+        assert main(["run", str(path)]) == 1
+        assert "unknown key(s) ['reference_budget']" in capsys.readouterr().err
+
     def test_null_block_numbers_are_defaults(self):
         """``alpha: null`` is the rule's default, a null tolerance is
         unset."""
@@ -839,8 +869,7 @@ class TestCli:
         path = tmp_path / "inst.json"
         path.write_text(json.dumps(block))
         out = tmp_path / "ref.csv"
-        assert main(["oracle", str(path), "--budget", "20000",
-                     "--out", str(out)]) == 0
+        assert main(["oracle", str(path), "--out", str(out)]) == 0
         assert "kkt_tol=" in capsys.readouterr().out
         kkt = load_kkt(out)
         assert kkt.kkt_tol <= 1e-8
@@ -851,8 +880,17 @@ class TestCli:
         block = {"builtin": "qp", "n": 6, "m": 2, "seed": 1}
         path = tmp_path / "inst.json"
         path.write_text(json.dumps(block))
-        assert main(["oracle", str(path), "--budget", "20000"]) == 0
+        assert main(["oracle", str(path)]) == 0
         assert (tmp_path / "inst.kkt.csv").exists()
+
+    def test_oracle_budget_rejected(self, tmp_path, capsys):
+        """``aalm oracle`` has no ``--budget``: argparse rejects it."""
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"builtin": "qp", "n": 6, "m": 2}))
+        with pytest.raises(SystemExit):
+            main(["oracle", str(path), "--budget", "5"])
+        assert "unrecognized arguments: --budget" in capsys.readouterr().err
+        assert not (tmp_path / "inst.kkt.csv").exists()
 
     def test_oracle_missing_file(self, tmp_path, capsys):
         assert main(["oracle", str(tmp_path / "absent.json")]) == 1
