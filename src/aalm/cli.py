@@ -7,7 +7,8 @@ Subcommands::
     aalm oracle <instance.json> [--out FILE]
     aalm --version
 
-Exit codes: 0 success, 1 configuration error, 2 solver/oracle failure.
+Exit codes: 0 success (``--help`` and ``--version`` included), 1
+configuration or usage error, 2 solver/oracle failure.
 """
 
 from __future__ import annotations
@@ -30,8 +31,18 @@ EXIT_CONFIG = 1
 EXIT_SOLVER = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with ``EXIT_CONFIG``
+    (argparse's own code, 2, is this CLI's solver-failure code).  Its
+    subcommand parsers are of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aalm",
         description="Accelerated augmented Lagrangian benchmark harness")
     parser.add_argument("--version", action="version",

@@ -112,6 +112,13 @@ def _check_keys(block, allowed, context):
         raise ConfigError(f"unknown key(s) {unknown} in {context}")
 
 
+def _require_keys(block, keys, context):
+    """Reject a ``block`` missing any of ``keys``."""
+    for key in keys:
+        if key not in block:
+            raise ConfigError(f"{context} needs {key!r}")
+
+
 def _check_real(block, keys, context, default=1.0, kind=numbers.Real):
     """Reject a value under ``keys`` that is not a real number, or not an
     integer when ``kind`` is ``numbers.Integral`` (a bool is neither).  A
@@ -244,9 +251,7 @@ def parse_config(source):
         raise ConfigError("config must be a JSON object")
     _check_keys(raw, {"problem", "solvers", "iterations", "seed",
                       "output_dir", "emit_gnuplot"}, "config")
-    for key in ("problem", "solvers", "iterations"):
-        if key not in raw:
-            raise ConfigError(f"config needs {key!r}")
+    _require_keys(raw, ("problem", "solvers", "iterations"), "config")
     _check_real(raw, ("iterations", "seed"), "config", default=0,
                 kind=numbers.Integral)
     if not isinstance(raw.get("emit_gnuplot", False), bool):
@@ -297,9 +302,7 @@ def load_manifest(path):
     except json.JSONDecodeError as e:
         raise ConfigError(f"malformed JSON in {path}: {e}") from None
     _check_keys(raw, {"name", "objective", "A", "b"}, "manifest")
-    for key in ("objective", "A", "b"):
-        if key not in raw:
-            raise ConfigError(f"manifest needs {key!r}")
+    _require_keys(raw, ("objective", "A", "b"), "manifest")
     base = path.parent
     A = _load_array(base / raw["A"], keep_sparse=True)
     if not scipy.sparse.issparse(A):
@@ -310,11 +313,14 @@ def load_manifest(path):
     name = raw.get("name", path.stem)
     if kind == "qp":
         _check_keys(obj, {"kind", "Q", "q"}, "objective")
+        _require_keys(obj, ("Q", "q"), "objective")
         Q = np.atleast_2d(_load_array(base / obj["Q"]))
         q = np.atleast_1d(_load_array(base / obj["q"]))
         return make_qp(Q, q, A, b, name=name)
     if kind == "lp-regression":
         _check_keys(obj, {"kind", "B", "c", "p"}, "objective")
+        _require_keys(obj, ("B", "c", "p"), "objective")
+        _check_real(obj, ("p",), "objective")
         B = np.atleast_2d(_load_array(base / obj["B"]))
         c = np.atleast_1d(_load_array(base / obj["c"]))
         return make_lp_regression(B, c, float(obj["p"]), A, b, name=name)

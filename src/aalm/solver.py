@@ -341,10 +341,13 @@ def _run_loop(instance, case, state, advance, max_iter, params, kkt,
     ``state = advance(state, plan)`` for ``max_iter`` iterations or until
     ``stop``, with the run's ``plan = step_plan(instance, case)``,
     recording each iterate with ``params = (gamma, delta, eta, beta)``
-    (NaN energy unless ``certified``)."""
-    plan = step_plan(instance, case)
-    f_star = instance.objective.value(kkt.x) if kkt is not None else None
+    (NaN energy unless ``certified``).  The plan is built for ``gamma``
+    when every step uses it, that is when every stepsize factor
+    ``xi_{k+1}`` is 1."""
     gamma, delta, eta, beta = params
+    fixed = np.all(state.xi_seq[state.k:] == 1.0)
+    plan = step_plan(instance, case, gamma=gamma if fixed else None)
+    f_star = instance.objective.value(kkt.x) if kkt is not None else None
     trace: List[TraceRecord] = []
     for _ in range(max_iter):
         state = advance(state, plan)

@@ -15,11 +15,13 @@ proximal term makes F well-posed for any convex ``f_part``.
 is one of two paths:
 
 * :func:`solve_linear_case` -- one SPD solve when ``f_part`` is (at most)
-  quadratic: a few applications of an eigenbasis of ``A'A`` (the
-  instance's ``gram``, else a dense ``eigh`` once per run) when the
-  quadratic part is a multiple of the identity, Cholesky otherwise;
+  quadratic: a few applications of an eigenbasis built once per run (see
+  :class:`LinearCache`) -- of ``A'A`` when the quadratic part is a
+  multiple of the identity, of the pair ``(A'A, Q + I/gamma)`` for any
+  other ``Q`` when the run's ``gamma`` is fixed -- and a Cholesky
+  factorization per solve otherwise;
 * :func:`solve_inner_newton` -- damped Newton with backtracking for smooth
-  non-quadratic implicit parts.
+  non-quadratic implicit parts, one Cholesky factorization per step.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .problems import GramEigenbasis, ObjectiveOracle, dense
 
@@ -141,34 +143,77 @@ def subproblem_gradient(spec, instance, x):
             + spec.delta * spec.c_k * (A.T @ (spec.c_k * Ax - spec.r_k)))
 
 
+def cholesky_solve(M, rhs):
+    """``M^{-1} rhs`` for a symmetric positive definite ``M`` by LAPACK
+    ``potrf``/``potrs`` on its upper triangle -- the arithmetic of
+    ``cho_solve(cho_factor(M), rhs)`` without the wrappers' checks.
+    ``M`` is left unchanged.  Raises ``np.linalg.LinAlgError`` when ``M``
+    is not positive definite."""
+    c, info = dpotrf(M, lower=0, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"leading minor of order {info} is not positive definite")
+    x, _ = dpotrs(c, rhs, lower=0)
+    return x
+
+
+def generalized_eigenbasis(K, B):
+    """``(evals, V)`` with ``V'BV = I`` and ``V'KV = diag(evals)`` for a
+    symmetric positive semidefinite ``K`` and a positive definite ``B``:
+    with ``B = LL'``, ``V = L^{-T} W`` where ``W`` diagonalizes
+    ``L^{-1} K L^{-T}`` (Golub & Van Loan, *Matrix Computations*, 8.7)."""
+    Linv = np.linalg.inv(np.linalg.cholesky(B))
+    evals, W = np.linalg.eigh(Linv @ K @ Linv.T)
+    return evals, Linv.T @ W
+
+
+def _dense_basis(evals, V):
+    """A :class:`~aalm.problems.GramEigenbasis` applying a dense ``V``."""
+    return GramEigenbasis(evals, lambda y: V @ y, lambda x: V.T @ x)
+
+
 class LinearCache:
     """Per-run precomputation shared by every linear subproblem solve.
 
-    Holds ``A'A`` (sparse when ``A`` is), the implicit ``part``'s ``(Q, q)``
-    and the solve backend, chosen from the instance: when the quadratic
-    part is ``mu I`` (``mu = 0`` in the explicit case), ``basis`` is an
-    eigenbasis of ``A'A`` (a :class:`~aalm.problems.GramEigenbasis`) --
-    the instance's factored ``gram`` when it carries one, else a dense
-    ``eigh`` computed here -- and each solve is a few basis applications.
-    For any other ``Q``, ``basis`` is None and each solve factors the
-    system by Cholesky.
+    Holds ``A'A``, the implicit ``part``'s ``(Q, q)`` and the solve
+    backend, chosen from the instance and the run's stepsize ``gamma``
+    (None when it varies over the run):
+
+    * ``Q = mu I`` (``mu = 0`` in the explicit case): ``basis`` is an
+      orthonormal eigenbasis of ``A'A`` (a
+      :class:`~aalm.problems.GramEigenbasis`) -- the instance's factored
+      ``gram`` when it carries one, else a dense ``eigh`` computed here --
+      and serves every ``gamma``;
+    * any other ``Q`` with a fixed ``gamma``: ``basis`` is a generalized
+      eigenbasis ``V`` of the pair ``(A'A, B)``, ``B = Q + I/gamma`` (kept
+      as ``B``), with ``V'BV = I`` and ``V'A'AV = diag(evals)``, built
+      here once; it serves solves at that ``gamma`` only;
+    * any other ``Q`` otherwise: ``basis`` is None and each solve factors
+      the system by Cholesky (:func:`cholesky_solve`).
+
+    Either way each solve with a basis is a few basis applications.
+    ``A'A`` keeps the storage of ``A`` on the orthonormal path and is
+    dense (formed once) on the other two.
     """
 
-    def __init__(self, instance, part):
+    def __init__(self, instance, part, gamma=None):
         if part is not None and part.quadratic is None:
             raise ValueError("linear path needs a quadratic implicit part; "
                              "use solve_inner_newton instead")
-        self.AtA = instance.A.T @ instance.A
+        AtA = instance.A.T @ instance.A
         self.Q, self.q = part.quadratic if part is not None else (None, None)
         self.mu = self._identity_coefficient()
-        if self.mu is None:
-            self.basis = None
-        elif instance.gram is not None:
+        self.AtA = AtA if self.mu is not None else dense(AtA)
+        self.gamma = self.B = self.basis = None
+        if self.mu is not None and instance.gram is not None:
             self.basis = instance.gram
-        else:
-            evals, evecs = np.linalg.eigh(dense(self.AtA))
-            self.basis = GramEigenbasis(evals, lambda y: evecs @ y,
-                                        lambda x: evecs.T @ x)
+        elif self.mu is not None:
+            self.basis = _dense_basis(*np.linalg.eigh(dense(AtA)))
+        elif gamma is not None:
+            self.gamma = gamma
+            self.B = self.Q + np.eye(self.Q.shape[0]) / gamma
+            self.basis = _dense_basis(
+                *generalized_eigenbasis(self.AtA, self.B))
 
     def _identity_coefficient(self):
         """``mu`` with ``Q = mu I`` (0 without ``Q``), or None."""
@@ -211,9 +256,12 @@ class StepPlan:
         return float(gamma)
 
 
-def step_plan(instance, case, backend=True):
+def step_plan(instance, case, backend=True, gamma=None):
     """The :class:`StepPlan` of ``case`` on ``instance`` (without
-    ``backend``: the split of ``f`` only).  Raises ValueError for a case
+    ``backend``: the split of ``f`` only).  ``gamma`` is the run's
+    stepsize when every step uses it, which lets a linear backend factor
+    a general quadratic part once (see :class:`LinearCache`); None means
+    it may vary.  Raises ValueError for a case
     outside :data:`CASES`, a composite objective without ``split``, a
     linearized part without ``lipschitz``, or a Newton part without
     ``hessian``."""
@@ -232,7 +280,7 @@ def step_plan(instance, case, backend=True):
     if not backend:
         return StepPlan(implicit, linearized)
     if implicit is None or implicit.quadratic is not None:
-        cache = LinearCache(instance, implicit)
+        cache = LinearCache(instance, implicit, gamma)
         return StepPlan(implicit, linearized, cache.AtA, cache)
     if implicit.hessian is None:
         raise ValueError("inner Newton needs an implicit part with a hessian")
@@ -248,12 +296,14 @@ def solve_linear_case(spec, instance, cache=None):
         (Q_eff + gamma^{-1} I + (beta + delta c^2) A'A) x
             = gamma^{-1} xbar - g_anchor - q_eff + A'(beta b - p + delta c r)
 
-    through the cache's eigenbasis of ``A'A`` when it holds one (see
-    :class:`LinearCache`), with one refinement pass, and by a Cholesky
-    factorization otherwise.  Asserts the residual against ``1e-10`` on the
-    backward-error scale ``1 + ||rhs|| + ||M|| ||x||`` (the two scales
-    differ materially once ``delta c^2`` is large and ``A`` has a null
-    space).
+    through the cache's eigenbasis when it holds one for ``spec.gamma``
+    (see :class:`LinearCache`), with one refinement pass, and by a
+    Cholesky factorization otherwise.  Asserts the residual against
+    ``1e-10`` on the backward-error scale ``1 + ||rhs|| + ||M|| ||x||``
+    (the two scales differ materially once ``delta c^2`` is large and
+    ``A`` has a null space), with ``||M||`` the 2-norm on the orthonormal
+    path, the largest diagonal entry (at most the 2-norm) on the
+    generalized one and the infinity norm under Cholesky.
     """
     if cache is None:
         cache = LinearCache(instance, spec.implicit)
@@ -265,24 +315,33 @@ def solve_linear_case(spec, instance, cache=None):
         rhs = rhs - spec.gradient_anchor
     if cache.q is not None:
         rhs = rhs - cache.q
-    if cache.basis is not None:
-        shift = cache.mu + 1.0 / spec.gamma
-        diag = shift + coef * cache.basis.evals
+    if cache.basis is not None and cache.gamma in (None, spec.gamma):
+        # M = h B + coef A'A with V'BV = I: B = I and h = mu + 1/gamma on
+        # the orthonormal path, B = Q + I/gamma and h = 1 on the
+        # generalized one.
+        h = cache.mu + 1.0 / spec.gamma if cache.B is None else 1.0
+
+        def apply_M(x):
+            hBx = h * x if cache.B is None else cache.B @ x
+            return hBx + coef * (cache.AtA @ x)
+
+        diag = h + coef * cache.basis.evals
         V, Vt = cache.basis.apply_V, cache.basis.apply_Vt
         x = V(Vt(rhs) / diag)
         # One refinement pass: the eigenfactorization's backward error
         # leaves an O(n eps ||M||) residual that two extra matvecs remove.
-        r1 = rhs - (shift * x + coef * (cache.AtA @ x))
-        x = x + V(Vt(r1) / diag)
-        Mx = shift * x + coef * (cache.AtA @ x)
+        x = x + V(Vt(rhs - apply_M(x)) / diag)
+        Mx = apply_M(x)
         # A factored basis need not order its eigenvalues.
-        m_scale = float(diag.max())
+        m_scale = float(diag.max() if cache.B is None else
+                        (cache.B.diagonal()
+                         + coef * cache.AtA.diagonal()).max())
     else:
-        M = coef * dense(cache.AtA)
-        M[np.diag_indices_from(M)] += 1.0 / spec.gamma
+        M = coef * cache.AtA
+        M.flat[::M.shape[0] + 1] += 1.0 / spec.gamma
         if cache.Q is not None:
             M = M + cache.Q
-        x = cho_solve(cho_factor(M), rhs)
+        x = cholesky_solve(M, rhs)
         Mx = M @ x
         m_scale = float(np.abs(M).sum(axis=1).max())
     resid = np.linalg.norm(Mx - rhs)
@@ -353,9 +412,9 @@ def solve_inner_newton(spec, instance, policy, x0, report=None, AtA=None):
                 f"inner Newton: {policy.max_inner} iterations, gradient "
                 f"norm {gnorm:.3e} > tol {policy.tol_grad:.3e}", gnorm)
         H = spec.implicit.hessian(x) + coef * AtA
-        H[np.diag_indices_from(H)] += 1.0 / spec.gamma
+        H.flat[::H.shape[0] + 1] += 1.0 / spec.gamma
         try:
-            d = -cho_solve(cho_factor(H), g)
+            d = -cholesky_solve(H, g)
         except np.linalg.LinAlgError:
             d = -g
         if g @ d > -1e-12 * np.linalg.norm(d) * gnorm:

@@ -884,13 +884,63 @@ class TestCli:
         assert (tmp_path / "inst.kkt.csv").exists()
 
     def test_oracle_budget_rejected(self, tmp_path, capsys):
-        """``aalm oracle`` has no ``--budget``: argparse rejects it."""
+        """``aalm oracle`` has no ``--budget``: argparse rejects it, with
+        the configuration exit code."""
         path = tmp_path / "inst.json"
         path.write_text(json.dumps({"builtin": "qp", "n": 6, "m": 2}))
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["oracle", str(path), "--budget", "5"])
+        assert exc.value.code == 1
         assert "unrecognized arguments: --budget" in capsys.readouterr().err
         assert not (tmp_path / "inst.kkt.csv").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--frobnicate"], "unrecognized arguments"),
+        (["run"], "the following arguments are required: config"),
+        (["certify-schedule"], "the following arguments are required"),
+        (["certify-schedule", "--rule", "cd", "--kmax", "many"],
+         "invalid int value"),
+        (["solve"], "invalid choice"),
+    ])
+    def test_usage_error_exits_config(self, argv, message, capsys):
+        """argparse's usage errors exit 1, not its own 2, which is the
+        solver-failure code here."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"],
+                                      ["oracle", "-h"]])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: aalm" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("objective, key", [
+        ({"kind": "qp", "q": "q.csv"}, "'Q'"),
+        ({"kind": "qp", "Q": "Q.csv"}, "'q'"),
+        ({"kind": "lp-regression", "c": "c.csv", "p": 1.5}, "'B'"),
+        ({"kind": "lp-regression", "B": "B.csv", "p": 1.5}, "'c'"),
+        ({"kind": "lp-regression", "B": "B.csv", "c": "c.csv"}, "'p'"),
+        ({"kind": "lp-regression", "B": "B.csv", "c": "c.csv", "p": "1.5"},
+         "p must be a number"),
+    ])
+    def test_oracle_manifest_objective_keys(self, tmp_path, capsys,
+                                            objective, key):
+        """A missing matrix or exponent key, or an exponent that is not a
+        number, is a configuration error naming the key."""
+        for fname, arr in (("Q.csv", np.eye(2)), ("q.csv", np.ones(2)),
+                           ("B.csv", np.eye(2)), ("c.csv", np.ones(2)),
+                           ("A.csv", np.ones((1, 2))), ("b.csv", np.ones(1))):
+            _write_matrix(tmp_path / fname, arr)
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"objective": objective, "A": "A.csv",
+                                    "b": "b.csv"}))
+        assert main(["oracle", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
 
     def test_oracle_missing_file(self, tmp_path, capsys):
         assert main(["oracle", str(tmp_path / "absent.json")]) == 1

@@ -10,20 +10,29 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from aalm import (
     InnerSolverPolicy,
     MaxInnerIterations,
+    ObjectiveOracle,
+    ProblemInstance,
+    SolverConfig,
     SubproblemSpec,
+    chambolle_dossal,
     make_qp,
     make_random_lp,
     make_random_qp,
     make_ring_logistic,
     multiplier_update,
+    nesterov,
+    run,
     solve_inner_newton,
     solve_linear_case,
 )
+from aalm import subsolver
 from aalm.subsolver import (
+    cholesky_solve,
     step_plan,
     subproblem_gradient,
     subproblem_value,
@@ -241,32 +250,50 @@ class TestSolveLinearCase:
 
     def test_backend_chosen_from_instance(self):
         """gram for mu I with a gram basis (explicit included), a dense
-        eigh for mu I without one, Cholesky (no basis) for a general Q."""
+        eigh for mu I without one, whatever the plan's gamma; for a
+        general Q, a generalized eigenbasis when the plan is built for a
+        fixed gamma and Cholesky (no basis) otherwise."""
         ring = make_ring_logistic(p_agents=4, m_dim=5, rho_reg=0.5, seed=0)
         rng = np.random.default_rng(9)
         G = rng.normal(size=(20, 20))
         q = rng.normal(size=20)
+        Q = G @ G.T + np.eye(20)
+        AtA = (ring.A.T @ ring.A).toarray()
         ident = make_qp(3.0 * np.eye(20), q, ring.A, ring.b)
-        general = make_qp(G @ G.T + np.eye(20), q, ring.A, ring.b)
-        for inst, case, backend in (
-                (replace(ident, gram=ring.gram), "implicit", "gram"),
-                (replace(general, gram=ring.gram), "explicit", "gram"),
-                (ring, "explicit", "gram"),
-                (ident, "implicit", "eigh"),
-                (general, "explicit", "eigh"),
-                (replace(general, gram=ring.gram), "implicit", None),
-                (general, "implicit", None)):
-            basis = step_plan(inst, case).cache.basis
-            if backend == "gram":
-                assert basis is ring.gram
-            elif backend == "eigh":
-                assert basis is not None and basis is not ring.gram
-                Vt = basis.apply_Vt(np.eye(20))
-                np.testing.assert_allclose(
-                    basis.apply_V(basis.evals[:, None] * Vt),
-                    (ring.A.T @ ring.A).toarray(), rtol=0, atol=1e-12)
-            else:
-                assert basis is None
+        general = make_qp(Q, q, ring.A, ring.b)
+        for gamma in (None, 0.5):
+            for inst, case, backend in (
+                    (replace(ident, gram=ring.gram), "implicit", "gram"),
+                    (replace(general, gram=ring.gram), "explicit", "gram"),
+                    (ring, "explicit", "gram"),
+                    (ident, "implicit", "eigh"),
+                    (general, "explicit", "eigh"),
+                    (replace(general, gram=ring.gram), "implicit",
+                     gamma and "generalized"),
+                    (general, "implicit", gamma and "generalized")):
+                cache = step_plan(inst, case, gamma=gamma).cache
+                basis = cache.basis
+                if backend is None:
+                    assert basis is None and cache.gamma is None
+                    continue
+                assert cache.gamma == (0.5 if backend == "generalized"
+                                       else None)
+                if backend == "gram":
+                    assert basis is ring.gram
+                    continue
+                V = basis.apply_V(np.eye(20))
+                if backend == "eigh":
+                    assert basis is not ring.gram
+                    np.testing.assert_allclose(
+                        V @ (basis.evals[:, None] * V.T), AtA,
+                        rtol=0, atol=1e-12)
+                else:
+                    np.testing.assert_allclose(
+                        V.T @ (Q + 2.0 * np.eye(20)) @ V, np.eye(20),
+                        rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(
+                        V.T @ AtA @ V, np.diag(basis.evals),
+                        rtol=0, atol=1e-12)
 
     def test_nonquadratic_implicit_rejected(self):
         """The linear path refuses non-quadratic implicit parts."""
@@ -274,6 +301,118 @@ class TestSolveLinearCase:
         spec = _spec(inst.objective, n=6)
         with pytest.raises(ValueError, match="quadratic"):
             solve_linear_case(spec, inst)
+
+
+class TestGeneralizedBasis:
+    """A general Q at a fixed gamma: one generalized eigenbasis of
+    ``(A'A, Q + I/gamma)`` per run in place of a Cholesky per solve."""
+
+    GAMMA = 0.7
+
+    @staticmethod
+    def _instances():
+        """The suite's QP testbed, and a copy whose A repeats two rows (a
+        rank-deficient A'A with a larger null space)."""
+        qp = make_random_qp(n=50, m=10, seed=0)
+        Q, q = qp.objective.quadratic
+        A = np.vstack([qp.A, qp.A[:2]])
+        b = np.concatenate([qp.b, qp.b[:2]])
+        return qp, make_qp(Q, q, A, b)
+
+    def _spec(self, inst, coef, seed):
+        rng = np.random.default_rng(seed)
+        m = inst.n_constraints
+        return _spec(inst.objective, gamma=self.GAMMA, beta=0.0, delta=coef,
+                     c_k=1.0, p_k=rng.normal(size=m), r_k=rng.normal(size=m),
+                     xbar_k=rng.normal(size=inst.dim), m=m, n=inst.dim)
+
+    def test_matches_dense_solve(self):
+        for inst in self._instances():
+            cache = step_plan(inst, "implicit", gamma=self.GAMMA).cache
+            assert cache.basis is not None and cache.B is not None
+            Q, q = inst.objective.quadratic
+            for seed, coef in enumerate((1.0, 1e2, 1e4)):
+                spec = self._spec(inst, coef, seed)
+                np.testing.assert_allclose(
+                    solve_linear_case(spec, inst, cache),
+                    TestSolveLinearCase._dense_solve(spec, Q, q, inst.A,
+                                                     inst.b),
+                    rtol=0, atol=1e-10)
+
+    def test_residual_assertion_holds_at_large_coefficients(self):
+        """solve_linear_case asserts its residual on every solve, so
+        returning is the check."""
+        for inst in self._instances():
+            cache = step_plan(inst, "implicit", gamma=self.GAMMA).cache
+            for seed, coef in enumerate((1e6, 1e8, 1e10)):
+                x = solve_linear_case(self._spec(inst, coef, seed), inst,
+                                      cache)
+                assert np.all(np.isfinite(x))
+
+    def test_other_gamma_refactors(self):
+        """A basis serves its own gamma only; a solve at another gamma
+        takes the Cholesky path and still matches the dense solve."""
+        inst, _ = self._instances()
+        cache = step_plan(inst, "implicit", gamma=self.GAMMA).cache
+        Q, q = inst.objective.quadratic
+        spec = replace(self._spec(inst, 1e2, 0), gamma=0.3)
+        np.testing.assert_allclose(
+            solve_linear_case(spec, inst, cache),
+            TestSolveLinearCase._dense_solve(spec, Q, q, inst.A, inst.b),
+            rtol=0, atol=1e-10)
+
+
+class TestFactorizationsPerRun:
+    """An unscaled implicit run on a general Q factors once; a scaled
+    one, whose gamma changes every step, once per iteration."""
+
+    @staticmethod
+    def _counted_run(monkeypatch, schedule):
+        counts = {"basis": 0, "dpotrf": 0}
+
+        def spy(name, fn):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(subsolver, "generalized_eigenbasis",
+                            spy("basis", subsolver.generalized_eigenbasis))
+        monkeypatch.setattr(subsolver, "dpotrf",
+                            spy("dpotrf", subsolver.dpotrf))
+        inst = make_random_qp(n=50, m=10, seed=0)
+        cfg = SolverConfig(schedule=schedule, case="implicit", max_iter=300)
+        run(inst, cfg, np.zeros(50), np.zeros(10))
+        return counts
+
+    def test_fixed_gamma_builds_one_basis(self, monkeypatch):
+        counts = self._counted_run(monkeypatch, chambolle_dossal(10.0))
+        assert counts == {"basis": 1, "dpotrf": 0}
+
+    def test_scaled_run_factors_every_step(self, monkeypatch):
+        sched = replace(chambolle_dossal(10.0), xi=np.sqrt)
+        counts = self._counted_run(monkeypatch, sched)
+        assert counts == {"basis": 0, "dpotrf": 300}
+
+
+class TestCholeskySolve:
+    """The LAPACK helper is scipy's cho_factor/cho_solve arithmetic."""
+
+    def test_bitwise_equal_to_scipy(self):
+        rng = np.random.default_rng(3)
+        for n in (1, 7, 50):
+            G = rng.normal(size=(n, n))
+            M = G @ G.T + 0.1 * np.eye(n)
+            r = rng.normal(size=n)
+            keep = M.copy()
+            x = cholesky_solve(M, r)
+            np.testing.assert_array_equal(x, cho_solve(cho_factor(M), r))
+            np.testing.assert_array_equal(M, keep)
+
+    def test_not_positive_definite_raises(self):
+        M = np.diag([1.0, -1.0, 2.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            cholesky_solve(M, np.ones(3))
 
 
 class TestInnerNewton:
@@ -330,12 +469,47 @@ class TestInnerNewton:
         gnorm = np.linalg.norm(inst.objective.gradient(spec.xbar_k))
         assert np.linalg.norm(x - spec.xbar_k) <= 1e-6 * (1.0 + gnorm)
 
+    def test_indefinite_hessian_falls_back_to_steepest_descent(self):
+        """A Hessian oracle that reports ``-3 I`` for ``f = ||x - a||^2/2``
+        makes every Newton system ``-2.5 I + coef A'A`` indefinite (A has
+        a null space), so Cholesky fails and each inner step is steepest
+        descent.  The run still meets every inner tolerance and follows
+        the run with the true Hessian.  (A is small and gamma = 2 so that
+        the true subproblem Hessian stays below 2 and unit steps, which
+        the line search takes once the decrease is below the value's
+        resolution, still contract.)"""
+        A = 0.02 * np.array([[1.0, 0.5, 0.0], [0.0, 1.0, -0.5]])
+        b = np.array([0.02, -0.02])
+        a = np.array([0.3, -0.2, 0.5])
+
+        def instance(hessian):
+            return ProblemInstance(ObjectiveOracle(
+                lambda x: 0.5 * float((x - a) @ (x - a)),
+                lambda x: x - a, hessian=hessian), A, b, "shifted-norm")
+
+        cfg = SolverConfig(schedule=nesterov(), case="implicit", gamma=2.0,
+                           max_iter=30)
+        runs = {}
+        for name, h in (("true", np.eye(3)), ("indefinite", -3.0 * np.eye(3))):
+            log = []
+            state, trace = run(instance(lambda x, h=h: h.copy()), cfg,
+                               np.zeros(3), np.zeros(2), inner_log=log)
+            assert all(e["grad_norm"] <= e["tol"] for e in log)
+            runs[name] = state, trace, max(e["iterations"] for e in log)
+        (x_true, t_true, n_true) = runs["true"]
+        (x_sd, t_sd, n_sd) = runs["indefinite"]
+        assert n_true == 1 < n_sd
+        np.testing.assert_allclose(x_sd.x_curr, x_true.x_curr, rtol=0,
+                                   atol=1e-7)
+        np.testing.assert_allclose([r.feas for r in t_sd],
+                                   [r.feas for r in t_true], rtol=0,
+                                   atol=1e-8)
+
     def test_missing_hessian_rejected(self):
         """Objectives without second-order access cannot use this path:
         their implicit plan has no solve backend."""
         inst = make_random_qp(n=4, m=2, seed=0)
         obj = inst.objective
-        from aalm import ObjectiveOracle, ProblemInstance
         stripped = ProblemInstance(
             ObjectiveOracle(obj.value, obj.gradient), inst.A, inst.b,
             "no-hessian")
