@@ -19,7 +19,7 @@ with ``repr`` so traces round-trip exactly and re-running a config
 byte-identically reproduces its outputs.  The environment variable
 ``AALM_OUTPUT_DIR`` overrides the config's ``output_dir`` when set.
 
-The non-accelerated baseline (:func:`vanilla_alm_step`) is the classical
+The non-accelerated baseline (:func:`run_vanilla`) is the classical
 proximal augmented Lagrangian iteration
 
     x_{k+1} = argmin f + <lam_k, Ax - b> + (beta/2)||Ax - b||^2
@@ -28,9 +28,10 @@ proximal augmented Lagrangian iteration
 
 with the same implicit/linearized treatment of ``f`` as the accelerated
 loop, so a comparison at equal stepsizes isolates the effect of the
-momentum and dual corrections.  Only the step differs: the step plan
-(with its ``gamma`` rule), the subproblem solve and the run loop are the
-accelerated ones.
+momentum and dual corrections.  It is the accelerated step on ``t_k = 1``
+with ``eta = 1`` (``alpha_k = 0``, ``c_k = 1``) and penalty weight
+``beta - delta``, so it needs ``delta <= beta`` and its records carry the
+energy certificate at ``beta - delta``.
 """
 
 from __future__ import annotations
@@ -51,10 +52,9 @@ from .diagnostics import TRACE_FIELDS, TraceRecord, fit_rate, littleo_witness
 from .oracle import cached_reference
 from .problems import (make_lp_regression, make_qp, make_random_lp,
                        make_random_qp, make_ring_logistic)
-from .schedule import SCHEDULE_RULES, named_schedule
+from .schedule import SCHEDULE_RULES, custom_schedule, named_schedule
 from .solver import SolverConfig, StoppingRule
-from .subsolver import (CASES, InnerSolverPolicy, SubproblemSpec,
-                        multiplier_update, solve_subproblem, step_plan)
+from .subsolver import CASES, InnerSolverPolicy, step_plan
 
 # Fixed offset deriving the instance's stream from the master seed.
 INSTANCE_SEED_OFFSET = 1000
@@ -210,6 +210,7 @@ def _parse_solver(block, iterations):
         cfg = VanillaConfig(case=case, gamma=block.get("gamma"),
                             delta=block.get("delta", 1.0),
                             beta=block.get("beta", 1.0), inner=inner)
+        _check_vanilla(cfg, f"vanilla solver {name!r}")
     elif method == "aalm":
         if "schedule" not in block:
             raise ConfigError(f"solver {name!r} needs a schedule")
@@ -303,26 +304,35 @@ def load_manifest(path):
         raise ConfigError(f"malformed JSON in {path}: {e}") from None
     _check_keys(raw, {"name", "objective", "A", "b"}, "manifest")
     _require_keys(raw, ("objective", "A", "b"), "manifest")
-    base = path.parent
-    A = _load_array(base / raw["A"], keep_sparse=True)
+    obj = raw["objective"]
+    if not isinstance(obj, dict):
+        raise ConfigError(f"objective must be a JSON object, got {obj!r} "
+                          f"(manifest)")
+
+    def load(block, key, context, **kw):
+        if not isinstance(block[key], str):
+            raise ConfigError(f"{key} must be a file path, got "
+                              f"{block[key]!r} ({context})")
+        return _load_array(path.parent / block[key], **kw)
+
+    A = load(raw, "A", "manifest", keep_sparse=True)
     if not scipy.sparse.issparse(A):
         A = np.atleast_2d(A)
-    b = np.atleast_1d(_load_array(base / raw["b"]))
-    obj = raw["objective"]
+    b = np.atleast_1d(load(raw, "b", "manifest"))
     kind = obj.get("kind")
     name = raw.get("name", path.stem)
     if kind == "qp":
         _check_keys(obj, {"kind", "Q", "q"}, "objective")
         _require_keys(obj, ("Q", "q"), "objective")
-        Q = np.atleast_2d(_load_array(base / obj["Q"]))
-        q = np.atleast_1d(_load_array(base / obj["q"]))
+        Q = np.atleast_2d(load(obj, "Q", "objective"))
+        q = np.atleast_1d(load(obj, "q", "objective"))
         return make_qp(Q, q, A, b, name=name)
     if kind == "lp-regression":
         _check_keys(obj, {"kind", "B", "c", "p"}, "objective")
         _require_keys(obj, ("B", "c", "p"), "objective")
         _check_real(obj, ("p",), "objective")
-        B = np.atleast_2d(_load_array(base / obj["B"]))
-        c = np.atleast_1d(_load_array(base / obj["c"]))
+        B = np.atleast_2d(load(obj, "B", "objective"))
+        c = np.atleast_1d(load(obj, "c", "objective"))
         return make_lp_regression(B, c, float(obj["p"]), A, b, name=name)
     raise ConfigError(f"unknown objective kind {kind!r}")
 
@@ -368,47 +378,36 @@ def build_problem(block, master_seed=0):
 # ---------------------------------------------------------------------------
 # The vanilla (non-accelerated) proximal ALM baseline.
 
-def vanilla_alm_step(state, vcfg, instance, plan=None):
-    """One proximal ALM iteration (no extrapolation, no dual correction).
-
-    Encoded through the shared subproblem machinery with ``c_k = 0``,
-    ``p_k = lam_k``, ``xbar = x_k`` followed by the plain dual ascent
-    ``lam + delta (A x_{k+1} - b)``.  ``vcfg.gamma`` must be set.
-    """
-    if plan is None:
-        plan = step_plan(instance, vcfg.case)
-    spec = SubproblemSpec(
-        gamma=vcfg.gamma, beta=vcfg.beta, delta=vcfg.delta, c_k=0.0,
-        p_k=state.lam_curr, r_k=np.zeros_like(state.lam_curr),
-        xbar_k=state.x_curr, implicit=plan.implicit,
-        gradient_anchor=plan.anchor(state.x_curr))
-    x_next = solve_subproblem(spec, instance, plan, vcfg.inner, state)
-    lam_next = multiplier_update(state.lam_curr, vcfg.delta, 1.0,
-                                 instance.A, x_next, instance.b)
-    return state.successor(x_next, lam_next)
+def _check_vanilla(vcfg, where="the vanilla baseline"):
+    """Reject a baseline with ``delta > beta``: its ``t_k = 1`` run would
+    need the accelerated penalty weight ``beta - delta < 0``."""
+    if vcfg.delta > vcfg.beta:
+        raise ConfigError(f"{where} needs delta <= beta, got delta = "
+                          f"{vcfg.delta!r} > beta = {vcfg.beta!r}")
 
 
-def resolve_vanilla(instance, vcfg):
-    """``vcfg`` with a float ``gamma`` by the accelerated loop's rule,
-    :meth:`aalm.subsolver.StepPlan.stepsize`."""
-    plan = step_plan(instance, vcfg.case, backend=False)
-    return replace(vcfg, gamma=plan.stepsize(vcfg.gamma))
+# The benchmark's span tracer (bench/tracing.py) still wraps the baseline's
+# step by this name; it is the accelerated step, under the same span.
+vanilla_alm_step = aalm_solver.step
 
 
 def run_vanilla(instance, vcfg, iterations, x0, lam0, kkt=None):
     """Run the baseline; returns ``(state, trace)`` like :func:`aalm.solver.run`.
 
-    Records carry ``t_k = 1`` (no schedule) and NaN energy; the gap and
-    residual fields are directly comparable with accelerated traces.
+    The run is the accelerated loop on ``t_k = 1``, ``eta = 1`` with
+    ``beta - delta`` in place of ``beta`` (see the module docstring), so
+    records carry ``t_k = 1`` and the energy and gap at ``beta - delta``.
     """
-    vcfg = resolve_vanilla(instance, vcfg)
+    _check_vanilla(vcfg)
+    gamma = step_plan(instance, vcfg.case, backend=False).stepsize(vcfg.gamma)
+    config = SolverConfig(schedule=custom_schedule(np.ones_like, eta=1.0),
+                          case=vcfg.case, gamma=gamma, delta=vcfg.delta,
+                          beta=vcfg.beta - vcfg.delta, max_iter=iterations,
+                          inner=vcfg.inner)
     ones = np.ones(iterations + 1)
-    state = aalm_solver._start(instance, x0, lam0, ones, ones)
     return aalm_solver._run_loop(
-        instance, vcfg.case, state,
-        lambda state, plan: vanilla_alm_step(state, vcfg, instance, plan),
-        iterations, (vcfg.gamma, vcfg.delta, 1.0, vcfg.beta), kkt,
-        certified=False)
+        instance, config, aalm_solver._start(instance, x0, lam0, ones, ones),
+        kkt)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +532,10 @@ def run_experiment(config):
                 row.update(rho=resolved.schedule.rho,
                            eta=resolved.schedule.eta)
             else:
-                resolved = resolve_vanilla(instance, entry.config)
+                # The row states the baseline's own beta, not beta - delta.
+                vcfg = entry.config
+                resolved = replace(vcfg, gamma=step_plan(
+                    instance, vcfg.case, backend=False).stepsize(vcfg.gamma))
                 _, trace = run_vanilla(instance, resolved, config.iterations,
                                        x0, lam0, kkt=kkt)
             row.update(case=resolved.case, gamma=resolved.gamma,

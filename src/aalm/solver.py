@@ -29,20 +29,22 @@ multiplies both stepsizes by ``xi_{k+1}`` at iteration ``k`` (implicit
 case only); rates are then measured against ``t_k^2 xi_k`` and every
 trace record carries that scaling.
 
-:func:`run` and the baseline :func:`aalm.harness.run_vanilla` share one
-loop, which fixes the split of ``f`` and step 3's solve backend once per
-run (:func:`aalm.subsolver.step_plan`).
+The baseline :func:`aalm.harness.run_vanilla` is :func:`step` on
+``t_k = 1``, ``eta = 1`` (``alpha_k = 0``, ``c_k = 1``: no extrapolation,
+no dual correction) with ``beta`` lowered by ``delta``, so it runs in the
+loop :func:`run` uses.  That loop fixes the split of ``f`` and step 3's
+solve backend once per run (:func:`aalm.subsolver.step_plan`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from .diagnostics import TraceRecord, make_record
-from .problems import KKTPoint, ProblemInstance, dense
+from .problems import dense
 from .schedule import Schedule, coefficients, generate_scaled, resolve
 from .subsolver import (InnerSolverPolicy, SubproblemSpec, multiplier_update,
                         solve_subproblem, step_plan)
@@ -322,44 +324,32 @@ def _run_resolved(instance, config, x0, lam0, kkt=None, inner_log=None):
     """:func:`run` for a ``config`` that :func:`resolve_config` returned,
     so its schedule is certified once per run."""
     state = initial_state(instance, config, x0, lam0)
+    return _run_loop(instance, config, state, kkt, inner_log)
 
-    def advance(state, plan):
+
+def _run_loop(instance, config, state, kkt=None, inner_log=None):
+    """Advance ``state`` by :func:`step` for ``config.max_iter`` iterations
+    or until ``config.stop``, recording each iterate with ``config``'s own
+    ``gamma, delta, eta, beta``.  ``config`` has a float ``gamma`` and a
+    numeric ``eta``; the step plan is built for that ``gamma`` when every
+    stepsize factor ``xi_{k+1}`` is 1."""
+    fixed = np.all(state.xi_seq[state.k:] == 1.0)
+    plan = step_plan(instance, config.case,
+                     gamma=config.gamma if fixed else None)
+    f_star = instance.objective.value(kkt.x) if kkt is not None else None
+    trace: List[TraceRecord] = []
+    for _ in range(config.max_iter):
         report = {} if inner_log is not None else None
         state = step(state, config, instance, plan, inner_report=report)
         if report is not None:
             inner_log.append({"k": state.k, **report})
-        return state
-
-    return _run_loop(instance, config.case, state, advance, config.max_iter,
-                     (config.gamma, config.delta, config.schedule.eta,
-                      config.beta), kkt, stop=config.stop)
-
-
-def _run_loop(instance, case, state, advance, max_iter, params, kkt,
-              stop=StoppingRule(), certified=True):
-    """The loop shared by :func:`run` and :func:`aalm.harness.run_vanilla`:
-    ``state = advance(state, plan)`` for ``max_iter`` iterations or until
-    ``stop``, with the run's ``plan = step_plan(instance, case)``,
-    recording each iterate with ``params = (gamma, delta, eta, beta)``
-    (NaN energy unless ``certified``).  The plan is built for ``gamma``
-    when every step uses it, that is when every stepsize factor
-    ``xi_{k+1}`` is 1."""
-    gamma, delta, eta, beta = params
-    fixed = np.all(state.xi_seq[state.k:] == 1.0)
-    plan = step_plan(instance, case, gamma=gamma if fixed else None)
-    f_star = instance.objective.value(kkt.x) if kkt is not None else None
-    trace: List[TraceRecord] = []
-    for _ in range(max_iter):
-        state = advance(state, plan)
         rec = make_record(instance, state.k, state.t_curr,
                           state.x_curr, state.x_prev,
                           state.lam_curr, state.lam_prev,
-                          gamma, delta, eta, beta,
+                          config.gamma, config.delta, config.schedule.eta,
+                          config.beta,
                           xi_k=state.xi_curr, kkt=kkt, f_star=f_star)
-        if not certified:
-            # No Lyapunov certificate applies to the baseline.
-            rec = replace(rec, energy_E=float("nan"))
         trace.append(rec)
-        if stop.satisfied(rec.feas, rec.stat_res):
+        if config.stop.satisfied(rec.feas, rec.stat_res):
             break
     return state, trace

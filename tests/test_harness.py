@@ -10,16 +10,16 @@ import scipy.sparse
 from numpy.testing import assert_allclose
 
 from aalm.cli import main
-from aalm.diagnostics import TRACE_FIELDS, TraceRecord, fit_rate
+from aalm.diagnostics import TRACE_FIELDS, TraceRecord, energy, fit_rate, gap
 from aalm.harness import (ConfigError, VanillaConfig, build_problem,
                           load_manifest, parse_config, read_trace_csv,
-                          resolve_vanilla, run_experiment, run_vanilla,
-                          summarize_trace, write_trace_csv)
-from aalm.oracle import instance_hash, kkt_solve_qp, load_kkt
+                          run_experiment, run_vanilla, summarize_trace,
+                          write_trace_csv)
+from aalm.oracle import instance_hash, kkt_refine, kkt_solve_qp, load_kkt
 from aalm.problems import (ObjectiveOracle, ProblemInstance,
                            make_lp_regression, make_random_lp, make_random_qp,
                            make_ring_logistic)
-from aalm.subsolver import InnerSolverPolicy, MaxInnerIterations
+from aalm.subsolver import InnerSolverPolicy, MaxInnerIterations, step_plan
 from aalm.schedule import nesterov
 from aalm import solver as aalm_solver
 from aalm.solver import SolverConfig, StoppingRule, resolve_config, run
@@ -147,6 +147,16 @@ class TestParseConfig:
             cfg["solvers"][1][bad] = value
             with pytest.raises(ConfigError, match="vanilla"):
                 parse_config(cfg)
+
+    def test_vanilla_delta_above_beta_rejected(self):
+        """A baseline with delta > beta would run at beta - delta < 0 on
+        t_k = 1; parsing rejects it and names the solver."""
+        cfg = _qp_config()
+        cfg["solvers"][1].update(delta=2.0, beta=1.5)
+        with pytest.raises(ConfigError, match="'plain' needs delta <= beta"):
+            parse_config(cfg)
+        cfg["solvers"][1]["beta"] = 2.0
+        assert parse_config(cfg).solvers[1].config.delta == 2.0
 
     def test_use_eig_accepted_and_ignored(self, tmp_path, monkeypatch):
         """Older aalm entries may carry a boolean use_eig; it changes no
@@ -336,6 +346,22 @@ class TestManifest:
         with pytest.raises(ConfigError, match="unknown key"):
             load_manifest(tmp_path / "inst.json")
 
+    @pytest.mark.parametrize("entry, key", [
+        ({"A": 3}, "A"), ({"b": [1.0]}, "b"),
+        ({"objective": {"kind": "qp", "Q": 5, "q": "q.csv"}}, "Q"),
+        ({"objective": {"kind": "lp-regression", "B": "B.csv", "c": {},
+                        "p": 1.5}}, "c")])
+    def test_matrix_path_not_a_string_rejected(self, tmp_path, entry, key):
+        manifest = {"objective": {"kind": "qp", "Q": "Q.csv", "q": "q.csv"},
+                    "A": "A.csv", "b": "b.csv", **entry}
+        for fname, arr in (("Q.csv", np.eye(2)), ("q.csv", np.ones(2)),
+                           ("B.csv", np.eye(2)), ("A.csv", np.ones((1, 2))),
+                           ("b.csv", np.ones(1))):
+            _write_matrix(tmp_path / fname, arr)
+        (tmp_path / "inst.json").write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError, match=rf"^{key} must be a file path"):
+            load_manifest(tmp_path / "inst.json")
+
     def test_unreadable_manifest_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read manifest"):
             load_manifest(tmp_path / "absent.json")
@@ -393,6 +419,15 @@ class TestBuildProblem:
                            "seed": 3})
 
 
+# (factory, case, iterations) of the baseline runs whose energy is checked.
+VANILLA_FAMILIES = {
+    "qp": (lambda: make_random_qp(50, 10), "explicit", 2000),
+    "lp": (lambda: make_random_lp(seed=0), "implicit", 1000),
+    "ring": (lambda: make_ring_logistic(10, 20, 0.5, seed=0), "explicit",
+             300),
+}
+
+
 class TestVanillaBaseline:
     """The non-accelerated proximal ALM used as the comparison point."""
 
@@ -405,16 +440,43 @@ class TestVanillaBaseline:
         assert np.linalg.norm(state.lam_curr - qp_reference.lam) <= 1e-12
         assert max(r.feas for r in trace) <= 1e-13
 
-    def test_trace_has_unit_t_and_nan_energy(self, qp_testbed, qp_reference):
-        """Baseline records carry t_k = 1 and no Lyapunov certificate."""
-        _, trace = run_vanilla(qp_testbed, VanillaConfig(), 10,
-                               np.zeros(qp_testbed.dim),
-                               np.zeros(qp_testbed.n_constraints),
-                               kkt=qp_reference)
-        assert [r.k for r in trace] == list(range(2, 12))
+    @pytest.mark.parametrize("family", sorted(VANILLA_FAMILIES))
+    def test_trace_has_unit_t_and_certified_energy(self, family):
+        """Baseline records carry t_k = 1 and the energy at beta - delta,
+        which never rises above c2's cap from its formula-level E_1."""
+        make, case, iters = VANILLA_FAMILIES[family]
+        inst = make()
+        kkt = kkt_refine(inst)
+        vcfg = VanillaConfig(case=case)
+        x0, lam0 = np.zeros(inst.dim), np.zeros(inst.n_constraints)
+        _, trace = run_vanilla(inst, vcfg, iters, x0, lam0, kkt=kkt)
+        assert [r.k for r in trace] == list(range(2, iters + 2))
         assert all(r.t_k == 1.0 for r in trace)
-        assert all(np.isnan(r.energy_E) for r in trace)
         assert all(np.isfinite(r.obj_res) for r in trace)
+        gamma = step_plan(inst, case, backend=False).stepsize(None)
+        e1 = energy(inst, kkt, gamma, vcfg.delta, 1.0,
+                    vcfg.beta - vcfg.delta, 1.0, x0, x0, lam0, lam0)
+        energies = np.array([e1] + [r.energy_E for r in trace])
+        assert np.max(np.diff(energies)) <= 1e-10 * max(1.0, e1)
+
+    @pytest.mark.parametrize("delta", [1.0, 0.5])
+    def test_gap_is_taken_at_beta_minus_delta(self, qp_testbed,
+                                              qp_reference, delta):
+        """The recorded gap is H at beta - delta: the gap at beta less
+        (delta/2) feas^2.  A short run is a prefix of a long one."""
+        vcfg = VanillaConfig(delta=delta)
+        x0 = np.zeros(qp_testbed.dim)
+        lam0 = np.zeros(qp_testbed.n_constraints)
+        _, trace = run_vanilla(qp_testbed, vcfg, 2000, x0, lam0,
+                               kkt=qp_reference)
+        for n in (1, 2, 5, 20):
+            state, short = run_vanilla(qp_testbed, vcfg, n, x0, lam0,
+                                       kkt=qp_reference)
+            rec = short[-1]
+            assert rec == trace[n - 1]
+            at_beta = gap(qp_testbed, qp_reference, vcfg.beta, state.x_curr)
+            assert_allclose(rec.gap_H + 0.5 * vcfg.delta * rec.feas ** 2,
+                            at_beta, rtol=1e-12)
 
     def test_converges_linearly_on_qp(self, qp_testbed, qp_reference):
         """On a strongly convex QP the fixed-stepsize loop reaches the
@@ -470,10 +532,23 @@ class TestVanillaBaseline:
         """The baseline's linearized step obeys the accelerated loop's
         stepsize restriction, checked before any iteration."""
         L = qp_testbed.objective.lipschitz
+        x0 = np.zeros(qp_testbed.dim)
+        lam0 = np.zeros(qp_testbed.n_constraints)
         with pytest.raises(ValueError, match="stepsize restriction"):
-            resolve_vanilla(qp_testbed, VanillaConfig(gamma=50.0 / L))
-        assert resolve_vanilla(qp_testbed, VanillaConfig(
-            case="implicit", gamma=50.0 / L)).gamma == 50.0 / L
+            run_vanilla(qp_testbed, VanillaConfig(gamma=50.0 / L), 1,
+                        x0, lam0)
+        state, trace = run_vanilla(qp_testbed, VanillaConfig(
+            case="implicit", gamma=50.0 / L), 1, x0, lam0)
+        x, lam = state.x_curr, state.lam_curr
+        assert_allclose(trace[0].step_norm_M ** 2,
+                        x @ x / (50.0 / L) + lam @ lam, rtol=1e-12)
+
+    def test_delta_above_beta_rejected(self, qp_testbed):
+        """A baseline that would need beta - delta < 0 is not run."""
+        with pytest.raises(ConfigError, match="needs delta <= beta"):
+            run_vanilla(qp_testbed, VanillaConfig(delta=1.5), 1,
+                        np.zeros(qp_testbed.dim),
+                        np.zeros(qp_testbed.n_constraints))
 
     def test_inner_failure_names_iteration(self):
         """An inner Newton failure of the baseline names k and t_k."""
@@ -926,11 +1001,14 @@ class TestCli:
         ({"kind": "lp-regression", "B": "B.csv", "c": "c.csv"}, "'p'"),
         ({"kind": "lp-regression", "B": "B.csv", "c": "c.csv", "p": "1.5"},
          "p must be a number"),
+        ("qp", "objective must be a JSON object"),
+        ({"kind": "qp", "Q": 5, "q": "q.csv"}, "Q must be a file path"),
     ])
     def test_oracle_manifest_objective_keys(self, tmp_path, capsys,
                                             objective, key):
-        """A missing matrix or exponent key, or an exponent that is not a
-        number, is a configuration error naming the key."""
+        """A missing matrix or exponent key, an exponent that is not a
+        number, an objective that is not an object or a matrix path that
+        is not a string is a configuration error naming the key."""
         for fname, arr in (("Q.csv", np.eye(2)), ("q.csv", np.ones(2)),
                            ("B.csv", np.eye(2)), ("c.csv", np.ones(2)),
                            ("A.csv", np.ones((1, 2))), ("b.csv", np.ones(1))):

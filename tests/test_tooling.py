@@ -79,3 +79,23 @@ def test_oracle_imports_no_solver_layer():
     bad = sorted(name for name in imported
                  if layers & set(name.split(".")))
     assert bad == [], bad
+
+
+def test_vanilla_steps_are_solver_step_spans():
+    """The baseline runs the accelerated step, which the tracer wraps once
+    under both of its names: a 5-iteration ``run_vanilla`` records
+    exactly 5 ``solver.step`` spans inside 1 ``solver.run`` span, so the
+    benchmark's iteration count neither drops nor doubles them."""
+    out = _traced("""
+import numpy as np
+from aalm import make_random_qp
+from aalm.harness import VanillaConfig, run_vanilla
+run_vanilla(make_random_qp(n=20, m=4, seed=0), VanillaConfig(), 5,
+            np.zeros(20), np.zeros(4))
+nid, parent, _, _ = tracer.arrays()
+names = [tracer.names[i] for i in nid]
+print(names.count("solver.step"), names.count("solver.run"))
+print(sorted({names[parent[i]] for i, n in enumerate(names)
+              if n == "solver.step"}))
+""")
+    assert out.split("\n")[:2] == ["5 1", "['solver.run']"]
