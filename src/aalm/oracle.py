@@ -166,12 +166,35 @@ def _gram_pseudoinverse(instance):
     e_plus = np.zeros(n)
     e_plus[~zero] = 1.0 / e[~zero]
     null = np.flatnonzero(zero)
-    Z = np.empty((n, null.size))
-    for j, i in enumerate(null):
-        unit = np.zeros(n)
-        unit[i] = 1.0
-        Z[:, j] = gram.apply_V(unit)
+    if instance.gram is None:
+        Z = np.ascontiguousarray(Vt[null].T)
+    else:
+        Z = np.empty((n, null.size))
+        for j, i in enumerate(null):
+            unit = np.zeros(n)
+            unit[i] = 1.0
+            Z[:, j] = gram.apply_V(unit)
     return (lambda v: gram.apply_V(e_plus * gram.apply_Vt(v))), Z
+
+
+def _curvature(objective, Z):
+    """``at(x) -> (v -> H v, Z'HZ)``: factored for a separable objective,
+    with ``U'Z`` and ``Z'Z`` formed once here, else from ``hessian(x)``."""
+    form = objective.separable
+    if form is None:
+        def at(x):
+            H = objective.hessian(x)
+            return (lambda v: H @ v), Z.T @ (H @ Z)
+        return at
+    U, mu = form.U, form.mu
+    UZ = U.T @ Z
+    muZZ = mu * (Z.T @ Z)
+
+    def at(x):
+        w = form.d2phi(U.T @ x - form.c)
+        return ((lambda v: mu * v + U @ (w * (U.T @ v))),
+                muZZ + (UZ.T * w) @ UZ)
+    return at
 
 
 def _armijo_damping(objective, x, g, dx):
@@ -201,32 +224,34 @@ def _polish(instance, pinv, Z, x, lam):
     ``POLISH_STEPS`` steps are taken, fewer once the residual is below
     ``0.01 * REFINE_TARGET``.  The final dual is the minimum-norm
     multiplier of the final ``x`` when that does not raise the residual.
-    Returns the pair and a note naming the steps taken and whether the
-    damping stalled.
+    ``H`` enters only as ``H v = mu v + U (W U'v)`` and
+    ``Z'HZ = mu Z'Z + (U'Z)' W (U'Z)`` for a separable objective
+    (:func:`_curvature`).  Returns the pair and a note naming the steps
+    taken and whether the damping stalled.
     """
     obj = instance.objective
     A, b = instance.A, instance.b
+    curvature = _curvature(obj, Z)
     best = max(_kkt_residuals(instance, x, lam))
     steps, stalled = 0, False
     for _ in range(POLISH_STEPS):
         if best <= 0.01 * REFINE_TARGET:
             break
-        H = obj.hessian(x)
+        apply_H, ZHZ = curvature(x)
         g = obj.gradient(x)
         dx_p = pinv(A.T @ (b - A @ x))
-        ZHZ = Z.T @ (H @ Z)
-        rhs = -(Z.T @ (g + H @ dx_p))
+        rhs = -(Z.T @ (g + apply_H(dx_p)))
         # Cholesky through numpy, not scipy: each wheel bundles an
         # OpenBLAS whose workers spin for about 0.1 s after a threaded
         # call, and a second spinning pool next to numpy's (busy after
-        # H @ Z) preempts the caller's next phase on a 2-core machine.
+        # Z'HZ) preempts the caller's next phase on a 2-core machine.
         try:
             L = np.linalg.cholesky(ZHZ)
             dz = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
         except np.linalg.LinAlgError:
             dz = _min_norm_solve(ZHZ, rhs)
         dx = dx_p + Z @ dz
-        lam_new = -(A @ pinv(g + H @ dx))
+        lam_new = -(A @ pinv(g + apply_H(dx)))
         # Damped acceptance on the KKT residual.
         s = 1.0
         while s > 1e-6:
@@ -258,30 +283,38 @@ def kkt_refine(instance):
     """High-accuracy KKT pair for a general smooth instance.
 
     Quadratic objectives short-circuit to :func:`kkt_solve_qp`.  Any other
-    objective needs a Hessian: it is polished by damped Newton steps on
-    the KKT system (:func:`_polish`) from the minimum-norm feasible point
-    ``x0 = (A'A)^+ A'b`` and its minimum-norm multiplier
-    ``-A (A'A)^+ grad f(x0)``.  Each polish step is a null-space Newton
-    step (Nocedal & Wright, *Numerical Optimization*, 16.2) in an
-    eigenbasis of ``A'A`` (see :func:`_gram_pseudoinverse`), with ``Z`` a
-    basis of ``null(A)``:
+    objective needs a Hessian or a separable form: it is polished by
+    damped Newton steps on the KKT system (:func:`_polish`) from the
+    minimum-norm feasible point ``x0 = (A'A)^+ A'b`` and its minimum-norm
+    multiplier ``-A (A'A)^+ grad f(x0)``.  Each polish step is a
+    null-space Newton step (Nocedal & Wright, *Numerical Optimization*,
+    16.2) in an eigenbasis of ``A'A`` (see :func:`_gram_pseudoinverse`),
+    with ``Z`` a basis of ``null(A)``:
 
         dx_p    = (A'A)^+ A'(b - A x),
         Z'HZ dz = -Z'(g + H dx_p),      dx = dx_p + Z dz,
         lam_new = -A (A'A)^+ (g + H dx),
 
     so rank-deficient constraints are handled throughout and ``lam_new``
-    is the minimum-norm multiplier.  ``Z'HZ`` is factored by Cholesky,
-    with a minimum-norm least-squares solve when it is singular.  No
-    solver of this package is run: the reference stays an arithmetic path
-    separate from the iterations it checks.  The returned ``kkt_tol``
-    certifies ``max(stationarity, feasibility) <= REFINE_TARGET``,
-    evaluated from ``A`` and the gradient.
+    is the minimum-norm multiplier.  A separable objective has
+    ``H = mu I + U W U'`` with ``W = diag(phi''(U'x - c))``, so
+
+        Z'HZ = mu Z'Z + (U'Z)' W (U'Z),    H v = mu v + U (W U'v),
+
+    with ``U'Z`` and ``Z'Z`` formed once per call and no n x n array
+    (Nocedal & Wright, ch. 7); other objectives form ``H`` once per step.
+    ``Z'HZ`` is factored by Cholesky, with a minimum-norm least-squares
+    solve when it is singular.  No solver of this package is run: the
+    reference stays an arithmetic path separate from the iterations it
+    checks.  The returned ``kkt_tol`` certifies
+    ``max(stationarity, feasibility) <= REFINE_TARGET``, evaluated from
+    ``A`` and the gradient.
 
     Raises
     ------
     ValueError
-        If the objective is neither quadratic nor has a Hessian.
+        If the objective is not quadratic and has neither a Hessian nor a
+        separable form.
     ReferenceNotConverged
         If the residual target is not met; carries the final residuals,
         and its message names the polish steps taken and whether the
@@ -291,9 +324,10 @@ def kkt_refine(instance):
     if obj.quadratic is not None:
         Q, q = obj.quadratic
         return kkt_solve_qp(Q, q, instance.A, instance.b)
-    if obj.hessian is None:
+    if obj.hessian is None and obj.separable is None:
         raise ValueError(f"kkt_refine needs a quadratic objective or one "
-                         f"with a hessian; {instance.name!r} has neither")
+                         f"with a hessian or separable form; "
+                         f"{instance.name!r} has neither")
     A = instance.A
     pinv, Z = _gram_pseudoinverse(instance)
     x = pinv(A.T @ instance.b)
@@ -364,9 +398,10 @@ def instance_hash(instance):
 
     A sparse ``A`` is hashed through its canonical CSR form (shape, then
     ``data``, ``indices`` and ``indptr`` with 64-bit indices), without a
-    dense copy.  A quadratic objective's ``Q`` and ``q`` are hashed too;
-    other objectives are opaque callables and are covered only by the
-    re-verification in :func:`cached_reference`.
+    dense copy.  A quadratic objective's ``Q`` and ``q`` are hashed too,
+    and so are a separable objective's ``U``, ``c`` and ``mu``; its
+    ``phi`` and any other objective are opaque callables, covered only by
+    the re-verification in :func:`cached_reference`.
     """
     h = hashlib.sha256()
     h.update(instance.name.encode())
@@ -379,9 +414,12 @@ def instance_hash(instance):
     else:
         h.update(np.ascontiguousarray(A).tobytes())
     h.update(np.ascontiguousarray(instance.b).tobytes())
-    if instance.objective.quadratic is not None:
-        for part in instance.objective.quadratic:
-            h.update(np.ascontiguousarray(part, dtype=float).tobytes())
+    obj = instance.objective
+    form = obj.separable
+    parts = (obj.quadratic or ()) + (
+        (form.U, form.c, form.mu) if form is not None else ())
+    for part in parts:
+        h.update(np.ascontiguousarray(part, dtype=float).tobytes())
     return h.hexdigest()[:16]
 
 
@@ -417,9 +455,9 @@ def cached_reference(instance, directory, compute=None, refresh=False):
     """Fetch (or compute and persist) the reference pair for ``instance``.
 
     The cache file name embeds :func:`instance_hash`, so any change to
-    ``A``, ``b``, the name or a quadratic objective's data invalidates the
-    entry.  The hash does not cover other objectives, so a loaded pair is
-    also re-verified: its shapes
+    ``A``, ``b``, the name or a quadratic or separable objective's data
+    invalidates the entry.  The hash does not cover callables, so a loaded
+    pair is also re-verified: its shapes
     must match the instance and its KKT residual, recomputed here (one
     gradient, two matvecs), must not lie far above the recorded
     ``kkt_tol``.  A pair that fails either test is recomputed and

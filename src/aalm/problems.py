@@ -2,8 +2,9 @@
 
 A problem is ``min f(x)  s.t.  A x = b`` with ``f`` convex.  The solver only
 touches ``f`` through an :class:`ObjectiveOracle` (value/gradient, optional
-Hessian and gradient Lipschitz constant), so instances are cheap to define;
-three families used throughout the tests and benchmarks are built in:
+Hessian and gradient Lipschitz constant), so instances are cheap to define.
+A separable ``f`` is described once, by data (:class:`Separable`), and its
+oracle is derived from it.  Three families are built in:
 
 * :func:`make_qp` -- convex quadratics ``f(x) = x'Qx/2 + q'x``;
 * :func:`make_lp_regression` -- ``f(x) = (1/p) sum_i |B_i x - c_i|^p`` with
@@ -32,6 +33,25 @@ LP_HESSIAN_CLAMP = 1e-8
 
 
 @dataclass(frozen=True)
+class Separable:
+    """Data of ``f(x) = sum_i phi(u_i'x - c_i) + (mu/2)||x||^2``.
+
+    ``U`` (n, r) holds the ``u_i`` as dense columns, column-major so that
+    ``U'x`` and ``U y`` are contiguous matvecs; ``c`` (r,) holds the
+    offsets; ``phi``, ``dphi`` and ``d2phi`` evaluate ``phi``, ``phi'``
+    and ``phi''`` elementwise.  The Hessian is ``mu I + U W U'`` with
+    ``W = diag(phi''(U'x - c))``.
+    """
+
+    U: np.ndarray
+    c: np.ndarray
+    phi: Callable
+    dphi: Callable
+    d2phi: Callable
+    mu: float = 0.0
+
+
+@dataclass(frozen=True)
 class ObjectiveOracle:
     """First-order (and optionally second-order) access to a convex ``f``.
 
@@ -54,6 +74,9 @@ class ObjectiveOracle:
         ``(f1, f2)`` with ``f = f1 + f2`` for the mixed step: ``f1`` is
         handled implicitly, ``f2`` (which must carry ``lipschitz``) is
         linearized at the extrapolated point.
+    separable : Separable, optional
+        The data :func:`separable_oracle` derived the callables from, for
+        code that uses the Hessian in factored form.
     """
 
     value: Callable
@@ -62,6 +85,7 @@ class ObjectiveOracle:
     lipschitz: Optional[float] = None
     quadratic: Optional[Tuple[np.ndarray, np.ndarray]] = None
     split: Optional[Tuple["ObjectiveOracle", "ObjectiveOracle"]] = None
+    separable: Optional[Separable] = None
 
 
 @dataclass(frozen=True)
@@ -150,6 +174,29 @@ def dense(M):
     return M.toarray() if scipy.sparse.issparse(M) else M
 
 
+def separable_oracle(form, lipschitz=None):
+    """The :class:`ObjectiveOracle` of a :class:`Separable` ``form``, which
+    it carries; with ``mu = 0`` the callables skip the quadratic term."""
+    U, Ut, c, mu = form.U, form.U.T, form.c, form.mu
+
+    def value(x):
+        v = np.sum(form.phi(Ut @ x - c))
+        return float(v + 0.5 * mu * x @ x) if mu else float(v)
+
+    def gradient(x):
+        g = U @ form.dphi(Ut @ x - c)
+        return g + mu * x if mu else g
+
+    def hessian(x):
+        H = (U * form.d2phi(Ut @ x - c)) @ Ut
+        if mu:
+            H[np.diag_indices_from(H)] += mu
+        return H
+
+    return ObjectiveOracle(value, gradient, hessian, lipschitz=lipschitz,
+                           separable=form)
+
+
 def make_qp(Q, q, A, b, name="qp"):
     """Quadratic objective ``f(x) = x'Qx/2 + q'x`` under ``Ax = b``.
 
@@ -187,7 +234,8 @@ def make_lp_regression(B, c, p, A, b, name="lp-regression"):
     ``B' s`` where ``s_i = sign(r_i) |r_i|^{p-1}``; its derivative
     ``(p-1)|r_i|^{p-2}`` blows up at ``r_i = 0``, so no ``lipschitz`` is
     exposed and the curvature used by Newton caps ``|r_i|`` from below at
-    ``1e-8`` (i.e. weight ``(p-1) max(|r_i|, 1e-8)^{p-2}``).
+    ``1e-8`` (i.e. weight ``(p-1) max(|r_i|, 1e-8)^{p-2}``, the
+    ``phi''`` of its :class:`Separable` form with ``U = B'``).
     """
     if not 1.0 < p < 2.0:
         raise ValueError(f"p must lie in (1, 2), got {p}")
@@ -199,21 +247,12 @@ def make_lp_regression(B, c, p, A, b, name="lp-regression"):
         raise ValueError(
             f"A has {np.shape(A)[1]} columns, expected {B.shape[1]}")
 
-    def value(x):
-        r = B @ x - c
-        return float(np.sum(np.abs(r) ** p)) / p
-
-    def gradient(x):
-        r = B @ x - c
-        return B.T @ (np.sign(r) * np.abs(r) ** (p - 1.0))
-
-    def hessian(x):
-        r = B @ x - c
-        w = (p - 1.0) * np.maximum(np.abs(r), LP_HESSIAN_CLAMP) ** (p - 2.0)
-        return (B.T * w) @ B
-
-    objective = ObjectiveOracle(value, gradient, hessian)
-    return ProblemInstance(objective, A, b, name)
+    form = Separable(
+        B.T, c, phi=lambda r: np.abs(r) ** p / p,
+        dphi=lambda r: np.sign(r) * np.abs(r) ** (p - 1.0),
+        d2phi=lambda r: ((p - 1.0) * np.maximum(np.abs(r), LP_HESSIAN_CLAMP)
+                         ** (p - 2.0)))
+    return ProblemInstance(separable_oracle(form), A, b, name)
 
 
 def ring_mixing_matrix(p_agents):
@@ -249,7 +288,8 @@ def make_ring_logistic(p_agents=10, m_dim=200, rho_reg=0.5, seed=0,
     ``I - W = V_W diag(l) V_W'`` from a p x p ``eigh``, ``A'A`` has the
     eigenbasis ``V_W kron I_m`` with eigenvalues ``l_i^2``, each repeated
     ``m_dim`` times; it is attached as ``gram`` and applied blockwise as
-    ``(V_W @ x.reshape(p, m)).ravel()``.
+    ``(V_W @ x.reshape(p, m)).ravel()``.  ``f`` is :class:`Separable` with
+    ``U = blockdiag(c_1, ..., c_p)`` (n x p) and ``mu = rho_reg``.
     """
     if m_dim < 1:
         raise ValueError(f"m_dim must be >= 1, got {m_dim}")
@@ -268,34 +308,18 @@ def make_ring_logistic(p_agents=10, m_dim=200, rho_reg=0.5, seed=0,
         apply_V=lambda y: (V_W @ y.reshape(p_agents, m_dim)).ravel(),
         apply_Vt=lambda x: (V_W.T @ x.reshape(p_agents, m_dim)).ravel())
     L = float((np.sum(C ** 2, axis=1) / 4.0 + rho_reg).max())
-
-    def value(x):
-        X = x.reshape(p_agents, m_dim)
-        t = np.sum(C * X, axis=1)
-        return float(np.sum(np.logaddexp(0.0, -t)) + 0.5 * rho_reg * x @ x)
-
-    def gradient(x):
-        X = x.reshape(p_agents, m_dim)
-        t = np.sum(C * X, axis=1)
-        G = -expit(-t)[:, None] * C + rho_reg * X
-        return G.ravel()
-
-    def hessian(x):
-        X = x.reshape(p_agents, m_dim)
-        t = np.sum(C * X, axis=1)
-        w = expit(-t) * expit(t)  # sigma'(t), symmetric in the sign of t
-        H = np.zeros((x.size, x.size))
-        for i in range(p_agents):
-            s = slice(i * m_dim, (i + 1) * m_dim)
-            H[s, s] = w[i] * np.outer(C[i], C[i])
-        H[np.diag_indices_from(H)] += rho_reg
-        return H
-
+    rows = np.arange(p_agents * m_dim)
+    U = np.zeros((rows.size, p_agents), order="F")
+    U[rows, rows // m_dim] = C.ravel()
+    form = Separable(U, np.zeros(p_agents),
+                     phi=lambda t: np.logaddexp(0.0, -t),
+                     dphi=lambda t: -expit(-t),
+                     d2phi=lambda t: expit(-t) * expit(t), mu=rho_reg)
     if name is None:
         name = (f"ring-logistic-p{p_agents}-m{m_dim}-rho{rho_reg:g}"
                 f"-pcg64-{seed}")
-    objective = ObjectiveOracle(value, gradient, hessian, lipschitz=L)
-    return ProblemInstance(objective, A, b, name, gram=gram)
+    return ProblemInstance(separable_oracle(form, lipschitz=L), A, b, name,
+                           gram=gram)
 
 
 def make_random_qp(n=50, m=10, seed=0, cond=10.0, name=None):

@@ -8,6 +8,7 @@ oracle's closed forms are frozen here before they pin the solver.
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,9 +183,48 @@ class TestKktRefine:
         assert np.linalg.norm(g + inst.A.T @ kkt.lam) <= 1e-9
         assert np.linalg.norm(inst.A @ kkt.x - inst.b) <= 1e-9
 
+    @pytest.mark.parametrize("inst", [
+        make_ring_logistic(p_agents=10, m_dim=20, rho_reg=0.5, seed=0),
+        make_random_lp(seed=0)], ids=["ring", "lp"])
+    def test_structured_curvature_matches_dense(self, inst):
+        """Z'HZ = mu Z'Z + (U'Z)' W (U'Z) and H v = mu v + U (W U'v) equal
+        the products with the dense Hessian to 1e-12 relative."""
+        _, Z = oracle_module._gram_pseudoinverse(inst)
+        dense_obj = dataclasses.replace(inst.objective, separable=None)
+        structured = oracle_module._curvature(inst.objective, Z)
+        reference = oracle_module._curvature(dense_obj, Z)
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            x, v = rng.normal(size=inst.dim), rng.normal(size=inst.dim)
+            (apply_s, ZHZ_s), (apply_d, ZHZ_d) = structured(x), reference(x)
+            assert (np.linalg.norm(ZHZ_s - ZHZ_d)
+                    <= 1e-12 * np.linalg.norm(ZHZ_d))
+            assert (np.linalg.norm(apply_s(v) - apply_d(v))
+                    <= 1e-12 * np.linalg.norm(apply_d(v)))
+
+    def test_ring_reference_never_forms_hessian(self):
+        """On the 10x200 ring the polish calls no ``hessian`` and its
+        allocations peak under 8 MB (the dense H alone is 32 MB)."""
+        ring = make_ring_logistic()
+
+        def hessian(x):
+            raise AssertionError("kkt_refine formed the dense Hessian")
+
+        inst = dataclasses.replace(ring, objective=dataclasses.replace(
+            ring.objective, hessian=hessian))
+        tracemalloc.start()
+        try:
+            kkt = kkt_refine(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kkt.kkt_tol <= 1e-9
+        assert peak < 8e6, peak
+
     def test_no_hessian_rejected(self):
-        """An objective that is neither quadratic nor has a Hessian is
-        rejected at once, before any gradient is evaluated."""
+        """An objective that is neither quadratic nor has a Hessian (nor a
+        separable form) is rejected at once, before any gradient is
+        evaluated."""
         ring = make_ring_logistic(p_agents=10, m_dim=20, rho_reg=0.5, seed=0)
         calls = []
 
@@ -193,7 +233,7 @@ class TestKktRefine:
             return ring.objective.gradient(x)
 
         objective = dataclasses.replace(ring.objective, gradient=gradient,
-                                        hessian=None)
+                                        hessian=None, separable=None)
         inst = dataclasses.replace(ring, objective=objective)
         with pytest.raises(ValueError, match="neither"):
             kkt_refine(inst)
@@ -309,6 +349,22 @@ class TestReferenceCache:
         assert instance_hash(a) != instance_hash(c)
         renamed = make_random_qp(n=6, m=2, seed=0, name="other")
         assert instance_hash(a) != instance_hash(renamed)
+
+    def test_hash_keyed_to_separable_data(self):
+        """Same name, different U, c or mu: different hashes."""
+        ring = make_ring_logistic(p_agents=4, m_dim=3, rho_reg=0.5, seed=0)
+        for other in (
+                make_ring_logistic(4, 3, 0.6, seed=0, name=ring.name),
+                make_ring_logistic(4, 3, 0.5, seed=1, name=ring.name)):
+            assert instance_hash(other) != instance_hash(ring)
+        assert instance_hash(ring) == instance_hash(
+            make_ring_logistic(4, 3, 0.5, seed=0))
+        rng = np.random.default_rng(0)
+        B, c = rng.normal(size=(6, 3)), rng.normal(size=6)
+        lp = make_lp_regression(B, c, 1.5, np.ones((1, 3)), np.zeros(1))
+        shifted = make_lp_regression(B, c + 1e-3, 1.5, np.ones((1, 3)),
+                                     np.zeros(1))
+        assert instance_hash(shifted) != instance_hash(lp)
 
     def test_save_load_round_trip_exact(self, tmp_path, qp_reference):
         """repr-based serialization round-trips every bit."""

@@ -99,3 +99,20 @@ print(sorted({names[parent[i]] for i, n in enumerate(names)
               if n == "solver.step"}))
 """)
     assert out.split("\n")[:2] == ["5 1", "['solver.run']"]
+
+
+def test_derived_oracle_calls_are_problem_spans():
+    """The tracer swaps in its wrappers for the callables a separable
+    objective derives, so one ``value`` and one ``gradient`` call on a
+    ring built under it record exactly one span each."""
+    out = _traced("""
+import numpy as np
+from aalm import make_ring_logistic
+ring = make_ring_logistic(10, 20)
+ring.objective.value(np.zeros(200))
+ring.objective.gradient(np.zeros(200))
+nid, _, _, _ = tracer.arrays()
+names = [tracer.names[i] for i in nid]
+print(names.count("problems.value"), names.count("problems.gradient"))
+""")
+    assert out.split("\n")[0] == "1 1"
