@@ -23,6 +23,14 @@ the *same* ``gamma, delta, eta, beta`` the run used -- a mismatch silently
 destroys monotonicity -- so the solver loop computes records itself from
 its own configuration rather than re-deriving parameters.
 
+Records are computed a block of iterates at a time (:func:`make_records`):
+the run loop buffers its iterates and pays for the array operations once
+per block.  The objective, its gradient, ``A x`` and ``A' lam`` are still
+evaluated row by row and every reduction is a row reduction, so a record
+is bitwise the same however the iterates were grouped; :func:`make_record`
+is the one-row call.  :func:`gap`, :func:`stationarity` and
+:func:`energy` evaluate single iterates on their own arithmetic path.
+
 ``fit_rate`` estimates empirical decay orders by least squares on
 ``log(field)`` against ``log(t_k)``, and ``littleo_witness`` compares
 ``t^2``-scaled residuals at two indices to witness ``o(1/t^2)`` decay.
@@ -30,7 +38,6 @@ its own configuration rather than re-deriving parameters.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -117,28 +124,62 @@ def energy(instance, kkt, gamma, delta, eta, beta, t_k, x, x_prev, lam,
     return t_k ** 2 * xi_k * H + B
 
 
+def _rowdot(U, V):
+    """Row-wise inner products ``<U_i, V_i>``."""
+    return np.einsum("ij,ij->i", U, V)
+
+
+def make_records(instance, k, t, xi, X, L, gamma, delta, eta, beta,
+                 kkt=None, f_star=None):
+    """The :class:`TraceRecord` of every iterate in a block.
+
+    Row ``j >= 1`` of ``X`` (B+1, n) and ``L`` (B+1, m) holds iterate
+    ``k + j - 1`` and row 0 the iterate before the block's first record;
+    ``t`` and ``xi`` (B,) hold ``t_k`` and ``xi_k`` of the B recorded
+    iterates (a ``longdouble`` schedule is rounded to float here).
+    Returns B records, for ``k .. k + B - 1``.
+    """
+    obj, A, At = instance.objective, instance.A, instance.At
+    t = np.asarray(t, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    x, lam = X[1:], L[1:]
+    Axb = np.array([A @ v for v in x]) - instance.b
+    G = (np.array([obj.gradient(v) for v in x])
+         + np.array([At @ v for v in lam]))
+    dx, dlam = x - X[:-1], lam - L[:-1]
+
+    def mnorm_rows(u, w):
+        return _rowdot(u, u) / gamma + _rowdot(w, w) / delta
+
+    feas_sq = _rowdot(Axb, Axb)
+    feas = np.sqrt(feas_sq)
+    if kkt is None:
+        obj_res = gap_H = energy_E = np.full(t.shape, np.nan)
+    else:
+        f_x = np.array([obj.value(v) for v in x])
+        if f_star is None:
+            f_star = obj.value(kkt.x)
+        obj_res = np.abs(f_x - f_star)
+        gap_H = (f_x - f_star + np.einsum("ij,j->i", Axb, kkt.lam)
+                 + 0.5 * beta * feas_sq)
+        sx, slam = x - kkt.x, lam - kkt.lam
+        w = (t - 1.0)[:, None]
+        B = (0.5 * mnorm_rows(eta * sx + w * dx, eta * slam + w * dlam)
+             + 0.5 * eta * (1.0 - eta) * mnorm_rows(sx, slam))
+        energy_E = t ** 2 * xi * gap_H + B
+    cols = (t, feas, obj_res, np.sqrt(_rowdot(G, G)), gap_H, energy_E,
+            np.sqrt(mnorm_rows(dx, dlam)), t ** 2 * xi * feas)
+    return [TraceRecord(int(k) + j, *row)
+            for j, row in enumerate(zip(*(c.tolist() for c in cols)))]
+
+
 def make_record(instance, k, t_k, x, x_prev, lam, lam_prev, gamma, delta,
                 eta, beta, xi_k=1.0, kkt=None, f_star=None):
-    """Assemble the full :class:`TraceRecord` for one iterate."""
-    A = instance.A
-    Axb = A @ x - instance.b
-    feas = float(np.linalg.norm(Axb))
-    stat = float(np.linalg.norm(instance.objective.gradient(x) + A.T @ lam))
-    step = math.sqrt(mnorm_sq(x - x_prev, lam - lam_prev, gamma, delta))
-    if kkt is None:
-        obj_res = gap_H = energy_E = float("nan")
-    else:
-        f_x = instance.objective.value(x)
-        if f_star is None:
-            f_star = instance.objective.value(kkt.x)
-        obj_res = abs(f_x - f_star)
-        gap_H = gap(instance, kkt, beta, x, f_x=f_x, f_star=f_star, Axb=Axb)
-        energy_E = energy(instance, kkt, gamma, delta, eta, beta, t_k, x,
-                          x_prev, lam, lam_prev, xi_k=xi_k, H=gap_H)
-    return TraceRecord(k=int(k), t_k=float(t_k), feas=feas, obj_res=obj_res,
-                       stat_res=stat, gap_H=gap_H, energy_E=energy_E,
-                       step_norm_M=step,
-                       scaled_feas=t_k ** 2 * xi_k * feas)
+    """The :class:`TraceRecord` of one iterate: :func:`make_records` on a
+    one-row block."""
+    return make_records(instance, k, [t_k], [xi_k], np.stack([x_prev, x]),
+                        np.stack([lam_prev, lam]), gamma, delta, eta, beta,
+                        kkt=kkt, f_star=f_star)[0]
 
 
 def fit_rate(trace, field, window):

@@ -391,15 +391,24 @@ def _check_vanilla(vcfg, where="the vanilla baseline"):
 vanilla_alm_step = aalm_solver.step
 
 
-def run_vanilla(instance, vcfg, iterations, x0, lam0, kkt=None):
+def _vanilla_stepsize(instance, vcfg):
+    """The baseline's ``gamma`` as a float (default ``1/L`` or 1)."""
+    return step_plan(instance, vcfg.case, backend=False).stepsize(vcfg.gamma)
+
+
+def run_vanilla(instance, vcfg, iterations, x0, lam0, kkt=None, *,
+                resolved=False):
     """Run the baseline; returns ``(state, trace)`` like :func:`aalm.solver.run`.
 
     The run is the accelerated loop on ``t_k = 1``, ``eta = 1`` with
     ``beta - delta`` in place of ``beta`` (see the module docstring), so
     records carry ``t_k = 1`` and the energy and gap at ``beta - delta``.
+    ``resolved`` says that ``vcfg.gamma`` already is the checked float
+    stepsize (as :func:`run_experiment` hands it in); otherwise it is
+    resolved here.
     """
     _check_vanilla(vcfg)
-    gamma = step_plan(instance, vcfg.case, backend=False).stepsize(vcfg.gamma)
+    gamma = vcfg.gamma if resolved else _vanilla_stepsize(instance, vcfg)
     config = SolverConfig(schedule=custom_schedule(np.ones_like, eta=1.0),
                           case=vcfg.case, gamma=gamma, delta=vcfg.delta,
                           beta=vcfg.beta - vcfg.delta, max_iter=iterations,
@@ -534,10 +543,10 @@ def run_experiment(config):
             else:
                 # The row states the baseline's own beta, not beta - delta.
                 vcfg = entry.config
-                resolved = replace(vcfg, gamma=step_plan(
-                    instance, vcfg.case, backend=False).stepsize(vcfg.gamma))
+                resolved = replace(
+                    vcfg, gamma=_vanilla_stepsize(instance, vcfg))
                 _, trace = run_vanilla(instance, resolved, config.iterations,
-                                       x0, lam0, kkt=kkt)
+                                       x0, lam0, kkt=kkt, resolved=True)
             row.update(case=resolved.case, gamma=resolved.gamma,
                        delta=resolved.delta, beta=resolved.beta)
             write_trace_csv(out_dir / f"{entry.name}.trace.csv", trace)

@@ -399,9 +399,9 @@ def instance_hash(instance):
     A sparse ``A`` is hashed through its canonical CSR form (shape, then
     ``data``, ``indices`` and ``indptr`` with 64-bit indices), without a
     dense copy.  A quadratic objective's ``Q`` and ``q`` are hashed too,
-    and so are a separable objective's ``U``, ``c`` and ``mu``; its
-    ``phi`` and any other objective are opaque callables, covered only by
-    the re-verification in :func:`cached_reference`.
+    and so are a separable objective's ``U``, ``c``, ``mu`` and the
+    ``params`` of its ``phi``; the callables of any objective are opaque,
+    covered only by the re-verification in :func:`cached_reference`.
     """
     h = hashlib.sha256()
     h.update(instance.name.encode())
@@ -417,7 +417,7 @@ def instance_hash(instance):
     obj = instance.objective
     form = obj.separable
     parts = (obj.quadratic or ()) + (
-        (form.U, form.c, form.mu) if form is not None else ())
+        (form.U, form.c, form.mu, form.params) if form is not None else ())
     for part in parts:
         h.update(np.ascontiguousarray(part, dtype=float).tobytes())
     return h.hexdigest()[:16]

@@ -20,7 +20,7 @@ oracle is derived from it.  Three families are built in:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -40,7 +40,9 @@ class Separable:
     ``U'x`` and ``U y`` are contiguous matvecs; ``c`` (r,) holds the
     offsets; ``phi``, ``dphi`` and ``d2phi`` evaluate ``phi``, ``phi'``
     and ``phi''`` elementwise.  The Hessian is ``mu I + U W U'`` with
-    ``W = diag(phi''(U'x - c))``.
+    ``W = diag(phi''(U'x - c))``.  ``params`` holds the numbers ``phi``
+    closes over (lp: ``(p,)``), so that the reference cache can hash
+    them (see :func:`aalm.oracle.instance_hash`).
     """
 
     U: np.ndarray
@@ -49,6 +51,7 @@ class Separable:
     dphi: Callable
     d2phi: Callable
     mu: float = 0.0
+    params: Tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -119,7 +122,10 @@ class ProblemInstance:
     in place of a dense ``eigh`` (see :class:`aalm.subsolver.LinearCache`).
     ``name`` identifies the instance in traces, summaries and reference
     caches, so constructors bake the generating parameters (and seed)
-    into it.
+    into it.  ``At`` is ``A'``, built once per instance for the products
+    ``A' v`` of every iteration: a CSR array for a sparse ``A`` (whose
+    ``.T`` is a CSC array made anew on each access), the view ``A.T`` for
+    a dense one.
     """
 
     objective: ObjectiveOracle
@@ -127,6 +133,7 @@ class ProblemInstance:
     b: np.ndarray
     name: str
     gram: Optional[GramEigenbasis] = None
+    At: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if scipy.sparse.issparse(self.A):
@@ -146,6 +153,8 @@ class ProblemInstance:
                 f"{self.gram.evals.shape}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "At", A.T.tocsr() if scipy.sparse.issparse(A)
+                           else A.T)
 
     @property
     def dim(self):
@@ -251,7 +260,7 @@ def make_lp_regression(B, c, p, A, b, name="lp-regression"):
         B.T, c, phi=lambda r: np.abs(r) ** p / p,
         dphi=lambda r: np.sign(r) * np.abs(r) ** (p - 1.0),
         d2phi=lambda r: ((p - 1.0) * np.maximum(np.abs(r), LP_HESSIAN_CLAMP)
-                         ** (p - 2.0)))
+                         ** (p - 2.0)), params=(p,))
     return ProblemInstance(separable_oracle(form), A, b, name)
 
 

@@ -43,7 +43,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .diagnostics import TraceRecord, make_record
+from .diagnostics import TraceRecord, make_records
 from .problems import dense
 from .schedule import Schedule, coefficients, generate_scaled, resolve
 from .subsolver import (InnerSolverPolicy, SubproblemSpec, multiplier_update,
@@ -51,6 +51,12 @@ from .subsolver import (InnerSolverPolicy, SubproblemSpec, multiplier_update,
 
 # Relative slack for the per-iteration identity checks in debug mode.
 IDENTITY_TOL = 1e-10
+
+# The run loop buffers iterates and records them a block at a time: at
+# most this many bytes of stacked x and lam, and at most this many rows
+# (256 rows on the QP and lp instances, 4 on the 10x200 ring).
+RECORD_BLOCK_BYTES = 128 * 1024
+RECORD_BLOCK_ROWS = 256
 
 
 class SolverError(RuntimeError):
@@ -69,8 +75,13 @@ class StoppingRule:
     feas_tol: Optional[float] = None
     stat_tol: Optional[float] = None
 
+    @property
+    def active(self):
+        """Whether any tolerance is set."""
+        return self.feas_tol is not None or self.stat_tol is not None
+
     def satisfied(self, feas, stat):
-        if self.feas_tol is None and self.stat_tol is None:
+        if not self.active:
             return False
         ok = True
         if self.feas_tol is not None:
@@ -128,10 +139,6 @@ class IterateState:
     @property
     def t_next(self):
         return float(self.t_seq[self.k])
-
-    @property
-    def xi_curr(self):
-        return float(self.xi_seq[self.k - 1])
 
     @property
     def xi_next(self):
@@ -327,29 +334,56 @@ def _run_resolved(instance, config, x0, lam0, kkt=None, inner_log=None):
     return _run_loop(instance, config, state, kkt, inner_log)
 
 
+def _block_rows(instance, stop):
+    """Iterates per record block: one under a stopping rule with a
+    tolerance set, else as many as the byte and row caps allow."""
+    if stop.active:
+        return 1
+    row_bytes = 8 * (instance.dim + instance.n_constraints)
+    return max(1, min(RECORD_BLOCK_ROWS, RECORD_BLOCK_BYTES // row_bytes))
+
+
 def _run_loop(instance, config, state, kkt=None, inner_log=None):
     """Advance ``state`` by :func:`step` for ``config.max_iter`` iterations
     or until ``config.stop``, recording each iterate with ``config``'s own
     ``gamma, delta, eta, beta``.  ``config`` has a float ``gamma`` and a
     numeric ``eta``; the step plan is built for that ``gamma`` when every
-    stepsize factor ``xi_{k+1}`` is 1."""
+    stepsize factor ``xi_{k+1}`` is 1.
+
+    Records are computed in blocks (:func:`aalm.diagnostics.make_records`)
+    of up to :data:`RECORD_BLOCK_ROWS` iterates and
+    :data:`RECORD_BLOCK_BYTES` of stacked ``x`` and ``lam``, flushed when
+    a block fills and at the end.  A stopping rule with a tolerance set
+    reads every record as it is made, so its blocks are one iterate and
+    the run stops at the first ``k`` that meets it."""
     fixed = np.all(state.xi_seq[state.k:] == 1.0)
     plan = step_plan(instance, config.case,
                      gamma=config.gamma if fixed else None)
     f_star = instance.objective.value(kkt.x) if kkt is not None else None
+    rows = _block_rows(instance, config.stop)
     trace: List[TraceRecord] = []
+    xs, lams = [state.x_curr], [state.lam_curr]
+
+    def flush(k):
+        """Record the buffered iterates, the last of which is ``x_k``."""
+        lo = k + 1 - len(xs)
+        trace.extend(make_records(
+            instance, lo + 1, state.t_seq[lo:k], state.xi_seq[lo:k],
+            np.array(xs), np.array(lams), config.gamma, config.delta,
+            config.schedule.eta, config.beta, kkt=kkt, f_star=f_star))
+        del xs[:-1], lams[:-1]
+
     for _ in range(config.max_iter):
         report = {} if inner_log is not None else None
         state = step(state, config, instance, plan, inner_report=report)
         if report is not None:
             inner_log.append({"k": state.k, **report})
-        rec = make_record(instance, state.k, state.t_curr,
-                          state.x_curr, state.x_prev,
-                          state.lam_curr, state.lam_prev,
-                          config.gamma, config.delta, config.schedule.eta,
-                          config.beta,
-                          xi_k=state.xi_curr, kkt=kkt, f_star=f_star)
-        trace.append(rec)
-        if config.stop.satisfied(rec.feas, rec.stat_res):
-            break
+        xs.append(state.x_curr)
+        lams.append(state.lam_curr)
+        if len(xs) > rows:
+            flush(state.k)
+            if config.stop.satisfied(trace[-1].feas, trace[-1].stat_res):
+                break
+    if len(xs) > 1:
+        flush(state.k)
     return state, trace

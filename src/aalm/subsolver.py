@@ -131,16 +131,16 @@ def subproblem_value(spec, instance, x):
 
 def subproblem_gradient(spec, instance, x):
     """Gradient of F at ``x``."""
-    A = instance.A
+    At = instance.At
     g = (spec.implicit.gradient(x) if spec.implicit is not None
          else np.zeros_like(x))
     if spec.gradient_anchor is not None:
         g = g + spec.gradient_anchor
-    Ax = A @ x
-    return (g + spec.beta * (A.T @ (Ax - instance.b))
+    Ax = instance.A @ x
+    return (g + spec.beta * (At @ (Ax - instance.b))
             + (x - spec.xbar_k) / spec.gamma
-            + A.T @ spec.p_k
-            + spec.delta * spec.c_k * (A.T @ (spec.c_k * Ax - spec.r_k)))
+            + At @ spec.p_k
+            + spec.delta * spec.c_k * (At @ (spec.c_k * Ax - spec.r_k)))
 
 
 def cholesky_solve(M, rhs):
@@ -307,9 +307,8 @@ def solve_linear_case(spec, instance, cache=None):
     """
     if cache is None:
         cache = LinearCache(instance, spec.implicit)
-    A = instance.A
     coef = spec.beta + spec.delta * spec.c_k ** 2
-    rhs = spec.xbar_k / spec.gamma + A.T @ (
+    rhs = spec.xbar_k / spec.gamma + instance.At @ (
         spec.beta * instance.b - spec.p_k + spec.delta * spec.c_k * spec.r_k)
     if spec.gradient_anchor is not None:
         rhs = rhs - spec.gradient_anchor

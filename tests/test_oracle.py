@@ -351,7 +351,8 @@ class TestReferenceCache:
         assert instance_hash(a) != instance_hash(renamed)
 
     def test_hash_keyed_to_separable_data(self):
-        """Same name, different U, c or mu: different hashes."""
+        """Same name, different U, c, mu or lp exponent p: different
+        hashes."""
         ring = make_ring_logistic(p_agents=4, m_dim=3, rho_reg=0.5, seed=0)
         for other in (
                 make_ring_logistic(4, 3, 0.6, seed=0, name=ring.name),
@@ -365,6 +366,9 @@ class TestReferenceCache:
         shifted = make_lp_regression(B, c + 1e-3, 1.5, np.ones((1, 3)),
                                      np.zeros(1))
         assert instance_hash(shifted) != instance_hash(lp)
+        p12, p15 = (make_lp_regression(B, c, p, np.ones((1, 3)), np.zeros(1),
+                                       name="m") for p in (1.2, 1.5))
+        assert instance_hash(p12) != instance_hash(p15)
 
     def test_save_load_round_trip_exact(self, tmp_path, qp_reference):
         """repr-based serialization round-trips every bit."""

@@ -33,8 +33,11 @@ from aalm import (
     step,
     step_coupled,
 )
+from aalm.diagnostics import make_record, make_records
 from aalm.harness import VanillaConfig, run_vanilla
+from aalm.oracle import kkt_refine
 from aalm.problems import make_ring_logistic
+from aalm.solver import _block_rows
 from aalm.subsolver import inner_tolerance
 
 
@@ -288,6 +291,89 @@ class TestRunLoop:
                            case="explicit", max_iter=100,
                            check_identities=True)
         run(qp_testbed, cfg, np.zeros(50), np.zeros(10))
+
+
+class TestRecordBlocks:
+    """The run loop records its iterates in blocks; no record depends on
+    where the block boundaries fall."""
+
+    @pytest.fixture(scope="class")
+    def ring(self):
+        ring = make_ring_logistic(10, 20, 0.5, seed=0)
+        return ring, kkt_refine(ring)
+
+    @staticmethod
+    def _run(inst, kkt, n):
+        cfg = SolverConfig(schedule=nesterov(), case="explicit",
+                           max_iter=n)
+        return run(inst, cfg, np.zeros(inst.dim),
+                   np.zeros(inst.n_constraints), kkt=kkt)
+
+    def test_block_sizes(self, qp_testbed, ring):
+        """256 rows on the QP (the row cap), 40 on the 10x20 ring and 4 on
+        the 10x200 ring (the byte cap); one under a stopping tolerance."""
+        assert _block_rows(qp_testbed, StoppingRule()) == 256
+        assert _block_rows(ring[0], StoppingRule()) == 40
+        assert _block_rows(make_ring_logistic(10, 200),
+                           StoppingRule()) == 4
+        assert _block_rows(qp_testbed, StoppingRule(stat_tol=1e-6)) == 1
+
+    @pytest.mark.parametrize("which", ["qp", "ring"])
+    def test_short_runs_are_prefixes(self, which, qp_testbed, qp_reference,
+                                     ring):
+        """Runs of block - 1, block and block + 1 iterations are bitwise
+        prefixes of a 2000-iteration run."""
+        inst, kkt = (qp_testbed, qp_reference) if which == "qp" else ring
+        block = _block_rows(inst, StoppingRule())
+        _, long = self._run(inst, kkt, 2000)
+        for n in (block - 1, block, block + 1):
+            _, short = self._run(inst, kkt, n)
+            assert short == long[:n]
+
+    @pytest.mark.parametrize("which", ["qp", "ring"])
+    def test_make_record_is_a_block_row(self, which, qp_testbed,
+                                        qp_reference, ring):
+        """``make_record`` on one iterate equals the matching row of a
+        ``make_records`` block bitwise."""
+        inst, kkt = (qp_testbed, qp_reference) if which == "qp" else ring
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(6, inst.dim))
+        L = rng.normal(size=(6, inst.n_constraints))
+        t, xi = np.array([1.0, 2.5, 3.0, 4.25, 7.0]), np.linspace(1, 2, 5)
+        args = (0.3, 1.7, 0.8, 1.2)
+        block = make_records(inst, 4, t, xi, X, L, *args, kkt=kkt)
+        assert [r.k for r in block] == [4, 5, 6, 7, 8]
+        for j, rec in enumerate(block):
+            one = make_record(inst, 4 + j, t[j], X[j + 1], X[j], L[j + 1],
+                              L[j], *args, xi_k=xi[j], kkt=kkt)
+            assert one == rec
+
+    def test_stop_rule_ends_at_first_k(self, qp_testbed, qp_reference):
+        """A stopping rule ends the run at the first ``k`` meeting it,
+        with no step beyond: the final state is that record's iterate."""
+        stop = StoppingRule(feas_tol=1e-4, stat_tol=1e-4)
+        _, full = self._run(qp_testbed, qp_reference, 2000)
+        first = next(i for i, r in enumerate(full)
+                     if r.feas <= 1e-4 and r.stat_res <= 1e-4)
+        log = []
+        cfg = SolverConfig(schedule=nesterov(), case="explicit",
+                           max_iter=2000, stop=stop)
+        state, trace = run(qp_testbed, cfg, np.zeros(50), np.zeros(10),
+                           kkt=qp_reference, inner_log=log)
+        assert 1 < len(trace) < 2000
+        assert trace == full[:first + 1]
+        assert state.k == len(trace) + 1 == trace[-1].k
+        assert len(log) == len(trace)
+
+    @pytest.mark.parametrize("which", ["qp", "ring"])
+    def test_cached_transpose_products(self, which, qp_testbed, ring):
+        """Products through the instance's ``At`` equal ``A.T @ v``
+        bitwise, for the dense QP and the CSR ring."""
+        inst = qp_testbed if which == "qp" else ring[0]
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            v = rng.normal(size=inst.n_constraints)
+            assert np.array_equal(inst.At @ v, inst.A.T @ v)
 
 
 class TestCompositeCase:

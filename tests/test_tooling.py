@@ -13,7 +13,10 @@ import ast
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -116,3 +119,21 @@ names = [tracer.names[i] for i in nid]
 print(names.count("problems.value"), names.count("problems.gradient"))
 """)
     assert out.split("\n")[0] == "1 1"
+
+
+def test_record_blocks_bound_run_memory():
+    """The run loop buffers a bounded block of iterates for its trace
+    records, not the run: a 300-iteration explicit CD(10) run on the
+    10x200 ring allocates at most 2 MB at its peak (buffering all 300
+    iterates would take about 10 MB)."""
+    from aalm import SolverConfig, chambolle_dossal, make_ring_logistic, run
+    ring = make_ring_logistic(10, 200)
+    cfg = SolverConfig(schedule=chambolle_dossal(10.0), case="explicit",
+                       max_iter=300)
+    tracemalloc.start()
+    try:
+        run(ring, cfg, np.zeros(ring.dim), np.zeros(ring.n_constraints))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6, peak
