@@ -25,11 +25,13 @@ its own configuration rather than re-deriving parameters.
 
 Records are computed a block of iterates at a time (:func:`make_records`):
 the run loop buffers its iterates and pays for the array operations once
-per block.  The objective, its gradient, ``A x`` and ``A' lam`` are still
+per block.  Records take ``A x`` from the run, which forms it once per
+iterate for the step; the objective, its gradient and ``A' lam`` are
 evaluated row by row and every reduction is a row reduction, so a record
 is bitwise the same however the iterates were grouped; :func:`make_record`
-is the one-row call.  :func:`gap`, :func:`stationarity` and
-:func:`energy` evaluate single iterates on their own arithmetic path.
+is the one-row call, forming its own ``A x``.  :func:`gap`,
+:func:`stationarity` and :func:`energy` evaluate single iterates on their
+own arithmetic path.
 
 ``fit_rate`` estimates empirical decay orders by least squares on
 ``log(field)`` against ``log(t_k)``, and ``littleo_witness`` compares
@@ -129,21 +131,22 @@ def _rowdot(U, V):
     return np.einsum("ij,ij->i", U, V)
 
 
-def make_records(instance, k, t, xi, X, L, gamma, delta, eta, beta,
+def make_records(instance, k, t, xi, X, L, AX, gamma, delta, eta, beta,
                  kkt=None, f_star=None):
     """The :class:`TraceRecord` of every iterate in a block.
 
     Row ``j >= 1`` of ``X`` (B+1, n) and ``L`` (B+1, m) holds iterate
     ``k + j - 1`` and row 0 the iterate before the block's first record;
-    ``t`` and ``xi`` (B,) hold ``t_k`` and ``xi_k`` of the B recorded
-    iterates (a ``longdouble`` schedule is rounded to float here).
-    Returns B records, for ``k .. k + B - 1``.
+    row ``j`` of ``AX`` (B, m) is ``A x`` of the ``j``-th recorded
+    iterate, as the run formed it.  ``t`` and ``xi`` (B,) hold ``t_k``
+    and ``xi_k`` of the B recorded iterates (a ``longdouble`` schedule is
+    rounded to float here).  Returns B records, for ``k .. k + B - 1``.
     """
-    obj, A, At = instance.objective, instance.A, instance.At
+    obj, At = instance.objective, instance.At
     t = np.asarray(t, dtype=float)
     xi = np.asarray(xi, dtype=float)
     x, lam = X[1:], L[1:]
-    Axb = np.array([A @ v for v in x]) - instance.b
+    Axb = AX - instance.b
     G = (np.array([obj.gradient(v) for v in x])
          + np.array([At @ v for v in lam]))
     dx, dlam = x - X[:-1], lam - L[:-1]
@@ -178,8 +181,8 @@ def make_record(instance, k, t_k, x, x_prev, lam, lam_prev, gamma, delta,
     """The :class:`TraceRecord` of one iterate: :func:`make_records` on a
     one-row block."""
     return make_records(instance, k, [t_k], [xi_k], np.stack([x_prev, x]),
-                        np.stack([lam_prev, lam]), gamma, delta, eta, beta,
-                        kkt=kkt, f_star=f_star)[0]
+                        np.stack([lam_prev, lam]), (instance.A @ x)[None],
+                        gamma, delta, eta, beta, kkt=kkt, f_star=f_star)[0]
 
 
 def fit_rate(trace, field, window):

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import operator
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -423,13 +424,13 @@ def run_vanilla(instance, vcfg, iterations, x0, lam0, kkt=None, *,
 # Trace and summary serialization.
 
 def write_trace_csv(path, trace):
-    """Serialize records with the canonical header; floats via repr."""
+    """Serialize records with the canonical header; floats via
+    ``repr(float(v))``, so a numpy scalar prints as a plain float."""
+    floats = operator.attrgetter(*TRACE_FIELDS[1:])
     with open(path, "w") as f:
         f.write(",".join(TRACE_FIELDS) + "\n")
-        for r in trace:
-            vals = [str(r.k)] + [repr(float(getattr(r, name)))
-                                 for name in TRACE_FIELDS[1:]]
-            f.write(",".join(vals) + "\n")
+        f.writelines(f"{r.k},{','.join(map(repr, map(float, floats(r))))}\n"
+                     for r in trace)
 
 
 def read_trace_csv(path):

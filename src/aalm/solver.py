@@ -6,12 +6,14 @@ with ``alpha_k = (t_{k+1} - eta)/eta``, ``c_k = t_{k+1}/eta``:
 1. extrapolate   ``xbar_k = x_k + ((t_k - 1)/t_{k+1})(x_k - x_{k-1})`` and
    likewise ``lambdabar_k``;
 2. aggregate the dual data ``p_k = c_k lambdabar_k - alpha_k lam_k`` and
-   ``r_k = alpha_k A x_k + b``;
+   ``r_k = alpha_k A x_k + b``, reading ``A x_k`` from the state;
 3. minimize the strongly convex subproblem (see :mod:`aalm.subsolver`)
    built from ``(p_k, r_k, xbar_k)`` -- with ``f`` kept implicit, or
    linearized at ``xbar_k`` when a gradient Lipschitz constant is known and
    ``gamma <= 1/L``;
 4. ascend the dual: ``lam_{k+1} = lambdabar_k + delta (c_k A x_{k+1} - r_k)``.
+   ``A x_{k+1}`` is formed once here and carried to the next step's
+   ``r_{k+1}`` and to the iterate's trace record.
 
 The same iteration can be written as a coupled pair of proximal-type
 inclusions in ``(x_{k+1}, lam_{k+1})``; :func:`step_coupled` solves that
@@ -122,10 +124,13 @@ class IterateState:
     ``t_1 .. t_{K+1}`` so that ``t_curr = t_seq[k-1]`` and
     ``t_next = t_seq[k]`` are plain lookups; ``k`` is the 1-based iterate
     index (``k = 1`` is the initial point, with ``x_prev = x_curr``).
+    ``Ax_curr`` is ``A x_k``: formed once per iterate by :func:`step` and
+    carried to the next step's ``r_k`` and to the trace record.
     """
 
     x_curr: np.ndarray
     x_prev: np.ndarray
+    Ax_curr: np.ndarray
     lam_curr: np.ndarray
     lam_prev: np.ndarray
     k: int
@@ -144,10 +149,13 @@ class IterateState:
     def xi_next(self):
         return float(self.xi_seq[self.k])
 
-    def successor(self, x_next, lam_next):
-        """The ``k+1`` state with iterates ``x_next``, ``lam_next``."""
-        return replace(self, x_curr=x_next, x_prev=self.x_curr,
-                       lam_curr=lam_next, lam_prev=self.lam_curr, k=self.k + 1)
+    def successor(self, x_next, lam_next, Ax_next):
+        """The ``k+1`` state with iterates ``x_next``, ``lam_next`` and
+        ``Ax_next = A x_next``."""
+        return IterateState(x_curr=x_next, x_prev=self.x_curr,
+                            Ax_curr=Ax_next, lam_curr=lam_next,
+                            lam_prev=self.lam_curr, k=self.k + 1,
+                            t_seq=self.t_seq, xi_seq=self.xi_seq)
 
 
 def resolve_config(instance, config):
@@ -196,7 +204,9 @@ def _start(instance, x0, lam0, t_seq, xi_seq):
     if lam0.shape != (instance.n_constraints,):
         raise ValueError(
             f"lam0 must have shape ({instance.n_constraints},), got {lam0.shape}")
-    return IterateState(x_curr=x0.copy(), x_prev=x0.copy(),
+    x_curr = x0.copy()
+    return IterateState(x_curr=x_curr, x_prev=x0.copy(),
+                        Ax_curr=instance.A @ x_curr,
                         lam_curr=lam0.copy(), lam_prev=lam0.copy(),
                         k=1, t_seq=t_seq, xi_seq=xi_seq)
 
@@ -223,9 +233,8 @@ def step(state, config, instance, plan=None, inner_report=None):
     eta = config.schedule.eta
     alpha_k, c_k = coefficients(state.t_next, eta)
     xbar, lbar = extrapolate(state)
-    A = instance.A
     p_k = c_k * lbar - alpha_k * state.lam_curr
-    r_k = alpha_k * (A @ state.x_curr) + instance.b
+    r_k = alpha_k * state.Ax_curr + instance.b
     gamma_eff = config.gamma * state.xi_next
     delta_eff = config.delta * state.xi_next
     spec = SubproblemSpec(gamma=gamma_eff, beta=config.beta, delta=delta_eff,
@@ -234,16 +243,17 @@ def step(state, config, instance, plan=None, inner_report=None):
                           gradient_anchor=plan.anchor(xbar))
     x_next = solve_subproblem(spec, instance, plan, config.inner, state,
                               report=inner_report)
-    lam_next = multiplier_update(lbar, delta_eff, c_k, A, x_next, r_k)
+    Ax_next = instance.A @ x_next
+    lam_next = multiplier_update(lbar, delta_eff, c_k, Ax_next, r_k)
     if config.check_identities:
         lhs = c_k * lam_next - alpha_k * state.lam_curr
-        rhs = p_k + delta_eff * c_k * (c_k * (A @ x_next) - r_k)
+        rhs = p_k + delta_eff * c_k * (c_k * Ax_next - r_k)
         err = np.linalg.norm(lhs - rhs)
         if err > IDENTITY_TOL * (1.0 + np.linalg.norm(rhs)):
             raise SolverError(
                 f"dual-correction identity violated at k={state.k}: "
                 f"deviation {err:.3e}")
-    return state.successor(x_next, lam_next)
+    return state.successor(x_next, lam_next, Ax_next)
 
 
 def step_coupled(state, config, instance):
@@ -259,7 +269,8 @@ def step_coupled(state, config, instance):
     the implicit part is (at most) quadratic.  This is an independent
     arithmetic path from :func:`step` (dense throughout, whatever the
     storage of ``A``) and is used to cross-validate it; only the split of
-    ``f`` comes from :func:`~aalm.subsolver.step_plan`.
+    ``f`` comes from :func:`~aalm.subsolver.step_plan`.  It forms
+    ``A x_k`` itself and never reads the state's carried ``Ax_curr``.
     """
     plan = step_plan(instance, config.case, backend=False)
     eta = config.schedule.eta
@@ -293,7 +304,7 @@ def step_coupled(state, config, instance):
     resid = np.linalg.norm(K @ sol - rhs)
     if resid > 1e-10 * (1.0 + np.linalg.norm(rhs)):
         raise SolverError(f"coupled system residual {resid:.3e} too large")
-    return state.successor(sol[:n], sol[n:])
+    return state.successor(sol[:n], sol[n:], instance.A @ sol[:n])
 
 
 def run(instance, config, x0, lam0, kkt=None, inner_log=None):
@@ -353,7 +364,8 @@ def _run_loop(instance, config, state, kkt=None, inner_log=None):
     Records are computed in blocks (:func:`aalm.diagnostics.make_records`)
     of up to :data:`RECORD_BLOCK_ROWS` iterates and
     :data:`RECORD_BLOCK_BYTES` of stacked ``x`` and ``lam``, flushed when
-    a block fills and at the end.  A stopping rule with a tolerance set
+    a block fills and at the end; each record takes its ``A x_k`` from
+    the state.  A stopping rule with a tolerance set
     reads every record as it is made, so its blocks are one iterate and
     the run stops at the first ``k`` that meets it."""
     fixed = np.all(state.xi_seq[state.k:] == 1.0)
@@ -362,16 +374,17 @@ def _run_loop(instance, config, state, kkt=None, inner_log=None):
     f_star = instance.objective.value(kkt.x) if kkt is not None else None
     rows = _block_rows(instance, config.stop)
     trace: List[TraceRecord] = []
-    xs, lams = [state.x_curr], [state.lam_curr]
+    xs, lams, axs = [state.x_curr], [state.lam_curr], []
 
     def flush(k):
         """Record the buffered iterates, the last of which is ``x_k``."""
         lo = k + 1 - len(xs)
         trace.extend(make_records(
             instance, lo + 1, state.t_seq[lo:k], state.xi_seq[lo:k],
-            np.array(xs), np.array(lams), config.gamma, config.delta,
-            config.schedule.eta, config.beta, kkt=kkt, f_star=f_star))
-        del xs[:-1], lams[:-1]
+            np.array(xs), np.array(lams), np.array(axs), config.gamma,
+            config.delta, config.schedule.eta, config.beta, kkt=kkt,
+            f_star=f_star))
+        del xs[:-1], lams[:-1], axs[:]
 
     for _ in range(config.max_iter):
         report = {} if inner_log is not None else None
@@ -380,6 +393,7 @@ def _run_loop(instance, config, state, kkt=None, inner_log=None):
             inner_log.append({"k": state.k, **report})
         xs.append(state.x_curr)
         lams.append(state.lam_curr)
+        axs.append(state.Ax_curr)
         if len(xs) > rows:
             flush(state.k)
             if config.stop.satisfied(trace[-1].feas, trace[-1].stat_res):

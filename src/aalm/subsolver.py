@@ -26,6 +26,7 @@ is one of two paths:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -115,28 +116,35 @@ def inner_tolerance(t_curr, policy):
     return min(policy.tol_grad, INNER_TOL_SCALE / t_curr ** 3)
 
 
-def subproblem_value(spec, instance, x):
-    """Objective value F(x) of the subproblem (used by line searches/tests)."""
+def subproblem_value(spec, instance, x, Ax=None):
+    """Objective value F(x) of the subproblem (used by line searches/tests).
+
+    ``Ax`` is ``A x`` when the caller has formed it; it is formed here
+    otherwise."""
     v = spec.implicit.value(x) if spec.implicit is not None else 0.0
     if spec.gradient_anchor is not None:
         v += float(spec.gradient_anchor @ x)
-    Axb = instance.A @ x - instance.b
+    if Ax is None:
+        Ax = instance.A @ x
+    Axb = Ax - instance.b
     d = x - spec.xbar_k
-    cAxr = spec.c_k * (instance.A @ x) - spec.r_k
+    cAxr = spec.c_k * Ax - spec.r_k
     return (v + 0.5 * spec.beta * float(Axb @ Axb)
             + 0.5 / spec.gamma * float(d @ d)
             + float(spec.p_k @ Axb)
             + 0.5 * spec.delta * float(cAxr @ cAxr))
 
 
-def subproblem_gradient(spec, instance, x):
-    """Gradient of F at ``x``."""
+def subproblem_gradient(spec, instance, x, Ax=None):
+    """Gradient of F at ``x``; ``Ax`` is ``A x`` when the caller has
+    formed it, and is formed here otherwise."""
     At = instance.At
     g = (spec.implicit.gradient(x) if spec.implicit is not None
          else np.zeros_like(x))
     if spec.gradient_anchor is not None:
         g = g + spec.gradient_anchor
-    Ax = instance.A @ x
+    if Ax is None:
+        Ax = instance.A @ x
     return (g + spec.beta * (At @ (Ax - instance.b))
             + (x - spec.xbar_k) / spec.gamma
             + At @ spec.p_k
@@ -343,9 +351,10 @@ def solve_linear_case(spec, instance, cache=None):
         x = cholesky_solve(M, rhs)
         Mx = M @ x
         m_scale = float(np.abs(M).sum(axis=1).max())
-    resid = np.linalg.norm(Mx - rhs)
-    bound = LINEAR_RESIDUAL_TOL * (1.0 + np.linalg.norm(rhs)
-                                   + m_scale * np.linalg.norm(x))
+    res = Mx - rhs
+    resid = math.sqrt(res @ res)
+    bound = LINEAR_RESIDUAL_TOL * (1.0 + math.sqrt(rhs @ rhs)
+                                   + m_scale * math.sqrt(x @ x))
     if not resid <= bound:
         raise SubsolverError(
             f"linear subproblem residual {resid:.3e} exceeds {bound:.3e}")
@@ -382,7 +391,9 @@ def solve_inner_newton(spec, instance, policy, x0, report=None, AtA=None):
     subproblem Hessian; when a computed direction fails the descent test
     ``<d, g> <= -1e-12 ||d|| ||g||`` it falls back to steepest descent for
     that iteration.  Backtracking halves the step until the Armijo
-    sufficient-decrease condition holds.
+    sufficient-decrease condition holds.  ``A x`` is formed once for each
+    point visited (the start and each trial), and the accepted trial's
+    value is the next step's ``F(x)``.
 
     Parameters
     ----------
@@ -400,10 +411,13 @@ def solve_inner_newton(spec, instance, policy, x0, report=None, AtA=None):
     """
     if AtA is None:
         AtA = dense(instance.A.T @ instance.A)
+    A = instance.A
     coef = spec.beta + spec.delta * spec.c_k ** 2
     x = np.array(x0, dtype=float)
-    g = subproblem_gradient(spec, instance, x)
-    gnorm = np.linalg.norm(g)
+    Ax = A @ x
+    g = subproblem_gradient(spec, instance, x, Ax)
+    gnorm = math.sqrt(g @ g)
+    fx = None  # F(x), when it was evaluated
     it = 0
     while gnorm > policy.tol_grad:
         if it >= policy.max_inner:
@@ -416,20 +430,29 @@ def solve_inner_newton(spec, instance, policy, x0, report=None, AtA=None):
             d = -cholesky_solve(H, g)
         except np.linalg.LinAlgError:
             d = -g
-        if g @ d > -1e-12 * np.linalg.norm(d) * gnorm:
+        if g @ d > -1e-12 * math.sqrt(d @ d) * gnorm:
             d = -g  # not a descent direction; fall back
-        fx = subproblem_value(spec, instance, x)
+        if fx is None:
+            fx = subproblem_value(spec, instance, x, Ax)
         slope = float(g @ d)
         s = 1.0
+        x_new = x + d
+        Ax_new = A @ x_new
+        fx_new = None
         if -slope > VALUE_RESOLUTION * (1.0 + abs(fx)):
-            while (subproblem_value(spec, instance, x + s * d)
-                   > fx + SUFFICIENT_DECREASE * s * slope):
-                s *= BACKTRACK_SHRINK
-                if s < 1e-16:
+            while True:
+                F = subproblem_value(spec, instance, x_new, Ax_new)
+                if not F > fx + SUFFICIENT_DECREASE * s * slope:
+                    fx_new = F
                     break
-        x = x + s * d
-        g = subproblem_gradient(spec, instance, x)
-        gnorm = np.linalg.norm(g)
+                s *= BACKTRACK_SHRINK
+                x_new = x + s * d
+                Ax_new = A @ x_new
+                if s < 1e-16:
+                    break  # step to the last trial unevaluated
+        x, Ax, fx = x_new, Ax_new, fx_new
+        g = subproblem_gradient(spec, instance, x, Ax)
+        gnorm = math.sqrt(g @ g)
         it += 1
     if report is not None:
         report["iterations"] = it
@@ -437,6 +460,7 @@ def solve_inner_newton(spec, instance, policy, x0, report=None, AtA=None):
     return x
 
 
-def multiplier_update(lambda_bar, delta, c_k, A, x_next, r_k):
-    """Dual ascent step ``lambda_bar + delta (c_k A x_next - r_k)``."""
-    return lambda_bar + delta * (c_k * (A @ x_next) - r_k)
+def multiplier_update(lambda_bar, delta, c_k, Ax_next, r_k):
+    """Dual ascent step ``lambda_bar + delta (c_k A x_next - r_k)`` from
+    the product ``Ax_next = A x_next``."""
+    return lambda_bar + delta * (c_k * Ax_next - r_k)

@@ -283,6 +283,7 @@ def test_c12_scalar_step_oracle(capsys):
                        np.array([[a]]), np.array([b]))
         state = IterateState(
             x_curr=np.array([xc]), x_prev=np.array([xp]),
+            Ax_curr=inst.A @ np.array([xc]),
             lam_curr=np.array([lc]), lam_prev=np.array([lp_]),
             k=2, t_seq=np.array([1.0, t_curr, t_next]),
             xi_seq=np.ones(3))

@@ -600,6 +600,31 @@ class TestTraceCsv:
                 g, w = getattr(got, name), getattr(want, name)
                 assert g == w or (np.isnan(g) and np.isnan(w))
 
+    def test_writer_format_bitwise(self, tmp_path):
+        """Every float field is written as ``repr(float(v))`` -- a numpy
+        scalar too, which would otherwise print as ``np.float64(...)`` --
+        and reads back bitwise, NaN and ``-0.0`` included."""
+        nan, f64 = float("nan"), np.float64
+        trace = [TraceRecord(2, 1.0, f64(0.1), nan, -0.0, f64(-0.0),
+                             f64(nan), 5e-324, f64(3.5)),
+                 TraceRecord(3, f64(1.25), 1e300, f64(2.0) / 3, 0.0,
+                             -f64(7.0), float("inf"), nan, f64(-1e-17))]
+        path = tmp_path / "mixed.trace.csv"
+        write_trace_csv(path, trace)
+        want = ",".join(TRACE_FIELDS) + "\n" + "".join(
+            ",".join([str(r.k)] + [repr(float(getattr(r, name)))
+                                   for name in TRACE_FIELDS[1:]]) + "\n"
+            for r in trace)
+        assert path.read_bytes() == want.encode()
+
+        def bits(tr):
+            return [(r.k, np.array([getattr(r, name)
+                                    for name in TRACE_FIELDS[1:]],
+                                   dtype=float).view(np.uint64).tolist())
+                    for r in tr]
+
+        assert bits(read_trace_csv(path)) == bits(trace)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "weird.csv"
         path.write_text("k,t,residual\n1,1.0,0.5\n")

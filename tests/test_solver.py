@@ -41,10 +41,13 @@ from aalm.solver import _block_rows
 from aalm.subsolver import inner_tolerance
 
 
-def _scalar_state(t_curr, t_next, x_curr, x_prev, lam_curr, lam_prev):
-    """A k = 2 state with the given schedule values (bypasses generation)."""
+def _scalar_state(t_curr, t_next, x_curr, x_prev, lam_curr, lam_prev,
+                  a=0.0):
+    """A k = 2 state with the given schedule values (bypasses generation)
+    for the constraint matrix ``[[a]]``."""
+    x = np.array([x_curr])
     return IterateState(
-        x_curr=np.array([x_curr]), x_prev=np.array([x_prev]),
+        x_curr=x, x_prev=np.array([x_prev]), Ax_curr=np.array([[a]]) @ x,
         lam_curr=np.array([lam_curr]), lam_prev=np.array([lam_prev]),
         k=2, t_seq=np.array([1.0, t_curr, t_next]), xi_seq=np.ones(3))
 
@@ -190,7 +193,7 @@ class TestStepAgainstScalarOracle:
             xc, xp, lc, lp_ = rng.normal(size=4)
             inst = make_qp(np.array([[quad]]), np.array([lin]),
                            np.array([[a]]), np.array([b]))
-            state = _scalar_state(t_curr, t_next, xc, xp, lc, lp_)
+            state = _scalar_state(t_curr, t_next, xc, xp, lc, lp_, a)
             cfg = SolverConfig(schedule=nesterov(eta=eta), case=case,
                                gamma=gamma, delta=delta, beta=beta)
             out = step(state, cfg, inst)
@@ -341,7 +344,8 @@ class TestRecordBlocks:
         L = rng.normal(size=(6, inst.n_constraints))
         t, xi = np.array([1.0, 2.5, 3.0, 4.25, 7.0]), np.linspace(1, 2, 5)
         args = (0.3, 1.7, 0.8, 1.2)
-        block = make_records(inst, 4, t, xi, X, L, *args, kkt=kkt)
+        AX = np.array([inst.A @ v for v in X[1:]])
+        block = make_records(inst, 4, t, xi, X, L, AX, *args, kkt=kkt)
         assert [r.k for r in block] == [4, 5, 6, 7, 8]
         for j, rec in enumerate(block):
             one = make_record(inst, 4 + j, t[j], X[j + 1], X[j], L[j + 1],
@@ -374,6 +378,100 @@ class TestRecordBlocks:
         for _ in range(5):
             v = rng.normal(size=inst.n_constraints)
             assert np.array_equal(inst.At @ v, inst.A.T @ v)
+
+
+def _counting(instance):
+    """A copy of ``instance`` whose ``A`` counts its products with
+    vectors in ``A.count``; each product returns what ``A`` would.  Only
+    products by ``A`` itself count, not by views such as ``A.T`` or by
+    ``A'A`` formed from it."""
+    A = instance.A
+    base = type(A)
+
+    class Counting(base):
+        count = 0
+
+        def __matmul__(self, other):
+            if self.shape == A.shape and np.ndim(other) == 1:
+                Counting.count += 1
+            if isinstance(self, np.ndarray):
+                return np.asarray(self) @ np.asarray(other)
+            return super().__matmul__(other)
+
+    counted = replace(instance)
+    object.__setattr__(counted, "A", A.view(Counting)
+                       if isinstance(A, np.ndarray) else Counting(A))
+    return counted
+
+
+class TestCarriedProduct:
+    """``A x_k`` is formed once per iterate and carried on the state into
+    the next step and the trace record."""
+
+    CASES = {"qp": "explicit", "ring": "explicit", "lp": "implicit"}
+
+    @pytest.fixture(scope="class")
+    def instances(self, qp_testbed):
+        return {"qp": qp_testbed,
+                "ring": make_ring_logistic(10, 20, 0.5, seed=0),
+                "lp": make_random_lp(seed=0)}
+
+    def _run(self, inst, which, n):
+        cfg = SolverConfig(schedule=nesterov(), case=self.CASES[which],
+                           max_iter=n)
+        state, _ = run(inst, cfg, np.zeros(inst.dim),
+                       np.zeros(inst.n_constraints))
+        return state
+
+    @pytest.mark.parametrize("which", ["qp", "ring", "lp"])
+    def test_carried_product_is_A_x(self, which, instances):
+        """After a run the state's ``Ax_curr`` is ``A @ x_curr`` bitwise."""
+        inst = instances[which]
+        state = self._run(inst, which, 300)
+        assert np.array_equal(state.Ax_curr, inst.A @ state.x_curr)
+
+    @pytest.mark.parametrize("which", ["qp", "ring"])
+    def test_one_product_per_iteration(self, which, instances):
+        """A linear-path run multiplies ``A`` by a vector once per outer
+        iteration, plus once at the start."""
+        inst = _counting(instances[which])
+        self._run(inst, which, 300)
+        assert type(inst.A).count == 300 + 1
+
+    def test_newton_products_per_iteration(self, instances):
+        """The inner Newton forms ``A x`` once per point it visits: the lp
+        Nesterov run makes at most 4 products per outer iteration (9.6
+        when the value and gradient formed their own)."""
+        inst = _counting(instances["lp"])
+        self._run(inst, "lp", 1000)
+        assert type(inst.A).count <= 4 * 1000
+
+    @pytest.mark.parametrize("which", ["qp", "ring"])
+    def test_oracles_ignore_carried_product(self, which, instances):
+        """With a corrupted ``Ax_curr``, :func:`step_coupled` returns the
+        same state as with the right one (it forms ``A x_k`` itself),
+        while :func:`step` returns a different one (it reads it)."""
+        inst = instances[which]
+        cfg = resolve_config(inst, SolverConfig(
+            schedule=nesterov(), case=self.CASES[which], delta=1.3,
+            beta=0.5, max_iter=10))
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=inst.dim)
+        good = IterateState(
+            x_curr=x, x_prev=rng.normal(size=inst.dim), Ax_curr=inst.A @ x,
+            lam_curr=rng.normal(size=inst.n_constraints),
+            lam_prev=rng.normal(size=inst.n_constraints), k=2,
+            t_seq=np.array([1.0, 2.0, 3.5]), xi_seq=np.ones(3))
+        bad = replace(good, Ax_curr=good.Ax_curr + 1.0)
+
+        def same(a, b):
+            return all(np.array_equal(getattr(a, f), getattr(b, f))
+                       for f in ("x_curr", "x_prev", "Ax_curr", "lam_curr",
+                                 "lam_prev", "k"))
+
+        assert same(step_coupled(good, cfg, inst),
+                    step_coupled(bad, cfg, inst))
+        assert not same(step(good, cfg, inst), step(bad, cfg, inst))
 
 
 class TestCompositeCase:
@@ -475,8 +573,9 @@ class TestStepCoupled:
     def test_agrees_with_sequential_step(self, qp_testbed):
         """Both paths produce the same iterate on a generic QP step."""
         rng = np.random.default_rng(3)
+        x = rng.normal(size=50)
         state = IterateState(
-            x_curr=rng.normal(size=50), x_prev=rng.normal(size=50),
+            x_curr=x, x_prev=rng.normal(size=50), Ax_curr=qp_testbed.A @ x,
             lam_curr=rng.normal(size=10), lam_prev=rng.normal(size=10),
             k=2, t_seq=np.array([1.0, 2.0, 3.5]), xi_seq=np.ones(3))
         cfg = SolverConfig(schedule=nesterov(eta=0.8), case="implicit",
@@ -489,9 +588,9 @@ class TestStepCoupled:
     def test_nonquadratic_rejected(self):
         inst = make_random_lp(d=10, n=6, seed=1)
         state = IterateState(
-            x_curr=np.zeros(6), x_prev=np.zeros(6), lam_curr=np.zeros(1),
-            lam_prev=np.zeros(1), k=2, t_seq=np.array([1.0, 2.0, 3.0]),
-            xi_seq=np.ones(3))
+            x_curr=np.zeros(6), x_prev=np.zeros(6), Ax_curr=np.zeros(1),
+            lam_curr=np.zeros(1), lam_prev=np.zeros(1), k=2,
+            t_seq=np.array([1.0, 2.0, 3.0]), xi_seq=np.ones(3))
         cfg = SolverConfig(schedule=nesterov(eta=1.0), gamma=1.0)
         with pytest.raises(ValueError, match="quadratic"):
             step_coupled(state, cfg, inst)
@@ -500,7 +599,7 @@ class TestStepCoupled:
 def replace_state(s):
     """Deep-enough copy: step mutates nothing, but stay on the safe side."""
     return IterateState(x_curr=s.x_curr.copy(), x_prev=s.x_prev.copy(),
-                        lam_curr=s.lam_curr.copy(),
+                        Ax_curr=s.Ax_curr.copy(), lam_curr=s.lam_curr.copy(),
                         lam_prev=s.lam_prev.copy(), k=s.k,
                         t_seq=s.t_seq.copy(), xi_seq=s.xi_seq.copy())
 

@@ -518,12 +518,13 @@ class TestInnerNewton:
 
 
 class TestMultiplierUpdate:
-    """lambda_bar + delta (c A x - r): one matvec and one axpy."""
+    """lambda_bar + delta (c A x - r) from the formed product A x."""
 
     def test_scalar_continuation(self):
         """Continuing the scalar example: 0 + 1*(2*0.2 - 0) = 0.4."""
-        lam = multiplier_update(np.zeros(1), 1.0, 2.0, np.array([[1.0]]),
-                                np.array([0.2]), np.zeros(1))
+        lam = multiplier_update(np.zeros(1), 1.0, 2.0,
+                                np.array([[1.0]]) @ np.array([0.2]),
+                                np.zeros(1))
         np.testing.assert_allclose(lam, [0.4], rtol=1e-15)
 
     def test_matches_formula_exactly(self):
@@ -533,6 +534,6 @@ class TestMultiplierUpdate:
         lam_bar = rng.normal(size=4)
         x = rng.normal(size=7)
         r = rng.normal(size=4)
-        out = multiplier_update(lam_bar, 0.7, 1.3, A, x, r)
+        out = multiplier_update(lam_bar, 0.7, 1.3, A @ x, r)
         np.testing.assert_allclose(out, lam_bar + 0.7 * (1.3 * (A @ x) - r),
                                    rtol=0, atol=0)

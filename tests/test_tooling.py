@@ -104,6 +104,23 @@ print(sorted({names[parent[i]] for i, n in enumerate(names)
     assert out.split("\n")[:2] == ["5 1", "['solver.run']"]
 
 
+def test_dual_updates_are_multiplier_update_spans():
+    """The tracer wraps ``multiplier_update`` and ``step`` by object, so
+    the update's signature (it takes the formed ``A x_{k+1}``) drops no
+    span: a traced 5-iteration qp run records 5 of each."""
+    out = _traced("""
+import numpy as np
+from aalm import SolverConfig, make_random_qp, nesterov, run
+run(make_random_qp(n=20, m=4, seed=0),
+    SolverConfig(schedule=nesterov(), case="explicit", max_iter=5),
+    np.zeros(20), np.zeros(4))
+nid, _, _, _ = tracer.arrays()
+names = [tracer.names[i] for i in nid]
+print(names.count("subsolver.multiplier_update"), names.count("solver.step"))
+""")
+    assert out.split("\n")[0] == "5 5"
+
+
 def test_derived_oracle_calls_are_problem_spans():
     """The tracer swaps in its wrappers for the callables a separable
     objective derives, so one ``value`` and one ``gradient`` call on a
