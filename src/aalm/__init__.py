@@ -24,12 +24,11 @@ from .schedule import (Schedule, ScheduleError, attouch_cabot, certify_rho,
                        resolve_eta)
 from .solver import (IterateState, SolverConfig, StoppingRule, extrapolate,
                      resolve_config, run, step, step_coupled)
-from .subsolver import (InnerSolverPolicy, MaxInnerIterations,
-                        SubproblemSpec, multiplier_update,
+from .subsolver import (MaxInnerIterations, SubproblemSpec, multiplier_update,
                         solve_inner_newton, solve_linear_case, step_plan)
 
 __all__ = [
-    "GramEigenbasis", "InnerSolverPolicy", "IterateState", "KKTPoint",
+    "GramEigenbasis", "IterateState", "KKTPoint",
     "MaxInnerIterations",
     "ObjectiveOracle", "ProblemInstance", "RateEstimate",
     "ReferenceNotConverged", "Schedule", "ScheduleError", "SolverConfig",

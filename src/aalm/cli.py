@@ -109,7 +109,7 @@ def _cmd_oracle(args):
         raise ConfigError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"malformed JSON in {path}: {e}") from None
-    if "builtin" in raw:
+    if isinstance(raw, dict) and "builtin" in raw:
         instance = build_problem(raw)
     else:
         instance = load_manifest(path)

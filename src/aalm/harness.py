@@ -40,7 +40,7 @@ import json
 import numbers
 import operator
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -55,7 +55,7 @@ from .problems import (make_lp_regression, make_qp, make_random_lp,
                        make_random_qp, make_ring_logistic)
 from .schedule import SCHEDULE_RULES, custom_schedule, named_schedule
 from .solver import SolverConfig, StoppingRule
-from .subsolver import CASES, InnerSolverPolicy, step_plan
+from .subsolver import CASES, step_plan
 
 # Fixed offset deriving the instance's stream from the master seed.
 INSTANCE_SEED_OFFSET = 1000
@@ -75,7 +75,6 @@ class VanillaConfig:
     gamma: Optional[float] = None
     delta: float = 1.0
     beta: float = 1.0
-    inner: InnerSolverPolicy = field(default_factory=InnerSolverPolicy)
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,16 @@ class ExperimentConfig:
                 raise ConfigError(f"duplicate solver name {n!r}")
 
 
+def _check_object(block, context):
+    """Reject a ``block`` that is not a JSON object."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{context} must be a JSON object, got {block!r}")
+
+
 def _check_keys(block, allowed, context):
+    """Reject a ``block`` that is not a JSON object or has a key outside
+    ``allowed``."""
+    _check_object(block, context)
     unknown = sorted(set(block) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in {context}")
@@ -170,27 +178,10 @@ def _parse_stop(block):
                         stat_tol=block.get("stat_tol"))
 
 
-def _check_numbers(block, name):
-    """Reject numeric solver keys of the wrong type and inner solver
-    settings out of range (:func:`aalm.solver.resolve_config` checks the
-    ranges of ``gamma``, ``delta`` and ``beta``).  ``gamma: null`` stands
-    for the default stepsize."""
-    _check_real(block, ("gamma",), f"solver {name!r}", default=None)
-    _check_real(block, ("delta", "beta", "inner_tol"), f"solver {name!r}")
-    if not block.get("inner_tol", 1.0) > 0:
-        raise ConfigError(f"inner_tol must be positive, got "
-                          f"{block['inner_tol']!r} (solver {name!r})")
-    _check_real(block, ("max_inner",), f"solver {name!r}", default=1,
-                kind=numbers.Integral)
-    if block.get("max_inner", 1) < 1:
-        raise ConfigError(f"max_inner must be positive, got "
-                          f"{block['max_inner']!r} (solver {name!r})")
-
-
 def _parse_solver(block, iterations):
     _check_keys(block, {"name", "method", "case", "schedule", "gamma",
-                        "delta", "beta", "scaling", "stop", "use_eig",
-                        "inner_tol", "max_inner"}, "solver entry")
+                        "delta", "beta", "scaling", "stop", "use_eig"},
+                "solver entry")
     name = block.get("name")
     if not name:
         raise ConfigError("every solver entry needs a name")
@@ -199,10 +190,10 @@ def _parse_solver(block, iterations):
     if case not in CASES:
         raise ConfigError(f"unknown case {case!r} (solver {name!r}); "
                           f"choose from {CASES}")
-    _check_numbers(block, name)
-    inner = InnerSolverPolicy(
-        tol_grad=block.get("inner_tol", 1e-8),
-        max_inner=block.get("max_inner", 50))
+    # Types only: resolve_config checks the ranges of gamma, delta and
+    # beta.  gamma: null stands for the default stepsize.
+    _check_real(block, ("gamma",), f"solver {name!r}", default=None)
+    _check_real(block, ("delta", "beta"), f"solver {name!r}")
     if method == "vanilla":
         for bad in ("schedule", "scaling", "stop", "use_eig"):
             if bad in block:
@@ -210,7 +201,7 @@ def _parse_solver(block, iterations):
                                   f"baseline (solver {name!r})")
         cfg = VanillaConfig(case=case, gamma=block.get("gamma"),
                             delta=block.get("delta", 1.0),
-                            beta=block.get("beta", 1.0), inner=inner)
+                            beta=block.get("beta", 1.0))
         _check_vanilla(cfg, f"vanilla solver {name!r}")
     elif method == "aalm":
         if "schedule" not in block:
@@ -227,8 +218,7 @@ def _parse_solver(block, iterations):
                            delta=block.get("delta", 1.0),
                            beta=block.get("beta", 1.0),
                            max_iter=iterations,
-                           stop=_parse_stop(block.get("stop", {})),
-                           inner=inner)
+                           stop=_parse_stop(block.get("stop", {})))
     else:
         raise ConfigError(f"unknown method {method!r} (solver {name!r})")
     return SolverEntry(name=name, method=method, config=cfg)
@@ -249,8 +239,6 @@ def parse_config(source):
             raise ConfigError(f"malformed JSON in {source}: {e}") from None
     else:
         raw = source
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
     _check_keys(raw, {"problem", "solvers", "iterations", "seed",
                       "output_dir", "emit_gnuplot"}, "config")
     _require_keys(raw, ("problem", "solvers", "iterations"), "config")
@@ -260,6 +248,9 @@ def parse_config(source):
         raise ConfigError(f"emit_gnuplot must be true or false, got "
                           f"{raw['emit_gnuplot']!r} (config)")
     _check_problem(raw["problem"])
+    if not isinstance(raw["solvers"], list):
+        raise ConfigError(f"solvers must be a JSON list, got "
+                          f"{raw['solvers']!r} (config)")
     iterations = raw["iterations"]
     solvers = [_parse_solver(b, iterations) for b in raw["solvers"]]
     return ExperimentConfig(problem=raw["problem"], solvers=solvers,
@@ -306,9 +297,7 @@ def load_manifest(path):
     _check_keys(raw, {"name", "objective", "A", "b"}, "manifest")
     _require_keys(raw, ("objective", "A", "b"), "manifest")
     obj = raw["objective"]
-    if not isinstance(obj, dict):
-        raise ConfigError(f"objective must be a JSON object, got {obj!r} "
-                          f"(manifest)")
+    _check_object(obj, "objective")
 
     def load(block, key, context, **kw):
         if not isinstance(block[key], str):
@@ -339,8 +328,10 @@ def load_manifest(path):
 
 
 def _check_problem(block):
-    """Reject unknown keys in a ``problem`` block, and sizes and seeds
-    that are not integers or parameters that are not numbers."""
+    """Reject a ``problem`` block that is not an object or has unknown
+    keys, and sizes and seeds that are not integers or parameters that
+    are not numbers."""
+    _check_object(block, "problem")
     if "manifest" in block:
         _check_keys(block, {"manifest"}, "problem")
         return
@@ -397,23 +388,19 @@ def _vanilla_stepsize(instance, vcfg):
     return step_plan(instance, vcfg.case, backend=False).stepsize(vcfg.gamma)
 
 
-def run_vanilla(instance, vcfg, iterations, x0, lam0, kkt=None, *,
-                resolved=False):
+def run_vanilla(instance, vcfg, iterations, x0, lam0, kkt=None):
     """Run the baseline; returns ``(state, trace)`` like :func:`aalm.solver.run`.
 
     The run is the accelerated loop on ``t_k = 1``, ``eta = 1`` with
     ``beta - delta`` in place of ``beta`` (see the module docstring), so
     records carry ``t_k = 1`` and the energy and gap at ``beta - delta``.
-    ``resolved`` says that ``vcfg.gamma`` already is the checked float
-    stepsize (as :func:`run_experiment` hands it in); otherwise it is
-    resolved here.
     """
     _check_vanilla(vcfg)
-    gamma = vcfg.gamma if resolved else _vanilla_stepsize(instance, vcfg)
     config = SolverConfig(schedule=custom_schedule(np.ones_like, eta=1.0),
-                          case=vcfg.case, gamma=gamma, delta=vcfg.delta,
-                          beta=vcfg.beta - vcfg.delta, max_iter=iterations,
-                          inner=vcfg.inner)
+                          case=vcfg.case,
+                          gamma=_vanilla_stepsize(instance, vcfg),
+                          delta=vcfg.delta, beta=vcfg.beta - vcfg.delta,
+                          max_iter=iterations)
     ones = np.ones(iterations + 1)
     return aalm_solver._run_loop(
         instance, config, aalm_solver._start(instance, x0, lam0, ones, ones),
@@ -547,7 +534,7 @@ def run_experiment(config):
                 resolved = replace(
                     vcfg, gamma=_vanilla_stepsize(instance, vcfg))
                 _, trace = run_vanilla(instance, resolved, config.iterations,
-                                       x0, lam0, kkt=kkt, resolved=True)
+                                       x0, lam0, kkt=kkt)
             row.update(case=resolved.case, gamma=resolved.gamma,
                        delta=resolved.delta, beta=resolved.beta)
             write_trace_csv(out_dir / f"{entry.name}.trace.csv", trace)

@@ -48,8 +48,8 @@ import numpy as np
 from .diagnostics import TraceRecord, make_records
 from .problems import dense
 from .schedule import Schedule, coefficients, generate_scaled, resolve
-from .subsolver import (InnerSolverPolicy, SubproblemSpec, multiplier_update,
-                        solve_subproblem, step_plan)
+from .subsolver import (SubproblemSpec, multiplier_update, solve_subproblem,
+                        step_plan)
 
 # Relative slack for the per-iteration identity checks in debug mode.
 IDENTITY_TOL = 1e-10
@@ -112,7 +112,6 @@ class SolverConfig:
     beta: float = 1.0
     max_iter: int = 1000
     stop: StoppingRule = field(default_factory=StoppingRule)
-    inner: InnerSolverPolicy = field(default_factory=InnerSolverPolicy)
     check_identities: bool = False
 
 
@@ -220,13 +219,11 @@ def extrapolate(state):
     return xbar, lbar
 
 
-def step(state, config, instance, plan=None, inner_report=None):
+def step(state, config, instance, plan=None):
     """Advance one outer iteration; returns the ``k+1`` state.
 
     ``config`` must be resolved (see :func:`resolve_config`); ``plan``
-    defaults to ``step_plan(instance, config.case)``.  When
-    ``inner_report`` is a dict, the inner solver's iteration count,
-    achieved gradient norm and the tolerance in force are recorded there.
+    defaults to ``step_plan(instance, config.case)``.
     """
     if plan is None:
         plan = step_plan(instance, config.case)
@@ -241,8 +238,7 @@ def step(state, config, instance, plan=None, inner_report=None):
                           c_k=c_k, p_k=p_k, r_k=r_k, xbar_k=xbar,
                           implicit=plan.implicit,
                           gradient_anchor=plan.anchor(xbar))
-    x_next = solve_subproblem(spec, instance, plan, config.inner, state,
-                              report=inner_report)
+    x_next = solve_subproblem(spec, instance, plan, state)
     Ax_next = instance.A @ x_next
     lam_next = multiplier_update(lbar, delta_eff, c_k, Ax_next, r_k)
     if config.check_identities:
@@ -307,7 +303,7 @@ def step_coupled(state, config, instance):
     return state.successor(sol[:n], sol[n:], instance.A @ sol[:n])
 
 
-def run(instance, config, x0, lam0, kkt=None, inner_log=None):
+def run(instance, config, x0, lam0, kkt=None):
     """Run the loop for ``config.max_iter`` iterations (fewer when
     ``config.stop`` is met).
 
@@ -322,9 +318,6 @@ def run(instance, config, x0, lam0, kkt=None, inner_log=None):
     kkt : KKTPoint, optional
         Reference for the gap/energy/objective-residual diagnostics.
         Without it those trace fields are NaN.
-    inner_log : list, optional
-        Receives one dict per iteration with the inner solver's tolerance
-        and achieved gradient norm (Newton path only).
 
     Returns
     -------
@@ -335,14 +328,14 @@ def run(instance, config, x0, lam0, kkt=None, inner_log=None):
         produce bit-identical traces.
     """
     return _run_resolved(instance, resolve_config(instance, config), x0, lam0,
-                         kkt, inner_log)
+                         kkt)
 
 
-def _run_resolved(instance, config, x0, lam0, kkt=None, inner_log=None):
+def _run_resolved(instance, config, x0, lam0, kkt=None):
     """:func:`run` for a ``config`` that :func:`resolve_config` returned,
     so its schedule is certified once per run."""
     state = initial_state(instance, config, x0, lam0)
-    return _run_loop(instance, config, state, kkt, inner_log)
+    return _run_loop(instance, config, state, kkt)
 
 
 def _block_rows(instance, stop):
@@ -354,7 +347,7 @@ def _block_rows(instance, stop):
     return max(1, min(RECORD_BLOCK_ROWS, RECORD_BLOCK_BYTES // row_bytes))
 
 
-def _run_loop(instance, config, state, kkt=None, inner_log=None):
+def _run_loop(instance, config, state, kkt=None):
     """Advance ``state`` by :func:`step` for ``config.max_iter`` iterations
     or until ``config.stop``, recording each iterate with ``config``'s own
     ``gamma, delta, eta, beta``.  ``config`` has a float ``gamma`` and a
@@ -387,10 +380,7 @@ def _run_loop(instance, config, state, kkt=None, inner_log=None):
         del xs[:-1], lams[:-1], axs[:]
 
     for _ in range(config.max_iter):
-        report = {} if inner_log is not None else None
-        state = step(state, config, instance, plan, inner_report=report)
-        if report is not None:
-            inner_log.append({"k": state.k, **report})
+        state = step(state, config, instance, plan)
         xs.append(state.x_curr)
         lams.append(state.lam_curr)
         axs.append(state.Ax_curr)

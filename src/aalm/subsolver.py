@@ -21,13 +21,15 @@ is one of two paths:
   other ``Q`` when the run's ``gamma`` is fixed -- and a Cholesky
   factorization per solve otherwise;
 * :func:`solve_inner_newton` -- damped Newton with backtracking for smooth
-  non-quadratic implicit parts, one Cholesky factorization per step.
+  non-quadratic implicit parts, one Cholesky factorization per step, to
+  the fixed tolerance schedule :func:`inner_tolerance` within at most
+  :data:`INNER_MAX_STEPS` steps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -38,10 +40,14 @@ from .problems import GramEigenbasis, ObjectiveOracle, dense
 # Residual tolerance asserted after every direct solve (scaled by the rhs).
 LINEAR_RESIDUAL_TOL = 1e-10
 
-# Inner Newton tolerance schedule: min(cap, INNER_TOL_SCALE / t_k^3).  The
-# cubic decay outpaces the energy telescoping, so inexact inner solves do
-# not pollute the measured rates.
+# Inner Newton tolerance schedule: min(INNER_TOL_CAP, INNER_TOL_SCALE /
+# t_k^3).  The cubic decay outpaces the energy telescoping (the errors are
+# summable), so inexact inner solves do not pollute the measured rates.
+INNER_TOL_CAP = 1e-8
 INNER_TOL_SCALE = 1e-2
+
+# Inner Newton steps per subproblem before MaxInnerIterations.
+INNER_MAX_STEPS = 50
 
 # Predicted decreases below this fraction of the objective value cannot be
 # resolved by the Armijo comparison in double precision; the line search
@@ -103,17 +109,9 @@ class SubproblemSpec:
             raise ValueError("beta must be nonnegative")
 
 
-@dataclass(frozen=True)
-class InnerSolverPolicy:
-    """Termination knobs for the inner Newton solver."""
-
-    tol_grad: float = 1e-8
-    max_inner: int = 50
-
-
-def inner_tolerance(t_curr, policy):
-    """Per-iteration inner gradient tolerance ``min(cap, 1e-2 / t_k^3)``."""
-    return min(policy.tol_grad, INNER_TOL_SCALE / t_curr ** 3)
+def inner_tolerance(t_curr):
+    """Per-iteration inner gradient tolerance ``min(1e-8, 1e-2 / t_k^3)``."""
+    return min(INNER_TOL_CAP, INNER_TOL_SCALE / t_curr ** 3)
 
 
 def subproblem_value(spec, instance, x, Ax=None):
@@ -361,33 +359,25 @@ def solve_linear_case(spec, instance, cache=None):
     return x
 
 
-def solve_subproblem(spec, instance, plan, inner, state, report=None):
+def solve_subproblem(spec, instance, plan, state):
     """Solve the subproblem at ``state`` by ``plan``'s backend (inner Newton
-    from ``state.x_curr`` at ``inner_tolerance(t_k, inner)``), reporting
-    iterations, gradient norm and tolerance into ``report``.  An inner
+    from ``state.x_curr`` at ``inner_tolerance(t_k)``).  An inner
     failure's message gains ``k`` and ``t_k``."""
     try:
         if plan.cache is not None:
-            x = solve_linear_case(spec, instance, plan.cache)
-            if report is not None:
-                report.update(iterations=0, grad_norm=0.0, tol=None)
-            return x
-        tol = inner_tolerance(state.t_curr, inner)
-        x = solve_inner_newton(spec, instance, replace(inner, tol_grad=tol),
-                               state.x_curr, report=report, AtA=plan.AtA)
+            return solve_linear_case(spec, instance, plan.cache)
+        return solve_inner_newton(spec, instance, state.x_curr,
+                                  inner_tolerance(state.t_curr), plan.AtA)
     except (MaxInnerIterations, SubsolverError) as e:
         e.args = (f"{e} at k={state.k}, t_k={state.t_curr:.6g}",)
         raise
-    if report is not None:
-        report["tol"] = tol
-    return x
 
 
-def solve_inner_newton(spec, instance, policy, x0, report=None, AtA=None):
+def solve_inner_newton(spec, instance, x0, tol, AtA=None):
     """Damped Newton on the subproblem for smooth non-quadratic parts.
 
     Iterates from the warm start ``x0`` until the subproblem gradient norm
-    drops to ``policy.tol_grad``.  Directions come from the exact
+    drops to ``tol``.  Directions come from the exact
     subproblem Hessian; when a computed direction fails the descent test
     ``<d, g> <= -1e-12 ||d|| ||g||`` it falls back to steepest descent for
     that iteration.  Backtracking halves the step until the Armijo
@@ -397,17 +387,14 @@ def solve_inner_newton(spec, instance, policy, x0, report=None, AtA=None):
 
     Parameters
     ----------
-    report : dict, optional
-        If given, ``iterations`` and ``grad_norm`` achieved are written
-        into it (used to audit tolerance schedules).
     AtA : ndarray, optional
         Dense ``A'A`` (a Newton :class:`StepPlan`'s); formed when omitted.
 
     Raises
     ------
     MaxInnerIterations
-        After ``policy.max_inner`` steps without meeting the tolerance;
-        carries the final gradient norm.
+        After :data:`INNER_MAX_STEPS` steps (read at call time) without
+        meeting the tolerance; carries the final gradient norm.
     """
     if AtA is None:
         AtA = dense(instance.A.T @ instance.A)
@@ -419,11 +406,11 @@ def solve_inner_newton(spec, instance, policy, x0, report=None, AtA=None):
     gnorm = math.sqrt(g @ g)
     fx = None  # F(x), when it was evaluated
     it = 0
-    while gnorm > policy.tol_grad:
-        if it >= policy.max_inner:
+    while gnorm > tol:
+        if it >= INNER_MAX_STEPS:
             raise MaxInnerIterations(
-                f"inner Newton: {policy.max_inner} iterations, gradient "
-                f"norm {gnorm:.3e} > tol {policy.tol_grad:.3e}", gnorm)
+                f"inner Newton: {INNER_MAX_STEPS} iterations, gradient "
+                f"norm {gnorm:.3e} > tol {tol:.3e}", gnorm)
         H = spec.implicit.hessian(x) + coef * AtA
         H.flat[::H.shape[0] + 1] += 1.0 / spec.gamma
         try:
@@ -454,9 +441,6 @@ def solve_inner_newton(spec, instance, policy, x0, report=None, AtA=None):
         g = subproblem_gradient(spec, instance, x, Ax)
         gnorm = math.sqrt(g @ g)
         it += 1
-    if report is not None:
-        report["iterations"] = it
-        report["grad_norm"] = float(gnorm)
     return x
 
 

@@ -19,9 +19,10 @@ from aalm.oracle import instance_hash, kkt_refine, kkt_solve_qp, load_kkt
 from aalm.problems import (ObjectiveOracle, ProblemInstance,
                            make_lp_regression, make_random_lp, make_random_qp,
                            make_ring_logistic)
-from aalm.subsolver import InnerSolverPolicy, MaxInnerIterations, step_plan
+from aalm.subsolver import MaxInnerIterations, step_plan
 from aalm.schedule import nesterov
 from aalm import solver as aalm_solver
+from aalm import subsolver
 from aalm.solver import SolverConfig, StoppingRule, resolve_config, run
 
 
@@ -226,13 +227,15 @@ class TestParseConfig:
             parse_config(cfg)
 
     def test_inner_policy_keys(self):
-        """inner_tol and max_inner configure the subproblem policy."""
-        cfg = _qp_config()
-        cfg["solvers"][0]["inner_tol"] = 1e-6
-        cfg["solvers"][1]["max_inner"] = 7
-        parsed = parse_config(cfg)
-        assert parsed.solvers[0].config.inner.tol_grad == 1e-6
-        assert parsed.solvers[1].config.inner.max_inner == 7
+        """The inner Newton's tolerance schedule and step budget are
+        fixed: inner_tol and max_inner are unknown keys on either
+        method."""
+        for i, key, value in ((0, "inner_tol", 1e-6), (1, "max_inner", 7)):
+            cfg = _qp_config()
+            cfg["solvers"][i][key] = value
+            with pytest.raises(ConfigError,
+                               match=rf"unknown key\(s\) \['{key}'\]"):
+                parse_config(cfg)
 
 
 def _write_matrix(path, arr):
@@ -550,14 +553,13 @@ class TestVanillaBaseline:
                         np.zeros(qp_testbed.dim),
                         np.zeros(qp_testbed.n_constraints))
 
-    def test_inner_failure_names_iteration(self):
+    def test_inner_failure_names_iteration(self, monkeypatch):
         """An inner Newton failure of the baseline names k and t_k."""
         lp = make_random_lp(d=6, n=4, p=1.5, seed=0)
-        vcfg = VanillaConfig(case="implicit",
-                             inner=InnerSolverPolicy(max_inner=1))
+        monkeypatch.setattr(subsolver, "INNER_MAX_STEPS", 1)
         with pytest.raises(MaxInnerIterations, match=r"at k=1, t_k=1$"):
-            run_vanilla(lp, vcfg, 5, np.zeros(lp.dim),
-                        np.zeros(lp.n_constraints))
+            run_vanilla(lp, VanillaConfig(case="implicit"), 5,
+                        np.zeros(lp.dim), np.zeros(lp.n_constraints))
 
     def test_newton_path_on_ring(self):
         """Implicit subproblems route through the damped Newton solver."""
@@ -872,13 +874,17 @@ class TestCli:
         ("max_inner", "7"), ("inner_tol", "1e-8"), ("delta", "1"),
         ("gamma", "2"), ("max_inner", 0), ("inner_tol", -1.0)])
     def test_run_bad_numeric_key(self, tmp_path, capsys, key, value):
-        """A solver key of the wrong type or an inner solver setting out of
-        range is a config error (exit 1), caught before any solver runs."""
+        """A solver key of the wrong type is a config error (exit 1),
+        caught before any solver runs.  The inner Newton's tolerance and
+        budget are fixed, so inner_tol and max_inner are unknown keys
+        whatever their value."""
         cfg = _qp_config()
         cfg["solvers"][0][key] = value
         path = _write_config(tmp_path, cfg)
         assert main(["run", str(path)]) == 1
-        assert f"error: {key} must be" in capsys.readouterr().err
+        expected = (f"unknown key(s) ['{key}']"
+                    if key in ("inner_tol", "max_inner") else f"{key} must be")
+        assert f"error: {expected}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("block, key, value", [
         ("stop", "feas_tol", "1e-4"), ("stop", "stat_tol", True),
@@ -896,6 +902,35 @@ class TestCli:
         path = _write_config(tmp_path, cfg)
         assert main(["run", str(path)]) == 1
         assert f"error: {key} must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where, value, message", [
+        ("problem", 5, "problem must be a JSON object, got 5"),
+        ("solvers", 5, "solvers must be a JSON list, got 5"),
+        ("solvers", [5], "solver entry must be a JSON object, got 5"),
+        ("schedule", 5, "schedule must be a JSON object, got 5"),
+        ("stop", 5, "stop must be a JSON object, got 5"),
+        ("scaling", None, "scaling must be a JSON object, got None"),
+        ("oracle", 5, "manifest must be a JSON object, got 5"),
+        ("oracle", None, "manifest must be a JSON object, got None")])
+    def test_block_of_wrong_json_type(self, tmp_path, capsys, where, value,
+                                      message):
+        """A config block (top-level, or in the first solver entry) or an
+        ``aalm oracle`` instance file (read as a manifest unless it is an
+        object with a ``builtin`` key) of the wrong JSON type is a config
+        error naming the block (exit 1), not a traceback."""
+        if where == "oracle":
+            path = tmp_path / "inst.json"
+            path.write_text(json.dumps(value))
+            argv = ["oracle", str(path)]
+        else:
+            cfg = _qp_config()
+            if where in ("problem", "solvers"):
+                cfg[where] = value
+            else:
+                cfg["solvers"][0][where] = value
+            argv = ["run", str(_write_config(tmp_path, cfg))]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     @pytest.mark.parametrize("key, value, message", [
         ("iterations", 2.7, "iterations must be an integer"),

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from aalm import (
-    InnerSolverPolicy,
     IterateState,
     MaxInnerIterations,
     ObjectiveOracle,
@@ -37,6 +36,7 @@ from aalm.diagnostics import make_record, make_records
 from aalm.harness import VanillaConfig, run_vanilla
 from aalm.oracle import kkt_refine
 from aalm.problems import make_ring_logistic
+from aalm import solver as aalm_solver
 from aalm.solver import _block_rows
 from aalm.subsolver import inner_tolerance
 
@@ -155,10 +155,9 @@ class TestStateAndExtrapolation:
         np.testing.assert_allclose(lbar, [1.0], rtol=0, atol=0)
 
     def test_inner_tolerance_schedule(self):
-        """tol = min(cap, 1e-2 / t^3)."""
-        policy = InnerSolverPolicy(tol_grad=1e-8)
-        assert inner_tolerance(5.0, policy) == 1e-8
-        np.testing.assert_allclose(inner_tolerance(500.0, policy),
+        """tol = min(1e-8, 1e-2 / t^3)."""
+        assert inner_tolerance(5.0) == 1e-8
+        np.testing.assert_allclose(inner_tolerance(500.0),
                                    1e-2 / 500.0 ** 3, rtol=1e-15)
 
     def test_bad_start_shapes_rejected(self):
@@ -264,15 +263,19 @@ class TestRunLoop:
         _, trace = run(qp_testbed, cfg, np.zeros(50), np.zeros(10))
         assert len(trace) == 50
 
-    def test_inner_log_records_tolerances(self):
-        """On the Newton path every logged iteration meets its tolerance."""
+    def test_inner_solves_meet_tolerances(self, inner_solves):
+        """On the Newton path every outer iteration ``k`` solves once, to
+        ``min(1e-8, 1e-2 / t_k^3)``, and the point returned meets it.  The
+        run is long enough (``t_k`` passes 100) for the ``1/t_k^3`` part
+        of the schedule to take over from the cap."""
         inst = make_random_lp(seed=0)
-        cfg = SolverConfig(schedule=nesterov(), case="implicit", max_iter=50)
-        log = []
-        run(inst, cfg, np.zeros(20), np.zeros(1), inner_log=log)
-        assert len(log) == 50
-        assert all(e["grad_norm"] <= e["tol"] for e in log)
-        assert all(e["iterations"] >= 1 for e in log[:5])
+        cfg = SolverConfig(schedule=nesterov(), case="implicit", max_iter=300)
+        run(inst, cfg, np.zeros(20), np.zeros(1))
+        assert [s.tol for s in inner_solves] == [
+            min(1e-8, 1e-2 / float(t) ** 3) for t in generate(nesterov(), 300)]
+        assert inner_solves[-1].tol < 1e-8
+        assert all(s.grad_norm <= s.tol for s in inner_solves)
+        assert all(s.steps >= 1 for s in inner_solves[:5])
 
     def test_inner_failure_names_iteration(self):
         """An inner Newton failure names the outer iteration and t_k
@@ -352,22 +355,30 @@ class TestRecordBlocks:
                               L[j], *args, xi_k=xi[j], kkt=kkt)
             assert one == rec
 
-    def test_stop_rule_ends_at_first_k(self, qp_testbed, qp_reference):
+    def test_stop_rule_ends_at_first_k(self, qp_testbed, qp_reference,
+                                       monkeypatch):
         """A stopping rule ends the run at the first ``k`` meeting it,
         with no step beyond: the final state is that record's iterate."""
         stop = StoppingRule(feas_tol=1e-4, stat_tol=1e-4)
         _, full = self._run(qp_testbed, qp_reference, 2000)
         first = next(i for i, r in enumerate(full)
                      if r.feas <= 1e-4 and r.stat_res <= 1e-4)
-        log = []
+        steps = []
+        real = aalm_solver.step
+
+        def counted(*args):
+            steps.append(args[0].k)
+            return real(*args)
+
+        monkeypatch.setattr(aalm_solver, "step", counted)
         cfg = SolverConfig(schedule=nesterov(), case="explicit",
                            max_iter=2000, stop=stop)
         state, trace = run(qp_testbed, cfg, np.zeros(50), np.zeros(10),
-                           kkt=qp_reference, inner_log=log)
+                           kkt=qp_reference)
         assert 1 < len(trace) < 2000
         assert trace == full[:first + 1]
         assert state.k == len(trace) + 1 == trace[-1].k
-        assert len(log) == len(trace)
+        assert len(steps) == len(trace)
 
     @pytest.mark.parametrize("which", ["qp", "ring"])
     def test_cached_transpose_products(self, which, qp_testbed, ring):

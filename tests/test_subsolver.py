@@ -13,7 +13,6 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from aalm import (
-    InnerSolverPolicy,
     MaxInnerIterations,
     ObjectiveOracle,
     ProblemInstance,
@@ -172,9 +171,7 @@ class TestSolveLinearCase:
                      p_k=rng.normal(size=3), r_k=rng.normal(size=3),
                      xbar_k=rng.normal(size=8), m=3, n=8)
         x_lin = solve_linear_case(spec, inst)
-        x_newton = solve_inner_newton(spec, inst,
-                                      InnerSolverPolicy(tol_grad=1e-12),
-                                      np.zeros(8))
+        x_newton = solve_inner_newton(spec, inst, np.zeros(8), 1e-12)
         np.testing.assert_allclose(x_newton, x_lin, rtol=0, atol=1e-9)
 
     @staticmethod
@@ -434,28 +431,23 @@ class TestInnerNewton:
                          xbar_k=rng.normal(size=inst.dim), m=m, n=inst.dim)
         return inst, spec
 
-    def test_meets_tight_tolerance(self):
-        """From a warm start the returned subgradient norm is <= 1e-10."""
+    def test_meets_tight_tolerance(self, inner_solves):
+        """From a warm start Newton takes at least one step and the
+        returned subgradient norm is <= 1e-10."""
         inst, spec = self._logistic_spec()
-        x = solve_inner_newton(spec, inst, InnerSolverPolicy(tol_grad=1e-10),
-                               spec.xbar_k)
+        x = subsolver.solve_inner_newton(spec, inst, spec.xbar_k, 1e-10)
         assert np.linalg.norm(subproblem_gradient(spec, inst, x)) <= 1e-10
+        assert inner_solves[0].steps >= 1
 
-    def test_report_filled(self):
+    def test_budget_exhaustion_raises_with_final_norm(self, monkeypatch):
+        """A one-iteration budget from a cold start cannot reach 1e-13
+        (``INNER_MAX_STEPS`` is read at call time)."""
         inst, spec = self._logistic_spec()
-        report = {}
-        solve_inner_newton(spec, inst, InnerSolverPolicy(tol_grad=1e-10),
-                           spec.xbar_k, report=report)
-        assert report["iterations"] >= 1
-        assert report["grad_norm"] <= 1e-10
-
-    def test_budget_exhaustion_raises_with_final_norm(self):
-        """A one-iteration budget from a cold start cannot reach 1e-13."""
-        inst, spec = self._logistic_spec()
-        policy = InnerSolverPolicy(tol_grad=1e-13, max_inner=1)
-        with pytest.raises(MaxInnerIterations) as exc:
-            solve_inner_newton(spec, inst, policy,
-                               spec.xbar_k + 50.0 * np.ones(inst.dim))
+        monkeypatch.setattr(subsolver, "INNER_MAX_STEPS", 1)
+        with pytest.raises(MaxInnerIterations,
+                           match="inner Newton: 1 iterations") as exc:
+            solve_inner_newton(spec, inst,
+                               spec.xbar_k + 50.0 * np.ones(inst.dim), 1e-13)
         assert exc.value.grad_norm > 1e-13
 
     def test_tiny_gamma_pins_to_prox_center(self):
@@ -464,12 +456,12 @@ class TestInnerNewton:
         (The tolerance stays modest: the (x - xbar)/gamma term amplifies
         rounding noise by 1/gamma, so 1e-10 is not evaluable here.)"""
         inst, spec = self._logistic_spec(gamma=1e-8, coupling=False)
-        x = solve_inner_newton(spec, inst, InnerSolverPolicy(tol_grad=1e-6),
-                               spec.xbar_k)
+        x = solve_inner_newton(spec, inst, spec.xbar_k, 1e-6)
         gnorm = np.linalg.norm(inst.objective.gradient(spec.xbar_k))
         assert np.linalg.norm(x - spec.xbar_k) <= 1e-6 * (1.0 + gnorm)
 
-    def test_indefinite_hessian_falls_back_to_steepest_descent(self):
+    def test_indefinite_hessian_falls_back_to_steepest_descent(
+            self, inner_solves):
         """A Hessian oracle that reports ``-3 I`` for ``f = ||x - a||^2/2``
         makes every Newton system ``-2.5 I + coef A'A`` indefinite (A has
         a null space), so Cholesky fails and each inner step is steepest
@@ -491,11 +483,12 @@ class TestInnerNewton:
                            max_iter=30)
         runs = {}
         for name, h in (("true", np.eye(3)), ("indefinite", -3.0 * np.eye(3))):
-            log = []
             state, trace = run(instance(lambda x, h=h: h.copy()), cfg,
-                               np.zeros(3), np.zeros(2), inner_log=log)
-            assert all(e["grad_norm"] <= e["tol"] for e in log)
-            runs[name] = state, trace, max(e["iterations"] for e in log)
+                               np.zeros(3), np.zeros(2))
+            assert len(inner_solves) == 30
+            assert all(s.grad_norm <= s.tol for s in inner_solves)
+            runs[name] = state, trace, max(s.steps for s in inner_solves)
+            inner_solves.clear()
         (x_true, t_true, n_true) = runs["true"]
         (x_sd, t_sd, n_sd) = runs["indefinite"]
         assert n_true == 1 < n_sd

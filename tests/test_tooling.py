@@ -6,10 +6,13 @@ functions by name, so renaming or removing one of them breaks
 here makes such a rename fail the suite instead.
 
 The reference oracle must stay an arithmetic path separate from the
-solver it checks; its imports are pinned here.
+solver it checks; its imports are pinned here.  Every shipped experiment
+config (the demos and the benchmark's workloads) must still parse, so
+that a config key cannot be removed from under them.
 """
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -154,3 +157,22 @@ def test_record_blocks_bound_run_memory():
     finally:
         tracemalloc.stop()
     assert peak < 2e6, peak
+
+
+def test_shipped_configs_parse():
+    """Every ``demos/*.json`` config and every benchmark workload's config
+    (``bench/workloads.build``, full and reduced) gets through
+    ``parse_config``."""
+    from aalm.harness import parse_config
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    demos = sorted((ROOT / "demos").glob("*.json"))
+    assert demos
+    for path in demos:
+        parse_config(path)
+    for name in workloads.NAMES:
+        for reduced in (False, True):
+            cfg = workloads.build(name, 2024, reduced).config
+            assert len(parse_config(cfg).solvers) == len(cfg["solvers"])
