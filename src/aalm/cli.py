@@ -14,14 +14,12 @@ configuration or usage error, 2 solver/oracle failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .harness import (ConfigError, build_problem, load_manifest,
-                      parse_config, run_experiment)
+from .harness import ConfigError, load_instance, parse_config, run_experiment
 from .oracle import ReferenceNotConverged, kkt_refine, save_kkt
 from .schedule import (SCHEDULE_RULES, ScheduleError, certify_rho,
                        named_schedule)
@@ -102,17 +100,7 @@ def _cmd_certify(args):
 
 def _cmd_oracle(args):
     path = Path(args.instance)
-    try:
-        with open(path) as f:
-            raw = json.load(f)
-    except OSError as e:
-        raise ConfigError(f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"malformed JSON in {path}: {e}") from None
-    if isinstance(raw, dict) and "builtin" in raw:
-        instance = build_problem(raw)
-    else:
-        instance = load_manifest(path)
+    instance = load_instance(path)
     kkt = kkt_refine(instance)
     out = Path(args.out) if args.out else path.with_suffix(".kkt.csv")
     save_kkt(out, kkt)

@@ -13,11 +13,17 @@ writes, into the output directory:
 * optionally ``plots.gp``, a gnuplot script laying the six standard
   panels (raw and ``t``-scaled residuals) out in a 2x3 grid.
 
-Configs are strict: unknown keys and values of the wrong type are errors
-(fail-fast beats a silently ignored typo or cast).  Floats are serialized
-with ``repr`` so traces round-trip exactly and re-running a config
-byte-identically reproduces its outputs.  The environment variable
-``AALM_OUTPUT_DIR`` overrides the config's ``output_dir`` when set.
+Configs and manifests are checked against one schema before anything
+runs: each block (config, builtin or manifest problem, accelerated or
+vanilla solver entry, schedule, scaling, stop, manifest, objective) is a
+table mapping each key it admits to a :class:`Kind` and a default, or
+:data:`REQUIRED`.  :func:`_validate` checks a block against its table,
+naming the block in every error, and fills in the defaults.
+
+Floats are serialized with ``repr`` so traces round-trip exactly and
+re-running a config byte-identically reproduces its outputs.  The
+environment variable ``AALM_OUTPUT_DIR`` overrides the config's
+``output_dir`` when set.
 
 The non-accelerated baseline (:func:`run_vanilla`) is the classical
 proximal augmented Lagrangian iteration
@@ -42,7 +48,7 @@ import operator
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 import scipy.io
@@ -106,121 +112,168 @@ class ExperimentConfig:
                 raise ConfigError(f"duplicate solver name {n!r}")
 
 
-def _check_object(block, context):
-    """Reject a ``block`` that is not a JSON object."""
+# ---------------------------------------------------------------------------
+# The schema: one table per block, checked by one function.
+
+#: The default of a key that its block must give.
+REQUIRED = object()
+
+
+class Kind(NamedTuple):
+    """What a key's value must be: one that ``accepts`` holds for, called
+    ``what`` in errors; for a ``choice`` of names, any other value is
+    ``unknown <what> <value>``."""
+
+    what: str
+    accepts: Callable[[object], bool]
+    choice: bool = False
+
+
+def _choice(what, names):
+    """The kind of a key naming one of ``names`` (a value that is not a
+    string is never hashed)."""
+    return Kind(what, lambda v: isinstance(v, str) and v in names, True)
+
+
+INT = Kind("an integer", lambda v: isinstance(v, numbers.Integral)
+           and not isinstance(v, bool))
+NUMBER = Kind("a number", lambda v: isinstance(v, numbers.Real)
+              and not isinstance(v, bool))
+NUMBER_OR_NULL = Kind("a number or null",
+                      lambda v: v is None or NUMBER.accepts(v))
+ETA = Kind("a number, 'critical', 'noncritical' or null",
+           lambda v: NUMBER_OR_NULL.accepts(v)
+           or v in ("critical", "noncritical"))
+BOOL = Kind("true or false", lambda v: isinstance(v, bool))
+PATH = Kind("a file path", lambda v: isinstance(v, str))
+NAME = Kind("a nonempty string", lambda v: isinstance(v, str) and v != "")
+LIST = Kind("a JSON list", lambda v: isinstance(v, list))
+BLOCK = Kind("a JSON object", lambda v: isinstance(v, dict))
+
+CONFIG = {"problem": (BLOCK, REQUIRED), "solvers": (LIST, REQUIRED),
+          "iterations": (INT, REQUIRED), "seed": (INT, 0),
+          "output_dir": (PATH, "results"), "emit_gnuplot": (BOOL, False)}
+
+# A problem block names a builtin family, whose factory's keywords and
+# defaults make its table, or else a manifest.  A builtin's seed defaults
+# to the master seed's instance stream (see _instance_seed).
+FACTORIES = {"qp": make_random_qp, "lp-regression": make_random_lp,
+             "ring-logistic": make_ring_logistic}
+BUILTIN = _choice("builtin problem", tuple(FACTORIES))
+_BUILTIN = {"builtin": (BUILTIN, REQUIRED), "seed": (INT, None)}
+BUILTIN_PROBLEMS = {
+    "qp": {**_BUILTIN, "n": (INT, 50), "m": (INT, 10),
+           "cond": (NUMBER, 10.0)},
+    "lp-regression": {**_BUILTIN, "d": (INT, 30), "n": (INT, 20),
+                      "p": (NUMBER, 1.5), "n_constraints": (INT, 1)},
+    "ring-logistic": {**_BUILTIN, "p_agents": (INT, 10), "m_dim": (INT, 200),
+                      "rho_reg": (NUMBER, 0.5)},
+}
+MANIFEST_PROBLEM = {"manifest": (PATH, REQUIRED)}
+
+# A solver entry's name and method pick its table and name it in errors.
+# use_eig is accepted for older configs and ignored: the instance picks
+# the linear solve backend (see aalm.subsolver.LinearCache).  The
+# baseline has no schedule, so no scaling, stop rule or use_eig either.
+SOLVER_HEAD = {"name": (NAME, REQUIRED),
+               "method": (_choice("method", ("aalm", "vanilla")), "aalm")}
+AALM_ENTRY = {**SOLVER_HEAD, "case": (_choice("case", CASES), "explicit"),
+              "gamma": (NUMBER_OR_NULL, None), "delta": (NUMBER, 1.0),
+              "beta": (NUMBER, 1.0), "schedule": (BLOCK, REQUIRED),
+              "scaling": (BLOCK, None), "stop": (BLOCK, {}),
+              "use_eig": (BOOL, False)}
+VANILLA_ENTRY = {k: v for k, v in AALM_ENTRY.items()
+                 if k not in ("schedule", "scaling", "stop", "use_eig")}
+SOLVER_ENTRIES = {"aalm": AALM_ENTRY, "vanilla": VANILLA_ENTRY}
+SCHEDULE = {"rule": (_choice("schedule rule", tuple(SCHEDULE_RULES)),
+                     REQUIRED),
+            "alpha": (NUMBER_OR_NULL, None), "rho": (NUMBER, None),
+            "eta": (ETA, None)}
+SCALING = {"form": (_choice("scaling form", ("t-power", "constant")),
+                    REQUIRED),
+           "exponent": (NUMBER, 0.5)}
+STOP = {"feas_tol": (NUMBER_OR_NULL, None),
+        "stat_tol": (NUMBER_OR_NULL, None)}
+
+MANIFEST = {"name": (NAME, None), "objective": (BLOCK, REQUIRED),
+            "A": (PATH, REQUIRED), "b": (PATH, REQUIRED)}
+_OBJECTIVE = {"kind": (_choice("objective kind", ("qp", "lp-regression")),
+                       REQUIRED)}
+OBJECTIVES = {
+    "qp": {**_OBJECTIVE, "Q": (PATH, REQUIRED), "q": (PATH, REQUIRED)},
+    "lp-regression": {**_OBJECTIVE, "B": (PATH, REQUIRED),
+                      "c": (PATH, REQUIRED), "p": (NUMBER, REQUIRED)},
+}
+
+
+def _validate(block, schema, context, strict=True):
+    """``block`` checked against ``schema`` (key -> ``(kind, default)``),
+    with the defaults of absent keys filled in.  Raises ConfigError,
+    naming ``context``, for a ``block`` that is not a JSON object, has a
+    key outside ``schema`` (only when ``strict``; otherwise such keys are
+    dropped), lacks a REQUIRED key or holds a value of the wrong kind."""
     if not isinstance(block, dict):
         raise ConfigError(f"{context} must be a JSON object, got {block!r}")
-
-
-def _check_keys(block, allowed, context):
-    """Reject a ``block`` that is not a JSON object or has a key outside
-    ``allowed``."""
-    _check_object(block, context)
-    unknown = sorted(set(block) - set(allowed))
-    if unknown:
+    unknown = sorted(set(block) - set(schema))
+    if strict and unknown:
         raise ConfigError(f"unknown key(s) {unknown} in {context}")
-
-
-def _require_keys(block, keys, context):
-    """Reject a ``block`` missing any of ``keys``."""
-    for key in keys:
-        if key not in block:
-            raise ConfigError(f"{context} needs {key!r}")
-
-
-def _check_real(block, keys, context, default=1.0, kind=numbers.Real):
-    """Reject a value under ``keys`` that is not a real number, or not an
-    integer when ``kind`` is ``numbers.Integral`` (a bool is neither).  A
-    missing key reads as ``default``, so ``null`` passes only where it is
-    the default."""
-    what = "an integer" if kind is numbers.Integral else "a number"
-    for key in keys:
+    out = {}
+    for key, (kind, default) in schema.items():
         v = block.get(key, default)
-        if v is None and default is None:
-            continue
-        if isinstance(v, bool) or not isinstance(v, kind):
-            raise ConfigError(f"{key} must be {what}, got {v!r} "
-                              f"({context})")
+        if v is REQUIRED:
+            raise ConfigError(f"{context} needs {key!r}")
+        if key in block and not kind.accepts(v):
+            raise ConfigError(f"unknown {kind.what} {v!r} ({context})"
+                              if kind.choice else f"{key} must be "
+                              f"{kind.what}, got {v!r} ({context})")
+        out[key] = v
+    return out
 
 
-def _parse_schedule(block):
-    _check_keys(block, {"rule", "alpha", "rho", "eta"}, "schedule")
-    rule = block.get("rule")
-    if rule not in SCHEDULE_RULES:
-        raise ConfigError(f"unknown schedule rule {rule!r}")
-    _check_real(block, ("alpha",), "schedule", default=None)
-    _check_real(block, ("rho",), "schedule")
-    sched = named_schedule(rule, block.get("alpha"), eta=block.get("eta"))
-    if "rho" in block:
-        sched = replace(sched, rho=float(block["rho"]))
-    return sched
+def _read_json(path, what):
+    """The JSON document in the file ``path``, a ``what`` (for errors)."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except OSError as e:
+        raise ConfigError(f"cannot read {what}: {e}") from None
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"malformed JSON in {path}: {e}") from None
 
 
-def _parse_scaling(block, schedule):
-    """``schedule`` with the stepsize factors of a ``scaling`` block.  A
-    constant scaling is an explicit unit ``xi``, so it is certified and
-    run through the scaled arithmetic like any other."""
-    _check_keys(block, {"form", "exponent"}, "scaling")
-    _check_real(block, ("exponent",), "scaling")
-    form = block.get("form")
-    if form == "t-power":
-        e = float(block.get("exponent", 0.5))
-        return replace(schedule, xi=lambda t: t ** e)
-    if form == "constant":
-        return replace(schedule, xi=np.ones_like)
-    raise ConfigError(f"unknown scaling form {form!r}")
-
-
-def _parse_stop(block):
-    _check_keys(block, {"feas_tol", "stat_tol"}, "stop")
-    _check_real(block, ("feas_tol", "stat_tol"), "stop", default=None)
-    return StoppingRule(feas_tol=block.get("feas_tol"),
-                        stat_tol=block.get("stat_tol"))
+def _parse_schedule(block, scaling):
+    """The schedule of a ``schedule`` block, with the stepsize factors of
+    a ``scaling`` block unless that is None.  A constant scaling is an
+    explicit unit ``xi``, so it is certified and run through the scaled
+    arithmetic like any other."""
+    s = _validate(block, SCHEDULE, "schedule")
+    sched = named_schedule(s["rule"], s["alpha"], eta=s["eta"])
+    if s["rho"] is not None:
+        sched = replace(sched, rho=float(s["rho"]))
+    if scaling is None:
+        return sched
+    scaling = _validate(scaling, SCALING, "scaling")
+    e = float(scaling["exponent"])
+    return replace(sched, xi=np.ones_like if scaling["form"] == "constant"
+                   else lambda t: t ** e)
 
 
 def _parse_solver(block, iterations):
-    _check_keys(block, {"name", "method", "case", "schedule", "gamma",
-                        "delta", "beta", "scaling", "stop", "use_eig"},
-                "solver entry")
-    name = block.get("name")
-    if not name:
-        raise ConfigError("every solver entry needs a name")
-    method = block.get("method", "aalm")
-    case = block.get("case", "explicit")
-    if case not in CASES:
-        raise ConfigError(f"unknown case {case!r} (solver {name!r}); "
-                          f"choose from {CASES}")
+    head = _validate(block, SOLVER_HEAD, "solver entry", strict=False)
+    name, method = head["name"], head["method"]
+    where = f"{'vanilla ' if method == 'vanilla' else ''}solver {name!r}"
+    e = _validate(block, SOLVER_ENTRIES[method], where)
     # Types only: resolve_config checks the ranges of gamma, delta and
     # beta.  gamma: null stands for the default stepsize.
-    _check_real(block, ("gamma",), f"solver {name!r}", default=None)
-    _check_real(block, ("delta", "beta"), f"solver {name!r}")
+    steps = {k: e[k] for k in ("case", "gamma", "delta", "beta")}
     if method == "vanilla":
-        for bad in ("schedule", "scaling", "stop", "use_eig"):
-            if bad in block:
-                raise ConfigError(f"{bad!r} does not apply to the vanilla "
-                                  f"baseline (solver {name!r})")
-        cfg = VanillaConfig(case=case, gamma=block.get("gamma"),
-                            delta=block.get("delta", 1.0),
-                            beta=block.get("beta", 1.0))
-        _check_vanilla(cfg, f"vanilla solver {name!r}")
-    elif method == "aalm":
-        if "schedule" not in block:
-            raise ConfigError(f"solver {name!r} needs a schedule")
-        sched = _parse_schedule(block["schedule"])
-        if "scaling" in block:
-            sched = _parse_scaling(block["scaling"], sched)
-        # Accepted for older configs and ignored: the instance picks the
-        # linear solve backend (see aalm.subsolver.LinearCache).
-        if not isinstance(block.get("use_eig", False), bool):
-            raise ConfigError(f"use_eig must be true or false "
-                              f"(solver {name!r})")
-        cfg = SolverConfig(schedule=sched, case=case, gamma=block.get("gamma"),
-                           delta=block.get("delta", 1.0),
-                           beta=block.get("beta", 1.0),
-                           max_iter=iterations,
-                           stop=_parse_stop(block.get("stop", {})))
+        cfg = VanillaConfig(**steps)
+        _check_vanilla(cfg, where)
     else:
-        raise ConfigError(f"unknown method {method!r} (solver {name!r})")
+        sched = _parse_schedule(e["schedule"], e["scaling"])
+        stop = StoppingRule(**_validate(e["stop"], STOP, "stop"))
+        cfg = SolverConfig(schedule=sched, max_iter=iterations, stop=stop,
+                           **steps)
     return SolverEntry(name=name, method=method, config=cfg)
 
 
@@ -229,34 +282,12 @@ def parse_config(source):
 
     Raises :class:`ConfigError` on any unknown key or malformed value.
     """
-    if isinstance(source, (str, Path)):
-        try:
-            with open(source) as f:
-                raw = json.load(f)
-        except OSError as e:
-            raise ConfigError(f"cannot read config: {e}") from None
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"malformed JSON in {source}: {e}") from None
-    else:
-        raw = source
-    _check_keys(raw, {"problem", "solvers", "iterations", "seed",
-                      "output_dir", "emit_gnuplot"}, "config")
-    _require_keys(raw, ("problem", "solvers", "iterations"), "config")
-    _check_real(raw, ("iterations", "seed"), "config", default=0,
-                kind=numbers.Integral)
-    if not isinstance(raw.get("emit_gnuplot", False), bool):
-        raise ConfigError(f"emit_gnuplot must be true or false, got "
-                          f"{raw['emit_gnuplot']!r} (config)")
-    _check_problem(raw["problem"])
-    if not isinstance(raw["solvers"], list):
-        raise ConfigError(f"solvers must be a JSON list, got "
-                          f"{raw['solvers']!r} (config)")
-    iterations = raw["iterations"]
-    solvers = [_parse_solver(b, iterations) for b in raw["solvers"]]
-    return ExperimentConfig(problem=raw["problem"], solvers=solvers,
-                            iterations=iterations, seed=raw.get("seed", 0),
-                            output_dir=raw.get("output_dir", "results"),
-                            emit_gnuplot=raw.get("emit_gnuplot", False))
+    raw = (_read_json(source, "config") if isinstance(source, (str, Path))
+           else source)
+    cfg = _validate(raw, CONFIG, "config")
+    _validate_problem(cfg["problem"])
+    solvers = [_parse_solver(b, cfg["iterations"]) for b in cfg["solvers"]]
+    return ExperimentConfig(**dict(cfg, solvers=solvers))
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +297,17 @@ def _load_array(path, keep_sparse=False):
     """Dense array from ``.csv`` or ``.mtx``; a sparse Matrix Market file
     stays sparse (as CSR) when ``keep_sparse``."""
     path = str(path)
-    if path.endswith(".mtx"):
+    try:
+        if not path.endswith(".mtx"):
+            return np.loadtxt(path, delimiter=",", dtype=float)
         mat = scipy.io.mmread(path)
-        if scipy.sparse.issparse(mat):
-            if keep_sparse:
-                return scipy.sparse.csr_array(mat, dtype=float)
-            mat = mat.toarray()
-        return np.asarray(mat, dtype=float)
-    return np.loadtxt(path, delimiter=",", dtype=float)
+    except OSError as e:
+        raise ConfigError(f"cannot read matrix: {e}") from None
+    if scipy.sparse.issparse(mat):
+        if keep_sparse:
+            return scipy.sparse.csr_array(mat, dtype=float)
+        mat = mat.toarray()
+    return np.asarray(mat, dtype=float)
 
 
 def load_manifest(path):
@@ -286,85 +320,67 @@ def load_manifest(path):
     Objective kinds: ``qp`` (keys ``Q``, ``q``) and ``lp-regression``
     (keys ``B``, ``c``, ``p``).
     """
-    path = Path(path)
-    try:
-        with open(path) as f:
-            raw = json.load(f)
-    except OSError as e:
-        raise ConfigError(f"cannot read manifest: {e}") from None
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"malformed JSON in {path}: {e}") from None
-    _check_keys(raw, {"name", "objective", "A", "b"}, "manifest")
-    _require_keys(raw, ("objective", "A", "b"), "manifest")
-    obj = raw["objective"]
-    _check_object(obj, "objective")
+    return _manifest_instance(_read_json(path, "manifest"), Path(path))
 
-    def load(block, key, context, **kw):
-        if not isinstance(block[key], str):
-            raise ConfigError(f"{key} must be a file path, got "
-                              f"{block[key]!r} ({context})")
+
+def load_instance(path):
+    """Instance from the JSON file ``path``, read once: a problem block
+    when it is an object with a ``builtin`` key, a manifest otherwise."""
+    raw = _read_json(path, "manifest")
+    if isinstance(raw, dict) and "builtin" in raw:
+        return build_problem(raw)
+    return _manifest_instance(raw, Path(path))
+
+
+def _manifest_instance(raw, path):
+    """Instance from the parsed manifest ``raw`` of the file ``path``."""
+    m = _validate(raw, MANIFEST, "manifest")
+    kind = _validate(m["objective"], _OBJECTIVE, "objective",
+                     strict=False)["kind"]
+    obj = _validate(m["objective"], OBJECTIVES[kind], "objective")
+
+    def load(block, key, **kw):
         return _load_array(path.parent / block[key], **kw)
 
-    A = load(raw, "A", "manifest", keep_sparse=True)
+    A = load(m, "A", keep_sparse=True)
     if not scipy.sparse.issparse(A):
         A = np.atleast_2d(A)
-    b = np.atleast_1d(load(raw, "b", "manifest"))
-    kind = obj.get("kind")
-    name = raw.get("name", path.stem)
+    b = np.atleast_1d(load(m, "b"))
+    name = path.stem if m["name"] is None else m["name"]
     if kind == "qp":
-        _check_keys(obj, {"kind", "Q", "q"}, "objective")
-        _require_keys(obj, ("Q", "q"), "objective")
-        Q = np.atleast_2d(load(obj, "Q", "objective"))
-        q = np.atleast_1d(load(obj, "q", "objective"))
-        return make_qp(Q, q, A, b, name=name)
-    if kind == "lp-regression":
-        _check_keys(obj, {"kind", "B", "c", "p"}, "objective")
-        _require_keys(obj, ("B", "c", "p"), "objective")
-        _check_real(obj, ("p",), "objective")
-        B = np.atleast_2d(load(obj, "B", "objective"))
-        c = np.atleast_1d(load(obj, "c", "objective"))
-        return make_lp_regression(B, c, float(obj["p"]), A, b, name=name)
-    raise ConfigError(f"unknown objective kind {kind!r}")
+        return make_qp(np.atleast_2d(load(obj, "Q")),
+                       np.atleast_1d(load(obj, "q")), A, b, name=name)
+    return make_lp_regression(np.atleast_2d(load(obj, "B")),
+                              np.atleast_1d(load(obj, "c")), float(obj["p"]),
+                              A, b, name=name)
 
 
-def _check_problem(block):
-    """Reject a ``problem`` block that is not an object or has unknown
-    keys, and sizes and seeds that are not integers or parameters that
-    are not numbers."""
-    _check_object(block, "problem")
-    if "manifest" in block:
-        _check_keys(block, {"manifest"}, "problem")
-        return
-    _check_keys(block, {"builtin", "n", "m", "cond", "d", "p",
-                        "n_constraints", "p_agents", "m_dim", "rho_reg",
-                        "seed"}, "problem")
-    _check_real(block, ("n", "m", "d", "n_constraints", "p_agents",
-                        "m_dim", "seed"), "problem", default=0,
-                kind=numbers.Integral)
-    _check_real(block, ("cond", "p", "rho_reg"), "problem")
+def _validate_problem(block):
+    """A ``problem`` block checked against its builtin family's table, or
+    the manifest table when it names no builtin."""
+    builtin = _validate(block, {"builtin": (BUILTIN, None)}, "problem",
+                        strict=False)["builtin"]
+    return _validate(block, MANIFEST_PROBLEM if builtin is None
+                     else BUILTIN_PROBLEMS[builtin], "problem")
+
+
+def _instance_seed(problem, master_seed):
+    """The seed of a ``problem`` block's instance: its own ``seed``, by
+    default the master seed offset by :data:`INSTANCE_SEED_OFFSET`; -1
+    for a manifest, which draws nothing."""
+    if "builtin" not in problem:
+        return -1
+    seed = problem.get("seed")
+    return master_seed + INSTANCE_SEED_OFFSET if seed is None else seed
 
 
 def build_problem(block, master_seed=0):
     """Instance from a config ``problem`` block (builtin or manifest)."""
-    _check_problem(block)
-    if "manifest" in block:
-        return load_manifest(block["manifest"])
-    builtin = block.get("builtin")
-    seed = block.get("seed", master_seed + INSTANCE_SEED_OFFSET)
-    if builtin == "qp":
-        return make_random_qp(n=block.get("n", 50), m=block.get("m", 10),
-                              seed=seed, cond=block.get("cond", 10.0))
-    if builtin == "lp-regression":
-        return make_random_lp(d=block.get("d", 30), n=block.get("n", 20),
-                              p=block.get("p", 1.5),
-                              n_constraints=block.get("n_constraints", 1),
-                              seed=seed)
-    if builtin == "ring-logistic":
-        return make_ring_logistic(p_agents=block.get("p_agents", 10),
-                                  m_dim=block.get("m_dim", 200),
-                                  rho_reg=block.get("rho_reg", 0.5),
-                                  seed=seed)
-    raise ConfigError(f"unknown builtin problem {builtin!r}")
+    params = _validate_problem(block)
+    if "manifest" in params:
+        return load_manifest(params["manifest"])
+    params["seed"] = _instance_seed(params, master_seed)
+    return FACTORIES[params.pop("builtin")](**params)
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +517,7 @@ def run_experiment(config):
     out_dir = Path(os.environ.get("AALM_OUTPUT_DIR") or config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     instance = build_problem(config.problem, config.seed)
-    seed = int(config.problem.get("seed",
-                                  config.seed + INSTANCE_SEED_OFFSET)) \
-        if "manifest" not in config.problem else -1
+    seed = _instance_seed(config.problem, config.seed)
     try:
         kkt = cached_reference(instance, out_dir)
         ref_status = f"kkt_tol={kkt.kkt_tol:.3e}"

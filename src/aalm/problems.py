@@ -73,10 +73,6 @@ class ObjectiveOracle:
     quadratic : (ndarray, ndarray), optional
         ``(Q, q)`` when ``f`` is exactly ``x'Qx/2 + q'x``; lets implicit
         steps go through a single linear solve.
-    split : (ObjectiveOracle, ObjectiveOracle), optional
-        ``(f1, f2)`` with ``f = f1 + f2`` for the mixed step: ``f1`` is
-        handled implicitly, ``f2`` (which must carry ``lipschitz``) is
-        linearized at the extrapolated point.
     separable : Separable, optional
         The data :func:`separable_oracle` derived the callables from, for
         code that uses the Hessian in factored form.
@@ -87,7 +83,6 @@ class ObjectiveOracle:
     hessian: Optional[Callable] = None
     lipschitz: Optional[float] = None
     quadratic: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    split: Optional[Tuple["ObjectiveOracle", "ObjectiveOracle"]] = None
     separable: Optional[Separable] = None
 
 

@@ -98,7 +98,7 @@ class SolverConfig:
     """Full configuration of a run.
 
     ``gamma=None`` requests the default stepsize: ``1/L`` for the
-    explicit/composite cases, ``1.0`` for the implicit case.  ``schedule``
+    explicit case, ``1.0`` for the implicit case.  ``schedule``
     (with its stepsize factors, if any) may be unresolved
     (``rho``/``eta`` symbolic); :func:`resolve_config` certifies and
     freezes it against the iteration budget ``max_iter``, the run's only

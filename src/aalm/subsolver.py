@@ -5,10 +5,10 @@ Each outer iteration minimizes, over ``x``,
     F(x) = f_part(x) + (beta/2)||Ax - b||^2 + (1/(2 gamma))||x - xbar||^2
            + <p, Ax - b> + (delta/2)||c Ax - r||^2
 
-where ``f_part`` is the objective itself (implicit step), its linearization
-``<grad f(xbar), x>`` (explicit step), or a sum of an implicit piece and a
-linearized piece (composite step).  The strong convexity injected by the
-proximal term makes F well-posed for any convex ``f_part``.
+where ``f_part`` is the objective itself (implicit step) or its
+linearization ``<grad f(xbar), x>`` (explicit step).  The strong convexity
+injected by the proximal term makes F well-posed for any convex
+``f_part``.
 
 :func:`step_plan` resolves a step case once per run into a frozen
 :class:`StepPlan`, the one place that reads a case string.  Its backend
@@ -61,7 +61,7 @@ BACKTRACK_SHRINK = 0.5
 SUFFICIENT_DECREASE = 1e-4
 
 #: Step cases understood throughout the package.
-CASES = ("implicit", "explicit", "composite")
+CASES = ("implicit", "explicit")
 
 
 class SubsolverError(RuntimeError):
@@ -234,9 +234,9 @@ class LinearCache:
 
 @dataclass(frozen=True)
 class StepPlan:
-    """How a run treats ``f``: the part solved implicitly, the part
-    linearized at ``xbar`` (either may be None), ``A'A`` and the solve
-    backend -- a :class:`LinearCache`, or None for inner Newton."""
+    """How a run treats ``f``: solved implicitly or linearized at
+    ``xbar`` (the other field is None), ``A'A`` and the solve backend --
+    a :class:`LinearCache`, or None for inner Newton."""
 
     implicit: Optional[ObjectiveOracle]
     linearized: Optional[ObjectiveOracle]
@@ -267,18 +267,13 @@ def step_plan(instance, case, backend=True, gamma=None):
     ``backend``: the split of ``f`` only).  ``gamma`` is the run's
     stepsize when every step uses it, which lets a linear backend factor
     a general quadratic part once (see :class:`LinearCache`); None means
-    it may vary.  Raises ValueError for a case
-    outside :data:`CASES`, a composite objective without ``split``, a
+    it may vary.  Raises ValueError for a case outside :data:`CASES`, a
     linearized part without ``lipschitz``, or a Newton part without
     ``hessian``."""
-    obj = instance.objective
-    splits = {"implicit": (obj, None), "explicit": (None, obj),
-              "composite": obj.split}
-    if case not in splits:
+    if case not in CASES:
         raise ValueError(f"case must be one of {CASES}, got {case!r}")
-    if splits[case] is None:
-        raise ValueError("composite case needs objective.split = (f1, f2)")
-    implicit, linearized = splits[case]
+    obj = instance.objective
+    implicit, linearized = (obj, None) if case == "implicit" else (None, obj)
     if linearized is not None and linearized.lipschitz is None:
         raise ValueError(
             f"{case} case needs a gradient Lipschitz constant on the "
@@ -296,8 +291,8 @@ def step_plan(instance, case, backend=True, gamma=None):
 def solve_linear_case(spec, instance, cache=None):
     """Solve the subproblem exactly when its stationarity system is linear.
 
-    Applicable to the explicit case and to implicit/composite cases whose
-    implicit part is quadratic.  Solves
+    Applicable to the explicit case and to an implicit case whose
+    objective is quadratic.  Solves
 
         (Q_eff + gamma^{-1} I + (beta + delta c^2) A'A) x
             = gamma^{-1} xbar - g_anchor - q_eff + A'(beta b - p + delta c r)

@@ -1,6 +1,7 @@
 """Tests for the benchmark harness: configs, manifests, the vanilla
 baseline, trace serialization, experiment runs, and the CLI front end."""
 
+import inspect
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ import scipy.io
 import scipy.sparse
 from numpy.testing import assert_allclose
 
+from aalm import harness
 from aalm.cli import main
 from aalm.diagnostics import TRACE_FIELDS, TraceRecord, energy, fit_rate, gap
 from aalm.harness import (ConfigError, VanillaConfig, build_problem,
@@ -16,8 +18,7 @@ from aalm.harness import (ConfigError, VanillaConfig, build_problem,
                           run_experiment, run_vanilla, summarize_trace,
                           write_trace_csv)
 from aalm.oracle import instance_hash, kkt_refine, kkt_solve_qp, load_kkt
-from aalm.problems import (ObjectiveOracle, ProblemInstance,
-                           make_lp_regression, make_random_lp, make_random_qp,
+from aalm.problems import (make_lp_regression, make_random_lp, make_random_qp,
                            make_ring_logistic)
 from aalm.subsolver import MaxInnerIterations, step_plan
 from aalm.schedule import nesterov
@@ -125,7 +126,7 @@ class TestParseConfig:
             parse_config(cfg)
 
     def test_unknown_case_rejected(self):
-        """A case outside the known three fails at parse time, for the
+        """A case outside the known two fails at parse time, for the
         accelerated and the baseline entries alike."""
         for i in (0, 1):
             cfg = _qp_config()
@@ -507,29 +508,6 @@ class TestVanillaBaseline:
         with pytest.raises(ValueError, match="Lipschitz"):
             run_vanilla(lp, VanillaConfig(), 5,
                         np.zeros(lp.dim), np.zeros(lp.n_constraints))
-
-    def test_composite_zero_f2_matches_implicit(self, qp_testbed):
-        """The mixed baseline step with a vanishing smooth part collapses
-        to the implicit one."""
-        f1 = qp_testbed.objective
-        zero = ObjectiveOracle(value=lambda x: 0.0, gradient=np.zeros_like,
-                               lipschitz=f1.lipschitz)
-        comp = ProblemInstance(
-            ObjectiveOracle(value=f1.value, gradient=f1.gradient,
-                            hessian=f1.hessian, quadratic=f1.quadratic,
-                            split=(f1, zero)),
-            qp_testbed.A, qp_testbed.b, "qp-split-zero")
-        x0, lam0 = np.zeros(qp_testbed.dim), np.zeros(qp_testbed.n_constraints)
-        gamma = 1.0 / f1.lipschitz
-        state_c, _ = run_vanilla(comp, VanillaConfig(case="composite",
-                                                     gamma=gamma),
-                                 150, x0, lam0)
-        state_i, _ = run_vanilla(qp_testbed, VanillaConfig(case="implicit",
-                                                           gamma=gamma),
-                                 150, x0, lam0)
-        assert_allclose(state_c.x_curr, state_i.x_curr, rtol=0, atol=1e-12)
-        assert_allclose(state_c.lam_curr, state_i.lam_curr, rtol=0,
-                        atol=1e-12)
 
     def test_explicit_gamma_above_restriction_rejected(self, qp_testbed):
         """The baseline's linearized step obeys the accelerated loop's
@@ -1083,3 +1061,157 @@ class TestCli:
     def test_oracle_missing_file(self, tmp_path, capsys):
         assert main(["oracle", str(tmp_path / "absent.json")]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+# The six wrong-typed values the schema walk tries on every key, and the
+# ones among them each kind of value admits (a name admits none).
+WRONG_VALUES = (5, "x", [1], {}, None, True)
+ADMITS = {"an integer": (5,), "a number": (5,), "a number or null": (5, None),
+          "a number, 'critical', 'noncritical' or null": (5, None),
+          "true or false": (True,), "a file path": ("x",),
+          "a nonempty string": ("x",), "a JSON list": ([1],),
+          "a JSON object": ({},)}
+# A valid objective block of each manifest objective kind.
+OBJECTIVE_BLOCKS = {"qp": {"kind": "qp", "Q": "Q.csv", "q": "q.csv"},
+                    "lp-regression": {"kind": "lp-regression", "B": "B.csv",
+                                      "c": "c.csv", "p": 1.5}}
+
+
+def _in_config(*where, problem=None):
+    """A builder of a valid config (with scaling and stop blocks on its
+    first entry) and its block at ``where``, for ``aalm run``."""
+    def build():
+        cfg = _qp_config()
+        cfg["solvers"][0].update(case="implicit", scaling={"form": "t-power"},
+                                 stop={})
+        if problem is not None:
+            cfg["problem"] = dict(problem)
+        block = cfg
+        for key in where:
+            block = block[key]
+        return cfg, block, "run"
+    return build
+
+
+def _in_manifest(kind, objective):
+    """A builder of a valid ``kind`` manifest and its top-level block, or
+    with ``objective`` its objective block, for ``aalm oracle``."""
+    def build():
+        doc = {"objective": dict(OBJECTIVE_BLOCKS[kind]), "A": "A.csv",
+               "b": "b.csv"}
+        return doc, doc["objective"] if objective else doc, "oracle"
+    return build
+
+
+# Every table of the schema, with a builder of a document holding a
+# block it describes.
+SCHEMA_BLOCKS = {
+    "config": (harness.CONFIG, _in_config()),
+    "aalm solver entry": (harness.AALM_ENTRY, _in_config("solvers", 0)),
+    "vanilla solver entry": (harness.VANILLA_ENTRY,
+                             _in_config("solvers", 1)),
+    "schedule": (harness.SCHEDULE, _in_config("solvers", 0, "schedule")),
+    "scaling": (harness.SCALING, _in_config("solvers", 0, "scaling")),
+    "stop": (harness.STOP, _in_config("solvers", 0, "stop")),
+    "manifest problem": (harness.MANIFEST_PROBLEM,
+                         _in_config("problem",
+                                    problem={"manifest": "inst.json"})),
+    **{f"{name} problem": (table,
+                           _in_config("problem", problem={"builtin": name}))
+       for name, table in harness.BUILTIN_PROBLEMS.items()},
+    "manifest": (harness.MANIFEST, _in_manifest("qp", objective=False)),
+    **{f"{kind} objective": (table, _in_manifest(kind, objective=True))
+       for kind, table in harness.OBJECTIVES.items()},
+}
+
+
+class TestSchema:
+    """Every key of every schema table rejects the values of the wrong
+    kind at parse time, with a config error naming it."""
+
+    @pytest.mark.parametrize("block, key", [
+        (block, key) for block, (table, _) in SCHEMA_BLOCKS.items()
+        for key in table])
+    def test_wrong_kind_rejected(self, tmp_path, capsys, block, key):
+        """Each wrong-typed value is a ConfigError from the parser and
+        exit 1 with ``error:`` from the CLI, not a traceback, a run-time
+        failure or a silent acceptance."""
+        table, build = SCHEMA_BLOCKS[block]
+        kind = table[key][0]
+        admitted = () if kind.choice else ADMITS[kind.what]
+        expected = ("unknown {what} {value!r}" if kind.choice
+                    else "{key} must be {what}, got {value!r}")
+        parse = {"run": parse_config, "oracle": load_manifest}
+        for value in WRONG_VALUES:
+            if value in admitted:
+                continue
+            doc, target, command = build()
+            target[key] = value
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(doc))
+            message = expected.format(what=kind.what, key=key, value=value)
+            with pytest.raises(ConfigError) as exc:
+                parse[command](path)
+            assert str(exc.value).startswith(message), (value, exc.value)
+            assert main([command, str(path)]) == 1
+            assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    def test_builtin_defaults_are_the_factories(self):
+        """Each builtin table holds its factory's keywords and defaults,
+        besides the seed, which defaults to the master seed's stream."""
+        for name, table in harness.BUILTIN_PROBLEMS.items():
+            params = inspect.signature(harness.FACTORIES[name]).parameters
+            assert set(table) - {"builtin"} == set(params) - {"name"}
+            for key, (_, default) in table.items():
+                if key not in ("builtin", "seed"):
+                    assert default == params[key].default, (name, key)
+
+    @pytest.mark.parametrize("problem, message", [
+        ({"builtin": "qp", "d": 99, "rho_reg": 7.0},
+         "unknown key(s) ['d', 'rho_reg'] in problem"),
+        ({"manifest": "inst.json", "builtin": "qp"},
+         "unknown key(s) ['manifest'] in problem"),
+        ({"n": 8}, "unknown key(s) ['n'] in problem"),
+        ({}, "problem needs 'manifest'")])
+    def test_problem_keys_of_its_family_only(self, tmp_path, capsys,
+                                             problem, message):
+        """A problem block takes the keys of its own builtin family only;
+        a block naming no builtin is a manifest problem."""
+        path = _write_config(tmp_path, _qp_config(problem=problem))
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    def test_composite_case_rejected(self, tmp_path, capsys):
+        """The paper's two cases are the only ones: 'composite' is an
+        unknown case at parse time."""
+        cfg = _qp_config()
+        cfg["solvers"][0]["case"] = "composite"
+        assert main(["run", str(_write_config(tmp_path, cfg))]) == 1
+        assert ("error: unknown case 'composite' (solver 'accel')"
+                in capsys.readouterr().err)
+
+    def test_oracle_reads_instance_once(self, tmp_path, monkeypatch, capsys):
+        """``aalm oracle`` reads and parses a manifest file once."""
+        for fname, arr in (("Q.csv", np.eye(2)), ("q.csv", np.ones(2)),
+                           ("A.csv", np.ones((1, 2))), ("b.csv", np.ones(1))):
+            _write_matrix(tmp_path / fname, arr)
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"objective": OBJECTIVE_BLOCKS["qp"],
+                                    "A": "A.csv", "b": "b.csv"}))
+        loads = []
+        monkeypatch.setattr(harness.json, "load",
+                            lambda f: loads.append(f.name) or json.loads(
+                                f.read()))
+        assert main(["oracle", str(path)]) == 0
+        assert loads == [str(path)]
+        assert "inst: kkt_tol=" in capsys.readouterr().out
+
+    def test_missing_matrix_file_rejected(self, tmp_path, capsys):
+        """A manifest naming a matrix file that does not exist is a config
+        error (exit 1), not a traceback."""
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"objective": OBJECTIVE_BLOCKS["qp"],
+                                    "A": "A.csv", "b": "b.csv"}))
+        assert main(["oracle", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: cannot read matrix")

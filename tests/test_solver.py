@@ -14,7 +14,6 @@ import pytest
 from aalm import (
     IterateState,
     MaxInnerIterations,
-    ObjectiveOracle,
     ProblemInstance,
     ScheduleError,
     SolverConfig,
@@ -60,12 +59,6 @@ class TestResolveConfig:
         with pytest.raises(ValueError, match="Lipschitz"):
             resolve_config(inst, SolverConfig(schedule=nesterov(),
                                               case="explicit"))
-
-    def test_composite_needs_split(self):
-        inst = make_random_qp(n=6, m=2, seed=0)
-        with pytest.raises(ValueError, match="split"):
-            resolve_config(inst, SolverConfig(schedule=nesterov(),
-                                              case="composite"))
 
     def test_unknown_case_rejected(self):
         inst = make_random_qp(n=6, m=2, seed=0)
@@ -483,32 +476,6 @@ class TestCarriedProduct:
         assert same(step_coupled(good, cfg, inst),
                     step_coupled(bad, cfg, inst))
         assert not same(step(good, cfg, inst), step(bad, cfg, inst))
-
-
-class TestCompositeCase:
-    """The mixed step with a vanishing smooth part collapses to implicit."""
-
-    def test_zero_f2_matches_implicit(self, qp_testbed):
-        f1 = qp_testbed.objective
-        L = f1.lipschitz
-        zero = ObjectiveOracle(value=lambda x: 0.0,
-                               gradient=np.zeros_like, lipschitz=L)
-        comp_obj = ObjectiveOracle(value=f1.value, gradient=f1.gradient,
-                                   hessian=f1.hessian, quadratic=f1.quadratic,
-                                   split=(f1, zero))
-        comp_inst = ProblemInstance(comp_obj, qp_testbed.A, qp_testbed.b,
-                                    "qp-split-zero")
-        gamma = 1.0 / L
-        cfg_c = SolverConfig(schedule=nesterov(), case="composite",
-                             gamma=gamma, max_iter=150)
-        cfg_i = SolverConfig(schedule=nesterov(), case="implicit",
-                             gamma=gamma, max_iter=150)
-        state_c, _ = run(comp_inst, cfg_c, np.zeros(50), np.zeros(10))
-        state_i, _ = run(qp_testbed, cfg_i, np.zeros(50), np.zeros(10))
-        np.testing.assert_allclose(state_c.x_curr, state_i.x_curr,
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_allclose(state_c.lam_curr, state_i.lam_curr,
-                                   rtol=0, atol=1e-12)
 
 
 class TestDegenerateConstraints:
