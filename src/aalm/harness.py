@@ -46,19 +46,18 @@ import json
 import numbers
 import operator
 import os
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
-import scipy.io
-import scipy.sparse
 
 from . import solver as aalm_solver
 from .diagnostics import TRACE_FIELDS, TraceRecord, fit_rate, littleo_witness
 from .oracle import cached_reference
-from .problems import (make_lp_regression, make_qp, make_random_lp,
-                       make_random_qp, make_ring_logistic)
+from .problems import (issparse, make_lp_regression, make_qp,
+                       make_random_lp, make_random_qp, make_ring_logistic)
 from .schedule import SCHEDULE_RULES, custom_schedule, named_schedule
 from .solver import SolverConfig, StoppingRule
 from .subsolver import CASES, step_plan
@@ -146,7 +145,11 @@ ETA = Kind("a number, 'critical', 'noncritical' or null",
            or v in ("critical", "noncritical"))
 BOOL = Kind("true or false", lambda v: isinstance(v, bool))
 PATH = Kind("a file path", lambda v: isinstance(v, str))
-NAME = Kind("a nonempty string", lambda v: isinstance(v, str) and v != "")
+# A name is written unquoted into summary.csv and makes file names, so it
+# holds no comma, no path separator and no space.
+NAME = Kind("a name of letters, digits, '.', '_' and '-'",
+            lambda v: isinstance(v, str)
+            and re.fullmatch(r"[A-Za-z0-9._-]+", v) is not None)
 LIST = Kind("a JSON list", lambda v: isinstance(v, list))
 BLOCK = Kind("a JSON object", lambda v: isinstance(v, dict))
 
@@ -300,10 +303,12 @@ def _load_array(path, keep_sparse=False):
     try:
         if not path.endswith(".mtx"):
             return np.loadtxt(path, delimiter=",", dtype=float)
+        import scipy.io
+        import scipy.sparse
         mat = scipy.io.mmread(path)
     except OSError as e:
         raise ConfigError(f"cannot read matrix: {e}") from None
-    if scipy.sparse.issparse(mat):
+    if issparse(mat):
         if keep_sparse:
             return scipy.sparse.csr_array(mat, dtype=float)
         mat = mat.toarray()
@@ -343,7 +348,7 @@ def _manifest_instance(raw, path):
         return _load_array(path.parent / block[key], **kw)
 
     A = load(m, "A", keep_sparse=True)
-    if not scipy.sparse.issparse(A):
+    if not issparse(A):
         A = np.atleast_2d(A)
     b = np.atleast_1d(load(m, "b"))
     name = path.stem if m["name"] is None else m["name"]

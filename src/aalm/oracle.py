@@ -26,10 +26,8 @@ import hashlib
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse
-from scipy.linalg import lstsq
 
-from .problems import GramEigenbasis, KKTPoint, dense
+from .problems import GramEigenbasis, KKTPoint, dense, issparse
 
 # Residual scale accepted from the direct KKT solve before falling back to
 # (or failing out of) the least-squares path.
@@ -79,8 +77,10 @@ def _min_norm_solve(M, rhs):
     count as zero (numpy's ``matrix_rank`` default).  With LAPACK's
     default cutoff of ``eps`` the rounding-level singular values of a
     rank-deficient ``M`` count as rank, and the solution picks up a large,
-    arithmetic-dependent component along the null space.
+    arithmetic-dependent component along the null space.  scipy is
+    imported here, on this fallback only.
     """
+    from scipy.linalg import lstsq
     cond = max(M.shape) * np.finfo(float).eps
     sol, _, _, _ = lstsq(M, rhs, cond=cond, lapack_driver="gelsy")
     return sol
@@ -244,7 +244,8 @@ def _polish(instance, pinv, Z, x, lam):
         # Cholesky through numpy, not scipy: each wheel bundles an
         # OpenBLAS whose workers spin for about 0.1 s after a threaded
         # call, and a second spinning pool next to numpy's (busy after
-        # Z'HZ) preempts the caller's next phase on a 2-core machine.
+        # Z'HZ) would preempt the caller's next phase on a 2-core
+        # machine.  The dense path loads numpy's OpenBLAS only.
         try:
             L = np.linalg.cholesky(ZHZ)
             dz = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
@@ -406,7 +407,7 @@ def instance_hash(instance):
     h = hashlib.sha256()
     h.update(instance.name.encode())
     A = instance.A
-    if scipy.sparse.issparse(A):
+    if issparse(A):
         h.update(np.asarray(A.shape, dtype=np.int64).tobytes())
         h.update(np.ascontiguousarray(A.data).tobytes())
         h.update(A.indices.astype(np.int64).tobytes())

@@ -16,16 +16,18 @@ oracle is derived from it.  Three families are built in:
   matrix is symmetric and rank deficient, which exercises the minimum-norm
   dual paths; it is stored sparse and carries a factored eigenbasis of
   ``A'A`` (see :class:`GramEigenbasis`).
+
+scipy is imported only where it is used (a sparse ``A``, the ring's
+logistic loss), so dense instances are built on numpy alone.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-import scipy.sparse
-from scipy.special import expit
 
 # Residual magnitudes below this are clamped when forming lp-regression
 # curvature, keeping the Newton systems bounded near kinks.
@@ -131,7 +133,8 @@ class ProblemInstance:
     At: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if scipy.sparse.issparse(self.A):
+        if issparse(self.A):
+            import scipy.sparse
             A = scipy.sparse.csr_array(self.A, dtype=float, copy=True)
             A.sum_duplicates()
         else:
@@ -148,8 +151,7 @@ class ProblemInstance:
                 f"{self.gram.evals.shape}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "At", A.T.tocsr() if scipy.sparse.issparse(A)
-                           else A.T)
+        object.__setattr__(self, "At", A.T.tocsr() if issparse(A) else A.T)
 
     @property
     def dim(self):
@@ -173,9 +175,16 @@ class KKTPoint:
     kkt_tol: float
 
 
+def issparse(M):
+    """Whether ``M`` is a ``scipy.sparse`` matrix or array, without
+    importing scipy: nothing is sparse before ``scipy.sparse`` is loaded."""
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(M)
+
+
 def dense(M):
     """``M`` as a dense ``ndarray`` (a copy only when ``M`` is sparse)."""
-    return M.toarray() if scipy.sparse.issparse(M) else M
+    return M.toarray() if issparse(M) else M
 
 
 def separable_oracle(form, lipschitz=None):
@@ -184,7 +193,7 @@ def separable_oracle(form, lipschitz=None):
     U, Ut, c, mu = form.U, form.U.T, form.c, form.mu
 
     def value(x):
-        v = np.sum(form.phi(Ut @ x - c))
+        v = form.phi(Ut @ x - c).sum()
         return float(v + 0.5 * mu * x @ x) if mu else float(v)
 
     def gradient(x):
@@ -204,9 +213,11 @@ def separable_oracle(form, lipschitz=None):
 def make_qp(Q, q, A, b, name="qp"):
     """Quadratic objective ``f(x) = x'Qx/2 + q'x`` under ``Ax = b``.
 
-    ``Q`` must be symmetric (the caller's contract; it is checked, not
-    repaired) and positive semidefinite for the convergence theory to
-    apply.  The gradient Lipschitz constant is ``lambda_max(Q)``.
+    ``Q`` must be symmetric and positive semidefinite (the caller's
+    contract; it is checked, not repaired): an eigenvalue below
+    ``-1e-12 max(1, max|Q_ij|)`` is rejected here, once, so that no
+    subproblem solve meets an indefinite system.  The gradient Lipschitz
+    constant is ``lambda_max(Q)``.
     """
     Q = np.asarray(Q, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -220,7 +231,11 @@ def make_qp(Q, q, A, b, name="qp"):
         raise ValueError("Q must be symmetric")
     if np.shape(A)[1] != n:
         raise ValueError(f"A has {np.shape(A)[1]} columns, expected {n}")
-    L = float(np.linalg.eigvalsh(Q).max()) if n else 0.0
+    evals = np.linalg.eigvalsh(Q) if n else np.zeros(1)
+    if evals[0] < -1e-12 * scale:
+        raise ValueError(f"Q must be positive semidefinite; its smallest "
+                         f"eigenvalue is {evals[0]:.6g}")
+    L = float(evals[-1])
     objective = ObjectiveOracle(
         value=lambda x: 0.5 * float(x @ (Q @ x)) + float(q @ x),
         gradient=lambda x: Q @ x + q,
@@ -299,6 +314,8 @@ def make_ring_logistic(p_agents=10, m_dim=200, rho_reg=0.5, seed=0,
         raise ValueError(f"m_dim must be >= 1, got {m_dim}")
     if rho_reg < 0:
         raise ValueError(f"rho_reg must be >= 0, got {rho_reg}")
+    import scipy.sparse
+    from scipy.special import expit
     W = ring_mixing_matrix(p_agents)
     rng = np.random.Generator(np.random.PCG64(seed))
     C = rng.uniform(0.0, 1.0, size=(p_agents, m_dim))

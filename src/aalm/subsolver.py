@@ -18,10 +18,10 @@ is one of two paths:
   quadratic: a few applications of an eigenbasis built once per run (see
   :class:`LinearCache`) -- of ``A'A`` when the quadratic part is a
   multiple of the identity, of the pair ``(A'A, Q + I/gamma)`` for any
-  other ``Q`` when the run's ``gamma`` is fixed -- and a Cholesky
-  factorization per solve otherwise;
+  other ``Q`` when the run's ``gamma`` is fixed -- and an LU solve
+  (:func:`spd_solve`) per solve otherwise;
 * :func:`solve_inner_newton` -- damped Newton with backtracking for smooth
-  non-quadratic implicit parts, one Cholesky factorization per step, to
+  non-quadratic implicit parts, one LU solve per step, to
   the fixed tolerance schedule :func:`inner_tolerance` within at most
   :data:`INNER_MAX_STEPS` steps.
 """
@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .problems import GramEigenbasis, ObjectiveOracle, dense
 
@@ -134,33 +133,29 @@ def subproblem_value(spec, instance, x, Ax=None):
 
 
 def subproblem_gradient(spec, instance, x, Ax=None):
-    """Gradient of F at ``x``; ``Ax`` is ``A x`` when the caller has
-    formed it, and is formed here otherwise."""
-    At = instance.At
+    """Gradient of F at ``x``, with the constraint terms gathered under
+    one product by ``A'``; ``Ax`` is ``A x`` when the caller has formed
+    it, and is formed here otherwise."""
     g = (spec.implicit.gradient(x) if spec.implicit is not None
          else np.zeros_like(x))
     if spec.gradient_anchor is not None:
         g = g + spec.gradient_anchor
     if Ax is None:
         Ax = instance.A @ x
-    return (g + spec.beta * (At @ (Ax - instance.b))
-            + (x - spec.xbar_k) / spec.gamma
-            + At @ spec.p_k
-            + spec.delta * spec.c_k * (At @ (spec.c_k * Ax - spec.r_k)))
+    return (g + (x - spec.xbar_k) / spec.gamma
+            + instance.At @ (spec.beta * (Ax - instance.b) + spec.p_k
+                             + spec.delta * spec.c_k
+                             * (spec.c_k * Ax - spec.r_k)))
 
 
-def cholesky_solve(M, rhs):
-    """``M^{-1} rhs`` for a symmetric positive definite ``M`` by LAPACK
-    ``potrf``/``potrs`` on its upper triangle -- the arithmetic of
-    ``cho_solve(cho_factor(M), rhs)`` without the wrappers' checks.
-    ``M`` is left unchanged.  Raises ``np.linalg.LinAlgError`` when ``M``
-    is not positive definite."""
-    c, info = dpotrf(M, lower=0, clean=0)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"leading minor of order {info} is not positive definite")
-    x, _ = dpotrs(c, rhs, lower=0)
-    return x
+def spd_solve(M, rhs):
+    """``M^{-1} rhs`` for a symmetric positive definite ``M`` by numpy's
+    LU solve (LAPACK ``gesv``), which needs no scipy.  ``M`` is left
+    unchanged.  Definiteness is not checked here: a quadratic part is
+    checked once where it is built (:func:`aalm.problems.make_qp`), and
+    each caller guards its result (a residual assertion, a descent test).
+    Raises ``np.linalg.LinAlgError`` when ``M`` is singular."""
+    return np.linalg.solve(M, rhs)
 
 
 def generalized_eigenbasis(K, B):
@@ -194,8 +189,8 @@ class LinearCache:
       eigenbasis ``V`` of the pair ``(A'A, B)``, ``B = Q + I/gamma`` (kept
       as ``B``), with ``V'BV = I`` and ``V'A'AV = diag(evals)``, built
       here once; it serves solves at that ``gamma`` only;
-    * any other ``Q`` otherwise: ``basis`` is None and each solve factors
-      the system by Cholesky (:func:`cholesky_solve`).
+    * any other ``Q`` otherwise: ``basis`` is None and each solve is an
+      LU solve of the system (:func:`spd_solve`).
 
     Either way each solve with a basis is a few basis applications.
     ``A'A`` keeps the storage of ``A`` on the orthonormal path and is
@@ -298,13 +293,13 @@ def solve_linear_case(spec, instance, cache=None):
             = gamma^{-1} xbar - g_anchor - q_eff + A'(beta b - p + delta c r)
 
     through the cache's eigenbasis when it holds one for ``spec.gamma``
-    (see :class:`LinearCache`), with one refinement pass, and by a
-    Cholesky factorization otherwise.  Asserts the residual against
+    (see :class:`LinearCache`), with one refinement pass, and by an LU
+    solve otherwise.  Asserts the residual against
     ``1e-10`` on the backward-error scale ``1 + ||rhs|| + ||M|| ||x||``
     (the two scales differ materially once ``delta c^2`` is large and
     ``A`` has a null space), with ``||M||`` the 2-norm on the orthonormal
     path, the largest diagonal entry (at most the 2-norm) on the
-    generalized one and the infinity norm under Cholesky.
+    generalized one and the infinity norm under the LU solve.
     """
     if cache is None:
         cache = LinearCache(instance, spec.implicit)
@@ -340,8 +335,8 @@ def solve_linear_case(spec, instance, cache=None):
         M = coef * cache.AtA
         M.flat[::M.shape[0] + 1] += 1.0 / spec.gamma
         if cache.Q is not None:
-            M = M + cache.Q
-        x = cholesky_solve(M, rhs)
+            M += cache.Q
+        x = spd_solve(M, rhs)
         Mx = M @ x
         m_scale = float(np.abs(M).sum(axis=1).max())
     res = Mx - rhs
@@ -357,13 +352,14 @@ def solve_linear_case(spec, instance, cache=None):
 def solve_subproblem(spec, instance, plan, state):
     """Solve the subproblem at ``state`` by ``plan``'s backend (inner Newton
     from ``state.x_curr`` at ``inner_tolerance(t_k)``).  An inner
-    failure's message gains ``k`` and ``t_k``."""
+    failure's or a singular system's message gains ``k`` and ``t_k``."""
     try:
         if plan.cache is not None:
             return solve_linear_case(spec, instance, plan.cache)
         return solve_inner_newton(spec, instance, state.x_curr,
                                   inner_tolerance(state.t_curr), plan.AtA)
-    except (MaxInnerIterations, SubsolverError) as e:
+    except (MaxInnerIterations, SubsolverError,
+            np.linalg.LinAlgError) as e:
         e.args = (f"{e} at k={state.k}, t_k={state.t_curr:.6g}",)
         raise
 
@@ -409,7 +405,7 @@ def solve_inner_newton(spec, instance, x0, tol, AtA=None):
         H = spec.implicit.hessian(x) + coef * AtA
         H.flat[::H.shape[0] + 1] += 1.0 / spec.gamma
         try:
-            d = -cholesky_solve(H, g)
+            d = -spd_solve(H, g)
         except np.linalg.LinAlgError:
             d = -g
         if g @ d > -1e-12 * math.sqrt(d @ d) * gnorm:

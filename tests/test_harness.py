@@ -3,6 +3,7 @@ baseline, trace serialization, experiment runs, and the CLI front end."""
 
 import inspect
 import json
+import re
 
 import numpy as np
 import pytest
@@ -1069,7 +1070,7 @@ WRONG_VALUES = (5, "x", [1], {}, None, True)
 ADMITS = {"an integer": (5,), "a number": (5,), "a number or null": (5, None),
           "a number, 'critical', 'noncritical' or null": (5, None),
           "true or false": (True,), "a file path": ("x",),
-          "a nonempty string": ("x",), "a JSON list": ([1],),
+          "a name of letters, digits, '.', '_' and '-'": ("x",), "a JSON list": ([1],),
           "a JSON object": ({},)}
 # A valid objective block of each manifest objective kind.
 OBJECTIVE_BLOCKS = {"qp": {"kind": "qp", "Q": "Q.csv", "q": "q.csv"},
@@ -1180,6 +1181,25 @@ class TestSchema:
         path = _write_config(tmp_path, _qp_config(problem=problem))
         assert main(["run", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("name", ["a,b", "x/y", "a b", ""])
+    def test_name_of_safe_characters_only(self, tmp_path, capsys, name):
+        """A solver or manifest name is a CSV field and a file name: a
+        comma, a path separator, a space or nothing is a parse-time config
+        error naming the block (exit 1), not a shifted summary row or a
+        run-time failure."""
+        what = "a name of letters, digits, '.', '_' and '-'"
+        cfg = _qp_config()
+        cfg["solvers"][0]["name"] = name
+        assert main(["run", str(_write_config(tmp_path, cfg))]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: name must be {what}, got {name!r} (solver entry)")
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"name": name, "A": "A.csv", "b": "b.csv",
+                                    "objective": OBJECTIVE_BLOCKS["qp"]}))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"name must be {what}, got {name!r} (manifest)")):
+            load_manifest(path)
 
     def test_composite_case_rejected(self, tmp_path, capsys):
         """The paper's two cases are the only ones: 'composite' is an

@@ -54,6 +54,16 @@ class TestMakeQp:
             make_qp(np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros(2),
                     np.array([[1.0, 0.0]]), np.array([0.0]))
 
+    def test_indefinite_rejected(self):
+        """An indefinite Q is rejected where it is built, naming its
+        smallest eigenvalue; a PSD Q with an eigenvalue at rounding level
+        below zero is accepted."""
+        with pytest.raises(ValueError, match=r"semidefinite.* -1$"):
+            make_qp(np.diag([1.0, -1.0, 2.0]), np.zeros(3),
+                    np.array([[1.0, 0.0, 0.0]]), np.array([0.0]))
+        make_qp(np.diag([1.0, -1e-13, 2.0]), np.zeros(3),
+                np.array([[1.0, 0.0, 0.0]]), np.array([0.0]))
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             make_qp(np.eye(2), np.zeros(3), np.array([[1.0, 0.0]]),

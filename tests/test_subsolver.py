@@ -7,6 +7,7 @@ assembled subproblem is audited by finite differences.
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,7 +32,8 @@ from aalm import (
 )
 from aalm import subsolver
 from aalm.subsolver import (
-    cholesky_solve,
+    solve_subproblem,
+    spd_solve,
     step_plan,
     subproblem_gradient,
     subproblem_value,
@@ -365,7 +367,7 @@ class TestFactorizationsPerRun:
 
     @staticmethod
     def _counted_run(monkeypatch, schedule):
-        counts = {"basis": 0, "dpotrf": 0}
+        counts = {"basis": 0, "spd_solve": 0}
 
         def spy(name, fn):
             def counted(*args, **kwargs):
@@ -375,8 +377,8 @@ class TestFactorizationsPerRun:
 
         monkeypatch.setattr(subsolver, "generalized_eigenbasis",
                             spy("basis", subsolver.generalized_eigenbasis))
-        monkeypatch.setattr(subsolver, "dpotrf",
-                            spy("dpotrf", subsolver.dpotrf))
+        monkeypatch.setattr(subsolver, "spd_solve",
+                            spy("spd_solve", subsolver.spd_solve))
         inst = make_random_qp(n=50, m=10, seed=0)
         cfg = SolverConfig(schedule=schedule, case="implicit", max_iter=300)
         run(inst, cfg, np.zeros(50), np.zeros(10))
@@ -384,32 +386,48 @@ class TestFactorizationsPerRun:
 
     def test_fixed_gamma_builds_one_basis(self, monkeypatch):
         counts = self._counted_run(monkeypatch, chambolle_dossal(10.0))
-        assert counts == {"basis": 1, "dpotrf": 0}
+        assert counts == {"basis": 1, "spd_solve": 0}
 
     def test_scaled_run_factors_every_step(self, monkeypatch):
         sched = replace(chambolle_dossal(10.0), xi=np.sqrt)
         counts = self._counted_run(monkeypatch, sched)
-        assert counts == {"basis": 0, "dpotrf": 300}
+        assert counts == {"basis": 0, "spd_solve": 300}
 
 
-class TestCholeskySolve:
-    """The LAPACK helper is scipy's cho_factor/cho_solve arithmetic."""
+class TestSolveSubproblem:
+    """Failures of a subproblem solve name the outer iteration."""
 
-    def test_bitwise_equal_to_scipy(self):
+    def test_singular_system_names_iteration(self):
+        """A quadratic part that cancels the proximal term on null(A)
+        (built without make_qp, which would reject it) makes the LU solve
+        of a varying-gamma step singular; the error gains k and t_k."""
+        inst = ProblemInstance(
+            ObjectiveOracle(lambda x: 0.0, lambda x: np.zeros(2),
+                            quadratic=(np.diag([0.0, -1.0]), np.zeros(2))),
+            np.array([[1.0, 0.0]]), np.zeros(1), "singular")
+        plan = step_plan(inst, "implicit")
+        state = SimpleNamespace(k=7, t_curr=4.5, x_curr=np.zeros(2))
+        with pytest.raises(np.linalg.LinAlgError, match=r"at k=7, t_k=4.5$"):
+            solve_subproblem(_spec(inst.objective, gamma=1.0, n=2), inst,
+                             plan, state)
+
+
+class TestSpdSolve:
+    """The numpy SPD solve agrees with scipy's Cholesky solve."""
+
+    def test_agrees_with_scipy_cholesky(self):
+        """Relative agreement to 1e-12 with cho_solve(cho_factor(M), r),
+        and ``M`` is left unchanged."""
         rng = np.random.default_rng(3)
         for n in (1, 7, 50):
             G = rng.normal(size=(n, n))
             M = G @ G.T + 0.1 * np.eye(n)
             r = rng.normal(size=n)
             keep = M.copy()
-            x = cholesky_solve(M, r)
-            np.testing.assert_array_equal(x, cho_solve(cho_factor(M), r))
+            x = spd_solve(M, r)
+            ref = cho_solve(cho_factor(M), r)
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
             np.testing.assert_array_equal(M, keep)
-
-    def test_not_positive_definite_raises(self):
-        M = np.diag([1.0, -1.0, 2.0])
-        with pytest.raises(np.linalg.LinAlgError):
-            cholesky_solve(M, np.ones(3))
 
 
 class TestInnerNewton:

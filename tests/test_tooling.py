@@ -8,10 +8,12 @@ here makes such a rename fail the suite instead.
 The reference oracle must stay an arithmetic path separate from the
 solver it checks; its imports are pinned here.  Every shipped experiment
 config (the demos and the benchmark's workloads) must still parse, so
-that a config key cannot be removed from under them.
+that a config key cannot be removed from under them.  A dense experiment
+runs on numpy alone: it imports no scipy module.
 """
 
 import ast
+import csv
 import importlib.util
 import os
 import subprocess
@@ -24,21 +26,26 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _traced(code):
-    """Run ``code`` after ``tracer = Tracer(); tracer.install()`` in a
-    fresh interpreter (installing rebinds module globals for the rest of
-    the process); returns its standard output."""
-    env = dict(os.environ)
+def _fresh(code):
+    """Run ``code`` in a fresh interpreter with ``src`` and ``bench`` on
+    its path; returns its standard output."""
+    env = {k: v for k, v in os.environ.items() if k != "AALM_OUTPUT_DIR"}
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "bench")]
         + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "from tracing import Tracer\ntracer = Tracer()\ntracer.install()\n"
-         + code],
+        [sys.executable, "-c", code],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def _traced(code):
+    """Run ``code`` after ``tracer = Tracer(); tracer.install()`` in a
+    fresh interpreter (installing rebinds module globals for the rest of
+    the process); returns its standard output."""
+    return _fresh("from tracing import Tracer\ntracer = Tracer()\n"
+                  "tracer.install()\n" + code)
 
 
 def test_bench_tracer_installs():
@@ -176,3 +183,41 @@ def test_shipped_configs_parse():
         for reduced in (False, True):
             cfg = workloads.build(name, 2024, reduced).config
             assert len(parse_config(cfg).solvers) == len(cfg["solvers"])
+
+
+def test_dense_experiments_import_no_scipy(tmp_path):
+    """A fresh interpreter imports ``aalm.cli`` and runs a dense QP config
+    (explicit and scaled implicit entries) and an implicit lp config
+    through ``run_experiment`` without loading any ``scipy`` module; a
+    ring build then loads ``scipy.sparse`` and still works."""
+    out = _fresh(f"""
+import sys
+import aalm.cli
+from aalm import harness
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+cd = {{"rule": "cd", "alpha": 10.0, "eta": "noncritical"}}
+qp = {{"problem": {{"builtin": "qp", "n": 12, "m": 4, "seed": 3}},
+      "iterations": 20, "output_dir": {str(tmp_path / "qp")!r},
+      "solvers": [
+          {{"name": "explicit", "case": "explicit", "schedule": cd}},
+          {{"name": "scaled", "case": "implicit", "schedule": cd,
+            "scaling": {{"form": "t-power", "exponent": 0.5}}}}]}}
+lp = {{"problem": {{"builtin": "lp-regression", "d": 8, "n": 5}},
+      "iterations": 20, "output_dir": {str(tmp_path / "lp")!r},
+      "solvers": [{{"name": "implicit", "case": "implicit",
+                    "schedule": {{"rule": "nesterov"}}}}]}}
+for cfg in (qp, lp):
+    harness.run_experiment(harness.parse_config(cfg))
+print(scipy_modules())
+ring = harness.build_problem({{"builtin": "ring-logistic", "p_agents": 3,
+                              "m_dim": 2}})
+print(ring.A.format, "scipy.sparse" in scipy_modules())
+""")
+    assert out.split("\n")[:2] == ["[]", "csr True"]
+    for run, n_entries in (("qp", 2), ("lp", 1)):
+        with open(tmp_path / run / "summary.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert [r["status"] for r in rows] == ["ok"] * n_entries
