@@ -9,7 +9,8 @@ writes, into the output directory:
 * ``summary.csv`` -- one row per solver with the resolved configuration,
   final residuals, rate slopes fitted over the last half of the run, and
   little-o witnesses;
-* the cached reference sidecar (``*.kkt.csv``);
+* ``<instance name>.kkt.csv`` -- the reference pair, computed afresh on
+  every run and written before any solver starts;
 * optionally ``plots.gp``, a gnuplot script laying the six standard
   panels (raw and ``t``-scaled residuals) out in a 2x3 grid.
 

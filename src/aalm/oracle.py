@@ -16,28 +16,22 @@ producer of such pairs:
   scalar problems by literal formula substitution -- a deliberately
   separate arithmetic path used to pin down :func:`aalm.solver.step`.
 
-References are expensive for the larger benchmark instances, so they can
-be cached to sidecar CSV files keyed by a content hash of the instance.
+:func:`cached_reference` computes a fresh pair on every run and writes it
+to a CSV sidecar next to the experiment's outputs (:func:`save_kkt`);
+:func:`load_kkt` reads that format back for callers outside the run.
 """
 
 from __future__ import annotations
 
-import hashlib
 from pathlib import Path
 
 import numpy as np
 
-from .problems import GramEigenbasis, KKTPoint, dense, issparse
+from .problems import GramEigenbasis, KKTPoint, dense
 
 # Residual scale accepted from the direct KKT solve before falling back to
 # (or failing out of) the least-squares path.
 KKT_RESIDUAL_TOL = 1e-10
-
-# A cached pair is trusted while its re-evaluated KKT residual stays below
-# FACTOR * recorded kkt_tol + FLOOR; the floor absorbs the rounding of a
-# re-evaluation in a different operation order.
-CACHE_RECHECK_FACTOR = 10.0
-CACHE_RECHECK_FLOOR = 1e-13
 
 # kkt_refine certifies max(stationarity, feasibility) <= REFINE_TARGET
 # within POLISH_STEPS damped Newton steps.
@@ -392,42 +386,12 @@ def brute_step_oracle(quad_coef, lin_coef, a, b, gamma, delta, beta, eta,
 
 
 # ---------------------------------------------------------------------------
-# Reference cache: KKT points persisted next to experiment outputs.
-
-def instance_hash(instance):
-    """Content hash binding a cache entry to the instance's exact data.
-
-    A sparse ``A`` is hashed through its canonical CSR form (shape, then
-    ``data``, ``indices`` and ``indptr`` with 64-bit indices), without a
-    dense copy.  A quadratic objective's ``Q`` and ``q`` are hashed too,
-    and so are a separable objective's ``U``, ``c``, ``mu`` and the
-    ``params`` of its ``phi``; the callables of any objective are opaque,
-    covered only by the re-verification in :func:`cached_reference`.
-    """
-    h = hashlib.sha256()
-    h.update(instance.name.encode())
-    A = instance.A
-    if issparse(A):
-        h.update(np.asarray(A.shape, dtype=np.int64).tobytes())
-        h.update(np.ascontiguousarray(A.data).tobytes())
-        h.update(A.indices.astype(np.int64).tobytes())
-        h.update(A.indptr.astype(np.int64).tobytes())
-    else:
-        h.update(np.ascontiguousarray(A).tobytes())
-    h.update(np.ascontiguousarray(instance.b).tobytes())
-    obj = instance.objective
-    form = obj.separable
-    parts = (obj.quadratic or ()) + (
-        (form.U, form.c, form.mu, form.params) if form is not None else ())
-    for part in parts:
-        h.update(np.ascontiguousarray(part, dtype=float).tobytes())
-    return h.hexdigest()[:16]
-
+# Reference sidecar: the KKT pair written next to experiment outputs.
 
 def save_kkt(path, kkt):
     """Write a KKT pair as a small CSV sidecar (round-trip exact)."""
     with open(path, "w") as f:
-        f.write(f"kkt_tol,{kkt.kkt_tol!r}\n")
+        f.write(f"kkt_tol,{float(kkt.kkt_tol)!r}\n")
         f.write("x," + ",".join(repr(float(v)) for v in kkt.x) + "\n")
         f.write("lam," + ",".join(repr(float(v)) for v in kkt.lam) + "\n")
 
@@ -442,35 +406,15 @@ def load_kkt(path):
                     kkt_tol=float(fields["kkt_tol"][0]))
 
 
-def _cached_pair_holds(instance, kkt):
-    """Whether a loaded pair fits ``instance`` and still certifies its
-    recorded ``kkt_tol`` (up to ``CACHE_RECHECK_FACTOR`` and rounding)."""
-    if (kkt.x.shape != (instance.dim,)
-            or kkt.lam.shape != (instance.n_constraints,)):
-        return False
-    res = max(_kkt_residuals(instance, kkt.x, kkt.lam))
-    return res <= CACHE_RECHECK_FACTOR * kkt.kkt_tol + CACHE_RECHECK_FLOOR
+def cached_reference(instance, directory):
+    """Compute the reference pair for ``instance`` with :func:`kkt_refine`,
+    write it to ``directory / <name>.kkt.csv`` and return it.
 
-
-def cached_reference(instance, directory, compute=None, refresh=False):
-    """Fetch (or compute and persist) the reference pair for ``instance``.
-
-    The cache file name embeds :func:`instance_hash`, so any change to
-    ``A``, ``b``, the name or a quadratic or separable objective's data
-    invalidates the entry.  The hash does not cover callables, so a loaded
-    pair is also re-verified: its shapes
-    must match the instance and its KKT residual, recomputed here (one
-    gradient, two matvecs), must not lie far above the recorded
-    ``kkt_tol``.  A pair that fails either test is recomputed and
-    overwritten.  ``compute`` defaults to :func:`kkt_refine`.
+    The pair is recomputed on every call; the sidecar is an output for
+    readers of the run, never read back here.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{instance.name}-{instance_hash(instance)}.kkt.csv"
-    if path.exists() and not refresh:
-        kkt = load_kkt(path)
-        if _cached_pair_holds(instance, kkt):
-            return kkt
-    kkt = compute(instance) if compute is not None else kkt_refine(instance)
-    save_kkt(path, kkt)
+    kkt = kkt_refine(instance)
+    save_kkt(directory / f"{instance.name}.kkt.csv", kkt)
     return kkt

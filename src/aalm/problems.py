@@ -42,9 +42,7 @@ class Separable:
     ``U'x`` and ``U y`` are contiguous matvecs; ``c`` (r,) holds the
     offsets; ``phi``, ``dphi`` and ``d2phi`` evaluate ``phi``, ``phi'``
     and ``phi''`` elementwise.  The Hessian is ``mu I + U W U'`` with
-    ``W = diag(phi''(U'x - c))``.  ``params`` holds the numbers ``phi``
-    closes over (lp: ``(p,)``), so that the reference cache can hash
-    them (see :func:`aalm.oracle.instance_hash`).
+    ``W = diag(phi''(U'x - c))``.
     """
 
     U: np.ndarray
@@ -53,7 +51,6 @@ class Separable:
     dphi: Callable
     d2phi: Callable
     mu: float = 0.0
-    params: Tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -270,7 +267,7 @@ def make_lp_regression(B, c, p, A, b, name="lp-regression"):
         B.T, c, phi=lambda r: np.abs(r) ** p / p,
         dphi=lambda r: np.sign(r) * np.abs(r) ** (p - 1.0),
         d2phi=lambda r: ((p - 1.0) * np.maximum(np.abs(r), LP_HESSIAN_CLAMP)
-                         ** (p - 2.0)), params=(p,))
+                         ** (p - 2.0)))
     return ProblemInstance(separable_oracle(form), A, b, name)
 
 

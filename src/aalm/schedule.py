@@ -271,7 +271,8 @@ def certify_rho(schedule, k_max=DEFAULT_HORIZON):
     ----------
     schedule : Schedule
     k_max : int
-        Horizon over which the supremum is taken (k < k_max).
+        Horizon over which the supremum is taken (k < k_max); at least 2,
+        so that one growth ratio is measured.
 
     Returns
     -------
@@ -281,9 +282,12 @@ def certify_rho(schedule, k_max=DEFAULT_HORIZON):
     Raises
     ------
     ScheduleError
-        If ``rho_hat > 1 + 1e-12``; the error carries the first violating
-        1-based index in ``.index``.
+        If ``k_max < 2``, or if ``rho_hat > 1 + 1e-12``; the latter carries
+        the first violating 1-based index in ``.index``.
     """
+    if k_max < 2:
+        raise ScheduleError(f"k_max must be >= 2 to measure a growth ratio, "
+                            f"got {k_max}")
     if schedule.xi is None:
         t = generate(schedule, k_max)
         # Factored difference: squaring first would bury the growth margin
@@ -299,11 +303,11 @@ def certify_rho(schedule, k_max=DEFAULT_HORIZON):
             raise ScheduleError(f"t_1^2 xi_1 must equal 1, got {s[0]}",
                                 index=1)
         ds = np.diff(s)
-        if ds.size and ds.min() < -CERT_TOL:
+        if ds.min() < -CERT_TOL:
             i = 1 + int(np.argmax(ds < -CERT_TOL))
             raise ScheduleError(f"t_k^2 xi_k decreases at k={i}", index=i)
         ratio = ds / (t[1:] * xi[1:])
-    rho_hat = float(ratio.max()) if ratio.size else 0.0
+    rho_hat = float(ratio.max())
     if rho_hat > 1.0 + CERT_TOL:
         k = 1 + int(np.argmax(ratio > 1.0 + CERT_TOL))
         if schedule.xi is None:

@@ -18,9 +18,9 @@ from aalm.harness import (ConfigError, VanillaConfig, build_problem,
                           load_manifest, parse_config, read_trace_csv,
                           run_experiment, run_vanilla, summarize_trace,
                           write_trace_csv)
-from aalm.oracle import instance_hash, kkt_refine, kkt_solve_qp, load_kkt
-from aalm.problems import (make_lp_regression, make_random_lp, make_random_qp,
-                           make_ring_logistic)
+from aalm.oracle import kkt_refine, kkt_solve_qp, load_kkt, save_kkt
+from aalm.problems import (KKTPoint, make_lp_regression, make_random_lp,
+                           make_random_qp, make_ring_logistic)
 from aalm.subsolver import MaxInnerIterations, step_plan
 from aalm.schedule import nesterov
 from aalm import solver as aalm_solver
@@ -278,8 +278,8 @@ class TestManifest:
                         0.5 * x @ Q @ x + q @ x, rtol=1e-15)
 
     def test_sparse_constraint_manifest(self, tmp_path):
-        """A coordinate-format A.mtx stays sparse (CSR), hashes the same on
-        reload, and gives the dense-A instance's reference to 1e-10."""
+        """A coordinate-format A.mtx stays sparse (CSR), reloads to the same
+        CSR arrays, and gives the dense-A instance's reference to 1e-10."""
         rng = np.random.default_rng(7)
         G = rng.normal(size=(6, 6))
         Q = G @ G.T + np.eye(6)
@@ -299,7 +299,9 @@ class TestManifest:
         assert scipy.sparse.issparse(inst.A) and inst.A.format == "csr"
         assert_allclose(inst.A.toarray(), A.toarray(), atol=0)
         again = load_manifest(tmp_path / "inst.json")
-        assert instance_hash(again) == instance_hash(inst)
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(again.A, part),
+                                  getattr(inst.A, part))
         ref = kkt_solve_qp(Q, q, inst.A, inst.b)
         twin = kkt_solve_qp(Q, q, inst.A.toarray(), inst.b)
         assert_allclose(ref.x, twin.x, rtol=0, atol=1e-10)
@@ -654,10 +656,12 @@ class TestSummarizeTrace:
 
 
 class TestRunExperiment:
-    """End-to-end runs: outputs on disk, caching, failure isolation."""
+    """End-to-end runs: outputs on disk, the reference sidecar, failure
+    isolation."""
 
     def test_outputs_and_statuses(self, tmp_path, monkeypatch):
-        """A two-solver run writes traces, a summary and a cached reference."""
+        """A two-solver run writes traces, a summary and a reference
+        sidecar."""
         monkeypatch.setenv("AALM_OUTPUT_DIR", str(tmp_path))
         rows = run_experiment(parse_config(_qp_config()))
         assert [r["status"] for r in rows] == ["ok", "ok"]
@@ -672,7 +676,7 @@ class TestRunExperiment:
         assert header.startswith("name,method,case,schedule")
 
     def test_rerun_is_bitwise_stable(self, tmp_path, monkeypatch):
-        """Rerunning against the cached reference reproduces traces exactly."""
+        """Rerunning into the same directory reproduces traces exactly."""
         monkeypatch.setenv("AALM_OUTPUT_DIR", str(tmp_path))
         cfg = parse_config(_qp_config())
         run_experiment(cfg)
@@ -680,6 +684,45 @@ class TestRunExperiment:
         run_experiment(cfg)
         assert (tmp_path / "accel.trace.csv").read_bytes() == first
         assert len(list(tmp_path.glob("*.kkt.csv"))) == 1
+
+    def test_stale_sidecar_never_read(self, tmp_path, monkeypatch):
+        """A pair planted in the output directory, x*[0] one ulp off, under
+        the old content-hashed name and the current one, is not reused: a
+        rerun writes the same traces and summary as a fresh directory."""
+        cfg = parse_config(_qp_config())
+        monkeypatch.setenv("AALM_OUTPUT_DIR", str(tmp_path / "fresh"))
+        run_experiment(cfg)
+        monkeypatch.setenv("AALM_OUTPUT_DIR", str(tmp_path / "rerun"))
+        run_experiment(cfg)
+        inst = build_problem(cfg.problem, cfg.seed)
+        name = inst.name
+        ref = kkt_refine(inst)
+        x = ref.x.copy()
+        x[0] = np.nextafter(x[0], np.inf)
+        for fname in (f"{name}-8914cf281c54defe.kkt.csv", f"{name}.kkt.csv"):
+            save_kkt(tmp_path / "rerun" / fname,
+                     KKTPoint(x=x, lam=ref.lam, kkt_tol=ref.kkt_tol))
+        run_experiment(cfg)
+        for fname in ("accel.trace.csv", "plain.trace.csv", "summary.csv"):
+            assert ((tmp_path / "rerun" / fname).read_bytes()
+                    == (tmp_path / "fresh" / fname).read_bytes()), fname
+
+    def test_one_sidecar_before_any_trace(self, tmp_path, monkeypatch):
+        """The run writes exactly one sidecar, <instance name>.kkt.csv, and
+        it is on disk before the first trace file is written."""
+        monkeypatch.setenv("AALM_OUTPUT_DIR", str(tmp_path))
+        seen = []
+        real = harness.write_trace_csv
+
+        def spy(path, trace):
+            seen.append(sorted(p.name for p in tmp_path.glob("*.kkt.csv")))
+            return real(path, trace)
+
+        monkeypatch.setattr(harness, "write_trace_csv", spy)
+        run_experiment(parse_config(_qp_config()))
+        sidecar = ["qp-n12-m4-pcg64-3.kkt.csv"]
+        assert seen == [sidecar, sidecar]
+        assert sorted(p.name for p in tmp_path.glob("*.kkt.csv")) == sidecar
 
     def test_summary_matches_trace_recompute(self, tmp_path, monkeypatch):
         """Slope and final-residual columns agree with the stored trace."""
@@ -815,6 +858,15 @@ class TestCli:
         assert main(["certify-schedule", "--rule", "ac",
                      "--alpha", "2.0"]) == 1
         assert "growth condition" in capsys.readouterr().err
+
+    def test_certify_single_term_rejected(self, capsys):
+        """--kmax 1 measures no growth ratio: exit 1 naming k_max, no
+        rho_hat printed."""
+        assert main(["certify-schedule", "--rule", "nesterov",
+                     "--kmax", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "k_max must be >= 2" in captured.err
+        assert "rho_hat" not in captured.out
 
     def test_certify_zero_alpha_rejected(self, capsys):
         """--alpha 0 is certified as given (and rejected), not replaced

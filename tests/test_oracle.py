@@ -1,4 +1,4 @@
-"""Tests for the reference oracles and the KKT cache.
+"""Tests for the reference oracles and the KKT sidecar.
 
 kkt_solve_qp is pinned on hand-solved saddle systems (including a
 rank-deficient dual and an infeasible system); kkt_refine is asserted on
@@ -7,7 +7,6 @@ oracle's closed forms are frozen here before they pin the solver.
 """
 
 import dataclasses
-import json
 import tracemalloc
 
 import numpy as np
@@ -15,22 +14,17 @@ import pytest
 
 from aalm import (
     brute_step_oracle,
-    cached_reference,
     kkt_refine,
     kkt_solve_qp,
     make_lp_regression,
-    make_qp,
     make_random_lp,
-    make_random_qp,
     make_ring_logistic,
 )
 from aalm import oracle as oracle_module
-from aalm.harness import load_manifest
 from aalm.oracle import (
     InfeasibleConstraints,
     ReferenceNotConverged,
     _min_norm_solve as min_norm_solve,
-    instance_hash,
     load_kkt,
     save_kkt,
 )
@@ -339,36 +333,7 @@ class TestBruteStepOracle:
 
 
 class TestReferenceCache:
-    """Content-hashed KKT sidecar files."""
-
-    def test_hash_keyed_to_data_and_name(self):
-        a = make_random_qp(n=6, m=2, seed=0)
-        b = make_random_qp(n=6, m=2, seed=0)
-        c = make_random_qp(n=6, m=2, seed=1)
-        assert instance_hash(a) == instance_hash(b)
-        assert instance_hash(a) != instance_hash(c)
-        renamed = make_random_qp(n=6, m=2, seed=0, name="other")
-        assert instance_hash(a) != instance_hash(renamed)
-
-    def test_hash_keyed_to_separable_data(self):
-        """Same name, different U, c, mu or lp exponent p: different
-        hashes."""
-        ring = make_ring_logistic(p_agents=4, m_dim=3, rho_reg=0.5, seed=0)
-        for other in (
-                make_ring_logistic(4, 3, 0.6, seed=0, name=ring.name),
-                make_ring_logistic(4, 3, 0.5, seed=1, name=ring.name)):
-            assert instance_hash(other) != instance_hash(ring)
-        assert instance_hash(ring) == instance_hash(
-            make_ring_logistic(4, 3, 0.5, seed=0))
-        rng = np.random.default_rng(0)
-        B, c = rng.normal(size=(6, 3)), rng.normal(size=6)
-        lp = make_lp_regression(B, c, 1.5, np.ones((1, 3)), np.zeros(1))
-        shifted = make_lp_regression(B, c + 1e-3, 1.5, np.ones((1, 3)),
-                                     np.zeros(1))
-        assert instance_hash(shifted) != instance_hash(lp)
-        p12, p15 = (make_lp_regression(B, c, p, np.ones((1, 3)), np.zeros(1),
-                                       name="m") for p in (1.2, 1.5))
-        assert instance_hash(p12) != instance_hash(p15)
+    """The KKT sidecar written next to experiment outputs."""
 
     def test_save_load_round_trip_exact(self, tmp_path, qp_reference):
         """repr-based serialization round-trips every bit."""
@@ -380,102 +345,11 @@ class TestReferenceCache:
                                    atol=0)
         assert back.kkt_tol == qp_reference.kkt_tol
 
-    def test_cache_computes_once(self, tmp_path):
-        inst = make_random_qp(n=6, m=2, seed=3)
-        calls = []
-
-        def compute(instance):
-            calls.append(instance.name)
-            return kkt_refine(instance)
-
-        first = cached_reference(inst, tmp_path, compute=compute)
-        second = cached_reference(inst, tmp_path, compute=compute)
-        assert calls == [inst.name]
-        np.testing.assert_allclose(second.x, first.x, rtol=0, atol=0)
-        files = list(tmp_path.glob("*.kkt.csv"))
-        assert len(files) == 1
-        assert instance_hash(inst) in files[0].name
-
-    def test_refresh_recomputes(self, tmp_path):
-        inst = make_random_qp(n=6, m=2, seed=3)
-        calls = []
-
-        def compute(instance):
-            calls.append(instance.name)
-            return kkt_refine(instance)
-
-        cached_reference(inst, tmp_path, compute=compute)
-        cached_reference(inst, tmp_path, compute=compute, refresh=True)
-        assert len(calls) == 2
-
-    def test_changed_data_invalidates(self, tmp_path):
-        """Same name, different b: the content hash forces a recompute."""
-        base = make_random_qp(n=6, m=2, seed=3, name="shared")
-        Q, q = base.objective.quadratic
-        shifted = make_qp(Q, q, base.A, base.b + 1e-3, name="shared")
-        calls = []
-
-        def compute(instance):
-            calls.append(instance.name)
-            return kkt_refine(instance)
-
-        cached_reference(base, tmp_path, compute=compute)
-        cached_reference(shifted, tmp_path, compute=compute)
-        assert len(calls) == 2
-        assert len(list(tmp_path.glob("*.kkt.csv"))) == 2
-
-    @staticmethod
-    def _qp_manifest(directory, Q_scale=1.0):
-        """Write an 8x3 manifest QP named "shared-qp" (fixed data, ``Q``
-        scaled by ``Q_scale``) into ``directory`` and load it."""
-        rng = np.random.default_rng(11)
-        G = rng.normal(size=(8, 8))
-        files = {"Q.csv": Q_scale * (G @ G.T + np.eye(8)),
-                 "q.csv": rng.normal(size=8),
-                 "A.csv": rng.normal(size=(3, 8)), "b.csv": rng.normal(size=3)}
-        manifest = {"name": "shared-qp",
-                    "objective": {"kind": "qp", "Q": "Q.csv", "q": "q.csv"},
-                    "A": "A.csv", "b": "b.csv"}
-        directory.mkdir(parents=True, exist_ok=True)
-        for fname, arr in files.items():
-            np.savetxt(directory / fname, arr, delimiter=",")
-        (directory / "inst.json").write_text(json.dumps(manifest))
-        return load_manifest(directory / "inst.json")
-
-    def test_changed_quadratic_changes_hash(self, tmp_path):
-        """Two manifest QPs that differ only in Q.csv get different cache
-        files."""
-        cache = tmp_path / "refs"
-        before = self._qp_manifest(tmp_path / "one")
-        after = self._qp_manifest(tmp_path / "three", Q_scale=3.0)
-        assert instance_hash(after) != instance_hash(before)
-        cached_reference(before, cache)
-        cached_reference(after, cache)
-        assert len(list(cache.glob("*.kkt.csv"))) == 2
-
-    def test_changed_objective_recomputed(self, tmp_path):
-        """A stale pair planted under the cache file of a manifest QP whose
-        Q.csv was tripled fails the residual recheck and is replaced by
-        one certified for the new objective."""
-        cache = tmp_path / "refs"
-        before = self._qp_manifest(tmp_path / "one")
-        stale = cached_reference(before, cache)
-        after = self._qp_manifest(tmp_path / "three", Q_scale=3.0)
-        path = cache / f"{after.name}-{instance_hash(after)}.kkt.csv"
-        save_kkt(path, stale)
-        kkt = cached_reference(after, cache)
-        Q, q = after.objective.quadratic
-        stat = np.linalg.norm(Q @ kkt.x + q + after.A.T @ kkt.lam)
-        assert stat <= 1e-10
-        assert load_kkt(path).x.tolist() == kkt.x.tolist()
-
-    def test_wrong_dual_shape_recomputed(self, tmp_path):
-        """A sidecar whose lam has the wrong length is not returned."""
-        inst = make_random_qp(n=6, m=2, seed=3)
-        good = cached_reference(inst, tmp_path)
-        path = next(tmp_path.glob("*.kkt.csv"))
-        save_kkt(path, KKTPoint(x=good.x, lam=np.zeros(3),
-                                kkt_tol=good.kkt_tol))
-        again = cached_reference(inst, tmp_path)
-        assert again.lam.shape == (2,)
-        np.testing.assert_allclose(again.lam, good.lam, rtol=0, atol=0)
+    def test_numpy_scalar_tolerance_round_trips(self, tmp_path):
+        """A numpy-scalar kkt_tol is written as a plain float literal."""
+        path = tmp_path / "ref.kkt.csv"
+        kkt = KKTPoint(x=np.ones(2), lam=np.ones(1),
+                       kkt_tol=np.float64(1e-12))
+        save_kkt(path, kkt)
+        assert path.read_text().splitlines()[0] == "kkt_tol,1e-12"
+        assert load_kkt(path).kkt_tol == 1e-12

@@ -181,6 +181,14 @@ class TestCustomAndValidation:
         with pytest.raises(ScheduleError):
             generate(Schedule(rule="fibonacci"), 10)
 
+    @pytest.mark.parametrize("k_max", [0, 1])
+    @pytest.mark.parametrize("xi", [None, np.ones_like])
+    def test_certification_needs_two_terms(self, k_max, xi):
+        """A horizon of fewer than two terms measures no growth ratio, so
+        certification refuses it instead of reporting rho_hat = 0."""
+        with pytest.raises(ScheduleError, match=f"k_max .*got {k_max}"):
+            certify_rho(replace(nesterov(), xi=xi), k_max)
+
 
 class TestResolveEta:
     """Damping resolution: None/'critical' -> rho, 'noncritical' -> midpoint."""

@@ -8,8 +8,9 @@ here makes such a rename fail the suite instead.
 The reference oracle must stay an arithmetic path separate from the
 solver it checks; its imports are pinned here.  Every shipped experiment
 config (the demos and the benchmark's workloads) must still parse, so
-that a config key cannot be removed from under them.  A dense experiment
-runs on numpy alone: it imports no scipy module.
+that a config key cannot be removed from under them, and every shipped
+demo script must still run.  A dense experiment runs on numpy alone: it
+imports no scipy module.
 """
 
 import ast
@@ -22,20 +23,21 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _fresh(code):
+def _fresh(code, cwd=ROOT):
     """Run ``code`` in a fresh interpreter with ``src`` and ``bench`` on
-    its path; returns its standard output."""
+    its path, in ``cwd``; returns its standard output."""
     env = {k: v for k, v in os.environ.items() if k != "AALM_OUTPUT_DIR"}
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "bench")]
         + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -183,6 +185,16 @@ def test_shipped_configs_parse():
         for reduced in (False, True):
             cfg = workloads.build(name, 2024, reduced).config
             assert len(parse_config(cfg).solvers) == len(cfg["solvers"])
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_demo_script_runs(demo, tmp_path):
+    """Each ``demos/*.py`` runs to completion in a fresh interpreter and
+    writes no file."""
+    _fresh(f"import runpy\nrunpy.run_path({str(demo)!r}, "
+           f"run_name='__main__')", cwd=tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_dense_experiments_import_no_scipy(tmp_path):
