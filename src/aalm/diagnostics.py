@@ -26,10 +26,12 @@ its own configuration rather than re-deriving parameters.
 Records are computed a block of iterates at a time (:func:`make_records`):
 the run loop buffers its iterates and pays for the array operations once
 per block.  Records take ``A x`` from the run, which forms it once per
-iterate for the step; the objective, its gradient and ``A' lam`` are
-evaluated row by row and every reduction is a row reduction, so a record
-is bitwise the same however the iterates were grouped; :func:`make_record`
-is the one-row call, forming its own ``A x``.  :func:`gap`,
+iterate for the step, and ``f(x)`` and ``grad f(x)`` where the run's inner
+Newton already evaluated them; the remaining objective values and
+gradients and ``A' lam`` are evaluated row by row, and every reduction is
+a row reduction, so a record is bitwise the same however the iterates
+were grouped; :func:`make_record` is the one-row call, forming its own
+``A x`` and evaluating ``f`` itself.  :func:`gap`,
 :func:`stationarity` and :func:`energy` evaluate single iterates on their
 own arithmetic path.
 
@@ -131,14 +133,25 @@ def _rowdot(U, V):
     return np.einsum("ij,ij->i", U, V)
 
 
+def _evaluate(oracle, X, carried):
+    """``oracle(v)`` of each row ``v`` of ``X``, except where ``carried``
+    (None, or one entry per row) already holds the result."""
+    if carried is None:
+        return [oracle(v) for v in X]
+    return [oracle(v) if c is None else c for v, c in zip(X, carried)]
+
+
 def make_records(instance, k, t, xi, X, L, AX, gamma, delta, eta, beta,
-                 kkt=None, f_star=None):
+                 kkt=None, f_star=None, fx=None, gradx=None):
     """The :class:`TraceRecord` of every iterate in a block.
 
     Row ``j >= 1`` of ``X`` (B+1, n) and ``L`` (B+1, m) holds iterate
     ``k + j - 1`` and row 0 the iterate before the block's first record;
     row ``j`` of ``AX`` (B, m) is ``A x`` of the ``j``-th recorded
-    iterate, as the run formed it.  ``t`` and ``xi`` (B,) hold ``t_k``
+    iterate, as the run formed it.  ``fx`` and ``gradx`` (B entries
+    each, optional) hold ``f(x)`` and ``grad f(x)`` of the recorded
+    iterates where the run evaluated them and None elsewhere; the
+    objective is called for the rest.  ``t`` and ``xi`` (B,) hold ``t_k``
     and ``xi_k`` of the B recorded iterates (a ``longdouble`` schedule is
     rounded to float here).  Returns B records, for ``k .. k + B - 1``.
     """
@@ -147,7 +160,7 @@ def make_records(instance, k, t, xi, X, L, AX, gamma, delta, eta, beta,
     xi = np.asarray(xi, dtype=float)
     x, lam = X[1:], L[1:]
     Axb = AX - instance.b
-    G = (np.array([obj.gradient(v) for v in x])
+    G = (np.array(_evaluate(obj.gradient, x, gradx))
          + np.array([At @ v for v in lam]))
     dx, dlam = x - X[:-1], lam - L[:-1]
 
@@ -159,7 +172,7 @@ def make_records(instance, k, t, xi, X, L, AX, gamma, delta, eta, beta,
     if kkt is None:
         obj_res = gap_H = energy_E = np.full(t.shape, np.nan)
     else:
-        f_x = np.array([obj.value(v) for v in x])
+        f_x = np.array(_evaluate(obj.value, x, fx))
         if f_star is None:
             f_star = obj.value(kkt.x)
         obj_res = np.abs(f_x - f_star)

@@ -513,6 +513,12 @@ def summarize_trace(trace):
     return out
 
 
+def _failure(e):
+    """The summary cell ``failed: <type>: <message>`` of an exception, on
+    one line (newlines become spaces) so that it cannot split its row."""
+    return f"failed: {type(e).__name__}: " + str(e).replace("\n", " ")
+
+
 def run_experiment(config):
     """Execute an :class:`ExperimentConfig`; returns the summary rows.
 
@@ -530,8 +536,7 @@ def run_experiment(config):
     except Exception as e:
         kkt = None
         # Only the trailing status column of summary.csv may hold commas.
-        reason = str(e).replace(",", ";").replace("\n", " ")
-        ref_status = f"failed: {type(e).__name__}: {reason}"
+        ref_status = _failure(e).replace(",", ";")
     rows = []
     x0 = np.zeros(instance.dim)
     lam0 = np.zeros(instance.n_constraints)
@@ -564,7 +569,7 @@ def run_experiment(config):
                        final_stat_res=trace[-1].stat_res,
                        **summarize_trace(trace))
         except Exception as e:  # record and continue with the next solver
-            row["status"] = f"failed: {type(e).__name__}: {e}"
+            row["status"] = _failure(e)
         rows.append(row)
     write_summary_csv(out_dir / "summary.csv", rows)
     if config.emit_gnuplot:

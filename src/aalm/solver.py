@@ -13,7 +13,9 @@ with ``alpha_k = (t_{k+1} - eta)/eta``, ``c_k = t_{k+1}/eta``:
    ``gamma <= 1/L``;
 4. ascend the dual: ``lam_{k+1} = lambdabar_k + delta (c_k A x_{k+1} - r_k)``.
    ``A x_{k+1}`` is formed once here and carried to the next step's
-   ``r_{k+1}`` and to the iterate's trace record.
+   ``r_{k+1}`` and to the iterate's trace record.  So are ``f(x_{k+1})``
+   and ``grad f(x_{k+1})`` when the inner Newton evaluated them: the
+   next inner solve starts from them and the record reads them.
 
 The same iteration can be written as a coupled pair of proximal-type
 inclusions in ``(x_{k+1}, lam_{k+1})``; :func:`step_coupled` solves that
@@ -125,6 +127,10 @@ class IterateState:
     index (``k = 1`` is the initial point, with ``x_prev = x_curr``).
     ``Ax_curr`` is ``A x_k``: formed once per iterate by :func:`step` and
     carried to the next step's ``r_k`` and to the trace record.
+    ``f_curr`` and ``grad_curr`` are ``f(x_k)`` and ``grad f(x_k)`` when
+    the inner Newton solve that returned ``x_k`` evaluated them (None
+    otherwise, and always on the linear path), carried to the next inner
+    solve and to the trace record.
     """
 
     x_curr: np.ndarray
@@ -135,6 +141,8 @@ class IterateState:
     k: int
     t_seq: np.ndarray
     xi_seq: np.ndarray
+    f_curr: Optional[float] = None
+    grad_curr: Optional[np.ndarray] = None
 
     @property
     def t_curr(self):
@@ -148,13 +156,16 @@ class IterateState:
     def xi_next(self):
         return float(self.xi_seq[self.k])
 
-    def successor(self, x_next, lam_next, Ax_next):
-        """The ``k+1`` state with iterates ``x_next``, ``lam_next`` and
-        ``Ax_next = A x_next``."""
+    def successor(self, x_next, lam_next, Ax_next, f_next=None,
+                  grad_next=None):
+        """The ``k+1`` state with iterates ``x_next``, ``lam_next``,
+        ``Ax_next = A x_next`` and, when known, ``f_next = f(x_next)`` and
+        ``grad_next = grad f(x_next)``."""
         return IterateState(x_curr=x_next, x_prev=self.x_curr,
                             Ax_curr=Ax_next, lam_curr=lam_next,
                             lam_prev=self.lam_curr, k=self.k + 1,
-                            t_seq=self.t_seq, xi_seq=self.xi_seq)
+                            t_seq=self.t_seq, xi_seq=self.xi_seq,
+                            f_curr=f_next, grad_curr=grad_next)
 
 
 def resolve_config(instance, config):
@@ -238,7 +249,8 @@ def step(state, config, instance, plan=None):
                           c_k=c_k, p_k=p_k, r_k=r_k, xbar_k=xbar,
                           implicit=plan.implicit,
                           gradient_anchor=plan.anchor(xbar))
-    x_next = solve_subproblem(spec, instance, plan, state)
+    x_next, f_next, grad_next = solve_subproblem(spec, instance, plan,
+                                                 state)
     Ax_next = instance.A @ x_next
     lam_next = multiplier_update(lbar, delta_eff, c_k, Ax_next, r_k)
     if config.check_identities:
@@ -249,7 +261,7 @@ def step(state, config, instance, plan=None):
             raise SolverError(
                 f"dual-correction identity violated at k={state.k}: "
                 f"deviation {err:.3e}")
-    return state.successor(x_next, lam_next, Ax_next)
+    return state.successor(x_next, lam_next, Ax_next, f_next, grad_next)
 
 
 def step_coupled(state, config, instance):
@@ -358,7 +370,8 @@ def _run_loop(instance, config, state, kkt=None):
     of up to :data:`RECORD_BLOCK_ROWS` iterates and
     :data:`RECORD_BLOCK_BYTES` of stacked ``x`` and ``lam``, flushed when
     a block fills and at the end; each record takes its ``A x_k`` from
-    the state.  A stopping rule with a tolerance set
+    the state, and its ``f(x_k)`` and ``grad f(x_k)`` too when the state
+    carries them.  A stopping rule with a tolerance set
     reads every record as it is made, so its blocks are one iterate and
     the run stops at the first ``k`` that meets it."""
     fixed = np.all(state.xi_seq[state.k:] == 1.0)
@@ -368,6 +381,7 @@ def _run_loop(instance, config, state, kkt=None):
     rows = _block_rows(instance, config.stop)
     trace: List[TraceRecord] = []
     xs, lams, axs = [state.x_curr], [state.lam_curr], []
+    fs, grads = [], []
 
     def flush(k):
         """Record the buffered iterates, the last of which is ``x_k``."""
@@ -376,14 +390,16 @@ def _run_loop(instance, config, state, kkt=None):
             instance, lo + 1, state.t_seq[lo:k], state.xi_seq[lo:k],
             np.array(xs), np.array(lams), np.array(axs), config.gamma,
             config.delta, config.schedule.eta, config.beta, kkt=kkt,
-            f_star=f_star))
-        del xs[:-1], lams[:-1], axs[:]
+            f_star=f_star, fx=fs, gradx=grads))
+        del xs[:-1], lams[:-1], axs[:], fs[:], grads[:]
 
     for _ in range(config.max_iter):
         state = step(state, config, instance, plan)
         xs.append(state.x_curr)
         lams.append(state.lam_curr)
         axs.append(state.Ax_curr)
+        fs.append(state.f_curr)
+        grads.append(state.grad_curr)
         if len(xs) > rows:
             flush(state.k)
             if config.stop.satisfied(trace[-1].feas, trace[-1].stat_res):

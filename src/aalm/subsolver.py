@@ -23,7 +23,8 @@ is one of two paths:
 * :func:`solve_inner_newton` -- damped Newton with backtracking for smooth
   non-quadratic implicit parts, one LU solve per step, to
   the fixed tolerance schedule :func:`inner_tolerance` within at most
-  :data:`INNER_MAX_STEPS` steps.
+  :data:`INNER_MAX_STEPS` steps; it returns ``f`` and ``grad f`` at its
+  point with the point, and the next solve starts from them.
 """
 
 from __future__ import annotations
@@ -113,12 +114,14 @@ def inner_tolerance(t_curr):
     return min(INNER_TOL_CAP, INNER_TOL_SCALE / t_curr ** 3)
 
 
-def subproblem_value(spec, instance, x, Ax=None):
+def subproblem_value(spec, instance, x, Ax=None, f_x=None):
     """Objective value F(x) of the subproblem (used by line searches/tests).
 
-    ``Ax`` is ``A x`` when the caller has formed it; it is formed here
-    otherwise."""
-    v = spec.implicit.value(x) if spec.implicit is not None else 0.0
+    ``Ax`` is ``A x`` and ``f_x`` the implicit part's value at ``x`` when
+    the caller has them; each is formed here otherwise."""
+    if f_x is None:
+        f_x = spec.implicit.value(x) if spec.implicit is not None else 0.0
+    v = f_x
     if spec.gradient_anchor is not None:
         v += float(spec.gradient_anchor @ x)
     if Ax is None:
@@ -132,12 +135,15 @@ def subproblem_value(spec, instance, x, Ax=None):
             + 0.5 * spec.delta * float(cAxr @ cAxr))
 
 
-def subproblem_gradient(spec, instance, x, Ax=None):
+def subproblem_gradient(spec, instance, x, Ax=None, grad_x=None):
     """Gradient of F at ``x``, with the constraint terms gathered under
-    one product by ``A'``; ``Ax`` is ``A x`` when the caller has formed
-    it, and is formed here otherwise."""
-    g = (spec.implicit.gradient(x) if spec.implicit is not None
-         else np.zeros_like(x))
+    one product by ``A'``; ``Ax`` is ``A x`` and ``grad_x`` the implicit
+    part's gradient at ``x`` when the caller has them, and each is formed
+    here otherwise."""
+    g = grad_x
+    if g is None:
+        g = (spec.implicit.gradient(x) if spec.implicit is not None
+             else np.zeros_like(x))
     if spec.gradient_anchor is not None:
         g = g + spec.gradient_anchor
     if Ax is None:
@@ -351,20 +357,25 @@ def solve_linear_case(spec, instance, cache=None):
 
 def solve_subproblem(spec, instance, plan, state):
     """Solve the subproblem at ``state`` by ``plan``'s backend (inner Newton
-    from ``state.x_curr`` at ``inner_tolerance(t_k)``).  An inner
+    from ``state.x_curr`` at ``inner_tolerance(t_k)``, starting from the
+    state's carried ``f(x_k)`` and ``grad f(x_k)``).  Returns ``(x, f_x,
+    grad_x)`` as :func:`solve_inner_newton` does; the linear backend
+    evaluates ``f`` nowhere and returns ``(x, None, None)``.  An inner
     failure's or a singular system's message gains ``k`` and ``t_k``."""
     try:
         if plan.cache is not None:
-            return solve_linear_case(spec, instance, plan.cache)
+            return solve_linear_case(spec, instance, plan.cache), None, None
         return solve_inner_newton(spec, instance, state.x_curr,
-                                  inner_tolerance(state.t_curr), plan.AtA)
+                                  inner_tolerance(state.t_curr), plan.AtA,
+                                  state.f_curr, state.grad_curr)
     except (MaxInnerIterations, SubsolverError,
             np.linalg.LinAlgError) as e:
         e.args = (f"{e} at k={state.k}, t_k={state.t_curr:.6g}",)
         raise
 
 
-def solve_inner_newton(spec, instance, x0, tol, AtA=None):
+def solve_inner_newton(spec, instance, x0, tol, AtA=None, f0=None,
+                       grad0=None):
     """Damped Newton on the subproblem for smooth non-quadratic parts.
 
     Iterates from the warm start ``x0`` until the subproblem gradient norm
@@ -374,12 +385,24 @@ def solve_inner_newton(spec, instance, x0, tol, AtA=None):
     that iteration.  Backtracking halves the step until the Armijo
     sufficient-decrease condition holds.  ``A x`` is formed once for each
     point visited (the start and each trial), and the accepted trial's
-    value is the next step's ``F(x)``.
+    value is the next step's ``F(x)``.  The implicit part ``f`` is
+    evaluated at most once per point: its gradient at each accepted point
+    (for the stopping test) and its value at each trial.
 
     Parameters
     ----------
     AtA : ndarray, optional
         Dense ``A'A`` (a Newton :class:`StepPlan`'s); formed when omitted.
+    f0, grad0 : optional
+        ``f(x0)`` and ``grad f(x0)`` when the caller has them (a previous
+        solve returned them); each is evaluated here when needed otherwise.
+
+    Returns
+    -------
+    (x, f_x, grad_x)
+        The accepted point with ``f(x)`` -- None when the last step was
+        taken without evaluating it (a decrease below the value's
+        resolution, or a line search that ran out) -- and ``grad f(x)``.
 
     Raises
     ------
@@ -389,11 +412,12 @@ def solve_inner_newton(spec, instance, x0, tol, AtA=None):
     """
     if AtA is None:
         AtA = dense(instance.A.T @ instance.A)
-    A = instance.A
+    A, obj = instance.A, spec.implicit
     coef = spec.beta + spec.delta * spec.c_k ** 2
     x = np.array(x0, dtype=float)
     Ax = A @ x
-    g = subproblem_gradient(spec, instance, x, Ax)
+    f, grad = f0, (obj.gradient(x) if grad0 is None else grad0)
+    g = subproblem_gradient(spec, instance, x, Ax, grad)
     gnorm = math.sqrt(g @ g)
     fx = None  # F(x), when it was evaluated
     it = 0
@@ -402,7 +426,7 @@ def solve_inner_newton(spec, instance, x0, tol, AtA=None):
             raise MaxInnerIterations(
                 f"inner Newton: {INNER_MAX_STEPS} iterations, gradient "
                 f"norm {gnorm:.3e} > tol {tol:.3e}", gnorm)
-        H = spec.implicit.hessian(x) + coef * AtA
+        H = obj.hessian(x) + coef * AtA
         H.flat[::H.shape[0] + 1] += 1.0 / spec.gamma
         try:
             d = -spd_solve(H, g)
@@ -411,17 +435,18 @@ def solve_inner_newton(spec, instance, x0, tol, AtA=None):
         if g @ d > -1e-12 * math.sqrt(d @ d) * gnorm:
             d = -g  # not a descent direction; fall back
         if fx is None:
-            fx = subproblem_value(spec, instance, x, Ax)
+            fx = subproblem_value(spec, instance, x, Ax, f)
         slope = float(g @ d)
         s = 1.0
         x_new = x + d
         Ax_new = A @ x_new
-        fx_new = None
+        f = fx_new = None
         if -slope > VALUE_RESOLUTION * (1.0 + abs(fx)):
             while True:
-                F = subproblem_value(spec, instance, x_new, Ax_new)
+                f_new = obj.value(x_new)
+                F = subproblem_value(spec, instance, x_new, Ax_new, f_new)
                 if not F > fx + SUFFICIENT_DECREASE * s * slope:
-                    fx_new = F
+                    f, fx_new = f_new, F
                     break
                 s *= BACKTRACK_SHRINK
                 x_new = x + s * d
@@ -429,10 +454,11 @@ def solve_inner_newton(spec, instance, x0, tol, AtA=None):
                 if s < 1e-16:
                     break  # step to the last trial unevaluated
         x, Ax, fx = x_new, Ax_new, fx_new
-        g = subproblem_gradient(spec, instance, x, Ax)
+        grad = obj.gradient(x)
+        g = subproblem_gradient(spec, instance, x, Ax, grad)
         gnorm = math.sqrt(g @ g)
         it += 1
-    return x
+    return x, f, grad
 
 
 def multiplier_update(lambda_bar, delta, c_k, Ax_next, r_k):

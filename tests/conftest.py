@@ -42,7 +42,7 @@ def inner_solves(monkeypatch):
     solves = []
     solve = subsolver.solve_inner_newton
 
-    def observed(spec, instance, x0, tol, AtA=None):
+    def observed(spec, instance, x0, tol, AtA=None, f0=None, grad0=None):
         steps = 0
         hessian = spec.implicit.hessian
 
@@ -51,12 +51,12 @@ def inner_solves(monkeypatch):
             steps += 1
             return hessian(x)
 
-        x = solve(replace(spec, implicit=replace(spec.implicit,
-                                                 hessian=counted)),
-                  instance, x0, tol, AtA)
+        x, f_x, grad_x = solve(
+            replace(spec, implicit=replace(spec.implicit, hessian=counted)),
+            instance, x0, tol, AtA, f0, grad0)
         g = subsolver.subproblem_gradient(spec, instance, x)
         solves.append(InnerSolve(tol, math.sqrt(g @ g), steps))
-        return x
+        return x, f_x, grad_x
 
     monkeypatch.setattr(subsolver, "solve_inner_newton", observed)
     return solves

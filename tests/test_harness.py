@@ -758,6 +758,23 @@ class TestRunExperiment:
         assert (tmp_path / "plain.trace.csv").exists()
         assert (tmp_path / "summary.csv").exists()
 
+    def test_multiline_failure_stays_on_its_row(self, tmp_path,
+                                                monkeypatch):
+        """A solver failure whose message spans lines is written with its
+        newlines as spaces, so summary.csv keeps one line per entry."""
+        monkeypatch.setenv("AALM_OUTPUT_DIR", str(tmp_path))
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("a\nb")
+
+        monkeypatch.setattr(aalm_solver, "_run_resolved", broken)
+        rows = run_experiment(parse_config(_qp_config()))
+        status = "failed: RuntimeError: a b"
+        assert [r["status"] for r in rows] == [status, "ok"]
+        lines = (tmp_path / "summary.csv").read_text().splitlines()
+        assert len(lines) == 1 + len(rows)
+        assert lines[1].endswith("," + status)
+
     @pytest.mark.parametrize("kind", ["qp", "lp-regression"])
     def test_reference_failure_keeps_message(self, kind, tmp_path,
                                              monkeypatch):

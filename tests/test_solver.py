@@ -301,10 +301,14 @@ class TestRecordBlocks:
         ring = make_ring_logistic(10, 20, 0.5, seed=0)
         return ring, kkt_refine(ring)
 
+    @pytest.fixture(scope="class")
+    def lp(self):
+        lp = make_random_lp(seed=0)
+        return lp, kkt_refine(lp)
+
     @staticmethod
-    def _run(inst, kkt, n):
-        cfg = SolverConfig(schedule=nesterov(), case="explicit",
-                           max_iter=n)
+    def _run(inst, kkt, n, case="explicit"):
+        cfg = SolverConfig(schedule=nesterov(), case=case, max_iter=n)
         return run(inst, cfg, np.zeros(inst.dim),
                    np.zeros(inst.n_constraints), kkt=kkt)
 
@@ -317,16 +321,22 @@ class TestRecordBlocks:
                            StoppingRule()) == 4
         assert _block_rows(qp_testbed, StoppingRule(stat_tol=1e-6)) == 1
 
-    @pytest.mark.parametrize("which", ["qp", "ring"])
+    @pytest.mark.parametrize("which", ["qp", "ring", "lp"])
     def test_short_runs_are_prefixes(self, which, qp_testbed, qp_reference,
-                                     ring):
+                                     ring, lp):
         """Runs of block - 1, block and block + 1 iterations are bitwise
-        prefixes of a 2000-iteration run."""
-        inst, kkt = (qp_testbed, qp_reference) if which == "qp" else ring
+        prefixes of a longer run: 2000 explicit iterations on the QP and
+        the ring, 1000 implicit ones on the lp instance (its inner Newton
+        meets the floating-point floor at k=1528), whose records read the
+        ``f(x_k)`` and ``grad f(x_k)`` the state carries."""
+        inst, kkt = {"qp": (qp_testbed, qp_reference), "ring": ring,
+                     "lp": lp}[which]
+        case, n_long = (("implicit", 1000) if which == "lp"
+                        else ("explicit", 2000))
         block = _block_rows(inst, StoppingRule())
-        _, long = self._run(inst, kkt, 2000)
+        _, long = self._run(inst, kkt, n_long, case)
         for n in (block - 1, block, block + 1):
-            _, short = self._run(inst, kkt, n)
+            _, short = self._run(inst, kkt, n, case)
             assert short == long[:n]
 
     @pytest.mark.parametrize("which", ["qp", "ring"])
@@ -449,6 +459,34 @@ class TestCarriedProduct:
         inst = _counting(instances["lp"])
         self._run(inst, "lp", 1000)
         assert type(inst.A).count <= 4 * 1000
+
+    def test_one_gradient_per_newton_step(self, instances):
+        """``grad f(x_k)`` is carried with ``x_k``: a 300-iteration
+        implicit Nesterov run with a reference evaluates ``grad f`` once
+        per Newton step (one Hessian each) plus once at ``x_1``; neither
+        the next inner solve nor the trace record evaluates it again
+        (442 calls; 1041 when both evaluated their own)."""
+        inst = instances["lp"]
+        kkt = kkt_refine(inst)
+        calls = {"gradient": 0, "hessian": 0}
+
+        def counted(name):
+            oracle = getattr(inst.objective, name)
+
+            def call(x):
+                calls[name] += 1
+                return oracle(x)
+
+            return call
+
+        counting = replace(inst, objective=replace(
+            inst.objective, gradient=counted("gradient"),
+            hessian=counted("hessian")))
+        cfg = SolverConfig(schedule=nesterov(), case="implicit", max_iter=300)
+        run(counting, cfg, np.zeros(inst.dim), np.zeros(inst.n_constraints),
+            kkt=kkt)
+        assert calls["hessian"] >= 300
+        assert calls["gradient"] == calls["hessian"] + 1
 
     @pytest.mark.parametrize("which", ["qp", "ring"])
     def test_oracles_ignore_carried_product(self, which, instances):

@@ -173,7 +173,7 @@ class TestSolveLinearCase:
                      p_k=rng.normal(size=3), r_k=rng.normal(size=3),
                      xbar_k=rng.normal(size=8), m=3, n=8)
         x_lin = solve_linear_case(spec, inst)
-        x_newton = solve_inner_newton(spec, inst, np.zeros(8), 1e-12)
+        x_newton, _, _ = solve_inner_newton(spec, inst, np.zeros(8), 1e-12)
         np.testing.assert_allclose(x_newton, x_lin, rtol=0, atol=1e-9)
 
     @staticmethod
@@ -453,7 +453,8 @@ class TestInnerNewton:
         """From a warm start Newton takes at least one step and the
         returned subgradient norm is <= 1e-10."""
         inst, spec = self._logistic_spec()
-        x = subsolver.solve_inner_newton(spec, inst, spec.xbar_k, 1e-10)
+        x, _, _ = subsolver.solve_inner_newton(spec, inst, spec.xbar_k,
+                                               1e-10)
         assert np.linalg.norm(subproblem_gradient(spec, inst, x)) <= 1e-10
         assert inner_solves[0].steps >= 1
 
@@ -474,7 +475,7 @@ class TestInnerNewton:
         (The tolerance stays modest: the (x - xbar)/gamma term amplifies
         rounding noise by 1/gamma, so 1e-10 is not evaluable here.)"""
         inst, spec = self._logistic_spec(gamma=1e-8, coupling=False)
-        x = solve_inner_newton(spec, inst, spec.xbar_k, 1e-6)
+        x, _, _ = solve_inner_newton(spec, inst, spec.xbar_k, 1e-6)
         gnorm = np.linalg.norm(inst.objective.gradient(spec.xbar_k))
         assert np.linalg.norm(x - spec.xbar_k) <= 1e-6 * (1.0 + gnorm)
 

@@ -133,6 +133,28 @@ print(names.count("subsolver.multiplier_update"), names.count("solver.step"))
     assert out.split("\n")[0] == "5 5"
 
 
+def test_newton_steps_are_newton_spans():
+    """The run calls ``solve_inner_newton`` by its module-level name, so
+    the tracer sees every inner solve: a traced 20-iteration implicit lp
+    run records one ``subsolver.newton`` span per outer iteration, and
+    every ``problems.hessian`` span (one per Newton step, the benchmark's
+    ``newton_inner_iters``) is a child of one of them."""
+    out = _traced("""
+import numpy as np
+from aalm import SolverConfig, make_random_lp, nesterov, run
+lp = make_random_lp(seed=0)
+run(lp, SolverConfig(schedule=nesterov(), case="implicit", max_iter=20),
+    np.zeros(lp.dim), np.zeros(lp.n_constraints))
+nid, parent, _, _ = tracer.arrays()
+names = [tracer.names[i] for i in nid]
+hessians = [i for i, n in enumerate(names) if n == "problems.hessian"]
+print(names.count("subsolver.newton"), names.count("solver.step"),
+      len(hessians) >= 20)
+print(sorted({names[parent[i]] for i in hessians}))
+""")
+    assert out.split("\n")[:2] == ["20 20 True", "['subsolver.newton']"]
+
+
 def test_derived_oracle_calls_are_problem_spans():
     """The tracer swaps in its wrappers for the callables a separable
     objective derives, so one ``value`` and one ``gradient`` call on a
