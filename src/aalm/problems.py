@@ -14,11 +14,11 @@ oracle is derived from it.  Three families are built in:
   a ring of agents, with the consensus constraint expressed through the
   Kronecker product of a ring Laplacian with the identity.  Its constraint
   matrix is symmetric and rank deficient, which exercises the minimum-norm
-  dual paths; it is stored sparse and carries a factored eigenbasis of
-  ``A'A`` (see :class:`GramEigenbasis`).
+  dual paths; it is stored as that product (:class:`KronIdentity`) and
+  carries a factored eigenbasis of ``A'A`` (see :class:`GramEigenbasis`).
 
-scipy is imported only where it is used (a sparse ``A``, the ring's
-logistic loss), so dense instances are built on numpy alone.
+Every built-in family is built and run on numpy alone; scipy is imported
+only for a sparse ``A`` (a ``.mtx`` manifest's).
 """
 
 from __future__ import annotations
@@ -104,22 +104,58 @@ class GramEigenbasis:
 
 
 @dataclass(frozen=True)
+class KronIdentity:
+    """The constraint operator ``K kron I_m`` for a small dense ``K``.
+
+    A vector ``v`` is multiplied as ``(K @ v.reshape(-1, m)).ravel()``:
+    one product of ``K`` with the length-``m`` blocks of ``v`` stacked as
+    rows, never touching the zeros of ``K kron I_m``.  The product of two
+    such operators is ``KronIdentity(K1 @ K2, m)``, so ``A'A`` keeps the
+    form.  ``toarray()`` forms the dense matrix for the independent
+    oracles and one-off factorizations; ``nbytes`` counts the stored ``K``.
+    """
+
+    K: np.ndarray
+    m: int
+
+    @property
+    def shape(self):
+        return (self.K.shape[0] * self.m, self.K.shape[1] * self.m)
+
+    @property
+    def T(self):
+        return KronIdentity(self.K.T, self.m)
+
+    @property
+    def nbytes(self):
+        return self.K.nbytes
+
+    def toarray(self):
+        return np.kron(self.K, np.eye(self.m))
+
+    def __matmul__(self, other):
+        if isinstance(other, KronIdentity):
+            return KronIdentity(self.K @ other.K, self.m)
+        return (self.K @ other.reshape(-1, self.m)).ravel()
+
+
+@dataclass(frozen=True)
 class ProblemInstance:
     """A constrained problem ``min f(x) s.t. A x = b``.
 
-    ``A`` (m, n) is either a dense ``ndarray`` or a ``scipy.sparse``
-    matrix, which is stored as a CSR array in canonical form (sorted
-    indices, no duplicates); every per-iteration product uses it as
-    given, and only the independent oracles and one-off factorizations
-    densify it.  ``b`` has shape (m,).  ``gram``, when given, is a
-    factored eigenbasis of ``A'A`` that the linear subproblem solve uses
-    in place of a dense ``eigh`` (see :class:`aalm.subsolver.LinearCache`).
-    ``name`` identifies the instance in traces, summaries and reference
-    caches, so constructors bake the generating parameters (and seed)
-    into it.  ``At`` is ``A'``, built once per instance for the products
-    ``A' v`` of every iteration: a CSR array for a sparse ``A`` (whose
-    ``.T`` is a CSC array made anew on each access), the view ``A.T`` for
-    a dense one.
+    ``A`` (m, n) is a dense ``ndarray``, a :class:`KronIdentity` (kept
+    as given) or a ``scipy.sparse`` matrix, which is stored as a CSR array
+    in canonical form (sorted indices, no duplicates); every per-iteration
+    product uses it as given, and only the independent oracles and one-off
+    factorizations densify it.  ``b`` has shape (m,).  ``gram``, when
+    given, is a factored eigenbasis of ``A'A`` that the linear subproblem
+    solve uses in place of a dense ``eigh`` (see
+    :class:`aalm.subsolver.LinearCache`).  ``name`` identifies the
+    instance in traces, summaries and reference sidecars, so constructors
+    bake the generating parameters (and seed) into it.  ``At`` is ``A'``,
+    built once per instance for the products ``A' v`` of every iteration:
+    a CSR array for a sparse ``A`` (whose ``.T`` is a CSC array made anew
+    on each access), ``A.T`` otherwise.
     """
 
     objective: ObjectiveOracle
@@ -134,10 +170,12 @@ class ProblemInstance:
             import scipy.sparse
             A = scipy.sparse.csr_array(self.A, dtype=float, copy=True)
             A.sum_duplicates()
+        elif isinstance(self.A, KronIdentity):
+            A = self.A
         else:
             A = np.asarray(self.A, dtype=float)
         b = np.asarray(self.b, dtype=float)
-        if A.ndim != 2:
+        if len(A.shape) != 2:
             raise ValueError(f"A must be 2-D, got shape {A.shape}")
         if b.shape != (A.shape[0],):
             raise ValueError(
@@ -180,8 +218,9 @@ def issparse(M):
 
 
 def dense(M):
-    """``M`` as a dense ``ndarray`` (a copy only when ``M`` is sparse)."""
-    return M.toarray() if issparse(M) else M
+    """``M`` as a dense ``ndarray`` (a copy only when ``M`` is sparse or a
+    :class:`KronIdentity`)."""
+    return M.toarray() if issparse(M) or isinstance(M, KronIdentity) else M
 
 
 def separable_oracle(form, lipschitz=None):
@@ -284,6 +323,22 @@ def ring_mixing_matrix(p_agents):
     return W
 
 
+def _logistic_slope(t):
+    """``phi'(t) = -1 / (1 + e^t)`` of ``phi(t) = log(1 + e^-t)``, from
+    ``e = exp(-|t|)`` so that nothing overflows: ``-e / (1 + e)`` for
+    ``t >= 0`` and ``-1 / (1 + e)`` otherwise (within 2 ulp of the exact
+    value, as ``scipy.special.expit`` is)."""
+    e = np.exp(-np.abs(t))
+    return -np.where(t >= 0, e, 1.0) / (1.0 + e)
+
+
+def _logistic_curvature(t):
+    """``phi''(t) = e^t / (1 + e^t)^2``, as ``e / (1 + e)^2`` with
+    ``e = exp(-|t|)`` (it is even in ``t``)."""
+    e = np.exp(-np.abs(t))
+    return e / (1.0 + e) ** 2
+
+
 def make_ring_logistic(p_agents=10, m_dim=200, rho_reg=0.5, seed=0,
                        name=None):
     """Decentralized regularized logistic loss on a ring of agents.
@@ -300,25 +355,25 @@ def make_ring_logistic(p_agents=10, m_dim=200, rho_reg=0.5, seed=0,
     is spanned by agreement vectors ``1 kron v``).  The exposed gradient
     Lipschitz constant is ``max_i { ||c_i||^2 / 4 + rho_reg }``.
 
-    ``A`` is stored as a CSR array (three nonzeros per row).  With
+    ``A`` is stored as ``KronIdentity(I - W, m_dim)``, so each product
+    with a vector is one p x p by p x m product.  With
     ``I - W = V_W diag(l) V_W'`` from a p x p ``eigh``, ``A'A`` has the
     eigenbasis ``V_W kron I_m`` with eigenvalues ``l_i^2``, each repeated
     ``m_dim`` times; it is attached as ``gram`` and applied blockwise as
     ``(V_W @ x.reshape(p, m)).ravel()``.  ``f`` is :class:`Separable` with
-    ``U = blockdiag(c_1, ..., c_p)`` (n x p) and ``mu = rho_reg``.
+    ``U = blockdiag(c_1, ..., c_p)`` (n x p) and ``mu = rho_reg``, whose
+    ``phi'`` and ``phi''`` cannot overflow (:func:`_logistic_slope`,
+    :func:`_logistic_curvature`).
     """
     if m_dim < 1:
         raise ValueError(f"m_dim must be >= 1, got {m_dim}")
     if rho_reg < 0:
         raise ValueError(f"rho_reg must be >= 0, got {rho_reg}")
-    import scipy.sparse
-    from scipy.special import expit
     W = ring_mixing_matrix(p_agents)
     rng = np.random.Generator(np.random.PCG64(seed))
     C = rng.uniform(0.0, 1.0, size=(p_agents, m_dim))
     laplacian = np.eye(p_agents) - W
-    A = scipy.sparse.kron(scipy.sparse.csr_array(laplacian),
-                          scipy.sparse.eye_array(m_dim), format="csr")
+    A = KronIdentity(laplacian, m_dim)
     b = np.zeros(p_agents * m_dim)
     lap_evals, V_W = np.linalg.eigh(laplacian)
     gram = GramEigenbasis(
@@ -331,8 +386,8 @@ def make_ring_logistic(p_agents=10, m_dim=200, rho_reg=0.5, seed=0,
     U[rows, rows // m_dim] = C.ravel()
     form = Separable(U, np.zeros(p_agents),
                      phi=lambda t: np.logaddexp(0.0, -t),
-                     dphi=lambda t: -expit(-t),
-                     d2phi=lambda t: expit(-t) * expit(t), mu=rho_reg)
+                     dphi=_logistic_slope, d2phi=_logistic_curvature,
+                     mu=rho_reg)
     if name is None:
         name = (f"ring-logistic-p{p_agents}-m{m_dim}-rho{rho_reg:g}"
                 f"-pcg64-{seed}")

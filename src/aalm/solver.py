@@ -12,10 +12,12 @@ with ``alpha_k = (t_{k+1} - eta)/eta``, ``c_k = t_{k+1}/eta``:
    linearized at ``xbar_k`` when a gradient Lipschitz constant is known and
    ``gamma <= 1/L``;
 4. ascend the dual: ``lam_{k+1} = lambdabar_k + delta (c_k A x_{k+1} - r_k)``.
-   ``A x_{k+1}`` is formed once here and carried to the next step's
-   ``r_{k+1}`` and to the iterate's trace record.  So are ``f(x_{k+1})``
-   and ``grad f(x_{k+1})`` when the inner Newton evaluated them: the
-   next inner solve starts from them and the record reads them.
+   ``A x_{k+1}`` comes from step 3's solve, which formed it once (the
+   inner Newton at its accepted point), and is carried to the next
+   step's ``r_{k+1}``, the next inner solve's start and the iterate's
+   trace record.  So are ``f(x_{k+1})`` and ``grad f(x_{k+1})`` when the
+   inner Newton evaluated them: the next inner solve starts from them and
+   the record reads them.
 
 The same iteration can be written as a coupled pair of proximal-type
 inclusions in ``(x_{k+1}, lam_{k+1})``; :func:`step_coupled` solves that
@@ -125,8 +127,9 @@ class IterateState:
     ``t_1 .. t_{K+1}`` so that ``t_curr = t_seq[k-1]`` and
     ``t_next = t_seq[k]`` are plain lookups; ``k`` is the 1-based iterate
     index (``k = 1`` is the initial point, with ``x_prev = x_curr``).
-    ``Ax_curr`` is ``A x_k``: formed once per iterate by :func:`step` and
-    carried to the next step's ``r_k`` and to the trace record.
+    ``Ax_curr`` is ``A x_k``: formed once per iterate by the subproblem
+    solve and carried to the next step's ``r_k``, the next inner Newton
+    solve's start and the trace record.
     ``f_curr`` and ``grad_curr`` are ``f(x_k)`` and ``grad f(x_k)`` when
     the inner Newton solve that returned ``x_k`` evaluated them (None
     otherwise, and always on the linear path), carried to the next inner
@@ -249,9 +252,8 @@ def step(state, config, instance, plan=None):
                           c_k=c_k, p_k=p_k, r_k=r_k, xbar_k=xbar,
                           implicit=plan.implicit,
                           gradient_anchor=plan.anchor(xbar))
-    x_next, f_next, grad_next = solve_subproblem(spec, instance, plan,
-                                                 state)
-    Ax_next = instance.A @ x_next
+    x_next, Ax_next, f_next, grad_next = solve_subproblem(spec, instance,
+                                                          plan, state)
     lam_next = multiplier_update(lbar, delta_eff, c_k, Ax_next, r_k)
     if config.check_identities:
         lhs = c_k * lam_next - alpha_k * state.lam_curr

@@ -23,8 +23,8 @@ is one of two paths:
 * :func:`solve_inner_newton` -- damped Newton with backtracking for smooth
   non-quadratic implicit parts, one LU solve per step, to
   the fixed tolerance schedule :func:`inner_tolerance` within at most
-  :data:`INNER_MAX_STEPS` steps; it returns ``f`` and ``grad f`` at its
-  point with the point, and the next solve starts from them.
+  :data:`INNER_MAX_STEPS` steps; it returns ``A x``, ``f`` and ``grad f``
+  at its point with the point, and the next solve starts from them.
 """
 
 from __future__ import annotations
@@ -358,16 +358,19 @@ def solve_linear_case(spec, instance, cache=None):
 def solve_subproblem(spec, instance, plan, state):
     """Solve the subproblem at ``state`` by ``plan``'s backend (inner Newton
     from ``state.x_curr`` at ``inner_tolerance(t_k)``, starting from the
-    state's carried ``f(x_k)`` and ``grad f(x_k)``).  Returns ``(x, f_x,
-    grad_x)`` as :func:`solve_inner_newton` does; the linear backend
-    evaluates ``f`` nowhere and returns ``(x, None, None)``.  An inner
-    failure's or a singular system's message gains ``k`` and ``t_k``."""
+    state's carried ``A x_k``, ``f(x_k)`` and ``grad f(x_k)``).  Returns
+    ``(x, Ax, f_x, grad_x)`` as :func:`solve_inner_newton` does; the
+    linear backend forms ``A x`` once, evaluates ``f`` nowhere and returns
+    ``(x, Ax, None, None)``.  An inner failure's or a singular system's
+    message gains ``k`` and ``t_k``."""
     try:
         if plan.cache is not None:
-            return solve_linear_case(spec, instance, plan.cache), None, None
+            x = solve_linear_case(spec, instance, plan.cache)
+            return x, instance.A @ x, None, None
         return solve_inner_newton(spec, instance, state.x_curr,
                                   inner_tolerance(state.t_curr), plan.AtA,
-                                  state.f_curr, state.grad_curr)
+                                  state.f_curr, state.grad_curr,
+                                  state.Ax_curr)
     except (MaxInnerIterations, SubsolverError,
             np.linalg.LinAlgError) as e:
         e.args = (f"{e} at k={state.k}, t_k={state.t_curr:.6g}",)
@@ -375,7 +378,7 @@ def solve_subproblem(spec, instance, plan, state):
 
 
 def solve_inner_newton(spec, instance, x0, tol, AtA=None, f0=None,
-                       grad0=None):
+                       grad0=None, Ax0=None):
     """Damped Newton on the subproblem for smooth non-quadratic parts.
 
     Iterates from the warm start ``x0`` until the subproblem gradient norm
@@ -384,10 +387,10 @@ def solve_inner_newton(spec, instance, x0, tol, AtA=None, f0=None,
     ``<d, g> <= -1e-12 ||d|| ||g||`` it falls back to steepest descent for
     that iteration.  Backtracking halves the step until the Armijo
     sufficient-decrease condition holds.  ``A x`` is formed once for each
-    point visited (the start and each trial), and the accepted trial's
-    value is the next step's ``F(x)``.  The implicit part ``f`` is
-    evaluated at most once per point: its gradient at each accepted point
-    (for the stopping test) and its value at each trial.
+    point visited (each trial, and the start unless ``Ax0`` is given), and
+    the accepted trial's value is the next step's ``F(x)``.  The implicit
+    part ``f`` is evaluated at most once per point: its gradient at each
+    accepted point (for the stopping test) and its value at each trial.
 
     Parameters
     ----------
@@ -396,12 +399,14 @@ def solve_inner_newton(spec, instance, x0, tol, AtA=None, f0=None,
     f0, grad0 : optional
         ``f(x0)`` and ``grad f(x0)`` when the caller has them (a previous
         solve returned them); each is evaluated here when needed otherwise.
+    Ax0 : ndarray, optional
+        ``A x0`` when the caller has it; formed here otherwise.
 
     Returns
     -------
-    (x, f_x, grad_x)
-        The accepted point with ``f(x)`` -- None when the last step was
-        taken without evaluating it (a decrease below the value's
+    (x, Ax, f_x, grad_x)
+        The accepted point with ``A x``, ``f(x)`` -- None when the last
+        step was taken without evaluating it (a decrease below the value's
         resolution, or a line search that ran out) -- and ``grad f(x)``.
 
     Raises
@@ -415,7 +420,7 @@ def solve_inner_newton(spec, instance, x0, tol, AtA=None, f0=None,
     A, obj = instance.A, spec.implicit
     coef = spec.beta + spec.delta * spec.c_k ** 2
     x = np.array(x0, dtype=float)
-    Ax = A @ x
+    Ax = A @ x if Ax0 is None else Ax0
     f, grad = f0, (obj.gradient(x) if grad0 is None else grad0)
     g = subproblem_gradient(spec, instance, x, Ax, grad)
     gnorm = math.sqrt(g @ g)
@@ -458,7 +463,7 @@ def solve_inner_newton(spec, instance, x0, tol, AtA=None, f0=None,
         g = subproblem_gradient(spec, instance, x, Ax, grad)
         gnorm = math.sqrt(g @ g)
         it += 1
-    return x, f, grad
+    return x, Ax, f, grad
 
 
 def multiplier_update(lambda_bar, delta, c_k, Ax_next, r_k):

@@ -42,7 +42,8 @@ def inner_solves(monkeypatch):
     solves = []
     solve = subsolver.solve_inner_newton
 
-    def observed(spec, instance, x0, tol, AtA=None, f0=None, grad0=None):
+    def observed(spec, instance, x0, tol, AtA=None, f0=None, grad0=None,
+                 Ax0=None):
         steps = 0
         hessian = spec.implicit.hessian
 
@@ -51,12 +52,12 @@ def inner_solves(monkeypatch):
             steps += 1
             return hessian(x)
 
-        x, f_x, grad_x = solve(
+        x, Ax, f_x, grad_x = solve(
             replace(spec, implicit=replace(spec.implicit, hessian=counted)),
-            instance, x0, tol, AtA, f0, grad0)
+            instance, x0, tol, AtA, f0, grad0, Ax0)
         g = subsolver.subproblem_gradient(spec, instance, x)
         solves.append(InnerSolve(tol, math.sqrt(g @ g), steps))
-        return x, f_x, grad_x
+        return x, Ax, f_x, grad_x
 
     monkeypatch.setattr(subsolver, "solve_inner_newton", observed)
     return solves

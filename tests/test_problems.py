@@ -6,9 +6,10 @@ structural facts the solver relies on (Lipschitz constants, consensus
 null space, symmetry) are verified directly.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-import scipy.sparse
 from scipy.special import expit
 
 from aalm import (
@@ -19,7 +20,7 @@ from aalm import (
     make_random_qp,
     make_ring_logistic,
 )
-from aalm.problems import ring_mixing_matrix
+from aalm.problems import KronIdentity, ring_mixing_matrix
 
 
 class TestMakeQp:
@@ -234,14 +235,48 @@ class TestRingLogistic:
         assert np.linalg.matrix_rank(A) == 9
         np.testing.assert_allclose(inst.b, 0.0, rtol=0, atol=0)
 
-    def test_sparse_constraint_is_exact_kron(self):
-        """The CSR A equals the dense Kronecker product entry for entry."""
+    def test_constraint_operator_is_exact_kron(self):
+        """The ring's ``KronIdentity`` A equals ``(I - W) kron I_m`` entry
+        for entry; its products with a vector (``A``, ``A'`` and ``A'A``,
+        itself a ``KronIdentity``), and those of a rectangular
+        nonsymmetric operator, match the dense ones to rounding.
+        Rebuilding the instance keeps the operator as given."""
         inst = make_ring_logistic(p_agents=5, m_dim=4, rho_reg=0.5, seed=0)
-        assert scipy.sparse.issparse(inst.A) and inst.A.format == "csr"
         W = ring_mixing_matrix(5)
-        expected = np.kron(np.eye(5) - W, np.eye(4))
-        np.testing.assert_array_equal(inst.A.toarray(), expected)
-        assert inst.A.nnz == 3 * inst.n_constraints
+        np.testing.assert_array_equal(inst.A.toarray(),
+                                      np.kron(np.eye(5) - W, np.eye(4)))
+        assert replace(inst).A is inst.A
+        assert inst.A.nbytes == W.nbytes
+        rng = np.random.default_rng(0)
+        for A in (inst.A, KronIdentity(rng.normal(size=(3, 5)), 4)):
+            dense = np.kron(A.K, np.eye(4))
+            np.testing.assert_array_equal(A.toarray(), dense)
+            assert A.shape == dense.shape
+            assert isinstance(A.T @ A, KronIdentity)
+            for op, M in ((A, dense), (A.T, dense.T),
+                          (A.T @ A, dense.T @ dense)):
+                v = rng.normal(size=M.shape[1])
+                np.testing.assert_allclose(op @ v, M @ v, rtol=0,
+                                           atol=1e-14 * np.linalg.norm(v))
+
+    def test_logistic_weights_match_expit(self):
+        """``phi'`` and ``phi''`` agree with ``scipy.special.expit`` to 4
+        eps relative (subnormal results to the smallest normal) on
+        ``[-800, 800]`` and at +-0, without an overflow, division or
+        invalid operation (which ``filterwarnings = error`` would also
+        turn into a failure), and keep their ranges ``-1 <= phi' <= 0``
+        and ``phi'' >= 0``."""
+        form = make_ring_logistic(p_agents=3, m_dim=2).objective.separable
+        t = np.concatenate([np.linspace(-800.0, 800.0, 200001),
+                            np.linspace(-40.0, 40.0, 80001), [0.0, -0.0]])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            dphi, d2phi = form.dphi(t), form.d2phi(t)
+        tol = 4 * np.finfo(float).eps
+        tiny = np.finfo(float).tiny
+        for got, ref in ((dphi, -expit(-t)), (d2phi, expit(-t) * expit(t))):
+            assert np.all(np.abs(got - ref) <= tol * np.abs(ref) + tiny)
+        assert np.all((dphi >= -1.0) & (dphi <= 0.0))
+        assert np.all(d2phi >= 0.0)
 
     def test_gram_eigenbasis_reproduces_gram(self):
         """V diag(evals) V' = A'A to 1e-13, with V orthogonal."""

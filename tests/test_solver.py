@@ -386,7 +386,7 @@ class TestRecordBlocks:
     @pytest.mark.parametrize("which", ["qp", "ring"])
     def test_cached_transpose_products(self, which, qp_testbed, ring):
         """Products through the instance's ``At`` equal ``A.T @ v``
-        bitwise, for the dense QP and the CSR ring."""
+        bitwise, for the dense QP and the ring's ``KronIdentity``."""
         inst = qp_testbed if which == "qp" else ring[0]
         rng = np.random.default_rng(5)
         for _ in range(5):
@@ -395,10 +395,10 @@ class TestRecordBlocks:
 
 
 def _counting(instance):
-    """A copy of ``instance`` whose ``A`` counts its products with
-    vectors in ``A.count``; each product returns what ``A`` would.  Only
-    products by ``A`` itself count, not by views such as ``A.T`` or by
-    ``A'A`` formed from it."""
+    """A copy of ``instance`` whose ``A`` (a dense array or a
+    ``KronIdentity``) counts its products with vectors in ``A.count``;
+    each product returns what ``A`` would.  Only products by ``A`` itself
+    count, not by ``A.T`` or by ``A'A`` formed from it."""
     A = instance.A
     base = type(A)
 
@@ -414,7 +414,7 @@ def _counting(instance):
 
     counted = replace(instance)
     object.__setattr__(counted, "A", A.view(Counting)
-                       if isinstance(A, np.ndarray) else Counting(A))
+                       if isinstance(A, np.ndarray) else Counting(A.K, A.m))
     return counted
 
 
@@ -453,12 +453,15 @@ class TestCarriedProduct:
         assert type(inst.A).count == 300 + 1
 
     def test_newton_products_per_iteration(self, instances):
-        """The inner Newton forms ``A x`` once per point it visits: the lp
-        Nesterov run makes at most 4 products per outer iteration (9.6
-        when the value and gradient formed their own)."""
+        """The inner Newton forms ``A x`` once per trial point and none at
+        its start (the state carries ``A x_k`` in), and ``step`` takes
+        the accepted point's product from it: the 1000-iteration lp
+        Nesterov run makes 1144 products, one at ``x_1`` and one per
+        trial (3144 when the solve re-formed ``A x_k`` and ``step``
+        re-formed ``A x_{k+1}``)."""
         inst = _counting(instances["lp"])
         self._run(inst, "lp", 1000)
-        assert type(inst.A).count <= 4 * 1000
+        assert type(inst.A).count <= 1150
 
     def test_one_gradient_per_newton_step(self, instances):
         """``grad f(x_k)`` is carried with ``x_k``: a 300-iteration
@@ -531,8 +534,8 @@ class TestDegenerateConstraints:
 
 
 class TestStructuredConstraints:
-    """A sparse A with a factored Gram eigenbasis follows the same
-    trajectory as its dense twin solved by Cholesky."""
+    """The ring's ``KronIdentity`` A with a factored Gram eigenbasis
+    follows the same trajectory as its dense twin solved by Cholesky."""
 
     @pytest.fixture(scope="class")
     def ring_pair(self):
@@ -555,9 +558,9 @@ class TestStructuredConstraints:
             state, _ = run(inst, cfg, np.zeros(inst.dim),
                            np.zeros(inst.n_constraints))
             finals.append(state)
-        sparse_run, dense_run = finals
-        assert self._rel(sparse_run.x_curr, dense_run.x_curr) <= 1e-10
-        assert self._rel(sparse_run.lam_curr, dense_run.lam_curr) <= 1e-10
+        kron_run, dense_run = finals
+        assert self._rel(kron_run.x_curr, dense_run.x_curr) <= 1e-10
+        assert self._rel(kron_run.lam_curr, dense_run.lam_curr) <= 1e-10
 
     def test_vanilla_run_matches_dense_twin(self, ring_pair):
         finals = []
@@ -566,9 +569,9 @@ class TestStructuredConstraints:
                                    np.zeros(inst.dim),
                                    np.zeros(inst.n_constraints))
             finals.append(state)
-        sparse_run, dense_run = finals
-        assert self._rel(sparse_run.x_curr, dense_run.x_curr) <= 1e-10
-        assert self._rel(sparse_run.lam_curr, dense_run.lam_curr) <= 1e-10
+        kron_run, dense_run = finals
+        assert self._rel(kron_run.x_curr, dense_run.x_curr) <= 1e-10
+        assert self._rel(kron_run.lam_curr, dense_run.lam_curr) <= 1e-10
 
 
 class TestStepCoupled:

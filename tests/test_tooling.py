@@ -9,8 +9,8 @@ The reference oracle must stay an arithmetic path separate from the
 solver it checks; its imports are pinned here.  Every shipped experiment
 config (the demos and the benchmark's workloads) must still parse, so
 that a config key cannot be removed from under them, and every shipped
-demo script must still run.  A dense experiment runs on numpy alone: it
-imports no scipy module.
+demo script must still run.  An experiment on any built-in family runs on
+numpy alone: it imports no scipy module.
 """
 
 import ast
@@ -219,18 +219,16 @@ def test_demo_script_runs(demo, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_dense_experiments_import_no_scipy(tmp_path):
+def test_builtin_experiments_import_no_scipy(tmp_path):
     """A fresh interpreter imports ``aalm.cli`` and runs a dense QP config
-    (explicit and scaled implicit entries) and an implicit lp config
-    through ``run_experiment`` without loading any ``scipy`` module; a
-    ring build then loads ``scipy.sparse`` and still works."""
+    (explicit and scaled implicit entries), an implicit lp config and a
+    ring config (an explicit CD entry and vanilla, with the ring's
+    ``kkt_refine`` reference) through ``run_experiment`` without loading
+    any ``scipy`` module."""
     out = _fresh(f"""
 import sys
 import aalm.cli
 from aalm import harness
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 cd = {{"rule": "cd", "alpha": 10.0, "eta": "noncritical"}}
 qp = {{"problem": {{"builtin": "qp", "n": 12, "m": 4, "seed": 3}},
@@ -243,15 +241,20 @@ lp = {{"problem": {{"builtin": "lp-regression", "d": 8, "n": 5}},
       "iterations": 20, "output_dir": {str(tmp_path / "lp")!r},
       "solvers": [{{"name": "implicit", "case": "implicit",
                     "schedule": {{"rule": "nesterov"}}}}]}}
-for cfg in (qp, lp):
+ring = {{"problem": {{"builtin": "ring-logistic", "p_agents": 4,
+                      "m_dim": 5}},
+        "iterations": 20, "output_dir": {str(tmp_path / "ring")!r},
+        "solvers": [
+            {{"name": "cd", "case": "explicit", "schedule": cd,
+              "delta": 10.0}},
+            {{"name": "vanilla", "method": "vanilla", "case": "explicit"}}]}}
+for cfg in (qp, lp, ring):
     harness.run_experiment(harness.parse_config(cfg))
-print(scipy_modules())
-ring = harness.build_problem({{"builtin": "ring-logistic", "p_agents": 3,
-                              "m_dim": 2}})
-print(ring.A.format, "scipy.sparse" in scipy_modules())
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """)
-    assert out.split("\n")[:2] == ["[]", "csr True"]
-    for run, n_entries in (("qp", 2), ("lp", 1)):
+    assert out.strip() == "[]"
+    for run, n_entries in (("qp", 2), ("lp", 1), ("ring", 2)):
         with open(tmp_path / run / "summary.csv") as f:
             rows = list(csv.DictReader(f))
         assert [r["status"] for r in rows] == ["ok"] * n_entries
+        assert all(r["reference"].startswith("kkt_tol=") for r in rows)
