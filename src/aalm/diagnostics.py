@@ -28,9 +28,12 @@ the run loop buffers its iterates and pays for the array operations once
 per block.  Records take ``A x`` from the run, which forms it once per
 iterate for the step, and ``f(x)`` and ``grad f(x)`` where the run's inner
 Newton already evaluated them; the remaining objective values and
-gradients and ``A' lam`` are evaluated row by row, and every reduction is
-a row reduction, so a record is bitwise the same however the iterates
-were grouped; :func:`make_record` is the one-row call, forming its own
+gradients come from the objective's row forms
+(:class:`aalm.problems.ObjectiveOracle`) and ``A' lam`` from
+:meth:`aalm.problems.ProblemInstance.At_rows`, one call per block.  Each
+of those rows is bitwise the per-row product and every reduction is a
+row reduction, so a record is bitwise the same however the iterates were
+grouped; :func:`make_record` is the one-row call, forming its own
 ``A x`` and evaluating ``f`` itself.  :func:`gap`,
 :func:`stationarity` and :func:`energy` evaluate single iterates on their
 own arithmetic path.
@@ -43,7 +46,7 @@ own arithmetic path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -52,9 +55,9 @@ TRACE_FIELDS = ("k", "t_k", "feas", "obj_res", "stat_res", "gap_H",
                 "energy_E", "step_norm_M", "scaled_feas")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One iteration's diagnostics.
+class TraceRecord(NamedTuple):
+    """One iteration's diagnostics, an immutable tuple in
+    :data:`TRACE_FIELDS` order (fields by name or by position).
 
     ``scaled_feas`` is ``t_k^2 xi_k * feas`` (``xi_k = 1`` for unscaled
     runs): bounded iff the feasibility rate holds.  Reference-dependent
@@ -133,12 +136,17 @@ def _rowdot(U, V):
     return np.einsum("ij,ij->i", U, V)
 
 
-def _evaluate(oracle, X, carried):
-    """``oracle(v)`` of each row ``v`` of ``X``, except where ``carried``
-    (None, or one entry per row) already holds the result."""
+def _rows(form, X, carried):
+    """``form(X)``, except in the rows where ``carried`` (None, or one
+    entry per row) already holds the result; ``form`` sees only the
+    other rows."""
     if carried is None:
-        return [oracle(v) for v in X]
-    return [oracle(v) if c is None else c for v, c in zip(X, carried)]
+        return form(X)
+    need = [j for j, c in enumerate(carried) if c is None]
+    if len(need) == len(X):
+        return form(X)
+    fresh = iter(form(X[need]) if need else ())
+    return np.array([next(fresh) if c is None else c for c in carried])
 
 
 def make_records(instance, k, t, xi, X, L, AX, gamma, delta, eta, beta,
@@ -151,17 +159,18 @@ def make_records(instance, k, t, xi, X, L, AX, gamma, delta, eta, beta,
     iterate, as the run formed it.  ``fx`` and ``gradx`` (B entries
     each, optional) hold ``f(x)`` and ``grad f(x)`` of the recorded
     iterates where the run evaluated them and None elsewhere; the
-    objective is called for the rest.  ``t`` and ``xi`` (B,) hold ``t_k``
-    and ``xi_k`` of the B recorded iterates (a ``longdouble`` schedule is
-    rounded to float here).  Returns B records, for ``k .. k + B - 1``.
+    objective's row forms evaluate the rest, in one call per block, and
+    :meth:`aalm.problems.ProblemInstance.At_rows` forms ``A' lam``.
+    ``t`` and ``xi`` (B,) hold ``t_k`` and ``xi_k`` of the B recorded
+    iterates (a ``longdouble`` schedule is rounded to float here).
+    Returns B records, for ``k .. k + B - 1``.
     """
-    obj, At = instance.objective, instance.At
+    obj = instance.objective
     t = np.asarray(t, dtype=float)
     xi = np.asarray(xi, dtype=float)
     x, lam = X[1:], L[1:]
     Axb = AX - instance.b
-    G = (np.array(_evaluate(obj.gradient, x, gradx))
-         + np.array([At @ v for v in lam]))
+    G = _rows(obj.gradient_rows, x, gradx) + instance.At_rows(lam)
     dx, dlam = x - X[:-1], lam - L[:-1]
 
     def mnorm_rows(u, w):
@@ -172,7 +181,7 @@ def make_records(instance, k, t, xi, X, L, AX, gamma, delta, eta, beta,
     if kkt is None:
         obj_res = gap_H = energy_E = np.full(t.shape, np.nan)
     else:
-        f_x = np.array(_evaluate(obj.value, x, fx))
+        f_x = _rows(obj.value_rows, x, fx)
         if f_star is None:
             f_star = obj.value(kkt.x)
         obj_res = np.abs(f_x - f_star)
@@ -185,8 +194,9 @@ def make_records(instance, k, t, xi, X, L, AX, gamma, delta, eta, beta,
         energy_E = t ** 2 * xi * gap_H + B
     cols = (t, feas, obj_res, np.sqrt(_rowdot(G, G)), gap_H, energy_E,
             np.sqrt(mnorm_rows(dx, dlam)), t ** 2 * xi * feas)
-    return [TraceRecord(int(k) + j, *row)
-            for j, row in enumerate(zip(*(c.tolist() for c in cols)))]
+    ks = range(int(k), int(k) + t.size)
+    return list(map(TraceRecord._make,
+                    zip(ks, *(c.tolist() for c in cols))))
 
 
 def make_record(instance, k, t_k, x, x_prev, lam, lam_prev, gamma, delta,

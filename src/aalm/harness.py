@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import json
 import numbers
-import operator
 import os
 import re
 from dataclasses import dataclass, replace
@@ -435,10 +434,9 @@ def run_vanilla(instance, vcfg, iterations, x0, lam0, kkt=None):
 def write_trace_csv(path, trace):
     """Serialize records with the canonical header; floats via
     ``repr(float(v))``, so a numpy scalar prints as a plain float."""
-    floats = operator.attrgetter(*TRACE_FIELDS[1:])
     with open(path, "w") as f:
         f.write(",".join(TRACE_FIELDS) + "\n")
-        f.writelines(f"{r.k},{','.join(map(repr, map(float, floats(r))))}\n"
+        f.writelines(f"{r[0]},{','.join(map(repr, map(float, r[1:])))}\n"
                      for r in trace)
 
 

@@ -75,6 +75,16 @@ class ObjectiveOracle:
     separable : Separable, optional
         The data :func:`separable_oracle` derived the callables from, for
         code that uses the Hessian in factored form.
+
+    ``value_rows`` and ``gradient_rows`` map a block ``X`` (B, n) of
+    points, one per row, to their values (B,) and gradients (B, n), each
+    row bitwise the callable's result at that row.  They are derived in
+    ``__post_init__`` (so ``dataclasses.replace`` re-derives them) from
+    ``quadratic`` if given, else from ``separable``, else as a loop over
+    ``value`` and ``gradient``.  Like the linear path, which trusts
+    ``quadratic``, and the Newton curvature, which trusts ``separable``,
+    they read the description: an oracle whose callables are swapped
+    while it keeps its description gets its rows from the description.
     """
 
     value: Callable
@@ -83,6 +93,64 @@ class ObjectiveOracle:
     lipschitz: Optional[float] = None
     quadratic: Optional[Tuple[np.ndarray, np.ndarray]] = None
     separable: Optional[Separable] = None
+    value_rows: Callable = field(init=False, repr=False, compare=False)
+    gradient_rows: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.quadratic is not None:
+            rows = _quadratic_rows(*self.quadratic)
+        elif self.separable is not None:
+            rows = _separable_rows(self.separable)
+        else:
+            value, gradient = self.value, self.gradient
+            rows = (lambda X: np.array([value(x) for x in X]),
+                    lambda X: np.array([gradient(x) for x in X]))
+        object.__setattr__(self, "value_rows", rows[0])
+        object.__setattr__(self, "gradient_rows", rows[1])
+
+
+# The row forms below are stacked matrix-vector products, ``M @ X[..., None]``
+# (one matvec per row), and stacked dots: only these reproduce the per-row
+# products bitwise.  One GEMM ``X @ M.T`` is faster but rounds differently,
+# and its rows change with the block size.
+
+def _matvec_rows(M, X):
+    """``M @ x`` of every row ``x`` of ``X``."""
+    return (M @ X[..., None])[..., 0]
+
+
+def _dot_rows(X, Y):
+    """``x @ y`` of every pair of rows of ``X`` and ``Y``."""
+    return (X[:, None, :] @ Y[..., None])[:, 0, 0]
+
+
+def _quadratic_rows(Q, q):
+    """Row forms of ``x'Qx/2 + q'x``, matching :func:`make_qp`'s callables."""
+
+    def value_rows(X):
+        return (0.5 * _dot_rows(X, _matvec_rows(Q, X))
+                + (X[:, None, :] @ q)[:, 0])
+
+    def gradient_rows(X):
+        return _matvec_rows(Q, X) + q
+
+    return value_rows, gradient_rows
+
+
+def _separable_rows(form):
+    """Row forms of a :class:`Separable` ``f``, matching
+    :func:`separable_oracle`'s callables."""
+    U, Ut, c, mu = form.U, form.U.T, form.c, form.mu
+
+    def value_rows(X):
+        v = form.phi(_matvec_rows(Ut, X) - c).sum(axis=1)
+        return v + _dot_rows((0.5 * mu) * X, X) if mu else v
+
+    def gradient_rows(X):
+        G = _matvec_rows(U, form.dphi(_matvec_rows(Ut, X) - c))
+        return G + mu * X if mu else G
+
+    return value_rows, gradient_rows
 
 
 @dataclass(frozen=True)
@@ -187,6 +255,16 @@ class ProblemInstance:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "At", A.T.tocsr() if issparse(A) else A.T)
+
+    def At_rows(self, L):
+        """``A' lam`` of every row ``lam`` of ``L`` (B, m), as a C-ordered
+        (B, n) array whose rows are bitwise ``At @ lam``."""
+        At = self.At
+        if isinstance(At, KronIdentity):
+            return (At.K @ L.reshape(len(L), -1, At.m)).reshape(len(L), -1)
+        if issparse(At):
+            return np.ascontiguousarray((At @ L.T).T)
+        return _matvec_rows(At, L)
 
     @property
     def dim(self):

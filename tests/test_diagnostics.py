@@ -192,6 +192,41 @@ class TestMakeRecord:
                                 "scaled_feas")
 
 
+class TestTraceRecord:
+    """A record is an immutable value in ``TRACE_FIELDS`` order."""
+
+    VALUES = (7, 2.5, 0.1, float("nan"), 0.3, -0.0, 4.0, 0.5, 0.625)
+
+    def test_keyword_and_positional_construction(self):
+        by_name = TraceRecord(**dict(zip(TRACE_FIELDS, self.VALUES)))
+        by_position = TraceRecord(*self.VALUES)
+        assert by_name == by_position
+        assert TraceRecord._fields == TRACE_FIELDS
+        assert [getattr(by_name, f) for f in TRACE_FIELDS] == list(
+            self.VALUES)
+        with pytest.raises(TypeError):
+            TraceRecord(*self.VALUES[:-1])
+
+    def test_fields_cannot_be_set(self):
+        rec = TraceRecord(*self.VALUES)
+        for name in TRACE_FIELDS:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, 1.0)
+
+    def test_equality_and_hash_compare_field_tuples(self):
+        """As for the frozen dataclass: records are equal when their field
+        tuples are, and hash like them; a NaN field is equal only to the
+        same float object."""
+        rec = TraceRecord(*self.VALUES)
+        same = TraceRecord(*self.VALUES)
+        assert rec == same and hash(rec) == hash(same)
+        assert hash(rec) == hash(self.VALUES)
+        assert len({rec, same}) == 1
+        assert rec != TraceRecord(8, *self.VALUES[1:])
+        assert rec != TraceRecord(*self.VALUES[:3], float("nan"),
+                                  *self.VALUES[4:])
+
+
 class TestFitRate:
     """Log-log slope estimation on synthetic exact power laws."""
 

@@ -21,6 +21,7 @@ from aalm import (
     make_ring_logistic,
 )
 from aalm.problems import KronIdentity, ring_mixing_matrix
+from aalm.solver import StoppingRule, _block_rows
 
 
 class TestMakeQp:
@@ -435,3 +436,72 @@ class TestSeparable:
         inst, _, rng = getattr(self, family)()
         for _ in range(3):
             assert check_gradient(inst, rng.normal(size=inst.dim)) <= 1e-6
+
+
+def _small_csr_qp():
+    """A 12-variable QP whose 4x12 ``A`` is stored as a CSR array."""
+    import scipy.sparse
+    inst = make_random_qp(n=12, m=4, seed=1)
+    A = inst.A * (np.random.default_rng(2).random(inst.A.shape) < 0.5)
+    return replace(inst, A=scipy.sparse.csr_array(A))
+
+
+class TestRowForms:
+    """The row-block forms of the objective and of ``A'`` give bitwise the
+    per-row results, so trace records do not depend on how iterates are
+    grouped into blocks (nor on which form produced them)."""
+
+    FAMILIES = {
+        "qp": lambda: make_random_qp(n=50, m=10, seed=0),
+        "lp": lambda: make_random_lp(seed=0),
+        "ring-10x20": lambda: make_ring_logistic(10, 20, 0.5, seed=0),
+        "ring-10x200": lambda: make_ring_logistic(10, 200, 0.5, seed=0),
+        "csr": _small_csr_qp,
+    }
+
+    @staticmethod
+    def _same_bits(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_rows_equal_per_row_calls(self, family):
+        """On blocks of 1, the record row cap - 1, the cap and the cap + 1
+        rows, every row of ``value_rows``, ``gradient_rows`` and
+        ``At_rows`` is bitwise the per-row callable's (or ``At @ lam``'s)
+        result, so every block is a bitwise prefix of the longer ones."""
+        inst = self.FAMILIES[family]()
+        obj = inst.objective
+        cap = _block_rows(inst, StoppingRule())
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(cap + 1, inst.dim))
+        L = rng.normal(size=(cap + 1, inst.n_constraints))
+        for b in sorted({1, cap - 1, cap, cap + 1} - {0}):
+            x, lam = X[:b], L[:b]
+            assert self._same_bits(obj.value_rows(x),
+                                   [obj.value(v) for v in x])
+            assert self._same_bits(obj.gradient_rows(x),
+                                   [obj.gradient(v) for v in x])
+            AtL = inst.At_rows(lam)
+            assert AtL.flags.c_contiguous
+            assert self._same_bits(AtL, [inst.At @ v for v in lam])
+
+    def test_forms_follow_the_description(self):
+        """The row forms are derived from ``quadratic``, else ``separable``,
+        else the callables, and ``replace`` derives them anew."""
+        qp = make_random_qp(n=6, m=2, seed=3).objective
+        plain = replace(qp, quadratic=None)
+        assert plain.value_rows is not qp.value_rows
+        X = np.random.default_rng(0).normal(size=(3, 6))
+        assert self._same_bits(plain.value_rows(X), qp.value_rows(X))
+        assert self._same_bits(plain.gradient_rows(X), qp.gradient_rows(X))
+        lp = make_random_lp(d=8, n=5, seed=1).objective
+        doubled = replace(lp, gradient=lambda x: 2.0 * lp.gradient(x))
+        Y = np.random.default_rng(1).normal(size=(3, 5))
+        assert self._same_bits(doubled.gradient_rows(Y),
+                               lp.gradient_rows(Y))
+        counted = []
+        bare = replace(lp, separable=None,
+                       value=lambda x: counted.append(1) or lp.value(x))
+        assert self._same_bits(bare.value_rows(Y), lp.value_rows(Y))
+        assert len(counted) == 3

@@ -394,6 +394,50 @@ class TestRecordBlocks:
             assert np.array_equal(inst.At @ v, inst.A.T @ v)
 
 
+class TestRecordForms:
+    """Records evaluate the rows without a carried ``f(x_k)`` or
+    ``grad f(x_k)`` through the objective's row forms, one call per
+    block, never through its per-row callables."""
+
+    @staticmethod
+    def _run(inst, kkt, n=300):
+        cfg = SolverConfig(schedule=nesterov(), case="explicit", max_iter=n)
+        return run(inst, cfg, np.zeros(inst.dim),
+                   np.zeros(inst.n_constraints), kkt=kkt)[1]
+
+    def test_per_row_fallback_matches_described_rows(self, qp_testbed,
+                                                     qp_reference):
+        """An explicit QP run whose oracle has no ``quadratic`` (so its
+        rows loop over the callables) writes bitwise the described run's
+        trace."""
+        plain = replace(qp_testbed, objective=replace(
+            qp_testbed.objective, quadratic=None))
+        assert self._run(plain, qp_reference, 600) == self._run(
+            qp_testbed, qp_reference, 600)
+
+    def test_records_make_no_per_row_calls(self, qp_testbed, qp_reference):
+        """A 300-iteration explicit QP run with a reference calls
+        ``gradient`` once per step (the linearization anchor) and
+        ``value`` once (``f*``); its 300 records call neither."""
+        calls = {"value": 0, "gradient": 0}
+        obj = qp_testbed.objective
+
+        def counted(name):
+            oracle = getattr(obj, name)
+
+            def call(x):
+                calls[name] += 1
+                return oracle(x)
+
+            return call
+
+        counting = replace(qp_testbed, objective=replace(
+            obj, value=counted("value"), gradient=counted("gradient")))
+        trace = self._run(counting, qp_reference)
+        assert len(trace) == 300
+        assert calls == {"value": 1, "gradient": 300}
+
+
 def _counting(instance):
     """A copy of ``instance`` whose ``A`` (a dense array or a
     ``KronIdentity``) counts its products with vectors in ``A.count``;
