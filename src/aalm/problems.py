@@ -161,9 +161,9 @@ class GramEigenbasis:
     and ``apply_Vt(x)`` returns ``V' x``.  ``evals`` (n,) need not be
     sorted.  Constructors that know the structure of ``A`` attach one so
     that linear subproblem solves cost a few structured products instead
-    of a dense ``eigh`` and two dense matvecs.  (A generalized eigenbasis
-    of :class:`aalm.subsolver.LinearCache`, whose ``V`` is orthonormal in
-    the inner product of ``Q + I/gamma`` instead, takes the same form.)
+    of a dense ``eigh`` and two dense matvecs.  (Without one,
+    :class:`aalm.subsolver.LinearCache` wraps that dense ``eigh`` in the
+    same form.)
     """
 
     evals: np.ndarray

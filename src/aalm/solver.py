@@ -365,8 +365,8 @@ def _run_loop(instance, config, state, kkt=None):
     """Advance ``state`` by :func:`step` for ``config.max_iter`` iterations
     or until ``config.stop``, recording each iterate with ``config``'s own
     ``gamma, delta, eta, beta``.  ``config`` has a float ``gamma`` and a
-    numeric ``eta``; the step plan is built for that ``gamma`` when every
-    stepsize factor ``xi_{k+1}`` is 1.
+    numeric ``eta``; the step plan is the one :func:`step` builds without
+    one, made once here.
 
     Records are computed in blocks (:func:`aalm.diagnostics.make_records`)
     of up to :data:`RECORD_BLOCK_ROWS` iterates and
@@ -376,9 +376,7 @@ def _run_loop(instance, config, state, kkt=None):
     carries them.  A stopping rule with a tolerance set
     reads every record as it is made, so its blocks are one iterate and
     the run stops at the first ``k`` that meets it."""
-    fixed = np.all(state.xi_seq[state.k:] == 1.0)
-    plan = step_plan(instance, config.case,
-                     gamma=config.gamma if fixed else None)
+    plan = step_plan(instance, config.case)
     f_star = instance.objective.value(kkt.x) if kkt is not None else None
     rows = _block_rows(instance, config.stop)
     trace: List[TraceRecord] = []

@@ -15,11 +15,10 @@ injected by the proximal term makes F well-posed for any convex
 is one of two paths:
 
 * :func:`solve_linear_case` -- one SPD solve when ``f_part`` is (at most)
-  quadratic: a few applications of an eigenbasis built once per run (see
-  :class:`LinearCache`) -- of ``A'A`` when the quadratic part is a
-  multiple of the identity, of the pair ``(A'A, Q + I/gamma)`` for any
-  other ``Q`` when the run's ``gamma`` is fixed -- and an LU solve
-  (:func:`spd_solve`) per solve otherwise;
+  quadratic: a few applications of an orthonormal eigenbasis of ``A'A``
+  built once per run (see :class:`LinearCache`) when the quadratic part
+  is a multiple of the identity, and an LU solve (:func:`spd_solve`) per
+  solve for any other ``Q``;
 * :func:`solve_inner_newton` -- damped Newton with backtracking for smooth
   non-quadratic implicit parts, one LU solve per step, to
   the fixed tolerance schedule :func:`inner_tolerance` within at most
@@ -164,16 +163,6 @@ def spd_solve(M, rhs):
     return np.linalg.solve(M, rhs)
 
 
-def generalized_eigenbasis(K, B):
-    """``(evals, V)`` with ``V'BV = I`` and ``V'KV = diag(evals)`` for a
-    symmetric positive semidefinite ``K`` and a positive definite ``B``:
-    with ``B = LL'``, ``V = L^{-T} W`` where ``W`` diagonalizes
-    ``L^{-1} K L^{-T}`` (Golub & Van Loan, *Matrix Computations*, 8.7)."""
-    Linv = np.linalg.inv(np.linalg.cholesky(B))
-    evals, W = np.linalg.eigh(Linv @ K @ Linv.T)
-    return evals, Linv.T @ W
-
-
 def _dense_basis(evals, V):
     """A :class:`~aalm.problems.GramEigenbasis` applying a dense ``V``."""
     return GramEigenbasis(evals, lambda y: V @ y, lambda x: V.T @ x)
@@ -183,27 +172,19 @@ class LinearCache:
     """Per-run precomputation shared by every linear subproblem solve.
 
     Holds ``A'A``, the implicit ``part``'s ``(Q, q)`` and the solve
-    backend, chosen from the instance and the run's stepsize ``gamma``
-    (None when it varies over the run):
+    backend, chosen from the instance and ``part`` alone:
 
     * ``Q = mu I`` (``mu = 0`` in the explicit case): ``basis`` is an
       orthonormal eigenbasis of ``A'A`` (a
       :class:`~aalm.problems.GramEigenbasis`) -- the instance's factored
       ``gram`` when it carries one, else a dense ``eigh`` computed here --
-      and serves every ``gamma``;
-    * any other ``Q`` with a fixed ``gamma``: ``basis`` is a generalized
-      eigenbasis ``V`` of the pair ``(A'A, B)``, ``B = Q + I/gamma`` (kept
-      as ``B``), with ``V'BV = I`` and ``V'A'AV = diag(evals)``, built
-      here once; it serves solves at that ``gamma`` only;
-    * any other ``Q`` otherwise: ``basis`` is None and each solve is an
-      LU solve of the system (:func:`spd_solve`).
-
-    Either way each solve with a basis is a few basis applications.
-    ``A'A`` keeps the storage of ``A`` on the orthonormal path and is
-    dense (formed once) on the other two.
+      and each solve, at any ``gamma``, is a few basis applications;
+      ``A'A`` keeps the storage of ``A``;
+    * any other ``Q``: ``basis`` is None, ``A'A`` is dense (formed once)
+      and each solve is an LU solve of the system (:func:`spd_solve`).
     """
 
-    def __init__(self, instance, part, gamma=None):
+    def __init__(self, instance, part):
         if part is not None and part.quadratic is None:
             raise ValueError("linear path needs a quadratic implicit part; "
                              "use solve_inner_newton instead")
@@ -211,16 +192,11 @@ class LinearCache:
         self.Q, self.q = part.quadratic if part is not None else (None, None)
         self.mu = self._identity_coefficient()
         self.AtA = AtA if self.mu is not None else dense(AtA)
-        self.gamma = self.B = self.basis = None
+        self.basis = None
         if self.mu is not None and instance.gram is not None:
             self.basis = instance.gram
         elif self.mu is not None:
             self.basis = _dense_basis(*np.linalg.eigh(dense(AtA)))
-        elif gamma is not None:
-            self.gamma = gamma
-            self.B = self.Q + np.eye(self.Q.shape[0]) / gamma
-            self.basis = _dense_basis(
-                *generalized_eigenbasis(self.AtA, self.B))
 
     def _identity_coefficient(self):
         """``mu`` with ``Q = mu I`` (0 without ``Q``), or None."""
@@ -263,14 +239,11 @@ class StepPlan:
         return float(gamma)
 
 
-def step_plan(instance, case, backend=True, gamma=None):
+def step_plan(instance, case, backend=True):
     """The :class:`StepPlan` of ``case`` on ``instance`` (without
-    ``backend``: the split of ``f`` only).  ``gamma`` is the run's
-    stepsize when every step uses it, which lets a linear backend factor
-    a general quadratic part once (see :class:`LinearCache`); None means
-    it may vary.  Raises ValueError for a case outside :data:`CASES`, a
-    linearized part without ``lipschitz``, or a Newton part without
-    ``hessian``."""
+    ``backend``: the split of ``f`` only).  Raises ValueError for a case
+    outside :data:`CASES`, a linearized part without ``lipschitz``, or a
+    Newton part without ``hessian``."""
     if case not in CASES:
         raise ValueError(f"case must be one of {CASES}, got {case!r}")
     obj = instance.objective
@@ -282,7 +255,7 @@ def step_plan(instance, case, backend=True, gamma=None):
     if not backend:
         return StepPlan(implicit, linearized)
     if implicit is None or implicit.quadratic is not None:
-        cache = LinearCache(instance, implicit, gamma)
+        cache = LinearCache(instance, implicit)
         return StepPlan(implicit, linearized, cache.AtA, cache)
     if implicit.hessian is None:
         raise ValueError("inner Newton needs an implicit part with a hessian")
@@ -298,14 +271,13 @@ def solve_linear_case(spec, instance, cache=None):
         (Q_eff + gamma^{-1} I + (beta + delta c^2) A'A) x
             = gamma^{-1} xbar - g_anchor - q_eff + A'(beta b - p + delta c r)
 
-    through the cache's eigenbasis when it holds one for ``spec.gamma``
-    (see :class:`LinearCache`), with one refinement pass, and by an LU
-    solve otherwise.  Asserts the residual against
-    ``1e-10`` on the backward-error scale ``1 + ||rhs|| + ||M|| ||x||``
-    (the two scales differ materially once ``delta c^2`` is large and
-    ``A`` has a null space), with ``||M||`` the 2-norm on the orthonormal
-    path, the largest diagonal entry (at most the 2-norm) on the
-    generalized one and the infinity norm under the LU solve.
+    through the cache's orthonormal eigenbasis of ``A'A`` when it holds
+    one (see :class:`LinearCache`), with one refinement pass, and by an
+    LU solve otherwise.  Asserts the residual against ``1e-10`` on the
+    backward-error scale ``1 + ||rhs|| + ||M|| ||x||`` (the two scales
+    differ materially once ``delta c^2`` is large and ``A`` has a null
+    space), with ``||M||`` the 2-norm in the basis and the infinity norm
+    under the LU solve.
     """
     if cache is None:
         cache = LinearCache(instance, spec.implicit)
@@ -316,15 +288,12 @@ def solve_linear_case(spec, instance, cache=None):
         rhs = rhs - spec.gradient_anchor
     if cache.q is not None:
         rhs = rhs - cache.q
-    if cache.basis is not None and cache.gamma in (None, spec.gamma):
-        # M = h B + coef A'A with V'BV = I: B = I and h = mu + 1/gamma on
-        # the orthonormal path, B = Q + I/gamma and h = 1 on the
-        # generalized one.
-        h = cache.mu + 1.0 / spec.gamma if cache.B is None else 1.0
+    if cache.basis is not None:
+        # M = h I + coef A'A with h = mu + 1/gamma.
+        h = cache.mu + 1.0 / spec.gamma
 
         def apply_M(x):
-            hBx = h * x if cache.B is None else cache.B @ x
-            return hBx + coef * (cache.AtA @ x)
+            return h * x + coef * (cache.AtA @ x)
 
         diag = h + coef * cache.basis.evals
         V, Vt = cache.basis.apply_V, cache.basis.apply_Vt
@@ -334,9 +303,7 @@ def solve_linear_case(spec, instance, cache=None):
         x = x + V(Vt(rhs - apply_M(x)) / diag)
         Mx = apply_M(x)
         # A factored basis need not order its eigenvalues.
-        m_scale = float(diag.max() if cache.B is None else
-                        (cache.B.diagonal()
-                         + coef * cache.AtA.diagonal()).max())
+        m_scale = float(diag.max())
     else:
         M = coef * cache.AtA
         M.flat[::M.shape[0] + 1] += 1.0 / spec.gamma

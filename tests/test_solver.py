@@ -233,6 +233,22 @@ class TestRunLoop:
                     kkt=qp_reference)
         assert t1 == t2
 
+    def test_step_without_plan_matches_run(self):
+        """``step`` without a plan builds the plan ``run`` builds once per
+        run, so 50 unplanned steps of an unscaled implicit CD(10) critical
+        run end bitwise where ``run`` does."""
+        inst = make_random_qp(n=50, m=10, seed=0)
+        cfg = resolve_config(inst, SolverConfig(
+            schedule=chambolle_dossal(10.0, eta="critical"),
+            case="implicit", max_iter=50))
+        state = aalm_solver.initial_state(inst, cfg, np.zeros(50),
+                                          np.zeros(10))
+        for _ in range(50):
+            state = step(state, cfg, inst)
+        final, _ = run(inst, cfg, np.zeros(50), np.zeros(10))
+        np.testing.assert_array_equal(state.x_curr, final.x_curr)
+        np.testing.assert_array_equal(state.lam_curr, final.lam_curr)
+
     def test_early_stop(self, qp_testbed):
         """Both tolerances met -> the loop exits before the budget."""
         stop = StoppingRule(feas_tol=1e-4, stat_tol=1e-4)
@@ -579,7 +595,8 @@ class TestDegenerateConstraints:
 
 class TestStructuredConstraints:
     """The ring's ``KronIdentity`` A with a factored Gram eigenbasis
-    follows the same trajectory as its dense twin solved by Cholesky."""
+    follows the same trajectory as its dense twin, solved through a dense
+    ``eigh`` of ``A'A``."""
 
     @pytest.fixture(scope="class")
     def ring_pair(self):

@@ -191,7 +191,7 @@ class TestSolveLinearCase:
             rhs = rhs - spec.gradient_anchor
         return np.linalg.solve(M, rhs)
 
-    def test_eig_path_matches_cholesky(self):
+    def test_eig_path_matches_dense_solve(self):
         """An identity quadratic without a gram basis goes through a dense
         eigh of A'A and matches the dense system's solution."""
         Q, q = 2.0 * np.eye(6), np.arange(6.0)
@@ -225,10 +225,10 @@ class TestSolveLinearCase:
             self._dense_solve(spec, None, None, inst.A, inst.b),
             rtol=0, atol=1e-10)
 
-    def test_factored_basis_or_cholesky_fallback(self):
+    def test_factored_basis_or_lu_fallback(self):
         """An instance's gram basis serves identity quadratics; any other
-        Q is solved by Cholesky.  Both match the dense system's solution
-        at a large dual coefficient."""
+        Q is solved by LU.  Both match the dense system's solution at a
+        large dual coefficient."""
         ring = make_ring_logistic(p_agents=4, m_dim=5, rho_reg=0.5, seed=0)
         rng = np.random.default_rng(8)
         G = rng.normal(size=(20, 20))
@@ -249,9 +249,7 @@ class TestSolveLinearCase:
 
     def test_backend_chosen_from_instance(self):
         """gram for mu I with a gram basis (explicit included), a dense
-        eigh for mu I without one, whatever the plan's gamma; for a
-        general Q, a generalized eigenbasis when the plan is built for a
-        fixed gamma and Cholesky (no basis) otherwise."""
+        eigh for mu I without one, and LU (no basis) for a general Q."""
         ring = make_ring_logistic(p_agents=4, m_dim=5, rho_reg=0.5, seed=0)
         rng = np.random.default_rng(9)
         G = rng.normal(size=(20, 20))
@@ -260,39 +258,25 @@ class TestSolveLinearCase:
         AtA = (ring.A.T @ ring.A).toarray()
         ident = make_qp(3.0 * np.eye(20), q, ring.A, ring.b)
         general = make_qp(Q, q, ring.A, ring.b)
-        for gamma in (None, 0.5):
-            for inst, case, backend in (
-                    (replace(ident, gram=ring.gram), "implicit", "gram"),
-                    (replace(general, gram=ring.gram), "explicit", "gram"),
-                    (ring, "explicit", "gram"),
-                    (ident, "implicit", "eigh"),
-                    (general, "explicit", "eigh"),
-                    (replace(general, gram=ring.gram), "implicit",
-                     gamma and "generalized"),
-                    (general, "implicit", gamma and "generalized")):
-                cache = step_plan(inst, case, gamma=gamma).cache
-                basis = cache.basis
-                if backend is None:
-                    assert basis is None and cache.gamma is None
-                    continue
-                assert cache.gamma == (0.5 if backend == "generalized"
-                                       else None)
-                if backend == "gram":
-                    assert basis is ring.gram
-                    continue
+        for inst, case, backend in (
+                (replace(ident, gram=ring.gram), "implicit", "gram"),
+                (replace(general, gram=ring.gram), "explicit", "gram"),
+                (ring, "explicit", "gram"),
+                (ident, "implicit", "eigh"),
+                (general, "explicit", "eigh"),
+                (replace(general, gram=ring.gram), "implicit", None),
+                (general, "implicit", None)):
+            basis = step_plan(inst, case).cache.basis
+            if backend is None:
+                assert basis is None
+            elif backend == "gram":
+                assert basis is ring.gram
+            else:
+                assert basis is not ring.gram
                 V = basis.apply_V(np.eye(20))
-                if backend == "eigh":
-                    assert basis is not ring.gram
-                    np.testing.assert_allclose(
-                        V @ (basis.evals[:, None] * V.T), AtA,
-                        rtol=0, atol=1e-12)
-                else:
-                    np.testing.assert_allclose(
-                        V.T @ (Q + 2.0 * np.eye(20)) @ V, np.eye(20),
-                        rtol=0, atol=1e-12)
-                    np.testing.assert_allclose(
-                        V.T @ AtA @ V, np.diag(basis.evals),
-                        rtol=0, atol=1e-12)
+                np.testing.assert_allclose(
+                    V @ (basis.evals[:, None] * V.T), AtA,
+                    rtol=0, atol=1e-12)
 
     def test_nonquadratic_implicit_rejected(self):
         """The linear path refuses non-quadratic implicit parts."""
@@ -302,11 +286,9 @@ class TestSolveLinearCase:
             solve_linear_case(spec, inst)
 
 
-class TestGeneralizedBasis:
-    """A general Q at a fixed gamma: one generalized eigenbasis of
-    ``(A'A, Q + I/gamma)`` per run in place of a Cholesky per solve."""
-
-    GAMMA = 0.7
+class TestGeneralQuadraticLU:
+    """A general Q: an LU solve of the whole system at every solve, at
+    any gamma."""
 
     @staticmethod
     def _instances():
@@ -318,20 +300,22 @@ class TestGeneralizedBasis:
         b = np.concatenate([qp.b, qp.b[:2]])
         return qp, make_qp(Q, q, A, b)
 
-    def _spec(self, inst, coef, seed):
+    @staticmethod
+    def _spec(inst, coef, seed, gamma=0.7):
         rng = np.random.default_rng(seed)
         m = inst.n_constraints
-        return _spec(inst.objective, gamma=self.GAMMA, beta=0.0, delta=coef,
+        return _spec(inst.objective, gamma=gamma, beta=0.0, delta=coef,
                      c_k=1.0, p_k=rng.normal(size=m), r_k=rng.normal(size=m),
                      xbar_k=rng.normal(size=inst.dim), m=m, n=inst.dim)
 
-    def test_matches_dense_solve(self):
+    @pytest.mark.parametrize("gamma", [0.7, 0.3])
+    def test_matches_dense_solve(self, gamma):
         for inst in self._instances():
-            cache = step_plan(inst, "implicit", gamma=self.GAMMA).cache
-            assert cache.basis is not None and cache.B is not None
+            cache = step_plan(inst, "implicit").cache
+            assert cache.basis is None
             Q, q = inst.objective.quadratic
             for seed, coef in enumerate((1.0, 1e2, 1e4)):
-                spec = self._spec(inst, coef, seed)
+                spec = self._spec(inst, coef, seed, gamma)
                 np.testing.assert_allclose(
                     solve_linear_case(spec, inst, cache),
                     TestSolveLinearCase._dense_solve(spec, Q, q, inst.A,
@@ -342,56 +326,29 @@ class TestGeneralizedBasis:
         """solve_linear_case asserts its residual on every solve, so
         returning is the check."""
         for inst in self._instances():
-            cache = step_plan(inst, "implicit", gamma=self.GAMMA).cache
+            cache = step_plan(inst, "implicit").cache
             for seed, coef in enumerate((1e6, 1e8, 1e10)):
                 x = solve_linear_case(self._spec(inst, coef, seed), inst,
                                       cache)
                 assert np.all(np.isfinite(x))
 
-    def test_other_gamma_refactors(self):
-        """A basis serves its own gamma only; a solve at another gamma
-        takes the Cholesky path and still matches the dense solve."""
-        inst, _ = self._instances()
-        cache = step_plan(inst, "implicit", gamma=self.GAMMA).cache
-        Q, q = inst.objective.quadratic
-        spec = replace(self._spec(inst, 1e2, 0), gamma=0.3)
-        np.testing.assert_allclose(
-            solve_linear_case(spec, inst, cache),
-            TestSolveLinearCase._dense_solve(spec, Q, q, inst.A, inst.b),
-            rtol=0, atol=1e-10)
 
+@pytest.mark.parametrize("xi", [None, np.sqrt], ids=["unscaled", "scaled"])
+def test_general_q_run_solves_by_lu_every_step(monkeypatch, xi):
+    """An implicit run on a general Q makes one LU solve per iteration,
+    whether its gamma is fixed or changes every step (``xi_k = t_k^0.5``)."""
+    calls = []
 
-class TestFactorizationsPerRun:
-    """An unscaled implicit run on a general Q factors once; a scaled
-    one, whose gamma changes every step, once per iteration."""
+    def counted(M, rhs):
+        calls.append(1)
+        return spd_solve(M, rhs)
 
-    @staticmethod
-    def _counted_run(monkeypatch, schedule):
-        counts = {"basis": 0, "spd_solve": 0}
-
-        def spy(name, fn):
-            def counted(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-            return counted
-
-        monkeypatch.setattr(subsolver, "generalized_eigenbasis",
-                            spy("basis", subsolver.generalized_eigenbasis))
-        monkeypatch.setattr(subsolver, "spd_solve",
-                            spy("spd_solve", subsolver.spd_solve))
-        inst = make_random_qp(n=50, m=10, seed=0)
-        cfg = SolverConfig(schedule=schedule, case="implicit", max_iter=300)
-        run(inst, cfg, np.zeros(50), np.zeros(10))
-        return counts
-
-    def test_fixed_gamma_builds_one_basis(self, monkeypatch):
-        counts = self._counted_run(monkeypatch, chambolle_dossal(10.0))
-        assert counts == {"basis": 1, "spd_solve": 0}
-
-    def test_scaled_run_factors_every_step(self, monkeypatch):
-        sched = replace(chambolle_dossal(10.0), xi=np.sqrt)
-        counts = self._counted_run(monkeypatch, sched)
-        assert counts == {"basis": 0, "spd_solve": 300}
+    monkeypatch.setattr(subsolver, "spd_solve", counted)
+    inst = make_random_qp(n=50, m=10, seed=0)
+    cfg = SolverConfig(schedule=replace(chambolle_dossal(10.0), xi=xi),
+                       case="implicit", max_iter=300)
+    run(inst, cfg, np.zeros(50), np.zeros(10))
+    assert len(calls) == 300
 
 
 class TestSolveSubproblem:
@@ -482,9 +439,11 @@ class TestInnerNewton:
     def test_indefinite_hessian_falls_back_to_steepest_descent(
             self, inner_solves):
         """A Hessian oracle that reports ``-3 I`` for ``f = ||x - a||^2/2``
-        makes every Newton system ``-2.5 I + coef A'A`` indefinite (A has
-        a null space), so Cholesky fails and each inner step is steepest
-        descent.  The run still meets every inner tolerance and follows
+        makes every Newton system ``-2.5 I + coef A'A`` negative definite
+        (``-2.5 I`` on the null space of A, and ``coef A'A`` stays small).
+        The LU solve of that nonsingular system succeeds, but it returns
+        an ascent direction, which the descent test rejects, so each inner
+        step is steepest descent.  The run still meets every inner tolerance and follows
         the run with the true Hessian.  (A is small and gamma = 2 so that
         the true subproblem Hessian stays below 2 and unit steps, which
         the line search takes once the decrease is below the value's
