@@ -21,8 +21,8 @@ from pathlib import Path
 from . import __version__
 from .harness import ConfigError, load_instance, parse_config, run_experiment
 from .oracle import ReferenceNotConverged, kkt_refine, save_kkt
-from .schedule import (SCHEDULE_RULES, ScheduleError, certify_rho,
-                       named_schedule)
+from .schedule import (DEFAULT_HORIZON, SCHEDULE_RULES, ScheduleError,
+                       certify_rho, named_schedule)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -58,7 +58,7 @@ def _build_parser():
     p_cert.add_argument("--rule", required=True,
                         help=" | ".join(SCHEDULE_RULES))
     p_cert.add_argument("--alpha", type=float, default=None)
-    p_cert.add_argument("--kmax", type=int, default=10_000)
+    p_cert.add_argument("--kmax", type=int, default=DEFAULT_HORIZON)
 
     p_or = sub.add_parser("oracle",
                           help="compute a reference KKT pair for an instance")

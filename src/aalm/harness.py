@@ -247,8 +247,8 @@ def _read_json(path, what):
 def _parse_schedule(block, scaling):
     """The schedule of a ``schedule`` block, with the stepsize factors of
     a ``scaling`` block unless that is None.  A constant scaling is an
-    explicit unit ``xi``, so it is certified and run through the scaled
-    arithmetic like any other."""
+    explicit unit ``xi``: it certifies bitwise as no scaling, and runs in
+    the implicit case only, like any other ``xi``."""
     s = _validate(block, SCHEDULE, "schedule")
     sched = named_schedule(s["rule"], s["alpha"], eta=s["eta"])
     if s["rho"] is not None:

@@ -65,19 +65,16 @@ class InfeasibleConstraints(ValueError):
 
 
 def _min_norm_solve(M, rhs):
-    """Minimum-norm least-squares solve (complete orthogonal factorization).
+    """Minimum-norm least-squares solve (numpy's SVD-based ``lstsq``).
 
     Singular values below ``max(M.shape) * eps`` relative to the largest
     count as zero (numpy's ``matrix_rank`` default).  With LAPACK's
     default cutoff of ``eps`` the rounding-level singular values of a
     rank-deficient ``M`` count as rank, and the solution picks up a large,
-    arithmetic-dependent component along the null space.  scipy is
-    imported here, on this fallback only.
+    arithmetic-dependent component along the null space.
     """
-    from scipy.linalg import lstsq
-    cond = max(M.shape) * np.finfo(float).eps
-    sol, _, _, _ = lstsq(M, rhs, cond=cond, lapack_driver="gelsy")
-    return sol
+    rcond = max(M.shape) * np.finfo(float).eps
+    return np.linalg.lstsq(M, rhs, rcond=rcond)[0]
 
 
 def kkt_solve_qp(Q, q, A, b):

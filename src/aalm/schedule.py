@@ -22,9 +22,9 @@ plus user-supplied callables.  ``certify_rho`` measures the sharpest rho
 over a finite horizon; it both validates user-provided values and fills in
 rho when absent.
 
-A schedule may also carry stepsize factors ``xi_k > 0`` (``xi=None`` means
-``xi_k = 1``).  Rates are then stated against ``t_k^2 xi_k``, and ``rho``
-and ``certify_rho`` refer to its growth condition instead:
+A schedule may also carry stepsize factors ``xi_k > 0``.  Rates are then
+stated against ``t_k^2 xi_k``, and ``rho`` and ``certify_rho`` refer to its
+growth condition, which ``xi=None`` (``xi_k = 1``) reduces to the one above:
 
     t_1^2 xi_1 = 1,   t_{k+1}^2 xi_{k+1} - t_k^2 xi_k <= rho t_{k+1} xi_{k+1}.
 """
@@ -79,10 +79,10 @@ class Schedule:
         ``rho``; ``"noncritical"`` resolves to ``(rho + 1) / 2``.
     xi : callable, optional
         Stepsize factors: maps the generated ``t`` array to ``xi_k > 0``
-        (e.g. ``xi = sqrt`` gives ``xi_k = t_k^{1/2}``).  ``None`` means
-        ``xi_k = 1`` with the unscaled growth condition; any ``xi``, a
-        unit one included, is certified through ``t_k^2 xi_k`` and runs
-        in the implicit case only.
+        (e.g. ``xi = sqrt`` gives ``xi_k = t_k^{1/2}``); a rule that takes
+        scalars only is applied element by element.  ``None`` means
+        ``xi_k = 1``, and certifies exactly as a unit ``xi``; any ``xi``,
+        a unit one included, runs in the implicit case only.
     """
 
     rule: str
@@ -180,12 +180,7 @@ def generate(schedule, k_max):
     elif schedule.rule == "attouch-cabot":
         t = np.maximum(1.0, (k - 1.0) / (schedule.alpha - 1.0))
     elif schedule.rule == "custom":
-        try:
-            t = np.asarray(schedule.fn(k), dtype=float)
-        except (TypeError, ValueError):
-            t = None
-        if t is None or t.shape != k.shape:
-            t = np.array([float(schedule.fn(int(j))) for j in k])
+        t = _evaluate(schedule.fn, k, int)
     else:
         raise ScheduleError(f"unknown schedule rule {schedule.rule!r}")
     _validate_sequence(t)
@@ -242,6 +237,19 @@ def _validate_sequence(t):
                             "t_k must grow without bound", index=int(t.size))
 
 
+def _evaluate(fn, x, scalar):
+    """``fn(x)`` as a float array shaped like ``x``: one vectorized call,
+    or, when that raises ``TypeError``/``ValueError`` or returns another
+    shape, ``fn`` applied to each element converted by ``scalar``."""
+    try:
+        y = np.asarray(fn(x), dtype=float)
+        if y.shape == x.shape:
+            return y
+    except (TypeError, ValueError):
+        pass
+    return np.array([float(fn(scalar(a))) for a in x])
+
+
 def generate_scaled(schedule, k_max):
     """Generate ``(t, xi)`` arrays for ``k = 1 .. k_max``, with ``xi``
     evaluated on ``t``; ``xi`` is ones when the schedule has no stepsize
@@ -249,9 +257,7 @@ def generate_scaled(schedule, k_max):
     t = generate(schedule, k_max)
     if schedule.xi is None:
         return t, np.ones_like(t)
-    xi = np.asarray(schedule.xi(t), dtype=float)
-    if xi.shape != t.shape:
-        xi = np.array([float(schedule.xi(float(a))) for a in t])
+    xi = _evaluate(schedule.xi, t, float)
     if xi.min() <= 0:
         i = 1 + int(np.argmax(xi <= 0))
         raise ScheduleError(f"xi_k must be positive; xi_{i} = {xi[i - 1]}",
@@ -260,12 +266,16 @@ def generate_scaled(schedule, k_max):
 
 
 def certify_rho(schedule, k_max=DEFAULT_HORIZON):
-    """Measure the growth constant of ``schedule`` up to ``k_max``.
+    """Measure the growth constant of ``s_k = t_k^2 xi_k`` up to ``k_max``.
 
-    Without ``xi`` this is ``rho_hat = sup_k (t_{k+1}^2 - t_k^2) / t_{k+1}``.
-    With ``xi`` it checks ``t_1^2 xi_1 = 1`` and monotone growth of
-    ``s_k = t_k^2 xi_k``, and measures
-    ``rho_hat = sup_k (s_{k+1} - s_k) / (t_{k+1} xi_{k+1})``.
+    Checks ``s_1 = 1`` and monotone ``s_k``, and measures ``rho_hat =
+    sup_k (s_{k+1} - s_k) / (t_{k+1} xi_{k+1})``; ``xi_k = 1`` when the
+    schedule has no stepsize factors.  The difference is factored as
+    ``(t_{k+1} - t_k)(t_{k+1} + t_k) xi_{k+1} + t_k^2 (xi_{k+1} - xi_k)``,
+    whose differences are exact for neighbours within a factor two
+    (Sterbenz): squared first, the growth margin would drown in rounding
+    noise of order ``ulp(s_k)``.  Unit factors enter as ``* 1.0`` and ``+ 0.0``, so a unit
+    ``xi`` and none certify bitwise alike.
 
     Parameters
     ----------
@@ -282,40 +292,29 @@ def certify_rho(schedule, k_max=DEFAULT_HORIZON):
     Raises
     ------
     ScheduleError
-        If ``k_max < 2``, or if ``rho_hat > 1 + 1e-12``; the latter carries
-        the first violating 1-based index in ``.index``.
+        If ``k_max < 2``, ``s_1 != 1``, ``s_k`` decreases or ``rho_hat >
+        1``, each beyond ``CERT_TOL``; a failing step's index is ``.index``.
     """
     if k_max < 2:
         raise ScheduleError(f"k_max must be >= 2 to measure a growth ratio, "
                             f"got {k_max}")
-    if schedule.xi is None:
-        t = generate(schedule, k_max)
-        # Factored difference: squaring first would bury the growth margin
-        # under rounding noise of order ulp(t^2) once t is large.
-        ratio = (t[1:] - t[:-1]) * (t[1:] + t[:-1]) / t[1:]
-    else:
-        t, xi = generate_scaled(schedule, k_max)
-        # Extended precision keeps cancellation noise in the s_k differences
-        # well below the certification slack even when t_k^2 xi_k grows
-        # past 1e7.
-        s = t.astype(np.longdouble) ** 2 * xi.astype(np.longdouble)
-        if abs(s[0] - 1.0) > CERT_TOL:
-            raise ScheduleError(f"t_1^2 xi_1 must equal 1, got {s[0]}",
-                                index=1)
-        ds = np.diff(s)
-        if ds.min() < -CERT_TOL:
-            i = 1 + int(np.argmax(ds < -CERT_TOL))
-            raise ScheduleError(f"t_k^2 xi_k decreases at k={i}", index=i)
-        ratio = ds / (t[1:] * xi[1:])
+    t, xi = generate_scaled(schedule, k_max)
+    s1 = t[0] * t[0] * xi[0]
+    if abs(s1 - 1.0) > CERT_TOL:
+        raise ScheduleError(f"t_1^2 xi_1 must equal 1, got {s1}", index=1)
+    t0, t1, xi0, xi1 = t[:-1], t[1:], xi[:-1], xi[1:]
+    ds = (t1 - t0) * (t1 + t0) * xi1 + t0 * t0 * (xi1 - xi0)
+    if ds.min() < -CERT_TOL:
+        i = 1 + int(np.argmax(ds < -CERT_TOL))
+        raise ScheduleError(f"t_k^2 xi_k decreases at k={i}", index=i)
+    ratio = ds / (t1 * xi1)
     rho_hat = float(ratio.max())
     if rho_hat > 1.0 + CERT_TOL:
         k = 1 + int(np.argmax(ratio > 1.0 + CERT_TOL))
-        if schedule.xi is None:
-            growth = (f"growth condition fails at k={k}: "
-                      f"(t_{k + 1}^2 - t_{k}^2)/t_{k + 1}")
-        else:
-            growth = f"scaled growth condition fails at k={k}: ratio"
-        raise ScheduleError(f"{growth} = {ratio[k - 1]:.6g} > 1", index=k)
+        raise ScheduleError(
+            f"growth condition fails at k={k}: (t_{k + 1}^2 xi_{k + 1} - "
+            f"t_{k}^2 xi_{k})/(t_{k + 1} xi_{k + 1}) = {ratio[k - 1]:.6g} > 1",
+            index=k)
     return rho_hat
 
 
@@ -325,8 +324,8 @@ def resolve(schedule, budget=None):
     Parameters
     ----------
     schedule : Schedule
-        A supplied ``rho`` is verified against :func:`certify_rho` (the
-        growth of ``t_k^2 xi_k`` when the schedule has ``xi``).
+        A supplied ``rho`` must lie in (0, 1] and dominate the growth
+        of ``t_k^2 xi_k`` that :func:`certify_rho` measures, or is filled.
     budget : int, optional
         Iteration budget of the run the schedule will drive.  The
         certification horizon is ``max(10 * budget, 10_000)`` so the
@@ -338,21 +337,19 @@ def resolve(schedule, budget=None):
         A copy with ``rho`` a float in (0, 1] and ``eta`` a float in
         [rho, 1].
     """
-    horizon = max(10 * budget, DEFAULT_HORIZON) if budget else DEFAULT_HORIZON
     rho = schedule.rho
+    if rho is not None and not 0 < rho <= 1:
+        raise ScheduleError(f"rho must lie in (0, 1], got {rho}")
+    horizon = max(10 * budget, DEFAULT_HORIZON) if budget else DEFAULT_HORIZON
+    rho_hat = certify_rho(schedule, horizon)
     if rho is None:
-        rho = min(certify_rho(schedule, horizon), 1.0)
+        rho = min(rho_hat, 1.0)
         if rho <= 0:
             raise ScheduleError(f"certified rho = {rho} is not in (0, 1]")
-    elif not 0 < rho <= 1:
-        raise ScheduleError(f"rho must lie in (0, 1], got {rho}")
-    else:
-        # User-supplied rho must still dominate the measured growth.
-        rho_hat = certify_rho(schedule, horizon)
-        if rho_hat > rho + CERT_TOL:
-            raise ScheduleError(
-                f"supplied rho = {rho} is below the measured growth "
-                f"rho_hat = {rho_hat:.6g}")
+    elif rho_hat > rho + CERT_TOL:
+        raise ScheduleError(
+            f"supplied rho = {rho} is below the measured growth "
+            f"rho_hat = {rho_hat:.6g}")
     return replace(schedule, rho=float(rho),
                    eta=resolve_eta(schedule.eta, rho))
 

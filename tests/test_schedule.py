@@ -5,7 +5,9 @@ condition (t_{k+1}^2 - t_k^2 <= rho t_{k+1}) is certified numerically, and
 the damping resolution eta -> [rho, 1] is pinned for both regimes.
 """
 
+import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -170,6 +172,20 @@ class TestCustomAndValidation:
         t = generate(sched, 8)
         np.testing.assert_allclose(t, 1.0 + np.arange(8) / 4.0, rtol=1e-15)
 
+    def test_squared_dip_rejected(self):
+        """A dip in t_k within CERT_TOL passes the shape checks, but at
+        t_k ~ 1000 it takes t_k^2 down by about 1e-9: certification
+        rejects it and names the step."""
+        sched = custom_schedule(
+            lambda k: 1.0 + (np.minimum(k, 2000.0) - 1.0) / 2.0
+            + np.maximum(k - 2001.0, 0.0) / 2.0 - 5e-13 * (k == 2001))
+        t = generate(sched, 10_000)
+        assert -1e-12 < t[2000] - t[1999] < 0
+        with pytest.raises(ScheduleError,
+                           match="t_k\\^2 xi_k decreases at k=2000") as exc:
+            certify_rho(sched, 10_000)
+        assert exc.value.index == 2000
+
     def test_user_rho_below_measured_rejected(self):
         """A supplied rho must dominate the measured growth supremum."""
         sched = custom_schedule(lambda k: 1.0 + (k - 1.0) / 2.0, rho=0.5)
@@ -256,14 +272,46 @@ class TestResolveAndCoefficients:
 class TestScaledSchedules:
     """Certification of t_k^2 xi_k growth for the scaled variant."""
 
-    def test_unit_scaling_matches_base(self):
-        """xi = 1 reduces the scaled condition to the plain one."""
-        scaled = replace(chambolle_dossal(10.0), xi=np.ones_like)
+    @pytest.mark.parametrize("horizon", [3001, 10_000, 20_000, 30_000])
+    @pytest.mark.parametrize("base", [
+        chambolle_dossal(10.0), chambolle_dossal(3.5), attouch_cabot(10.0),
+        nesterov()], ids=["cd10", "cd3.5", "ac10", "nesterov"])
+    def test_unit_scaling_matches_base(self, base, horizon):
+        """xi = 1 certifies bitwise as no xi: one arithmetic serves both,
+        with ``* 1.0`` and ``+ 0.0`` where the factors enter."""
+        scaled = replace(base, xi=np.ones_like)
         t, xi = generate_scaled(scaled, 100)
         np.testing.assert_allclose(xi, 1.0, rtol=0, atol=0)
-        rho_s = certify_rho(scaled, 10_000)
-        rho = certify_rho(chambolle_dossal(10.0), 10_000)
-        np.testing.assert_allclose(rho_s, rho, rtol=1e-12)
+        assert certify_rho(scaled, horizon) == certify_rho(base, horizon)
+
+    def test_scalar_only_xi(self):
+        """A stepsize rule that takes scalars only (``math.sqrt``) is
+        applied element by element, bitwise as its vectorized twin."""
+        scalar = replace(chambolle_dossal(10.0), xi=math.sqrt)
+        vector = replace(chambolle_dossal(10.0), xi=np.sqrt)
+        for got, want in zip(generate_scaled(scalar, 2001),
+                             generate_scaled(vector, 2001)):
+            np.testing.assert_array_equal(got, want)
+        assert resolve(scalar, 200) == replace(resolve(vector, 200),
+                                               xi=math.sqrt)
+
+    @pytest.mark.parametrize("base, xi", [
+        (chambolle_dossal(10.0), np.sqrt),
+        (chambolle_dossal(10.0), lambda t: t ** -0.5),
+        (attouch_cabot(10.0), lambda t: t)],
+        ids=["cd10-sqrt", "cd10-inverse-sqrt", "ac10-linear"])
+    def test_scaled_rho_is_exact_supremum(self, base, xi):
+        """The certified rho lies within one ulp of the exact supremum of
+        (t_{k+1}^2 xi_{k+1} - t_k^2 xi_k) / (t_{k+1} xi_{k+1}) over the
+        same float arrays, evaluated in rational arithmetic."""
+        scaled = replace(base, xi=xi)
+        t, x = generate_scaled(scaled, 10_000)
+        t = [Fraction(v) for v in t.tolist()]
+        x = [Fraction(v) for v in x.tolist()]
+        exact = max((t1 * t1 * x1 - t0 * t0 * x0) / (t1 * x1)
+                    for t0, t1, x0, x1 in zip(t, t[1:], x, x[1:]))
+        rho = certify_rho(scaled, 10_000)
+        assert abs(Fraction(rho) - exact) <= Fraction(np.spacing(rho))
 
     def test_sqrt_scaling_certifies_on_cd(self):
         """xi_k = sqrt(t_k) on CD(10) keeps the scaled ratio near 5/18."""

@@ -687,14 +687,18 @@ def replace_state(s):
 class TestScaledRuns:
     """The scaled variant at the run level."""
 
-    def test_unit_scaling_reproduces_unscaled(self, qp_testbed, qp_reference):
-        """xi = 1 gives the identical trajectory, field for field.  (The
+    @pytest.mark.parametrize("max_iter", [300, 3000])
+    def test_unit_scaling_reproduces_unscaled(self, qp_testbed, qp_reference,
+                                              max_iter):
+        """xi = 1 gives the identical trajectory, field for field, at any
+        budget (at 3000 the certification horizon is 30000).  (The
         reference is passed so no field is NaN and record equality is a
         true bitwise comparison.)"""
         base = chambolle_dossal(10.0)
-        cfg_plain = SolverConfig(schedule=base, case="implicit", max_iter=300)
+        cfg_plain = SolverConfig(schedule=base, case="implicit",
+                                 max_iter=max_iter)
         cfg_scaled = SolverConfig(schedule=replace(base, xi=np.ones_like),
-                                  case="implicit", max_iter=300)
+                                  case="implicit", max_iter=max_iter)
         _, t_plain = run(qp_testbed, cfg_plain, np.zeros(50), np.zeros(10),
                          kkt=qp_reference)
         _, t_scaled = run(qp_testbed, cfg_scaled, np.zeros(50), np.zeros(10),

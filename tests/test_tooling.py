@@ -10,7 +10,8 @@ solver it checks; its imports are pinned here.  Every shipped experiment
 config (the demos and the benchmark's workloads) must still parse, so
 that a config key cannot be removed from under them, and every shipped
 demo script must still run.  An experiment on any built-in family runs on
-numpy alone: it imports no scipy module.
+numpy alone, and so does the reference oracle's minimum-norm fallback:
+neither imports a scipy module.
 """
 
 import ast
@@ -257,3 +258,34 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
             rows = list(csv.DictReader(f))
         assert [r["status"] for r in rows] == ["ok"] * n_entries
         assert all(r["reference"].startswith("kkt_tol=") for r in rows)
+
+
+def test_min_norm_fallback_imports_no_scipy():
+    """The reference oracle's minimum-norm fallback runs on numpy alone:
+    ``kkt_solve_qp`` on duplicated constraint rows (a singular 4x4 saddle
+    system) and ``kkt_refine`` on an instance whose ``Z'HZ`` is singular
+    (the 2x2 fallback) both reach it, in a fresh interpreter, and load no
+    ``scipy`` module."""
+    out = _fresh("""
+import sys
+import numpy as np
+from aalm import oracle
+from aalm.problems import ObjectiveOracle, ProblemInstance
+
+shapes = []
+solve = oracle._min_norm_solve
+oracle._min_norm_solve = lambda M, rhs: shapes.append(M.shape) or solve(M, rhs)
+A = np.array([[1.0, 0.0], [1.0, 0.0]])
+kkt = oracle.kkt_solve_qp(np.eye(2), np.zeros(2), A, np.ones(2))
+assert np.allclose(kkt.lam, [-0.5, -0.5], rtol=0, atol=1e-10)
+H = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+h = np.array([1.0, 1.0, 2.0])
+objective = ObjectiveOracle(
+    value=lambda x: 0.5 * (x[0] + x[1] - 1.0) ** 2 + 0.5 * (x[2] - 2.0) ** 2,
+    gradient=lambda x: H @ x - h, hessian=lambda x: H, lipschitz=2.0)
+inst = ProblemInstance(objective, np.ones((1, 3)), np.zeros(1), "singular")
+assert oracle.kkt_refine(inst).kkt_tol <= 1e-9
+print(sorted(set(shapes)))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+""")
+    assert out.split("\n")[:2] == ["[(2, 2), (4, 4)]", "[]"]
