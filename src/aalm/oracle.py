@@ -23,6 +23,7 @@ to a CSV sidecar next to the experiment's outputs (:func:`save_kkt`);
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,51 @@ def _kkt_residuals(instance, x, lam):
     return stat, feas
 
 
+@dataclass(frozen=True, eq=False)
+class _NullBasis:
+    """``Z = V[:, null]`` for a :class:`~aalm.problems.GramEigenbasis`
+    ``V``, applied through ``V`` and never formed.
+
+    ``Z y = V u`` with ``u`` zero except ``u[null] = y``, and
+    ``Z'v = (V'v)[null]``; a 2-D operand is applied column by column and
+    ``M @ Z`` is ``(Z'M')'``.  ``Z.T @ Z`` is the identity, because ``V``
+    is orthogonal.
+    """
+
+    gram: GramEigenbasis
+    null: np.ndarray
+    transposed: bool = False
+
+    # ndarray @ Z defers to __rmatmul__ instead of densifying Z.
+    __array_ufunc__ = None
+
+    @property
+    def T(self):
+        return _NullBasis(self.gram, self.null, not self.transposed)
+
+    def __matmul__(self, other):
+        if isinstance(other, _NullBasis):
+            if not (self.transposed and not other.transposed
+                    and other.null is self.null):
+                raise TypeError("of two null-space bases only Z.T @ Z "
+                                "is defined")
+            return np.eye(self.null.size)
+        if other.ndim == 2:
+            rows = self.null.size if self.transposed else self.gram.evals.size
+            out = np.empty((rows, other.shape[1]))
+            for j in range(other.shape[1]):
+                out[:, j] = self @ other[:, j]
+            return out
+        if self.transposed:
+            return self.gram.apply_Vt(other)[self.null]
+        u = np.zeros(self.gram.evals.size)
+        u[self.null] = other
+        return self.gram.apply_V(u)
+
+    def __rmatmul__(self, other):
+        return (self.T @ other.T).T
+
+
 def _gram_pseudoinverse(instance):
     """``(A'A)^+`` and a basis of ``null(A)`` from an eigenbasis of ``A'A``.
 
@@ -140,9 +186,11 @@ def _gram_pseudoinverse(instance):
 
     Returns
     -------
-    (callable, ndarray)
-        ``pinv(v) = V (e^+ * V'v)`` and ``Z`` (n, k), the eigenvectors of
-        the zero eigenvalues.
+    (callable, ndarray or _NullBasis)
+        ``pinv(v) = V (e^+ * V'v)`` and ``Z``, the k eigenvectors of the
+        zero eigenvalues: applied through the instance's ``gram``
+        (:class:`_NullBasis`, never formed) when it has one, else the
+        dense (n, k) rows of the SVD's ``V'``.
     """
     A, n = instance.A, instance.dim
     gram = instance.gram
@@ -160,19 +208,19 @@ def _gram_pseudoinverse(instance):
     if instance.gram is None:
         Z = np.ascontiguousarray(Vt[null].T)
     else:
-        Z = np.empty((n, null.size))
-        for j, i in enumerate(null):
-            unit = np.zeros(n)
-            unit[i] = 1.0
-            Z[:, j] = gram.apply_V(unit)
+        Z = _NullBasis(gram, null)
     return (lambda v: gram.apply_V(e_plus * gram.apply_Vt(v))), Z
 
 
 def _curvature(objective, Z):
     """``at(x) -> (v -> H v, Z'HZ)``: factored for a separable objective,
-    with ``U'Z`` and ``Z'Z`` formed once here, else from ``hessian(x)``."""
+    with ``U'Z`` and ``Z'Z`` formed once here (``Z'Z = I`` exactly for a
+    :class:`_NullBasis`), else from ``hessian(x)`` and a dense ``Z``."""
     form = objective.separable
     if form is None:
+        if isinstance(Z, _NullBasis):
+            Z = Z @ np.eye(Z.null.size)  # H is n x n anyway
+
         def at(x):
             H = objective.hessian(x)
             return (lambda v: H @ v), Z.T @ (H @ Z)
@@ -217,8 +265,10 @@ def _polish(instance, pinv, Z, x, lam):
     multiplier of the final ``x`` when that does not raise the residual.
     ``H`` enters only as ``H v = mu v + U (W U'v)`` and
     ``Z'HZ = mu Z'Z + (U'Z)' W (U'Z)`` for a separable objective
-    (:func:`_curvature`).  Returns the pair and a note naming the steps
-    taken and whether the damping stalled.
+    (:func:`_curvature`).  ``Z`` enters only as the products ``Z'v`` and
+    ``Z dz``, so a factored :class:`_NullBasis` is never formed.  Returns
+    the pair and a note naming the steps taken and whether the damping
+    stalled.
     """
     obj = instance.objective
     A, b = instance.A, instance.b
@@ -295,6 +345,10 @@ def kkt_refine(instance):
 
     with ``U'Z`` and ``Z'Z`` formed once per call and no n x n array
     (Nocedal & Wright, ch. 7); other objectives form ``H`` once per step.
+    With the instance's ``gram``, ``Z`` is applied through it and never
+    formed: ``U'Z`` takes one ``V'`` product per column of ``U``, and
+    ``Z'Z = I`` because ``V`` is orthogonal.  Without one, ``Z`` is the
+    dense (n, k) block of the SVD's ``V``.
     ``Z'HZ`` is factored by Cholesky, with a minimum-norm least-squares
     solve when it is singular.  No solver of this package is run: the
     reference stays an arithmetic path separate from the iterations it

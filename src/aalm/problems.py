@@ -163,7 +163,9 @@ class GramEigenbasis:
     that linear subproblem solves cost a few structured products instead
     of a dense ``eigh`` and two dense matvecs.  (Without one,
     :class:`aalm.subsolver.LinearCache` wraps that dense ``eigh`` in the
-    same form.)
+    same form.)  :func:`aalm.oracle.kkt_refine` relies on ``V`` being
+    orthogonal: it applies the null-space basis of ``A`` as the columns
+    of ``V`` with zero eigenvalue and takes its ``Z'Z`` to be ``I``.
     """
 
     evals: np.ndarray

@@ -113,6 +113,38 @@ def inner_tolerance(t_curr):
     return min(INNER_TOL_CAP, INNER_TOL_SCALE / t_curr ** 3)
 
 
+def _constraint_terms(spec, instance, x, Ax):
+    """``(A x - b, x - xbar, c A x - r)``: the terms ``F`` and its
+    gradient share at ``x``, formed once per point."""
+    return Ax - instance.b, x - spec.xbar_k, spec.c_k * Ax - spec.r_k
+
+
+def _value_from_terms(spec, x, terms, f_x):
+    """``F(x)`` from :func:`_constraint_terms` and the implicit part's
+    value ``f_x``."""
+    Axb, d, cAxr = terms
+    v = f_x
+    if spec.gradient_anchor is not None:
+        v += float(spec.gradient_anchor @ x)
+    return (v + 0.5 * spec.beta * float(Axb @ Axb)
+            + 0.5 / spec.gamma * float(d @ d)
+            + float(spec.p_k @ Axb)
+            + 0.5 * spec.delta * float(cAxr @ cAxr))
+
+
+def _gradient_from_terms(spec, instance, terms, grad_x):
+    """``grad F(x)`` from :func:`_constraint_terms` and the implicit
+    part's gradient ``grad_x``, with the constraint terms gathered under
+    one product by ``A'``."""
+    Axb, d, cAxr = terms
+    g = grad_x
+    if spec.gradient_anchor is not None:
+        g = g + spec.gradient_anchor
+    return (g + d / spec.gamma
+            + instance.At @ (spec.beta * Axb + spec.p_k
+                             + spec.delta * spec.c_k * cAxr))
+
+
 def subproblem_value(spec, instance, x, Ax=None, f_x=None):
     """Objective value F(x) of the subproblem (used by line searches/tests).
 
@@ -120,18 +152,10 @@ def subproblem_value(spec, instance, x, Ax=None, f_x=None):
     the caller has them; each is formed here otherwise."""
     if f_x is None:
         f_x = spec.implicit.value(x) if spec.implicit is not None else 0.0
-    v = f_x
-    if spec.gradient_anchor is not None:
-        v += float(spec.gradient_anchor @ x)
     if Ax is None:
         Ax = instance.A @ x
-    Axb = Ax - instance.b
-    d = x - spec.xbar_k
-    cAxr = spec.c_k * Ax - spec.r_k
-    return (v + 0.5 * spec.beta * float(Axb @ Axb)
-            + 0.5 / spec.gamma * float(d @ d)
-            + float(spec.p_k @ Axb)
-            + 0.5 * spec.delta * float(cAxr @ cAxr))
+    return _value_from_terms(spec, x, _constraint_terms(spec, instance, x, Ax),
+                             f_x)
 
 
 def subproblem_gradient(spec, instance, x, Ax=None, grad_x=None):
@@ -139,18 +163,13 @@ def subproblem_gradient(spec, instance, x, Ax=None, grad_x=None):
     one product by ``A'``; ``Ax`` is ``A x`` and ``grad_x`` the implicit
     part's gradient at ``x`` when the caller has them, and each is formed
     here otherwise."""
-    g = grad_x
-    if g is None:
-        g = (spec.implicit.gradient(x) if spec.implicit is not None
-             else np.zeros_like(x))
-    if spec.gradient_anchor is not None:
-        g = g + spec.gradient_anchor
+    if grad_x is None:
+        grad_x = (spec.implicit.gradient(x) if spec.implicit is not None
+                  else np.zeros_like(x))
     if Ax is None:
         Ax = instance.A @ x
-    return (g + (x - spec.xbar_k) / spec.gamma
-            + instance.At @ (spec.beta * (Ax - instance.b) + spec.p_k
-                             + spec.delta * spec.c_k
-                             * (spec.c_k * Ax - spec.r_k)))
+    return _gradient_from_terms(
+        spec, instance, _constraint_terms(spec, instance, x, Ax), grad_x)
 
 
 def spd_solve(M, rhs):
@@ -355,7 +374,9 @@ def solve_inner_newton(spec, instance, x0, tol, AtA=None, f0=None,
     that iteration.  Backtracking halves the step until the Armijo
     sufficient-decrease condition holds.  ``A x`` is formed once for each
     point visited (each trial, and the start unless ``Ax0`` is given), and
-    the accepted trial's value is the next step's ``F(x)``.  The implicit
+    so are the constraint terms that ``F`` and its gradient share
+    (:func:`_constraint_terms`); the accepted trial's value is the next
+    step's ``F(x)``.  The implicit
     part ``f`` is evaluated at most once per point: its gradient at each
     accepted point (for the stopping test) and its value at each trial.
 
@@ -388,8 +409,9 @@ def solve_inner_newton(spec, instance, x0, tol, AtA=None, f0=None,
     coef = spec.beta + spec.delta * spec.c_k ** 2
     x = np.array(x0, dtype=float)
     Ax = A @ x if Ax0 is None else Ax0
+    terms = _constraint_terms(spec, instance, x, Ax)
     f, grad = f0, (obj.gradient(x) if grad0 is None else grad0)
-    g = subproblem_gradient(spec, instance, x, Ax, grad)
+    g = _gradient_from_terms(spec, instance, terms, grad)
     gnorm = math.sqrt(g @ g)
     fx = None  # F(x), when it was evaluated
     it = 0
@@ -407,7 +429,8 @@ def solve_inner_newton(spec, instance, x0, tol, AtA=None, f0=None,
         if g @ d > -1e-12 * math.sqrt(d @ d) * gnorm:
             d = -g  # not a descent direction; fall back
         if fx is None:
-            fx = subproblem_value(spec, instance, x, Ax, f)
+            fx = _value_from_terms(spec, x, terms,
+                                   obj.value(x) if f is None else f)
         slope = float(g @ d)
         s = 1.0
         x_new = x + d
@@ -416,7 +439,8 @@ def solve_inner_newton(spec, instance, x0, tol, AtA=None, f0=None,
         if -slope > VALUE_RESOLUTION * (1.0 + abs(fx)):
             while True:
                 f_new = obj.value(x_new)
-                F = subproblem_value(spec, instance, x_new, Ax_new, f_new)
+                terms_new = _constraint_terms(spec, instance, x_new, Ax_new)
+                F = _value_from_terms(spec, x_new, terms_new, f_new)
                 if not F > fx + SUFFICIENT_DECREASE * s * slope:
                     f, fx_new = f_new, F
                     break
@@ -426,8 +450,11 @@ def solve_inner_newton(spec, instance, x0, tol, AtA=None, f0=None,
                 if s < 1e-16:
                     break  # step to the last trial unevaluated
         x, Ax, fx = x_new, Ax_new, fx_new
+        # An accepted trial's value was formed from its terms.
+        terms = (terms_new if fx is not None
+                 else _constraint_terms(spec, instance, x, Ax))
         grad = obj.gradient(x)
-        g = subproblem_gradient(spec, instance, x, Ax, grad)
+        g = _gradient_from_terms(spec, instance, terms, grad)
         gnorm = math.sqrt(g @ g)
         it += 1
     return x, Ax, f, grad

@@ -88,6 +88,13 @@ class TestKktSolveQp:
         assert qp_reference.kkt_tol <= 1e-10
 
 
+def _dense_null_basis(inst, Z):
+    """``V[:, null]`` for the instance's ``gram``, formed here column by
+    column from ``V e_i``, with the null indices of the factored ``Z``."""
+    V = np.column_stack([inst.gram.apply_V(e) for e in np.eye(inst.dim)])
+    return V[:, Z.null]
+
+
 class TestKktRefine:
     """The iterative reference path for non-quadratic instances."""
 
@@ -130,13 +137,14 @@ class TestKktRefine:
         assert self._agreement(kkt.lam) <= 1e-12
 
     def test_ring_dense_twin_agrees(self, ring_refs):
-        """Both eigenbasis providers give the same minimum-norm pair."""
+        """Both eigenbasis providers (the factored null-space basis and
+        the dense SVD) certify the same minimum-norm pair."""
         kkt, twin = ring_refs
         for got, want in ((twin.x, kkt.x), (twin.lam, kkt.lam)):
             assert (np.linalg.norm(got - want)
                     <= 1e-12 * np.linalg.norm(want))
         assert self._agreement(twin.lam) <= 1e-12
-        assert twin.kkt_tol <= 1e-9
+        assert max(kkt.kkt_tol, twin.kkt_tol) <= 1e-9
 
     def test_singular_reduced_hessian(self, monkeypatch):
         """f = (x1 + x2 - 1)^2/2 + (x3 - 2)^2/2 (not tagged quadratic)
@@ -182,11 +190,13 @@ class TestKktRefine:
         make_random_lp(seed=0)], ids=["ring", "lp"])
     def test_structured_curvature_matches_dense(self, inst):
         """Z'HZ = mu Z'Z + (U'Z)' W (U'Z) and H v = mu v + U (W U'v) equal
-        the products with the dense Hessian to 1e-12 relative."""
+        the products of a dense basis with the dense Hessian to 1e-12
+        relative."""
         _, Z = oracle_module._gram_pseudoinverse(inst)
+        Z_dense = Z if inst.gram is None else _dense_null_basis(inst, Z)
         dense_obj = dataclasses.replace(inst.objective, separable=None)
         structured = oracle_module._curvature(inst.objective, Z)
-        reference = oracle_module._curvature(dense_obj, Z)
+        reference = oracle_module._curvature(dense_obj, Z_dense)
         rng = np.random.default_rng(3)
         for _ in range(3):
             x, v = rng.normal(size=inst.dim), rng.normal(size=inst.dim)
@@ -198,7 +208,8 @@ class TestKktRefine:
 
     def test_ring_reference_never_forms_hessian(self):
         """On the 10x200 ring the polish calls no ``hessian`` and its
-        allocations peak under 8 MB (the dense H alone is 32 MB)."""
+        allocations peak under 2 MB (the dense H alone is 32 MB, a dense
+        null-space basis 3.2 MB)."""
         ring = make_ring_logistic()
 
         def hessian(x):
@@ -213,7 +224,7 @@ class TestKktRefine:
         finally:
             tracemalloc.stop()
         assert kkt.kkt_tol <= 1e-9
-        assert peak < 8e6, peak
+        assert peak < 2e6, peak
 
     def test_no_hessian_rejected(self):
         """An objective that is neither quadratic nor has a Hessian (nor a
@@ -288,6 +299,53 @@ class TestKktRefine:
         assert "polish steps, damping stalled" in message
         assert f"stationarity {exc.value.stat_res:.3e}" in message
         assert f"feasibility {exc.value.feas_res:.3e}" in message
+
+
+class TestFactoredNullBasis:
+    """With a ``gram`` the null-space basis is applied through it and
+    never formed; it agrees with the dense ``V[:, null]``."""
+
+    ring = make_ring_logistic(p_agents=10, m_dim=20, rho_reg=0.5, seed=0)
+
+    def test_products_match_dense_basis(self):
+        """Z'v and Z y agree with the dense basis to 1e-14 relative, and
+        U'Z (an ndarray times Z) with its dense product."""
+        _, Z = oracle_module._gram_pseudoinverse(self.ring)
+        assert isinstance(Z, oracle_module._NullBasis)
+        Z_dense = _dense_null_basis(self.ring, Z)
+        assert Z_dense.shape == (200, 20)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            v, y = rng.normal(size=200), rng.normal(size=20)
+            for got, want in [(Z.T @ v, Z_dense.T @ v), (Z @ y, Z_dense @ y)]:
+                assert (np.linalg.norm(got - want)
+                        <= 1e-14 * np.linalg.norm(want))
+        U = self.ring.objective.separable.U
+        want = U.T @ Z_dense
+        assert np.linalg.norm(U.T @ Z - want) <= 1e-14 * np.linalg.norm(want)
+
+    def test_orthonormal_basis(self):
+        """The dense basis has ||Z'Z - I|| <= 1e-14, the contract that
+        lets the factored Z'Z be the identity exactly."""
+        _, Z = oracle_module._gram_pseudoinverse(self.ring)
+        Z_dense = _dense_null_basis(self.ring, Z)
+        eye = np.eye(Z.null.size)
+        assert np.linalg.norm(Z_dense.T @ Z_dense - eye) <= 1e-14
+        np.testing.assert_array_equal(Z.T @ Z, eye)
+
+    def test_hessian_branch_densifies_same_basis(self):
+        """Without a separable form the curvature forms the dense basis:
+        its Z'HZ agrees with the basis built from ``V e_i`` to 1e-14
+        relative (the same values; the memory layouts, and so the BLAS
+        rounding, differ)."""
+        _, Z = oracle_module._gram_pseudoinverse(self.ring)
+        dense_obj = dataclasses.replace(self.ring.objective, separable=None)
+        x = np.random.default_rng(6).normal(size=200)
+        _, ZHZ = oracle_module._curvature(dense_obj, Z)(x)
+        _, ZHZ_dense = oracle_module._curvature(
+            dense_obj, _dense_null_basis(self.ring, Z))(x)
+        assert (np.linalg.norm(ZHZ - ZHZ_dense)
+                <= 1e-14 * np.linalg.norm(ZHZ_dense))
 
 
 class TestBruteStepOracle:

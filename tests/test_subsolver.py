@@ -137,6 +137,53 @@ class TestValueGradientConsistency:
         x = solve_linear_case(spec, inst)
         assert np.linalg.norm(subproblem_gradient(spec, inst, x)) <= 1e-10
 
+    @pytest.mark.parametrize("anchored", [False, True])
+    def test_shared_terms_bitwise(self, anchored):
+        """F and grad F built from the terms the inner Newton shares per
+        point equal the standalone functions, with f(x) and grad f(x)
+        given and without them, and the literal formulas, bitwise, at
+        random points of lp seed 0."""
+        inst = make_random_lp(seed=0)
+        m, n = inst.A.shape
+        rng = np.random.default_rng(11)
+        spec = _spec(inst.objective, gamma=0.7, beta=0.3, delta=1.2, c_k=1.5,
+                     p_k=rng.normal(size=m), r_k=rng.normal(size=m),
+                     xbar_k=rng.normal(size=n),
+                     anchor=rng.normal(size=n) if anchored else None,
+                     m=m, n=n)
+        obj, b = inst.objective, inst.b
+        for _ in range(5):
+            x = rng.normal(size=n)
+            Ax = inst.A @ x
+            f, grad = obj.value(x), obj.gradient(x)
+            if anchored:
+                f += float(spec.gradient_anchor @ x)
+                grad = grad + spec.gradient_anchor
+            F_ref = (f + 0.5 * spec.beta * float((Ax - b) @ (Ax - b))
+                     + 0.5 / spec.gamma * float((x - spec.xbar_k)
+                                                @ (x - spec.xbar_k))
+                     + float(spec.p_k @ (Ax - b))
+                     + 0.5 * spec.delta
+                     * float((spec.c_k * Ax - spec.r_k)
+                             @ (spec.c_k * Ax - spec.r_k)))
+            g_ref = (grad + (x - spec.xbar_k) / spec.gamma
+                     + inst.At @ (spec.beta * (Ax - b) + spec.p_k
+                                  + spec.delta * spec.c_k
+                                  * (spec.c_k * Ax - spec.r_k)))
+            terms = subsolver._constraint_terms(spec, inst, x, Ax)
+            values = [
+                subsolver._value_from_terms(spec, x, terms, obj.value(x)),
+                subproblem_value(spec, inst, x, Ax, obj.value(x)),
+                subproblem_value(spec, inst, x)]
+            grads = [
+                subsolver._gradient_from_terms(spec, inst, terms,
+                                               obj.gradient(x)),
+                subproblem_gradient(spec, inst, x, Ax, obj.gradient(x)),
+                subproblem_gradient(spec, inst, x)]
+            assert values == [F_ref] * 3
+            for g in grads:
+                np.testing.assert_array_equal(g, g_ref)
+
 
 class TestSolveLinearCase:
     """The closed-form path for quadratic/explicit subproblems."""
