@@ -266,8 +266,8 @@ def _parse_solver(block, iterations):
     name, method = head["name"], head["method"]
     where = f"{'vanilla ' if method == 'vanilla' else ''}solver {name!r}"
     e = _validate(block, SOLVER_ENTRIES[method], where)
-    # Types only: resolve_config checks the ranges of gamma, delta and
-    # beta.  gamma: null stands for the default stepsize.
+    # Types only: resolve_config and run_vanilla check the ranges of
+    # gamma, delta and beta.  gamma: null stands for the default stepsize.
     steps = {k: e[k] for k in ("case", "gamma", "delta", "beta")}
     if method == "vanilla":
         cfg = VanillaConfig(**steps)
@@ -416,12 +416,12 @@ def run_vanilla(instance, vcfg, iterations, x0, lam0, kkt=None):
     ``beta - delta`` in place of ``beta`` (see the module docstring), so
     records carry ``t_k = 1`` and the energy and gap at ``beta - delta``.
     """
+    gamma = _vanilla_stepsize(instance, vcfg)
+    aalm_solver.check_penalties(vcfg.delta, vcfg.beta)
     _check_vanilla(vcfg)
     config = SolverConfig(schedule=custom_schedule(np.ones_like, eta=1.0),
-                          case=vcfg.case,
-                          gamma=_vanilla_stepsize(instance, vcfg),
-                          delta=vcfg.delta, beta=vcfg.beta - vcfg.delta,
-                          max_iter=iterations)
+                          case=vcfg.case, gamma=gamma, delta=vcfg.delta,
+                          beta=vcfg.beta - vcfg.delta, max_iter=iterations)
     ones = np.ones(iterations + 1)
     return aalm_solver._run_loop(
         instance, config, aalm_solver._start(instance, x0, lam0, ones, ones),

@@ -166,9 +166,10 @@ def generate(schedule, k_max):
     Raises
     ------
     ScheduleError
-        If the sequence fails ``t_1 = 1``, monotonicity, or has a
-        non-increasing tail (stalled growth: ``t_k`` must eventually
-        exceed 1 and grow without bound).
+        If a value is not finite, or the sequence fails ``t_1 = 1``,
+        monotonicity, or has a non-increasing tail (stalled growth:
+        ``t_k`` must eventually exceed 1 and grow without bound); the
+        failing step's index is ``.index``.
     """
     if k_max < 1:
         raise ScheduleError(f"k_max must be >= 1, got {k_max}")
@@ -219,8 +220,19 @@ def _nesterov_prefix(k_max):
     return _nesterov_cache[:k_max]
 
 
+def _first_nonfinite(values, name):
+    """Raise ScheduleError at the first entry of ``values`` (``name_k``,
+    1-based) that is NaN or infinite."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i = 1 + int(np.argmax(bad))
+        raise ScheduleError(f"{name}_{i} = {values[i - 1]} is not finite",
+                            index=i)
+
+
 def _validate_sequence(t):
     """Shape checks shared by every rule; tied to the convergence theory."""
+    _first_nonfinite(t, "t")
     if abs(t[0] - 1.0) > CERT_TOL:
         raise ScheduleError(f"t_1 must equal 1, got {t[0]}", index=1)
     d = np.diff(t)
@@ -253,11 +265,13 @@ def _evaluate(fn, x, scalar):
 def generate_scaled(schedule, k_max):
     """Generate ``(t, xi)`` arrays for ``k = 1 .. k_max``, with ``xi``
     evaluated on ``t``; ``xi`` is ones when the schedule has no stepsize
-    factors."""
+    factors.  A ``xi_k`` that is not finite or not positive raises
+    ScheduleError with ``index = k``."""
     t = generate(schedule, k_max)
     if schedule.xi is None:
         return t, np.ones_like(t)
     xi = _evaluate(schedule.xi, t, float)
+    _first_nonfinite(xi, "xi")
     if xi.min() <= 0:
         i = 1 + int(np.argmax(xi <= 0))
         raise ScheduleError(f"xi_k must be positive; xi_{i} = {xi[i - 1]}",

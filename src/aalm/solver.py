@@ -44,6 +44,7 @@ solve backend once per run (:func:`aalm.subsolver.step_plan`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
@@ -119,7 +120,7 @@ class SolverConfig:
     check_identities: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class IterateState:
     """Mutable loop state.
 
@@ -171,11 +172,25 @@ class IterateState:
                             f_curr=f_next, grad_curr=grad_next)
 
 
+def check_penalties(delta, beta):
+    """Raise a ValueError naming the field unless ``delta`` is positive
+    and ``beta`` nonnegative, both finite.  A run calls it once, before
+    its first step, as :meth:`aalm.subsolver.StepPlan.stepsize` checks
+    ``gamma``: a NaN would otherwise surface as a failed solve at
+    ``k = 1``, and an infinity would run."""
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
+    if not 0 <= beta < math.inf:
+        raise ValueError(f"beta must be nonnegative and finite, got {beta}")
+
+
 def resolve_config(instance, config):
     """Validate ``config`` against ``instance`` and freeze open parameters.
 
-    Fills the default ``gamma``, resolves the schedule against the budget
-    ``max_iter`` (:func:`aalm.schedule.resolve`, which certifies the
+    Fills the default ``gamma``, checks ``gamma``, ``delta`` and ``beta``
+    (positive, positive and nonnegative, each finite), resolves the
+    schedule against the budget ``max_iter``
+    (:func:`aalm.schedule.resolve`, which certifies the
     growth of ``t_k^2 xi_k`` when it has stepsize factors), and checks
     the stepsize restriction ``gamma <= 1/L`` wherever a linearized
     gradient step is taken.
@@ -187,10 +202,7 @@ def resolve_config(instance, config):
     """
     plan = step_plan(instance, config.case, backend=False)
     gamma = plan.stepsize(config.gamma)
-    if config.delta <= 0:
-        raise ValueError(f"delta must be positive, got {config.delta}")
-    if config.beta < 0:
-        raise ValueError(f"beta must be nonnegative, got {config.beta}")
+    check_penalties(config.delta, config.beta)
     if config.schedule.xi is not None and plan.linearized is not None:
         raise ValueError("stepsize scaling is defined for the implicit "
                          "case only")

@@ -20,10 +20,18 @@ is one of two paths:
   is a multiple of the identity, and an LU solve (:func:`spd_solve`) per
   solve for any other ``Q``;
 * :func:`solve_inner_newton` -- damped Newton with backtracking for smooth
-  non-quadratic implicit parts, one LU solve per step, to
-  the fixed tolerance schedule :func:`inner_tolerance` within at most
-  :data:`INNER_MAX_STEPS` steps; it returns ``A x``, ``f`` and ``grad f``
-  at its point with the point, and the next solve starts from them.
+  non-quadratic implicit parts, to the fixed tolerance schedule
+  :func:`inner_tolerance` within at most :data:`INNER_MAX_STEPS` steps;
+  it returns ``A x``, ``f`` and ``grad f`` at its point with the point,
+  and the next solve starts from them.  Each step solves one Newton
+  system (see :func:`newton_system`): by Woodbury through the instance's
+  ``gram`` basis for a separable part with fewer terms than unknowns
+  (:class:`GramNewton`, an r x r solve), else densely by LU
+  (:class:`DenseNewton`).
+
+Everything a solve reuses is built once per run (the plan's backend) or
+once per subproblem (a Newton system's ``at``), so a step costs a few
+products and one small solve.
 """
 
 from __future__ import annotations
@@ -81,14 +89,17 @@ class MaxInnerIterations(RuntimeError):
         self.grad_norm = grad_norm
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SubproblemSpec:
     """Coefficients of one outer iteration's subproblem.
 
     ``gamma`` and ``delta`` are the *effective* stepsizes (already
     multiplied by any scaling factor).  ``implicit`` (the part of ``f``
     kept) and ``gradient_anchor`` (the linearized part's gradient at the
-    extrapolated point) come from the run's :class:`StepPlan`.
+    extrapolated point) come from the run's :class:`StepPlan`.  The
+    coefficients are not checked here: a run checks ``gamma``, ``delta``
+    and ``beta`` once (:meth:`StepPlan.stepsize`,
+    :func:`aalm.solver.check_penalties`).
     """
 
     gamma: float
@@ -100,12 +111,6 @@ class SubproblemSpec:
     xbar_k: np.ndarray
     implicit: Optional[ObjectiveOracle] = None
     gradient_anchor: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.gamma <= 0 or self.delta <= 0:
-            raise ValueError("gamma and delta must be positive")
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
 
 
 def inner_tolerance(t_curr):
@@ -184,7 +189,19 @@ def spd_solve(M, rhs):
 
 def _dense_basis(evals, V):
     """A :class:`~aalm.problems.GramEigenbasis` applying a dense ``V``."""
-    return GramEigenbasis(evals, lambda y: V @ y, lambda x: V.T @ x)
+    Vt = V.T
+    return GramEigenbasis(evals, lambda y: V @ y, lambda x: Vt @ x)
+
+
+def _coupling(spec):
+    """``beta + delta c^2``, the weight of ``A'A`` in the subproblem."""
+    return spec.beta + spec.delta * spec.c_k ** 2
+
+
+def _shift_diagonal(M, s):
+    """``M += s I`` in place for a C-contiguous square ``M``, through a
+    strided view of its diagonal."""
+    M.reshape(-1)[::M.shape[0] + 1] += s
 
 
 class LinearCache:
@@ -197,8 +214,9 @@ class LinearCache:
       orthonormal eigenbasis of ``A'A`` (a
       :class:`~aalm.problems.GramEigenbasis`) -- the instance's factored
       ``gram`` when it carries one, else a dense ``eigh`` computed here --
-      and each solve, at any ``gamma``, is a few basis applications;
-      ``A'A`` keeps the storage of ``A``;
+      each solve, at any ``gamma``, is a few basis applications, and
+      ``emax`` is the largest eigenvalue; ``A'A`` keeps the storage of
+      ``A``;
     * any other ``Q``: ``basis`` is None, ``A'A`` is dense (formed once)
       and each solve is an LU solve of the system (:func:`spd_solve`).
     """
@@ -216,6 +234,8 @@ class LinearCache:
             self.basis = instance.gram
         elif self.mu is not None:
             self.basis = _dense_basis(*np.linalg.eigh(dense(AtA)))
+        self.emax = (float(self.basis.evals.max()) if self.basis is not None
+                     else None)
 
     def _identity_coefficient(self):
         """``mu`` with ``Q = mu I`` (0 without ``Q``), or None."""
@@ -228,16 +248,101 @@ class LinearCache:
         return mu
 
 
+class DenseNewton:
+    """Inner Newton systems formed densely: ``hessian(x) + coef A'A +
+    I/gamma`` with ``A'A`` dense (formed once), one LU solve per step."""
+
+    def __init__(self, instance):
+        self.AtA = dense(instance.A.T @ instance.A)
+
+    def at(self, spec):
+        """``(x, g) -> H(x)^{-1} g`` for ``spec``'s subproblem; raises
+        ``np.linalg.LinAlgError`` when ``H(x)`` is singular."""
+        hessian, AtA = spec.implicit.hessian, self.AtA
+        coef, shift = _coupling(spec), 1.0 / spec.gamma
+
+        def solve(x, g):
+            # C-ordered like its term coef A'A, so the shift is in place.
+            H = hessian(x) + coef * AtA
+            _shift_diagonal(H, shift)
+            return spd_solve(H, g)
+
+        return solve
+
+
+class GramNewton:
+    """Inner Newton systems of a separable implicit part through the
+    instance's ``gram`` basis ``V``, by Sherman--Morrison--Woodbury
+    (Golub & Van Loan, *Matrix Computations*, 2.1.4); never n x n.
+
+    With ``f = sum_i phi(u_i'x - c_i) + (mu/2)||x||^2`` the Newton matrix
+    is ``H = V diag(d) V' + U W U'`` with ``d = mu + 1/gamma + coef e``
+    (``e`` the eigenvalues of ``A'A``) and ``W = diag(phi''(U'x - c))``.
+    ``B = V'U`` (n x r) is formed once per run; ``D^{-1} B`` and
+    ``B'D^{-1}B`` (r x r) once per subproblem; each step solves the r x r
+    capacitance system ``I + W^{1/2} B'D^{-1}B W^{1/2}`` (eigenvalues at
+    least 1; ``W`` is never inverted, as ``phi''`` can underflow) by
+    ``np.linalg.solve``, with one refinement pass against
+    ``H v = (mu + 1/gamma) v + coef A'A v + U (w * U'v)``.
+    """
+
+    def __init__(self, instance, form):
+        self.basis, self.form = instance.gram, form
+        self.AtA = instance.A.T @ instance.A  # keeps the storage of A
+        self.B = np.column_stack([self.basis.apply_Vt(u) for u in form.U.T])
+
+    def at(self, spec):
+        """``(x, g) -> H(x)^{-1} g`` for ``spec``'s subproblem."""
+        V, Vt = self.basis.apply_V, self.basis.apply_Vt
+        U, Ut, c, d2phi = (self.form.U, self.form.U.T, self.form.c,
+                           self.form.d2phi)
+        AtA, B = self.AtA, self.B
+        coef, h = _coupling(spec), self.form.mu + 1.0 / spec.gamma
+        d = h + coef * self.basis.evals
+        DB = B / d[:, None]
+        G = B.T @ DB
+
+        def solve(x, g):
+            w = d2phi(Ut @ x - c)
+            s = np.sqrt(w)
+            C = s[:, None] * G * s
+            _shift_diagonal(C, 1.0)
+
+            def apply_inverse(v):
+                y = Vt(v)
+                z = y / d
+                return V(z - DB @ (s * np.linalg.solve(C, s * (DB.T @ y))))
+
+            v = apply_inverse(g)
+            Hv = h * v + coef * (AtA @ v) + U @ (w * (Ut @ v))
+            return v + apply_inverse(g - Hv)
+
+        return solve
+
+
+def newton_system(instance, part):
+    """How inner Newton solves the systems of the implicit ``part``: a
+    :class:`GramNewton` when ``part`` is separable with ``r`` terms,
+    ``instance`` carries a ``gram`` basis and ``r < n`` (the capacitance
+    system is then smaller than ``H``), a :class:`DenseNewton` otherwise."""
+    form = part.separable
+    if (form is not None and instance.gram is not None
+            and form.U.shape[1] < instance.dim):
+        return GramNewton(instance, form)
+    return DenseNewton(instance)
+
+
 @dataclass(frozen=True)
 class StepPlan:
     """How a run treats ``f``: solved implicitly or linearized at
-    ``xbar`` (the other field is None), ``A'A`` and the solve backend --
-    a :class:`LinearCache`, or None for inner Newton."""
+    ``xbar`` (the other field is None), and the solve backend -- a
+    :class:`LinearCache` (``cache``) or the inner Newton systems
+    (``newton``, see :func:`newton_system`); neither without a backend."""
 
     implicit: Optional[ObjectiveOracle]
     linearized: Optional[ObjectiveOracle]
-    AtA: object = None
     cache: Optional[LinearCache] = None
+    newton: object = None
 
     def anchor(self, x):
         """Gradient of the linearized part at ``x`` (None without one)."""
@@ -245,12 +350,14 @@ class StepPlan:
 
     def stepsize(self, gamma):
         """``gamma`` as a float, by default ``1/L`` with a linearized part
-        and 1 without; must be positive and, with one, at most ``1/L``."""
+        and 1 without; must be positive and finite and, with one, at most
+        ``1/L``."""
         L = self.linearized.lipschitz if self.linearized else None
         if gamma is None:
             gamma = 1.0 / L if L is not None else 1.0
-        if gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {gamma}")
+        if not 0 < gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got "
+                             f"{gamma}")
         if L is not None and gamma > 1.0 / L * (1.0 + 1e-12):
             raise ValueError(
                 f"gamma = {gamma:.6g} violates the stepsize restriction "
@@ -274,11 +381,12 @@ def step_plan(instance, case, backend=True):
     if not backend:
         return StepPlan(implicit, linearized)
     if implicit is None or implicit.quadratic is not None:
-        cache = LinearCache(instance, implicit)
-        return StepPlan(implicit, linearized, cache.AtA, cache)
+        return StepPlan(implicit, linearized,
+                        cache=LinearCache(instance, implicit))
     if implicit.hessian is None:
         raise ValueError("inner Newton needs an implicit part with a hessian")
-    return StepPlan(implicit, linearized, dense(instance.A.T @ instance.A))
+    return StepPlan(implicit, linearized,
+                    newton=newton_system(instance, implicit))
 
 
 def solve_linear_case(spec, instance, cache=None):
@@ -296,11 +404,12 @@ def solve_linear_case(spec, instance, cache=None):
     backward-error scale ``1 + ||rhs|| + ||M|| ||x||`` (the two scales
     differ materially once ``delta c^2`` is large and ``A`` has a null
     space), with ``||M||`` the 2-norm in the basis and the infinity norm
-    under the LU solve.
+    under the LU solve, formed only for a residual above
+    ``1e-10 (1 + ||rhs||)``.
     """
     if cache is None:
         cache = LinearCache(instance, spec.implicit)
-    coef = spec.beta + spec.delta * spec.c_k ** 2
+    coef = _coupling(spec)
     rhs = spec.xbar_k / spec.gamma + instance.At @ (
         spec.beta * instance.b - spec.p_k + spec.delta * spec.c_k * spec.r_k)
     if spec.gradient_anchor is not None:
@@ -310,34 +419,34 @@ def solve_linear_case(spec, instance, cache=None):
     if cache.basis is not None:
         # M = h I + coef A'A with h = mu + 1/gamma.
         h = cache.mu + 1.0 / spec.gamma
-
-        def apply_M(x):
-            return h * x + coef * (cache.AtA @ x)
-
+        AtA = cache.AtA
         diag = h + coef * cache.basis.evals
         V, Vt = cache.basis.apply_V, cache.basis.apply_Vt
         x = V(Vt(rhs) / diag)
         # One refinement pass: the eigenfactorization's backward error
         # leaves an O(n eps ||M||) residual that two extra matvecs remove.
-        x = x + V(Vt(rhs - apply_M(x)) / diag)
-        Mx = apply_M(x)
-        # A factored basis need not order its eigenvalues.
-        m_scale = float(diag.max())
+        x = x + V(Vt(rhs - (h * x + coef * (AtA @ x))) / diag)
+        Mx = h * x + coef * (AtA @ x)
     else:
         M = coef * cache.AtA
-        M.flat[::M.shape[0] + 1] += 1.0 / spec.gamma
+        _shift_diagonal(M, 1.0 / spec.gamma)
         if cache.Q is not None:
             M += cache.Q
         x = spd_solve(M, rhs)
         Mx = M @ x
-        m_scale = float(np.abs(M).sum(axis=1).max())
     res = Mx - rhs
     resid = math.sqrt(res @ res)
-    bound = LINEAR_RESIDUAL_TOL * (1.0 + math.sqrt(rhs @ rhs)
-                                   + m_scale * math.sqrt(x @ x))
-    if not resid <= bound:
-        raise SubsolverError(
-            f"linear subproblem residual {resid:.3e} exceeds {bound:.3e}")
+    base = 1.0 + math.sqrt(rhs @ rhs)
+    # The bound is at least LINEAR_RESIDUAL_TOL * base (rounding is
+    # monotone), so ||M|| ||x|| is formed only for a residual past that.
+    if not resid <= LINEAR_RESIDUAL_TOL * base:
+        # max(diag) bitwise in the basis, as coef >= 0.
+        m_scale = (h + coef * cache.emax if cache.basis is not None
+                   else float(np.abs(M).sum(axis=1).max()))
+        bound = LINEAR_RESIDUAL_TOL * (base + m_scale * math.sqrt(x @ x))
+        if not resid <= bound:
+            raise SubsolverError(f"linear subproblem residual {resid:.3e} "
+                                 f"exceeds {bound:.3e}")
     return x
 
 
@@ -354,7 +463,7 @@ def solve_subproblem(spec, instance, plan, state):
             x = solve_linear_case(spec, instance, plan.cache)
             return x, instance.A @ x, None, None
         return solve_inner_newton(spec, instance, state.x_curr,
-                                  inner_tolerance(state.t_curr), plan.AtA,
+                                  inner_tolerance(state.t_curr), plan.newton,
                                   state.f_curr, state.grad_curr,
                                   state.Ax_curr)
     except (MaxInnerIterations, SubsolverError,
@@ -363,7 +472,7 @@ def solve_subproblem(spec, instance, plan, state):
         raise
 
 
-def solve_inner_newton(spec, instance, x0, tol, AtA=None, f0=None,
+def solve_inner_newton(spec, instance, x0, tol, system=None, f0=None,
                        grad0=None, Ax0=None):
     """Damped Newton on the subproblem for smooth non-quadratic parts.
 
@@ -382,8 +491,9 @@ def solve_inner_newton(spec, instance, x0, tol, AtA=None, f0=None,
 
     Parameters
     ----------
-    AtA : ndarray, optional
-        Dense ``A'A`` (a Newton :class:`StepPlan`'s); formed when omitted.
+    system : DenseNewton or GramNewton, optional
+        How the Newton systems are solved (a Newton :class:`StepPlan`'s);
+        ``newton_system(instance, spec.implicit)`` when omitted.
     f0, grad0 : optional
         ``f(x0)`` and ``grad f(x0)`` when the caller has them (a previous
         solve returned them); each is evaluated here when needed otherwise.
@@ -403,10 +513,10 @@ def solve_inner_newton(spec, instance, x0, tol, AtA=None, f0=None,
         After :data:`INNER_MAX_STEPS` steps (read at call time) without
         meeting the tolerance; carries the final gradient norm.
     """
-    if AtA is None:
-        AtA = dense(instance.A.T @ instance.A)
+    if system is None:
+        system = newton_system(instance, spec.implicit)
+    newton = system.at(spec)
     A, obj = instance.A, spec.implicit
-    coef = spec.beta + spec.delta * spec.c_k ** 2
     x = np.array(x0, dtype=float)
     Ax = A @ x if Ax0 is None else Ax0
     terms = _constraint_terms(spec, instance, x, Ax)
@@ -420,10 +530,8 @@ def solve_inner_newton(spec, instance, x0, tol, AtA=None, f0=None,
             raise MaxInnerIterations(
                 f"inner Newton: {INNER_MAX_STEPS} iterations, gradient "
                 f"norm {gnorm:.3e} > tol {tol:.3e}", gnorm)
-        H = obj.hessian(x) + coef * AtA
-        H.flat[::H.shape[0] + 1] += 1.0 / spec.gamma
         try:
-            d = -spd_solve(H, g)
+            d = -newton(x, g)
         except np.linalg.LinAlgError:
             d = -g
         if g @ d > -1e-12 * math.sqrt(d @ d) * gnorm:

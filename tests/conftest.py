@@ -26,7 +26,10 @@ def qp_reference(qp_testbed):
 class InnerSolve(NamedTuple):
     """One inner Newton solve as seen from outside: the tolerance it was
     given, the subproblem gradient norm recomputed at the point it
-    returned, and its Newton steps (calls of the subproblem's hessian)."""
+    returned, and its Newton steps.  A step is counted by the implicit
+    part's gradient, which the solve evaluates once at each point it
+    accepts (and at its start when it is not handed ``grad0``), whichever
+    way it solves its Newton systems."""
 
     tol: float
     grad_norm: float
@@ -42,20 +45,21 @@ def inner_solves(monkeypatch):
     solves = []
     solve = subsolver.solve_inner_newton
 
-    def observed(spec, instance, x0, tol, AtA=None, f0=None, grad0=None,
+    def observed(spec, instance, x0, tol, system=None, f0=None, grad0=None,
                  Ax0=None):
-        steps = 0
-        hessian = spec.implicit.hessian
+        calls = 0
+        gradient = spec.implicit.gradient
 
         def counted(x):
-            nonlocal steps
-            steps += 1
-            return hessian(x)
+            nonlocal calls
+            calls += 1
+            return gradient(x)
 
         x, Ax, f_x, grad_x = solve(
-            replace(spec, implicit=replace(spec.implicit, hessian=counted)),
-            instance, x0, tol, AtA, f0, grad0, Ax0)
+            replace(spec, implicit=replace(spec.implicit, gradient=counted)),
+            instance, x0, tol, system, f0, grad0, Ax0)
         g = subsolver.subproblem_gradient(spec, instance, x)
+        steps = calls - (grad0 is None)
         solves.append(InnerSolve(tol, math.sqrt(g @ g), steps))
         return x, Ax, f_x, grad_x
 

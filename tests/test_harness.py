@@ -534,6 +534,20 @@ class TestVanillaBaseline:
                         np.zeros(qp_testbed.dim),
                         np.zeros(qp_testbed.n_constraints))
 
+    @pytest.mark.parametrize("field", ["gamma", "delta", "beta"])
+    def test_nonfinite_stepsize_rejected(self, qp_testbed, field):
+        """The baseline bypasses ``resolve_config`` and checks its
+        stepsizes itself, once, before any iteration: NaN and, where
+        ``delta <= beta`` lets it through, infinity are rejected by
+        name."""
+        values = [np.nan, np.inf] if field != "delta" else [np.nan]
+        for value in values:
+            with pytest.raises(ValueError, match=f"^{field} must be"):
+                run_vanilla(qp_testbed, VanillaConfig(
+                    case="implicit", **{field: value}), 1,
+                    np.zeros(qp_testbed.dim),
+                    np.zeros(qp_testbed.n_constraints))
+
     def test_inner_failure_names_iteration(self, monkeypatch):
         """An inner Newton failure of the baseline names k and t_k."""
         lp = make_random_lp(d=6, n=4, p=1.5, seed=0)
@@ -757,6 +771,29 @@ class TestRunExperiment:
         assert not (tmp_path / "bad.trace.csv").exists()
         assert (tmp_path / "plain.trace.csv").exists()
         assert (tmp_path / "summary.csv").exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["gamma", "delta", "beta"])
+    def test_nonfinite_stepsize_in_config_file(self, tmp_path, monkeypatch,
+                                               field, value):
+        """JSON admits ``NaN`` and ``Infinity``; a solver entry that
+        carries one in ``gamma``, ``delta`` or ``beta`` parses, and its
+        run fails before its first step with a row naming the field, for
+        the accelerated entry and for the baseline (whose ``delta`` is
+        bounded by ``beta`` at parse time, so its ``delta`` case is the
+        NaN one and an infinite ``delta`` comes with an infinite
+        ``beta``)."""
+        monkeypatch.setenv("AALM_OUTPUT_DIR", str(tmp_path))
+        cfg = _qp_config()
+        for entry in cfg["solvers"]:
+            entry.update(case="implicit", **{field: value})
+            if field == "delta" and entry["method"] == "vanilla":
+                entry["beta"] = value
+        rows = run_experiment(parse_config(_write_config(tmp_path, cfg)))
+        for row in rows:
+            assert row["status"].startswith(
+                f"failed: ValueError: {field} must be"), row["status"]
+        assert not list(tmp_path.glob("*.trace.csv"))
 
     def test_multiline_failure_stays_on_its_row(self, tmp_path,
                                                 monkeypatch):

@@ -166,6 +166,21 @@ class TestCustomAndValidation:
         with pytest.raises(ScheduleError):
             generate(custom_schedule(lambda k: np.ones_like(k)), 50)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_term_rejected(self, bad):
+        """A NaN or infinite ``t_k`` is rejected where the sequence is
+        generated, with its index, before certification meets it (an
+        infinite ``t_7`` used to raise a numpy RuntimeWarning there)."""
+        rule = custom_schedule(lambda k: np.where(k == 7, bad, k))
+        for check in (lambda: generate(rule, 20),
+                      lambda: generate_scaled(rule, 20),
+                      lambda: certify_rho(rule, 20),
+                      lambda: resolve(rule, 20)):
+            with pytest.raises(ScheduleError,
+                               match="t_7 = .* not finite") as exc:
+                check()
+            assert exc.value.index == 7
+
     def test_scalar_fallback(self):
         """Rules that only accept scalar k are evaluated pointwise."""
         sched = custom_schedule(lambda k: 1.0 + (float(k) - 1.0) / 4.0)
@@ -330,6 +345,21 @@ class TestScaledSchedules:
         scaled = replace(chambolle_dossal(10.0), xi=lambda t: t - 5.0)
         with pytest.raises(ScheduleError):
             generate_scaled(scaled, 10)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_xi_rejected(self, bad):
+        """A NaN or infinite ``xi_k`` is rejected with its index (a NaN
+        ``xi`` used to surface as ``eta must lie in [nan, 1]``)."""
+        scaled = replace(chambolle_dossal(10.0),
+                         xi=lambda t: np.where(t > 1.3, bad, 1.0))
+        k = 1 + int(np.argmax(generate(scaled, 20) > 1.3))
+        for check in (lambda: generate_scaled(scaled, 20),
+                      lambda: certify_rho(scaled, 20),
+                      lambda: resolve(scaled, 20)):
+            with pytest.raises(ScheduleError,
+                               match=f"xi_{k} = .* not finite") as exc:
+                check()
+            assert exc.value.index == k
 
     def test_initial_product_must_be_one(self):
         """t_1^2 xi_1 = 1 anchors the scaled energy; xi_1 != 1 fails."""

@@ -6,6 +6,7 @@ trace indexing, reproducibility, the scaled variant) is verified on the
 seeded QP testbed.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -100,6 +101,23 @@ class TestResolveConfig:
         with pytest.raises(ValueError, match="beta"):
             resolve_config(inst, SolverConfig(schedule=nesterov(),
                                               beta=-1.0))
+
+    def test_out_of_range_stepsizes_rejected(self):
+        """``gamma`` and ``delta`` must be positive and ``beta``
+        nonnegative, each finite; the run checks them once, before its
+        first step, naming the field (a NaN used to fail at k = 1 as a
+        residual of nan, an infinity to run)."""
+        inst = make_random_qp(n=6, m=2, seed=0)
+        bad = [("gamma", v) for v in (0.0, -1.0, math.nan, math.inf)]
+        bad += [("delta", v) for v in (0.0, -1.0, math.nan, math.inf)]
+        bad += [("beta", v) for v in (-0.1, math.nan, math.inf)]
+        for field, value in bad:
+            cfg = SolverConfig(schedule=nesterov(), case="implicit",
+                               max_iter=3, **{field: value})
+            with pytest.raises(ValueError, match=f"^{field} must be"):
+                resolve_config(inst, cfg)
+            with pytest.raises(ValueError, match=f"^{field} must be"):
+                run(inst, cfg, np.zeros(6), np.zeros(2))
 
     def test_scaling_restricted_to_implicit(self):
         inst = make_random_qp(n=6, m=2, seed=0)
