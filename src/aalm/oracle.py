@@ -9,9 +9,10 @@ producer of such pairs:
   constraints are rank deficient;
 * :func:`kkt_refine` handles general smooth objectives: damped
   null-space Newton polish on the KKT equations from the minimum-norm
-  feasible point, in an eigenbasis of ``A'A`` (the instance's structured
-  one when it carries one, a dense SVD otherwise), down to a certified
-  residual, without running any solver of this package;
+  feasible point, in the instance's eigenbasis of ``A'A``
+  (:meth:`~aalm.problems.ProblemInstance.eigenbasis`: its structured
+  ``gram``, or a dense SVD of ``A``), down to a certified residual,
+  without running any solver of this package;
 * :func:`brute_step_oracle` recomputes a single solver iteration for
   scalar problems by literal formula substitution -- a deliberately
   separate arithmetic path used to pin down :func:`aalm.solver.step`.
@@ -23,12 +24,11 @@ to a CSV sidecar next to the experiment's outputs (:func:`save_kkt`);
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .problems import GramEigenbasis, KKTPoint, dense
+from .problems import KKTPoint, dense
 
 # Residual scale accepted from the direct KKT solve before falling back to
 # (or failing out of) the least-squares path.
@@ -131,103 +131,55 @@ def _kkt_residuals(instance, x, lam):
     return stat, feas
 
 
-@dataclass(frozen=True, eq=False)
-class _NullBasis:
-    """``Z = V[:, null]`` for a :class:`~aalm.problems.GramEigenbasis`
-    ``V``, applied through ``V`` and never formed.
-
-    ``Z y = V u`` with ``u`` zero except ``u[null] = y``, and
-    ``Z'v = (V'v)[null]``; a 2-D operand is applied column by column and
-    ``M @ Z`` is ``(Z'M')'``.  ``Z.T @ Z`` is the identity, because ``V``
-    is orthogonal.
-    """
-
-    gram: GramEigenbasis
-    null: np.ndarray
-    transposed: bool = False
-
-    # ndarray @ Z defers to __rmatmul__ instead of densifying Z.
-    __array_ufunc__ = None
-
-    @property
-    def T(self):
-        return _NullBasis(self.gram, self.null, not self.transposed)
-
-    def __matmul__(self, other):
-        if isinstance(other, _NullBasis):
-            if not (self.transposed and not other.transposed
-                    and other.null is self.null):
-                raise TypeError("of two null-space bases only Z.T @ Z "
-                                "is defined")
-            return np.eye(self.null.size)
-        if other.ndim == 2:
-            rows = self.null.size if self.transposed else self.gram.evals.size
-            out = np.empty((rows, other.shape[1]))
-            for j in range(other.shape[1]):
-                out[:, j] = self @ other[:, j]
-            return out
-        if self.transposed:
-            return self.gram.apply_Vt(other)[self.null]
-        u = np.zeros(self.gram.evals.size)
-        u[self.null] = other
-        return self.gram.apply_V(u)
-
-    def __rmatmul__(self, other):
-        return (self.T @ other.T).T
-
-
 def _gram_pseudoinverse(instance):
-    """``(A'A)^+`` and a basis of ``null(A)`` from an eigenbasis of ``A'A``.
-
-    Uses the instance's ``gram`` when it has one, otherwise a dense SVD
-    ``A = U diag(s) V'`` with eigenvalues ``s^2`` padded with zeros to
-    ``n``.  Eigenvalues at most ``(max(m, n) * eps)^2 * max(e)`` count as
-    zero: the singular-value cutoff of :func:`_min_norm_solve`.
+    """``(A'A)^+`` and a basis ``Z`` of ``null(A)`` from the instance's
+    eigenbasis ``V`` of ``A'A``
+    (:meth:`~aalm.problems.ProblemInstance.eigenbasis`: its ``gram``, or
+    a dense SVD of ``A``).  Eigenvalues at most
+    ``(max(m, n) * eps)^2 * max(e)`` count as zero: the singular-value
+    cutoff of :func:`_min_norm_solve`.
 
     Returns
     -------
-    (callable, ndarray or _NullBasis)
-        ``pinv(v) = V (e^+ * V'v)`` and ``Z``, the k eigenvectors of the
-        zero eigenvalues: applied through the instance's ``gram``
-        (:class:`_NullBasis`, never formed) when it has one, else the
-        dense (n, k) rows of the SVD's ``V'``.
+    (callable, callable, callable, int)
+        ``pinv(v) = V (e^+ * V'v)``, ``Zt(v) = (V'v)[null]`` and
+        ``Z(y) = V u`` with ``u`` zero except ``u[null] = y``, where
+        ``null`` indexes the ``k`` zero eigenvalues, and ``k``.  ``Z`` is
+        the columns ``V[:, null]``, applied through ``V`` and never
+        formed; ``Z'Z = I`` because ``V`` is orthogonal.
     """
-    A, n = instance.A, instance.dim
-    gram = instance.gram
-    if gram is None:
-        _, sigma, Vt = np.linalg.svd(dense(A), full_matrices=True)
-        evals = np.zeros(n)
-        evals[:sigma.size] = sigma ** 2
-        gram = GramEigenbasis(evals, apply_V=lambda y: Vt.T @ y,
-                              apply_Vt=lambda x: Vt @ x)
-    e = gram.evals
-    zero = e <= (max(A.shape) * np.finfo(float).eps) ** 2 * e.max()
-    e_plus = np.zeros(n)
+    basis = instance.eigenbasis()
+    V, Vt, e = basis.apply_V, basis.apply_Vt, basis.evals
+    zero = e <= (max(instance.A.shape) * np.finfo(float).eps) ** 2 * e.max()
+    e_plus = np.zeros(e.size)
     e_plus[~zero] = 1.0 / e[~zero]
     null = np.flatnonzero(zero)
-    if instance.gram is None:
-        Z = np.ascontiguousarray(Vt[null].T)
-    else:
-        Z = _NullBasis(gram, null)
-    return (lambda v: gram.apply_V(e_plus * gram.apply_Vt(v))), Z
+
+    def Z(y):
+        u = np.zeros(e.size)
+        u[null] = y
+        return V(u)
+
+    return ((lambda v: V(e_plus * Vt(v))), (lambda v: Vt(v)[null]), Z,
+            null.size)
 
 
-def _curvature(objective, Z):
-    """``at(x) -> (v -> H v, Z'HZ)``: factored for a separable objective,
-    with ``U'Z`` and ``Z'Z`` formed once here (``Z'Z = I`` exactly for a
-    :class:`_NullBasis`), else from ``hessian(x)`` and a dense ``Z``."""
+def _curvature(objective, Zt, Z, k):
+    """``at(x) -> (v -> H v, Z'HZ)`` for the null-space basis ``Z`` of
+    :func:`_gram_pseudoinverse` (``k`` columns): factored for a separable
+    objective, with ``U'Z`` formed once here and ``Z'Z = I``, else from
+    ``hessian(x)`` and ``Z`` formed densely once here."""
     form = objective.separable
     if form is None:
-        if isinstance(Z, _NullBasis):
-            Z = Z @ np.eye(Z.null.size)  # H is n x n anyway
+        Zd = np.column_stack([Z(y) for y in np.eye(k)])  # H is n x n anyway
 
         def at(x):
             H = objective.hessian(x)
-            return (lambda v: H @ v), Z.T @ (H @ Z)
+            return (lambda v: H @ v), Zd.T @ (H @ Zd)
         return at
     U, mu = form.U, form.mu
-    UZ = U.T @ Z
-    muZZ = mu * (Z.T @ Z)
+    UZ = np.column_stack([Zt(u) for u in U.T]).T
+    muZZ = mu * np.eye(k)
 
     def at(x):
         w = form.d2phi(U.T @ x - form.c)
@@ -253,7 +205,7 @@ def _armijo_damping(objective, x, g, dx):
     return None
 
 
-def _polish(instance, pinv, Z, x, lam):
+def _polish(instance, pinv, Zt, Z, k, x, lam):
     """Damped null-space Newton steps on the KKT system from ``(x, lam)``.
 
     A step is accepted at the largest damping ``s = 1, 1/2, ...`` (down to
@@ -265,14 +217,15 @@ def _polish(instance, pinv, Z, x, lam):
     multiplier of the final ``x`` when that does not raise the residual.
     ``H`` enters only as ``H v = mu v + U (W U'v)`` and
     ``Z'HZ = mu Z'Z + (U'Z)' W (U'Z)`` for a separable objective
-    (:func:`_curvature`).  ``Z`` enters only as the products ``Z'v`` and
-    ``Z dz``, so a factored :class:`_NullBasis` is never formed.  Returns
+    (:func:`_curvature`).  ``Z`` enters only as the products ``Zt(v)``
+    and ``Z(dz)`` (:func:`_gram_pseudoinverse`), so it is never formed
+    for a separable objective.  Returns
     the pair and a note naming the steps taken and whether the damping
     stalled.
     """
     obj = instance.objective
     A, b = instance.A, instance.b
-    curvature = _curvature(obj, Z)
+    curvature = _curvature(obj, Zt, Z, k)
     best = max(_kkt_residuals(instance, x, lam))
     steps, stalled = 0, False
     for _ in range(POLISH_STEPS):
@@ -281,7 +234,7 @@ def _polish(instance, pinv, Z, x, lam):
         apply_H, ZHZ = curvature(x)
         g = obj.gradient(x)
         dx_p = pinv(A.T @ (b - A @ x))
-        rhs = -(Z.T @ (g + apply_H(dx_p)))
+        rhs = -Zt(g + apply_H(dx_p))
         # Cholesky through numpy, not scipy: each wheel bundles an
         # OpenBLAS whose workers spin for about 0.1 s after a threaded
         # call, and a second spinning pool next to numpy's (busy after
@@ -292,7 +245,7 @@ def _polish(instance, pinv, Z, x, lam):
             dz = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
         except np.linalg.LinAlgError:
             dz = _min_norm_solve(ZHZ, rhs)
-        dx = dx_p + Z @ dz
+        dx = dx_p + Z(dz)
         lam_new = -(A @ pinv(g + apply_H(dx)))
         # Damped acceptance on the KKT residual.
         s = 1.0
@@ -343,12 +296,11 @@ def kkt_refine(instance):
 
         Z'HZ = mu Z'Z + (U'Z)' W (U'Z),    H v = mu v + U (W U'v),
 
-    with ``U'Z`` and ``Z'Z`` formed once per call and no n x n array
-    (Nocedal & Wright, ch. 7); other objectives form ``H`` once per step.
-    With the instance's ``gram``, ``Z`` is applied through it and never
-    formed: ``U'Z`` takes one ``V'`` product per column of ``U``, and
-    ``Z'Z = I`` because ``V`` is orthogonal.  Without one, ``Z`` is the
-    dense (n, k) block of the SVD's ``V``.
+    with ``U'Z`` formed once per call and no n x n array (Nocedal &
+    Wright, ch. 7); other objectives form ``H`` once per step.  ``Z`` is
+    applied through the instance's eigenbasis ``V`` and never formed for
+    a separable objective: ``U'Z`` takes one ``V'`` product per column of
+    ``U``, and ``Z'Z = I`` because ``V`` is orthogonal.
     ``Z'HZ`` is factored by Cholesky, with a minimum-norm least-squares
     solve when it is singular.  No solver of this package is run: the
     reference stays an arithmetic path separate from the iterations it
@@ -375,9 +327,9 @@ def kkt_refine(instance):
                          f"with a hessian or separable form; "
                          f"{instance.name!r} has neither")
     A = instance.A
-    pinv, Z = _gram_pseudoinverse(instance)
+    pinv, Zt, Z, k = _gram_pseudoinverse(instance)
     x = pinv(A.T @ instance.b)
-    x, lam, note = _polish(instance, pinv, Z, x,
+    x, lam, note = _polish(instance, pinv, Zt, Z, k, x,
                            -(A @ pinv(obj.gradient(x))))
     stat, feas = _kkt_residuals(instance, x, lam)
     res = max(stat, feas)

@@ -159,11 +159,11 @@ class GramEigenbasis:
 
     ``V`` is orthogonal and never formed: ``apply_V(y)`` returns ``V y``
     and ``apply_Vt(x)`` returns ``V' x``.  ``evals`` (n,) need not be
-    sorted.  Constructors that know the structure of ``A`` attach one so
-    that linear subproblem solves cost a few structured products instead
-    of a dense ``eigh`` and two dense matvecs.  (Without one,
-    :class:`aalm.subsolver.LinearCache` wraps that dense ``eigh`` in the
-    same form.)  :func:`aalm.oracle.kkt_refine` relies on ``V`` being
+    sorted.  Constructors that know the structure of ``A`` attach one as
+    the instance's ``gram`` so that its users apply ``V`` by a few
+    structured products; for any other instance
+    :meth:`ProblemInstance.eigenbasis` builds one from a dense SVD of
+    ``A``.  :func:`aalm.oracle.kkt_refine` relies on ``V`` being
     orthogonal: it applies the null-space basis of ``A`` as the columns
     of ``V`` with zero eigenvalue and takes its ``Z'Z`` to be ``I``.
     """
@@ -218,9 +218,8 @@ class ProblemInstance:
     in canonical form (sorted indices, no duplicates); every per-iteration
     product uses it as given, and only the independent oracles and one-off
     factorizations densify it.  ``b`` has shape (m,).  ``gram``, when
-    given, is a factored eigenbasis of ``A'A`` that the linear subproblem
-    solve uses in place of a dense ``eigh`` (see
-    :class:`aalm.subsolver.LinearCache`).  ``name`` identifies the
+    given, is a factored eigenbasis of ``A'A``; :meth:`eigenbasis`
+    returns it, and builds a dense one otherwise.  ``name`` identifies the
     instance in traces, summaries and reference sidecars, so constructors
     bake the generating parameters (and seed) into it.  ``At`` is ``A'``,
     built once per instance for the products ``A' v`` of every iteration:
@@ -267,6 +266,23 @@ class ProblemInstance:
         if issparse(At):
             return np.ascontiguousarray((At @ L.T).T)
         return _matvec_rows(At, L)
+
+    def eigenbasis(self):
+        """An orthonormal eigenbasis of ``A'A``: ``gram`` when the
+        instance carries one, else a new :class:`GramEigenbasis` from a
+        dense SVD ``A = U diag(s) V'`` (Golub & Van Loan, *Matrix
+        Computations*, 5.4), with eigenvalues ``s^2`` padded with exact
+        zeros to ``n`` and ``V`` applied densely.  The only code that
+        builds a dense eigenbasis of ``A'A``; its callers build it once
+        per run or per reference."""
+        if self.gram is not None:
+            return self.gram
+        _, sigma, Vt = np.linalg.svd(dense(self.A), full_matrices=True)
+        evals = np.zeros(self.dim)
+        evals[:sigma.size] = sigma ** 2
+        V = Vt.T
+        return GramEigenbasis(evals, apply_V=lambda y: V @ y,
+                              apply_Vt=lambda x: Vt @ x)
 
     @property
     def dim(self):

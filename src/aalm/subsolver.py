@@ -15,10 +15,11 @@ injected by the proximal term makes F well-posed for any convex
 is one of two paths:
 
 * :func:`solve_linear_case` -- one SPD solve when ``f_part`` is (at most)
-  quadratic: a few applications of an orthonormal eigenbasis of ``A'A``
-  built once per run (see :class:`LinearCache`) when the quadratic part
-  is a multiple of the identity, and an LU solve (:func:`spd_solve`) per
-  solve for any other ``Q``;
+  quadratic: in the explicit case a few applications of the instance's
+  orthonormal eigenbasis of ``A'A`` (:meth:`ProblemInstance.eigenbasis
+  <aalm.problems.ProblemInstance.eigenbasis>`, taken once per run by
+  :class:`LinearCache`), and an LU solve (:func:`spd_solve`) per solve
+  for a quadratic implicit part;
 * :func:`solve_inner_newton` -- damped Newton with backtracking for smooth
   non-quadratic implicit parts, to the fixed tolerance schedule
   :func:`inner_tolerance` within at most :data:`INNER_MAX_STEPS` steps;
@@ -42,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problems import GramEigenbasis, ObjectiveOracle, dense
+from .problems import ObjectiveOracle, dense
 
 # Residual tolerance asserted after every direct solve (scaled by the rhs).
 LINEAR_RESIDUAL_TOL = 1e-10
@@ -187,12 +188,6 @@ def spd_solve(M, rhs):
     return np.linalg.solve(M, rhs)
 
 
-def _dense_basis(evals, V):
-    """A :class:`~aalm.problems.GramEigenbasis` applying a dense ``V``."""
-    Vt = V.T
-    return GramEigenbasis(evals, lambda y: V @ y, lambda x: Vt @ x)
-
-
 def _coupling(spec):
     """``beta + delta c^2``, the weight of ``A'A`` in the subproblem."""
     return spec.beta + spec.delta * spec.c_k ** 2
@@ -208,17 +203,16 @@ class LinearCache:
     """Per-run precomputation shared by every linear subproblem solve.
 
     Holds ``A'A``, the implicit ``part``'s ``(Q, q)`` and the solve
-    backend, chosen from the instance and ``part`` alone:
+    backend, chosen by the case alone:
 
-    * ``Q = mu I`` (``mu = 0`` in the explicit case): ``basis`` is an
-      orthonormal eigenbasis of ``A'A`` (a
-      :class:`~aalm.problems.GramEigenbasis`) -- the instance's factored
-      ``gram`` when it carries one, else a dense ``eigh`` computed here --
-      each solve, at any ``gamma``, is a few basis applications, and
-      ``emax`` is the largest eigenvalue; ``A'A`` keeps the storage of
-      ``A``;
-    * any other ``Q``: ``basis`` is None, ``A'A`` is dense (formed once)
-      and each solve is an LU solve of the system (:func:`spd_solve`).
+    * explicit (no ``part``): ``basis`` is the instance's orthonormal
+      eigenbasis of ``A'A`` (:meth:`~aalm.problems.ProblemInstance.eigenbasis`:
+      its factored ``gram``, or a dense SVD of ``A``), each solve, at any
+      ``gamma``, is a few basis applications, and ``emax`` is the largest
+      eigenvalue; ``A'A`` keeps the storage of ``A``;
+    * a quadratic implicit part: ``basis`` is None, ``A'A`` is dense
+      (formed once) and each solve is an LU solve of the system
+      (:func:`spd_solve`), whatever ``Q`` is.
     """
 
     def __init__(self, instance, part):
@@ -227,25 +221,10 @@ class LinearCache:
                              "use solve_inner_newton instead")
         AtA = instance.A.T @ instance.A
         self.Q, self.q = part.quadratic if part is not None else (None, None)
-        self.mu = self._identity_coefficient()
-        self.AtA = AtA if self.mu is not None else dense(AtA)
-        self.basis = None
-        if self.mu is not None and instance.gram is not None:
-            self.basis = instance.gram
-        elif self.mu is not None:
-            self.basis = _dense_basis(*np.linalg.eigh(dense(AtA)))
+        self.AtA = AtA if part is None else dense(AtA)
+        self.basis = instance.eigenbasis() if part is None else None
         self.emax = (float(self.basis.evals.max()) if self.basis is not None
                      else None)
-
-    def _identity_coefficient(self):
-        """``mu`` with ``Q = mu I`` (0 without ``Q``), or None."""
-        if self.Q is None:
-            return 0.0
-        n = self.Q.shape[0]
-        mu = float(np.trace(self.Q)) / n
-        if np.abs(self.Q - mu * np.eye(n)).max() > 1e-12 * max(1.0, abs(mu)):
-            return None
-        return mu
 
 
 class DenseNewton:
@@ -398,8 +377,8 @@ def solve_linear_case(spec, instance, cache=None):
         (Q_eff + gamma^{-1} I + (beta + delta c^2) A'A) x
             = gamma^{-1} xbar - g_anchor - q_eff + A'(beta b - p + delta c r)
 
-    through the cache's orthonormal eigenbasis of ``A'A`` when it holds
-    one (see :class:`LinearCache`), with one refinement pass, and by an
+    through the cache's orthonormal eigenbasis of ``A'A`` in the explicit
+    case (see :class:`LinearCache`), with one refinement pass, and by an
     LU solve otherwise.  Asserts the residual against ``1e-10`` on the
     backward-error scale ``1 + ||rhs|| + ||M|| ||x||`` (the two scales
     differ materially once ``delta c^2`` is large and ``A`` has a null
@@ -417,13 +396,13 @@ def solve_linear_case(spec, instance, cache=None):
     if cache.q is not None:
         rhs = rhs - cache.q
     if cache.basis is not None:
-        # M = h I + coef A'A with h = mu + 1/gamma.
-        h = cache.mu + 1.0 / spec.gamma
+        # M = h I + coef A'A with h = 1/gamma.
+        h = 1.0 / spec.gamma
         AtA = cache.AtA
         diag = h + coef * cache.basis.evals
         V, Vt = cache.basis.apply_V, cache.basis.apply_Vt
         x = V(Vt(rhs) / diag)
-        # One refinement pass: the eigenfactorization's backward error
+        # One refinement pass: the basis's backward error
         # leaves an O(n eps ||M||) residual that two extra matvecs remove.
         x = x + V(Vt(rhs - (h * x + coef * (AtA @ x))) / diag)
         Mx = h * x + coef * (AtA @ x)

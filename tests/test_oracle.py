@@ -88,11 +88,19 @@ class TestKktSolveQp:
         assert qp_reference.kkt_tol <= 1e-10
 
 
-def _dense_null_basis(inst, Z):
-    """``V[:, null]`` for the instance's ``gram``, formed here column by
-    column from ``V e_i``, with the null indices of the factored ``Z``."""
-    V = np.column_stack([inst.gram.apply_V(e) for e in np.eye(inst.dim)])
-    return V[:, Z.null]
+def _dense_null_basis(inst, k):
+    """The ``k`` columns of the instance's eigenbasis ``V`` of ``A'A``
+    with the smallest eigenvalues, in index order (the order of the
+    oracle's null indices), formed here column by column from ``V e_i``."""
+    basis = inst.eigenbasis()
+    V = np.column_stack([basis.apply_V(e) for e in np.eye(inst.dim)])
+    return V[:, np.sort(np.argsort(basis.evals)[:k])]
+
+
+def _applied(Z):
+    """``(Zt, Z)``: closures applying a dense ``Z``, the form in which
+    the oracle's ``_curvature`` takes a null-space basis."""
+    return (lambda v: Z.T @ v), (lambda y: Z @ y)
 
 
 class TestKktRefine:
@@ -137,8 +145,8 @@ class TestKktRefine:
         assert self._agreement(kkt.lam) <= 1e-12
 
     def test_ring_dense_twin_agrees(self, ring_refs):
-        """Both eigenbasis providers (the factored null-space basis and
-        the dense SVD) certify the same minimum-norm pair."""
+        """Both eigenbases (the ring's factored ``gram`` and the twin's
+        dense SVD) certify the same minimum-norm pair."""
         kkt, twin = ring_refs
         for got, want in ((twin.x, kkt.x), (twin.lam, kkt.lam)):
             assert (np.linalg.norm(got - want)
@@ -192,11 +200,12 @@ class TestKktRefine:
         """Z'HZ = mu Z'Z + (U'Z)' W (U'Z) and H v = mu v + U (W U'v) equal
         the products of a dense basis with the dense Hessian to 1e-12
         relative."""
-        _, Z = oracle_module._gram_pseudoinverse(inst)
-        Z_dense = Z if inst.gram is None else _dense_null_basis(inst, Z)
+        _, Zt, Z, k = oracle_module._gram_pseudoinverse(inst)
+        Z_dense = _dense_null_basis(inst, k)
         dense_obj = dataclasses.replace(inst.objective, separable=None)
-        structured = oracle_module._curvature(inst.objective, Z)
-        reference = oracle_module._curvature(dense_obj, Z_dense)
+        structured = oracle_module._curvature(inst.objective, Zt, Z, k)
+        reference = oracle_module._curvature(dense_obj, *_applied(Z_dense),
+                                             k)
         rng = np.random.default_rng(3)
         for _ in range(3):
             x, v = rng.normal(size=inst.dim), rng.normal(size=inst.dim)
@@ -302,48 +311,55 @@ class TestKktRefine:
 
 
 class TestFactoredNullBasis:
-    """With a ``gram`` the null-space basis is applied through it and
-    never formed; it agrees with the dense ``V[:, null]``."""
+    """The null-space basis is applied through the instance's eigenbasis
+    (here the ring's ``gram``) and never formed; it agrees with the dense
+    ``V[:, null]``."""
 
     ring = make_ring_logistic(p_agents=10, m_dim=20, rho_reg=0.5, seed=0)
 
     def test_products_match_dense_basis(self):
         """Z'v and Z y agree with the dense basis to 1e-14 relative, and
-        U'Z (an ndarray times Z) with its dense product."""
-        _, Z = oracle_module._gram_pseudoinverse(self.ring)
-        assert isinstance(Z, oracle_module._NullBasis)
-        Z_dense = _dense_null_basis(self.ring, Z)
+        U'Z, formed as the curvature forms it (Z' of each column of U),
+        with its dense product."""
+        _, Zt, Z, k = oracle_module._gram_pseudoinverse(self.ring)
+        Z_dense = _dense_null_basis(self.ring, k)
         assert Z_dense.shape == (200, 20)
         rng = np.random.default_rng(5)
         for _ in range(3):
             v, y = rng.normal(size=200), rng.normal(size=20)
-            for got, want in [(Z.T @ v, Z_dense.T @ v), (Z @ y, Z_dense @ y)]:
+            for got, want in [(Zt(v), Z_dense.T @ v), (Z(y), Z_dense @ y)]:
                 assert (np.linalg.norm(got - want)
                         <= 1e-14 * np.linalg.norm(want))
         U = self.ring.objective.separable.U
         want = U.T @ Z_dense
-        assert np.linalg.norm(U.T @ Z - want) <= 1e-14 * np.linalg.norm(want)
+        UZ = np.column_stack([Zt(u) for u in U.T]).T
+        assert np.linalg.norm(UZ - want) <= 1e-14 * np.linalg.norm(want)
 
     def test_orthonormal_basis(self):
         """The dense basis has ||Z'Z - I|| <= 1e-14, the contract that
-        lets the factored Z'Z be the identity exactly."""
-        _, Z = oracle_module._gram_pseudoinverse(self.ring)
-        Z_dense = _dense_null_basis(self.ring, Z)
-        eye = np.eye(Z.null.size)
+        lets the separable curvature take Z'Z to be the identity exactly:
+        with zero curvature weights its Z'HZ is exactly mu I."""
+        _, Zt, Z, k = oracle_module._gram_pseudoinverse(self.ring)
+        Z_dense = _dense_null_basis(self.ring, k)
+        eye = np.eye(k)
         assert np.linalg.norm(Z_dense.T @ Z_dense - eye) <= 1e-14
-        np.testing.assert_array_equal(Z.T @ Z, eye)
+        form = self.ring.objective.separable
+        flat = dataclasses.replace(self.ring.objective,
+                                   separable=dataclasses.replace(
+                                       form, d2phi=np.zeros_like))
+        _, ZHZ = oracle_module._curvature(flat, Zt, Z, k)(np.zeros(200))
+        np.testing.assert_array_equal(ZHZ, form.mu * eye)
 
     def test_hessian_branch_densifies_same_basis(self):
         """Without a separable form the curvature forms the dense basis:
         its Z'HZ agrees with the basis built from ``V e_i`` to 1e-14
-        relative (the same values; the memory layouts, and so the BLAS
-        rounding, differ)."""
-        _, Z = oracle_module._gram_pseudoinverse(self.ring)
+        relative."""
+        _, Zt, Z, k = oracle_module._gram_pseudoinverse(self.ring)
         dense_obj = dataclasses.replace(self.ring.objective, separable=None)
         x = np.random.default_rng(6).normal(size=200)
-        _, ZHZ = oracle_module._curvature(dense_obj, Z)(x)
+        _, ZHZ = oracle_module._curvature(dense_obj, Zt, Z, k)(x)
         _, ZHZ_dense = oracle_module._curvature(
-            dense_obj, _dense_null_basis(self.ring, Z))(x)
+            dense_obj, *_applied(_dense_null_basis(self.ring, k)), k)(x)
         assert (np.linalg.norm(ZHZ - ZHZ_dense)
                 <= 1e-14 * np.linalg.norm(ZHZ_dense))
 

@@ -20,7 +20,12 @@ from aalm import (
     make_random_qp,
     make_ring_logistic,
 )
-from aalm.problems import KronIdentity, ring_mixing_matrix
+from aalm.problems import (
+    KronIdentity,
+    ProblemInstance,
+    dense,
+    ring_mixing_matrix,
+)
 from aalm.solver import StoppingRule, _block_rows
 
 
@@ -321,6 +326,73 @@ class TestRingLogistic:
         inst = make_ring_logistic()
         assert inst.dim == 2000
         assert inst.n_constraints == 2000
+
+
+class TestEigenbasis:
+    """``ProblemInstance.eigenbasis``: the instance's ``gram`` when it
+    carries one, else an orthonormal basis from a dense SVD of ``A``."""
+
+    @staticmethod
+    def _without_gram():
+        """Instances without a ``gram``: a dense A, a CSR A, a
+        rank-deficient A (two rows repeated) and the 10x20 ring's A."""
+        qp = make_random_qp(n=50, m=10, seed=0)
+        Q, q = qp.objective.quadratic
+        repeated = make_qp(Q, q, np.vstack([qp.A, qp.A[:2]]),
+                           np.concatenate([qp.b, qp.b[:2]]))
+        ring = make_ring_logistic(p_agents=10, m_dim=20, rho_reg=0.5, seed=0)
+        twin = ProblemInstance(ring.objective, ring.A.toarray(), ring.b,
+                               ring.name)
+        return {"dense": qp, "csr": _small_csr_qp(), "repeated": repeated,
+                "ring": twin}
+
+    @staticmethod
+    def _formed(basis, n):
+        """``V`` formed column by column from ``V e_i``."""
+        return np.column_stack([basis.apply_V(e) for e in np.eye(n)])
+
+    def test_gram_returned_as_is(self):
+        ring = make_ring_logistic(p_agents=4, m_dim=5, rho_reg=0.5, seed=0)
+        assert ring.eigenbasis() is ring.gram
+
+    @pytest.mark.parametrize("key", ["dense", "csr", "repeated", "ring"])
+    def test_svd_basis_rebuilds_gram(self, key):
+        """V diag(e) V' = A'A to 1e-12, with V orthogonal and V' applied
+        as the transpose of V."""
+        inst = self._without_gram()[key]
+        assert inst.gram is None
+        basis, n, A = inst.eigenbasis(), inst.dim, dense(inst.A)
+        V = self._formed(basis, n)
+        Vt = np.column_stack([basis.apply_Vt(e) for e in np.eye(n)])
+        np.testing.assert_array_equal(Vt, V.T)
+        np.testing.assert_allclose(V.T @ V, np.eye(n), rtol=0, atol=1e-13)
+        np.testing.assert_allclose((V * basis.evals) @ V.T, A.T @ A,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("key", ["dense", "csr", "repeated", "ring"])
+    def test_eigenvalues_nonnegative_with_zero_padding(self, key):
+        """The eigenvalues are ``s^2 >= 0`` padded with ``n - min(m, n)``
+        exact zeros, and ``n - rank(A)`` of them lie at or below the
+        reference's zero cutoff ``(max(m, n) eps)^2 max(e)``: a
+        rank-deficient A's own null directions get rounding-level
+        ``s^2``, not exact zeros."""
+        inst = self._without_gram()[key]
+        A = dense(inst.A)
+        (m, n), e = A.shape, inst.eigenbasis().evals
+        assert e.shape == (n,) and np.all(e >= 0.0)
+        assert np.count_nonzero(e[min(m, n):]) == 0
+        cutoff = (max(m, n) * np.finfo(float).eps) ** 2 * e.max()
+        assert np.count_nonzero(e <= cutoff) == n - np.linalg.matrix_rank(A)
+
+    def test_lp_null_basis_orthonormal(self):
+        """On lp seed 0 the columns of V with zero eigenvalue span
+        null(A) orthonormally: ||A Z|| and ||Z'Z - I|| at most 1e-14."""
+        lp = make_random_lp(seed=0)
+        basis = lp.eigenbasis()
+        Z = self._formed(basis, lp.dim)[:, basis.evals == 0.0]
+        assert Z.shape == (20, 19)
+        assert np.linalg.norm(lp.A @ Z) <= 1e-14
+        assert np.linalg.norm(Z.T @ Z - np.eye(19)) <= 1e-14
 
 
 class TestCheckGradient:

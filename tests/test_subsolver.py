@@ -247,20 +247,29 @@ class TestSolveLinearCase:
         return np.linalg.solve(M, rhs)
 
     def test_eig_path_matches_dense_solve(self):
-        """An identity quadratic without a gram basis goes through a dense
-        eigh of A'A and matches the dense system's solution."""
+        """Without a gram basis the explicit case goes through the SVD
+        eigenbasis of A'A and an identity quadratic through LU; both
+        match the dense system's solution."""
         Q, q = 2.0 * np.eye(6), np.arange(6.0)
         A = np.vstack([np.eye(3), -np.eye(3)]).T.reshape(3, 6)
         b = np.array([0.5, -0.5, 1.0])
         inst = make_qp(Q, q, A, b)
         rng = np.random.default_rng(4)
+        xbar = rng.normal(size=6)
         spec = _spec(inst.objective, gamma=0.5, beta=1.0, delta=2.0, c_k=4.0,
                      p_k=rng.normal(size=3), r_k=rng.normal(size=3),
-                     xbar_k=rng.normal(size=6), m=3, n=6)
+                     xbar_k=xbar, m=3, n=6)
         cache = step_plan(inst, "implicit").cache
-        assert cache.basis is not None and cache.mu == 2.0
+        assert cache.basis is None
         np.testing.assert_allclose(solve_linear_case(spec, inst, cache),
                                    self._dense_solve(spec, Q, q, A, b),
+                                   rtol=0, atol=1e-10)
+        spec = replace(spec, implicit=None,
+                       gradient_anchor=inst.objective.gradient(xbar))
+        cache = step_plan(inst, "explicit").cache
+        assert cache.basis is not None
+        np.testing.assert_allclose(solve_linear_case(spec, inst, cache),
+                                   self._dense_solve(spec, None, None, A, b),
                                    rtol=0, atol=1e-10)
 
     def test_eig_path_explicit_case(self):
@@ -274,37 +283,44 @@ class TestSolveLinearCase:
                      r_k=rng.normal(size=3), xbar_k=xbar,
                      anchor=inst.objective.gradient(xbar), m=3, n=8)
         cache = step_plan(inst, "explicit").cache
-        assert cache.basis is not None and cache.mu == 0.0
+        assert cache.basis is not None
         np.testing.assert_allclose(
             solve_linear_case(spec, inst, cache),
             self._dense_solve(spec, None, None, inst.A, inst.b),
             rtol=0, atol=1e-10)
 
     def test_factored_basis_or_lu_fallback(self):
-        """An instance's gram basis serves identity quadratics; any other
-        Q is solved by LU.  Both match the dense system's solution at a
-        large dual coefficient."""
+        """An instance's gram basis serves the explicit case; every
+        quadratic implicit part, the identity included, is solved by LU.
+        All match the dense system's solution at a large dual
+        coefficient."""
         ring = make_ring_logistic(p_agents=4, m_dim=5, rho_reg=0.5, seed=0)
         rng = np.random.default_rng(8)
         G = rng.normal(size=(20, 20))
         spec = _spec(gamma=0.5, beta=1.0, delta=2.0, c_k=40.0,
                      p_k=rng.normal(size=20), r_k=rng.normal(size=20),
                      xbar_k=rng.normal(size=20), m=20, n=20)
-        for Q, factored in ((3.0 * np.eye(20), True),
-                            (G @ G.T + np.eye(20), False)):
+        for Q in (3.0 * np.eye(20), G @ G.T + np.eye(20)):
             q = rng.normal(size=20)
             inst = replace(make_qp(Q, q, ring.A, ring.b), gram=ring.gram)
             cache = step_plan(inst, "implicit").cache
-            assert (cache.basis is ring.gram) == factored
-            assert (cache.basis is None) == (not factored)
+            assert cache.basis is None
             x_dense = self._dense_solve(spec, Q, q, ring.A, ring.b)
             np.testing.assert_allclose(solve_linear_case(
                 replace(spec, implicit=inst.objective), inst, cache),
                                        x_dense, rtol=0, atol=1e-10)
+            explicit = replace(spec, gradient_anchor=q)
+            cache = step_plan(inst, "explicit").cache
+            assert cache.basis is ring.gram
+            x_dense = self._dense_solve(explicit, None, None, ring.A, ring.b)
+            np.testing.assert_allclose(
+                solve_linear_case(explicit, inst, cache), x_dense,
+                rtol=0, atol=1e-10)
 
     def test_backend_chosen_from_instance(self):
-        """gram for mu I with a gram basis (explicit included), a dense
-        eigh for mu I without one, and LU (no basis) for a general Q."""
+        """The explicit case takes the instance's gram when it has one and
+        its dense SVD eigenbasis otherwise; every quadratic implicit part,
+        mu I included, takes LU (no basis)."""
         ring = make_ring_logistic(p_agents=4, m_dim=5, rho_reg=0.5, seed=0)
         rng = np.random.default_rng(9)
         G = rng.normal(size=(20, 20))
@@ -314,11 +330,12 @@ class TestSolveLinearCase:
         ident = make_qp(3.0 * np.eye(20), q, ring.A, ring.b)
         general = make_qp(Q, q, ring.A, ring.b)
         for inst, case, backend in (
-                (replace(ident, gram=ring.gram), "implicit", "gram"),
+                (replace(ident, gram=ring.gram), "implicit", None),
                 (replace(general, gram=ring.gram), "explicit", "gram"),
                 (ring, "explicit", "gram"),
-                (ident, "implicit", "eigh"),
-                (general, "explicit", "eigh"),
+                (ident, "implicit", None),
+                (ident, "explicit", "svd"),
+                (general, "explicit", "svd"),
                 (replace(general, gram=ring.gram), "implicit", None),
                 (general, "implicit", None)):
             basis = step_plan(inst, case).cache.basis
@@ -353,8 +370,8 @@ def test_largest_diagonal_from_largest_eigenvalue(h, coef, e):
     """The linear path bounds its residual by ``max(h + coef e)`` and
     takes it as ``h + coef max(e)`` (``LinearCache.emax``): bitwise the
     same for ``coef >= 0``, because rounding is monotone, including for
-    eigenvalues of ``A'A`` that a dense ``eigh`` returns negative at
-    rounding level."""
+    eigenvalues below zero at rounding level, which a user-supplied
+    ``gram`` may carry (the SVD basis's ``s^2`` never is negative)."""
     e = np.array(e)
     assert float((h + coef * e).max()) == h + coef * float(e.max())
 

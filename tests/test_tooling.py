@@ -58,13 +58,15 @@ def test_bench_tracer_installs():
 
 def test_basis_build_is_a_cache_build_span():
     """An explicit run on a QP builds its dense eigenbasis of ``A'A``
-    inside ``LinearCache.__init__``, so the tracer charges it to
-    ``subsolver.cache_build`` (once per run), not to the solves."""
+    (``ProblemInstance.eigenbasis``) inside ``LinearCache.__init__``, so
+    the tracer charges it to ``subsolver.cache_build`` (once per run),
+    not to the solves."""
     out = _traced("""
 import numpy as np
 from aalm import SolverConfig, chambolle_dossal, make_random_qp, run
-from aalm import subsolver
-subsolver._dense_basis = tracer.wrap("probe.basis", subsolver._dense_basis)
+from aalm.problems import ProblemInstance
+ProblemInstance.eigenbasis = tracer.wrap("probe.basis",
+                                         ProblemInstance.eigenbasis)
 run(make_random_qp(n=20, m=4, seed=0),
     SolverConfig(schedule=chambolle_dossal(10.0), case="explicit",
                  max_iter=5), np.zeros(20), np.zeros(4))
