@@ -23,18 +23,16 @@ the *same* ``gamma, delta, eta, beta`` the run used -- a mismatch silently
 destroys monotonicity -- so the solver loop computes records itself from
 its own configuration rather than re-deriving parameters.
 
-Records are computed a block of iterates at a time (:func:`make_records`):
-the run loop buffers its iterates and pays for the array operations once
-per block.  Records take ``A x`` from the run, which forms it once per
-iterate for the step, and ``f(x)`` and ``grad f(x)`` where the run's inner
-Newton already evaluated them; the remaining objective values and
-gradients come from the objective's row forms
-(:class:`aalm.problems.ObjectiveOracle`) and ``A' lam`` from
-:meth:`aalm.problems.ProblemInstance.At_rows`, one call per block.  Each
-of those rows is bitwise the per-row product and every reduction is a
-row reduction, so a record is bitwise the same however the iterates were
-grouped; :func:`make_record` is the one-row call, forming its own
-``A x`` and evaluating ``f`` itself.  :func:`gap`,
+Records are computed a block of iterates at a time (:func:`make_records`)
+from the iterates and the schedule alone: the run loop buffers ``x_k`` and
+``lam_k`` and pays for the array operations once per block.  Objective
+values and gradients come from the objective's row forms
+(:class:`aalm.problems.ObjectiveOracle`), and ``A x`` and ``A' lam`` from
+:meth:`aalm.problems.ProblemInstance.A_rows` and
+:meth:`~aalm.problems.ProblemInstance.At_rows`, one call each per block.
+Each of those rows is bitwise the per-row product and every reduction is
+a row reduction, so a record is bitwise the same however the iterates
+were grouped; :func:`make_record` is the one-row call.  :func:`gap`,
 :func:`stationarity` and :func:`energy` evaluate single iterates on their
 own arithmetic path.
 
@@ -94,18 +92,16 @@ def mnorm_sq(dx, dlam, gamma, delta):
     return float(dx @ dx) / gamma + float(dlam @ dlam) / delta
 
 
-def gap(instance, kkt, beta, x, f_x=None, f_star=None, Axb=None):
+def gap(instance, kkt, beta, x, f_x=None, f_star=None):
     """The Lagrangian-type gap ``H`` at ``x`` (nonnegative by convexity).
 
-    ``f_x``, ``f_star`` and the residual ``Axb = A x - b`` may be passed
-    to avoid re-evaluating them.
+    ``f_x`` and ``f_star`` may be passed to avoid re-evaluating them.
     """
     if f_x is None:
         f_x = instance.objective.value(x)
     if f_star is None:
         f_star = instance.objective.value(kkt.x)
-    if Axb is None:
-        Axb = instance.A @ x - instance.b
+    Axb = instance.A @ x - instance.b
     return (f_x - f_star + float(kkt.lam @ Axb)
             + 0.5 * beta * float(Axb @ Axb))
 
@@ -117,11 +113,9 @@ def stationarity(instance, x, lam):
 
 
 def energy(instance, kkt, gamma, delta, eta, beta, t_k, x, x_prev, lam,
-           lam_prev, xi_k=1.0, f_x=None, f_star=None, H=None):
-    """Lyapunov energy ``E_k`` at the state ``(z_k, z_{k-1}, t_k)``; the
-    gap ``H`` at ``x`` may be passed to avoid re-evaluating it."""
-    if H is None:
-        H = gap(instance, kkt, beta, x, f_x=f_x, f_star=f_star)
+           lam_prev, xi_k=1.0):
+    """Lyapunov energy ``E_k`` at the state ``(z_k, z_{k-1}, t_k)``."""
+    H = gap(instance, kkt, beta, x)
     dx_star, dlam_star = x - kkt.x, lam - kkt.lam
     wx = eta * dx_star + (t_k - 1.0) * (x - x_prev)
     wl = eta * dlam_star + (t_k - 1.0) * (lam - lam_prev)
@@ -136,41 +130,28 @@ def _rowdot(U, V):
     return np.einsum("ij,ij->i", U, V)
 
 
-def _rows(form, X, carried):
-    """``form(X)``, except in the rows where ``carried`` (None, or one
-    entry per row) already holds the result; ``form`` sees only the
-    other rows."""
-    if carried is None:
-        return form(X)
-    need = [j for j, c in enumerate(carried) if c is None]
-    if len(need) == len(X):
-        return form(X)
-    fresh = iter(form(X[need]) if need else ())
-    return np.array([next(fresh) if c is None else c for c in carried])
-
-
-def make_records(instance, k, t, xi, X, L, AX, gamma, delta, eta, beta,
-                 kkt=None, f_star=None, fx=None, gradx=None):
-    """The :class:`TraceRecord` of every iterate in a block.
+def make_records(instance, k, t, xi, X, L, gamma, delta, eta, beta,
+                 kkt=None, f_star=None):
+    """The :class:`TraceRecord` of every iterate in a block, from the
+    iterates alone.
 
     Row ``j >= 1`` of ``X`` (B+1, n) and ``L`` (B+1, m) holds iterate
-    ``k + j - 1`` and row 0 the iterate before the block's first record;
-    row ``j`` of ``AX`` (B, m) is ``A x`` of the ``j``-th recorded
-    iterate, as the run formed it.  ``fx`` and ``gradx`` (B entries
-    each, optional) hold ``f(x)`` and ``grad f(x)`` of the recorded
-    iterates where the run evaluated them and None elsewhere; the
-    objective's row forms evaluate the rest, in one call per block, and
-    :meth:`aalm.problems.ProblemInstance.At_rows` forms ``A' lam``.
-    ``t`` and ``xi`` (B,) hold ``t_k`` and ``xi_k`` of the B recorded
-    iterates (a ``longdouble`` schedule is rounded to float here).
-    Returns B records, for ``k .. k + B - 1``.
+    ``k + j - 1`` and row 0 the iterate before the block's first record.
+    The objective's row forms evaluate ``f`` and ``grad f`` of the
+    recorded iterates, and
+    :meth:`aalm.problems.ProblemInstance.A_rows` and
+    :meth:`~aalm.problems.ProblemInstance.At_rows` form ``A x`` and
+    ``A' lam``, each in one call per block.  ``t`` and ``xi`` (B,) hold
+    ``t_k`` and ``xi_k`` of the B recorded iterates (a ``longdouble``
+    schedule is rounded to float here).  Returns B records, for
+    ``k .. k + B - 1``.
     """
     obj = instance.objective
     t = np.asarray(t, dtype=float)
     xi = np.asarray(xi, dtype=float)
     x, lam = X[1:], L[1:]
-    Axb = AX - instance.b
-    G = _rows(obj.gradient_rows, x, gradx) + instance.At_rows(lam)
+    Axb = instance.A_rows(x) - instance.b
+    G = obj.gradient_rows(x) + instance.At_rows(lam)
     dx, dlam = x - X[:-1], lam - L[:-1]
 
     def mnorm_rows(u, w):
@@ -181,7 +162,7 @@ def make_records(instance, k, t, xi, X, L, AX, gamma, delta, eta, beta,
     if kkt is None:
         obj_res = gap_H = energy_E = np.full(t.shape, np.nan)
     else:
-        f_x = _rows(obj.value_rows, x, fx)
+        f_x = obj.value_rows(x)
         if f_star is None:
             f_star = obj.value(kkt.x)
         obj_res = np.abs(f_x - f_star)
@@ -204,8 +185,8 @@ def make_record(instance, k, t_k, x, x_prev, lam, lam_prev, gamma, delta,
     """The :class:`TraceRecord` of one iterate: :func:`make_records` on a
     one-row block."""
     return make_records(instance, k, [t_k], [xi_k], np.stack([x_prev, x]),
-                        np.stack([lam_prev, lam]), (instance.A @ x)[None],
-                        gamma, delta, eta, beta, kkt=kkt, f_star=f_star)[0]
+                        np.stack([lam_prev, lam]), gamma, delta, eta, beta,
+                        kkt=kkt, f_star=f_star)[0]
 
 
 def fit_rate(trace, field, window):

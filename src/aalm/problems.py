@@ -209,6 +209,17 @@ class KronIdentity:
         return (self.K @ other.reshape(-1, self.m)).ravel()
 
 
+def _operator_rows(M, X):
+    """``M @ x`` of every row ``x`` of ``X`` for a dense, CSR or
+    :class:`KronIdentity` ``M``: a C-ordered array whose rows are bitwise
+    ``M @ x``."""
+    if isinstance(M, KronIdentity):
+        return (M.K @ X.reshape(len(X), -1, M.m)).reshape(len(X), -1)
+    if issparse(M):
+        return np.ascontiguousarray((M @ X.T).T)
+    return _matvec_rows(M, X)
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """A constrained problem ``min f(x) s.t. A x = b``.
@@ -257,15 +268,15 @@ class ProblemInstance:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "At", A.T.tocsr() if issparse(A) else A.T)
 
+    def A_rows(self, X):
+        """``A x`` of every row ``x`` of ``X`` (B, n), as a C-ordered
+        (B, m) array whose rows are bitwise ``A @ x``."""
+        return _operator_rows(self.A, X)
+
     def At_rows(self, L):
         """``A' lam`` of every row ``lam`` of ``L`` (B, m), as a C-ordered
         (B, n) array whose rows are bitwise ``At @ lam``."""
-        At = self.At
-        if isinstance(At, KronIdentity):
-            return (At.K @ L.reshape(len(L), -1, At.m)).reshape(len(L), -1)
-        if issparse(At):
-            return np.ascontiguousarray((At @ L.T).T)
-        return _matvec_rows(At, L)
+        return _operator_rows(self.At, L)
 
     def eigenbasis(self):
         """An orthonormal eigenbasis of ``A'A``: ``gram`` when the

@@ -14,10 +14,11 @@ with ``alpha_k = (t_{k+1} - eta)/eta``, ``c_k = t_{k+1}/eta``:
 4. ascend the dual: ``lam_{k+1} = lambdabar_k + delta (c_k A x_{k+1} - r_k)``.
    ``A x_{k+1}`` comes from step 3's solve, which formed it once (the
    inner Newton at its accepted point), and is carried to the next
-   step's ``r_{k+1}``, the next inner solve's start and the iterate's
-   trace record.  So are ``f(x_{k+1})`` and ``grad f(x_{k+1})`` when the
-   inner Newton evaluated them: the next inner solve starts from them and
-   the record reads them.
+   step's ``r_{k+1}`` and the next inner solve's start.  So are
+   ``f(x_{k+1})`` and ``grad f(x_{k+1})`` when the inner Newton evaluated
+   them, for the next inner solve to start from.  Trace records read
+   none of these: they are functions of the iterates alone
+   (:func:`aalm.diagnostics.make_records`).
 
 The same iteration can be written as a coupled pair of proximal-type
 inclusions in ``(x_{k+1}, lam_{k+1})``; :func:`step_coupled` solves that
@@ -129,12 +130,12 @@ class IterateState:
     ``t_next = t_seq[k]`` are plain lookups; ``k`` is the 1-based iterate
     index (``k = 1`` is the initial point, with ``x_prev = x_curr``).
     ``Ax_curr`` is ``A x_k``: formed once per iterate by the subproblem
-    solve and carried to the next step's ``r_k``, the next inner Newton
-    solve's start and the trace record.
+    solve and carried to the next step's ``r_k`` and the next inner
+    Newton solve's start.
     ``f_curr`` and ``grad_curr`` are ``f(x_k)`` and ``grad f(x_k)`` when
     the inner Newton solve that returned ``x_k`` evaluated them (None
     otherwise, and always on the linear path), carried to the next inner
-    solve and to the trace record.
+    solve only.
     """
 
     x_curr: np.ndarray
@@ -383,35 +384,29 @@ def _run_loop(instance, config, state, kkt=None):
     Records are computed in blocks (:func:`aalm.diagnostics.make_records`)
     of up to :data:`RECORD_BLOCK_ROWS` iterates and
     :data:`RECORD_BLOCK_BYTES` of stacked ``x`` and ``lam``, flushed when
-    a block fills and at the end; each record takes its ``A x_k`` from
-    the state, and its ``f(x_k)`` and ``grad f(x_k)`` too when the state
-    carries them.  A stopping rule with a tolerance set
-    reads every record as it is made, so its blocks are one iterate and
-    the run stops at the first ``k`` that meets it."""
+    a block fills and at the end; the loop buffers only ``x_k`` and
+    ``lam_k``, from which the records are made.  A stopping rule with a
+    tolerance set reads every record as it is made, so its blocks are one
+    iterate and the run stops at the first ``k`` that meets it."""
     plan = step_plan(instance, config.case)
     f_star = instance.objective.value(kkt.x) if kkt is not None else None
     rows = _block_rows(instance, config.stop)
     trace: List[TraceRecord] = []
-    xs, lams, axs = [state.x_curr], [state.lam_curr], []
-    fs, grads = [], []
+    xs, lams = [state.x_curr], [state.lam_curr]
 
     def flush(k):
         """Record the buffered iterates, the last of which is ``x_k``."""
         lo = k + 1 - len(xs)
         trace.extend(make_records(
             instance, lo + 1, state.t_seq[lo:k], state.xi_seq[lo:k],
-            np.array(xs), np.array(lams), np.array(axs), config.gamma,
-            config.delta, config.schedule.eta, config.beta, kkt=kkt,
-            f_star=f_star, fx=fs, gradx=grads))
-        del xs[:-1], lams[:-1], axs[:], fs[:], grads[:]
+            np.array(xs), np.array(lams), config.gamma, config.delta,
+            config.schedule.eta, config.beta, kkt=kkt, f_star=f_star))
+        del xs[:-1], lams[:-1]
 
     for _ in range(config.max_iter):
         state = step(state, config, instance, plan)
         xs.append(state.x_curr)
         lams.append(state.lam_curr)
-        axs.append(state.Ax_curr)
-        fs.append(state.f_curr)
-        grads.append(state.grad_curr)
         if len(xs) > rows:
             flush(state.k)
             if config.stop.satisfied(trace[-1].feas, trace[-1].stat_res):

@@ -519,9 +519,9 @@ def _small_csr_qp():
 
 
 class TestRowForms:
-    """The row-block forms of the objective and of ``A'`` give bitwise the
-    per-row results, so trace records do not depend on how iterates are
-    grouped into blocks (nor on which form produced them)."""
+    """The row-block forms of the objective, of ``A`` and of ``A'`` give
+    bitwise the per-row results, so trace records do not depend on how
+    iterates are grouped into blocks (nor on which form produced them)."""
 
     FAMILIES = {
         "qp": lambda: make_random_qp(n=50, m=10, seed=0),
@@ -539,9 +539,10 @@ class TestRowForms:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_rows_equal_per_row_calls(self, family):
         """On blocks of 1, the record row cap - 1, the cap and the cap + 1
-        rows, every row of ``value_rows``, ``gradient_rows`` and
-        ``At_rows`` is bitwise the per-row callable's (or ``At @ lam``'s)
-        result, so every block is a bitwise prefix of the longer ones."""
+        rows, every row of ``value_rows``, ``gradient_rows``, ``A_rows``
+        and ``At_rows`` is bitwise the per-row callable's (or ``A @ x``'s,
+        or ``At @ lam``'s) result, so every block is a bitwise prefix of
+        the longer ones; both products come C-ordered."""
         inst = self.FAMILIES[family]()
         obj = inst.objective
         cap = _block_rows(inst, StoppingRule())
@@ -554,6 +555,9 @@ class TestRowForms:
                                    [obj.value(v) for v in x])
             assert self._same_bits(obj.gradient_rows(x),
                                    [obj.gradient(v) for v in x])
+            AX = inst.A_rows(x)
+            assert AX.flags.c_contiguous
+            assert self._same_bits(AX, [inst.A @ v for v in x])
             AtL = inst.At_rows(lam)
             assert AtL.flags.c_contiguous
             assert self._same_bits(AtL, [inst.At @ v for v in lam])

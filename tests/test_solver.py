@@ -37,8 +37,8 @@ from aalm.harness import VanillaConfig, run_vanilla
 from aalm.oracle import kkt_refine
 from aalm.problems import make_ring_logistic
 from aalm import solver as aalm_solver
-from aalm.solver import _block_rows
-from aalm.subsolver import inner_tolerance
+from aalm.solver import _block_rows, initial_state
+from aalm.subsolver import inner_tolerance, step_plan
 
 
 def _scalar_state(t_curr, t_next, x_curr, x_prev, lam_curr, lam_prev,
@@ -361,8 +361,7 @@ class TestRecordBlocks:
         """Runs of block - 1, block and block + 1 iterations are bitwise
         prefixes of a longer run: 2000 explicit iterations on the QP and
         the ring, 1000 implicit ones on the lp instance (its inner Newton
-        meets the floating-point floor at k=1528), whose records read the
-        ``f(x_k)`` and ``grad f(x_k)`` the state carries."""
+        meets the floating-point floor at k=1528)."""
         inst, kkt = {"qp": (qp_testbed, qp_reference), "ring": ring,
                      "lp": lp}[which]
         case, n_long = (("implicit", 1000) if which == "lp"
@@ -384,13 +383,42 @@ class TestRecordBlocks:
         L = rng.normal(size=(6, inst.n_constraints))
         t, xi = np.array([1.0, 2.5, 3.0, 4.25, 7.0]), np.linspace(1, 2, 5)
         args = (0.3, 1.7, 0.8, 1.2)
-        AX = np.array([inst.A @ v for v in X[1:]])
-        block = make_records(inst, 4, t, xi, X, L, AX, *args, kkt=kkt)
+        block = make_records(inst, 4, t, xi, X, L, *args, kkt=kkt)
         assert [r.k for r in block] == [4, 5, 6, 7, 8]
         for j, rec in enumerate(block):
             one = make_record(inst, 4 + j, t[j], X[j + 1], X[j], L[j + 1],
                               L[j], *args, xi_k=xi[j], kkt=kkt)
             assert one == rec
+
+    @pytest.mark.parametrize("which", ["lp", "qp"])
+    def test_trace_is_records_of_iterates(self, which, qp_testbed,
+                                          qp_reference, lp):
+        """A run's trace is bitwise ``make_records`` over its iterates
+        alone, in one block: 300 implicit Nesterov iterations on the lp
+        instance (whose inner Newton carries ``f(x_k)`` and
+        ``grad f(x_k)`` on the state) and 300 explicit CD(10) ones on the
+        QP testbed, each with its reference."""
+        inst, kkt = lp if which == "lp" else (qp_testbed, qp_reference)
+        schedule, case = ((nesterov(), "implicit") if which == "lp"
+                          else (chambolle_dossal(10.0), "explicit"))
+        n = 300
+        cfg = resolve_config(inst, SolverConfig(schedule=schedule, case=case,
+                                                max_iter=n))
+        x0, lam0 = np.zeros(inst.dim), np.zeros(inst.n_constraints)
+        state = initial_state(inst, cfg, x0, lam0)
+        plan = step_plan(inst, cfg.case)
+        xs, lams = [state.x_curr], [state.lam_curr]
+        for _ in range(n):
+            state = step(state, cfg, inst, plan)
+            xs.append(state.x_curr)
+            lams.append(state.lam_curr)
+        records = make_records(
+            inst, 2, state.t_seq[1:n + 1], state.xi_seq[1:n + 1],
+            np.array(xs), np.array(lams), cfg.gamma, cfg.delta,
+            cfg.schedule.eta, cfg.beta, kkt=kkt)
+        _, trace = run(inst, cfg, x0, lam0, kkt=kkt)
+        assert len(trace) == n
+        assert records == trace
 
     def test_stop_rule_ends_at_first_k(self, qp_testbed, qp_reference,
                                        monkeypatch):
@@ -429,9 +457,8 @@ class TestRecordBlocks:
 
 
 class TestRecordForms:
-    """Records evaluate the rows without a carried ``f(x_k)`` or
-    ``grad f(x_k)`` through the objective's row forms, one call per
-    block, never through its per-row callables."""
+    """Records evaluate ``f`` and ``grad f`` through the objective's row
+    forms, one call per block, never through its per-row callables."""
 
     @staticmethod
     def _run(inst, kkt, n=300):
@@ -498,7 +525,9 @@ def _counting(instance):
 
 class TestCarriedProduct:
     """``A x_k`` is formed once per iterate and carried on the state into
-    the next step and the trace record."""
+    the next step.  Trace records form ``A x_k`` anew, one block product
+    per block; the counts below take products with vectors only, so they
+    leave those out."""
 
     CASES = {"qp": "explicit", "ring": "explicit", "lp": "implicit"}
 
@@ -542,11 +571,14 @@ class TestCarriedProduct:
         assert type(inst.A).count <= 1150
 
     def test_one_gradient_per_newton_step(self, instances):
-        """``grad f(x_k)`` is carried with ``x_k``: a 300-iteration
-        implicit Nesterov run with a reference evaluates ``grad f`` once
-        per Newton step (one Hessian each) plus once at ``x_1``; neither
-        the next inner solve nor the trace record evaluates it again
-        (442 calls; 1041 when both evaluated their own)."""
+        """``grad f(x_k)`` is carried with ``x_k`` into the next inner
+        solve: a 300-iteration implicit Nesterov run with a reference
+        evaluates ``grad f`` once per Newton step (one Hessian each) plus
+        once at ``x_1`` (442 calls; 1041 when the next inner solve and
+        the records evaluated their own).  The records evaluate
+        ``grad f`` by the objective's row forms, which the separable lp
+        objective derives from its description, not from the
+        callable."""
         inst = instances["lp"]
         kkt = kkt_refine(inst)
         calls = {"gradient": 0, "hessian": 0}

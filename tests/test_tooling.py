@@ -79,11 +79,17 @@ print(names.count("subsolver.cache_build"),
     assert out.split("\n")[:2] == ["['subsolver.cache_build']", "1 5"]
 
 
-def test_oracle_imports_no_solver_layer():
+@pytest.mark.parametrize("module, layers", [
+    ("oracle", {"solver", "subsolver", "schedule"}),
+    ("diagnostics", {"solver", "subsolver", "schedule", "oracle"}),
+], ids=["oracle", "diagnostics"])
+def test_oracle_imports_no_solver_layer(module, layers):
     """``aalm/oracle.py`` imports nothing from ``solver``, ``subsolver`` or
     ``schedule``, so no reference pair is produced by the iterations it
-    is used to check."""
-    tree = ast.parse((ROOT / "src" / "aalm" / "oracle.py").read_text())
+    is used to check; ``aalm/diagnostics.py`` imports nothing from those
+    or from ``oracle``, so records stay functions of the iterates and
+    cannot come to depend on the step."""
+    tree = ast.parse((ROOT / "src" / "aalm" / f"{module}.py").read_text())
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -92,7 +98,6 @@ def test_oracle_imports_no_solver_layer():
                             for a in node.names)
         elif isinstance(node, ast.Import):
             imported.update(a.name for a in node.names)
-    layers = {"solver", "subsolver", "schedule"}
     bad = sorted(name for name in imported
                  if layers & set(name.split(".")))
     assert bad == [], bad
