@@ -517,12 +517,45 @@ def _failure(e):
     return f"failed: {type(e).__name__}: " + str(e).replace("\n", " ")
 
 
+def _run_entry(instance, entry, x0, lam0, kkt, iterations, path, row):
+    """Run one solver entry, write its trace CSV to ``path`` and fill in
+    ``row``; the trace is released when this returns.  A failure is
+    recorded in ``row["status"]``."""
+    try:
+        if entry.method == "aalm":
+            resolved = aalm_solver.resolve_config(instance, entry.config)
+            _, trace = aalm_solver._run_resolved(instance, resolved, x0,
+                                                 lam0, kkt=kkt)
+            row.update(rho=resolved.schedule.rho,
+                       eta=resolved.schedule.eta)
+        else:
+            # The row states the baseline's own beta, not beta - delta.
+            vcfg = entry.config
+            resolved = replace(
+                vcfg, gamma=_vanilla_stepsize(instance, vcfg))
+            _, trace = run_vanilla(instance, resolved, iterations,
+                                   x0, lam0, kkt=kkt)
+        row.update(case=resolved.case, gamma=resolved.gamma,
+                   delta=resolved.delta, beta=resolved.beta)
+        write_trace_csv(path, trace)
+        row.update(iterations=len(trace),
+                   final_feas=trace[-1].feas,
+                   final_obj_res=trace[-1].obj_res,
+                   final_stat_res=trace[-1].stat_res,
+                   **summarize_trace(trace))
+    except Exception as e:  # record and continue with the next solver
+        row["status"] = _failure(e)
+    return row
+
+
 def run_experiment(config):
     """Execute an :class:`ExperimentConfig`; returns the summary rows.
 
     Per-solver failures are recorded in the ``status`` column without
     aborting the remaining solvers.  Outputs land in ``output_dir``
-    (overridden by ``$AALM_OUTPUT_DIR`` when set).
+    (overridden by ``$AALM_OUTPUT_DIR`` when set).  Each entry's trace
+    CSV is written, and its trace released, before the next entry runs,
+    so at most one trace is held at a time.
     """
     out_dir = Path(os.environ.get("AALM_OUTPUT_DIR") or config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -544,31 +577,9 @@ def run_experiment(config):
         row.update(name=entry.name, method=entry.method, case="",
                    schedule=_schedule_label(entry), iterations=0, seed=seed,
                    rng=RNG_NAME, reference=ref_status, status="ok")
-        try:
-            if entry.method == "aalm":
-                resolved = aalm_solver.resolve_config(instance, entry.config)
-                _, trace = aalm_solver._run_resolved(instance, resolved, x0,
-                                                     lam0, kkt=kkt)
-                row.update(rho=resolved.schedule.rho,
-                           eta=resolved.schedule.eta)
-            else:
-                # The row states the baseline's own beta, not beta - delta.
-                vcfg = entry.config
-                resolved = replace(
-                    vcfg, gamma=_vanilla_stepsize(instance, vcfg))
-                _, trace = run_vanilla(instance, resolved, config.iterations,
-                                       x0, lam0, kkt=kkt)
-            row.update(case=resolved.case, gamma=resolved.gamma,
-                       delta=resolved.delta, beta=resolved.beta)
-            write_trace_csv(out_dir / f"{entry.name}.trace.csv", trace)
-            row.update(iterations=len(trace),
-                       final_feas=trace[-1].feas,
-                       final_obj_res=trace[-1].obj_res,
-                       final_stat_res=trace[-1].stat_res,
-                       **summarize_trace(trace))
-        except Exception as e:  # record and continue with the next solver
-            row["status"] = _failure(e)
-        rows.append(row)
+        rows.append(_run_entry(instance, entry, x0, lam0, kkt,
+                               config.iterations,
+                               out_dir / f"{entry.name}.trace.csv", row))
     write_summary_csv(out_dir / "summary.csv", rows)
     if config.emit_gnuplot:
         write_gnuplot(out_dir / "plots.gp",

@@ -42,6 +42,10 @@ CERT_TOL = 1e-12
 # Default certification horizon when none is implied by an iteration budget.
 DEFAULT_HORIZON = 10_000
 
+# Growth ratios that certify_rho evaluates at once: its working memory is
+# one slice of this many terms, whatever the horizon.
+CERT_CHUNK = 4096
+
 
 class ScheduleError(ValueError):
     """Raised when a schedule violates the growth assumption.
@@ -289,7 +293,10 @@ def certify_rho(schedule, k_max=DEFAULT_HORIZON):
     whose differences are exact for neighbours within a factor two
     (Sterbenz): squared first, the growth margin would drown in rounding
     noise of order ``ulp(s_k)``.  Unit factors enter as ``* 1.0`` and ``+ 0.0``, so a unit
-    ``xi`` and none certify bitwise alike.
+    ``xi`` and none certify bitwise alike.  The ratios are evaluated in
+    slices of ``CERT_CHUNK`` terms, each element by the same operations as
+    over the whole horizon, so the working memory beyond ``(t, xi)`` is one
+    slice and ``rho_hat`` and the errors do not depend on the slicing.
 
     Parameters
     ----------
@@ -316,18 +323,29 @@ def certify_rho(schedule, k_max=DEFAULT_HORIZON):
     s1 = t[0] * t[0] * xi[0]
     if abs(s1 - 1.0) > CERT_TOL:
         raise ScheduleError(f"t_1^2 xi_1 must equal 1, got {s1}", index=1)
-    t0, t1, xi0, xi1 = t[:-1], t[1:], xi[:-1], xi[1:]
-    ds = (t1 - t0) * (t1 + t0) * xi1 + t0 * t0 * (xi1 - xi0)
-    if ds.min() < -CERT_TOL:
-        i = 1 + int(np.argmax(ds < -CERT_TOL))
-        raise ScheduleError(f"t_k^2 xi_k decreases at k={i}", index=i)
-    ratio = ds / (t1 * xi1)
-    rho_hat = float(ratio.max())
+    # np.minimum/np.maximum propagate NaN as the whole-array min/max do.
+    ds_min, rho_hat, drop, rise = np.inf, -np.inf, None, None
+    for lo in range(0, k_max - 1, CERT_CHUNK):
+        hi = min(lo + CERT_CHUNK, k_max - 1)
+        t0, t1 = t[lo:hi], t[lo + 1:hi + 1]
+        xi0, xi1 = xi[lo:hi], xi[lo + 1:hi + 1]
+        ds = (t1 - t0) * (t1 + t0) * xi1 + t0 * t0 * (xi1 - xi0)
+        ratio = ds / (t1 * xi1)
+        low, high = ds.min(), ratio.max()
+        ds_min, rho_hat = np.minimum(ds_min, low), np.maximum(rho_hat, high)
+        if drop is None and low < -CERT_TOL:
+            drop = lo + 1 + int(np.argmax(ds < -CERT_TOL))
+        if rise is None and high > 1.0 + CERT_TOL:
+            i = int(np.argmax(ratio > 1.0 + CERT_TOL))
+            rise = lo + 1 + i, ratio[i]
+    if ds_min < -CERT_TOL:
+        raise ScheduleError(f"t_k^2 xi_k decreases at k={drop}", index=drop)
+    rho_hat = float(rho_hat)
     if rho_hat > 1.0 + CERT_TOL:
-        k = 1 + int(np.argmax(ratio > 1.0 + CERT_TOL))
+        k, r = rise
         raise ScheduleError(
             f"growth condition fails at k={k}: (t_{k + 1}^2 xi_{k + 1} - "
-            f"t_{k}^2 xi_{k})/(t_{k + 1} xi_{k + 1}) = {ratio[k - 1]:.6g} > 1",
+            f"t_{k}^2 xi_{k})/(t_{k + 1} xi_{k + 1}) = {r:.6g} > 1",
             index=k)
     return rho_hat
 

@@ -1,9 +1,11 @@
 """Tests for the benchmark harness: configs, manifests, the vanilla
 baseline, trace serialization, experiment runs, and the CLI front end."""
 
+import gc
 import inspect
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -878,6 +880,40 @@ class TestRunExperiment:
         out = tmp_path / "results-here"
         run_experiment(parse_config(_qp_config(output_dir=str(out))))
         assert (out / "summary.csv").exists()
+
+    def test_each_trace_released_before_next_entry(self, tmp_path,
+                                                   monkeypatch):
+        """Over three entries (accelerated, vanilla, accelerated), every
+        earlier entry's trace is dead, after ``gc.collect()``, when the
+        next entry starts: an experiment holds one trace at a time."""
+
+        class Trace(list):
+            """A list that a weak reference can point at."""
+
+        traces, alive = [], []
+
+        def releasing(real):
+            def wrapped(*args, **kwargs):
+                gc.collect()
+                alive.append(sum(ref() is not None for ref in traces))
+                state, trace = real(*args, **kwargs)
+                trace = Trace(trace)
+                traces.append(weakref.ref(trace))
+                return state, trace
+            return wrapped
+
+        monkeypatch.setattr(aalm_solver, "_run_resolved",
+                            releasing(aalm_solver._run_resolved))
+        monkeypatch.setattr(harness, "run_vanilla",
+                            releasing(harness.run_vanilla))
+        monkeypatch.setenv("AALM_OUTPUT_DIR", str(tmp_path))
+        cfg = _qp_config()
+        cfg["solvers"].append({"name": "cd", "method": "aalm",
+                               "schedule": {"rule": "cd"}})
+        rows = run_experiment(parse_config(cfg))
+        assert [r["status"] for r in rows] == ["ok"] * 3
+        assert [r["iterations"] for r in rows] == [60] * 3
+        assert alive == [0, 0, 0]
 
 
 class TestCli:

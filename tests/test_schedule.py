@@ -6,6 +6,7 @@ the damping resolution eta -> [rho, 1] is pinned for both regimes.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -395,3 +396,127 @@ class TestScaledSchedules:
         bad = replace(chambolle_dossal(10.0), xi=lambda t: t ** 8)
         with pytest.raises(ScheduleError):
             certify_rho(bad, 10_000)
+
+
+CHUNK = schedule_module.CERT_CHUNK
+CERT_TOL = schedule_module.CERT_TOL
+
+
+def _whole_array_certificate(schedule, k_max):
+    """``certify_rho``'s arithmetic over the whole horizon at once: the
+    reference its sliced evaluation must reproduce bitwise, errors
+    included."""
+    t, xi = generate_scaled(schedule, k_max)
+    s1 = t[0] * t[0] * xi[0]
+    if abs(s1 - 1.0) > CERT_TOL:
+        raise ScheduleError(f"t_1^2 xi_1 must equal 1, got {s1}", index=1)
+    t0, t1, xi0, xi1 = t[:-1], t[1:], xi[:-1], xi[1:]
+    ds = (t1 - t0) * (t1 + t0) * xi1 + t0 * t0 * (xi1 - xi0)
+    if ds.min() < -CERT_TOL:
+        i = 1 + int(np.argmax(ds < -CERT_TOL))
+        raise ScheduleError(f"t_k^2 xi_k decreases at k={i}", index=i)
+    ratio = ds / (t1 * xi1)
+    rho_hat = float(ratio.max())
+    if rho_hat > 1.0 + CERT_TOL:
+        k = 1 + int(np.argmax(ratio > 1.0 + CERT_TOL))
+        raise ScheduleError(
+            f"growth condition fails at k={k}: (t_{k + 1}^2 xi_{k + 1} - "
+            f"t_{k}^2 xi_{k})/(t_{k + 1} xi_{k + 1}) = {ratio[k - 1]:.6g} > 1",
+            index=k)
+    return rho_hat
+
+
+def _linear(k):
+    """CD(10)'s ``t_k = (k + 8) / 9`` as a custom rule."""
+    return (k + 8.0) / 9.0
+
+
+def _jump_at(j):
+    """``t_k`` of CD(10) plus 1 beyond ``k = j``: the growth ratio at
+    ``k = j`` exceeds 1 and is the only one that does."""
+    return lambda k: _linear(k) + (k > j)
+
+
+def _dip_at(j):
+    """Stepsize factors with ``xi_{j+1} = 1/2`` and 1 elsewhere: ``t_k^2
+    xi_k`` decreases at ``k = j`` and nowhere else."""
+    return lambda t: np.where(np.arange(1, t.size + 1) == j + 1, 0.5, 1.0)
+
+
+class TestSlicedCertificate:
+    """``certify_rho`` evaluates its ratios ``CERT_CHUNK`` terms at a time;
+    its result and its errors are the whole-array formula's, bitwise."""
+
+    HORIZONS = (2, CHUNK, CHUNK + 1, CHUNK + 2, 2 * CHUNK + 1, 20_000,
+                100_000)
+
+    @pytest.mark.parametrize("sched", [
+        nesterov(), chambolle_dossal(10.0), chambolle_dossal(3.5),
+        attouch_cabot(10.0), custom_schedule(lambda k: (k + 1.0) / 2.0),
+        replace(chambolle_dossal(10.0), xi=np.sqrt),
+        replace(chambolle_dossal(10.0), xi=lambda t: t ** -0.5)],
+        ids=["nesterov", "cd10", "cd3.5", "ac10", "custom", "cd10-sqrt",
+             "cd10-inverse-sqrt"])
+    def test_rho_is_whole_array_formula(self, sched):
+        """``rho_hat`` is bitwise the whole-array result at horizons on
+        both sides of each slice boundary and at 2e4 and 1e5 terms (or
+        both raise alike: AC(10) stalls at ``t_1 = t_2 = 1``)."""
+        def outcome(certify, horizon):
+            try:
+                return certify(sched, horizon).hex()
+            except ScheduleError as e:
+                return str(e), e.index
+
+        for horizon in self.HORIZONS:
+            assert (outcome(certify_rho, horizon)
+                    == outcome(_whole_array_certificate, horizon)), horizon
+
+    @pytest.mark.parametrize("kind", ["growth", "dip"])
+    @pytest.mark.parametrize("k", [100, CHUNK, CHUNK + 1, 19_999],
+                             ids=["first-slice", "last-of-slice",
+                                  "first-of-next", "last-slice"])
+    def test_planted_failure_matches_whole_array(self, kind, k):
+        """A failure planted at step ``k`` in the first slice, on either
+        side of the first slice boundary or at the last ratio of a
+        20000-term horizon raises the whole-array message and index."""
+        if kind == "growth":
+            sched = custom_schedule(_jump_at(k))
+        else:
+            sched = replace(custom_schedule(_linear), xi=_dip_at(k))
+        with pytest.raises(ScheduleError) as want:
+            _whole_array_certificate(sched, 20_000)
+        with pytest.raises(ScheduleError) as got:
+            certify_rho(sched, 20_000)
+        assert want.value.index == k
+        assert (str(got.value), got.value.index) == (str(want.value), k)
+        word = "growth condition fails" if kind == "growth" else "decreases"
+        assert word in str(got.value)
+
+    def test_later_dip_outranks_earlier_growth(self):
+        """A growth violation in the first slice and a ``t_k^2 xi_k`` dip
+        in the second: the dip is the error reported, as over the whole
+        array, although the slice that holds the violation is seen
+        first."""
+        sched = replace(custom_schedule(_jump_at(100)),
+                        xi=_dip_at(CHUNK + 50))
+        with pytest.raises(ScheduleError) as want:
+            _whole_array_certificate(sched, 20_000)
+        with pytest.raises(ScheduleError,
+                           match=f"decreases at k={CHUNK + 50}") as got:
+            certify_rho(sched, 20_000)
+        assert got.value.index == want.value.index == CHUNK + 50
+        assert str(got.value) == str(want.value)
+
+    def test_working_memory_is_one_slice(self):
+        """Certifying Nesterov over 100000 terms, its prefix warmed,
+        allocates at most 3 MB at its peak: ``xi`` (1.6 MB of
+        ``longdouble``) and one slice, not the 6.4 MB of whole-horizon
+        temporaries."""
+        certify_rho(nesterov(), 100_000)
+        tracemalloc.start()
+        try:
+            certify_rho(nesterov(), 100_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3e6, peak
