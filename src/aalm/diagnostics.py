@@ -25,7 +25,8 @@ its own configuration rather than re-deriving parameters.
 
 Records are computed a block of iterates at a time (:func:`make_records`)
 from the iterates and the schedule alone: the run loop buffers ``x_k`` and
-``lam_k`` and pays for the array operations once per block.  Objective
+``lam_k`` and pays for the array operations once per block, in work
+arrays it keeps from block to block.  Objective
 values and gradients come from the objective's row forms
 (:class:`aalm.problems.ObjectiveOracle`), and ``A x`` and ``A' lam`` from
 :meth:`aalm.problems.ProblemInstance.A_rows` and
@@ -131,7 +132,7 @@ def _rowdot(U, V):
 
 
 def make_records(instance, k, t, xi, X, L, gamma, delta, eta, beta,
-                 kkt=None, f_star=None):
+                 kkt=None, f_star=None, work=None):
     """The :class:`TraceRecord` of every iterate in a block, from the
     iterates alone.
 
@@ -145,20 +146,43 @@ def make_records(instance, k, t, xi, X, L, gamma, delta, eta, beta,
     ``t_k`` and ``xi_k`` of the B recorded iterates (a ``longdouble``
     schedule is rounded to float here).  Returns B records, for
     ``k .. k + B - 1``.
+
+    The four difference arrays ``x - x_prev``, ``lam - lam_prev``,
+    ``x - x*`` and ``lam - lam*`` go into the first B rows of the arrays
+    in the list ``work``, which an empty list is filled with here (the
+    first block is the largest); without ``work`` they are this call's
+    own.  The block's other arrays are combined in place, so a run that
+    passes the same list to every block allocates no block-sized array
+    per block beyond those of ``A x``, ``A' lam`` and the row forms.
+    Every value is bitwise the out-of-place formula's.
     """
     obj = instance.objective
     t = np.asarray(t, dtype=float)
     xi = np.asarray(xi, dtype=float)
     x, lam = X[1:], L[1:]
-    Axb = instance.A_rows(x) - instance.b
-    G = obj.gradient_rows(x) + instance.At_rows(lam)
-    dx, dlam = x - X[:-1], lam - L[:-1]
 
     def mnorm_rows(u, w):
         return _rowdot(u, u) / gamma + _rowdot(w, w) / delta
 
+    G = obj.gradient_rows(x)
+    G += instance.At_rows(lam)
+    stat = np.sqrt(_rowdot(G, G))
+    del G
+    Axb = instance.A_rows(x)
+    Axb -= instance.b
     feas_sq = _rowdot(Axb, Axb)
     feas = np.sqrt(feas_sq)
+    if work is None:
+        work = []
+    if not work:
+        # Made after this block's other arrays: the buffers then lie
+        # above the heap those arrays free, which later blocks reuse
+        # rather than hand back to the system at every block.
+        work[:] = [np.empty((t.size, a.shape[1])) for a in (x, lam, x, lam)]
+    dx, dlam, sx, slam = (a[:t.size] for a in work)
+    np.subtract(x, X[:-1], out=dx)
+    np.subtract(lam, L[:-1], out=dlam)
+    step = np.sqrt(mnorm_rows(dx, dlam))
     if kkt is None:
         obj_res = gap_H = energy_E = np.full(t.shape, np.nan)
     else:
@@ -168,13 +192,21 @@ def make_records(instance, k, t, xi, X, L, gamma, delta, eta, beta,
         obj_res = np.abs(f_x - f_star)
         gap_H = (f_x - f_star + np.einsum("ij,j->i", Axb, kkt.lam)
                  + 0.5 * beta * feas_sq)
-        sx, slam = x - kkt.x, lam - kkt.lam
+        np.subtract(x, kkt.x, out=sx)
+        np.subtract(lam, kkt.lam, out=slam)
+        dist = mnorm_rows(sx, slam)
+        # eta (z - z*) + (t - 1)(z - z_prev), built in the difference
+        # arrays now that their own norms are read.
         w = (t - 1.0)[:, None]
-        B = (0.5 * mnorm_rows(eta * sx + w * dx, eta * slam + w * dlam)
-             + 0.5 * eta * (1.0 - eta) * mnorm_rows(sx, slam))
+        for d, s in ((dx, sx), (dlam, slam)):
+            d *= w
+            s *= eta
+            d += s
+        B = (0.5 * mnorm_rows(dx, dlam)
+             + 0.5 * eta * (1.0 - eta) * dist)
         energy_E = t ** 2 * xi * gap_H + B
-    cols = (t, feas, obj_res, np.sqrt(_rowdot(G, G)), gap_H, energy_E,
-            np.sqrt(mnorm_rows(dx, dlam)), t ** 2 * xi * feas)
+    cols = (t, feas, obj_res, stat, gap_H, energy_E, step,
+            t ** 2 * xi * feas)
     ks = range(int(k), int(k) + t.size)
     return list(map(TraceRecord._make,
                     zip(ks, *(c.tolist() for c in cols))))

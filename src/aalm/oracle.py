@@ -165,27 +165,76 @@ def _gram_pseudoinverse(instance):
 
 
 def _curvature(objective, Zt, Z, k):
-    """``at(x) -> (v -> H v, Z'HZ)`` for the null-space basis ``Z`` of
-    :func:`_gram_pseudoinverse` (``k`` columns): factored for a separable
-    objective, with ``U'Z`` formed once here and ``Z'Z = I``, else from
-    ``hessian(x)`` and ``Z`` formed densely once here."""
+    """``at(x) -> (v -> H v, rhs -> (Z'HZ)^{-1} rhs)`` for the null-space
+    basis ``Z`` of :func:`_gram_pseudoinverse` (``k`` columns).
+
+    A separable objective with ``mu > 0`` and fewer terms than null-space
+    directions (``r < k``) solves by Sherman--Morrison--Woodbury (Golub &
+    Van Loan, *Matrix Computations*, 2.1.4): with ``P = U'Z`` (r x k) and
+    ``S = W^{1/2}``, ``Z'HZ = mu I + (SP)'(SP)`` and
+
+        (Z'HZ)^{-1} rhs = (rhs - P'S C^{-1} S P rhs) / mu,
+        C = mu I + S (PP') S,
+
+    an r x r capacitance system (eigenvalues at least ``mu``; ``W`` is
+    never inverted, as ``phi''`` can underflow), with ``P`` and ``PP'``
+    formed once here and no k x k array.  Any other separable objective
+    forms ``Z'HZ = mu Z'Z + (U'Z)' W (U'Z)`` (``Z'Z = I``), and an
+    objective without a separable form ``Z'HZ`` from ``hessian(x)`` and
+    ``Z`` formed densely once here; both solve it by :func:`_dense_solve`.
+    """
     form = objective.separable
     if form is None:
         Zd = np.column_stack([Z(y) for y in np.eye(k)])  # H is n x n anyway
 
         def at(x):
             H = objective.hessian(x)
-            return (lambda v: H @ v), Zd.T @ (H @ Zd)
+            return (lambda v: H @ v), _dense_solve(Zd.T @ (H @ Zd))
         return at
     U, mu = form.U, form.mu
     UZ = np.column_stack([Zt(u) for u in U.T]).T
+
+    def apply_H(w):
+        return lambda v: mu * v + U @ (w * (U.T @ v))
+
+    if mu > 0 and U.shape[1] < k:
+        PPt = UZ @ UZ.T
+
+        def at(x):
+            w = form.d2phi(U.T @ x - form.c)
+            s = np.sqrt(w)
+            C = s[:, None] * PPt * s
+            C[np.diag_indices_from(C)] += mu
+
+            def solve(rhs):
+                y = np.linalg.solve(C, s * (UZ @ rhs))
+                return (rhs - UZ.T @ (s * y)) / mu
+            return apply_H(w), solve
+        return at
     muZZ = mu * np.eye(k)
 
     def at(x):
         w = form.d2phi(U.T @ x - form.c)
-        return ((lambda v: mu * v + U @ (w * (U.T @ v))),
-                muZZ + (UZ.T * w) @ UZ)
+        return apply_H(w), _dense_solve(muZZ + (UZ.T * w) @ UZ)
     return at
+
+
+def _dense_solve(ZHZ):
+    """``rhs -> ZHZ^{-1} rhs`` through a Cholesky factor, or by a
+    minimum-norm least-squares solve when ``ZHZ`` is not positive
+    definite."""
+    # Cholesky through numpy, not scipy: each wheel bundles an OpenBLAS
+    # whose workers spin for about 0.1 s after a threaded call, and a
+    # second spinning pool next to numpy's (busy after Z'HZ) would preempt
+    # the caller's next phase on a 2-core machine.  The dense path loads
+    # numpy's OpenBLAS only.
+    def solve(rhs):
+        try:
+            L = np.linalg.cholesky(ZHZ)
+            return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+        except np.linalg.LinAlgError:
+            return _min_norm_solve(ZHZ, rhs)
+    return solve
 
 
 def _armijo_damping(objective, x, g, dx):
@@ -215,13 +264,11 @@ def _polish(instance, pinv, Zt, Z, k, x, lam):
     ``POLISH_STEPS`` steps are taken, fewer once the residual is below
     ``0.01 * REFINE_TARGET``.  The final dual is the minimum-norm
     multiplier of the final ``x`` when that does not raise the residual.
-    ``H`` enters only as ``H v = mu v + U (W U'v)`` and
-    ``Z'HZ = mu Z'Z + (U'Z)' W (U'Z)`` for a separable objective
-    (:func:`_curvature`).  ``Z`` enters only as the products ``Zt(v)``
-    and ``Z(dz)`` (:func:`_gram_pseudoinverse`), so it is never formed
-    for a separable objective.  Returns
-    the pair and a note naming the steps taken and whether the damping
-    stalled.
+    ``H`` enters only as ``H v`` and a solve with ``Z'HZ``
+    (:func:`_curvature`), and ``Z`` only as the products ``Zt(v)`` and
+    ``Z(dz)`` (:func:`_gram_pseudoinverse`), so neither is formed for a
+    separable objective.  Returns the pair and a note naming the steps
+    taken and whether the damping stalled.
     """
     obj = instance.objective
     A, b = instance.A, instance.b
@@ -231,21 +278,10 @@ def _polish(instance, pinv, Zt, Z, k, x, lam):
     for _ in range(POLISH_STEPS):
         if best <= 0.01 * REFINE_TARGET:
             break
-        apply_H, ZHZ = curvature(x)
+        apply_H, solve = curvature(x)
         g = obj.gradient(x)
         dx_p = pinv(A.T @ (b - A @ x))
-        rhs = -Zt(g + apply_H(dx_p))
-        # Cholesky through numpy, not scipy: each wheel bundles an
-        # OpenBLAS whose workers spin for about 0.1 s after a threaded
-        # call, and a second spinning pool next to numpy's (busy after
-        # Z'HZ) would preempt the caller's next phase on a 2-core
-        # machine.  The dense path loads numpy's OpenBLAS only.
-        try:
-            L = np.linalg.cholesky(ZHZ)
-            dz = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
-        except np.linalg.LinAlgError:
-            dz = _min_norm_solve(ZHZ, rhs)
-        dx = dx_p + Z(dz)
+        dx = dx_p + Z(solve(-Zt(g + apply_H(dx_p))))
         lam_new = -(A @ pinv(g + apply_H(dx)))
         # Damped acceptance on the KKT residual.
         s = 1.0
@@ -301,8 +337,12 @@ def kkt_refine(instance):
     applied through the instance's eigenbasis ``V`` and never formed for
     a separable objective: ``U'Z`` takes one ``V'`` product per column of
     ``U``, and ``Z'Z = I`` because ``V`` is orthogonal.
-    ``Z'HZ`` is factored by Cholesky, with a minimum-norm least-squares
-    solve when it is singular.  No solver of this package is run: the
+    With ``mu > 0`` and fewer terms than null-space directions
+    (``r < k``; the 10x200 ring has r = 10, k = 200) ``Z'HZ dz = rhs`` is
+    solved by Woodbury through an r x r capacitance matrix and no k x k
+    array is formed (:func:`_curvature`); otherwise ``Z'HZ`` is factored
+    by Cholesky, with a minimum-norm least-squares solve when it is
+    singular.  No solver of this package is run: the
     reference stays an arithmetic path separate from the iterations it
     checks.  The returned ``kkt_tol`` certifies
     ``max(stationarity, feasibility) <= REFINE_TARGET``, evaluated from

@@ -297,6 +297,10 @@ def certify_rho(schedule, k_max=DEFAULT_HORIZON):
     slices of ``CERT_CHUNK`` terms, each element by the same operations as
     over the whole horizon, so the working memory beyond ``(t, xi)`` is one
     slice and ``rho_hat`` and the errors do not depend on the slicing.
+    Where ``s_{k+1}`` or a ratio is not finite (``t_k^2`` can overflow
+    while ``t_k`` is finite), the horizon is cut before that step: a
+    decrease or growth violation before it is raised as usual, and
+    otherwise the overflow is, so ``rho_hat`` is never NaN.
 
     Parameters
     ----------
@@ -314,7 +318,8 @@ def certify_rho(schedule, k_max=DEFAULT_HORIZON):
     ------
     ScheduleError
         If ``k_max < 2``, ``s_1 != 1``, ``s_k`` decreases or ``rho_hat >
-        1``, each beyond ``CERT_TOL``; a failing step's index is ``.index``.
+        1``, each beyond ``CERT_TOL``, or ``s_{k+1}`` or the ratio at a
+        step ``k`` is not finite; a failing step's index is ``.index``.
     """
     if k_max < 2:
         raise ScheduleError(f"k_max must be >= 2 to measure a growth ratio, "
@@ -323,21 +328,38 @@ def certify_rho(schedule, k_max=DEFAULT_HORIZON):
     s1 = t[0] * t[0] * xi[0]
     if abs(s1 - 1.0) > CERT_TOL:
         raise ScheduleError(f"t_1^2 xi_1 must equal 1, got {s1}", index=1)
-    # np.minimum/np.maximum propagate NaN as the whole-array min/max do.
-    ds_min, rho_hat, drop, rise = np.inf, -np.inf, None, None
-    for lo in range(0, k_max - 1, CERT_CHUNK):
-        hi = min(lo + CERT_CHUNK, k_max - 1)
-        t0, t1 = t[lo:hi], t[lo + 1:hi + 1]
-        xi0, xi1 = xi[lo:hi], xi[lo + 1:hi + 1]
-        ds = (t1 - t0) * (t1 + t0) * xi1 + t0 * t0 * (xi1 - xi0)
-        ratio = ds / (t1 * xi1)
-        low, high = ds.min(), ratio.max()
-        ds_min, rho_hat = np.minimum(ds_min, low), np.maximum(rho_hat, high)
-        if drop is None and low < -CERT_TOL:
-            drop = lo + 1 + int(np.argmax(ds < -CERT_TOL))
-        if rise is None and high > 1.0 + CERT_TOL:
-            i = int(np.argmax(ratio > 1.0 + CERT_TOL))
-            rise = lo + 1 + i, ratio[i]
+    # t_k dips by at most CERT_TOL a step (generate checks it), so no
+    # t_k^2 xi_k overflows while this bound is finite.
+    t_top = float(t[-1]) + k_max * CERT_TOL
+    bounded = np.isfinite(t_top * t_top * float(xi.max()))
+    ds_min, rho_hat, drop, rise, overflow = np.inf, -np.inf, None, None, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, k_max - 1, CERT_CHUNK):
+            hi = min(lo + CERT_CHUNK, k_max - 1)
+            t0, t1 = t[lo:hi], t[lo + 1:hi + 1]
+            xi0, xi1 = xi[lo:hi], xi[lo + 1:hi + 1]
+            ds = (t1 - t0) * (t1 + t0) * xi1 + t0 * t0 * (xi1 - xi0)
+            ratio = ds / (t1 * xi1)
+            low, high = ds.min(), ratio.max()
+            if not (bounded and np.isfinite(low) and np.isfinite(high)):
+                ok = (np.isfinite(ds) & np.isfinite(ratio)
+                      & np.isfinite(t1 * t1 * xi1))
+                if not ok.all():
+                    # Certify the finite prefix: the horizon ends before
+                    # the first step whose ratio or t_{k+1}^2 xi_{k+1} is
+                    # not finite.
+                    cut = int(np.argmin(ok))
+                    ds, ratio, overflow = ds[:cut], ratio[:cut], lo + 1 + cut
+                    low = ds.min(initial=np.inf)
+                    high = ratio.max(initial=-np.inf)
+            ds_min, rho_hat = min(ds_min, low), max(rho_hat, high)
+            if drop is None and low < -CERT_TOL:
+                drop = lo + 1 + int(np.argmax(ds < -CERT_TOL))
+            if rise is None and high > 1.0 + CERT_TOL:
+                i = int(np.argmax(ratio > 1.0 + CERT_TOL))
+                rise = lo + 1 + i, ratio[i]
+            if overflow is not None:
+                break
     if ds_min < -CERT_TOL:
         raise ScheduleError(f"t_k^2 xi_k decreases at k={drop}", index=drop)
     rho_hat = float(rho_hat)
@@ -347,6 +369,11 @@ def certify_rho(schedule, k_max=DEFAULT_HORIZON):
             f"growth condition fails at k={k}: (t_{k + 1}^2 xi_{k + 1} - "
             f"t_{k}^2 xi_{k})/(t_{k + 1} xi_{k + 1}) = {r:.6g} > 1",
             index=k)
+    if overflow is not None:
+        k = overflow
+        raise ScheduleError(
+            f"t_{k + 1}^2 xi_{k + 1} or the growth ratio at k={k} is not "
+            f"finite in float64", index=k)
     return rho_hat
 
 

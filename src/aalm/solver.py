@@ -385,7 +385,9 @@ def _run_loop(instance, config, state, kkt=None):
     of up to :data:`RECORD_BLOCK_ROWS` iterates and
     :data:`RECORD_BLOCK_BYTES` of stacked ``x`` and ``lam``, flushed when
     a block fills and at the end; the loop buffers only ``x_k`` and
-    ``lam_k``, from which the records are made.  A stopping rule with a
+    ``lam_k``, from which the records are made, and owns the difference
+    arrays ``make_records`` works in, made at the first flush and
+    released with the run.  A stopping rule with a
     tolerance set reads every record as it is made, so its blocks are one
     iterate and the run stops at the first ``k`` that meets it."""
     plan = step_plan(instance, config.case)
@@ -393,6 +395,7 @@ def _run_loop(instance, config, state, kkt=None):
     rows = _block_rows(instance, config.stop)
     trace: List[TraceRecord] = []
     xs, lams = [state.x_curr], [state.lam_curr]
+    work = []  # make_records' difference arrays, made at the first flush
 
     def flush(k):
         """Record the buffered iterates, the last of which is ``x_k``."""
@@ -400,7 +403,8 @@ def _run_loop(instance, config, state, kkt=None):
         trace.extend(make_records(
             instance, lo + 1, state.t_seq[lo:k], state.xi_seq[lo:k],
             np.array(xs), np.array(lams), config.gamma, config.delta,
-            config.schedule.eta, config.beta, kkt=kkt, f_star=f_star))
+            config.schedule.eta, config.beta, kkt=kkt, f_star=f_star,
+            work=work))
         del xs[:-1], lams[:-1]
 
     for _ in range(config.max_iter):

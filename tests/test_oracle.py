@@ -97,12 +97,6 @@ def _dense_null_basis(inst, k):
     return V[:, np.sort(np.argsort(basis.evals)[:k])]
 
 
-def _applied(Z):
-    """``(Zt, Z)``: closures applying a dense ``Z``, the form in which
-    the oracle's ``_curvature`` takes a null-space basis."""
-    return (lambda v: Z.T @ v), (lambda y: Z @ y)
-
-
 class TestKktRefine:
     """The iterative reference path for non-quadratic instances."""
 
@@ -195,30 +189,102 @@ class TestKktRefine:
 
     @pytest.mark.parametrize("inst", [
         make_ring_logistic(p_agents=10, m_dim=20, rho_reg=0.5, seed=0),
-        make_random_lp(seed=0)], ids=["ring", "lp"])
+        make_ring_logistic(p_agents=10, m_dim=5, rho_reg=0.5, seed=0),
+        make_random_lp(seed=0)], ids=["ring", "ring-wide", "lp"])
     def test_structured_curvature_matches_dense(self, inst):
-        """Z'HZ = mu Z'Z + (U'Z)' W (U'Z) and H v = mu v + U (W U'v) equal
-        the products of a dense basis with the dense Hessian to 1e-12
-        relative."""
+        """The structured solve with Z'HZ (Woodbury on the 10x20 ring,
+        r = 10 < k = 20; the factored Z'HZ = mu Z'Z + (U'Z)' W (U'Z) on
+        the 10x5 ring, r = 10 >= k = 5, and on lp) and H v = mu v +
+        U (W U'v) equal a dense solve with Z'HZ, formed from a dense basis
+        and the dense Hessian, and the dense H v, to 1e-12 relative."""
         _, Zt, Z, k = oracle_module._gram_pseudoinverse(inst)
         Z_dense = _dense_null_basis(inst, k)
-        dense_obj = dataclasses.replace(inst.objective, separable=None)
         structured = oracle_module._curvature(inst.objective, Zt, Z, k)
-        reference = oracle_module._curvature(dense_obj, *_applied(Z_dense),
-                                             k)
         rng = np.random.default_rng(3)
         for _ in range(3):
             x, v = rng.normal(size=inst.dim), rng.normal(size=inst.dim)
-            (apply_s, ZHZ_s), (apply_d, ZHZ_d) = structured(x), reference(x)
-            assert (np.linalg.norm(ZHZ_s - ZHZ_d)
-                    <= 1e-12 * np.linalg.norm(ZHZ_d))
-            assert (np.linalg.norm(apply_s(v) - apply_d(v))
-                    <= 1e-12 * np.linalg.norm(apply_d(v)))
+            rhs = rng.normal(size=k)
+            H = inst.objective.hessian(x)
+            apply_H, solve = structured(x)
+            want = np.linalg.solve(Z_dense.T @ H @ Z_dense, rhs)
+            assert (np.linalg.norm(solve(rhs) - want)
+                    <= 1e-12 * np.linalg.norm(want))
+            assert (np.linalg.norm(apply_H(v) - H @ v)
+                    <= 1e-12 * np.linalg.norm(H @ v))
+
+    @staticmethod
+    def _woodbury_case(m_dim, spread, rho_reg):
+        """``(ZHZ, rhs, dz)`` on a 10 x m_dim ring: the dense Z'HZ (from a
+        dense basis and the dense Hessian) at an x whose first five agents
+        are scaled by ``spread``, a random rhs, and the curvature's dz."""
+        inst = make_ring_logistic(p_agents=10, m_dim=m_dim, rho_reg=rho_reg,
+                                  seed=0)
+        _, Zt, Z, k = oracle_module._gram_pseudoinverse(inst)
+        Z_dense = _dense_null_basis(inst, k)
+        form = inst.objective.separable
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=inst.dim)
+        x[:inst.dim // 2] *= spread
+        w = form.d2phi(form.U.T @ x - form.c)
+        assert (w == 0).any() == (spread > 1)
+        rhs = rng.normal(size=k)
+        ZHZ = Z_dense.T @ inst.objective.hessian(x) @ Z_dense
+        _, solve = oracle_module._curvature(inst.objective, Zt, Z, k)(x)
+        return ZHZ, rhs, solve(rhs)
+
+    @pytest.mark.parametrize("m_dim", [20, 200])
+    @pytest.mark.parametrize("spread", [1.0, 1e3], ids=["random", "underflow"])
+    def test_woodbury_solve_matches_dense(self, m_dim, spread):
+        """On the 10x20 and 10x200 rings (r = 10 < k = m_dim, mu = 0.5)
+        the r x r capacitance solve gives the dz of a dense Z'HZ solve to
+        1e-12 relative: at random x, and at an x whose first five agents
+        are scaled by 1e3, so that some weights phi'' underflow to 0."""
+        ZHZ, rhs, dz = self._woodbury_case(m_dim, spread, 0.5)
+        want = np.linalg.solve(ZHZ, rhs)
+        assert np.linalg.norm(dz - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("m_dim", [20, 200])
+    def test_woodbury_solve_small_mu(self, m_dim):
+        """At rho_reg = mu = 1e-6, where Z'HZ has condition numbers up to
+        about 4e6 and ``(rhs - P'S y) / mu`` cancels, the Woodbury dz
+        keeps a normwise backward error ``||Z'HZ dz - rhs|| / (||Z'HZ||_2
+        ||dz|| + ||rhs||)`` below 1e-15 (a dense LU solve's is about
+        3e-17), at random x and where phi'' underflows, and kkt_refine
+        still certifies kkt_tol <= 1e-9 without a refinement pass."""
+        for spread in (1.0, 1e3):
+            ZHZ, rhs, dz = self._woodbury_case(m_dim, spread, 1e-6)
+            scale = (np.linalg.norm(ZHZ, 2) * np.linalg.norm(dz)
+                     + np.linalg.norm(rhs))
+            assert np.linalg.norm(ZHZ @ dz - rhs) <= 1e-15 * scale
+        inst = make_ring_logistic(p_agents=10, m_dim=m_dim, rho_reg=1e-6,
+                                  seed=0)
+        assert kkt_refine(inst).kkt_tol <= 1e-9
+
+    @pytest.mark.parametrize("inst, dense", [
+        (make_ring_logistic(p_agents=10, m_dim=20, rho_reg=0.5, seed=0),
+         False),
+        (make_ring_logistic(p_agents=10, m_dim=5, rho_reg=0.5, seed=0),
+         True),
+        (make_random_lp(seed=0), True)], ids=["ring", "ring-wide", "lp"])
+    def test_polish_solve_follows_objective(self, inst, dense, monkeypatch):
+        """The polish factors a dense Z'HZ on lp (mu = 0) and on the 10x5
+        ring (mu > 0, r = 10 >= k = 5), and never on the 10x20 ring
+        (mu > 0, r = 10 < k = 20), which solves by Woodbury."""
+        calls = []
+
+        def recording(ZHZ):
+            calls.append(ZHZ.shape)
+            return dense_solve(ZHZ)
+
+        dense_solve = oracle_module._dense_solve
+        monkeypatch.setattr(oracle_module, "_dense_solve", recording)
+        assert kkt_refine(inst).kkt_tol <= 1e-9
+        assert bool(calls) == dense
 
     def test_ring_reference_never_forms_hessian(self):
         """On the 10x200 ring the polish calls no ``hessian`` and its
-        allocations peak under 2 MB (the dense H alone is 32 MB, a dense
-        null-space basis 3.2 MB)."""
+        allocations peak under 0.5 MB (the dense H alone is 32 MB, a dense
+        null-space basis 3.2 MB and a dense Z'HZ 320 kB)."""
         ring = make_ring_logistic()
 
         def hessian(x):
@@ -233,7 +299,7 @@ class TestKktRefine:
         finally:
             tracemalloc.stop()
         assert kkt.kkt_tol <= 1e-9
-        assert peak < 2e6, peak
+        assert peak < 5e5, peak
 
     def test_no_hessian_rejected(self):
         """An objective that is neither quadratic nor has a Hessian (nor a
@@ -335,33 +401,42 @@ class TestFactoredNullBasis:
         UZ = np.column_stack([Zt(u) for u in U.T]).T
         assert np.linalg.norm(UZ - want) <= 1e-14 * np.linalg.norm(want)
 
-    def test_orthonormal_basis(self):
+    def test_orthonormal_basis(self, monkeypatch):
         """The dense basis has ||Z'Z - I|| <= 1e-14, the contract that
         lets the separable curvature take Z'Z to be the identity exactly:
-        with zero curvature weights its Z'HZ is exactly mu I."""
-        _, Zt, Z, k = oracle_module._gram_pseudoinverse(self.ring)
+        on a ring whose dense branch forms Z'HZ (10x5, r = 10 >= k = 5),
+        with zero curvature weights that Z'HZ is exactly mu I."""
+        _, _, _, k = oracle_module._gram_pseudoinverse(self.ring)
         Z_dense = _dense_null_basis(self.ring, k)
-        eye = np.eye(k)
-        assert np.linalg.norm(Z_dense.T @ Z_dense - eye) <= 1e-14
-        form = self.ring.objective.separable
-        flat = dataclasses.replace(self.ring.objective,
+        assert np.linalg.norm(Z_dense.T @ Z_dense - np.eye(k)) <= 1e-14
+        wide = make_ring_logistic(p_agents=10, m_dim=5, rho_reg=0.5, seed=0)
+        _, Zt, Z, k = oracle_module._gram_pseudoinverse(wide)
+        form = wide.objective.separable
+        assert form.U.shape[1] >= k
+        flat = dataclasses.replace(wide.objective,
                                    separable=dataclasses.replace(
                                        form, d2phi=np.zeros_like))
-        _, ZHZ = oracle_module._curvature(flat, Zt, Z, k)(np.zeros(200))
-        np.testing.assert_array_equal(ZHZ, form.mu * eye)
+        formed = []
+        monkeypatch.setattr(oracle_module, "_dense_solve", formed.append)
+        oracle_module._curvature(flat, Zt, Z, k)(np.zeros(wide.dim))
+        np.testing.assert_array_equal(formed[0], form.mu * np.eye(k))
 
     def test_hessian_branch_densifies_same_basis(self):
         """Without a separable form the curvature forms the dense basis:
-        its Z'HZ agrees with the basis built from ``V e_i`` to 1e-14
-        relative."""
+        its solve with Z'HZ agrees with a dense solve with the Z'HZ of the
+        basis built from ``V e_i`` to 1e-14 relative, and its H v is the
+        Hessian's."""
         _, Zt, Z, k = oracle_module._gram_pseudoinverse(self.ring)
         dense_obj = dataclasses.replace(self.ring.objective, separable=None)
-        x = np.random.default_rng(6).normal(size=200)
-        _, ZHZ = oracle_module._curvature(dense_obj, Zt, Z, k)(x)
-        _, ZHZ_dense = oracle_module._curvature(
-            dense_obj, *_applied(_dense_null_basis(self.ring, k)), k)(x)
-        assert (np.linalg.norm(ZHZ - ZHZ_dense)
-                <= 1e-14 * np.linalg.norm(ZHZ_dense))
+        rng = np.random.default_rng(6)
+        x, v, rhs = (rng.normal(size=n) for n in (200, 200, k))
+        apply_H, solve = oracle_module._curvature(dense_obj, Zt, Z, k)(x)
+        Z_dense = _dense_null_basis(self.ring, k)
+        H = dense_obj.hessian(x)
+        want = np.linalg.solve(Z_dense.T @ H @ Z_dense, rhs)
+        assert (np.linalg.norm(solve(rhs) - want)
+                <= 1e-14 * np.linalg.norm(want))
+        np.testing.assert_array_equal(apply_H(v), H @ v)
 
 
 class TestBruteStepOracle:

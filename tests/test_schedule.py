@@ -520,3 +520,40 @@ class TestSlicedCertificate:
         finally:
             tracemalloc.stop()
         assert peak <= 3e6, peak
+
+
+class TestNonFiniteCertificate:
+    """``certify_rho`` never returns NaN: the horizon ends before the first
+    step whose ``t_{k+1}^2 xi_{k+1}`` or growth ratio is not finite."""
+
+    def test_violation_before_overflow_is_raised(self):
+        """``t_k = 1.04^(k-1)``: ``t_k^2`` overflows from about k = 9050
+        while ``t_k`` stays finite, and the growth ratio exceeds 1 from
+        k = 66; that violation is the error at 2000 and 10000 terms, and
+        ``resolve`` raises it too."""
+        sched = custom_schedule(lambda k: 1.04 ** (k - 1.0))
+        for horizon in (2000, 10_000):
+            with pytest.raises(ScheduleError,
+                               match="growth condition fails at k=66") as e:
+                certify_rho(sched, horizon)
+            assert e.value.index == 66
+        with pytest.raises(ScheduleError, match="k=66"):
+            resolve(sched, 70)
+
+    def test_overflow_without_violation_names_step(self):
+        """``t_k = 1 + 1e-4 (k-1)`` with ``xi_k = e^{0.07096 (k-1)}``:
+        every growth ratio is at most 0.14, but ``t_k^2 xi_k`` overflows
+        from k = 9985 while ``xi_k`` stays finite.  The error names the
+        step into that term; a 9000-term horizon certifies."""
+        a = 709.5 / 9999
+        sched = replace(custom_schedule(lambda k: 1.0 + 1e-4 * (k - 1.0)),
+                        xi=lambda t: np.exp(a * (t - 1.0) / 1e-4))
+        t, xi = generate_scaled(sched, 10_000)
+        with np.errstate(over="ignore"):
+            first = 1 + int(np.argmax(~np.isfinite(t * t * xi)))
+        assert first == 9985 and np.isfinite(xi).all()
+        with pytest.raises(ScheduleError, match="not finite") as e:
+            certify_rho(sched, 10_000)
+        assert e.value.index == first - 1
+        assert f"t_{first}^2 xi_{first}" in str(e.value)
+        assert 0 < certify_rho(sched, 9000) < 0.14

@@ -7,6 +7,7 @@ seeded QP testbed.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -390,6 +391,25 @@ class TestRecordBlocks:
                               L[j], *args, xi_k=xi[j], kkt=kkt)
             assert one == rec
 
+    def test_shared_work_list(self, ring):
+        """Blocks of 5 and 3 rows recorded through one ``work`` list equal
+        calls without it bitwise; the first block fills the list with
+        four distinct arrays, which the second reuses."""
+        inst, kkt = ring
+        rng = np.random.default_rng(8)
+        work = []
+        for rows in (5, 3):
+            X = rng.normal(size=(rows + 1, inst.dim))
+            L = rng.normal(size=(rows + 1, inst.n_constraints))
+            t = np.linspace(2.0, 3.0, rows)
+            args = (inst, 3, t, np.ones(rows), X, L, 0.3, 1.7, 0.8, 1.2)
+            assert (make_records(*args, kkt=kkt, work=work)
+                    == make_records(*args, kkt=kkt))
+            if rows == 5:
+                made = list(work)
+        assert len({id(a) for a in work}) == 4
+        assert all(a is b for a, b in zip(work, made))
+
     @pytest.mark.parametrize("which", ["lp", "qp"])
     def test_trace_is_records_of_iterates(self, which, qp_testbed,
                                           qp_reference, lp):
@@ -419,6 +439,32 @@ class TestRecordBlocks:
         _, trace = run(inst, cfg, x0, lam0, kkt=kkt)
         assert len(trace) == n
         assert records == trace
+
+    def test_ring_flush_allocates_few_blocks(self, monkeypatch):
+        """On the 10x200 ring (4-row blocks; a 4 x 2000 block array is
+        64 kB) every flush after the run's first traces at most five
+        block arrays: the run owns the four difference arrays from its
+        first flush on, and the block's other arrays are combined in
+        place (the out-of-place formula traced about ten)."""
+        inst = make_ring_logistic()
+        kkt = kkt_refine(inst)
+        real, peaks = aalm_solver.make_records, []
+
+        def traced(*args, **kwargs):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            records = real(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            return records
+
+        monkeypatch.setattr(aalm_solver, "make_records", traced)
+        tracemalloc.start()
+        try:
+            _, trace = self._run(inst, kkt, 12)
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 12 and len(peaks) == 3
+        assert max(peaks[1:]) <= 5 * (4 * inst.dim * 8), peaks
 
     def test_stop_rule_ends_at_first_k(self, qp_testbed, qp_reference,
                                        monkeypatch):
