@@ -24,9 +24,10 @@ destroys monotonicity -- so the solver loop computes records itself from
 its own configuration rather than re-deriving parameters.
 
 Records are computed a block of iterates at a time (:func:`make_records`)
-from the iterates and the schedule alone: the run loop buffers ``x_k`` and
-``lam_k`` and pays for the array operations once per block, in work
-arrays it keeps from block to block.  Objective
+from the iterates and the schedule alone: the run loop copies ``x_k`` and
+``lam_k`` into the rows of one block it allocates before its first step,
+and pays for the array operations once per block, in difference arrays
+allocated with that block and reused by every flush.  Objective
 values and gradients come from the objective's row forms
 (:class:`aalm.problems.ObjectiveOracle`), and ``A x`` and ``A' lam`` from
 :meth:`aalm.problems.ProblemInstance.A_rows` and
@@ -148,13 +149,13 @@ def make_records(instance, k, t, xi, X, L, gamma, delta, eta, beta,
     ``k .. k + B - 1``.
 
     The four difference arrays ``x - x_prev``, ``lam - lam_prev``,
-    ``x - x*`` and ``lam - lam*`` go into the first B rows of the arrays
-    in the list ``work``, which an empty list is filled with here (the
-    first block is the largest); without ``work`` they are this call's
-    own.  The block's other arrays are combined in place, so a run that
-    passes the same list to every block allocates no block-sized array
-    per block beyond those of ``A x``, ``A' lam`` and the row forms.
-    Every value is bitwise the out-of-place formula's.
+    ``x - x*`` and ``lam - lam*`` go into the first B rows of the four
+    arrays ``work``, shaped like ``x``, ``lam``, ``x``, ``lam`` with at
+    least B rows; without ``work`` they are this call's own.  The block's
+    other arrays are combined in place, so a run that passes its own
+    ``work`` to every block allocates no block-sized array per block
+    beyond those of ``A x``, ``A' lam`` and the row forms.  Every value is
+    bitwise the out-of-place formula's.
     """
     obj = instance.objective
     t = np.asarray(t, dtype=float)
@@ -173,12 +174,7 @@ def make_records(instance, k, t, xi, X, L, gamma, delta, eta, beta,
     feas_sq = _rowdot(Axb, Axb)
     feas = np.sqrt(feas_sq)
     if work is None:
-        work = []
-    if not work:
-        # Made after this block's other arrays: the buffers then lie
-        # above the heap those arrays free, which later blocks reuse
-        # rather than hand back to the system at every block.
-        work[:] = [np.empty((t.size, a.shape[1])) for a in (x, lam, x, lam)]
+        work = [np.empty(a.shape) for a in (x, lam, x, lam)]
     dx, dlam, sx, slam = (a[:t.size] for a in work)
     np.subtract(x, X[:-1], out=dx)
     np.subtract(lam, L[:-1], out=dlam)

@@ -148,7 +148,7 @@ def _separable_rows(form):
 
     def gradient_rows(X):
         G = _matvec_rows(U, form.dphi(_matvec_rows(Ut, X) - c))
-        return G + mu * X if mu else G
+        return np.add(G, mu * X, out=G) if mu else G
 
     return value_rows, gradient_rows
 

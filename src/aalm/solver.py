@@ -383,38 +383,42 @@ def _run_loop(instance, config, state, kkt=None):
 
     Records are computed in blocks (:func:`aalm.diagnostics.make_records`)
     of up to :data:`RECORD_BLOCK_ROWS` iterates and
-    :data:`RECORD_BLOCK_BYTES` of stacked ``x`` and ``lam``, flushed when
-    a block fills and at the end; the loop buffers only ``x_k`` and
-    ``lam_k``, from which the records are made, and owns the difference
-    arrays ``make_records`` works in, made at the first flush and
-    released with the run.  A stopping rule with a
-    tolerance set reads every record as it is made, so its blocks are one
-    iterate and the run stops at the first ``k`` that meets it."""
+    :data:`RECORD_BLOCK_BYTES` of ``x`` and ``lam``, flushed when a block
+    fills and at the end.  The run owns one record block, allocated before
+    its first step and released with it: the rows of ``X`` and ``L`` that
+    each step copies ``x_k`` and ``lam_k`` into (row 0 holds the iterate
+    before the block), and the four difference arrays ``make_records``
+    works in.  A stopping rule with a tolerance set reads every record as
+    it is made, so its blocks are one iterate and the run stops at the
+    first ``k`` that meets it."""
     plan = step_plan(instance, config.case)
     f_star = instance.objective.value(kkt.x) if kkt is not None else None
     rows = _block_rows(instance, config.stop)
     trace: List[TraceRecord] = []
-    xs, lams = [state.x_curr], [state.lam_curr]
-    work = []  # make_records' difference arrays, made at the first flush
+    X = np.empty((rows + 1, instance.dim))
+    L = np.empty((rows + 1, instance.n_constraints))
+    work = [np.empty((rows, a.shape[1])) for a in (X, L, X, L)]
+    X[0], L[0] = state.x_curr, state.lam_curr
+    j = 0  # iterates in the block, in rows 1 .. j
 
     def flush(k):
-        """Record the buffered iterates, the last of which is ``x_k``."""
-        lo = k + 1 - len(xs)
+        """Record rows 1 .. j, the last of which is ``x_k``."""
         trace.extend(make_records(
-            instance, lo + 1, state.t_seq[lo:k], state.xi_seq[lo:k],
-            np.array(xs), np.array(lams), config.gamma, config.delta,
+            instance, k - j + 1, state.t_seq[k - j:k], state.xi_seq[k - j:k],
+            X[:j + 1], L[:j + 1], config.gamma, config.delta,
             config.schedule.eta, config.beta, kkt=kkt, f_star=f_star,
             work=work))
-        del xs[:-1], lams[:-1]
+        X[0], L[0] = X[j], L[j]
 
     for _ in range(config.max_iter):
         state = step(state, config, instance, plan)
-        xs.append(state.x_curr)
-        lams.append(state.lam_curr)
-        if len(xs) > rows:
+        j += 1
+        X[j], L[j] = state.x_curr, state.lam_curr
+        if j == rows:
             flush(state.k)
+            j = 0
             if config.stop.satisfied(trace[-1].feas, trace[-1].stat_res):
                 break
-    if len(xs) > 1:
+    if j:
         flush(state.k)
     return state, trace

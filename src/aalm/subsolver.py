@@ -513,12 +513,13 @@ def solve_inner_newton(spec, instance, x0, tol, system=None, f0=None,
             d = -newton(x, g)
         except np.linalg.LinAlgError:
             d = -g
-        if g @ d > -1e-12 * math.sqrt(d @ d) * gnorm:
+        slope = float(g @ d)
+        if slope > -1e-12 * math.sqrt(d @ d) * gnorm:
             d = -g  # not a descent direction; fall back
+            slope = float(g @ d)
         if fx is None:
             fx = _value_from_terms(spec, x, terms,
                                    obj.value(x) if f is None else f)
-        slope = float(g @ d)
         s = 1.0
         x_new = x + d
         Ax_new = A @ x_new

@@ -7,6 +7,7 @@ seeded QP testbed.
 """
 
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -33,6 +34,7 @@ from aalm import (
     step,
     step_coupled,
 )
+from aalm import diagnostics
 from aalm.diagnostics import make_record, make_records
 from aalm.harness import VanillaConfig, run_vanilla
 from aalm.oracle import kkt_refine
@@ -391,24 +393,36 @@ class TestRecordBlocks:
                               L[j], *args, xi_k=xi[j], kkt=kkt)
             assert one == rec
 
-    def test_shared_work_list(self, ring):
-        """Blocks of 5 and 3 rows recorded through one ``work`` list equal
-        calls without it bitwise; the first block fills the list with
-        four distinct arrays, which the second reuses."""
+    def test_shared_work_list(self, ring, monkeypatch):
+        """Blocks of 5 and then 3 rows recorded in four caller-owned
+        arrays of 6 rows equal calls without them bitwise, and such a call
+        allocates no difference array of its own: ``make_records`` itself
+        makes four arrays by ``np.empty`` without ``work`` and none with
+        it, and it writes only the block's rows of ``work``."""
         inst, kkt = ring
         rng = np.random.default_rng(8)
-        work = []
+        work = [np.full((6, a), np.nan)
+                for a in (inst.dim, inst.n_constraints) * 2]
+        real_empty, made = np.empty, []
+
+        def empty(*args, **kwargs):
+            if sys._getframe(1).f_code.co_filename == diagnostics.__file__:
+                made.append(args[0])
+            return real_empty(*args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", empty)
         for rows in (5, 3):
             X = rng.normal(size=(rows + 1, inst.dim))
             L = rng.normal(size=(rows + 1, inst.n_constraints))
             t = np.linspace(2.0, 3.0, rows)
             args = (inst, 3, t, np.ones(rows), X, L, 0.3, 1.7, 0.8, 1.2)
-            assert (make_records(*args, kkt=kkt, work=work)
-                    == make_records(*args, kkt=kkt))
-            if rows == 5:
-                made = list(work)
-        assert len({id(a) for a in work}) == 4
-        assert all(a is b for a, b in zip(work, made))
+            own = make_records(*args, kkt=kkt)
+            assert len(made) == 4
+            made.clear()
+            assert make_records(*args, kkt=kkt, work=work) == own
+            assert made == []
+            assert all(not np.isnan(a[:rows]).any() for a in work)
+            assert all(np.isnan(a[5:]).all() for a in work)
 
     @pytest.mark.parametrize("which", ["lp", "qp"])
     def test_trace_is_records_of_iterates(self, which, qp_testbed,
@@ -442,10 +456,12 @@ class TestRecordBlocks:
 
     def test_ring_flush_allocates_few_blocks(self, monkeypatch):
         """On the 10x200 ring (4-row blocks; a 4 x 2000 block array is
-        64 kB) every flush after the run's first traces at most five
-        block arrays: the run owns the four difference arrays from its
-        first flush on, and the block's other arrays are combined in
-        place (the out-of-place formula traced about ten)."""
+        64 kB) every flush, the run's first included, traces at most three
+        block arrays: the run allocates its iterate rows and the four
+        difference arrays before its first step, and the block's other
+        arrays are combined in place (the out-of-place formula traced
+        about ten, and a first flush that made the difference arrays
+        itself six)."""
         inst = make_ring_logistic()
         kkt = kkt_refine(inst)
         real, peaks = aalm_solver.make_records, []
@@ -464,7 +480,7 @@ class TestRecordBlocks:
         finally:
             tracemalloc.stop()
         assert len(trace) == 12 and len(peaks) == 3
-        assert max(peaks[1:]) <= 5 * (4 * inst.dim * 8), peaks
+        assert max(peaks) <= 3 * (4 * inst.dim * 8), peaks
 
     def test_stop_rule_ends_at_first_k(self, qp_testbed, qp_reference,
                                        monkeypatch):
