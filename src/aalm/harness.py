@@ -35,14 +35,16 @@ proximal augmented Lagrangian iteration
 
 with the same implicit/linearized treatment of ``f`` as the accelerated
 loop, so a comparison at equal stepsizes isolates the effect of the
-momentum and dual corrections.  It is the accelerated step on ``t_k = 1``
-with ``eta = 1`` (``alpha_k = 0``, ``c_k = 1``) and penalty weight
-``beta - delta``, so it needs ``delta <= beta`` and its records carry the
+momentum and dual corrections.  It is the accelerated run on the schedule
+``t_k = 1``, ``eta = 1`` (:func:`aalm.schedule.baseline`: ``alpha_k = 0``,
+``c_k = 1``) with penalty weight ``beta - delta``, resolved and run like
+every entry, so it needs ``delta <= beta`` and its records carry the
 energy certificate at ``beta - delta``.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import numbers
 import os
@@ -58,9 +60,9 @@ from .diagnostics import TRACE_FIELDS, TraceRecord, fit_rate, littleo_witness
 from .oracle import cached_reference
 from .problems import (issparse, make_lp_regression, make_qp,
                        make_random_lp, make_random_qp, make_ring_logistic)
-from .schedule import SCHEDULE_RULES, custom_schedule, named_schedule
+from .schedule import SCHEDULE_RULES, baseline, named_schedule
 from .solver import SolverConfig, StoppingRule
-from .subsolver import CASES, step_plan
+from .subsolver import CASES
 
 # Fixed offset deriving the instance's stream from the master seed.
 INSTANCE_SEED_OFFSET = 1000
@@ -158,26 +160,24 @@ CONFIG = {"problem": (BLOCK, REQUIRED), "solvers": (LIST, REQUIRED),
           "output_dir": (PATH, "results"), "emit_gnuplot": (BOOL, False)}
 
 # A problem block names a builtin family, whose factory's keywords and
-# defaults make its table, or else a manifest.  A builtin's seed defaults
-# to the master seed's instance stream (see _instance_seed).
+# defaults make its table, or else a manifest: an int default is an
+# INT, a float one a NUMBER.  A builtin's seed defaults to the master
+# seed's instance stream (see _instance_seed).
 FACTORIES = {"qp": make_random_qp, "lp-regression": make_random_lp,
              "ring-logistic": make_ring_logistic}
 BUILTIN = _choice("builtin problem", tuple(FACTORIES))
-_BUILTIN = {"builtin": (BUILTIN, REQUIRED), "seed": (INT, None)}
 BUILTIN_PROBLEMS = {
-    "qp": {**_BUILTIN, "n": (INT, 50), "m": (INT, 10),
-           "cond": (NUMBER, 10.0)},
-    "lp-regression": {**_BUILTIN, "d": (INT, 30), "n": (INT, 20),
-                      "p": (NUMBER, 1.5), "n_constraints": (INT, 1)},
-    "ring-logistic": {**_BUILTIN, "p_agents": (INT, 10), "m_dim": (INT, 200),
-                      "rho_reg": (NUMBER, 0.5)},
-}
+    family: {"builtin": (BUILTIN, REQUIRED), "seed": (INT, None),
+             **{key: ({int: INT, float: NUMBER}[type(p.default)], p.default)
+                for key, p in inspect.signature(f).parameters.items()
+                if key not in ("seed", "name")}}
+    for family, f in FACTORIES.items()}
 MANIFEST_PROBLEM = {"manifest": (PATH, REQUIRED)}
 
 # A solver entry's name and method pick its table and name it in errors.
 # use_eig is accepted for older configs and ignored: the instance picks
-# the linear solve backend (see aalm.subsolver.LinearCache).  The
-# baseline has no schedule, so no scaling, stop rule or use_eig either.
+# the linear solve backend (see aalm.subsolver.LinearCache).  A baseline
+# entry names no schedule (its t_k = 1 is fixed), scaling, stop or use_eig.
 SOLVER_HEAD = {"name": (NAME, REQUIRED),
                "method": (_choice("method", ("aalm", "vanilla")), "aalm")}
 AALM_ENTRY = {**SOLVER_HEAD, "case": (_choice("case", CASES), "explicit"),
@@ -266,8 +266,8 @@ def _parse_solver(block, iterations):
     name, method = head["name"], head["method"]
     where = f"{'vanilla ' if method == 'vanilla' else ''}solver {name!r}"
     e = _validate(block, SOLVER_ENTRIES[method], where)
-    # Types only: resolve_config and run_vanilla check the ranges of
-    # gamma, delta and beta.  gamma: null stands for the default stepsize.
+    # Types only: resolve_config checks the ranges of gamma, delta and
+    # beta.  gamma: null stands for the default stepsize.
     steps = {k: e[k] for k in ("case", "gamma", "delta", "beta")}
     if method == "vanilla":
         cfg = VanillaConfig(**steps)
@@ -404,9 +404,12 @@ def _check_vanilla(vcfg, where="the vanilla baseline"):
 vanilla_alm_step = aalm_solver.step
 
 
-def _vanilla_stepsize(instance, vcfg):
-    """The baseline's ``gamma`` as a float (default ``1/L`` or 1)."""
-    return step_plan(instance, vcfg.case, backend=False).stepsize(vcfg.gamma)
+def _baseline_config(vcfg, iterations):
+    """The baseline's unresolved run config (see the module docstring)."""
+    _check_vanilla(vcfg)
+    return SolverConfig(schedule=baseline(), case=vcfg.case,
+                        gamma=vcfg.gamma, delta=vcfg.delta,
+                        beta=vcfg.beta - vcfg.delta, max_iter=iterations)
 
 
 def run_vanilla(instance, vcfg, iterations, x0, lam0, kkt=None):
@@ -416,16 +419,9 @@ def run_vanilla(instance, vcfg, iterations, x0, lam0, kkt=None):
     ``beta - delta`` in place of ``beta`` (see the module docstring), so
     records carry ``t_k = 1`` and the energy and gap at ``beta - delta``.
     """
-    gamma = _vanilla_stepsize(instance, vcfg)
-    aalm_solver.check_penalties(vcfg.delta, vcfg.beta)
-    _check_vanilla(vcfg)
-    config = SolverConfig(schedule=custom_schedule(np.ones_like, eta=1.0),
-                          case=vcfg.case, gamma=gamma, delta=vcfg.delta,
-                          beta=vcfg.beta - vcfg.delta, max_iter=iterations)
-    ones = np.ones(iterations + 1)
-    return aalm_solver._run_loop(
-        instance, config, aalm_solver._start(instance, x0, lam0, ones, ones),
-        kkt)
+    config = aalm_solver.resolve_config(instance,
+                                        _baseline_config(vcfg, iterations))
+    return aalm_solver._run_resolved(instance, config, x0, lam0, kkt)
 
 
 # ---------------------------------------------------------------------------
@@ -522,21 +518,16 @@ def _run_entry(instance, entry, x0, lam0, kkt, iterations, path, row):
     ``row``; the trace is released when this returns.  A failure is
     recorded in ``row["status"]``."""
     try:
+        config = (entry.config if entry.method == "aalm"
+                  else _baseline_config(entry.config, iterations))
+        resolved = aalm_solver.resolve_config(instance, config)
+        _, trace = aalm_solver._run_resolved(instance, resolved, x0, lam0,
+                                             kkt=kkt)
+        # A baseline row states its own beta, not beta - delta, no rho, eta.
         if entry.method == "aalm":
-            resolved = aalm_solver.resolve_config(instance, entry.config)
-            _, trace = aalm_solver._run_resolved(instance, resolved, x0,
-                                                 lam0, kkt=kkt)
-            row.update(rho=resolved.schedule.rho,
-                       eta=resolved.schedule.eta)
-        else:
-            # The row states the baseline's own beta, not beta - delta.
-            vcfg = entry.config
-            resolved = replace(
-                vcfg, gamma=_vanilla_stepsize(instance, vcfg))
-            _, trace = run_vanilla(instance, resolved, iterations,
-                                   x0, lam0, kkt=kkt)
+            row.update(rho=resolved.schedule.rho, eta=resolved.schedule.eta)
         row.update(case=resolved.case, gamma=resolved.gamma,
-                   delta=resolved.delta, beta=resolved.beta)
+                   delta=resolved.delta, beta=entry.config.beta)
         write_trace_csv(path, trace)
         row.update(iterations=len(trace),
                    final_feas=trace[-1].feas,

@@ -114,13 +114,15 @@ def kkt_solve_qp(Q, q, A, b):
     x, lam = sol[:n], sol[n:]
     feas = float(np.linalg.norm(A @ x - b))
     stat = float(np.linalg.norm(Q @ x + q + A.T @ lam))
-    if feas > KKT_RESIDUAL_TOL * (1.0 + np.linalg.norm(b)):
+    feas_tol = KKT_RESIDUAL_TOL * (1.0 + np.linalg.norm(b))
+    if feas > feas_tol:
         raise InfeasibleConstraints(
             f"constraint residual {feas:.3e}: b is not in the range of A")
-    if stat > KKT_RESIDUAL_TOL * scale:
+    # A NaN residual meets no bound: NaN data has no finite KKT point.
+    if not (stat <= KKT_RESIDUAL_TOL * scale and feas <= feas_tol):
         raise ReferenceNotConverged(
-            f"stationarity residual {stat:.3e}; the QP has no finite "
-            f"KKT point", stat, feas)
+            f"stationarity residual {stat:.3e} (feasibility {feas:.3e}); "
+            f"the QP has no finite KKT point", stat, feas)
     return KKTPoint(x=x, lam=lam, kkt_tol=max(stat, feas))
 
 
@@ -372,8 +374,9 @@ def kkt_refine(instance):
     x, lam, note = _polish(instance, pinv, Zt, Z, k, x,
                            -(A @ pinv(obj.gradient(x))))
     stat, feas = _kkt_residuals(instance, x, lam)
-    res = max(stat, feas)
-    if res > REFINE_TARGET:
+    # np.max, unlike max, keeps a NaN residual, which meets no target.
+    res = float(np.max((stat, feas)))
+    if not res <= REFINE_TARGET:
         raise ReferenceNotConverged(
             f"KKT residual {res:.3e} (stationarity {stat:.3e}, feasibility "
             f"{feas:.3e}) exceeds target {REFINE_TARGET:.1e} after {note}",

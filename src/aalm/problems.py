@@ -511,6 +511,10 @@ def make_random_qp(n=50, m=10, seed=0, cond=10.0, name=None):
     constraints are consistent by construction.  All draws come from a
     PCG64 stream seeded by ``seed`` (recorded in the name).
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not cond > 0:
+        raise ValueError(f"cond must be positive, got {cond}")
     rng = np.random.Generator(np.random.PCG64(seed))
     V, _ = np.linalg.qr(rng.normal(size=(n, n)))
     evals = np.logspace(np.log10(2.0 / cond), np.log10(2.0), n)
@@ -534,6 +538,10 @@ def make_random_lp(d=30, n=20, p=1.5, n_constraints=1, seed=0, name=None):
     minimizer exactly on the kinks (interpolation), where no float64
     algorithm can drive the gradient below roughly ``sqrt(eps)``.
     """
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.Generator(np.random.PCG64(seed))
     B = rng.normal(size=(d, n)) / np.sqrt(n)
     c = rng.normal(size=d)

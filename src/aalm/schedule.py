@@ -70,7 +70,7 @@ class Schedule:
     ----------
     rule : str
         One of ``"nesterov"``, ``"chambolle-dossal"``, ``"attouch-cabot"``,
-        ``"custom"``.
+        ``"custom"``, or ``"baseline"`` (:func:`baseline`).
     alpha : float, optional
         Rule parameter for the affine families.
     fn : callable, optional
@@ -107,6 +107,11 @@ def nesterov(eta=None):
     return Schedule(rule="nesterov", rho=1.0, eta=eta)
 
 
+def baseline():
+    """``t_k = 1``, ``eta = 1``: the proximal ALM baseline, no momentum."""
+    return Schedule(rule="baseline", rho=1.0, eta=1.0)
+
+
 def chambolle_dossal(alpha, eta=None):
     """Affine rule ``t_k = (k + alpha - 2) / (alpha - 1)`` with ``alpha > 2``.
 
@@ -138,11 +143,13 @@ SCHEDULE_RULES = {"nesterov": nesterov, "chambolle-dossal": chambolle_dossal,
 
 
 def named_schedule(rule, alpha=None, eta=None):
-    """The schedule ``SCHEDULE_RULES[rule]``; ``alpha`` (default 10) is
-    ignored by ``nesterov``."""
+    """The schedule ``SCHEDULE_RULES[rule]``; ``alpha`` defaults to 10,
+    and ``nesterov`` takes none."""
     if rule not in SCHEDULE_RULES:
         raise ScheduleError(f"unknown schedule rule {rule!r}")
     if rule == "nesterov":
+        if alpha is not None:
+            raise ScheduleError(f"nesterov takes no alpha, got {alpha}")
         return nesterov(eta=eta)
     return SCHEDULE_RULES[rule](10.0 if alpha is None else alpha, eta=eta)
 
@@ -171,13 +178,15 @@ def generate(schedule, k_max):
     ------
     ScheduleError
         If a value is not finite, or the sequence fails ``t_1 = 1``,
-        monotonicity, or has a non-increasing tail (stalled growth:
-        ``t_k`` must eventually exceed 1 and grow without bound); the
-        failing step's index is ``.index``.
+        monotonicity, or, unless it is ``baseline``, has a non-increasing
+        tail (stalled growth: ``t_k`` must exceed 1 and grow without
+        bound); the failing step's index is ``.index``.
     """
     if k_max < 1:
         raise ScheduleError(f"k_max must be >= 1, got {k_max}")
     k = np.arange(1, k_max + 1, dtype=float)
+    if schedule.rule == "baseline":
+        return np.ones_like(k)
     if schedule.rule == "nesterov":
         t = _nesterov_prefix(k_max)
     elif schedule.rule == "chambolle-dossal":
@@ -328,10 +337,6 @@ def certify_rho(schedule, k_max=DEFAULT_HORIZON):
     s1 = t[0] * t[0] * xi[0]
     if abs(s1 - 1.0) > CERT_TOL:
         raise ScheduleError(f"t_1^2 xi_1 must equal 1, got {s1}", index=1)
-    # t_k dips by at most CERT_TOL a step (generate checks it), so no
-    # t_k^2 xi_k overflows while this bound is finite.
-    t_top = float(t[-1]) + k_max * CERT_TOL
-    bounded = np.isfinite(t_top * t_top * float(xi.max()))
     ds_min, rho_hat, drop, rise, overflow = np.inf, -np.inf, None, None, None
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, k_max - 1, CERT_CHUNK):
@@ -340,18 +345,14 @@ def certify_rho(schedule, k_max=DEFAULT_HORIZON):
             xi0, xi1 = xi[lo:hi], xi[lo + 1:hi + 1]
             ds = (t1 - t0) * (t1 + t0) * xi1 + t0 * t0 * (xi1 - xi0)
             ratio = ds / (t1 * xi1)
-            low, high = ds.min(), ratio.max()
-            if not (bounded and np.isfinite(low) and np.isfinite(high)):
-                ok = (np.isfinite(ds) & np.isfinite(ratio)
-                      & np.isfinite(t1 * t1 * xi1))
-                if not ok.all():
-                    # Certify the finite prefix: the horizon ends before
-                    # the first step whose ratio or t_{k+1}^2 xi_{k+1} is
-                    # not finite.
-                    cut = int(np.argmin(ok))
-                    ds, ratio, overflow = ds[:cut], ratio[:cut], lo + 1 + cut
-                    low = ds.min(initial=np.inf)
-                    high = ratio.max(initial=-np.inf)
+            ok = (np.isfinite(ds) & np.isfinite(ratio)
+                  & np.isfinite(t1 * t1 * xi1))
+            if not ok.all():
+                # Certify the finite prefix: the horizon ends before the
+                # first step whose ratio or t_{k+1}^2 xi_{k+1} is not finite.
+                cut = int(np.argmin(ok))
+                ds, ratio, overflow = ds[:cut], ratio[:cut], lo + 1 + cut
+            low, high = ds.min(initial=np.inf), ratio.max(initial=-np.inf)
             ds_min, rho_hat = min(ds_min, low), max(rho_hat, high)
             if drop is None and low < -CERT_TOL:
                 drop = lo + 1 + int(np.argmax(ds < -CERT_TOL))

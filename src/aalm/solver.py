@@ -36,11 +36,11 @@ multiplies both stepsizes by ``xi_{k+1}`` at iteration ``k`` (implicit
 case only); rates are then measured against ``t_k^2 xi_k`` and every
 trace record carries that scaling.
 
-The baseline :func:`aalm.harness.run_vanilla` is :func:`step` on
-``t_k = 1``, ``eta = 1`` (``alpha_k = 0``, ``c_k = 1``: no extrapolation,
-no dual correction) with ``beta`` lowered by ``delta``, so it runs in the
-loop :func:`run` uses.  That loop fixes the split of ``f`` and step 3's
-solve backend once per run (:func:`aalm.subsolver.step_plan`).
+The baseline :func:`aalm.harness.run_vanilla` runs the schedule ``t_k = 1``,
+``eta = 1`` (:func:`aalm.schedule.baseline`: no extrapolation, no dual
+correction) with ``beta`` lowered by ``delta``.  Every run is resolved by
+:func:`resolve_config` and advanced by the one loop, which fixes the split
+of ``f`` and step 3's solve backend once (:func:`aalm.subsolver.step_plan`).
 """
 
 from __future__ import annotations
@@ -218,11 +218,6 @@ def initial_state(instance, config, x0, lam0):
     the whole budget (``t_1 .. t_{K+1}``).
     """
     t_seq, xi_seq = generate_scaled(config.schedule, config.max_iter + 1)
-    return _start(instance, x0, lam0, t_seq, xi_seq)
-
-
-def _start(instance, x0, lam0, t_seq, xi_seq):
-    """The ``k = 1`` state over the schedule values ``t_seq``, ``xi_seq``."""
     x0 = np.asarray(x0, dtype=float)
     lam0 = np.asarray(lam0, dtype=float)
     if x0.shape != (instance.dim,):
@@ -376,10 +371,9 @@ def _block_rows(instance, stop):
 
 def _run_loop(instance, config, state, kkt=None):
     """Advance ``state`` by :func:`step` for ``config.max_iter`` iterations
-    or until ``config.stop``, recording each iterate with ``config``'s own
-    ``gamma, delta, eta, beta``.  ``config`` has a float ``gamma`` and a
-    numeric ``eta``; the step plan is the one :func:`step` builds without
-    one, made once here.
+    or until ``config.stop``, recording each iterate with the resolved
+    ``config``'s own ``gamma, delta, eta, beta``; the step plan is the one
+    :func:`step` builds without one, made once here.
 
     Records are computed in blocks (:func:`aalm.diagnostics.make_records`)
     of up to :data:`RECORD_BLOCK_ROWS` iterates and

@@ -490,7 +490,8 @@ def solve_inner_newton(spec, instance, x0, tol, system=None, f0=None,
     ------
     MaxInnerIterations
         After :data:`INNER_MAX_STEPS` steps (read at call time) without
-        meeting the tolerance; carries the final gradient norm.
+        meeting the tolerance, which a NaN gradient norm never meets;
+        carries the final gradient norm.
     """
     if system is None:
         system = newton_system(instance, spec.implicit)
@@ -504,7 +505,7 @@ def solve_inner_newton(spec, instance, x0, tol, system=None, f0=None,
     gnorm = math.sqrt(g @ g)
     fx = None  # F(x), when it was evaluated
     it = 0
-    while gnorm > tol:
+    while not gnorm <= tol:  # a NaN norm has not converged
         if it >= INNER_MAX_STEPS:
             raise MaxInnerIterations(
                 f"inner Newton: {INNER_MAX_STEPS} iterations, gradient "

@@ -24,7 +24,7 @@ from aalm.oracle import kkt_refine, kkt_solve_qp, load_kkt, save_kkt
 from aalm.problems import (KKTPoint, make_lp_regression, make_random_lp,
                            make_random_qp, make_ring_logistic)
 from aalm.subsolver import MaxInnerIterations, step_plan
-from aalm.schedule import nesterov
+from aalm.schedule import ScheduleError, nesterov
 from aalm import solver as aalm_solver
 from aalm import subsolver
 from aalm.solver import SolverConfig, StoppingRule, resolve_config, run
@@ -198,6 +198,20 @@ class TestParseConfig:
         cfg["solvers"][0]["schedule"] = {"rule": "nesterov", "power": 2}
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(cfg)
+
+    def test_nesterov_alpha_rejected(self, tmp_path, capsys):
+        """Nesterov has no alpha: a config giving one is a config error
+        (exit 1) naming it, not a schedule that silently drops it.  A
+        null alpha is the absent one."""
+        cfg = _qp_config()
+        cfg["solvers"][0]["schedule"] = {"rule": "nesterov", "alpha": 3.0}
+        with pytest.raises(ScheduleError, match="nesterov takes no alpha"):
+            parse_config(cfg)
+        assert main(["run", str(_write_config(tmp_path, cfg))]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: nesterov takes no alpha, got 3.0")
+        cfg["solvers"][0]["schedule"]["alpha"] = None
+        assert parse_config(cfg).solvers[0].config.schedule.alpha is None
 
     def test_scaling_block(self):
         """t-power scaling puts xi(t) = t^e on the schedule; constant
@@ -538,10 +552,9 @@ class TestVanillaBaseline:
 
     @pytest.mark.parametrize("field", ["gamma", "delta", "beta"])
     def test_nonfinite_stepsize_rejected(self, qp_testbed, field):
-        """The baseline bypasses ``resolve_config`` and checks its
-        stepsizes itself, once, before any iteration: NaN and, where
-        ``delta <= beta`` lets it through, infinity are rejected by
-        name."""
+        """The baseline's stepsizes are checked by ``resolve_config``,
+        once, before any iteration: NaN and, where ``delta <= beta`` lets
+        it through, infinity are rejected by name."""
         values = [np.nan, np.inf] if field != "delta" else [np.nan]
         for value in values:
             with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -803,7 +816,11 @@ class TestRunExperiment:
         newlines as spaces, so summary.csv keeps one line per entry."""
         monkeypatch.setenv("AALM_OUTPUT_DIR", str(tmp_path))
 
-        def broken(*args, **kwargs):
+        real = aalm_solver._run_resolved
+
+        def broken(instance, config, *args, **kwargs):
+            if config.schedule.rule != "nesterov":
+                return real(instance, config, *args, **kwargs)
             raise RuntimeError("a\nb")
 
         monkeypatch.setattr(aalm_solver, "_run_resolved", broken)
@@ -856,8 +873,8 @@ class TestRunExperiment:
         assert parsed["status"] == row["status"]
 
     def test_each_entry_resolved_once(self, tmp_path, monkeypatch):
-        """Every accelerated entry is resolved (and its schedule certified)
-        once: for its summary row and its run alike."""
+        """Every entry, the baseline's too, is resolved (and its schedule
+        certified) once: for its summary row and its run alike."""
         monkeypatch.setenv("AALM_OUTPUT_DIR", str(tmp_path))
         calls = []
         real = aalm_solver.resolve_config
@@ -872,7 +889,7 @@ class TestRunExperiment:
                                "schedule": {"rule": "cd"}})
         rows = run_experiment(parse_config(cfg))
         assert [r["status"] for r in rows] == ["ok"] * 3
-        assert calls == ["nesterov", "chambolle-dossal"]
+        assert calls == ["nesterov", "baseline", "chambolle-dossal"]
 
     def test_output_dir_from_config(self, tmp_path, monkeypatch):
         """Without the env override, files land in config.output_dir."""
@@ -965,6 +982,15 @@ class TestCli:
                      "--alpha", "0"]) == 1
         captured = capsys.readouterr()
         assert "needs alpha > 2" in captured.err
+        assert "rho_hat" not in captured.out
+
+    def test_certify_nesterov_alpha_rejected(self, capsys):
+        """--alpha on the Nesterov rule is a usage error (exit 1) naming
+        alpha, with no rho_hat printed."""
+        assert main(["certify-schedule", "--rule", "nesterov",
+                     "--alpha", "3"]) == 1
+        captured = capsys.readouterr()
+        assert "nesterov takes no alpha" in captured.err
         assert "rho_hat" not in captured.out
 
     def test_run_config(self, tmp_path, monkeypatch, capsys):
@@ -1308,6 +1334,36 @@ class TestSchema:
             for key, (_, default) in table.items():
                 if key not in ("builtin", "seed"):
                     assert default == params[key].default, (name, key)
+
+    def test_builtin_keys_in_factory_order(self):
+        """A builtin table lists ``builtin`` and ``seed``, then its
+        factory's other keywords in signature order, typed by their
+        defaults."""
+        for name, table in harness.BUILTIN_PROBLEMS.items():
+            params = inspect.signature(harness.FACTORIES[name]).parameters
+            assert list(table) == ["builtin", "seed"] + [
+                key for key in params if key not in ("seed", "name")]
+            for key, (kind, default) in table.items():
+                if key not in ("builtin", "seed"):
+                    assert kind is (harness.INT if isinstance(default, int)
+                                    else harness.NUMBER), (name, key)
+
+    @pytest.mark.parametrize("problem, message", [
+        ({"builtin": "qp", "n": 0}, "n must be >= 1, got 0"),
+        ({"builtin": "qp", "cond": -1.0}, "cond must be positive, got -1.0"),
+        ({"builtin": "qp", "cond": 0.0}, "cond must be positive, got 0.0"),
+        ({"builtin": "lp-regression", "d": 0}, "d must be >= 1, got 0"),
+        ({"builtin": "lp-regression", "n": -2}, "n must be >= 1, got -2")])
+    def test_builtin_size_rejected_by_name(self, tmp_path, monkeypatch,
+                                           capsys, problem, message):
+        """A random family's size or condition number out of range is a
+        config error (exit 1) naming the key, raised as the instance is
+        built and before any solver or reference runs."""
+        monkeypatch.setenv("AALM_OUTPUT_DIR", str(tmp_path / "out"))
+        path = _write_config(tmp_path, _qp_config(problem=problem))
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("problem, message", [
         ({"builtin": "qp", "d": 99, "rho_reg": 7.0},

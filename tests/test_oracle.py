@@ -79,6 +79,16 @@ class TestKktSolveQp:
         with pytest.raises(InfeasibleConstraints):
             kkt_solve_qp(np.eye(2), np.zeros(2), A, np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("where", ["q", "b"])
+    def test_nan_data_certifies_nothing(self, where):
+        """A NaN in ``q`` or ``b`` makes both residuals NaN, which meet
+        no bound: no reference with ``kkt_tol = nan`` is returned."""
+        q, b = np.zeros(3), np.ones(1)
+        {"q": q, "b": b}[where][0] = np.nan
+        with pytest.raises(ReferenceNotConverged,
+                           match="stationarity residual nan"):
+            kkt_solve_qp(np.eye(3), q, np.ones((1, 3)), b)
+
     def test_certificate_rechecks(self, qp_testbed, qp_reference):
         """The recorded kkt_tol holds under independent re-evaluation."""
         g = qp_testbed.objective.gradient(qp_reference.x)
@@ -106,6 +116,21 @@ class TestKktRefine:
         np.testing.assert_allclose(kkt.x, qp_reference.x, rtol=0, atol=1e-8)
         np.testing.assert_allclose(kkt.lam, qp_reference.lam, rtol=0,
                                    atol=1e-8)
+
+    def test_nan_stationarity_certifies_nothing(self):
+        """A NaN gradient leaves the feasibility residual finite, but the
+        NaN stationarity residual is the one that decides: it meets no
+        target, so the refinement fails instead of returning
+        ``kkt_tol = nan``."""
+        inst = make_random_lp(seed=0)
+        obj = dataclasses.replace(inst.objective,
+                                  gradient=lambda x: np.full(x.shape, np.nan))
+        with pytest.raises(ReferenceNotConverged,
+                           match=r"KKT residual nan \(stationarity nan, "
+                                 r"feasibility \d") as exc:
+            kkt_refine(dataclasses.replace(inst, objective=obj))
+        assert np.isnan(exc.value.stat_res)
+        assert np.isfinite(exc.value.feas_res)
 
     def test_small_ring_logistic(self):
         """p = 4, m = 5 ring: residuals certified and rechecked <= 1e-9."""

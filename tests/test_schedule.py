@@ -28,6 +28,7 @@ from aalm import (
     resolve_eta,
 )
 from aalm import schedule as schedule_module
+from aalm.schedule import baseline
 
 
 class TestNesterov:
@@ -268,6 +269,27 @@ class TestResolveAndCoefficients:
         assert resolved.rho < 2.0 / 9.0
         np.testing.assert_allclose(resolved.eta, (resolved.rho + 1.0) / 2.0,
                                    rtol=1e-15)
+
+    @pytest.mark.parametrize("budget", [None, 1, 500, 5000])
+    def test_baseline_resolves_at_one(self, budget):
+        """The baseline t_k = 1 keeps its rho = eta = 1 over every
+        horizon: alpha_k = 0 and c_k = 1."""
+        resolved = resolve(baseline(), budget)
+        assert (resolved.rho, resolved.eta) == (1.0, 1.0)
+        assert coefficients(1.0, resolved.eta) == (0.0, 1.0)
+
+    def test_baseline_alone_is_exempt_from_growth(self):
+        """generate gives the baseline its ones (certified rho_hat = 0),
+        but a custom rule of ones is still stalled, and the baseline is
+        no rule a config names."""
+        t = generate(baseline(), 50)
+        assert t.dtype == np.float64 and np.all(t == 1.0)
+        assert certify_rho(baseline(), 50) == 0.0
+        with pytest.raises(ScheduleError, match="strictly increasing"):
+            generate(custom_schedule(np.ones_like), 50)
+        assert "baseline" not in schedule_module.SCHEDULE_RULES
+        with pytest.raises(ScheduleError, match="unknown schedule rule"):
+            schedule_module.named_schedule("baseline")
 
     def test_coefficients_pinned(self):
         """t_{k+1} = 11/9, eta = 2/9 give alpha = 9/2 and c = 11/2."""

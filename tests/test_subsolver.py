@@ -595,6 +595,27 @@ class TestInnerNewton:
                                    [r.feas for r in t_true], rtol=0,
                                    atol=1e-8)
 
+    def test_nan_gradient_never_converged(self):
+        """A NaN gradient norm does not meet the tolerance: when the
+        objective's gradient turns NaN on its 20th call, the run fails in
+        that inner solve, naming the iteration, instead of carrying the
+        NaN gradient on and returning every later start unchanged."""
+        inst = make_random_lp(seed=0)
+        obj = inst.objective
+        calls = []
+
+        def gradient(x):
+            calls.append(None)
+            g = obj.gradient(x)
+            return np.full_like(g, np.nan) if len(calls) == 20 else g
+
+        planted = replace(inst, objective=replace(obj, gradient=gradient))
+        with pytest.raises(MaxInnerIterations,
+                           match=r"gradient norm nan > tol .* at k=3, t_k="):
+            run(planted, SolverConfig(schedule=nesterov(), case="implicit",
+                                      max_iter=40),
+                np.zeros(inst.dim), np.zeros(inst.n_constraints))
+
     def test_missing_hessian_rejected(self):
         """Objectives without second-order access cannot use this path:
         their implicit plan has no solve backend."""

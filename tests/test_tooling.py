@@ -6,7 +6,8 @@ functions by name, so renaming or removing one of them breaks
 here makes such a rename fail the suite instead.
 
 The reference oracle must stay an arithmetic path separate from the
-solver it checks; its imports are pinned here.  Every shipped experiment
+solver it checks; its imports are pinned here, and so is the one way
+every run enters the solver's loop.  Every shipped experiment
 config (the demos and the benchmark's workloads) must still parse, so
 that a config key cannot be removed from under them, and every shipped
 demo script must still run.  An experiment on any built-in family runs on
@@ -101,6 +102,38 @@ def test_oracle_imports_no_solver_layer(module, layers):
     bad = sorted(name for name in imported
                  if layers & set(name.split(".")))
     assert bad == [], bad
+
+
+def _names(tree, name):
+    """Whether ``tree`` names ``name``: as a bare name, an attribute or
+    an imported name."""
+    return any(isinstance(node, ast.Name) and node.id == name
+               or isinstance(node, ast.Attribute) and node.attr == name
+               or isinstance(node, ast.alias) and name in (node.name,
+                                                           node.asname)
+               for node in ast.walk(tree))
+
+
+def test_one_entry_to_the_run_loop():
+    """Every run enters the loop through ``_run_resolved``, after
+    ``resolve_config``: in ``solver.py`` only ``_run_resolved`` names
+    ``_run_loop``, by calling it, and no other module of the package,
+    the demos or the benchmark names it at all."""
+    tree = ast.parse((ROOT / "src" / "aalm" / "solver.py").read_text())
+    users = [getattr(stmt, "name", "<module>") for stmt in tree.body
+             if _names(stmt, "_run_loop")]
+    assert users == ["_run_resolved"]
+    (caller,) = [stmt for stmt in tree.body
+                 if getattr(stmt, "name", None) == "_run_resolved"]
+    assert any(isinstance(node, ast.Call) and _names(node.func, "_run_loop")
+               for node in ast.walk(caller))
+    others = [path.name for path in
+              sorted((ROOT / "src" / "aalm").glob("*.py"))
+              + sorted((ROOT / "demos").glob("*.py"))
+              + sorted((ROOT / "bench").glob("*.py"))
+              if path.name != "solver.py"
+              and _names(ast.parse(path.read_text()), "_run_loop")]
+    assert others == [], others
 
 
 def test_vanilla_steps_are_solver_step_spans():
