@@ -176,7 +176,7 @@ MANIFEST_PROBLEM = {"manifest": (PATH, REQUIRED)}
 
 # A solver entry's name and method pick its table and name it in errors.
 # use_eig is accepted for older configs and ignored: the instance picks
-# the linear solve backend (see aalm.subsolver.LinearCache).  A baseline
+# the subproblem system's backend (aalm.subsolver.LinearCache).  A baseline
 # entry names no schedule (its t_k = 1 is fixed), scaling, stop or use_eig.
 SOLVER_HEAD = {"name": (NAME, REQUIRED),
                "method": (_choice("method", ("aalm", "vanilla")), "aalm")}

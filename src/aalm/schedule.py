@@ -282,7 +282,7 @@ def generate_scaled(schedule, k_max):
     ScheduleError with ``index = k``."""
     t = generate(schedule, k_max)
     if schedule.xi is None:
-        return t, np.ones_like(t)
+        return t, np.ones(t.shape)
     xi = _evaluate(schedule.xi, t, float)
     _first_nonfinite(xi, "xi")
     if xi.min() <= 0:

@@ -40,7 +40,7 @@ The baseline :func:`aalm.harness.run_vanilla` runs the schedule ``t_k = 1``,
 ``eta = 1`` (:func:`aalm.schedule.baseline`: no extrapolation, no dual
 correction) with ``beta`` lowered by ``delta``.  Every run is resolved by
 :func:`resolve_config` and advanced by the one loop, which fixes the split
-of ``f`` and step 3's solve backend once (:func:`aalm.subsolver.step_plan`).
+of ``f`` and the step's one system once (:func:`aalm.subsolver.step_plan`).
 """
 
 from __future__ import annotations

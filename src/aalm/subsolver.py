@@ -11,28 +11,22 @@ injected by the proximal term makes F well-posed for any convex
 ``f_part``.
 
 :func:`step_plan` resolves a step case once per run into a frozen
-:class:`StepPlan`, the one place that reads a case string.  Its backend
-is one of two paths:
+:class:`StepPlan`, the one place that reads a case string, with the run's
+one subproblem system (:class:`LinearCache`: in the eigenbasis of
+``A'A``, plus an r x r Woodbury capacitance for a separable part of few
+terms, or dense and LU-solved).  Two solvers use it:
 
-* :func:`solve_linear_case` -- one SPD solve when ``f_part`` is (at most)
-  quadratic: in the explicit case a few applications of the instance's
-  orthonormal eigenbasis of ``A'A`` (:meth:`ProblemInstance.eigenbasis
-  <aalm.problems.ProblemInstance.eigenbasis>`, taken once per run by
-  :class:`LinearCache`), and an LU solve (:func:`spd_solve`) per solve
-  for a quadratic implicit part;
+* :func:`solve_linear_case` -- one solve when ``f_part`` is (at most)
+  quadratic;
 * :func:`solve_inner_newton` -- damped Newton with backtracking for smooth
-  non-quadratic implicit parts, to the fixed tolerance schedule
-  :func:`inner_tolerance` within at most :data:`INNER_MAX_STEPS` steps;
-  it returns ``A x``, ``f`` and ``grad f`` at its point with the point,
-  and the next solve starts from them.  Each step solves one Newton
-  system (see :func:`newton_system`): by Woodbury through the instance's
-  ``gram`` basis for a separable part with fewer terms than unknowns
-  (:class:`GramNewton`, an r x r solve), else densely by LU
-  (:class:`DenseNewton`).
+  non-quadratic implicit parts, one solve per step, to the fixed
+  tolerance schedule :func:`inner_tolerance` within at most
+  :data:`INNER_MAX_STEPS` steps; it returns ``A x``, ``f`` and ``grad f``
+  at its point with the point, and the next solve starts from them.
 
-Everything a solve reuses is built once per run (the plan's backend) or
-once per subproblem (a Newton system's ``at``), so a step costs a few
-products and one small solve.
+Everything a solve reuses is built once per run (the system) or once per
+subproblem (its ``at``), so a step costs a few products and one small
+solve.
 """
 
 from __future__ import annotations
@@ -188,11 +182,6 @@ def spd_solve(M, rhs):
     return np.linalg.solve(M, rhs)
 
 
-def _coupling(spec):
-    """``beta + delta c^2``, the weight of ``A'A`` in the subproblem."""
-    return spec.beta + spec.delta * spec.c_k ** 2
-
-
 def _shift_diagonal(M, s):
     """``M += s I`` in place for a C-contiguous square ``M``, through a
     strided view of its diagonal."""
@@ -200,128 +189,117 @@ def _shift_diagonal(M, s):
 
 
 class LinearCache:
-    """Per-run precomputation shared by every linear subproblem solve.
+    """The run's one subproblem system ``M = H + coef A'A + I/gamma``
+    (``H`` the implicit ``part``'s Hessian, zero without one; ``coef =
+    beta + delta c^2``), built once per run by :func:`step_plan` for the
+    linear solve and inner Newton alike.  Its backend is picked from the
+    instance and the part:
 
-    Holds ``A'A``, the implicit ``part``'s ``(Q, q)`` and the solve
-    backend, chosen by the case alone:
-
-    * explicit (no ``part``): ``basis`` is the instance's orthonormal
-      eigenbasis of ``A'A`` (:meth:`~aalm.problems.ProblemInstance.eigenbasis`:
-      its factored ``gram``, or a dense SVD of ``A``), each solve, at any
-      ``gamma``, is a few basis applications, and ``emax`` is the largest
-      eigenvalue; ``A'A`` keeps the storage of ``A``;
-    * a quadratic implicit part: ``basis`` is None, ``A'A`` is dense
-      (formed once) and each solve is an LU solve of the system
-      (:func:`spd_solve`), whatever ``Q`` is.
+    * basis: the instance's orthonormal eigenbasis of ``A'A``
+      (:meth:`~aalm.problems.ProblemInstance.eigenbasis`), without a part
+      and for a separable non-quadratic part of ``r < n`` terms on an
+      instance with a ``gram``, whose ``U W U'`` enters by Woodbury (Golub
+      & Van Loan, *Matrix Computations*, 2.1.4) through ``B = V'U``,
+      formed here, and one r x r solve per point; ``A'A`` keeps the
+      storage of ``A`` and nothing n x n is formed;
+    * dense: ``M`` formed with a dense ``A'A`` (``H = Q`` for a quadratic
+      part, so ``hessian`` is never called, else ``hessian(x)``) and
+      LU-solved by :func:`spd_solve`.
     """
 
     def __init__(self, instance, part):
-        if part is not None and part.quadratic is None:
-            raise ValueError("linear path needs a quadratic implicit part; "
-                             "use solve_inner_newton instead")
+        form = part.separable if part is not None else None
+        self.form = form if (form is not None and part.quadratic is None
+                             and instance.gram is not None
+                             and form.U.shape[1] < instance.dim) else None
         AtA = instance.A.T @ instance.A
-        self.Q, self.q = part.quadratic if part is not None else (None, None)
-        self.AtA = AtA if part is None else dense(AtA)
-        self.basis = instance.eigenbasis() if part is None else None
-        self.emax = (float(self.basis.evals.max()) if self.basis is not None
-                     else None)
-
-
-class DenseNewton:
-    """Inner Newton systems formed densely: ``hessian(x) + coef A'A +
-    I/gamma`` with ``A'A`` dense (formed once), one LU solve per step."""
-
-    def __init__(self, instance):
-        self.AtA = dense(instance.A.T @ instance.A)
+        if part is None or self.form is not None:
+            self.AtA, self.basis = AtA, instance.eigenbasis()
+            if self.form is not None:
+                self.B = np.column_stack([self.basis.apply_Vt(u)
+                                          for u in self.form.U.T])
+        else:
+            self.AtA, self.basis, self.part = dense(AtA), None, part
 
     def at(self, spec):
-        """``(x, g) -> H(x)^{-1} g`` for ``spec``'s subproblem; raises
-        ``np.linalg.LinAlgError`` when ``H(x)`` is singular."""
-        hessian, AtA = spec.implicit.hessian, self.AtA
-        coef, shift = _coupling(spec), 1.0 / spec.gamma
+        """``x -> (solve, apply, scale)`` for ``spec``'s subproblem:
+        ``v -> M(x)^{-1} v``, ``v -> M(x) v`` and ``() ->`` a bound on
+        ``||M(x)||_2`` (in the basis its largest diagonal entry, plus
+        ``sum_i w_i ||u_i||^2`` with Woodbury; the infinity norm when
+        dense).  ``solve`` raises ``np.linalg.LinAlgError`` when a dense
+        ``M(x)`` is singular."""
+        coef = spec.beta + spec.delta * spec.c_k ** 2  # the weight of A'A
+        h, AtA = 1.0 / spec.gamma, self.AtA
+        if self.basis is None:
+            part = self.part
 
-        def solve(x, g):
-            # C-ordered like its term coef A'A, so the shift is in place.
-            H = hessian(x) + coef * AtA
-            _shift_diagonal(H, shift)
-            return spd_solve(H, g)
+            def point(x):
+                M = coef * AtA  # C-ordered, so the shift is in place
+                M += (part.quadratic[0] if part.quadratic is not None
+                      else part.hessian(x))
+                _shift_diagonal(M, h)
+                return (lambda v: spd_solve(M, v), lambda v: M @ v,
+                        lambda: float(np.abs(M).sum(axis=1).max()))
 
-        return solve
-
-
-class GramNewton:
-    """Inner Newton systems of a separable implicit part through the
-    instance's ``gram`` basis ``V``, by Sherman--Morrison--Woodbury
-    (Golub & Van Loan, *Matrix Computations*, 2.1.4); never n x n.
-
-    With ``f = sum_i phi(u_i'x - c_i) + (mu/2)||x||^2`` the Newton matrix
-    is ``H = V diag(d) V' + U W U'`` with ``d = mu + 1/gamma + coef e``
-    (``e`` the eigenvalues of ``A'A``) and ``W = diag(phi''(U'x - c))``.
-    ``B = V'U`` (n x r) is formed once per run; ``D^{-1} B`` and
-    ``B'D^{-1}B`` (r x r) once per subproblem; each step solves the r x r
-    capacitance system ``I + W^{1/2} B'D^{-1}B W^{1/2}`` (eigenvalues at
-    least 1; ``W`` is never inverted, as ``phi''`` can underflow) by
-    ``np.linalg.solve``, with one refinement pass against
-    ``H v = (mu + 1/gamma) v + coef A'A v + U (w * U'v)``.
-    """
-
-    def __init__(self, instance, form):
-        self.basis, self.form = instance.gram, form
-        self.AtA = instance.A.T @ instance.A  # keeps the storage of A
-        self.B = np.column_stack([self.basis.apply_Vt(u) for u in form.U.T])
-
-    def at(self, spec):
-        """``(x, g) -> H(x)^{-1} g`` for ``spec``'s subproblem."""
-        V, Vt = self.basis.apply_V, self.basis.apply_Vt
-        U, Ut, c, d2phi = (self.form.U, self.form.U.T, self.form.c,
-                           self.form.d2phi)
-        AtA, B = self.AtA, self.B
-        coef, h = _coupling(spec), self.form.mu + 1.0 / spec.gamma
+            return point
+        V, Vt, form = self.basis.apply_V, self.basis.apply_Vt, self.form
+        if form is not None:
+            h = form.mu + h
         d = h + coef * self.basis.evals
-        DB = B / d[:, None]
-        G = B.T @ DB
+        # One refinement pass per solve: it leaves the forward error as it
+        # is but cuts the residual ||M x - v|| that stationarity reads (5x
+        # on the 10x200 ring; without it c10's ratio there is 0.45 > 0.1).
+        if form is None:
+            def apply(v):
+                return h * v + coef * (AtA @ v)
 
-        def solve(x, g):
+            def solve(v):
+                x = V(Vt(v) / d)
+                return x + V(Vt(v - apply(x)) / d)
+
+            return lambda x: (solve, apply, lambda: float(d.max()))
+        U, Ut, c, d2phi = form.U, form.U.T, form.c, form.d2phi
+        DB = self.B / d[:, None]
+        G = self.B.T @ DB
+
+        def point(x):
             w = d2phi(Ut @ x - c)
             s = np.sqrt(w)
+            # I + W^1/2 B'D^-1 B W^1/2: eigenvalues >= 1, and W is never
+            # inverted, as phi'' can underflow.
             C = s[:, None] * G * s
             _shift_diagonal(C, 1.0)
 
-            def apply_inverse(v):
+            def inverse(v):
                 y = Vt(v)
-                z = y / d
-                return V(z - DB @ (s * np.linalg.solve(C, s * (DB.T @ y))))
+                return V(y / d - DB @ (s * np.linalg.solve(C, s * (DB.T @ y))))
 
-            v = apply_inverse(g)
-            Hv = h * v + coef * (AtA @ v) + U @ (w * (Ut @ v))
-            return v + apply_inverse(g - Hv)
+            def apply(v):
+                return h * v + coef * (AtA @ v) + U @ (w * (Ut @ v))
 
-        return solve
+            def solve(v):
+                x = inverse(v)
+                return x + inverse(v - apply(x))
 
+            return solve, apply, lambda: float(d.max() + w @ (U * U).sum(0))
 
-def newton_system(instance, part):
-    """How inner Newton solves the systems of the implicit ``part``: a
-    :class:`GramNewton` when ``part`` is separable with ``r`` terms,
-    ``instance`` carries a ``gram`` basis and ``r < n`` (the capacitance
-    system is then smaller than ``H``), a :class:`DenseNewton` otherwise."""
-    form = part.separable
-    if (form is not None and instance.gram is not None
-            and form.U.shape[1] < instance.dim):
-        return GramNewton(instance, form)
-    return DenseNewton(instance)
+        return point
 
 
 @dataclass(frozen=True)
 class StepPlan:
     """How a run treats ``f``: solved implicitly or linearized at
-    ``xbar`` (the other field is None), and the solve backend -- a
-    :class:`LinearCache` (``cache``) or the inner Newton systems
-    (``newton``, see :func:`newton_system`); neither without a backend."""
+    ``xbar`` (the other field is None), and the run's one subproblem
+    system (a :class:`LinearCache`; None without a backend)."""
 
     implicit: Optional[ObjectiveOracle]
     linearized: Optional[ObjectiveOracle]
-    cache: Optional[LinearCache] = None
-    newton: object = None
+    system: Optional[LinearCache] = None
+
+    @property
+    def newton(self):
+        """Whether inner Newton solves: the implicit part is not quadratic."""
+        return self.implicit is not None and self.implicit.quadratic is None
 
     def anchor(self, x):
         """Gradient of the linearized part at ``x`` (None without one)."""
@@ -357,15 +335,12 @@ def step_plan(instance, case, backend=True):
         raise ValueError(
             f"{case} case needs a gradient Lipschitz constant on the "
             f"linearized part; use the implicit case instead")
+    plan = StepPlan(implicit, linearized)
     if not backend:
-        return StepPlan(implicit, linearized)
-    if implicit is None or implicit.quadratic is not None:
-        return StepPlan(implicit, linearized,
-                        cache=LinearCache(instance, implicit))
-    if implicit.hessian is None:
+        return plan
+    if plan.newton and implicit.hessian is None:
         raise ValueError("inner Newton needs an implicit part with a hessian")
-    return StepPlan(implicit, linearized,
-                    newton=newton_system(instance, implicit))
+    return StepPlan(implicit, linearized, LinearCache(instance, implicit))
 
 
 def solve_linear_case(spec, instance, cache=None):
@@ -377,52 +352,34 @@ def solve_linear_case(spec, instance, cache=None):
         (Q_eff + gamma^{-1} I + (beta + delta c^2) A'A) x
             = gamma^{-1} xbar - g_anchor - q_eff + A'(beta b - p + delta c r)
 
-    through the cache's orthonormal eigenbasis of ``A'A`` in the explicit
-    case (see :class:`LinearCache`), with one refinement pass, and by an
-    LU solve otherwise.  Asserts the residual against ``1e-10`` on the
+    by the system ``cache`` (:class:`LinearCache`, built here when
+    omitted).  Asserts the residual against ``1e-10`` on the
     backward-error scale ``1 + ||rhs|| + ||M|| ||x||`` (the two scales
     differ materially once ``delta c^2`` is large and ``A`` has a null
-    space), with ``||M||`` the 2-norm in the basis and the infinity norm
-    under the LU solve, formed only for a residual above
-    ``1e-10 (1 + ||rhs||)``.
+    space), with the system's bound on ``||M||``, formed only for a
+    residual above ``1e-10 (1 + ||rhs||)``.
     """
+    part = spec.implicit
+    if part is not None and part.quadratic is None:
+        raise ValueError("linear path needs a quadratic implicit part; "
+                         "use solve_inner_newton instead")
     if cache is None:
-        cache = LinearCache(instance, spec.implicit)
-    coef = _coupling(spec)
+        cache = LinearCache(instance, part)
+    solve, apply, scale = cache.at(spec)(spec.xbar_k)
     rhs = spec.xbar_k / spec.gamma + instance.At @ (
         spec.beta * instance.b - spec.p_k + spec.delta * spec.c_k * spec.r_k)
     if spec.gradient_anchor is not None:
         rhs = rhs - spec.gradient_anchor
-    if cache.q is not None:
-        rhs = rhs - cache.q
-    if cache.basis is not None:
-        # M = h I + coef A'A with h = 1/gamma.
-        h = 1.0 / spec.gamma
-        AtA = cache.AtA
-        diag = h + coef * cache.basis.evals
-        V, Vt = cache.basis.apply_V, cache.basis.apply_Vt
-        x = V(Vt(rhs) / diag)
-        # One refinement pass: the basis's backward error
-        # leaves an O(n eps ||M||) residual that two extra matvecs remove.
-        x = x + V(Vt(rhs - (h * x + coef * (AtA @ x))) / diag)
-        Mx = h * x + coef * (AtA @ x)
-    else:
-        M = coef * cache.AtA
-        _shift_diagonal(M, 1.0 / spec.gamma)
-        if cache.Q is not None:
-            M += cache.Q
-        x = spd_solve(M, rhs)
-        Mx = M @ x
-    res = Mx - rhs
+    if part is not None:
+        rhs = rhs - part.quadratic[1]
+    x = solve(rhs)
+    res = apply(x) - rhs
     resid = math.sqrt(res @ res)
     base = 1.0 + math.sqrt(rhs @ rhs)
     # The bound is at least LINEAR_RESIDUAL_TOL * base (rounding is
     # monotone), so ||M|| ||x|| is formed only for a residual past that.
     if not resid <= LINEAR_RESIDUAL_TOL * base:
-        # max(diag) bitwise in the basis, as coef >= 0.
-        m_scale = (h + coef * cache.emax if cache.basis is not None
-                   else float(np.abs(M).sum(axis=1).max()))
-        bound = LINEAR_RESIDUAL_TOL * (base + m_scale * math.sqrt(x @ x))
+        bound = LINEAR_RESIDUAL_TOL * (base + scale() * math.sqrt(x @ x))
         if not resid <= bound:
             raise SubsolverError(f"linear subproblem residual {resid:.3e} "
                                  f"exceeds {bound:.3e}")
@@ -430,19 +387,19 @@ def solve_linear_case(spec, instance, cache=None):
 
 
 def solve_subproblem(spec, instance, plan, state):
-    """Solve the subproblem at ``state`` by ``plan``'s backend (inner Newton
-    from ``state.x_curr`` at ``inner_tolerance(t_k)``, starting from the
-    state's carried ``A x_k``, ``f(x_k)`` and ``grad f(x_k)``).  Returns
-    ``(x, Ax, f_x, grad_x)`` as :func:`solve_inner_newton` does; the
-    linear backend forms ``A x`` once, evaluates ``f`` nowhere and returns
-    ``(x, Ax, None, None)``.  An inner failure's or a singular system's
-    message gains ``k`` and ``t_k``."""
+    """Solve the subproblem at ``state`` by ``plan``'s system: by inner
+    Newton for a non-quadratic implicit part (from ``state.x_curr`` at
+    ``inner_tolerance(t_k)``, starting from the state's carried ``A x_k``,
+    ``f(x_k)`` and ``grad f(x_k)``), by one linear solve otherwise, which
+    returns ``(x, Ax, None, None)``: it forms ``A x`` once and evaluates
+    ``f`` nowhere.  An inner failure's or a singular system's message
+    gains ``k`` and ``t_k``."""
     try:
-        if plan.cache is not None:
-            x = solve_linear_case(spec, instance, plan.cache)
+        if not plan.newton:
+            x = solve_linear_case(spec, instance, plan.system)
             return x, instance.A @ x, None, None
         return solve_inner_newton(spec, instance, state.x_curr,
-                                  inner_tolerance(state.t_curr), plan.newton,
+                                  inner_tolerance(state.t_curr), plan.system,
                                   state.f_curr, state.grad_curr,
                                   state.Ax_curr)
     except (MaxInnerIterations, SubsolverError,
@@ -470,9 +427,9 @@ def solve_inner_newton(spec, instance, x0, tol, system=None, f0=None,
 
     Parameters
     ----------
-    system : DenseNewton or GramNewton, optional
-        How the Newton systems are solved (a Newton :class:`StepPlan`'s);
-        ``newton_system(instance, spec.implicit)`` when omitted.
+    system : LinearCache, optional
+        The run's subproblem system (a :class:`StepPlan`'s), solved for each
+        Newton direction; ``LinearCache(instance, spec.implicit)`` if omitted.
     f0, grad0 : optional
         ``f(x0)`` and ``grad f(x0)`` when the caller has them (a previous
         solve returned them); each is evaluated here when needed otherwise.
@@ -490,11 +447,12 @@ def solve_inner_newton(spec, instance, x0, tol, system=None, f0=None,
     ------
     MaxInnerIterations
         After :data:`INNER_MAX_STEPS` steps (read at call time) without
-        meeting the tolerance, which a NaN gradient norm never meets;
+        meeting the tolerance, or at once when the gradient norm is not
+        finite (a NaN norm never meets it); names the steps taken and
         carries the final gradient norm.
     """
     if system is None:
-        system = newton_system(instance, spec.implicit)
+        system = LinearCache(instance, spec.implicit)
     newton = system.at(spec)
     A, obj = instance.A, spec.implicit
     x = np.array(x0, dtype=float)
@@ -506,12 +464,12 @@ def solve_inner_newton(spec, instance, x0, tol, system=None, f0=None,
     fx = None  # F(x), when it was evaluated
     it = 0
     while not gnorm <= tol:  # a NaN norm has not converged
-        if it >= INNER_MAX_STEPS:
+        if it >= INNER_MAX_STEPS or not math.isfinite(gnorm):
             raise MaxInnerIterations(
-                f"inner Newton: {INNER_MAX_STEPS} iterations, gradient "
-                f"norm {gnorm:.3e} > tol {tol:.3e}", gnorm)
+                f"inner Newton: {it} iterations, gradient norm "
+                f"{gnorm:.3e} > tol {tol:.3e}", gnorm)
         try:
-            d = -newton(x, g)
+            d = -newton(x)[0](g)
         except np.linalg.LinAlgError:
             d = -g
         slope = float(g @ d)

@@ -465,6 +465,19 @@ def _dip_at(j):
     return lambda t: np.where(np.arange(1, t.size + 1) == j + 1, 0.5, 1.0)
 
 
+@pytest.mark.parametrize("sched", [nesterov(), chambolle_dossal(10.0),
+                                   custom_schedule(_linear)],
+                         ids=["nesterov", "cd10", "custom"])
+def test_unit_factors_are_float64(sched):
+    """A schedule without stepsize factors gets ``xi = 1`` in float64,
+    whatever the dtype of its ``t`` (Nesterov's is a view of a
+    ``longdouble`` prefix): 8 bytes per term over a certification
+    horizon, not 16."""
+    t, xi = generate_scaled(sched, 20_000)
+    assert xi.dtype == np.float64 and xi.shape == t.shape
+    assert np.all(xi == 1.0)
+
+
 class TestSlicedCertificate:
     """``certify_rho`` evaluates its ratios ``CERT_CHUNK`` terms at a time;
     its result and its errors are the whole-array formula's, bitwise."""

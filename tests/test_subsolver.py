@@ -36,12 +36,10 @@ from aalm import (
 from aalm import subsolver
 from aalm.diagnostics import energy
 from aalm.oracle import kkt_refine
-from aalm.problems import KronIdentity
+from aalm.problems import KronIdentity, dense
 from aalm.solver import initial_state, resolve_config, step
 from aalm.subsolver import (
-    DenseNewton,
-    GramNewton,
-    newton_system,
+    LinearCache,
     solve_subproblem,
     spd_solve,
     step_plan,
@@ -90,30 +88,145 @@ class TestStepPlan:
         with pytest.raises(ValueError, match="Lipschitz"):
             step_plan(make_random_lp(d=10, n=6, seed=0), "explicit")
 
-    def test_backend_and_gram_formed_once(self):
-        """A quadratic implicit part gets a linear cache; a non-quadratic
-        one gets inner Newton systems: dense, with a dense A'A, on lp (no
-        gram basis, and 10 terms over 6 unknowns), and the Woodbury form
-        on the ring, whose A'A keeps the Kronecker storage of A and whose
-        ``V'U`` is formed once; without the backend the plan holds
-        neither."""
-        qp = make_random_qp(n=6, m=2, seed=0)
-        plan = step_plan(qp, "implicit")
-        assert plan.cache is not None and plan.newton is None
-        lp = make_random_lp(d=10, n=6, seed=0)
-        plan = step_plan(lp, "implicit")
-        assert plan.cache is None and type(plan.newton) is DenseNewton
-        np.testing.assert_array_equal(plan.newton.AtA, lp.A.T @ lp.A)
-        ring = make_ring_logistic(p_agents=4, m_dim=5, rho_reg=0.5, seed=0)
-        plan = step_plan(ring, "implicit")
-        assert type(plan.newton) is GramNewton
-        assert isinstance(plan.newton.AtA, KronIdentity)
-        V = np.column_stack([ring.gram.apply_V(e) for e in np.eye(20)])
-        np.testing.assert_allclose(plan.newton.B,
-                                   V.T @ ring.objective.separable.U,
-                                   rtol=0, atol=1e-15)
-        bare = step_plan(lp, "implicit", backend=False)
-        assert bare.newton is None and bare.cache is None
+
+def _system_instances():
+    """The system table's instances: the suite's QP testbed, lp seed 0
+    (30 terms over 20 unknowns, no gram), the 10x20 ring (10 terms over
+    200 unknowns, with its gram) and the same ring without its gram."""
+    ring = make_ring_logistic(10, 20)
+    return {"qp": make_random_qp(n=50, m=10, seed=0),
+            "lp": make_random_lp(seed=0), "ring": ring,
+            "ring-no-gram": replace(ring, gram=None)}
+
+
+class TestSystem:
+    """The run's one system ``M = H + coef A'A + I/gamma`` for every
+    instance and case: the backend it picks, and ``solve``, ``apply`` and
+    ``scale`` against the dense ``M``."""
+
+    # (instance, case) -> backend: the eigenbasis of A'A (the instance's
+    # gram, or its SVD basis), with a Woodbury form or not; or dense LU.
+    BACKENDS = {("qp", "explicit"): "svd", ("qp", "implicit"): "dense",
+                ("lp", "explicit"): "svd", ("lp", "implicit"): "dense",
+                ("ring", "explicit"): "gram",
+                ("ring", "implicit"): "gram+woodbury",
+                ("ring-no-gram", "explicit"): "svd",
+                ("ring-no-gram", "implicit"): "dense"}
+
+    @staticmethod
+    def _dense_M(inst, part, spec, x):
+        A = dense(inst.A)
+        M = ((spec.beta + spec.delta * spec.c_k ** 2) * (A.T @ A)
+             + np.eye(inst.dim) / spec.gamma)
+        if part is None:
+            return M
+        H = (part.quadratic[0] if part.quadratic is not None
+             else part.hessian(x))
+        return M + H
+
+    @pytest.mark.parametrize("case", ["explicit", "implicit"])
+    @pytest.mark.parametrize("name", ["qp", "lp", "ring", "ring-no-gram"])
+    def test_backend_solve_and_apply(self, name, case):
+        """Each cell picks its backend; ``solve`` agrees with
+        ``np.linalg.solve`` of the dense ``M`` to 1e-10 relative, ``apply``
+        with ``M @ v`` to 1e-12 relative, and ``scale`` bounds ``||M||_2``,
+        at small and large coupling and stepsize and at points of several
+        sizes.  A dense system holds a dense ``A'A`` equal to ``A'A``;
+        a basis system keeps the storage of ``A`` (the ring's Kronecker
+        operator), and its Woodbury form holds ``B = V'U`` to 1e-15."""
+        inst = _system_instances()[name]
+        part = inst.objective if case == "implicit" else None
+        system = LinearCache(inst, part)
+        backend = self.BACKENDS[name, case]
+        if backend == "dense":
+            assert system.basis is None
+            np.testing.assert_array_equal(system.AtA,
+                                          dense(inst.A.T @ inst.A))
+        else:
+            assert (system.basis is inst.gram) == backend.startswith("gram")
+            assert (system.form is not None) == backend.endswith("woodbury")
+            assert (isinstance(system.AtA, KronIdentity)
+                    == isinstance(inst.A, KronIdentity))
+        if system.form is not None:
+            V = np.column_stack([inst.gram.apply_V(e)
+                                 for e in np.eye(inst.dim)])
+            np.testing.assert_allclose(system.B,
+                                       V.T @ inst.objective.separable.U,
+                                       rtol=0, atol=1e-15)
+        rng = np.random.default_rng(5)
+        n, m = inst.dim, inst.n_constraints
+        for gamma, c_k in ((1.0, 1.0), (1e-3, 1.0), (1e-3, 10.0)):
+            spec = _spec(part, gamma=gamma, beta=1.0, delta=10.0, c_k=c_k,
+                         m=m, n=n)
+            at = system.at(spec)
+            for size in (0.1, 3.0):
+                x, v = size * rng.normal(size=n), rng.normal(size=n)
+                M = self._dense_M(inst, part, spec, x)
+                solve, apply, scale = at(x)
+                ref = np.linalg.solve(M, v)
+                assert (np.linalg.norm(solve(v) - ref)
+                        <= 1e-10 * np.linalg.norm(ref))
+                assert (np.linalg.norm(apply(v) - M @ v)
+                        <= 1e-12 * np.linalg.norm(M @ v))
+                assert scale() >= (1.0 - 1e-12) * np.linalg.norm(M, 2)
+
+    @pytest.mark.parametrize("case", ["explicit", "implicit"])
+    @pytest.mark.parametrize("name", ["qp", "lp", "ring", "ring-no-gram"])
+    def test_one_system_per_run(self, monkeypatch, name, case):
+        """A run builds its system once, in its plan, whatever the case
+        and backend (lp has no explicit plan: no Lipschitz constant); a
+        plan without a backend holds none."""
+        inst = _system_instances()[name]
+        if name == "lp" and case == "explicit":
+            with pytest.raises(ValueError, match="Lipschitz"):
+                step_plan(inst, case)
+            return
+        assert step_plan(inst, case, backend=False).system is None
+        built = []
+        init = LinearCache.__init__
+
+        def counted(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(LinearCache, "__init__", counted)
+        run(inst, SolverConfig(schedule=nesterov(), case=case, max_iter=3),
+            np.zeros(inst.dim), np.zeros(inst.n_constraints))
+        assert len(built) == 1
+
+    def test_woodbury_backward_error(self):
+        """On the 10x20 ring the Woodbury solve of ``M d = g`` has a
+        backward error ``||M d - g|| / (||M|| ||d||)`` below 4e-16 at a
+        few points, from small to large coupling and stepsize (without
+        its refinement pass it reaches 8e-16 at ``gamma = 1e-3``,
+        ``c = 1``), and agrees with the dense LU system of the ring
+        without its gram to 1e-12 relative where ``M`` is well
+        conditioned (at ``cond(M) ~ 2e6`` both are backward stable and
+        differ by about ``cond(M) eps``)."""
+        instances = _system_instances()
+        ring, plain = instances["ring"], instances["ring-no-gram"]
+        gram = LinearCache(ring, ring.objective)
+        lu = LinearCache(plain, plain.objective)
+        assert gram.form is not None and lu.basis is None
+        n, m = ring.dim, ring.n_constraints
+        rng = np.random.default_rng(5)
+        for gamma, c_k, conditioned in ((1.0, 1.0, True),
+                                        (1e-3, 1.0, True),
+                                        (1e-3, 10.0, True),
+                                        (50.0, 300.0, False)):
+            spec = _spec(ring.objective, gamma=gamma, beta=1.0, delta=10.0,
+                         c_k=c_k, m=m, n=n)
+            for scale in (0.1, 3.0, 30.0):
+                x, g = scale * rng.normal(size=n), rng.normal(size=n)
+                M = self._dense_M(ring, ring.objective, spec, x)
+                d = gram.at(spec)(x)[0](g)
+                assert (np.linalg.norm(M @ d - g) <= 4e-16
+                        * np.linalg.norm(M, 2) * np.linalg.norm(d))
+                d_ref = lu.at(spec)(x)[0](g)
+                assert (np.linalg.cond(M) < 1e3) == conditioned
+                if conditioned:
+                    assert (np.linalg.norm(d - d_ref)
+                            <= 1e-12 * np.linalg.norm(d_ref))
 
 
 class TestValueGradientConsistency:
@@ -259,14 +372,14 @@ class TestSolveLinearCase:
         spec = _spec(inst.objective, gamma=0.5, beta=1.0, delta=2.0, c_k=4.0,
                      p_k=rng.normal(size=3), r_k=rng.normal(size=3),
                      xbar_k=xbar, m=3, n=6)
-        cache = step_plan(inst, "implicit").cache
+        cache = step_plan(inst, "implicit").system
         assert cache.basis is None
         np.testing.assert_allclose(solve_linear_case(spec, inst, cache),
                                    self._dense_solve(spec, Q, q, A, b),
                                    rtol=0, atol=1e-10)
         spec = replace(spec, implicit=None,
                        gradient_anchor=inst.objective.gradient(xbar))
-        cache = step_plan(inst, "explicit").cache
+        cache = step_plan(inst, "explicit").system
         assert cache.basis is not None
         np.testing.assert_allclose(solve_linear_case(spec, inst, cache),
                                    self._dense_solve(spec, None, None, A, b),
@@ -282,7 +395,7 @@ class TestSolveLinearCase:
                      c_k=2.0, p_k=rng.normal(size=3),
                      r_k=rng.normal(size=3), xbar_k=xbar,
                      anchor=inst.objective.gradient(xbar), m=3, n=8)
-        cache = step_plan(inst, "explicit").cache
+        cache = step_plan(inst, "explicit").system
         assert cache.basis is not None
         np.testing.assert_allclose(
             solve_linear_case(spec, inst, cache),
@@ -303,14 +416,14 @@ class TestSolveLinearCase:
         for Q in (3.0 * np.eye(20), G @ G.T + np.eye(20)):
             q = rng.normal(size=20)
             inst = replace(make_qp(Q, q, ring.A, ring.b), gram=ring.gram)
-            cache = step_plan(inst, "implicit").cache
+            cache = step_plan(inst, "implicit").system
             assert cache.basis is None
             x_dense = self._dense_solve(spec, Q, q, ring.A, ring.b)
             np.testing.assert_allclose(solve_linear_case(
                 replace(spec, implicit=inst.objective), inst, cache),
                                        x_dense, rtol=0, atol=1e-10)
             explicit = replace(spec, gradient_anchor=q)
-            cache = step_plan(inst, "explicit").cache
+            cache = step_plan(inst, "explicit").system
             assert cache.basis is ring.gram
             x_dense = self._dense_solve(explicit, None, None, ring.A, ring.b)
             np.testing.assert_allclose(
@@ -338,7 +451,7 @@ class TestSolveLinearCase:
                 (general, "explicit", "svd"),
                 (replace(general, gram=ring.gram), "implicit", None),
                 (general, "implicit", None)):
-            basis = step_plan(inst, case).cache.basis
+            basis = step_plan(inst, case).system.basis
             if backend is None:
                 assert basis is None
             elif backend == "gram":
@@ -367,9 +480,10 @@ _eigenvalues = st.lists(
 @settings(derandomize=True, database=None)
 @given(h=st.floats(1e-12, 1e12), coef=_coefficients, e=_eigenvalues)
 def test_largest_diagonal_from_largest_eigenvalue(h, coef, e):
-    """The linear path bounds its residual by ``max(h + coef e)`` and
-    takes it as ``h + coef max(e)`` (``LinearCache.emax``): bitwise the
-    same for ``coef >= 0``, because rounding is monotone, including for
+    """The basis system bounds ``||M||`` by its largest diagonal entry
+    ``max(h + coef e)``, formed only when a residual needs it: bitwise
+    ``h + coef max(e)``, the 2-norm its largest eigenvalue gives, for
+    ``coef >= 0``, because rounding is monotone, including for
     eigenvalues below zero at rounding level, which a user-supplied
     ``gram`` may carry (the SVD basis's ``s^2`` never is negative)."""
     e = np.array(e)
@@ -401,7 +515,7 @@ class TestGeneralQuadraticLU:
     @pytest.mark.parametrize("gamma", [0.7, 0.3])
     def test_matches_dense_solve(self, gamma):
         for inst in self._instances():
-            cache = step_plan(inst, "implicit").cache
+            cache = step_plan(inst, "implicit").system
             assert cache.basis is None
             Q, q = inst.objective.quadratic
             for seed, coef in enumerate((1.0, 1e2, 1e4)):
@@ -416,7 +530,7 @@ class TestGeneralQuadraticLU:
         """solve_linear_case asserts its residual on every solve, so
         returning is the check."""
         for inst in self._instances():
-            cache = step_plan(inst, "implicit").cache
+            cache = step_plan(inst, "implicit").system
             for seed, coef in enumerate((1e6, 1e8, 1e10)):
                 x = solve_linear_case(self._spec(inst, coef, seed), inst,
                                       cache)
@@ -431,7 +545,7 @@ class TestGeneralQuadraticLU:
         the bound, though it is formed only for a residual past
         ``1e-10 (1 + ||rhs||)``."""
         inst = self._instances()[0]
-        cache = step_plan(inst, "implicit").cache
+        cache = step_plan(inst, "implicit").system
         solve = subsolver.spd_solve
 
         def off_by(M, rhs):
@@ -599,7 +713,9 @@ class TestInnerNewton:
         """A NaN gradient norm does not meet the tolerance: when the
         objective's gradient turns NaN on its 20th call, the run fails in
         that inner solve, naming the iteration, instead of carrying the
-        NaN gradient on and returning every later start unchanged."""
+        NaN gradient on and returning every later start unchanged.  It
+        fails at once, with no further gradient call, rather than after
+        spending the step budget on NaN data."""
         inst = make_random_lp(seed=0)
         obj = inst.objective
         calls = []
@@ -615,6 +731,7 @@ class TestInnerNewton:
             run(planted, SolverConfig(schedule=nesterov(), case="implicit",
                                       max_iter=40),
                 np.zeros(inst.dim), np.zeros(inst.n_constraints))
+        assert len(calls) == 20
 
     def test_missing_hessian_rejected(self):
         """Objectives without second-order access cannot use this path:
@@ -630,7 +747,7 @@ class TestInnerNewton:
 
 class TestGramNewton:
     """Inner Newton on the ring by Woodbury through its gram basis,
-    against the dense LU Newton it replaces."""
+    against the dense LU system of the ring without it."""
 
     @staticmethod
     def _cd_run(instance, iters, kkt=None):
@@ -639,40 +756,6 @@ class TestGramNewton:
         return run(instance, resolve_config(instance, cfg),
                    np.zeros(instance.dim), np.zeros(instance.n_constraints),
                    kkt=kkt)
-
-    def test_direction_matches_dense_lu(self):
-        """On the 10x20 ring the Woodbury solve of ``H d = g`` has a
-        backward error ``||H d - g|| / (||H|| ||d||)`` below 4e-16 at a
-        few points, from small to large coupling and stepsize (without
-        its refinement pass it reaches 8e-16 at ``gamma = 1e-3``,
-        ``c = 1``), and agrees with the dense LU solve to 1e-12 relative
-        where ``H`` is well conditioned (at ``cond(H) ~ 2e6`` both are
-        backward stable and differ by about ``cond(H) eps``)."""
-        ring = make_ring_logistic(10, 20)
-        n, m = ring.dim, ring.n_constraints
-        AtA = ring.A.toarray().T @ ring.A.toarray()
-        gram, dense_ = newton_system(ring, ring.objective), newton_system(
-            replace(ring, gram=None), ring.objective)
-        assert type(gram) is GramNewton and type(dense_) is DenseNewton
-        rng = np.random.default_rng(5)
-        for gamma, c_k, conditioned in ((1.0, 1.0, True),
-                                        (1e-3, 1.0, True),
-                                        (1e-3, 10.0, True),
-                                        (50.0, 300.0, False)):
-            spec = _spec(ring.objective, gamma=gamma, beta=1.0, delta=10.0,
-                         c_k=c_k, m=m, n=n)
-            for scale in (0.1, 3.0, 30.0):
-                x, g = scale * rng.normal(size=n), rng.normal(size=n)
-                H = (ring.objective.hessian(x) + (1.0 + 10.0 * c_k ** 2)
-                     * AtA + np.eye(n) / gamma)
-                d = gram.at(spec)(x, g)
-                assert (np.linalg.norm(H @ d - g) <= 4e-16
-                        * np.linalg.norm(H, 2) * np.linalg.norm(d))
-                d_ref = dense_.at(spec)(x, g)
-                assert (np.linalg.cond(H) < 1e3) == conditioned
-                if conditioned:
-                    assert (np.linalg.norm(d - d_ref)
-                            <= 1e-12 * np.linalg.norm(d_ref))
 
     def test_ring_trace_matches_dense_newton(self):
         """300 implicit CD(10) noncritical iterations (``delta = 10``) on

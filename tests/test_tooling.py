@@ -57,27 +57,38 @@ def test_bench_tracer_installs():
     _traced("")
 
 
-def test_basis_build_is_a_cache_build_span():
-    """An explicit run on a QP builds its dense eigenbasis of ``A'A``
-    (``ProblemInstance.eigenbasis``) inside ``LinearCache.__init__``, so
-    the tracer charges it to ``subsolver.cache_build`` (once per run),
-    not to the solves."""
-    out = _traced("""
+@pytest.mark.parametrize("problem, case, basis", [
+    ("make_random_qp(n=20, m=4, seed=0)", "explicit", True),
+    ("make_random_qp(n=20, m=4, seed=0)", "implicit", False),
+    ("make_random_lp(seed=0)", "implicit", False),
+    ("make_ring_logistic(10, 20)", "implicit", True),
+], ids=["qp-explicit", "qp-implicit", "lp-implicit", "ring-implicit"])
+def test_basis_build_is_a_cache_build_span(problem, case, basis):
+    """Every run builds one subproblem system, ``LinearCache``, which the
+    tracer charges to one ``subsolver.cache_build`` span, not to the
+    solves: the linear solves (QP) and the inner Newton solves (lp, ring)
+    of a 5-iteration run share it.  A system in the eigenbasis of ``A'A``
+    (explicit QP; the ring's Woodbury form) takes that basis
+    (``ProblemInstance.eigenbasis``) inside the span; a dense one (the
+    implicit QP and lp) takes none."""
+    out = _traced(f"""
 import numpy as np
-from aalm import SolverConfig, chambolle_dossal, make_random_qp, run
+from aalm import (SolverConfig, nesterov, make_random_lp, make_random_qp,
+                  make_ring_logistic, run)
 from aalm.problems import ProblemInstance
 ProblemInstance.eigenbasis = tracer.wrap("probe.basis",
                                          ProblemInstance.eigenbasis)
-run(make_random_qp(n=20, m=4, seed=0),
-    SolverConfig(schedule=chambolle_dossal(10.0), case="explicit",
-                 max_iter=5), np.zeros(20), np.zeros(4))
+inst = {problem}
+run(inst, SolverConfig(schedule=nesterov(), case="{case}", max_iter=5),
+    np.zeros(inst.dim), np.zeros(inst.n_constraints))
 nid, parent, _, _ = tracer.arrays()
 names = [tracer.names[i] for i in nid]
 print([names[parent[i]] for i, n in enumerate(names) if n == "probe.basis"])
 print(names.count("subsolver.cache_build"),
-      names.count("subsolver.linear_solve"))
+      names.count("subsolver.linear_solve") + names.count("subsolver.newton"))
 """)
-    assert out.split("\n")[:2] == ["['subsolver.cache_build']", "1 5"]
+    spans = "['subsolver.cache_build']" if basis else "[]"
+    assert out.split("\n")[:2] == [spans, "1 5"]
 
 
 @pytest.mark.parametrize("module, layers", [
