@@ -58,8 +58,8 @@ import numpy as np
 from . import solver as aalm_solver
 from .diagnostics import TRACE_FIELDS, TraceRecord, fit_rate, littleo_witness
 from .oracle import cached_reference
-from .problems import (issparse, make_lp_regression, make_qp,
-                       make_random_lp, make_random_qp, make_ring_logistic)
+from .problems import (dense, make_lp_regression, make_qp, make_random_lp,
+                       make_random_qp, make_ring_logistic)
 from .schedule import SCHEDULE_RULES, baseline, named_schedule
 from .solver import SolverConfig, StoppingRule
 from .subsolver import CASES
@@ -296,23 +296,19 @@ def parse_config(source):
 # ---------------------------------------------------------------------------
 # Instances from config blocks and manifest files.
 
-def _load_array(path, keep_sparse=False):
-    """Dense array from ``.csv`` or ``.mtx``; a sparse Matrix Market file
-    stays sparse (as CSR) when ``keep_sparse``."""
+def _load_array(path):
+    """Dense float array from a ``.csv`` or a Matrix Market ``.mtx`` file
+    (read by ``scipy.io``, the package's one use of scipy); a coordinate
+    ``.mtx`` is read dense, the values of an entry it repeats summed."""
     path = str(path)
     try:
         if not path.endswith(".mtx"):
             return np.loadtxt(path, delimiter=",", dtype=float)
         import scipy.io
-        import scipy.sparse
         mat = scipy.io.mmread(path)
     except OSError as e:
         raise ConfigError(f"cannot read matrix: {e}") from None
-    if issparse(mat):
-        if keep_sparse:
-            return scipy.sparse.csr_array(mat, dtype=float)
-        mat = mat.toarray()
-    return np.asarray(mat, dtype=float)
+    return np.asarray(dense(mat), dtype=float)
 
 
 def load_manifest(path):
@@ -320,8 +316,8 @@ def load_manifest(path):
 
     The manifest is JSON with keys ``name``, ``objective``, ``A``, ``b``;
     matrix paths (``.mtx`` Matrix Market or ``.csv`` dense) are resolved
-    relative to the manifest's directory.  A sparse (coordinate) ``A.mtx``
-    stays sparse, as a CSR array; every other matrix is loaded dense.
+    relative to the manifest's directory.  Every matrix is loaded dense, a
+    coordinate ``.mtx`` one included.
     Objective kinds: ``qp`` (keys ``Q``, ``q``) and ``lp-regression``
     (keys ``B``, ``c``, ``p``).
     """
@@ -344,12 +340,10 @@ def _manifest_instance(raw, path):
                      strict=False)["kind"]
     obj = _validate(m["objective"], OBJECTIVES[kind], "objective")
 
-    def load(block, key, **kw):
-        return _load_array(path.parent / block[key], **kw)
+    def load(block, key):
+        return _load_array(path.parent / block[key])
 
-    A = load(m, "A", keep_sparse=True)
-    if not issparse(A):
-        A = np.atleast_2d(A)
+    A = np.atleast_2d(load(m, "A"))
     b = np.atleast_1d(load(m, "b"))
     name = path.stem if m["name"] is None else m["name"]
     if kind == "qp":

@@ -17,13 +17,12 @@ oracle is derived from it.  Three families are built in:
   dual paths; it is stored as that product (:class:`KronIdentity`) and
   carries a factored eigenbasis of ``A'A`` (see :class:`GramEigenbasis`).
 
-Every built-in family is built and run on numpy alone; scipy is imported
-only for a sparse ``A`` (a ``.mtx`` manifest's).
+Every instance is built and run on numpy alone: its ``A`` is a dense
+array or a :class:`KronIdentity`.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
@@ -210,13 +209,11 @@ class KronIdentity:
 
 
 def _operator_rows(M, X):
-    """``M @ x`` of every row ``x`` of ``X`` for a dense, CSR or
+    """``M @ x`` of every row ``x`` of ``X`` for a dense or
     :class:`KronIdentity` ``M``: a C-ordered array whose rows are bitwise
     ``M @ x``."""
     if isinstance(M, KronIdentity):
         return (M.K @ X.reshape(len(X), -1, M.m)).reshape(len(X), -1)
-    if issparse(M):
-        return np.ascontiguousarray((M @ X.T).T)
     return _matvec_rows(M, X)
 
 
@@ -224,18 +221,17 @@ def _operator_rows(M, X):
 class ProblemInstance:
     """A constrained problem ``min f(x) s.t. A x = b``.
 
-    ``A`` (m, n) is a dense ``ndarray``, a :class:`KronIdentity` (kept
-    as given) or a ``scipy.sparse`` matrix, which is stored as a CSR array
-    in canonical form (sorted indices, no duplicates); every per-iteration
-    product uses it as given, and only the independent oracles and one-off
-    factorizations densify it.  ``b`` has shape (m,).  ``gram``, when
-    given, is a factored eigenbasis of ``A'A``; :meth:`eigenbasis`
-    returns it, and builds a dense one otherwise.  ``name`` identifies the
-    instance in traces, summaries and reference sidecars, so constructors
-    bake the generating parameters (and seed) into it.  ``At`` is ``A'``,
-    built once per instance for the products ``A' v`` of every iteration:
-    a CSR array for a sparse ``A`` (whose ``.T`` is a CSC array made anew
-    on each access), ``A.T`` otherwise.
+    ``A`` (m, n) is a :class:`KronIdentity`, kept as given, or else is
+    stored as a dense float ``ndarray``: any other matrix with a
+    ``toarray()`` method (one of scipy's sparse arrays, say) through that
+    method.  Every per-iteration product uses ``A`` as stored, and only
+    the independent oracles and one-off factorizations densify a
+    :class:`KronIdentity`.  ``b`` has shape (m,).  ``gram``, when given,
+    is a factored eigenbasis of ``A'A``; :meth:`eigenbasis` returns it,
+    and builds a dense one otherwise.  ``name`` identifies the instance in
+    traces, summaries and reference sidecars, so constructors bake the
+    generating parameters (and seed) into it.  ``At`` is ``A.T``, taken
+    once per instance for the products ``A' v`` of every iteration.
     """
 
     objective: ObjectiveOracle
@@ -246,14 +242,9 @@ class ProblemInstance:
     At: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if issparse(self.A):
-            import scipy.sparse
-            A = scipy.sparse.csr_array(self.A, dtype=float, copy=True)
-            A.sum_duplicates()
-        elif isinstance(self.A, KronIdentity):
-            A = self.A
-        else:
-            A = np.asarray(self.A, dtype=float)
+        A = self.A
+        if not isinstance(A, KronIdentity):
+            A = np.asarray(dense(A), dtype=float)
         b = np.asarray(self.b, dtype=float)
         if len(A.shape) != 2:
             raise ValueError(f"A must be 2-D, got shape {A.shape}")
@@ -266,7 +257,7 @@ class ProblemInstance:
                 f"{self.gram.evals.shape}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "At", A.T.tocsr() if issparse(A) else A.T)
+        object.__setattr__(self, "At", A.T)
 
     def A_rows(self, X):
         """``A x`` of every row ``x`` of ``X`` (B, n), as a C-ordered
@@ -317,17 +308,11 @@ class KKTPoint:
     kkt_tol: float
 
 
-def issparse(M):
-    """Whether ``M`` is a ``scipy.sparse`` matrix or array, without
-    importing scipy: nothing is sparse before ``scipy.sparse`` is loaded."""
-    sparse = sys.modules.get("scipy.sparse")
-    return sparse is not None and sparse.issparse(M)
-
-
 def dense(M):
-    """``M`` as a dense ``ndarray`` (a copy only when ``M`` is sparse or a
-    :class:`KronIdentity`)."""
-    return M.toarray() if issparse(M) or isinstance(M, KronIdentity) else M
+    """``M`` as a dense ``ndarray``: ``M.toarray()`` (a copy) for a
+    :class:`KronIdentity` or any other matrix with that method, such as
+    one of scipy's sparse arrays; ``M`` itself otherwise."""
+    return M.toarray() if hasattr(M, "toarray") else M
 
 
 def separable_oracle(form, lipschitz=None):

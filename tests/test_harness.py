@@ -10,7 +10,6 @@ import weakref
 import numpy as np
 import pytest
 import scipy.io
-import scipy.sparse
 from numpy.testing import assert_allclose
 
 from aalm import harness
@@ -294,34 +293,47 @@ class TestManifest:
                         0.5 * x @ Q @ x + q @ x, rtol=1e-15)
 
     def test_sparse_constraint_manifest(self, tmp_path):
-        """A coordinate-format A.mtx stays sparse (CSR), reloads to the same
-        CSR arrays, and gives the dense-A instance's reference to 1e-10."""
+        """A coordinate-format A.mtx that lists one (i, j) entry twice
+        loads as a C-ordered float ndarray bitwise equal to its dense .csv
+        twin holding the pair's sum, reloads bitwise, and gives exactly
+        the twin's ``kkt_solve_qp`` pair."""
         rng = np.random.default_rng(7)
         G = rng.normal(size=(6, 6))
         Q = G @ G.T + np.eye(6)
         q = rng.normal(size=6)
-        A = scipy.sparse.random_array((3, 6), density=0.5, rng=rng,
-                                      format="coo") + scipy.sparse.eye_array(
-                                          3, 6, format="coo")
+        A = (rng.normal(size=(3, 6)) * (rng.random((3, 6)) < 0.5)
+             + np.eye(3, 6))
         b = rng.normal(size=3)
-        scipy.io.mmwrite(str(tmp_path / "A.mtx"), A)
-        for fname, arr in (("Q.csv", Q), ("q.csv", q), ("b.csv", b)):
+        half = rng.normal()
+        rows, cols = np.nonzero(A)
+        entries = [(i, j, A[i, j]) for i, j in zip(rows, cols)]
+        entries.append((0, 0, half))
+        A[0, 0] += half
+        (tmp_path / "A.mtx").write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            f"3 6 {len(entries)}\n"
+            + "".join(f"{i + 1} {j + 1} {float(v)!r}\n"
+                      for i, j, v in entries))
+        for fname, arr in (("A.csv", A), ("Q.csv", Q), ("q.csv", q),
+                           ("b.csv", b)):
             _write_matrix(tmp_path / fname, arr)
-        manifest = {"name": "sparse-qp",
-                    "objective": {"kind": "qp", "Q": "Q.csv", "q": "q.csv"},
-                    "A": "A.mtx", "b": "b.csv"}
-        (tmp_path / "inst.json").write_text(json.dumps(manifest))
-        inst = load_manifest(tmp_path / "inst.json")
-        assert scipy.sparse.issparse(inst.A) and inst.A.format == "csr"
-        assert_allclose(inst.A.toarray(), A.toarray(), atol=0)
-        again = load_manifest(tmp_path / "inst.json")
-        for part in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(again.A, part),
-                                  getattr(inst.A, part))
+        for stem, a_file in (("sparse", "A.mtx"), ("twin", "A.csv")):
+            manifest = {"name": "sparse-qp", "A": a_file, "b": "b.csv",
+                        "objective": {"kind": "qp", "Q": "Q.csv",
+                                      "q": "q.csv"}}
+            (tmp_path / f"{stem}.json").write_text(json.dumps(manifest))
+        inst, again, twin = (load_manifest(tmp_path / f"{stem}.json")
+                             for stem in ("sparse", "sparse", "twin"))
+        assert type(inst.A) is np.ndarray and inst.A.dtype == np.float64
+        assert inst.A.flags.c_contiguous
+        for other in (twin, again):
+            assert other.A.shape == inst.A.shape
+            assert other.A.tobytes() == inst.A.tobytes()
+        assert twin.A.tobytes() == A.tobytes()
         ref = kkt_solve_qp(Q, q, inst.A, inst.b)
-        twin = kkt_solve_qp(Q, q, inst.A.toarray(), inst.b)
-        assert_allclose(ref.x, twin.x, rtol=0, atol=1e-10)
-        assert_allclose(ref.lam, twin.lam, rtol=0, atol=1e-10)
+        want = kkt_solve_qp(Q, q, twin.A, twin.b)
+        assert ref.x.tobytes() == want.x.tobytes()
+        assert ref.lam.tobytes() == want.lam.tobytes()
 
     def test_lp_manifest_roundtrip(self, tmp_path):
         """An lp-regression manifest matches the directly built objective."""

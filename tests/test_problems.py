@@ -10,15 +10,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.special import expit
 
 from aalm import (
+    SolverConfig,
+    chambolle_dossal,
     check_gradient,
+    kkt_solve_qp,
     make_lp_regression,
     make_qp,
     make_random_lp,
     make_random_qp,
     make_ring_logistic,
+    run,
 )
 from aalm.problems import (
     KronIdentity,
@@ -334,8 +339,8 @@ class TestEigenbasis:
 
     @staticmethod
     def _without_gram():
-        """Instances without a ``gram``: a dense A, a CSR A, a
-        rank-deficient A (two rows repeated) and the 10x20 ring's A."""
+        """Instances without a ``gram``: a dense A, a rank-deficient A
+        (two rows repeated) and the 10x20 ring's A."""
         qp = make_random_qp(n=50, m=10, seed=0)
         Q, q = qp.objective.quadratic
         repeated = make_qp(Q, q, np.vstack([qp.A, qp.A[:2]]),
@@ -343,8 +348,7 @@ class TestEigenbasis:
         ring = make_ring_logistic(p_agents=10, m_dim=20, rho_reg=0.5, seed=0)
         twin = ProblemInstance(ring.objective, ring.A.toarray(), ring.b,
                                ring.name)
-        return {"dense": qp, "csr": _small_csr_qp(), "repeated": repeated,
-                "ring": twin}
+        return {"dense": qp, "repeated": repeated, "ring": twin}
 
     @staticmethod
     def _formed(basis, n):
@@ -355,7 +359,7 @@ class TestEigenbasis:
         ring = make_ring_logistic(p_agents=4, m_dim=5, rho_reg=0.5, seed=0)
         assert ring.eigenbasis() is ring.gram
 
-    @pytest.mark.parametrize("key", ["dense", "csr", "repeated", "ring"])
+    @pytest.mark.parametrize("key", ["dense", "repeated", "ring"])
     def test_svd_basis_rebuilds_gram(self, key):
         """V diag(e) V' = A'A to 1e-12, with V orthogonal and V' applied
         as the transpose of V."""
@@ -369,7 +373,7 @@ class TestEigenbasis:
         np.testing.assert_allclose((V * basis.evals) @ V.T, A.T @ A,
                                    rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("key", ["dense", "csr", "repeated", "ring"])
+    @pytest.mark.parametrize("key", ["dense", "repeated", "ring"])
     def test_eigenvalues_nonnegative_with_zero_padding(self, key):
         """The eigenvalues are ``s^2 >= 0`` padded with ``n - min(m, n)``
         exact zeros, and ``n - rank(A)`` of them lie at or below the
@@ -510,12 +514,33 @@ class TestSeparable:
             assert check_gradient(inst, rng.normal(size=inst.dim)) <= 1e-6
 
 
-def _small_csr_qp():
-    """A 12-variable QP whose 4x12 ``A`` is stored as a CSR array."""
-    import scipy.sparse
-    inst = make_random_qp(n=12, m=4, seed=1)
-    A = inst.A * (np.random.default_rng(2).random(inst.A.shape) < 0.5)
-    return replace(inst, A=scipy.sparse.csr_array(A))
+def test_sparse_A_is_stored_dense():
+    """A ``ProblemInstance`` given a ``scipy.sparse.csr_array`` stores
+    its ``toarray()`` bitwise, with ``At`` its transpose, and a
+    50-iteration explicit CD(10) run on it is bitwise the dense twin's;
+    ``kkt_solve_qp`` given the CSR array returns the dense twin's pair."""
+    twin = make_random_qp(n=12, m=4, seed=1)
+    twin = replace(twin, A=twin.A * (np.random.default_rng(2).random(
+        twin.A.shape) < 0.5))
+    sparse = scipy.sparse.csr_array(twin.A)
+    inst = replace(twin, A=sparse)
+    assert type(inst.A) is np.ndarray
+    assert inst.A.tobytes() == sparse.toarray().tobytes()
+    assert inst.At.shape == (12, 4)
+    assert inst.At.tobytes() == inst.A.T.tobytes()
+    Q, q = twin.objective.quadratic
+    kkt = kkt_solve_qp(Q, q, twin.A, twin.b)
+    from_csr = kkt_solve_qp(Q, q, sparse, twin.b)
+    assert from_csr.x.tobytes() == kkt.x.tobytes()
+    assert from_csr.lam.tobytes() == kkt.lam.tobytes()
+    cfg = SolverConfig(schedule=chambolle_dossal(10.0), case="explicit",
+                       max_iter=50)
+    (state, trace), (want_state, want) = (
+        run(i, cfg, np.zeros(12), np.zeros(4), kkt=kkt) for i in (inst, twin))
+    assert len(trace) == 50
+    assert np.array(trace).tobytes() == np.array(want).tobytes()
+    assert state.x_curr.tobytes() == want_state.x_curr.tobytes()
+    assert state.lam_curr.tobytes() == want_state.lam_curr.tobytes()
 
 
 class TestRowForms:
@@ -528,7 +553,6 @@ class TestRowForms:
         "lp": lambda: make_random_lp(seed=0),
         "ring-10x20": lambda: make_ring_logistic(10, 20, 0.5, seed=0),
         "ring-10x200": lambda: make_ring_logistic(10, 200, 0.5, seed=0),
-        "csr": _small_csr_qp,
     }
 
     @staticmethod

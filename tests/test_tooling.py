@@ -12,7 +12,8 @@ config (the demos and the benchmark's workloads) must still parse, so
 that a config key cannot be removed from under them, and every shipped
 demo script must still run.  An experiment on any built-in family runs on
 numpy alone, and so does the reference oracle's minimum-norm fallback:
-neither imports a scipy module.
+neither imports a scipy module.  The package imports scipy in one place
+only, where a Matrix Market file is read.
 """
 
 import ast
@@ -309,6 +310,26 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
             rows = list(csv.DictReader(f))
         assert [r["status"] for r in rows] == ["ok"] * n_entries
         assert all(r["reference"].startswith("kkt_tol=") for r in rows)
+
+
+def test_scipy_imported_only_to_read_mtx():
+    """Every ``import scipy...`` and ``from scipy... import`` statement
+    in ``src/aalm/*.py`` lies inside ``harness._load_array``, which reads
+    ``.mtx`` files: no other code of the package can come to need scipy."""
+    found = []
+    for path in sorted((ROOT / "src" / "aalm").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                found += [where for name in names
+                          if name.split(".")[0] == "scipy"]
+    assert found and set(found) == {"harness._load_array"}, found
 
 
 def test_min_norm_fallback_imports_no_scipy():
