@@ -299,16 +299,24 @@ def parse_config(source):
 def _load_array(path):
     """Dense float array from a ``.csv`` or a Matrix Market ``.mtx`` file
     (read by ``scipy.io``, the package's one use of scipy); a coordinate
-    ``.mtx`` is read dense, the values of an entry it repeats summed."""
+    ``.mtx`` is read dense, the values of an entry it repeats summed.
+    Raises a ConfigError naming the file unless it can be read and holds
+    finite real numbers only."""
     path = str(path)
     try:
-        if not path.endswith(".mtx"):
-            return np.loadtxt(path, delimiter=",", dtype=float)
-        import scipy.io
-        mat = scipy.io.mmread(path)
-    except OSError as e:
-        raise ConfigError(f"cannot read matrix: {e}") from None
-    return np.asarray(dense(mat), dtype=float)
+        if path.endswith(".mtx"):
+            import scipy.io
+            mat = scipy.io.mmread(path)
+        else:
+            mat = np.loadtxt(path, delimiter=",", dtype=float)
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"cannot read matrix {path}: {e}") from None
+    if np.iscomplexobj(mat):
+        raise ConfigError(f"matrix {path} holds complex numbers")
+    mat = np.asarray(dense(mat), dtype=float)
+    if not np.isfinite(mat).all():
+        raise ConfigError(f"matrix {path} holds a non-finite entry")
+    return mat
 
 
 def load_manifest(path):

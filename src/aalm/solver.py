@@ -29,7 +29,8 @@ dual-correction identity
     lam_{k+1} + alpha_k (lam_{k+1} - lam_k)
         = p_k + delta c_k (c_k A x_{k+1} - r_k),
 
-which ``check_identities=True`` verifies at every iteration.
+which the tests recompute from consecutive states along runs of every
+solve path (``tests/test_solver.py``).
 
 A schedule with stepsize factors ``xi`` (see :mod:`aalm.schedule`)
 multiplies both stepsizes by ``xi_{k+1}`` at iteration ``k`` (implicit
@@ -57,9 +58,6 @@ from .schedule import Schedule, coefficients, generate_scaled, resolve
 from .subsolver import (SubproblemSpec, multiplier_update, solve_subproblem,
                         step_plan)
 
-# Relative slack for the per-iteration identity checks in debug mode.
-IDENTITY_TOL = 1e-10
-
 # The run loop buffers iterates and records them a block at a time: at
 # most this many bytes of stacked x and lam, and at most this many rows
 # (256 rows on the QP and lp instances, 4 on the 10x200 ring).
@@ -68,8 +66,8 @@ RECORD_BLOCK_ROWS = 256
 
 
 class SolverError(RuntimeError):
-    """An iteration failed (identity violation or invalid configuration
-    discovered mid-run)."""
+    """A coupled step's joint system failed its residual check
+    (:func:`step_coupled`)."""
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -104,11 +102,11 @@ class SolverConfig:
     """Full configuration of a run.
 
     ``gamma=None`` requests the default stepsize: ``1/L`` for the
-    explicit case, ``1.0`` for the implicit case.  ``schedule``
-    (with its stepsize factors, if any) may be unresolved
-    (``rho``/``eta`` symbolic); :func:`resolve_config` certifies and
-    freezes it against the iteration budget ``max_iter``, the run's only
-    budget (``stop`` can only end it earlier).
+    explicit case (``1.0`` for a linear ``f``, ``L = 0``), ``1.0`` for
+    the implicit case.  ``schedule`` (with its stepsize factors, if any)
+    may be unresolved (``rho``/``eta`` symbolic); :func:`resolve_config`
+    certifies and freezes it against the iteration budget ``max_iter``,
+    the run's only budget (``stop`` can only end it earlier).
     """
 
     schedule: Schedule
@@ -118,7 +116,6 @@ class SolverConfig:
     beta: float = 1.0
     max_iter: int = 1000
     stop: StoppingRule = field(default_factory=StoppingRule)
-    check_identities: bool = False
 
 
 @dataclass(slots=True)
@@ -241,14 +238,14 @@ def extrapolate(state):
     return xbar, lbar
 
 
-def step(state, config, instance, plan=None):
-    """Advance one outer iteration; returns the ``k+1`` state.
+def step(state, config, instance, plan):
+    """Advance one outer iteration by the four steps above; returns the
+    ``k+1`` state.
 
-    ``config`` must be resolved (see :func:`resolve_config`); ``plan``
-    defaults to ``step_plan(instance, config.case)``.
+    ``config`` must be resolved (see :func:`resolve_config`), and
+    ``plan`` is the run's ``step_plan(instance, config.case)``, made once
+    per run: its split of ``f`` and its one system serve every step.
     """
-    if plan is None:
-        plan = step_plan(instance, config.case)
     eta = config.schedule.eta
     alpha_k, c_k = coefficients(state.t_next, eta)
     xbar, lbar = extrapolate(state)
@@ -263,14 +260,6 @@ def step(state, config, instance, plan=None):
     x_next, Ax_next, f_next, grad_next = solve_subproblem(spec, instance,
                                                           plan, state)
     lam_next = multiplier_update(lbar, delta_eff, c_k, Ax_next, r_k)
-    if config.check_identities:
-        lhs = c_k * lam_next - alpha_k * state.lam_curr
-        rhs = p_k + delta_eff * c_k * (c_k * Ax_next - r_k)
-        err = np.linalg.norm(lhs - rhs)
-        if err > IDENTITY_TOL * (1.0 + np.linalg.norm(rhs)):
-            raise SolverError(
-                f"dual-correction identity violated at k={state.k}: "
-                f"deviation {err:.3e}")
     return state.successor(x_next, lam_next, Ax_next, f_next, grad_next)
 
 
@@ -372,8 +361,8 @@ def _block_rows(instance, stop):
 def _run_loop(instance, config, state, kkt=None):
     """Advance ``state`` by :func:`step` for ``config.max_iter`` iterations
     or until ``config.stop``, recording each iterate with the resolved
-    ``config``'s own ``gamma, delta, eta, beta``; the step plan is the one
-    :func:`step` builds without one, made once here.
+    ``config``'s own ``gamma, delta, eta, beta``, by the run's one step
+    plan, made here.
 
     Records are computed in blocks (:func:`aalm.diagnostics.make_records`)
     of up to :data:`RECORD_BLOCK_ROWS` iterates and

@@ -11,10 +11,10 @@ injected by the proximal term makes F well-posed for any convex
 ``f_part``.
 
 :func:`step_plan` resolves a step case once per run into a frozen
-:class:`StepPlan`, the one place that reads a case string, with the run's
-one subproblem system (:class:`LinearCache`: in the eigenbasis of
-``A'A``, plus an r x r Woodbury capacitance for a separable part of few
-terms, or dense and LU-solved).  Two solvers use it:
+:class:`StepPlan`, the one place that reads a case string and the one
+that builds the run's subproblem system (:class:`LinearCache`: in the
+eigenbasis of ``A'A``, plus an r x r Woodbury capacitance for a separable
+part of few terms, or dense and LU-solved).  Two solvers take it:
 
 * :func:`solve_linear_case` -- one solve when ``f_part`` is (at most)
   quadratic;
@@ -91,7 +91,9 @@ class SubproblemSpec:
     ``gamma`` and ``delta`` are the *effective* stepsizes (already
     multiplied by any scaling factor).  ``implicit`` (the part of ``f``
     kept) and ``gradient_anchor`` (the linearized part's gradient at the
-    extrapolated point) come from the run's :class:`StepPlan`.  The
+    extrapolated point) come from the run's :class:`StepPlan`; only the
+    linear solve takes an anchor, as a step linearizes all of ``f`` or
+    none of it.  The
     coefficients are not checked here: a run checks ``gamma``, ``delta``
     and ``beta`` once (:meth:`StepPlan.stepsize`,
     :func:`aalm.solver.check_penalties`).
@@ -119,14 +121,11 @@ def _constraint_terms(spec, instance, x, Ax):
     return Ax - instance.b, x - spec.xbar_k, spec.c_k * Ax - spec.r_k
 
 
-def _value_from_terms(spec, x, terms, f_x):
+def _value_from_terms(spec, terms, f_x):
     """``F(x)`` from :func:`_constraint_terms` and the implicit part's
     value ``f_x``."""
     Axb, d, cAxr = terms
-    v = f_x
-    if spec.gradient_anchor is not None:
-        v += float(spec.gradient_anchor @ x)
-    return (v + 0.5 * spec.beta * float(Axb @ Axb)
+    return (f_x + 0.5 * spec.beta * float(Axb @ Axb)
             + 0.5 / spec.gamma * float(d @ d)
             + float(spec.p_k @ Axb)
             + 0.5 * spec.delta * float(cAxr @ cAxr))
@@ -137,39 +136,9 @@ def _gradient_from_terms(spec, instance, terms, grad_x):
     part's gradient ``grad_x``, with the constraint terms gathered under
     one product by ``A'``."""
     Axb, d, cAxr = terms
-    g = grad_x
-    if spec.gradient_anchor is not None:
-        g = g + spec.gradient_anchor
-    return (g + d / spec.gamma
+    return (grad_x + d / spec.gamma
             + instance.At @ (spec.beta * Axb + spec.p_k
                              + spec.delta * spec.c_k * cAxr))
-
-
-def subproblem_value(spec, instance, x, Ax=None, f_x=None):
-    """Objective value F(x) of the subproblem (used by line searches/tests).
-
-    ``Ax`` is ``A x`` and ``f_x`` the implicit part's value at ``x`` when
-    the caller has them; each is formed here otherwise."""
-    if f_x is None:
-        f_x = spec.implicit.value(x) if spec.implicit is not None else 0.0
-    if Ax is None:
-        Ax = instance.A @ x
-    return _value_from_terms(spec, x, _constraint_terms(spec, instance, x, Ax),
-                             f_x)
-
-
-def subproblem_gradient(spec, instance, x, Ax=None, grad_x=None):
-    """Gradient of F at ``x``, with the constraint terms gathered under
-    one product by ``A'``; ``Ax`` is ``A x`` and ``grad_x`` the implicit
-    part's gradient at ``x`` when the caller has them, and each is formed
-    here otherwise."""
-    if grad_x is None:
-        grad_x = (spec.implicit.gradient(x) if spec.implicit is not None
-                  else np.zeros_like(x))
-    if Ax is None:
-        Ax = instance.A @ x
-    return _gradient_from_terms(
-        spec, instance, _constraint_terms(spec, instance, x, Ax), grad_x)
 
 
 def spd_solve(M, rhs):
@@ -308,8 +277,9 @@ class StepPlan:
     def stepsize(self, gamma):
         """``gamma`` as a float, by default ``1/L`` with a linearized part
         and 1 without; must be positive and finite and, with one, at most
-        ``1/L``."""
-        L = self.linearized.lipschitz if self.linearized else None
+        ``1/L``.  A linear ``f`` (``L = 0``) counts as none: it meets the
+        descent inequality at every ``gamma``."""
+        L = (self.linearized.lipschitz or None) if self.linearized else None
         if gamma is None:
             gamma = 1.0 / L if L is not None else 1.0
         if not 0 < gamma < math.inf:
@@ -343,7 +313,7 @@ def step_plan(instance, case, backend=True):
     return StepPlan(implicit, linearized, LinearCache(instance, implicit))
 
 
-def solve_linear_case(spec, instance, cache=None):
+def solve_linear_case(spec, instance, cache):
     """Solve the subproblem exactly when its stationarity system is linear.
 
     Applicable to the explicit case and to an implicit case whose
@@ -352,8 +322,8 @@ def solve_linear_case(spec, instance, cache=None):
         (Q_eff + gamma^{-1} I + (beta + delta c^2) A'A) x
             = gamma^{-1} xbar - g_anchor - q_eff + A'(beta b - p + delta c r)
 
-    by the system ``cache`` (:class:`LinearCache`, built here when
-    omitted).  Asserts the residual against ``1e-10`` on the
+    by ``cache``, the run's system (a :class:`StepPlan`'s, built for
+    ``spec.implicit``).  Asserts the residual against ``1e-10`` on the
     backward-error scale ``1 + ||rhs|| + ||M|| ||x||`` (the two scales
     differ materially once ``delta c^2`` is large and ``A`` has a null
     space), with the system's bound on ``||M||``, formed only for a
@@ -363,8 +333,6 @@ def solve_linear_case(spec, instance, cache=None):
     if part is not None and part.quadratic is None:
         raise ValueError("linear path needs a quadratic implicit part; "
                          "use solve_inner_newton instead")
-    if cache is None:
-        cache = LinearCache(instance, part)
     solve, apply, scale = cache.at(spec)(spec.xbar_k)
     rhs = spec.xbar_k / spec.gamma + instance.At @ (
         spec.beta * instance.b - spec.p_k + spec.delta * spec.c_k * spec.r_k)
@@ -408,9 +376,11 @@ def solve_subproblem(spec, instance, plan, state):
         raise
 
 
-def solve_inner_newton(spec, instance, x0, tol, system=None, f0=None,
+def solve_inner_newton(spec, instance, x0, tol, system, f0=None,
                        grad0=None, Ax0=None):
-    """Damped Newton on the subproblem for smooth non-quadratic parts.
+    """Damped Newton on the subproblem for smooth non-quadratic implicit
+    parts (a spec with a gradient anchor is refused by a ValueError: a
+    linearized step is one linear solve).
 
     Iterates from the warm start ``x0`` until the subproblem gradient norm
     drops to ``tol``.  Directions come from the exact
@@ -427,9 +397,9 @@ def solve_inner_newton(spec, instance, x0, tol, system=None, f0=None,
 
     Parameters
     ----------
-    system : LinearCache, optional
-        The run's subproblem system (a :class:`StepPlan`'s), solved for each
-        Newton direction; ``LinearCache(instance, spec.implicit)`` if omitted.
+    system : LinearCache
+        The run's subproblem system (a :class:`StepPlan`'s, built for
+        ``spec.implicit``), solved for each Newton direction.
     f0, grad0 : optional
         ``f(x0)`` and ``grad f(x0)`` when the caller has them (a previous
         solve returned them); each is evaluated here when needed otherwise.
@@ -451,8 +421,9 @@ def solve_inner_newton(spec, instance, x0, tol, system=None, f0=None,
         finite (a NaN norm never meets it); names the steps taken and
         carries the final gradient norm.
     """
-    if system is None:
-        system = LinearCache(instance, spec.implicit)
+    if spec.gradient_anchor is not None:
+        raise ValueError("inner Newton needs an implicit step without a "
+                         "gradient anchor; use solve_linear_case instead")
     newton = system.at(spec)
     A, obj = instance.A, spec.implicit
     x = np.array(x0, dtype=float)
@@ -477,7 +448,7 @@ def solve_inner_newton(spec, instance, x0, tol, system=None, f0=None,
             d = -g  # not a descent direction; fall back
             slope = float(g @ d)
         if fx is None:
-            fx = _value_from_terms(spec, x, terms,
+            fx = _value_from_terms(spec, terms,
                                    obj.value(x) if f is None else f)
         s = 1.0
         x_new = x + d
@@ -487,7 +458,7 @@ def solve_inner_newton(spec, instance, x0, tol, system=None, f0=None,
             while True:
                 f_new = obj.value(x_new)
                 terms_new = _constraint_terms(spec, instance, x_new, Ax_new)
-                F = _value_from_terms(spec, x_new, terms_new, f_new)
+                F = _value_from_terms(spec, terms_new, f_new)
                 if not F > fx + SUFFICIENT_DECREASE * s * slope:
                     f, fx_new = f_new, F
                     break

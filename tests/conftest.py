@@ -1,5 +1,6 @@
 """Shared fixtures: the seeded QP testbed and its closed-form reference,
-and an observer of the inner Newton solves."""
+and an observer of the inner Newton solves; and the subproblem objective
+``F`` and its gradient, written out literally."""
 
 import math
 from dataclasses import replace
@@ -21,6 +22,30 @@ def qp_reference(qp_testbed):
     """Closed-form KKT pair of the testbed from the saddle-system solve."""
     Q, q = qp_testbed.objective.quadratic
     return kkt_solve_qp(Q, q, qp_testbed.A, qp_testbed.b)
+
+
+def F_ref(spec, instance, x):
+    """The subproblem objective of :mod:`aalm.subsolver`, term by term,
+    for a spec with an implicit part and no gradient anchor:
+    ``f(x) + (beta/2)||Ax - b||^2 + (1/(2 gamma))||x - xbar||^2
+    + <p, Ax - b> + (delta/2)||c Ax - r||^2``."""
+    assert spec.gradient_anchor is None
+    Ax, b, d = instance.A @ x, instance.b, x - spec.xbar_k
+    return (spec.implicit.value(x)
+            + 0.5 * spec.beta * float((Ax - b) @ (Ax - b))
+            + 0.5 / spec.gamma * float(d @ d) + float(spec.p_k @ (Ax - b))
+            + 0.5 * spec.delta * float((spec.c_k * Ax - spec.r_k)
+                                       @ (spec.c_k * Ax - spec.r_k)))
+
+
+def grad_F_ref(spec, instance, x):
+    """The gradient of :func:`F_ref`, term by term."""
+    assert spec.gradient_anchor is None
+    Ax, b = instance.A @ x, instance.b
+    return (spec.implicit.gradient(x) + (x - spec.xbar_k) / spec.gamma
+            + instance.At @ (spec.beta * (Ax - b) + spec.p_k
+                             + spec.delta * spec.c_k
+                             * (spec.c_k * Ax - spec.r_k)))
 
 
 class InnerSolve(NamedTuple):
@@ -45,7 +70,7 @@ def inner_solves(monkeypatch):
     solves = []
     solve = subsolver.solve_inner_newton
 
-    def observed(spec, instance, x0, tol, system=None, f0=None, grad0=None,
+    def observed(spec, instance, x0, tol, system, f0=None, grad0=None,
                  Ax0=None):
         calls = 0
         gradient = spec.implicit.gradient
@@ -58,7 +83,7 @@ def inner_solves(monkeypatch):
         x, Ax, f_x, grad_x = solve(
             replace(spec, implicit=replace(spec.implicit, gradient=counted)),
             instance, x0, tol, system, f0, grad0, Ax0)
-        g = subsolver.subproblem_gradient(spec, instance, x)
+        g = grad_F_ref(spec, instance, x)
         steps = calls - (grad0 is None)
         solves.append(InnerSolve(tol, math.sqrt(g @ g), steps))
         return x, Ax, f_x, grad_x

@@ -291,7 +291,7 @@ def test_c12_scalar_step_oracle(capsys):
             xi_seq=np.ones(3))
         cfg = SolverConfig(schedule=nesterov(eta=eta), case=case,
                            gamma=gamma, delta=delta, beta=beta)
-        out = step(state, cfg, inst)
+        out = step(state, cfg, inst, step_plan(inst, case))
         x_ref, lam_ref = brute_step_oracle(
             quad, lin, a, b, gamma, delta, beta, eta, t_curr, t_next,
             xc, xp, lc, lp_, case=case)

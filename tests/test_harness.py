@@ -335,6 +335,32 @@ class TestManifest:
         assert ref.x.tobytes() == want.x.tobytes()
         assert ref.lam.tobytes() == want.lam.tobytes()
 
+    @pytest.mark.parametrize("fname, text", [
+        ("A.mtx", "%%MatrixMarket matrix coordinate complex general\n"
+                  "1 2 2\n1 1 1.0 5.0\n1 2 1.0 0.0\n"),
+        ("A.csv", "1.0,abc\n"),
+        ("A.csv", "1.0,nan\n"),
+    ], ids=["complex-mtx", "non-numeric-csv", "nan-csv"])
+    def test_non_real_matrix_rejected(self, tmp_path, fname, text):
+        """A matrix file that does not hold finite real numbers is a
+        ConfigError naming the file: a complex Matrix Market ``A``
+        (``1+5i`` at (1, 1)) is not loaded with its imaginary parts
+        dropped, a ``.csv`` entry that is no number does not surface as
+        numpy's bare ValueError, and a NaN entry does not reach the
+        solvers (``aalm oracle`` reported it as a QP without a finite KKT
+        point)."""
+        (tmp_path / fname).write_text(text)
+        for name, arr in (("Q.csv", np.eye(2)), ("q.csv", np.ones(2)),
+                          ("b.csv", np.ones(1))):
+            _write_matrix(tmp_path / name, arr)
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"objective": {"kind": "qp", "Q": "Q.csv",
+                                                  "q": "q.csv"},
+                                    "A": fname, "b": "b.csv"}))
+        with pytest.raises(ConfigError,
+                           match=re.escape(str(tmp_path / fname))):
+            load_manifest(path)
+
     def test_lp_manifest_roundtrip(self, tmp_path):
         """An lp-regression manifest matches the directly built objective."""
         rng = np.random.default_rng(5)

@@ -25,6 +25,7 @@ from aalm import (
     chambolle_dossal,
     extrapolate,
     generate,
+    kkt_solve_qp,
     make_qp,
     make_random_lp,
     make_random_qp,
@@ -88,6 +89,28 @@ class TestResolveConfig:
             resolve_config(inst, SolverConfig(schedule=nesterov(),
                                               case="explicit",
                                               gamma=1.5 / L))
+
+    @pytest.mark.parametrize("gamma", [None, 0.5])
+    def test_linear_objective_runs_explicitly(self, gamma):
+        """A linear objective (``Q = 0``, so ``L = 0``) meets the descent
+        inequality at every ``gamma``: its explicit run takes the default
+        ``gamma = 1``, or the one given, with no restriction, and its trace
+        agrees with the implicit run's at that ``gamma`` within 1e-10 of
+        each column's largest value (``q`` lies in the range of ``A'``, so
+        the problem has a solution, the reference of every column)."""
+        A = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0]])
+        b = np.array([1.0, 0.5])
+        inst = make_qp(np.zeros((3, 3)), A.T @ np.array([0.3, -0.7]), A, b)
+        kkt = kkt_solve_qp(*inst.objective.quadratic, A, b)
+        traces = []
+        for case in ("explicit", "implicit"):
+            cfg = SolverConfig(schedule=nesterov(), case=case, gamma=gamma,
+                               max_iter=200)
+            assert resolve_config(inst, cfg).gamma == (gamma or 1.0)
+            _, trace = run(inst, cfg, np.zeros(3), np.zeros(2), kkt=kkt)
+            traces.append(np.array(trace))
+        E, I = traces
+        assert np.all(np.abs(E - I) <= 1e-10 * np.abs(I).max(axis=0))
 
     def test_implicit_allows_large_gamma(self):
         """No stepsize restriction applies to the implicit case."""
@@ -209,7 +232,7 @@ class TestStepAgainstScalarOracle:
             state = _scalar_state(t_curr, t_next, xc, xp, lc, lp_, a)
             cfg = SolverConfig(schedule=nesterov(eta=eta), case=case,
                                gamma=gamma, delta=delta, beta=beta)
-            out = step(state, cfg, inst)
+            out = step(state, cfg, inst, step_plan(inst, case))
             x_ref, lam_ref = brute_step_oracle(
                 quad, lin, a, b, gamma, delta, beta, eta, t_curr, t_next,
                 xc, xp, lc, lp_, case=case)
@@ -254,10 +277,10 @@ class TestRunLoop:
                     kkt=qp_reference)
         assert t1 == t2
 
-    def test_step_without_plan_matches_run(self):
-        """``step`` without a plan builds the plan ``run`` builds once per
-        run, so 50 unplanned steps of an unscaled implicit CD(10) critical
-        run end bitwise where ``run`` does."""
+    def test_planned_steps_match_run(self):
+        """50 steps of an unscaled implicit CD(10) critical run, each
+        given ``step_plan(inst, cfg.case)``, the plan ``run`` makes once,
+        end bitwise where ``run`` does."""
         inst = make_random_qp(n=50, m=10, seed=0)
         cfg = resolve_config(inst, SolverConfig(
             schedule=chambolle_dossal(10.0, eta="critical"),
@@ -265,7 +288,7 @@ class TestRunLoop:
         state = aalm_solver.initial_state(inst, cfg, np.zeros(50),
                                           np.zeros(10))
         for _ in range(50):
-            state = step(state, cfg, inst)
+            state = step(state, cfg, inst, step_plan(inst, cfg.case))
         final, _ = run(inst, cfg, np.zeros(50), np.zeros(10))
         np.testing.assert_array_equal(state.x_curr, final.x_curr)
         np.testing.assert_array_equal(state.lam_curr, final.lam_curr)
@@ -321,12 +344,62 @@ class TestRunLoop:
         assert "tol 1.000e-08" in msg
         assert f"gradient norm {exc.value.grad_norm:.3e}" in msg
 
-    def test_identity_checks_clean(self, qp_testbed):
-        """The dual-correction identity holds along a real trajectory."""
-        cfg = SolverConfig(schedule=chambolle_dossal(10.0, eta="noncritical"),
-                           case="explicit", max_iter=100,
-                           check_identities=True)
-        run(qp_testbed, cfg, np.zeros(50), np.zeros(10))
+    @staticmethod
+    def _identity_deviations(inst, cfg, states):
+        """``||lhs - rhs|| / (1 + ||rhs||)`` of the dual-correction identity
+        ``c_k lam_{k+1} - alpha_k lam_k = p_k + delta_k c_k (c_k A x_{k+1}
+        - r_k)`` at each pair of consecutive states, recomputed from their
+        iterates, ``t`` and ``xi`` with ``alpha_k = (t_{k+1} - eta)/eta``,
+        ``c_k = t_{k+1}/eta``, ``delta_k = delta xi_{k+1}``,
+        ``p_k = c_k lambdabar_k - alpha_k lam_k`` and
+        ``r_k = alpha_k A x_k + b``."""
+        eta, out = cfg.schedule.eta, []
+        for s, nxt in zip(states, states[1:]):
+            t_k, t_next = s.t_seq[s.k - 1], s.t_seq[s.k]
+            alpha, c = (t_next - eta) / eta, t_next / eta
+            lbar = (s.lam_curr
+                    + (t_k - 1.0) / t_next * (s.lam_curr - s.lam_prev))
+            p = c * lbar - alpha * s.lam_curr
+            r = alpha * (inst.A @ s.x_curr) + inst.b
+            delta_k = cfg.delta * s.xi_seq[s.k]
+            lhs = c * nxt.lam_curr - alpha * s.lam_curr
+            rhs = p + delta_k * c * (c * (inst.A @ nxt.x_curr) - r)
+            out.append(np.linalg.norm(lhs - rhs)
+                       / (1.0 + np.linalg.norm(rhs)))
+        return np.array(out)
+
+    @pytest.mark.parametrize("which", [
+        "qp-explicit", "lp-newton", "ring-woodbury", "qp-scaled"])
+    def test_identity_checks_clean(self, which, qp_testbed):
+        """The dual-correction identity holds to ``1e-10 (1 + ||rhs||)``
+        at each of 100 steps along four runs: explicit CD(10) noncritical
+        on the QP testbed (a linear solve in the eigenbasis), implicit
+        Nesterov on lp seed 0 (inner Newton), on the 10x20 ring (Woodbury)
+        and on the QP testbed with ``xi_k = t_k^0.5`` (dense LU, ``delta_k
+        = delta xi_{k+1}`` varying).  A relative perturbation of 1e-8 of
+        one entry of ``lam_{k+1}`` at step 50 breaks it there."""
+        inst, schedule, case = {
+            "qp-explicit": (qp_testbed,
+                            chambolle_dossal(10.0, eta="noncritical"),
+                            "explicit"),
+            "lp-newton": (make_random_lp(seed=0), nesterov(), "implicit"),
+            "ring-woodbury": (make_ring_logistic(10, 20), nesterov(),
+                              "implicit"),
+            "qp-scaled": (qp_testbed,
+                          replace(chambolle_dossal(10.0), xi=np.sqrt),
+                          "implicit")}[which]
+        cfg = resolve_config(inst, SolverConfig(schedule=schedule, case=case,
+                                                max_iter=100))
+        plan = step_plan(inst, cfg.case)
+        states = [initial_state(inst, cfg, np.zeros(inst.dim),
+                                np.zeros(inst.n_constraints))]
+        for _ in range(100):
+            states.append(step(states[-1], cfg, inst, plan))
+        assert self._identity_deviations(inst, cfg, states).max() <= 1e-10
+        lam = states[50].lam_curr.copy()
+        lam[0] += 1e-8 * (1.0 + np.linalg.norm(lam))
+        states[50] = replace(states[50], lam_curr=lam)
+        assert self._identity_deviations(inst, cfg, states)[49] > 1e-10
 
 
 class TestRecordBlocks:
@@ -688,7 +761,9 @@ class TestCarriedProduct:
 
         assert same(step_coupled(good, cfg, inst),
                     step_coupled(bad, cfg, inst))
-        assert not same(step(good, cfg, inst), step(bad, cfg, inst))
+        plan = step_plan(inst, cfg.case)
+        assert not same(step(good, cfg, inst, plan),
+                        step(bad, cfg, inst, plan))
 
 
 class TestDegenerateConstraints:
@@ -772,7 +847,8 @@ class TestStepCoupled:
             k=2, t_seq=np.array([1.0, 2.0, 3.5]), xi_seq=np.ones(3))
         cfg = SolverConfig(schedule=nesterov(eta=0.8), case="implicit",
                            gamma=0.7, delta=1.3, beta=0.5)
-        a = step(replace_state(state), cfg, qp_testbed)
+        a = step(replace_state(state), cfg, qp_testbed,
+                 step_plan(qp_testbed, cfg.case))
         b = step_coupled(replace_state(state), cfg, qp_testbed)
         np.testing.assert_allclose(a.x_curr, b.x_curr, rtol=0, atol=1e-9)
         np.testing.assert_allclose(a.lam_curr, b.lam_curr, rtol=0, atol=1e-9)

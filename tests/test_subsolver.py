@@ -2,8 +2,11 @@
 
 The direct linear path is pinned against scalar closed forms and against
 the inner Newton path; the Newton path is exercised on the logistic
-objective where no closed form exists.  Gradient/value consistency of the
-assembled subproblem is audited by finite differences.
+objective where no closed form exists.  Each solver takes the run's one
+system, made here by ``step_plan``.  The subproblem objective the inner
+Newton evaluates is pinned bitwise to the literal formulas ``F_ref`` and
+``grad_F_ref`` (``conftest.py``), which are audited against each other by
+finite differences.
 """
 
 import tracemalloc
@@ -38,14 +41,8 @@ from aalm.diagnostics import energy
 from aalm.oracle import kkt_refine
 from aalm.problems import KronIdentity, dense
 from aalm.solver import initial_state, resolve_config, step
-from aalm.subsolver import (
-    LinearCache,
-    solve_subproblem,
-    spd_solve,
-    step_plan,
-    subproblem_gradient,
-    subproblem_value,
-)
+from aalm.subsolver import LinearCache, solve_subproblem, spd_solve, step_plan
+from conftest import F_ref, grad_F_ref
 
 
 def _scalar_instance(quad=0.0, lin=0.0, a=1.0, b=0.0):
@@ -64,6 +61,11 @@ def _spec(implicit=None, gamma=1.0, beta=0.0, delta=1.0, c_k=2.0,
         xbar_k=np.ones(n) if xbar_k is None else np.asarray(xbar_k,
                                                             dtype=float),
         gradient_anchor=anchor)
+
+
+def _system(inst, case="implicit"):
+    """The system a run of ``case`` on ``inst`` solves with."""
+    return step_plan(inst, case).system
 
 
 class TestStepPlan:
@@ -230,7 +232,8 @@ class TestSystem:
 
 
 class TestValueGradientConsistency:
-    """subproblem_gradient is the derivative of subproblem_value."""
+    """grad_F_ref is the derivative of F_ref, and the inner Newton's F and
+    grad F are those formulas."""
 
     def test_finite_differences(self):
         inst = make_random_qp(n=6, m=2, seed=8)
@@ -239,13 +242,13 @@ class TestValueGradientConsistency:
                      p_k=rng.normal(size=2), r_k=rng.normal(size=2),
                      xbar_k=rng.normal(size=6), m=2, n=6)
         x = rng.normal(size=6)
-        g = subproblem_gradient(spec, inst, x)
+        g = grad_F_ref(spec, inst, x)
         h = 1e-6
         for i in range(6):
             e = np.zeros(6)
             e[i] = h
-            fd = (subproblem_value(spec, inst, x + e)
-                  - subproblem_value(spec, inst, x - e)) / (2.0 * h)
+            fd = (F_ref(spec, inst, x + e)
+                  - F_ref(spec, inst, x - e)) / (2.0 * h)
             np.testing.assert_allclose(fd, g[i], rtol=0, atol=1e-6)
 
     def test_solution_is_stationary(self):
@@ -255,55 +258,29 @@ class TestValueGradientConsistency:
         spec = _spec(inst.objective, gamma=0.7, beta=0.3, delta=1.2, c_k=1.5,
                      p_k=rng.normal(size=2), r_k=rng.normal(size=2),
                      xbar_k=rng.normal(size=6), m=2, n=6)
-        x = solve_linear_case(spec, inst)
-        assert np.linalg.norm(subproblem_gradient(spec, inst, x)) <= 1e-10
+        x = solve_linear_case(spec, inst, _system(inst))
+        assert np.linalg.norm(grad_F_ref(spec, inst, x)) <= 1e-10
 
-    @pytest.mark.parametrize("anchored", [False, True])
-    def test_shared_terms_bitwise(self, anchored):
+    def test_shared_terms_bitwise(self):
         """F and grad F built from the terms the inner Newton shares per
-        point equal the standalone functions, with f(x) and grad f(x)
-        given and without them, and the literal formulas, bitwise, at
-        random points of lp seed 0."""
+        point equal the literal formulas bitwise, at random points of lp
+        seed 0."""
         inst = make_random_lp(seed=0)
         m, n = inst.A.shape
         rng = np.random.default_rng(11)
         spec = _spec(inst.objective, gamma=0.7, beta=0.3, delta=1.2, c_k=1.5,
                      p_k=rng.normal(size=m), r_k=rng.normal(size=m),
-                     xbar_k=rng.normal(size=n),
-                     anchor=rng.normal(size=n) if anchored else None,
-                     m=m, n=n)
-        obj, b = inst.objective, inst.b
+                     xbar_k=rng.normal(size=n), m=m, n=n)
+        obj = inst.objective
         for _ in range(5):
             x = rng.normal(size=n)
-            Ax = inst.A @ x
-            f, grad = obj.value(x), obj.gradient(x)
-            if anchored:
-                f += float(spec.gradient_anchor @ x)
-                grad = grad + spec.gradient_anchor
-            F_ref = (f + 0.5 * spec.beta * float((Ax - b) @ (Ax - b))
-                     + 0.5 / spec.gamma * float((x - spec.xbar_k)
-                                                @ (x - spec.xbar_k))
-                     + float(spec.p_k @ (Ax - b))
-                     + 0.5 * spec.delta
-                     * float((spec.c_k * Ax - spec.r_k)
-                             @ (spec.c_k * Ax - spec.r_k)))
-            g_ref = (grad + (x - spec.xbar_k) / spec.gamma
-                     + inst.At @ (spec.beta * (Ax - b) + spec.p_k
-                                  + spec.delta * spec.c_k
-                                  * (spec.c_k * Ax - spec.r_k)))
-            terms = subsolver._constraint_terms(spec, inst, x, Ax)
-            values = [
-                subsolver._value_from_terms(spec, x, terms, obj.value(x)),
-                subproblem_value(spec, inst, x, Ax, obj.value(x)),
-                subproblem_value(spec, inst, x)]
-            grads = [
+            terms = subsolver._constraint_terms(spec, inst, x, inst.A @ x)
+            assert (subsolver._value_from_terms(spec, terms, obj.value(x))
+                    == F_ref(spec, inst, x))
+            np.testing.assert_array_equal(
                 subsolver._gradient_from_terms(spec, inst, terms,
                                                obj.gradient(x)),
-                subproblem_gradient(spec, inst, x, Ax, obj.gradient(x)),
-                subproblem_gradient(spec, inst, x)]
-            assert values == [F_ref] * 3
-            for g in grads:
-                np.testing.assert_array_equal(g, g_ref)
+                grad_F_ref(spec, inst, x))
 
 
 class TestSolveLinearCase:
@@ -312,13 +289,13 @@ class TestSolveLinearCase:
     def test_scalar_zero_objective(self):
         """f = 0, a = 1, gamma = delta = 1, c = 2, xbar = 1: 5x = 1."""
         inst = _scalar_instance()
-        x = solve_linear_case(_spec(inst.objective), inst)
+        x = solve_linear_case(_spec(inst.objective), inst, _system(inst))
         np.testing.assert_allclose(x, [0.2], rtol=1e-15)
 
     def test_scalar_quadratic(self):
         """Adding f = x^2/2 makes the system (1 + 1 + 4) x = 1: x = 1/6."""
         inst = _scalar_instance(quad=1.0)
-        x = solve_linear_case(_spec(inst.objective), inst)
+        x = solve_linear_case(_spec(inst.objective), inst, _system(inst))
         np.testing.assert_allclose(x, [1.0 / 6.0], rtol=1e-15)
 
     def test_no_coupling_is_gradient_step(self):
@@ -330,7 +307,7 @@ class TestSolveLinearCase:
         gamma = 0.25
         g = inst.objective.gradient(xbar)
         spec = _spec(gamma=gamma, c_k=0.0, xbar_k=xbar, anchor=g, m=3, n=8)
-        x = solve_linear_case(spec, inst)
+        x = solve_linear_case(spec, inst, _system(inst, "explicit"))
         np.testing.assert_allclose(x, xbar - gamma * g, rtol=0, atol=1e-12)
 
     def test_newton_agrees_on_quadratics(self):
@@ -340,8 +317,10 @@ class TestSolveLinearCase:
         spec = _spec(inst.objective, gamma=0.5, beta=1.0, delta=2.0, c_k=3.0,
                      p_k=rng.normal(size=3), r_k=rng.normal(size=3),
                      xbar_k=rng.normal(size=8), m=3, n=8)
-        x_lin = solve_linear_case(spec, inst)
-        x_newton, _, _, _ = solve_inner_newton(spec, inst, np.zeros(8), 1e-12)
+        system = _system(inst)
+        x_lin = solve_linear_case(spec, inst, system)
+        x_newton, _, _, _ = solve_inner_newton(spec, inst, np.zeros(8), 1e-12,
+                                               system)
         np.testing.assert_allclose(x_newton, x_lin, rtol=0, atol=1e-9)
 
     @staticmethod
@@ -468,7 +447,7 @@ class TestSolveLinearCase:
         inst = make_random_lp(d=10, n=6, seed=0)
         spec = _spec(inst.objective, n=6)
         with pytest.raises(ValueError, match="quadratic"):
-            solve_linear_case(spec, inst)
+            solve_linear_case(spec, inst, _system(inst))
 
 
 _coefficients = st.floats(0.0, 1e12, allow_subnormal=False)
@@ -644,8 +623,8 @@ class TestInnerNewton:
         returned subgradient norm is <= 1e-10."""
         inst, spec = self._logistic_spec()
         x, _, _, _ = subsolver.solve_inner_newton(spec, inst, spec.xbar_k,
-                                                  1e-10)
-        assert np.linalg.norm(subproblem_gradient(spec, inst, x)) <= 1e-10
+                                                  1e-10, _system(inst))
+        assert np.linalg.norm(grad_F_ref(spec, inst, x)) <= 1e-10
         assert inner_solves[0].steps >= 1
 
     def test_budget_exhaustion_raises_with_final_norm(self, monkeypatch):
@@ -656,7 +635,8 @@ class TestInnerNewton:
         with pytest.raises(MaxInnerIterations,
                            match="inner Newton: 1 iterations") as exc:
             solve_inner_newton(spec, inst,
-                               spec.xbar_k + 50.0 * np.ones(inst.dim), 1e-13)
+                               spec.xbar_k + 50.0 * np.ones(inst.dim), 1e-13,
+                               _system(inst))
         assert exc.value.grad_norm > 1e-13
 
     def test_tiny_gamma_pins_to_prox_center(self):
@@ -665,7 +645,8 @@ class TestInnerNewton:
         (The tolerance stays modest: the (x - xbar)/gamma term amplifies
         rounding noise by 1/gamma, so 1e-10 is not evaluable here.)"""
         inst, spec = self._logistic_spec(gamma=1e-8, coupling=False)
-        x, _, _, _ = solve_inner_newton(spec, inst, spec.xbar_k, 1e-6)
+        x, _, _, _ = solve_inner_newton(spec, inst, spec.xbar_k, 1e-6,
+                                        _system(inst))
         gnorm = np.linalg.norm(inst.objective.gradient(spec.xbar_k))
         assert np.linalg.norm(x - spec.xbar_k) <= 1e-6 * (1.0 + gnorm)
 
@@ -744,6 +725,14 @@ class TestInnerNewton:
         with pytest.raises(ValueError, match="hessian"):
             step_plan(stripped, "implicit")
 
+    def test_anchored_spec_rejected(self):
+        """A spec with a gradient anchor (a linearized step) is refused,
+        as the linear path refuses a non-quadratic part."""
+        inst, spec = self._logistic_spec()
+        spec = replace(spec, gradient_anchor=np.ones(inst.dim))
+        with pytest.raises(ValueError, match="anchor"):
+            solve_inner_newton(spec, inst, spec.xbar_k, 1e-6, _system(inst))
+
 
 class TestGramNewton:
     """Inner Newton on the ring by Woodbury through its gram basis,
@@ -788,7 +777,7 @@ class TestGramNewton:
                               np.zeros(ring.n_constraints))
         tracemalloc.start()
         try:
-            state = step(state, cfg, ring)
+            state = step(state, cfg, ring, step_plan(ring, cfg.case))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -6,8 +6,9 @@ functions by name, so renaming or removing one of them breaks
 here makes such a rename fail the suite instead.
 
 The reference oracle must stay an arithmetic path separate from the
-solver it checks; its imports are pinned here, and so is the one way
-every run enters the solver's loop.  Every shipped experiment
+solver it checks; its imports are pinned here, and so are the one way
+every run enters the solver's loop and the one place that builds a run's
+subproblem system.  Every shipped experiment
 config (the demos and the benchmark's workloads) must still parse, so
 that a config key cannot be removed from under them, and every shipped
 demo script must still run.  An experiment on any built-in family runs on
@@ -146,6 +147,29 @@ def test_one_entry_to_the_run_loop():
               if path.name != "solver.py"
               and _names(ast.parse(path.read_text()), "_run_loop")]
     assert others == [], others
+
+
+def test_one_system_builder_and_no_identity_knob():
+    """In ``src/aalm/*.py`` only ``subsolver.step_plan`` calls
+    ``LinearCache``, so every solve takes the run's one system, and no
+    module names the per-step identity check (``check_identities``,
+    ``IDENTITY_TOL``) or standalone subproblem formulas
+    (``subproblem_value``, ``subproblem_gradient``): the tests check the
+    identity along runs and write ``F`` and its gradient out
+    themselves."""
+    builders, named = [], []
+    for path in sorted((ROOT / "src" / "aalm").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            builders += [where for node in ast.walk(top)
+                         if isinstance(node, ast.Call)
+                         and _names(node.func, "LinearCache")]
+        named += [f"{path.stem}: {name}" for name in (
+            "check_identities", "IDENTITY_TOL", "subproblem_value",
+            "subproblem_gradient") if _names(tree, name)]
+    assert builders == ["subsolver.step_plan"], builders
+    assert named == [], named
 
 
 def test_vanilla_steps_are_solver_step_spans():
