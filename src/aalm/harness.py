@@ -319,22 +319,15 @@ def _load_array(path):
     return mat
 
 
-def load_manifest(path):
-    """Instance from a manifest binding an objective to matrix files.
-
-    The manifest is JSON with keys ``name``, ``objective``, ``A``, ``b``;
-    matrix paths (``.mtx`` Matrix Market or ``.csv`` dense) are resolved
-    relative to the manifest's directory.  Every matrix is loaded dense, a
-    coordinate ``.mtx`` one included.
-    Objective kinds: ``qp`` (keys ``Q``, ``q``) and ``lp-regression``
-    (keys ``B``, ``c``, ``p``).
-    """
-    return _manifest_instance(_read_json(path, "manifest"), Path(path))
-
-
 def load_instance(path):
     """Instance from the JSON file ``path``, read once: a problem block
-    when it is an object with a ``builtin`` key, a manifest otherwise."""
+    when it is an object with a ``builtin`` key, else a manifest binding
+    an objective to matrix files, with keys ``name``, ``objective``, ``A``,
+    ``b``.  Matrix paths (``.mtx`` Matrix Market or ``.csv`` dense) are
+    resolved relative to the manifest's directory, and every matrix is
+    loaded dense, a coordinate ``.mtx`` one included.  Objective kinds:
+    ``qp`` (keys ``Q``, ``q``) and ``lp-regression`` (``B``, ``c``, ``p``).
+    """
     raw = _read_json(path, "manifest")
     if isinstance(raw, dict) and "builtin" in raw:
         return build_problem(raw)
@@ -378,14 +371,19 @@ def _instance_seed(problem, master_seed):
     if "builtin" not in problem:
         return -1
     seed = problem.get("seed")
+    if seed is None and master_seed + INSTANCE_SEED_OFFSET < 0:
+        raise ConfigError(f"seed must be >= {-INSTANCE_SEED_OFFSET} for a "
+                          f"problem without a seed, got {master_seed}")
     return master_seed + INSTANCE_SEED_OFFSET if seed is None else seed
 
 
 def build_problem(block, master_seed=0):
-    """Instance from a config ``problem`` block (builtin or manifest)."""
+    """Instance from a config ``problem`` block: its builtin family's, or
+    that of the manifest file it names (see :func:`load_instance`)."""
     params = _validate_problem(block)
     if "manifest" in params:
-        return load_manifest(params["manifest"])
+        path = params["manifest"]
+        return _manifest_instance(_read_json(path, "manifest"), Path(path))
     params["seed"] = _instance_seed(params, master_seed)
     return FACTORIES[params.pop("builtin")](**params)
 

@@ -431,6 +431,13 @@ def _logistic_curvature(t):
     return e / (1.0 + e) ** 2
 
 
+def _stream(seed):
+    """The PCG64 stream of ``seed``; a negative one is a ValueError."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return np.random.Generator(np.random.PCG64(seed))
+
+
 def make_ring_logistic(p_agents=10, m_dim=200, rho_reg=0.5, seed=0,
                        name=None):
     """Decentralized regularized logistic loss on a ring of agents.
@@ -462,7 +469,7 @@ def make_ring_logistic(p_agents=10, m_dim=200, rho_reg=0.5, seed=0,
     if rho_reg < 0:
         raise ValueError(f"rho_reg must be >= 0, got {rho_reg}")
     W = ring_mixing_matrix(p_agents)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = _stream(seed)
     C = rng.uniform(0.0, 1.0, size=(p_agents, m_dim))
     laplacian = np.eye(p_agents) - W
     A = KronIdentity(laplacian, m_dim)
@@ -498,9 +505,11 @@ def make_random_qp(n=50, m=10, seed=0, cond=10.0, name=None):
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
     if not cond > 0:
         raise ValueError(f"cond must be positive, got {cond}")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = _stream(seed)
     V, _ = np.linalg.qr(rng.normal(size=(n, n)))
     evals = np.logspace(np.log10(2.0 / cond), np.log10(2.0), n)
     Q = (V * evals) @ V.T
@@ -527,7 +536,9 @@ def make_random_lp(d=30, n=20, p=1.5, n_constraints=1, seed=0, name=None):
         raise ValueError(f"d must be >= 1, got {d}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    if n_constraints < 0:
+        raise ValueError(f"n_constraints must be >= 0, got {n_constraints}")
+    rng = _stream(seed)
     B = rng.normal(size=(d, n)) / np.sqrt(n)
     c = rng.normal(size=d)
     A = rng.normal(size=(n_constraints, n)) / np.sqrt(n)

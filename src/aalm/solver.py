@@ -40,8 +40,9 @@ trace record carries that scaling.
 The baseline :func:`aalm.harness.run_vanilla` runs the schedule ``t_k = 1``,
 ``eta = 1`` (:func:`aalm.schedule.baseline`: no extrapolation, no dual
 correction) with ``beta`` lowered by ``delta``.  Every run is resolved by
-:func:`resolve_config` and advanced by the one loop, which fixes the split
-of ``f`` and the step's one system once (:func:`aalm.subsolver.step_plan`).
+:func:`resolve_config` and advanced by the one loop, :func:`_run_resolved`,
+which fixes the split of ``f`` and the step's one system once
+(:func:`aalm.subsolver.step_plan`).
 """
 
 from __future__ import annotations
@@ -55,8 +56,9 @@ import numpy as np
 from .diagnostics import TraceRecord, make_records
 from .problems import dense
 from .schedule import Schedule, coefficients, generate_scaled, resolve
-from .subsolver import (SubproblemSpec, multiplier_update, solve_subproblem,
-                        step_plan)
+from .subsolver import (MaxInnerIterations, SubproblemSpec, SubsolverError,
+                        inner_tolerance, multiplier_update,
+                        solve_inner_newton, solve_linear_case, step_plan)
 
 # The run loop buffers iterates and records them a block at a time: at
 # most this many bytes of stacked x and lam, and at most this many rows
@@ -245,6 +247,11 @@ def step(state, config, instance, plan):
     ``config`` must be resolved (see :func:`resolve_config`), and
     ``plan`` is the run's ``step_plan(instance, config.case)``, made once
     per run: its split of ``f`` and its one system serve every step.
+    Step 3 calls :func:`~aalm.subsolver.solve_inner_newton` for a
+    non-quadratic implicit part, from ``x_k`` and its carried ``A x_k``,
+    ``f`` and ``grad f`` at ``inner_tolerance(t_k)``, and one
+    :func:`~aalm.subsolver.solve_linear_case` otherwise; a failure's
+    message gains `` at k=..., t_k=...``.
     """
     eta = config.schedule.eta
     alpha_k, c_k = coefficients(state.t_next, eta)
@@ -257,8 +264,17 @@ def step(state, config, instance, plan):
                           c_k=c_k, p_k=p_k, r_k=r_k, xbar_k=xbar,
                           implicit=plan.implicit,
                           gradient_anchor=plan.anchor(xbar))
-    x_next, Ax_next, f_next, grad_next = solve_subproblem(spec, instance,
-                                                          plan, state)
+    try:
+        if plan.newton:
+            x_next, Ax_next, f_next, grad_next = solve_inner_newton(
+                spec, instance, state.x_curr, inner_tolerance(state.t_curr),
+                plan.system, state.f_curr, state.grad_curr, state.Ax_curr)
+        else:
+            x_next = solve_linear_case(spec, instance, plan.system)
+            Ax_next, f_next, grad_next = instance.A @ x_next, None, None
+    except (MaxInnerIterations, SubsolverError, np.linalg.LinAlgError) as e:
+        e.args = (f"{e} at k={state.k}, t_k={state.t_curr:.6g}",)
+        raise
     lam_next = multiplier_update(lbar, delta_eff, c_k, Ax_next, r_k)
     return state.successor(x_next, lam_next, Ax_next, f_next, grad_next)
 
@@ -342,13 +358,6 @@ def run(instance, config, x0, lam0, kkt=None):
                          kkt)
 
 
-def _run_resolved(instance, config, x0, lam0, kkt=None):
-    """:func:`run` for a ``config`` that :func:`resolve_config` returned,
-    so its schedule is certified once per run."""
-    state = initial_state(instance, config, x0, lam0)
-    return _run_loop(instance, config, state, kkt)
-
-
 def _block_rows(instance, stop):
     """Iterates per record block: one under a stopping rule with a
     tolerance set, else as many as the byte and row caps allow."""
@@ -358,11 +367,12 @@ def _block_rows(instance, stop):
     return max(1, min(RECORD_BLOCK_ROWS, RECORD_BLOCK_BYTES // row_bytes))
 
 
-def _run_loop(instance, config, state, kkt=None):
-    """Advance ``state`` by :func:`step` for ``config.max_iter`` iterations
-    or until ``config.stop``, recording each iterate with the resolved
-    ``config``'s own ``gamma, delta, eta, beta``, by the run's one step
-    plan, made here.
+def _run_resolved(instance, config, x0, lam0, kkt=None):
+    """The run loop: :func:`run` for a ``config`` that
+    :func:`resolve_config` returned.  Builds the ``k = 1`` state and
+    advances it by :func:`step` for ``config.max_iter`` iterations or until
+    ``config.stop``, recording each iterate with the resolved ``config``'s
+    own ``gamma, delta, eta, beta``, by the run's one step plan, made here.
 
     Records are computed in blocks (:func:`aalm.diagnostics.make_records`)
     of up to :data:`RECORD_BLOCK_ROWS` iterates and
@@ -374,6 +384,7 @@ def _run_loop(instance, config, state, kkt=None):
     works in.  A stopping rule with a tolerance set reads every record as
     it is made, so its blocks are one iterate and the run stops at the
     first ``k`` that meets it."""
+    state = initial_state(instance, config, x0, lam0)
     plan = step_plan(instance, config.case)
     f_star = instance.objective.value(kkt.x) if kkt is not None else None
     rows = _block_rows(instance, config.stop)

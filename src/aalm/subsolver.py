@@ -14,7 +14,8 @@ injected by the proximal term makes F well-posed for any convex
 :class:`StepPlan`, the one place that reads a case string and the one
 that builds the run's subproblem system (:class:`LinearCache`: in the
 eigenbasis of ``A'A``, plus an r x r Woodbury capacitance for a separable
-part of few terms, or dense and LU-solved).  Two solvers take it:
+part of few terms, or dense and LU-solved).  Two solvers take it, and
+:func:`aalm.solver.step` calls the one its plan needs:
 
 * :func:`solve_linear_case` -- one solve when ``f_part`` is (at most)
   quadratic;
@@ -93,9 +94,8 @@ class SubproblemSpec:
     kept) and ``gradient_anchor`` (the linearized part's gradient at the
     extrapolated point) come from the run's :class:`StepPlan`; only the
     linear solve takes an anchor, as a step linearizes all of ``f`` or
-    none of it.  The
-    coefficients are not checked here: a run checks ``gamma``, ``delta``
-    and ``beta`` once (:meth:`StepPlan.stepsize`,
+    none of it.  The coefficients are not checked here: a run checks
+    ``gamma``, ``delta`` and ``beta`` once (:meth:`StepPlan.stepsize`,
     :func:`aalm.solver.check_penalties`).
     """
 
@@ -354,28 +354,6 @@ def solve_linear_case(spec, instance, cache):
     return x
 
 
-def solve_subproblem(spec, instance, plan, state):
-    """Solve the subproblem at ``state`` by ``plan``'s system: by inner
-    Newton for a non-quadratic implicit part (from ``state.x_curr`` at
-    ``inner_tolerance(t_k)``, starting from the state's carried ``A x_k``,
-    ``f(x_k)`` and ``grad f(x_k)``), by one linear solve otherwise, which
-    returns ``(x, Ax, None, None)``: it forms ``A x`` once and evaluates
-    ``f`` nowhere.  An inner failure's or a singular system's message
-    gains ``k`` and ``t_k``."""
-    try:
-        if not plan.newton:
-            x = solve_linear_case(spec, instance, plan.system)
-            return x, instance.A @ x, None, None
-        return solve_inner_newton(spec, instance, state.x_curr,
-                                  inner_tolerance(state.t_curr), plan.system,
-                                  state.f_curr, state.grad_curr,
-                                  state.Ax_curr)
-    except (MaxInnerIterations, SubsolverError,
-            np.linalg.LinAlgError) as e:
-        e.args = (f"{e} at k={state.k}, t_k={state.t_curr:.6g}",)
-        raise
-
-
 def solve_inner_newton(spec, instance, x0, tol, system, f0=None,
                        grad0=None, Ax0=None):
     """Damped Newton on the subproblem for smooth non-quadratic implicit
@@ -391,9 +369,9 @@ def solve_inner_newton(spec, instance, x0, tol, system, f0=None,
     point visited (each trial, and the start unless ``Ax0`` is given), and
     so are the constraint terms that ``F`` and its gradient share
     (:func:`_constraint_terms`); the accepted trial's value is the next
-    step's ``F(x)``.  The implicit
-    part ``f`` is evaluated at most once per point: its gradient at each
-    accepted point (for the stopping test) and its value at each trial.
+    step's ``F(x)``.  The implicit part ``f`` is evaluated at most once
+    per point: its gradient at each accepted point (for the stopping test)
+    and its value at each trial.
 
     Parameters
     ----------

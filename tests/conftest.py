@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import pytest
 
-from aalm import kkt_solve_qp, make_random_qp, subsolver
+from aalm import kkt_solve_qp, make_random_qp, solver, subsolver
 
 
 @pytest.fixture(scope="session")
@@ -64,9 +64,10 @@ class InnerSolve(NamedTuple):
 @pytest.fixture
 def inner_solves(monkeypatch):
     """A list that receives an :class:`InnerSolve` for every call of
-    ``aalm.subsolver.solve_inner_newton`` made during the test, in call
-    order (the outer iteration ``k`` of a run's ``i``-th solve is
-    ``i + 1``)."""
+    ``solve_inner_newton`` made during the test, in call order (the
+    outer iteration ``k`` of a run's ``i``-th solve is ``i + 1``): by
+    :func:`aalm.solver.step`, which calls ``aalm.solver``'s binding, or
+    through ``aalm.subsolver``'s."""
     solves = []
     solve = subsolver.solve_inner_newton
 
@@ -88,5 +89,6 @@ def inner_solves(monkeypatch):
         solves.append(InnerSolve(tol, math.sqrt(g @ g), steps))
         return x, Ax, f_x, grad_x
 
-    monkeypatch.setattr(subsolver, "solve_inner_newton", observed)
+    for module in (solver, subsolver):
+        monkeypatch.setattr(module, "solve_inner_newton", observed)
     return solves

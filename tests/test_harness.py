@@ -16,7 +16,7 @@ from aalm import harness
 from aalm.cli import main
 from aalm.diagnostics import TRACE_FIELDS, TraceRecord, energy, fit_rate, gap
 from aalm.harness import (ConfigError, VanillaConfig, build_problem,
-                          load_manifest, parse_config, read_trace_csv,
+                          load_instance, parse_config, read_trace_csv,
                           run_experiment, run_vanilla, summarize_trace,
                           write_trace_csv)
 from aalm.oracle import kkt_refine, kkt_solve_qp, load_kkt, save_kkt
@@ -280,7 +280,7 @@ class TestManifest:
         _write_matrix(tmp_path / "A.csv", A)
         _write_matrix(tmp_path / "b.csv", b)
         (tmp_path / "inst.json").write_text(json.dumps(manifest))
-        inst = load_manifest(tmp_path / "inst.json")
+        inst = load_instance(tmp_path / "inst.json")
         assert inst.name == "paper-qp"
         assert inst.dim == 2 and inst.n_constraints == 1
         Q_loaded, q_loaded = inst.objective.quadratic
@@ -322,7 +322,7 @@ class TestManifest:
                         "objective": {"kind": "qp", "Q": "Q.csv",
                                       "q": "q.csv"}}
             (tmp_path / f"{stem}.json").write_text(json.dumps(manifest))
-        inst, again, twin = (load_manifest(tmp_path / f"{stem}.json")
+        inst, again, twin = (load_instance(tmp_path / f"{stem}.json")
                              for stem in ("sparse", "sparse", "twin"))
         assert type(inst.A) is np.ndarray and inst.A.dtype == np.float64
         assert inst.A.flags.c_contiguous
@@ -359,7 +359,7 @@ class TestManifest:
                                     "A": fname, "b": "b.csv"}))
         with pytest.raises(ConfigError,
                            match=re.escape(str(tmp_path / fname))):
-            load_manifest(path)
+            load_instance(path)
 
     def test_lp_manifest_roundtrip(self, tmp_path):
         """An lp-regression manifest matches the directly built objective."""
@@ -376,7 +376,7 @@ class TestManifest:
                            ("A.csv", A), ("b.csv", b)):
             _write_matrix(tmp_path / fname, arr)
         (tmp_path / "inst.json").write_text(json.dumps(manifest))
-        inst = load_manifest(tmp_path / "inst.json")
+        inst = load_instance(tmp_path / "inst.json")
         direct = make_lp_regression(B, c, 1.5, A, b)
         for x in rng.normal(size=(5, 3)):
             assert_allclose(inst.objective.value(x),
@@ -391,21 +391,21 @@ class TestManifest:
         _write_matrix(tmp_path / "b.csv", np.ones(1))
         (tmp_path / "inst.json").write_text(json.dumps(manifest))
         with pytest.raises(ConfigError, match="unknown objective kind"):
-            load_manifest(tmp_path / "inst.json")
+            load_instance(tmp_path / "inst.json")
 
     def test_missing_matrix_key_rejected(self, tmp_path):
         manifest = {"objective": {"kind": "qp", "Q": "Q.csv", "q": "q.csv"},
                     "A": "A.csv"}
         (tmp_path / "inst.json").write_text(json.dumps(manifest))
         with pytest.raises(ConfigError, match="'b'"):
-            load_manifest(tmp_path / "inst.json")
+            load_instance(tmp_path / "inst.json")
 
     def test_unknown_manifest_key_rejected(self, tmp_path):
         manifest = {"objective": {"kind": "qp", "Q": "Q.csv", "q": "q.csv"},
                     "A": "A.csv", "b": "b.csv", "solver": "aalm"}
         (tmp_path / "inst.json").write_text(json.dumps(manifest))
         with pytest.raises(ConfigError, match="unknown key"):
-            load_manifest(tmp_path / "inst.json")
+            load_instance(tmp_path / "inst.json")
 
     @pytest.mark.parametrize("entry, key", [
         ({"A": 3}, "A"), ({"b": [1.0]}, "b"),
@@ -421,14 +421,14 @@ class TestManifest:
             _write_matrix(tmp_path / fname, arr)
         (tmp_path / "inst.json").write_text(json.dumps(manifest))
         with pytest.raises(ConfigError, match=rf"^{key} must be a file path"):
-            load_manifest(tmp_path / "inst.json")
+            load_instance(tmp_path / "inst.json")
 
     def test_unreadable_manifest_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read manifest"):
-            load_manifest(tmp_path / "absent.json")
+            load_instance(tmp_path / "absent.json")
         (tmp_path / "bad.json").write_text("{")
         with pytest.raises(ConfigError, match="malformed JSON"):
-            load_manifest(tmp_path / "bad.json")
+            load_instance(tmp_path / "bad.json")
 
 
 class TestBuildProblem:
@@ -464,7 +464,8 @@ class TestBuildProblem:
             build_problem({"builtin": "qp", "dim": 8})
 
     def test_manifest_dispatch(self, tmp_path):
-        """A problem block naming a manifest defers to load_manifest."""
+        """A problem block naming a manifest reads it as a manifest, as
+        load_instance does."""
         Q = np.eye(2)
         manifest = {"name": "disk-qp",
                     "objective": {"kind": "qp", "Q": "Q.csv", "q": "q.csv"},
@@ -1348,7 +1349,7 @@ class TestSchema:
         admitted = () if kind.choice else ADMITS[kind.what]
         expected = ("unknown {what} {value!r}" if kind.choice
                     else "{key} must be {what}, got {value!r}")
-        parse = {"run": parse_config, "oracle": load_manifest}
+        parse = {"run": parse_config, "oracle": load_instance}
         for value in WRONG_VALUES:
             if value in admitted:
                 continue
@@ -1391,17 +1392,39 @@ class TestSchema:
         ({"builtin": "qp", "cond": -1.0}, "cond must be positive, got -1.0"),
         ({"builtin": "qp", "cond": 0.0}, "cond must be positive, got 0.0"),
         ({"builtin": "lp-regression", "d": 0}, "d must be >= 1, got 0"),
-        ({"builtin": "lp-regression", "n": -2}, "n must be >= 1, got -2")])
+        ({"builtin": "lp-regression", "n": -2}, "n must be >= 1, got -2"),
+        ({"builtin": "qp", "m": -1}, "m must be >= 0, got -1"),
+        ({"builtin": "lp-regression", "n_constraints": -1},
+         "n_constraints must be >= 0, got -1"),
+        ({"builtin": "qp", "seed": -3}, "seed must be >= 0, got -3"),
+        ({"builtin": "ring-logistic", "seed": -3},
+         "seed must be >= 0, got -3")])
     def test_builtin_size_rejected_by_name(self, tmp_path, monkeypatch,
                                            capsys, problem, message):
-        """A random family's size or condition number out of range is a
-        config error (exit 1) naming the key, raised as the instance is
-        built and before any solver or reference runs."""
+        """A random family's size, condition number or seed out of range
+        is a config error (exit 1) naming the key, raised as the instance
+        is built and before any solver or reference runs."""
         monkeypatch.setenv("AALM_OUTPUT_DIR", str(tmp_path / "out"))
         path = _write_config(tmp_path, _qp_config(problem=problem))
         assert main(["run", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list((tmp_path / "out").iterdir()) == []
+
+    def test_negative_instance_seed_names_master_seed(self, tmp_path,
+                                                      monkeypatch, capsys):
+        """A master seed below ``-INSTANCE_SEED_OFFSET`` gives a problem
+        without a seed of its own a negative instance seed: a config error
+        (exit 1) naming the master seed, before anything runs."""
+        monkeypatch.setenv("AALM_OUTPUT_DIR", str(tmp_path / "out"))
+        path = _write_config(tmp_path, _qp_config(
+            problem={"builtin": "qp", "n": 12, "m": 4}, seed=-2000))
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: seed must be >= -1000 for a problem without a seed, "
+            "got -2000\n")
+        assert list((tmp_path / "out").iterdir()) == []
+        with pytest.raises(ConfigError, match="^seed must be >= -1000"):
+            build_problem({"builtin": "qp"}, master_seed=-2000)
 
     @pytest.mark.parametrize("problem, message", [
         ({"builtin": "qp", "d": 99, "rho_reg": 7.0},
@@ -1435,7 +1458,7 @@ class TestSchema:
                                     "objective": OBJECTIVE_BLOCKS["qp"]}))
         with pytest.raises(ConfigError, match=re.escape(
                 f"name must be {what}, got {name!r} (manifest)")):
-            load_manifest(path)
+            load_instance(path)
 
     def test_composite_case_rejected(self, tmp_path, capsys):
         """The paper's two cases are the only ones: 'composite' is an

@@ -181,6 +181,21 @@ class TestLpRegression:
         assert inst.name == "lp1.5-d30-n20-c1-pcg64-0"
 
 
+@pytest.mark.parametrize("factory, params, message", [
+    (make_random_qp, {"m": -1}, "m must be >= 0, got -1"),
+    (make_random_qp, {"seed": -3}, "seed must be >= 0, got -3"),
+    (make_random_lp, {"n_constraints": -1},
+     "n_constraints must be >= 0, got -1"),
+    (make_random_lp, {"seed": -3}, "seed must be >= 0, got -3"),
+    (make_ring_logistic, {"seed": -3}, "seed must be >= 0, got -3"),
+], ids=["qp-m", "qp-seed", "lp-n_constraints", "lp-seed", "ring-seed"])
+def test_negative_size_or_seed_named(factory, params, message):
+    """A random family's negative size or seed is a ValueError naming the
+    parameter, not numpy's message about a dimension or a seed."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        factory(**params)
+
+
 class TestRingMixingMatrix:
     """Metropolis weights of the ring: 1/2 diagonal, 1/4 to each neighbour."""
 

@@ -11,7 +11,6 @@ finite differences.
 
 import tracemalloc
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,8 +39,8 @@ from aalm import subsolver
 from aalm.diagnostics import energy
 from aalm.oracle import kkt_refine
 from aalm.problems import KronIdentity, dense
-from aalm.solver import initial_state, resolve_config, step
-from aalm.subsolver import LinearCache, solve_subproblem, spd_solve, step_plan
+from aalm.solver import IterateState, initial_state, resolve_config, step
+from aalm.subsolver import LinearCache, spd_solve, step_plan
 from conftest import F_ref, grad_F_ref
 
 
@@ -569,16 +568,21 @@ class TestSolveSubproblem:
     def test_singular_system_names_iteration(self):
         """A quadratic part that cancels the proximal term on null(A)
         (built without make_qp, which would reject it) makes the LU solve
-        of a varying-gamma step singular; the error gains k and t_k."""
+        of a ``gamma = 1`` step singular; the error ``step`` raises from
+        a state at ``k = 7``, ``t_k = 4.5`` gains k and t_k."""
         inst = ProblemInstance(
             ObjectiveOracle(lambda x: 0.0, lambda x: np.zeros(2),
                             quadratic=(np.diag([0.0, -1.0]), np.zeros(2))),
             np.array([[1.0, 0.0]]), np.zeros(1), "singular")
-        plan = step_plan(inst, "implicit")
-        state = SimpleNamespace(k=7, t_curr=4.5, x_curr=np.zeros(2))
+        cfg = resolve_config(inst, SolverConfig(
+            schedule=nesterov(), case="implicit", gamma=1.0, beta=0.0,
+            max_iter=10))
+        state = IterateState(
+            x_curr=np.zeros(2), x_prev=np.zeros(2), Ax_curr=np.zeros(1),
+            lam_curr=np.zeros(1), lam_prev=np.zeros(1), k=7,
+            t_seq=np.full(11, 4.5), xi_seq=np.ones(11))
         with pytest.raises(np.linalg.LinAlgError, match=r"at k=7, t_k=4.5$"):
-            solve_subproblem(_spec(inst.objective, gamma=1.0, n=2), inst,
-                             plan, state)
+            step(state, cfg, inst, step_plan(inst, "implicit"))
 
 
 class TestSpdSolve:

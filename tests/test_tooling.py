@@ -127,26 +127,66 @@ def _names(tree, name):
                for node in ast.walk(tree))
 
 
+def _sources():
+    """``(path, tree)`` of every Python file of the package, the demos
+    and the benchmark."""
+    return [(path, ast.parse(path.read_text())) for path in
+            sorted((ROOT / "src" / "aalm").glob("*.py"))
+            + sorted((ROOT / "demos").glob("*.py"))
+            + sorted((ROOT / "bench").glob("*.py"))]
+
+
+def _calls(tree, name):
+    """The calls in ``tree`` of ``name``, bare or as an attribute."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None),
+                         getattr(node.func, "attr", None))]
+
+
+def _resolved_by_caller(fn, arg):
+    """Whether the config argument ``arg`` of a call in the function
+    ``fn`` is a ``resolve_config`` call, or a name that ``fn`` assigns
+    one to."""
+    if isinstance(arg, ast.Call):
+        return _names(arg.func, "resolve_config")
+    return isinstance(arg, ast.Name) and any(
+        isinstance(node, ast.Assign) and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id == arg.id and isinstance(node.value, ast.Call)
+        and _names(node.value.func, "resolve_config")
+        for node in ast.walk(fn))
+
+
 def test_one_entry_to_the_run_loop():
-    """Every run enters the loop through ``_run_resolved``, after
-    ``resolve_config``: in ``solver.py`` only ``_run_resolved`` names
-    ``_run_loop``, by calling it, and no other module of the package,
-    the demos or the benchmark names it at all."""
+    """Every run enters the loop, ``solver._run_resolved``, after
+    ``resolve_config``: only ``solver.run``, ``harness.run_vanilla`` and
+    ``harness._run_entry`` call it, each with a config that
+    ``resolve_config`` returned.  ``step`` calls its two solvers itself,
+    by their bare module-level names (which the benchmark's tracer
+    rebinds), and no module of the package, demo or benchmark file names
+    the layers that once stood between them (``_run_loop``,
+    ``solve_subproblem``) or the manifest-only reader
+    (``load_manifest``)."""
+    named, callers = [], []
+    for path, tree in _sources():
+        named += [f"{path.name}: {name}" for name in (
+            "_run_loop", "solve_subproblem", "load_manifest")
+            if _names(tree, name)]
+        for top in tree.body:
+            for call in _calls(top, "_run_resolved"):
+                where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+                callers.append((where, len(call.args) > 1
+                                and _resolved_by_caller(top, call.args[1])))
+    assert named == [], named
+    assert callers == [("harness.run_vanilla", True),
+                       ("harness._run_entry", True),
+                       ("solver.run", True)], callers
     tree = ast.parse((ROOT / "src" / "aalm" / "solver.py").read_text())
-    users = [getattr(stmt, "name", "<module>") for stmt in tree.body
-             if _names(stmt, "_run_loop")]
-    assert users == ["_run_resolved"]
-    (caller,) = [stmt for stmt in tree.body
-                 if getattr(stmt, "name", None) == "_run_resolved"]
-    assert any(isinstance(node, ast.Call) and _names(node.func, "_run_loop")
-               for node in ast.walk(caller))
-    others = [path.name for path in
-              sorted((ROOT / "src" / "aalm").glob("*.py"))
-              + sorted((ROOT / "demos").glob("*.py"))
-              + sorted((ROOT / "bench").glob("*.py"))
-              if path.name != "solver.py"
-              and _names(ast.parse(path.read_text()), "_run_loop")]
-    assert others == [], others
+    (step,) = [stmt for stmt in tree.body
+               if getattr(stmt, "name", None) == "step"]
+    bare = {node.func.id for node in ast.walk(step)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert {"solve_linear_case", "solve_inner_newton"} <= bare, bare
 
 
 def test_one_system_builder_and_no_identity_knob():
