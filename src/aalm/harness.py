@@ -192,8 +192,7 @@ SCHEDULE = {"rule": (_choice("schedule rule", tuple(SCHEDULE_RULES)),
                      REQUIRED),
             "alpha": (NUMBER_OR_NULL, None), "rho": (NUMBER, None),
             "eta": (ETA, None)}
-SCALING = {"form": (_choice("scaling form", ("t-power", "constant")),
-                    REQUIRED),
+SCALING = {"form": (_choice("scaling form", ("t-power",)), REQUIRED),
            "exponent": (NUMBER, 0.5)}
 STOP = {"feas_tol": (NUMBER_OR_NULL, None),
         "stat_tol": (NUMBER_OR_NULL, None)}
@@ -245,9 +244,9 @@ def _read_json(path, what):
 
 
 def _parse_schedule(block, scaling):
-    """The schedule of a ``schedule`` block, with the stepsize factors of
-    a ``scaling`` block unless that is None.  A constant scaling is an
-    explicit unit ``xi``: it certifies bitwise as no scaling, and runs in
+    """The schedule of a ``schedule`` block, with the stepsize factors
+    ``xi(t) = t^e`` of a ``scaling`` block unless that is None.  Exponent
+    0 is a unit ``xi``: it certifies bitwise as no scaling, and runs in
     the implicit case only, like any other ``xi``."""
     s = _validate(block, SCHEDULE, "schedule")
     sched = named_schedule(s["rule"], s["alpha"], eta=s["eta"])
@@ -257,8 +256,7 @@ def _parse_schedule(block, scaling):
         return sched
     scaling = _validate(scaling, SCALING, "scaling")
     e = float(scaling["exponent"])
-    return replace(sched, xi=np.ones_like if scaling["form"] == "constant"
-                   else lambda t: t ** e)
+    return replace(sched, xi=lambda t: t ** e)
 
 
 def _parse_solver(block, iterations):
@@ -266,8 +264,8 @@ def _parse_solver(block, iterations):
     name, method = head["name"], head["method"]
     where = f"{'vanilla ' if method == 'vanilla' else ''}solver {name!r}"
     e = _validate(block, SOLVER_ENTRIES[method], where)
-    # Types only: resolve_config checks the ranges of gamma, delta and
-    # beta.  gamma: null stands for the default stepsize.
+    # Types only: resolve_config checks the ranges of the numbers, stop
+    # tolerances included.  gamma: null stands for the default stepsize.
     steps = {k: e[k] for k in ("case", "gamma", "delta", "beta")}
     if method == "vanilla":
         cfg = VanillaConfig(**steps)

@@ -48,6 +48,7 @@ which fixes the split of ``f`` and the step's one system once
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
@@ -172,28 +173,18 @@ class IterateState:
                             f_curr=f_next, grad_curr=grad_next)
 
 
-def check_penalties(delta, beta):
-    """Raise a ValueError naming the field unless ``delta`` is positive
-    and ``beta`` nonnegative, both finite.  A run calls it once, before
-    its first step, as :meth:`aalm.subsolver.StepPlan.stepsize` checks
-    ``gamma``: a NaN would otherwise surface as a failed solve at
-    ``k = 1``, and an infinity would run."""
-    if not 0 < delta < math.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta}")
-    if not 0 <= beta < math.inf:
-        raise ValueError(f"beta must be nonnegative and finite, got {beta}")
-
-
 def resolve_config(instance, config):
     """Validate ``config`` against ``instance`` and freeze open parameters.
 
-    Fills the default ``gamma``, checks ``gamma``, ``delta`` and ``beta``
-    (positive, positive and nonnegative, each finite), resolves the
-    schedule against the budget ``max_iter``
-    (:func:`aalm.schedule.resolve`, which certifies the
-    growth of ``t_k^2 xi_k`` when it has stepsize factors), and checks
-    the stepsize restriction ``gamma <= 1/L`` wherever a linearized
-    gradient step is taken.
+    Fills the default ``gamma`` (``1/L`` with a linearized part, else 1),
+    checks ``gamma``, ``delta`` and ``beta`` (positive, positive and
+    nonnegative, each finite) and the stepsize restriction ``gamma <=
+    1/L`` of a linearized step, checks that ``max_iter`` is a nonnegative
+    integer and each stopping tolerance set is nonnegative, and resolves
+    the schedule against the budget ``max_iter``
+    (:func:`aalm.schedule.resolve`, which certifies the growth of
+    ``t_k^2 xi_k`` when it has stepsize factors).  Each ValueError names
+    its field.
 
     Returns
     -------
@@ -201,13 +192,36 @@ def resolve_config(instance, config):
         A copy safe to hand to :func:`step`/:func:`run`.
     """
     plan = step_plan(instance, config.case, backend=False)
-    gamma = plan.stepsize(config.gamma)
-    check_penalties(config.delta, config.beta)
+    # A linear f (L = 0) counts as no linearized part: it meets the
+    # descent inequality at every gamma.
+    L = (plan.linearized.lipschitz or None) if plan.linearized else None
+    gamma, delta, beta = config.gamma, config.delta, config.beta
+    if gamma is None:
+        gamma = 1.0 / L if L is not None else 1.0
+    # Checked before the first step: a NaN would otherwise surface as a
+    # failed solve at k = 1, and an infinity would run.
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    if L is not None and gamma > 1.0 / L * (1.0 + 1e-12):
+        raise ValueError(
+            f"gamma = {gamma:.6g} violates the stepsize restriction "
+            f"1/L = {1.0 / L:.6g} of the linearized step")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
+    if not 0 <= beta < math.inf:
+        raise ValueError(f"beta must be nonnegative and finite, got {beta}")
     if config.schedule.xi is not None and plan.linearized is not None:
         raise ValueError("stepsize scaling is defined for the implicit "
                          "case only")
-    return replace(config, gamma=gamma,
-                   schedule=resolve(config.schedule, config.max_iter))
+    n = config.max_iter
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"max_iter must be a nonnegative integer, got {n}")
+    for name in ("feas_tol", "stat_tol"):
+        tol = getattr(config.stop, name)
+        if tol is not None and not tol >= 0:
+            raise ValueError(f"{name} must be nonnegative, got {tol}")
+    return replace(config, gamma=float(gamma),
+                   schedule=resolve(config.schedule, n))
 
 
 def initial_state(instance, config, x0, lam0):

@@ -95,8 +95,8 @@ class SubproblemSpec:
     extrapolated point) come from the run's :class:`StepPlan`; only the
     linear solve takes an anchor, as a step linearizes all of ``f`` or
     none of it.  The coefficients are not checked here: a run checks
-    ``gamma``, ``delta`` and ``beta`` once (:meth:`StepPlan.stepsize`,
-    :func:`aalm.solver.check_penalties`).
+    ``gamma``, ``delta`` and ``beta`` once
+    (:func:`aalm.solver.resolve_config`).
     """
 
     gamma: float
@@ -273,23 +273,6 @@ class StepPlan:
     def anchor(self, x):
         """Gradient of the linearized part at ``x`` (None without one)."""
         return self.linearized.gradient(x) if self.linearized else None
-
-    def stepsize(self, gamma):
-        """``gamma`` as a float, by default ``1/L`` with a linearized part
-        and 1 without; must be positive and finite and, with one, at most
-        ``1/L``.  A linear ``f`` (``L = 0``) counts as none: it meets the
-        descent inequality at every ``gamma``."""
-        L = (self.linearized.lipschitz or None) if self.linearized else None
-        if gamma is None:
-            gamma = 1.0 / L if L is not None else 1.0
-        if not 0 < gamma < math.inf:
-            raise ValueError(f"gamma must be positive and finite, got "
-                             f"{gamma}")
-        if L is not None and gamma > 1.0 / L * (1.0 + 1e-12):
-            raise ValueError(
-                f"gamma = {gamma:.6g} violates the stepsize restriction "
-                f"1/L = {1.0 / L:.6g} of the linearized step")
-        return float(gamma)
 
 
 def step_plan(instance, case, backend=True):

@@ -22,8 +22,8 @@ from aalm.harness import (ConfigError, VanillaConfig, build_problem,
 from aalm.oracle import kkt_refine, kkt_solve_qp, load_kkt, save_kkt
 from aalm.problems import (KKTPoint, make_lp_regression, make_random_lp,
                            make_random_qp, make_ring_logistic)
-from aalm.subsolver import MaxInnerIterations, step_plan
-from aalm.schedule import ScheduleError, nesterov
+from aalm.subsolver import MaxInnerIterations
+from aalm.schedule import ScheduleError, baseline, generate, nesterov
 from aalm import solver as aalm_solver
 from aalm import subsolver
 from aalm.solver import SolverConfig, StoppingRule, resolve_config, run
@@ -213,21 +213,24 @@ class TestParseConfig:
         assert parse_config(cfg).solvers[0].config.schedule.alpha is None
 
     def test_scaling_block(self):
-        """t-power scaling puts xi(t) = t^e on the schedule; constant
-        scaling an explicit unit xi."""
+        """t-power scaling puts xi(t) = t^e on the schedule, and exponent
+        0 an explicit unit xi, bitwise; "constant", which once spelled
+        that unit xi, is an unknown form like any other name."""
         cfg = _qp_config()
         cfg["solvers"][0]["case"] = "implicit"
         cfg["solvers"][0]["scaling"] = {"form": "t-power", "exponent": 0.5}
         scaled = parse_config(cfg).solvers[0].config.schedule
         assert scaled.rule == "nesterov"
         assert scaled.xi(4.0) == 2.0
-        cfg["solvers"][0]["scaling"] = {"form": "constant"}
+        cfg["solvers"][0]["scaling"] = {"form": "t-power", "exponent": 0}
         unit = parse_config(cfg).solvers[0].config.schedule
         assert unit.xi is not None
-        assert unit.xi(np.arange(1.0, 4.0)).tolist() == [1.0, 1.0, 1.0]
-        cfg["solvers"][0]["scaling"] = {"form": "exp"}
-        with pytest.raises(ConfigError, match="unknown scaling form"):
-            parse_config(cfg)
+        t = generate(unit, 1000)
+        np.testing.assert_array_equal(unit.xi(t), np.ones_like(t))
+        for form in ("constant", "exp"):
+            cfg["solvers"][0]["scaling"] = {"form": form}
+            with pytest.raises(ConfigError, match="unknown scaling form"):
+                parse_config(cfg)
 
     def test_stop_block(self):
         """Stop tolerances attach to a rule; the budget stays the
@@ -515,7 +518,8 @@ class TestVanillaBaseline:
         assert [r.k for r in trace] == list(range(2, iters + 2))
         assert all(r.t_k == 1.0 for r in trace)
         assert all(np.isfinite(r.obj_res) for r in trace)
-        gamma = step_plan(inst, case, backend=False).stepsize(None)
+        gamma = resolve_config(inst, SolverConfig(schedule=baseline(),
+                                                  case=case)).gamma
         e1 = energy(inst, kkt, gamma, vcfg.delta, 1.0,
                     vcfg.beta - vcfg.delta, 1.0, x0, x0, lam0, lam0)
         energies = np.array([e1] + [r.energy_E for r in trace])
@@ -849,6 +853,26 @@ class TestRunExperiment:
                 f"failed: ValueError: {field} must be"), row["status"]
         assert not list(tmp_path.glob("*.trace.csv"))
 
+    @pytest.mark.parametrize("value", [float("nan"), -1e-6])
+    @pytest.mark.parametrize("field", ["feas_tol", "stat_tol"])
+    def test_bad_stop_tolerance_in_config_file(self, tmp_path, monkeypatch,
+                                               field, value):
+        """A stop tolerance that is negative or ``NaN`` (which JSON
+        admits) parses, and its entry fails before its first step with a
+        row naming the field, instead of running its whole budget as if
+        it had no rule; a zero tolerance runs."""
+        monkeypatch.setenv("AALM_OUTPUT_DIR", str(tmp_path))
+        cfg = _qp_config()
+        cfg["solvers"][0]["stop"] = {field: value}
+        cfg["solvers"].append({"name": "zero", "method": "aalm",
+                               "schedule": {"rule": "nesterov"},
+                               "stop": {field: 0.0}})
+        rows = run_experiment(parse_config(_write_config(tmp_path, cfg)))
+        assert rows[0]["status"] == (f"failed: ValueError: {field} must be "
+                                     f"nonnegative, got {value}")
+        assert [r["status"] for r in rows[1:]] == ["ok", "ok"]
+        assert not (tmp_path / "accel.trace.csv").exists()
+
     def test_multiline_failure_stays_on_its_row(self, tmp_path,
                                                 monkeypatch):
         """A solver failure whose message spans lines is written with its
@@ -960,8 +984,6 @@ class TestRunExperiment:
 
         monkeypatch.setattr(aalm_solver, "_run_resolved",
                             releasing(aalm_solver._run_resolved))
-        monkeypatch.setattr(harness, "run_vanilla",
-                            releasing(harness.run_vanilla))
         monkeypatch.setenv("AALM_OUTPUT_DIR", str(tmp_path))
         cfg = _qp_config()
         cfg["solvers"].append({"name": "cd", "method": "aalm",

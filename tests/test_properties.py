@@ -4,10 +4,11 @@
 ``step_coupled`` (the joint primal-dual system, an independent arithmetic
 path) on drawn full-rank instances: small random QPs whose ``Q`` has any
 rank, under every named schedule, either case, scaled stepsizes on the
-implicit CD and AC schedules, drawn penalties and starting points.  Two
-deterministic teeth tests plant a perturbation of the linear solve's
-result and a sign error in the dual update, and check that the net's
-bound catches each on every draw.
+implicit CD and AC schedules, drawn ``gamma`` (up to ``1/L`` when
+explicit), ``eta`` (a keyword or a number in ``[rho, 1]``), penalties
+and starting points.  Two deterministic teeth tests plant a
+perturbation of the linear solve's result and a sign error in the dual
+update, and check that the net's bound catches each on every draw.
 
 Rank-deficient ``A`` is not drawn: there ``step`` drifts from
 ``step_coupled`` by the ``c_k^2`` cancellation of the step, which a
@@ -16,7 +17,7 @@ rewrite of the step for its increment is to remove.
 
 import warnings
 from dataclasses import replace
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 import pytest
@@ -24,8 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aalm import (SolverConfig, attouch_cabot, chambolle_dossal, make_qp,
-                  nesterov, resolve_config, solver, step, step_coupled,
-                  step_plan)
+                  nesterov, resolve, resolve_config, solver, step,
+                  step_coupled, step_plan)
 from aalm.solver import initial_state
 
 # Hypothesis's pytest plugin imports its source-patching module, and with
@@ -51,17 +52,20 @@ RULES = {"cd": lambda eta: chambolle_dossal(10.0, eta=eta),
          "nesterov": lambda eta: nesterov(eta=eta)}
 
 class Draw(NamedTuple):
-    """One drawn run: sizes, the rank of ``Q``, the schedule, the case,
-    the exponent of ``xi = t^e`` (None: no scaling), the penalties and
-    the seed of the Gaussian data."""
+    """One drawn run: sizes, the rank of ``Q``, the schedule, its ``eta``
+    (a keyword, or ``u`` for ``eta = rho + u (1 - rho)``), the case, the
+    exponent of ``xi = t^e`` (None: no scaling), ``gamma`` (explicit: as
+    a fraction of ``1/L``, itself when ``L = 0``), the penalties and the
+    seed of the Gaussian data."""
 
     n: int
     m: int
     rank: int
     rule: str
-    eta: str
+    eta: Union[str, float]
     case: str
     exponent: Optional[float]
+    gamma: float
     beta: float
     delta: float
     seed: int
@@ -80,8 +84,11 @@ def draws(draw, rule):
     return Draw(
         n=n, m=draw(st.integers(1, min(4, n))),
         rank=draw(st.integers(0, n)), rule=rule,
-        eta=draw(st.sampled_from(["critical", "noncritical"])), case=case,
+        eta=draw(st.one_of(st.sampled_from(["critical", "noncritical"]),
+                           st.floats(0.0, 1.0))), case=case,
         exponent=draw(st.floats(0.0, 1.0)) if scaled else None,
+        gamma=(draw(st.floats(0.05, 1.0)) if case == "explicit"
+               else 10.0 ** draw(st.floats(-1.0, 1.0))),
         beta=beta, delta=beta * draw(st.floats(0.05, 1.0)),
         seed=draw(st.integers(0, 2 ** 32 - 1)))
 
@@ -93,12 +100,18 @@ def deviation(d):
     B = rng.normal(size=(d.rank, d.n))
     inst = make_qp(B.T @ B / max(d.rank, 1), rng.normal(size=d.n),
                    rng.normal(size=(d.m, d.n)), rng.normal(size=d.m))
-    schedule = RULES[d.rule](d.eta)
+    numeric = not isinstance(d.eta, str)
+    schedule = RULES[d.rule](None if numeric else d.eta)
     if d.exponent is not None:
         schedule = replace(schedule, xi=lambda t: t ** d.exponent)
+    if numeric:
+        rho = resolve(schedule, STEPS).rho
+        schedule = replace(schedule, eta=rho + d.eta * (1.0 - rho))
+    L = inst.objective.lipschitz
+    gamma = d.gamma / L if d.case == "explicit" and L else d.gamma
     cfg = resolve_config(inst, SolverConfig(
-        schedule=schedule, case=d.case, beta=d.beta, delta=d.delta,
-        max_iter=STEPS))
+        schedule=schedule, case=d.case, gamma=gamma, beta=d.beta,
+        delta=d.delta, max_iter=STEPS))
     x0, lam0 = rng.normal(size=d.n), rng.normal(size=d.m)
     seq = initial_state(inst, cfg, x0, lam0)
     coup = initial_state(inst, cfg, x0, lam0)

@@ -7,6 +7,7 @@ seeded QP testbed.
 """
 
 import math
+import re
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -267,6 +268,37 @@ class TestRunLoop:
         state, trace = run(qp_testbed, cfg, np.zeros(50), np.zeros(10))
         assert trace == []
         assert state.k == 1
+
+    @pytest.mark.parametrize("max_iter", [-1, 2.5, True],
+                             ids=["negative", "float", "bool"])
+    def test_bad_budget_rejected(self, qp_testbed, max_iter):
+        """A budget that is negative or not an integer is named before
+        the first step (it used to fail in the schedule's generation, in
+        a slice, or, for ``True``, run one iteration)."""
+        cfg = SolverConfig(schedule=nesterov(), max_iter=max_iter)
+        with pytest.raises(ValueError, match=re.escape(
+                f"max_iter must be a nonnegative integer, got {max_iter}")):
+            run(qp_testbed, cfg, np.zeros(50), np.zeros(10))
+
+    def test_numpy_integer_budget_runs(self, qp_testbed):
+        cfg = SolverConfig(schedule=nesterov(), max_iter=np.int64(3))
+        _, trace = run(qp_testbed, cfg, np.zeros(50), np.zeros(10))
+        assert [r.k for r in trace] == [2, 3, 4]
+
+    @pytest.mark.parametrize("value", [math.nan, -1e-6])
+    @pytest.mark.parametrize("field", ["feas_tol", "stat_tol"])
+    def test_bad_stop_tolerance_rejected(self, qp_testbed, field, value):
+        """A stopping tolerance must be nonnegative: a negative or NaN one
+        can never be met, so the run would spend its whole budget in
+        one-iterate record blocks.  Zero is accepted."""
+        cfg = SolverConfig(schedule=nesterov(), max_iter=5,
+                           stop=StoppingRule(**{field: value}))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{field} must be nonnegative, got {value}")):
+            run(qp_testbed, cfg, np.zeros(50), np.zeros(10))
+        cfg = replace(cfg, stop=StoppingRule(**{field: 0.0}))
+        _, trace = run(qp_testbed, cfg, np.zeros(50), np.zeros(10))
+        assert len(trace) == 5
 
     def test_bit_identical_reruns(self, qp_testbed, qp_reference):
         """Identical inputs produce bit-identical traces."""

@@ -7,8 +7,9 @@ here makes such a rename fail the suite instead.
 
 The reference oracle must stay an arithmetic path separate from the
 solver it checks; its imports are pinned here, and so are the one way
-every run enters the solver's loop and the one place that builds a run's
-subproblem system.  Every shipped experiment
+every run enters the solver's loop, the one place that builds a run's
+subproblem system and the one place that defaults and checks a run's
+numbers.  Every shipped experiment
 config (the demos and the benchmark's workloads) must still parse, so
 that a config key cannot be removed from under them, and every shipped
 demo script must still run.  An experiment on any built-in family runs on
@@ -210,6 +211,34 @@ def test_one_system_builder_and_no_identity_knob():
             "subproblem_gradient") if _names(tree, name)]
     assert builders == ["subsolver.step_plan"], builders
     assert named == [], named
+
+
+def test_run_numbers_checked_in_resolve_config():
+    """``solver.resolve_config`` is the one place that defaults and
+    checks a run's numbers: no module defines ``check_penalties``,
+    ``StepPlan`` has no ``stepsize``, and the range messages of
+    ``gamma``, ``delta``, ``beta`` and the stop tolerances ("must be
+    positive and finite", "must be nonnegative") appear in no other
+    top-level definition of the package."""
+    defined, where = [], []
+    for path, tree in _sources():
+        defined += [f"{path.name}: {node.name}" for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name == "check_penalties"]
+    for path in sorted((ROOT / "src" / "aalm").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            if getattr(top, "name", None) == "StepPlan":
+                defined += [f"StepPlan.{node.name}" for node in top.body
+                            if getattr(node, "name", None) == "stepsize"]
+            where += [f"{path.stem}.{getattr(top, 'name', '<module>')}"
+                      for node in ast.walk(top)
+                      if isinstance(node, ast.Constant)
+                      and isinstance(node.value, str)
+                      and ("must be positive and finite" in node.value
+                           or "must be nonnegative" in node.value)]
+    assert defined == [], defined
+    assert set(where) == {"solver.resolve_config"}, where
 
 
 def test_vanilla_steps_are_solver_step_spans():
