@@ -8,7 +8,8 @@ Subcommands::
     aalm --version
 
 Exit codes: 0 success (``--help`` and ``--version`` included), 1
-configuration or usage error, 2 solver/oracle failure.
+configuration or usage error, or a file that cannot be read or written,
+2 solver/oracle failure.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .harness import ConfigError, load_instance, parse_config, run_experiment
-from .oracle import ReferenceNotConverged, kkt_refine, save_kkt
-from .schedule import (DEFAULT_HORIZON, SCHEDULE_RULES, ScheduleError,
-                       certify_rho, named_schedule)
+from .harness import load_instance, parse_config, run_experiment
+from .oracle import kkt_refine, save_kkt
+from .schedule import (DEFAULT_HORIZON, SCHEDULE_RULES, certify_rho,
+                       named_schedule)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -121,10 +122,10 @@ def main(argv=None):
             return _cmd_certify(args)
         if args.command == "oracle":
             return _cmd_oracle(args)
-    except (ConfigError, ScheduleError, ValueError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ReferenceNotConverged, RuntimeError) as e:
+    except RuntimeError as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return EXIT_SOLVER
     return EXIT_CONFIG

@@ -27,8 +27,8 @@ Records are computed a block of iterates at a time (:func:`make_records`)
 from the iterates and the schedule alone: the run loop copies ``x_k`` and
 ``lam_k`` into the rows of one block it allocates before its first step,
 and pays for the array operations once per block, in difference arrays
-allocated with that block and reused by every flush.  Objective
-values and gradients come from the objective's row forms
+allocated with that block and reused by every flush.  Gradients, and
+values only given a reference, come from the objective's row form
 (:class:`aalm.problems.ObjectiveOracle`), and ``A x`` and ``A' lam`` from
 :meth:`aalm.problems.ProblemInstance.A_rows` and
 :meth:`~aalm.problems.ProblemInstance.At_rows`, one call each per block.
@@ -139,8 +139,8 @@ def make_records(instance, k, t, xi, X, L, gamma, delta, eta, beta,
 
     Row ``j >= 1`` of ``X`` (B+1, n) and ``L`` (B+1, m) holds iterate
     ``k + j - 1`` and row 0 the iterate before the block's first record.
-    The objective's row forms evaluate ``f`` and ``grad f`` of the
-    recorded iterates, and
+    The objective's row form evaluates ``grad f``, and ``f`` given
+    ``kkt``, of the recorded iterates, and
     :meth:`aalm.problems.ProblemInstance.A_rows` and
     :meth:`~aalm.problems.ProblemInstance.At_rows` form ``A x`` and
     ``A' lam``, each in one call per block.  ``t`` and ``xi`` (B,) hold
@@ -154,7 +154,7 @@ def make_records(instance, k, t, xi, X, L, gamma, delta, eta, beta,
     least B rows; without ``work`` they are this call's own.  The block's
     other arrays are combined in place, so a run that passes its own
     ``work`` to every block allocates no block-sized array per block
-    beyond those of ``A x``, ``A' lam`` and the row forms.  Every value is
+    beyond those of ``A x``, ``A' lam`` and the row form.  Every value is
     bitwise the out-of-place formula's.
     """
     obj = instance.objective
@@ -165,7 +165,7 @@ def make_records(instance, k, t, xi, X, L, gamma, delta, eta, beta,
     def mnorm_rows(u, w):
         return _rowdot(u, u) / gamma + _rowdot(w, w) / delta
 
-    G = obj.gradient_rows(x)
+    G, values = obj.rows(x)
     G += instance.At_rows(lam)
     stat = np.sqrt(_rowdot(G, G))
     del G
@@ -182,7 +182,7 @@ def make_records(instance, k, t, xi, X, L, gamma, delta, eta, beta,
     if kkt is None:
         obj_res = gap_H = energy_E = np.full(t.shape, np.nan)
     else:
-        f_x = obj.value_rows(x)
+        f_x = values()
         if f_star is None:
             f_star = obj.value(kkt.x)
         obj_res = np.abs(f_x - f_star)

@@ -294,19 +294,21 @@ def parse_config(source):
 # ---------------------------------------------------------------------------
 # Instances from config blocks and manifest files.
 
-def _load_array(path):
+def _load_array(path, ndmin):
     """Dense float array from a ``.csv`` or a Matrix Market ``.mtx`` file
     (read by ``scipy.io``, the package's one use of scipy); a coordinate
-    ``.mtx`` is read dense, the values of an entry it repeats summed.
-    Raises a ConfigError naming the file unless it can be read and holds
-    finite real numbers only."""
+    ``.mtx`` is read dense, the values of an entry it repeats summed.  A
+    ``.csv`` is read with at least ``ndmin`` dimensions: 2 for a matrix,
+    so that a file of one value per line is one column, and 1 for a
+    vector.  Raises a ConfigError naming the file unless it can be read
+    and holds finite real numbers only."""
     path = str(path)
     try:
         if path.endswith(".mtx"):
             import scipy.io
             mat = scipy.io.mmread(path)
         else:
-            mat = np.loadtxt(path, delimiter=",", dtype=float)
+            mat = np.loadtxt(path, delimiter=",", dtype=float, ndmin=ndmin)
     except (OSError, ValueError) as e:
         raise ConfigError(f"cannot read matrix {path}: {e}") from None
     if np.iscomplexobj(mat):
@@ -339,18 +341,15 @@ def _manifest_instance(raw, path):
                      strict=False)["kind"]
     obj = _validate(m["objective"], OBJECTIVES[kind], "objective")
 
-    def load(block, key):
-        return _load_array(path.parent / block[key])
+    def load(block, key, ndmin):
+        return _load_array(path.parent / block[key], ndmin)
 
-    A = np.atleast_2d(load(m, "A"))
-    b = np.atleast_1d(load(m, "b"))
+    A, b = load(m, "A", 2), load(m, "b", 1)
     name = path.stem if m["name"] is None else m["name"]
     if kind == "qp":
-        return make_qp(np.atleast_2d(load(obj, "Q")),
-                       np.atleast_1d(load(obj, "q")), A, b, name=name)
-    return make_lp_regression(np.atleast_2d(load(obj, "B")),
-                              np.atleast_1d(load(obj, "c")), float(obj["p"]),
-                              A, b, name=name)
+        return make_qp(load(obj, "Q", 2), load(obj, "q", 1), A, b, name=name)
+    return make_lp_regression(load(obj, "B", 2), load(obj, "c", 1),
+                              float(obj["p"]), A, b, name=name)
 
 
 def _validate_problem(block):

@@ -24,6 +24,7 @@ array or a :class:`KronIdentity`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -75,15 +76,17 @@ class ObjectiveOracle:
         The data :func:`separable_oracle` derived the callables from, for
         code that uses the Hessian in factored form.
 
-    ``value_rows`` and ``gradient_rows`` map a block ``X`` (B, n) of
-    points, one per row, to their values (B,) and gradients (B, n), each
-    row bitwise the callable's result at that row.  They are derived in
-    ``__post_init__`` (so ``dataclasses.replace`` re-derives them) from
-    ``quadratic`` if given, else from ``separable``, else as a loop over
-    ``value`` and ``gradient``.  Like the linear path, which trusts
-    ``quadratic``, and the Newton curvature, which trusts ``separable``,
-    they read the description: an oracle whose callables are swapped
-    while it keeps its description gets its rows from the description.
+    ``rows`` maps a block ``X`` (B, n) of points, one per row, to their
+    gradients (B, n) and a callable that returns their values (B,) from
+    the same product (``Q X``, or ``U'X - c``), so a caller that needs no
+    values forms none; each row is bitwise the callables' result at that
+    row.  It is derived in ``__post_init__`` (so ``dataclasses.replace``
+    re-derives it) from ``quadratic`` if given, else from ``separable``,
+    else as a loop over ``gradient`` and ``value``.  Like the linear path,
+    which trusts ``quadratic``, and the Newton curvature, which trusts
+    ``separable``, it reads the description: an oracle whose callables
+    are swapped while it keeps its description gets its rows from the
+    description.
     """
 
     value: Callable
@@ -92,20 +95,16 @@ class ObjectiveOracle:
     lipschitz: Optional[float] = None
     quadratic: Optional[Tuple[np.ndarray, np.ndarray]] = None
     separable: Optional[Separable] = None
-    value_rows: Callable = field(init=False, repr=False, compare=False)
-    gradient_rows: Callable = field(init=False, repr=False, compare=False)
+    rows: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.quadratic is not None:
-            rows = _quadratic_rows(*self.quadratic)
+            rows = partial(_quadratic_rows, *self.quadratic)
         elif self.separable is not None:
-            rows = _separable_rows(self.separable)
+            rows = partial(_separable_rows, self.separable)
         else:
-            value, gradient = self.value, self.gradient
-            rows = (lambda X: np.array([value(x) for x in X]),
-                    lambda X: np.array([gradient(x) for x in X]))
-        object.__setattr__(self, "value_rows", rows[0])
-        object.__setattr__(self, "gradient_rows", rows[1])
+            rows = partial(_callable_rows, self.value, self.gradient)
+        object.__setattr__(self, "rows", rows)
 
 
 # The row forms below are stacked matrix-vector products, ``M @ X[..., None]``
@@ -123,33 +122,30 @@ def _dot_rows(X, Y):
     return (X[:, None, :] @ Y[..., None])[:, 0, 0]
 
 
-def _quadratic_rows(Q, q):
-    """Row forms of ``x'Qx/2 + q'x``, matching :func:`make_qp`'s callables."""
-
-    def value_rows(X):
-        return (0.5 * _dot_rows(X, _matvec_rows(Q, X))
-                + (X[:, None, :] @ q)[:, 0])
-
-    def gradient_rows(X):
-        return _matvec_rows(Q, X) + q
-
-    return value_rows, gradient_rows
+def _quadratic_rows(Q, q, X):
+    """Row form of ``x'Qx/2 + q'x``, matching :func:`make_qp`'s callables."""
+    QX = _matvec_rows(Q, X)
+    return QX + q, lambda: (0.5 * _dot_rows(X, QX)
+                            + (X[:, None, :] @ q)[:, 0])
 
 
-def _separable_rows(form):
-    """Row forms of a :class:`Separable` ``f``, matching
+def _separable_rows(form, X):
+    """Row form of a :class:`Separable` ``f``, matching
     :func:`separable_oracle`'s callables."""
-    U, Ut, c, mu = form.U, form.U.T, form.c, form.mu
+    mu = form.mu
+    R = _matvec_rows(form.U.T, X) - form.c
+    G = _matvec_rows(form.U, form.dphi(R))
+    if not mu:
+        return G, lambda: form.phi(R).sum(axis=1)
+    np.add(G, mu * X, out=G)
+    return G, lambda: form.phi(R).sum(axis=1) + _dot_rows((0.5 * mu) * X, X)
 
-    def value_rows(X):
-        v = form.phi(_matvec_rows(Ut, X) - c).sum(axis=1)
-        return v + _dot_rows((0.5 * mu) * X, X) if mu else v
 
-    def gradient_rows(X):
-        G = _matvec_rows(U, form.dphi(_matvec_rows(Ut, X) - c))
-        return np.add(G, mu * X, out=G) if mu else G
-
-    return value_rows, gradient_rows
+def _callable_rows(value, gradient, X):
+    """Row form of an ``f`` known by its callables alone: one call each
+    per row."""
+    return (np.array([gradient(x) for x in X]),
+            lambda: np.array([value(x) for x in X]))
 
 
 @dataclass(frozen=True)

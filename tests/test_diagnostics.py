@@ -6,6 +6,7 @@ on sequences with known decay.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,10 +18,15 @@ from aalm import (
     kkt_solve_qp,
     littleo_witness,
     make_qp,
+    make_random_lp,
+    make_random_qp,
     make_ring_logistic,
     stationarity,
 )
-from aalm.diagnostics import TRACE_FIELDS, energy, make_record, mnorm_sq
+from aalm.diagnostics import (TRACE_FIELDS, energy, make_record,
+                              make_records, mnorm_sq)
+from aalm.problems import KKTPoint
+from aalm.solver import StoppingRule, _block_rows
 
 
 def _worked_qp():
@@ -184,6 +190,47 @@ class TestMakeRecord:
         assert math.isnan(rec.gap_H)
         assert math.isnan(rec.energy_E)
         assert math.isfinite(rec.feas) and math.isfinite(rec.stat_res)
+
+    @pytest.mark.parametrize("family", ["qp", "lp", "ring-10x20"])
+    def test_records_without_reference(self, family):
+        """On blocks of 1 row and of the record row cap, records made
+        without a reference agree bitwise with those made with one on
+        every field the reference does not enter, and they form no
+        objective values: the row form's ``values`` is called once per
+        block with a reference and never without one."""
+        inst = {"qp": lambda: make_random_qp(n=50, m=10, seed=0),
+                "lp": lambda: make_random_lp(seed=0),
+                "ring-10x20": lambda: make_ring_logistic(10, 20, 0.5,
+                                                         seed=0)}[family]()
+        rows, formed = inst.objective.rows, []
+
+        def spy(X):
+            G, values = rows(X)
+            return G, lambda: formed.append(len(X)) or values()
+
+        obj = replace(inst.objective)
+        object.__setattr__(obj, "rows", spy)
+        inst = replace(inst, objective=obj)
+        rng = np.random.default_rng(11)
+        kkt = KKTPoint(rng.normal(size=inst.dim),
+                       rng.normal(size=inst.n_constraints), 0.0)
+        same = ("k", "t_k", "feas", "stat_res", "step_norm_M",
+                "scaled_feas")
+        cap = _block_rows(inst, StoppingRule())
+        for b in sorted({1, cap}):
+            X = rng.normal(size=(b + 1, inst.dim))
+            L = rng.normal(size=(b + 1, inst.n_constraints))
+            t = 1.0 + rng.random(b)
+            args = (inst, 3, t, np.sqrt(t), X, L, 0.8, 1.1, 0.7, 1.0)
+            bare = make_records(*args)
+            assert not formed
+            full = make_records(*args, kkt=kkt)
+            assert formed == [b]
+            formed.clear()
+            for f in same:
+                assert (np.array([getattr(r, f) for r in bare]).tobytes()
+                        == np.array([getattr(r, f) for r in full]).tobytes())
+            assert all(math.isnan(r.gap_H) for r in bare)
 
     def test_trace_fields_schema(self):
         """The serialization schema is frozen."""

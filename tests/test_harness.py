@@ -295,6 +295,30 @@ class TestManifest:
         assert_allclose(inst.objective.value(x),
                         0.5 * x @ Q @ x + q @ x, rtol=1e-15)
 
+    def test_one_variable_manifest(self, tmp_path, capsys):
+        """A ``.csv`` matrix of one value per line is one column: the
+        2x1 ``A`` of a one-variable QP loads as (2, 1), and ``aalm
+        oracle`` certifies the pair ``kkt_solve_qp`` gives on the same
+        arrays."""
+        Q, q = np.array([[2.0]]), np.array([-1.0])
+        A, b = np.array([[1.0], [2.0]]), np.array([0.5, 1.0])
+        manifest = {"objective": {"kind": "qp", "Q": "Q.csv", "q": "q.csv"},
+                    "A": "A.csv", "b": "b.csv"}
+        for key, arr in (("Q", Q), ("q", q), ("A", A), ("b", b)):
+            _write_matrix(tmp_path / f"{key}.csv", arr)
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(manifest))
+        inst = load_instance(path)
+        assert inst.A.shape == (2, 1) and inst.b.shape == (2,)
+        assert inst.objective.quadratic[0].shape == (1, 1)
+        out = tmp_path / "one.kkt.csv"
+        assert main(["oracle", str(path), "--out", str(out)]) == 0
+        assert "kkt_tol=" in capsys.readouterr().out
+        kkt, want = load_kkt(out), kkt_solve_qp(Q, q, A, b)
+        assert kkt.kkt_tol <= 1e-8
+        assert_allclose(kkt.x, want.x, rtol=0, atol=1e-12)
+        assert_allclose(kkt.lam, want.lam, rtol=0, atol=1e-12)
+
     def test_sparse_constraint_manifest(self, tmp_path):
         """A coordinate-format A.mtx that lists one (i, j) entry twice
         loads as a C-ordered float ndarray bitwise equal to its dense .csv
@@ -1194,6 +1218,32 @@ class TestCli:
     def test_run_missing_config(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @staticmethod
+    def _one_error_line(capsys, path):
+        """stderr is one ``error:`` line naming ``path``, no traceback."""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err and "Traceback" not in err
+
+    def test_run_output_dir_not_creatable(self, tmp_path, monkeypatch,
+                                          capsys):
+        """An ``output_dir`` under a regular file is an error, exit 1."""
+        monkeypatch.delenv("AALM_OUTPUT_DIR", raising=False)
+        (tmp_path / "afile").write_text("x")
+        out = tmp_path / "afile" / "out"
+        path = _write_config(tmp_path, _qp_config(output_dir=str(out)))
+        assert main(["run", str(path)]) == 1
+        self._one_error_line(capsys, out)
+
+    def test_oracle_out_into_missing_directory(self, tmp_path, capsys):
+        """``aalm oracle --out`` into a missing directory is an error,
+        exit 1."""
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"builtin": "qp", "n": 6, "m": 2}))
+        out = tmp_path / "missing" / "ref.csv"
+        assert main(["oracle", str(path), "--out", str(out)]) == 1
+        self._one_error_line(capsys, out)
 
     def test_run_reports_solver_failure(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("AALM_OUTPUT_DIR", str(tmp_path / "out"))

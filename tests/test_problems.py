@@ -578,10 +578,11 @@ class TestRowForms:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_rows_equal_per_row_calls(self, family):
         """On blocks of 1, the record row cap - 1, the cap and the cap + 1
-        rows, every row of ``value_rows``, ``gradient_rows``, ``A_rows``
-        and ``At_rows`` is bitwise the per-row callable's (or ``A @ x``'s,
-        or ``At @ lam``'s) result, so every block is a bitwise prefix of
-        the longer ones; both products come C-ordered."""
+        rows, every row of the objective's row form (gradients and
+        values), ``A_rows`` and ``At_rows`` is bitwise the per-row
+        callable's (or ``A @ x``'s, or ``At @ lam``'s) result, so every
+        block is a bitwise prefix of the longer ones; both products come
+        C-ordered."""
         inst = self.FAMILIES[family]()
         obj = inst.objective
         cap = _block_rows(inst, StoppingRule())
@@ -590,10 +591,9 @@ class TestRowForms:
         L = rng.normal(size=(cap + 1, inst.n_constraints))
         for b in sorted({1, cap - 1, cap, cap + 1} - {0}):
             x, lam = X[:b], L[:b]
-            assert self._same_bits(obj.value_rows(x),
-                                   [obj.value(v) for v in x])
-            assert self._same_bits(obj.gradient_rows(x),
-                                   [obj.gradient(v) for v in x])
+            G, values = obj.rows(x)
+            assert self._same_bits(G, [obj.gradient(v) for v in x])
+            assert self._same_bits(values(), [obj.value(v) for v in x])
             AX = inst.A_rows(x)
             assert AX.flags.c_contiguous
             assert self._same_bits(AX, [inst.A @ v for v in x])
@@ -602,21 +602,26 @@ class TestRowForms:
             assert self._same_bits(AtL, [inst.At @ v for v in lam])
 
     def test_forms_follow_the_description(self):
-        """The row forms are derived from ``quadratic``, else ``separable``,
-        else the callables, and ``replace`` derives them anew."""
+        """The row form is derived from ``quadratic``, else ``separable``,
+        else the callables, and ``replace`` derives it anew; the
+        callables' loop calls ``value`` only when the values are asked
+        for."""
         qp = make_random_qp(n=6, m=2, seed=3).objective
         plain = replace(qp, quadratic=None)
-        assert plain.value_rows is not qp.value_rows
+        assert plain.rows is not qp.rows
         X = np.random.default_rng(0).normal(size=(3, 6))
-        assert self._same_bits(plain.value_rows(X), qp.value_rows(X))
-        assert self._same_bits(plain.gradient_rows(X), qp.gradient_rows(X))
+        (G, values), (want_G, want_values) = plain.rows(X), qp.rows(X)
+        assert self._same_bits(G, want_G)
+        assert self._same_bits(values(), want_values())
         lp = make_random_lp(d=8, n=5, seed=1).objective
         doubled = replace(lp, gradient=lambda x: 2.0 * lp.gradient(x))
         Y = np.random.default_rng(1).normal(size=(3, 5))
-        assert self._same_bits(doubled.gradient_rows(Y),
-                               lp.gradient_rows(Y))
+        assert self._same_bits(doubled.rows(Y)[0], lp.rows(Y)[0])
         counted = []
         bare = replace(lp, separable=None,
                        value=lambda x: counted.append(1) or lp.value(x))
-        assert self._same_bits(bare.value_rows(Y), lp.value_rows(Y))
+        G, values = bare.rows(Y)
+        assert self._same_bits(G, lp.rows(Y)[0])
+        assert not counted
+        assert self._same_bits(values(), lp.rows(Y)[1]())
         assert len(counted) == 3
